@@ -28,7 +28,7 @@ from .matrices import (PolyMatrix, RowLabel, build_carra_ferro,
 from .certificate import (Certificate, certify, eliminate,
                           ranking_specialization, transform_12,
                           unique_monomial_coefficient)
-from .determinant import (DetResult, common_zero_specialization, crt_combine,
+from .determinant import (common_zero_specialization, crt_combine,
                           det_laplace, det_modular, det_specialized,
                           det_symbolic, hadamard_bound, nonzero_random_probe,
                           random_specialization)

@@ -17,15 +17,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 from typing import List, Optional, Sequence
 
 from .certificate import certify, unique_monomial_coefficient
 from .checks import OPTIONAL_SUITES, SUITES, run_checks
-from .determinant import (DetResult, common_zero_specialization, crt_combine,
+from .determinant import (SIGN_NOTE, common_zero_specialization, crt_lift,
                           det_modular, det_specialized, det_symbolic,
-                          random_specialization)
+                          hadamard_bound, random_specialization)
 from .diffsys import (SystemSpec, delta, generic_system, system_symbols,
                       ym_render)
 from .errors import DiffresError
@@ -45,35 +46,66 @@ def _spec(args) -> SystemSpec:
     return SystemSpec(args.d1, args.d2).validate()
 
 
-def _load_config(path: Optional[str]) -> dict:
-    if not path:
-        return {}
+def _read_json(path: str, kind: type, what: str):
+    """A JSON file's content, which must be of the given type (a ValueError,
+    so exit code 2, otherwise)."""
     with open(path) as fh:
-        return json.load(fh)
+        data = json.load(fh)
+    if not isinstance(data, kind):
+        raise ValueError(f"{path}: {what} must hold a JSON "
+                         f"{'object' if kind is dict else 'list'}")
+    return data
+
+
+def _load_config(path: Optional[str]) -> dict:
+    return _read_json(path, dict, "a config file") if path else {}
+
+
+def _ints(values, count: int, what: str) -> List[int]:
+    try:
+        out = [int(v) for v in values]
+    except (TypeError, ValueError):
+        out = []
+    if len(out) != count:
+        raise ValueError(f"{what}: expected {count} integers, got {values!r}")
+    return out
+
+
+def _move(entry) -> tuple:
+    if not isinstance(entry, dict) or not {"monomial", "from", "to"} <= entry.keys():
+        raise ValueError(f'a move needs "monomial", "from" and "to": {entry!r}')
+    src, dst = _ints((entry["from"], entry["to"]), 2, "move blocks")
+    if not {src, dst} <= {1, 2, 3, 4}:
+        raise ValueError(f"a move's blocks must lie in 1..4: {entry!r}")
+    return YMonomial(*_ints(entry["monomial"], 3, "move monomial")), src, dst
 
 
 def _liftings(args, config: dict) -> Liftings:
     values = args.liftings if args.liftings else config.get("liftings")
     if values is None:
         return DEFAULT_LIFTINGS
-    values = [int(v) for v in values]
-    if len(values) != 12:
-        raise SystemExit(2)
+    values = _ints(values, 12, "liftings")
     return Liftings(tuple(values[0:3]), tuple(values[3:6]),
                     tuple(values[6:9]), tuple(values[9:12]))
+
+
+def _rationals(values, what: str) -> tuple:
+    try:
+        return tuple(Fraction(v) for v in values)
+    except (TypeError, ZeroDivisionError):
+        raise ValueError(f"{what}: expected rationals, got {values!r}") from None
 
 
 def _delta_vec(args, config: dict):
     values = args.delta if args.delta else config.get("delta")
     if values is None:
         return DEFAULT_PERTURBATION
-    return tuple(Fraction(v) for v in values)
+    return _rationals(values, "delta")
 
 
 def _load_specialization(path: str, spec: SystemSpec,
                          include_fresh: bool = False) -> Specialization:
-    with open(path) as fh:
-        data = json.load(fh)
+    data = _read_json(path, dict, "a specialization file")
     universe = system_symbols(spec, include_fresh=include_fresh)
     return Specialization.from_json(data, universe)
 
@@ -168,27 +200,32 @@ def cmd_det(args) -> int:
     matrix = build_square_matrix(spec)
     if args.mode == "symbolic":
         value = det_symbolic(matrix, cap=args.cap)
-        result = DetResult("Symbolic", value)
-        payload = {"mode": result.mode, "value": value.render(),
-                   "sign_convention": result.sign_convention}
+        payload = {"mode": "Symbolic", "value": value.render(),
+                   "sign_convention": SIGN_NOTE}
     else:
         if args.spec_file:
             s = _load_specialization(args.spec_file, spec)
         elif args.common_zero:
-            point = tuple(Fraction(v) for v in args.common_zero)
+            point = _rationals(args.common_zero, "common zero")
             s = common_zero_specialization(spec, point, rng_seed=args.seed)
         else:
             s = random_specialization(spec, args.seed)
         if args.mode == "specialized":
             value = det_specialized(matrix, s)
             payload = {"mode": "SpecializedExact", "value": str(value),
-                       "sign_convention": DetResult("SpecializedExact", value).sign_convention}
+                       "sign_convention": SIGN_NOTE}
         else:
             moduli = [int(p) for p in args.moduli]
             residues = det_modular(matrix, s, moduli)
+            bound = hadamard_bound(matrix.specialize(s))
+            lifted = crt_lift(residues, moduli, bound)
             payload = {"mode": "Modular", "moduli": moduli,
                        "residues": residues,
-                       "crt": str(crt_combine(residues, moduli))}
+                       "crt": None if lifted is None else str(lifted)}
+            if lifted is None:
+                payload["crt_note"] = (
+                    "moduli insufficient: their product does not exceed "
+                    f"twice the Hadamard bound {bound}")
     _emit(payload, args)
     return 0
 
@@ -225,10 +262,7 @@ def cmd_moves(args) -> int:
     lift = _liftings(args, config)
     delta_vec = _delta_vec(args, config)
     if args.moves_file:
-        with open(args.moves_file) as fh:
-            raw = json.load(fh)
-        moves = [(YMonomial(*m["monomial"]), int(m["from"]), int(m["to"]))
-                 for m in raw]
+        moves = [_move(m) for m in _read_json(args.moves_file, list, "a moves file")]
     else:
         moves = list(MOVES_TO_DIVISIBILITY_2_2)
     result = grc_partition(spec, lift, delta_vec)
@@ -336,6 +370,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec-file", help="JSON symbol-to-rational map")
     p.add_argument("--common-zero", nargs=3, metavar=("Y", "Y1", "Y2"),
                    help="build a common-zero specialization at this point")
+    # argparse takes "-3/4" for an option unless it reads as a negative number
+    p._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--moduli", nargs="+", default=["2147483647", "2147483629"])
     p.set_defaults(fn=cmd_det)

@@ -18,10 +18,9 @@ forces the specialized determinant to vanish exactly.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt, lcm
-from typing import Dict, List, Sequence, Tuple
+from math import ceil, gcd, isqrt, lcm, prod
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import CapExceeded
 from .diffsys import SystemSpec, delta, generic_system, system_symbols
@@ -32,14 +31,6 @@ from .sympoly import Specialization, SymPoly
 SYMBOLIC_CAP_DEFAULT = 8
 SIGN_NOTE = ("value tied to the canonical decreasing column order and the "
              "block row order; claims hold up to global sign")
-
-
-@dataclass(frozen=True)
-class DetResult:
-    mode: str                  # "Symbolic" | "SpecializedExact" | "Modular"
-    value: object              # SymPoly, Fraction, or list of residues
-    sign_convention: str = SIGN_NOTE
-    moduli: Tuple[int, ...] = ()
 
 
 def det_symbolic(matrix: PolyMatrix, cap: int = SYMBOLIC_CAP_DEFAULT) -> SymPoly:
@@ -184,9 +175,44 @@ def _det_mod(rows: List[List[int]], p: int) -> int:
     return det % p
 
 
+# Miller-Rabin with the primes up to 41 as bases decides primality exactly
+# below this bound (Sorenson and Webster, 2015)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
+def is_prime(n: int) -> bool:
+    """Exact primality for n below 3.3e24; ValueError above."""
+    if n < 2:
+        return False
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    if n >= _MR_LIMIT:
+        raise ValueError(f"modulus {n} is too large to certify as a prime")
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def det_modular(matrix: PolyMatrix, s: Specialization,
                 moduli: Sequence[int]) -> List[int]:
-    """Residues of the specialized determinant; requires integer entries."""
+    """Residues of the specialized determinant modulo primes; requires
+    integer entries (the elimination divides, so each modulus must be prime)."""
+    for p in moduli:
+        if not is_prime(p):
+            raise ValueError(f"modulus {p} is not a prime")
     dense = matrix.specialize(s)
     for row in dense:
         for v in row:
@@ -212,11 +238,21 @@ def crt_combine(residues: Sequence[int], moduli: Sequence[int]) -> int:
     return value
 
 
+def crt_lift(residues: Sequence[int], moduli: Sequence[int],
+             bound: int) -> Optional[int]:
+    """The integer of absolute value at most `bound` with these residues, or
+    None when the moduli's product does not exceed twice the bound (the
+    residues then do not determine it)."""
+    if prod(moduli) <= 2 * bound:
+        return None
+    return crt_combine(residues, moduli)
+
+
 def hadamard_bound(rows: List[List[Fraction]]) -> int:
-    """Integer bound with |det| <= bound for an integer matrix."""
+    """Integer bound with |det| <= bound, rounding each |entry| up."""
     bound = 1
     for row in rows:
-        norm_sq = sum(int(v) * int(v) for v in row)
+        norm_sq = sum(ceil(abs(v)) ** 2 for v in row)
         bound *= isqrt(norm_sq) + 1
     return bound
 

@@ -108,10 +108,6 @@ class DiffPoly:
     def zero() -> "DiffPoly":
         return DiffPoly()
 
-    @staticmethod
-    def from_terms(terms: Mapping[YMonomial, SymPoly]) -> "DiffPoly":
-        return DiffPoly(dict(terms))
-
     def is_zero(self) -> bool:
         return not self._support
 
@@ -120,17 +116,6 @@ class DiffPoly:
 
     def items(self):
         return self._support.items()
-
-    @property
-    def order(self) -> int:
-        """Largest derivative index with a nonzero exponent."""
-        order = 0
-        for m in self._support:
-            if m.ey2:
-                return 2
-            if m.ey1:
-                order = 1
-        return order
 
     def support_set(self) -> Tuple[YMonomial, ...]:
         return tuple(sorted(self._support, key=ym_key))

@@ -27,7 +27,9 @@ class ClosureViolation(DiffresError):
 
 
 class CertificateFailure(DiffresError):
-    """An elimination step found a wrong symbol-occurrence pattern.
+    """A certificate failed its exact check: an elimination step found a
+    wrong symbol-occurrence pattern, or an LP basis or Farkas vector does not
+    prove the verdict it came with.
 
     This falsifies the implementation (or the matrix handed in), never the
     underlying mathematics; it is fatal by design.

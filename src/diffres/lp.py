@@ -1,17 +1,20 @@
 """Exact rational linear programming.
 
 Standard-form solver for min c.x subject to A x = b, x >= 0, over Fractions
-throughout: two phases, Bland's anti-cycling pivot rule, no tolerances.  A
-basis-verification routine certifies optimality of a proposed basic solution
-independently of the solver (feasibility of B^-1 b and nonpositive reduced
-costs), so the two can cross-check each other.
+throughout: two phases, Bland's anti-cycling pivot rule, no tolerances.
+Phase one alone returns a certificate with its verdict: a basis with
+B^-1 b >= 0, or a Farkas vector w with w A >= 0 and w b < 0, read from the
+artificial columns of the final tableau.  A basis-verification routine
+certifies optimality of a proposed basic solution independently of the
+solver (feasibility of B^-1 b and nonpositive reduced costs), so the two can
+cross-check each other.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import SingularBasis, Unbounded
 
@@ -25,8 +28,23 @@ def _as_fractions(rows: Sequence[Sequence]) -> Matrix:
 
 def solve_square(B: Matrix, rhs: Vector) -> Optional[Vector]:
     """Gaussian elimination with exact pivots; None when B is singular."""
+    solved = _solve_columns(B, [rhs])
+    return None if solved is None else solved[0]
+
+
+def inverse(B: Matrix) -> Optional[Matrix]:
+    """Exact inverse of a square matrix; None when it is singular."""
     n = len(B)
-    grid = [[Fraction(v) for v in row] + [Fraction(rhs[i])]
+    solved = _solve_columns(B, [[int(i == k) for i in range(n)] for k in range(n)])
+    if solved is None:
+        return None
+    return [[solved[k][i] for k in range(n)] for i in range(n)]
+
+
+def _solve_columns(B: Matrix, columns: Sequence[Vector]) -> Optional[List[Vector]]:
+    """Gauss-Jordan on B augmented by every right-hand side at once."""
+    n = len(B)
+    grid = [[Fraction(v) for v in row] + [Fraction(col[i]) for col in columns]
             for i, row in enumerate(B)]
     for k in range(n):
         pivot_row = next((i for i in range(k, n) if grid[i][k] != 0), None)
@@ -34,12 +52,14 @@ def solve_square(B: Matrix, rhs: Vector) -> Optional[Vector]:
             return None
         grid[k], grid[pivot_row] = grid[pivot_row], grid[k]
         piv = grid[k][k]
-        grid[k] = [v / piv for v in grid[k]]
+        if piv != 1:
+            grid[k] = [v / piv for v in grid[k]]
         for i in range(n):
             if i != k and grid[i][k] != 0:
                 factor = grid[i][k]
-                grid[i] = [a - factor * b for a, b in zip(grid[i], grid[k])]
-    return [grid[i][n] for i in range(n)]
+                grid[i] = [a - factor * b if b else a
+                           for a, b in zip(grid[i], grid[k])]
+    return [[grid[i][n + k] for i in range(n)] for k in range(len(columns))]
 
 
 def matrix_rank(rows: Sequence[Sequence]) -> int:
@@ -96,11 +116,12 @@ class _Tableau:
 
     def pivot(self, row: int, col: int) -> None:
         piv = self.rows[row][col]
-        self.rows[row] = [v / piv for v in self.rows[row]]
+        if piv != 1:
+            self.rows[row] = [v / piv for v in self.rows[row]]
         for i in range(self.m):
             if i != row and self.rows[i][col] != 0:
                 factor = self.rows[i][col]
-                self.rows[i] = [a - factor * b
+                self.rows[i] = [a - factor * b if b else a
                                 for a, b in zip(self.rows[i], self.rows[row])]
         self.basis[row] = col
 
@@ -152,25 +173,44 @@ class _Tableau:
         return x
 
 
-def simplex(A: Sequence[Sequence], b: Sequence, c: Sequence) -> LPSolution:
-    """Two-phase exact simplex for min c.x, A x = b, x >= 0."""
-    A = _as_fractions(A)
-    b = [Fraction(v) for v in b]
-    c = [Fraction(v) for v in c]
+class Feasibility(NamedTuple):
+    """Phase-one verdict on A x = b, x >= 0, with its certificate.
+
+    Feasible: ``basis`` lists columns of A whose basic solution ``x`` is
+    nonnegative (B^-1 b >= 0; one column per independent row of A).
+    Infeasible: ``farkas`` is a vector w with w A >= 0 and w b < 0.
+    """
+
+    feasible: bool
+    basis: Tuple[int, ...]
+    x: Tuple[Fraction, ...]
+    farkas: Tuple[Fraction, ...]
+
+
+def _phase_one(A: Matrix, b: Vector) -> Tuple[_Tableau, Optional[Vector]]:
+    """Phase one; the tableau on a basis of A's columns, or a Farkas vector.
+
+    At a positive optimum the artificial columns hold B^-1 of the row-flipped
+    system S A x = S b, so y = c_B B^-1 has y S A <= 0 (the reduced costs of
+    the original columns) and y S b > 0 (the optimum); w = -S y certifies
+    infeasibility.  Otherwise the artificial variables are driven out of the
+    basis and redundant rows dropped, ready for phase two.
+    """
     m = len(A)
     n = len(A[0]) if A else 0
-
     tab = _Tableau(A, b)
+    flipped = [b[i] < 0 for i in range(m)]
     artificial = tab.add_columns(m)
     for i, j in enumerate(artificial):
         tab.rows[i][j] = Fraction(1)
         tab.basis[i] = j
 
     phase1_cost = [Fraction(0)] * n + [Fraction(1)] * m
-    allowed = [True] * tab.n
-    value = tab.run(phase1_cost, allowed)
+    value = tab.run(phase1_cost, [True] * tab.n)
     if value > 0:
-        return LPSolution("infeasible", [], Fraction(0), ())
+        y = [sum(phase1_cost[tab.basis[i]] * tab.rows[i][j] for i in range(m))
+             for j in artificial]
+        return tab, [y[k] if flipped[k] else -y[k] for k in range(m)]
 
     # drive any artificial variable out of the basis
     drop_rows: List[int] = []
@@ -186,7 +226,29 @@ def simplex(A: Sequence[Sequence], b: Sequence, c: Sequence) -> LPSolution:
             del tab.rows[i]
             del tab.basis[i]
         tab.m = len(tab.rows)
+    return tab, None
 
+
+def phase_one(A: Sequence[Sequence], b: Sequence) -> Feasibility:
+    """Exact feasibility of A x = b, x >= 0 with a certificate either way."""
+    A = _as_fractions(A)
+    b = [Fraction(v) for v in b]
+    n = len(A[0]) if A else 0
+    tab, farkas = _phase_one(A, b)
+    if farkas is not None:
+        return Feasibility(False, (), (), tuple(farkas))
+    return Feasibility(True, tuple(sorted(tab.basis)), tuple(tab.solution()[:n]), ())
+
+
+def simplex(A: Sequence[Sequence], b: Sequence, c: Sequence) -> LPSolution:
+    """Two-phase exact simplex for min c.x, A x = b, x >= 0."""
+    A = _as_fractions(A)
+    b = [Fraction(v) for v in b]
+    c = [Fraction(v) for v in c]
+    n = len(A[0]) if A else 0
+    tab, farkas = _phase_one(A, b)
+    if farkas is not None:
+        return LPSolution("infeasible", [], Fraction(0), ())
     allowed = [j < n for j in range(tab.n)]
     phase2_cost = c + [Fraction(0)] * (tab.n - n)
     objective = tab.run(phase2_cost, allowed)
@@ -196,8 +258,7 @@ def simplex(A: Sequence[Sequence], b: Sequence, c: Sequence) -> LPSolution:
 
 def feasible(A: Sequence[Sequence], b: Sequence) -> bool:
     """Exact feasibility of A x = b, x >= 0 (phase one only)."""
-    result = simplex(A, b, [0] * (len(A[0]) if A else 0))
-    return result.status == "optimal"
+    return phase_one(A, b).feasible
 
 
 @dataclass(frozen=True)

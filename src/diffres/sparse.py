@@ -10,6 +10,14 @@ monomials, the blocks tile the column set, and the resulting square matrix
 is a row rearrangement of the standard one after a short list of legal
 moves.
 
+The constraint matrix depends only on the degrees and the costs only on
+the liftings, so each call sets up once and reuses certificates across
+points.  Feasibility is read from Farkas vectors and bases already found
+(the catalog bases first), with phase one only when none decides; the
+partition computes each catalog basis's inverse and optimality once and
+per point only x_B = B^-1 b.  Every verdict rests on a certificate checked
+in exact arithmetic.
+
 Ties between alternative optima are broken deterministically: the catalog
 of certified bases is scanned in its fixed order requiring strict
 feasibility, then weak feasibility, then a restricted-LP search over the
@@ -21,11 +29,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
-from typing import Dict, List, Optional, Sequence, Tuple
+from math import lcm
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .errors import (ClosureViolation, DiffresError, IllegalMove, Infeasible,
-                     InvalidPerturbation, NoVertexOptimum, SingularBasis,
-                     Unbounded)
+from .errors import (CertificateFailure, ClosureViolation, DiffresError,
+                     IllegalMove, Infeasible, InvalidPerturbation,
+                     NoVertexOptimum, SingularBasis, Unbounded)
 from . import lp
 from .diffsys import (DiffPoly, SystemSpec, YMonomial, delta, generic_system,
                       support, ym_divides, ym_div, ym_key, ym_mul, ym_render)
@@ -157,18 +166,21 @@ def build_lp(q: Sequence[int], spec: SystemSpec, lift: Liftings,
     A = _constraint_matrix(spec)
     b = [Fraction(q[k]) - Fraction(delta_vec[k]) for k in range(3)]
     b += [Fraction(1)] * 4
-    c: List[Fraction] = []
-    for i, verts in enumerate(vertex_lists(spec), start=1):
-        for v in verts:
-            c.append(Fraction(lift.height(i, v)))
     return LPInstance(
         A=tuple(tuple(row) for row in A),
         b=tuple(b),
-        c=tuple(c),
+        c=_costs(spec, lift),
         labels=var_labels(),
         point=tuple(int(x) for x in q),
         spec=(spec.d1, spec.d2),
     )
+
+
+def _costs(spec: SystemSpec, lift: Liftings) -> Tuple[Fraction, ...]:
+    """The lifting heights of the 18 vertex columns."""
+    return tuple(Fraction(lift.height(i, v))
+                 for i, verts in enumerate(vertex_lists(spec), start=1)
+                 for v in verts)
 
 
 def _check_perturbation(delta_vec: Sequence[Fraction]) -> None:
@@ -182,18 +194,16 @@ def lattice_points(spec: SystemSpec,
     """Integer points of the perturbed Minkowski sum, by exact feasibility.
 
     The bounding box [0, 2*d1 + 2*d2]^3 is scanned; a point is kept when the
-    vertex-decomposition system for it admits a nonnegative solution.
+    vertex-decomposition system for it admits a nonnegative solution.  Each
+    verdict rests on an exactly checked basis or Farkas vector, reused
+    across the points of the call.
     """
     spec = SystemSpec(*spec).validate()
     _check_perturbation(delta_vec)
-    A = _constraint_matrix(spec)
+    system = _PointSystem(spec, delta_vec)
     limit = 2 * spec.d1 + 2 * spec.d2
-    found: List[Point] = []
-    for q in iter_product(range(limit + 1), repeat=3):
-        b = [Fraction(q[k]) - Fraction(delta_vec[k]) for k in range(3)]
-        b += [Fraction(1)] * 4
-        if lp.feasible(A, b):
-            found.append(q)
+    found = [q for q in iter_product(range(limit + 1), repeat=3)
+             if system.feasible(q)]
     found.sort(key=lambda p: (sum(p), p[2], p[1], p[0]))
     return found
 
@@ -218,37 +228,133 @@ def verify_basis(inst: LPInstance, basis_labels: Sequence[str]) -> lp.BasisRepor
 
 # --- certified basis catalog -------------------------------------------------
 
-def _basis(*pairs: Tuple[int, int]) -> Tuple[str, ...]:
-    return tuple(f"lam{i}{j}" for i, j in pairs)
+# Scanned in order; each entry is (case, id, basis labels), the labels given
+# below by their (block, vertex) digits.  Every basis contains exactly one
+# variable of its case's block, which the convexity row then pins to one,
+# selecting that block's target vertex.
+CASE_BASES: Tuple[Tuple[int, str, Tuple[str, ...]], ...] = tuple(
+    (int(bid[0]), bid, tuple(f"lam{ij}" for ij in digits.split()))
+    for bid, digits in (
+        ("1.1", "13 23 24 32 33 41 43"),
+        ("1.2", "13 23 24 31 32 33 41"),
+        ("1.3", "13 23 24 32 33 41 42"),
+        ("1.4", "13 23 24 33 41 42 43"),
+        ("2.1", "13 14 24 31 32 33 41"),
+        ("2.2", "13 14 24 33 41 42 43"),
+        ("2.3", "13 14 24 32 33 41 43"),
+        ("2.4", "13 14 24 32 33 41 42"),
+        ("2.5", "11 12 13 24 31 33 41"),
+        ("2.6", "13 14 15 24 33 41 43"),
+        ("2.7", "12 13 14 15 24 33 41"),
+        ("3.1", "15 16 24 26 33 41 43"),
+        ("3.2", "13 15 23 24 33 41 43"),
+        ("3.3", "15 23 24 25 33 41 43"),
+        ("3.4", "12 13 15 23 24 33 41"),
+        ("4.1", "11 12 21 24 26 31 41"),
+        ("4.2", "11 12 24 26 31 33 41"),
+        ("4.3", "11 12 15 24 26 33 41"),
+        ("4.4", "12 13 23 24 31 33 41"),
+        ("4.5", "12 23 24 25 31 33 41"),
+        ("4.6", "12 21 22 23 25 31 41"),
+        ("4.7", "12 15 23 25 26 33 41"),
+    ))
 
 
-# Scanned in order; each entry is (case, id, basis labels).  Every basis
-# contains exactly one variable of its case's block, which the convexity row
-# then pins to one, selecting that block's target vertex.
-CASE_BASES: Tuple[Tuple[int, str, Tuple[str, ...]], ...] = (
-    (1, "1.1", _basis((1, 3), (2, 3), (2, 4), (3, 2), (3, 3), (4, 1), (4, 3))),
-    (1, "1.2", _basis((1, 3), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (4, 1))),
-    (1, "1.3", _basis((1, 3), (2, 3), (2, 4), (3, 2), (3, 3), (4, 1), (4, 2))),
-    (1, "1.4", _basis((1, 3), (2, 3), (2, 4), (3, 3), (4, 1), (4, 2), (4, 3))),
-    (2, "2.1", _basis((1, 3), (1, 4), (2, 4), (3, 1), (3, 2), (3, 3), (4, 1))),
-    (2, "2.2", _basis((1, 3), (1, 4), (2, 4), (3, 3), (4, 1), (4, 2), (4, 3))),
-    (2, "2.3", _basis((1, 3), (1, 4), (2, 4), (3, 2), (3, 3), (4, 1), (4, 3))),
-    (2, "2.4", _basis((1, 3), (1, 4), (2, 4), (3, 2), (3, 3), (4, 1), (4, 2))),
-    (2, "2.5", _basis((1, 1), (1, 2), (1, 3), (2, 4), (3, 1), (3, 3), (4, 1))),
-    (2, "2.6", _basis((1, 3), (1, 4), (1, 5), (2, 4), (3, 3), (4, 1), (4, 3))),
-    (2, "2.7", _basis((1, 2), (1, 3), (1, 4), (1, 5), (2, 4), (3, 3), (4, 1))),
-    (3, "3.1", _basis((1, 5), (1, 6), (2, 4), (2, 6), (3, 3), (4, 1), (4, 3))),
-    (3, "3.2", _basis((1, 3), (1, 5), (2, 3), (2, 4), (3, 3), (4, 1), (4, 3))),
-    (3, "3.3", _basis((1, 5), (2, 3), (2, 4), (2, 5), (3, 3), (4, 1), (4, 3))),
-    (3, "3.4", _basis((1, 2), (1, 3), (1, 5), (2, 3), (2, 4), (3, 3), (4, 1))),
-    (4, "4.1", _basis((1, 1), (1, 2), (2, 1), (2, 4), (2, 6), (3, 1), (4, 1))),
-    (4, "4.2", _basis((1, 1), (1, 2), (2, 4), (2, 6), (3, 1), (3, 3), (4, 1))),
-    (4, "4.3", _basis((1, 1), (1, 2), (1, 5), (2, 4), (2, 6), (3, 3), (4, 1))),
-    (4, "4.4", _basis((1, 2), (1, 3), (2, 3), (2, 4), (3, 1), (3, 3), (4, 1))),
-    (4, "4.5", _basis((1, 2), (2, 3), (2, 4), (2, 5), (3, 1), (3, 3), (4, 1))),
-    (4, "4.6", _basis((1, 2), (2, 1), (2, 2), (2, 3), (2, 5), (3, 1), (4, 1))),
-    (4, "4.7", _basis((1, 2), (1, 5), (2, 3), (2, 5), (2, 6), (3, 3), (4, 1))),
-)
+# --- per-call certificates ---------------------------------------------------
+
+Form = Tuple[int, int, int, int]
+
+
+def _sign_form(row: Sequence[Fraction], delta: Sequence[Fraction]) -> Form:
+    """Integers (a0, a1, a2, k) with a.q + k of the sign of row . b(q).
+
+    b(q) = (q - delta, 1, 1, 1, 1); the row is scaled by the positive least
+    common denominator of the form's coefficients, which keeps every sign.
+    """
+    const = sum(row[3:]) - sum(r * d for r, d in zip(row, delta))
+    coeffs = (row[0], row[1], row[2], const)
+    scale = lcm(*(Fraction(v).denominator for v in coeffs))
+    return tuple(int(v * scale) for v in coeffs)
+
+
+def _at(form: Form, q: Point) -> int:
+    return form[0] * q[0] + form[1] * q[1] + form[2] * q[2] + form[3]
+
+
+class _CatalogBasis(NamedTuple):
+    case: int
+    bid: str
+    columns: Tuple[int, ...]
+    inverse: List[List[Fraction]]
+    forms: Tuple[Form, ...]        # one per row of B^-1: the signs of x_B
+
+
+class _PointSystem:
+    """A lam = b(q), lam >= 0 for one spec and perturbation, set up once.
+
+    A depends only on the spec, so only b(q) moves from point to point.  A
+    point is decided by a certificate already in hand when one applies: a
+    Farkas vector w (w A >= 0, w b(q) < 0) proves it infeasible, a basis B
+    (B^-1 b(q) >= 0) proves it feasible.  The nonsingular catalog bases are
+    the first basis certificates; phase one runs only when none decides,
+    and its certificate is checked exactly before it is kept.  Nothing here
+    outlives the call that built it.
+    """
+
+    def __init__(self, spec: SystemSpec, delta_vec: Sequence[Fraction]):
+        self.A = _constraint_matrix(spec)
+        self.delta = tuple(Fraction(d) for d in delta_vec)
+        index = {label: k for k, label in enumerate(var_labels())}
+        self.catalog: List[_CatalogBasis] = []
+        for case, bid, labels in CASE_BASES:
+            columns = tuple(index[label] for label in labels)
+            inv = lp.inverse([[row[j] for j in columns] for row in self.A])
+            if inv is not None:
+                self.catalog.append(_CatalogBasis(case, bid, columns, inv,
+                                                  self._forms(inv)))
+        self.bases: List[Tuple[Form, ...]] = [b.forms for b in self.catalog]
+        self.farkas: List[Form] = []
+
+    def _forms(self, inverse: Sequence[Sequence[Fraction]]) -> Tuple[Form, ...]:
+        return tuple(_sign_form(row, self.delta) for row in inverse)
+
+    def feasible(self, q: Point) -> bool:
+        if any(_at(w, q) < 0 for w in self.farkas):
+            return False
+        if any(all(_at(f, q) >= 0 for f in forms) for forms in self.bases):
+            return True
+        b = [Fraction(q[k]) - self.delta[k] for k in range(3)] + [Fraction(1)] * 4
+        verdict = lp.phase_one(self.A, b)
+        if verdict.feasible:
+            # A has full row rank 7 (every block holds the origin vertex and
+            # the vertices span R^3), so the basis is square
+            inv = lp.inverse([[row[j] for j in verdict.basis] for row in self.A])
+            forms = () if inv is None else self._forms(inv)
+            if not forms or any(_at(f, q) < 0 for f in forms):
+                raise CertificateFailure(
+                    f"phase-one basis {verdict.basis} does not certify {q}")
+            self.bases.append(forms)
+        else:
+            w = verdict.farkas
+            form = _sign_form(w, self.delta)
+            if (any(sum(wi * row[j] for wi, row in zip(w, self.A)) < 0
+                    for j in range(len(self.A[0]))) or _at(form, q) >= 0):
+                raise CertificateFailure(
+                    f"phase-one Farkas vector does not certify {q} infeasible")
+            self.farkas.append(form)
+        return verdict.feasible
+
+    def optimal_catalog(self, c: Sequence[Fraction]) -> List[_CatalogBasis]:
+        """Catalog bases with y A - c <= 0 for y = c_B B^-1, in catalog order."""
+        out = []
+        for basis in self.catalog:
+            cb = [c[j] for j in basis.columns]
+            y = [sum(cb[k] * basis.inverse[k][i] for k in range(len(cb)))
+                 for i in range(len(self.A))]
+            if all(sum(yi * row[j] for yi, row in zip(y, self.A)) <= c[j]
+                   for j in range(len(c))):
+                out.append(basis)
+        return out
 
 
 @dataclass(frozen=True)
@@ -335,24 +441,25 @@ def _restricted_optimum(inst: LPInstance, i: int, j: int) -> Optional[lp.LPSolut
                          result.objective + inst.c[pinned], result.basis)
 
 
-def _assign_point(inst: LPInstance) -> GrcAssignment:
-    # strict pass, then weak pass over the certified catalog
-    for strict in (True, False):
-        for case, bid, labels in CASE_BASES:
-            try:
-                report = verify_basis(inst, labels)
-            except SingularBasis:
+def _assign_point(inst: LPInstance, catalog: Sequence[_CatalogBasis],
+                  vertices: Tuple[Tuple[Point, ...], ...]) -> GrcAssignment:
+    """Strict pass, then weak pass over the optimal catalog bases in order;
+    then the restricted search over the four target vertices, block order."""
+    for floor in (1, 0):   # the forms are integers: x_B > 0, then x_B >= 0
+        for basis in catalog:
+            if any(_at(f, inst.point) < floor for f in basis.forms):
                 continue
-            ok = report.strictly_feasible if strict else report.feasible
-            if ok and report.optimal:
-                j = TARGET_VERTEX[case]
-                if not _unit_at(report.x, case, j):
-                    continue
-                vertex = vertex_lists_cache(inst)[case - 1][j - 1]
-                return GrcAssignment(inst.point, case, j, vertex,
-                                     YMonomial(*vertex), bid, report.x,
-                                     report.objective)
-    # restricted search over the four target vertices, block order
+            lam = [Fraction(0)] * len(inst.c)
+            for row, j in zip(basis.inverse, basis.columns):
+                lam[j] = sum(v * b for v, b in zip(row, inst.b))
+            case = basis.case
+            j = TARGET_VERTEX[case]
+            if not _unit_at(lam, case, j):
+                continue
+            vertex = vertices[case - 1][j - 1]
+            objective = sum(c * x for c, x in zip(inst.c, lam))
+            return GrcAssignment(inst.point, case, j, vertex, YMonomial(*vertex),
+                                 basis.bid, tuple(lam), objective)
     best = simplex_solve(inst)
     for case in (1, 2, 3, 4):
         j = TARGET_VERTEX[case]
@@ -367,21 +474,12 @@ def _assign_point(inst: LPInstance) -> GrcAssignment:
                     lam.append(Fraction(1) if k == var_index(case, j) else Fraction(0))
                 else:
                     lam.append(next(it))
-            vertex = vertex_lists_cache(inst)[case - 1][j - 1]
+            vertex = vertices[case - 1][j - 1]
             return GrcAssignment(inst.point, case, j, vertex,
                                  YMonomial(*vertex), "search", tuple(lam),
                                  best.objective)
     raise NoVertexOptimum(
         f"no optimal solution at {inst.point} pins a target vertex")
-
-
-_VERTEX_CACHE: Dict[Tuple[int, int], Tuple[Tuple[Point, ...], ...]] = {}
-
-
-def vertex_lists_cache(inst: LPInstance) -> Tuple[Tuple[Point, ...], ...]:
-    if inst.spec not in _VERTEX_CACHE:
-        _VERTEX_CACHE[inst.spec] = vertex_lists(SystemSpec(*inst.spec))
-    return _VERTEX_CACHE[inst.spec]
 
 
 def grc_partition(spec: SystemSpec, lift: Liftings = DEFAULT_LIFTINGS,
@@ -393,11 +491,14 @@ def grc_partition(spec: SystemSpec, lift: Liftings = DEFAULT_LIFTINGS,
     if not report.passed:
         raise DiffresError(f"liftings violate: {', '.join(report.violations)}")
     points = lattice_points(spec, delta_vec)
+    # the costs depend only on the liftings: certify optimality once per call
+    catalog = _PointSystem(spec, delta_vec).optimal_catalog(_costs(spec, lift))
+    vertices = vertex_lists(spec)
     assignments: Dict[Point, GrcAssignment] = {}
     buckets: Dict[int, List[YMonomial]] = {1: [], 2: [], 3: [], 4: []}
     for q in points:
         inst = build_lp(q, spec, lift, delta_vec)
-        assignment = _assign_point(inst)
+        assignment = _assign_point(inst, catalog, vertices)
         assignments[q] = assignment
         monomial = YMonomial(q[0] - 1, q[1] - 1, q[2] - 1)
         buckets[assignment.case].append(monomial)

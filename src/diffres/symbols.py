@@ -52,7 +52,3 @@ def parse_symbol(text: str) -> CoeffSymbol:
     if kind == "c":
         return CoeffSymbol("a", int(k), int(l), len(primes), fresh=True)
     return CoeffSymbol(kind, int(k), int(l), len(primes))
-
-
-def symbol_sort_key(sym: CoeffSymbol) -> tuple:
-    return sym.key()

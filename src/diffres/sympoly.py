@@ -360,9 +360,6 @@ def _coerce(value) -> SymPoly:
     return NotImplemented
 
 
-_RATIONAL_RE = None
-
-
 def parse_sympoly(text: str) -> SymPoly:
     """Inverse of SymPoly.render (serialize -> parse -> serialize is stable)."""
     import re
@@ -448,11 +445,6 @@ class Specialization:
     def items(self):
         return self._values.items()
 
-    def updated(self, changes: Mapping[CoeffSymbol, Fraction]) -> "Specialization":
-        values = dict(self._values)
-        values.update({s: Fraction(v) for s, v in changes.items()})
-        return Specialization(values, self.universe | set(changes))
-
     def to_json(self) -> dict:
         return {s.render(): str(v) for s, v in sorted(
             self._values.items(), key=lambda kv: kv[0].key())}
@@ -463,7 +455,10 @@ class Specialization:
         values = {}
         for key, v in data.items():
             sym = parse_symbol(key)
-            values[sym] = Fraction(v)
+            try:
+                values[sym] = Fraction(v)
+            except (TypeError, ZeroDivisionError):
+                raise ValueError(f"value of {key} is not a number: {v!r}") from None
         if universe is not None:
             allowed = set(universe)
             unknown = set(values) - allowed

@@ -82,6 +82,61 @@ def test_det_modular_crt(capsys):
     assert len(data["residues"]) == 2
 
 
+def test_det_modular_crt_only_above_the_bound(capsys):
+    argv = ("det", "--d1", "1", "--d2", "1", "--mode", "modular", "--moduli")
+    assert run_cli(*argv, "2147483647", "2147483629") == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["crt"] is None and "insufficient" in data["crt_note"]
+    assert run_cli(*argv, "2147483647", "2147483629", "2147483587") == 0
+    data = json.loads(capsys.readouterr().out)
+    assert run_cli("det", "--d1", "1", "--d2", "1") == 0
+    assert data["crt"] == json.loads(capsys.readouterr().out)["value"]
+
+
+def test_det_modular_needs_prime_moduli(capsys):
+    for moduli in (["4", "9"], ["1"]):
+        assert run_cli("det", "--d1", "1", "--d2", "1", "--mode", "modular",
+                       "--moduli", *moduli) == 2
+        assert "not a prime" in capsys.readouterr().err
+
+
+def test_det_common_zero_negative_fraction(capsys):
+    assert run_cli("det", "--d1", "2", "--d2", "2",
+                   "--common-zero", "1/2", "-3/4", "5/7") == 0
+    assert json.loads(capsys.readouterr().out)["value"] == "0"
+
+
+def test_malformed_json_inputs_exit_two(tmp_path, capsys):
+    def write(name, data):
+        path = tmp_path / name
+        path.write_text(json.dumps(data))
+        return str(path)
+
+    cases = [
+        ("det", "--d1", "1", "--d2", "1",
+         "--spec-file", write("list.json", [1, 2])),
+        ("det", "--d1", "1", "--d2", "1",
+         "--spec-file", write("value.json", {"a(0,0)": [1]})),
+        ("moves", "--d1", "2", "--d2", "2", "--moves-file",
+         write("short.json", [{"monomial": [0, 1], "from": 4, "to": 1}])),
+        ("moves", "--d1", "2", "--d2", "2", "--moves-file",
+         write("block.json", [{"monomial": [0, 1, 1], "from": 9, "to": 1}])),
+        ("lp-partition", "--d1", "1", "--d2", "1",
+         "--config", write("config.json", {"liftings": [1, 2, 3]})),
+        ("lp-partition", "--d1", "1", "--d2", "1",
+         "--config", write("config_list.json", [])),
+        ("lp-partition", "--d1", "1", "--d2", "1",
+         "--config", write("delta.json", {"delta": [[1], 2, 3]})),
+        ("det", "--d1", "1", "--d2", "1", "--common-zero", "1/0", "1", "1"),
+        ("det", "--d1", "1", "--d2", "1",
+         "--spec-file", write("zero.json", {"a(0,0)": "1/0"})),
+    ]
+    for argv in cases:
+        assert run_cli(*argv) == 2, argv
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error: ") and "\n" not in err, (argv, err)
+
+
 def test_det_specialization_file(tmp_path, capsys):
     table = {}
     for system in ("a", "b"):

@@ -11,6 +11,7 @@ from diffres import (CapExceeded, CoeffSymbol, PolyMatrix, Specialization,
                      det_laplace, det_modular, det_specialized, det_symbolic,
                      generic_system, hadamard_bound, nonzero_random_probe,
                      random_specialization, system_symbols)
+from diffres.determinant import crt_lift, is_prime
 from diffres.matrices import F1, RowLabel
 
 A = CoeffSymbol("a", 0, 0)
@@ -184,6 +185,43 @@ class TestModular:
         M = _matrix_from_grid(grid)
         s = Specialization({})
         assert det_modular(M, s, [2]) == [0]
+
+    def test_crt_lift_needs_twice_the_bound(self):
+        spec = SystemSpec(1, 1)
+        M = build_square_matrix(spec)
+        s = random_specialization(spec, 0)
+        exact = det_specialized(M, s)
+        bound = hadamard_bound(M.specialize(s))
+        two = self.MODULI[:2]
+        assert two[0] * two[1] <= 2 * bound     # two 31-bit primes fall short
+        assert crt_lift(det_modular(M, s, two), two, bound) is None
+        assert crt_lift(det_modular(M, s, self.MODULI), self.MODULI, bound) == exact
+
+    def test_composite_and_unit_moduli_are_rejected(self):
+        spec = SystemSpec(1, 1)
+        M = build_square_matrix(spec)
+        s = random_specialization(spec, 0)
+        for moduli in ([4, 9], [1], [2147483647, 561]):
+            with pytest.raises(ValueError):
+                det_modular(M, s, moduli)
+
+    def test_is_prime_matches_trial_division(self):
+        def trial(n):
+            return n > 1 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+        assert [n for n in range(3000) if is_prime(n)] == \
+            [n for n in range(3000) if trial(n)]
+        assert is_prime(2147483647) and is_prime(2 ** 61 - 1)
+        # strong pseudoprimes to the bases 2, 3, 5 and 7, and a Carmichael number
+        assert not is_prime(3215031751) and not is_prime(561)
+        with pytest.raises(ValueError):
+            is_prime(2 ** 89 - 1)
+
+    def test_hadamard_bound_rounds_rational_entries_up(self):
+        rows = [[Fraction(9, 10), Fraction(-9, 10)],
+                [Fraction(9, 10), Fraction(9, 10)]]
+        # |det| = 81/50; truncating the entries to 0 would give a bound of 1
+        assert hadamard_bound(rows) >= abs(Fraction(81, 50))
+        assert hadamard_bound(rows) == 4
 
     def test_rejects_rational_specialization(self):
         spec = SystemSpec(1, 1)

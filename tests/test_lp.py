@@ -1,12 +1,14 @@
-"""Exact simplex engine and basis verification."""
+"""Exact simplex engine, phase-one certificates and basis verification."""
 
+import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from diffres import SingularBasis
-from diffres.lp import (feasible, matrix_rank, simplex, solve_square,
-                        verify_basis)
+from diffres.lp import (feasible, inverse, matrix_rank, phase_one, simplex,
+                        solve_square, verify_basis)
 from diffres.errors import Unbounded
 
 
@@ -22,6 +24,18 @@ class TestSolveSquare:
     def test_singular_returns_none(self):
         B = [[F(1), F(2)], [F(2), F(4)]]
         assert solve_square(B, [F(1), F(1)]) is None
+
+
+class TestInverse:
+    def test_product_is_identity(self):
+        B = [[F(2), F(1), F(0)], [F(1), F(3), F(1)], [F(0), F(1), F(4)]]
+        inv = inverse(B)
+        for i in range(3):
+            for j in range(3):
+                assert sum(B[i][k] * inv[k][j] for k in range(3)) == (i == j)
+
+    def test_singular_returns_none(self):
+        assert inverse([[F(1), F(2)], [F(2), F(4)]]) is None
 
 
 class TestRank:
@@ -109,3 +123,62 @@ class TestVerifyBasis:
         # B^-1 b = (2, -1): not a feasible corner
         assert not report.feasible
         assert not report.strictly_feasible
+
+
+def certificate_holds(A, b, cert) -> bool:
+    """Check a phase-one certificate exactly, without the solver's tableau.
+
+    Feasible: x >= 0 vanishes off the basis and solves A x = b, and the basis
+    columns are independent and span the row space of A, so x_B = B^-1 b.
+    Infeasible: the Farkas vector has w A >= 0 and w b < 0.
+    """
+    A = [[F(v) for v in row] for row in A]
+    b = [F(v) for v in b]
+    m, n = len(A), len(A[0])
+    if cert.feasible:
+        x = cert.x
+        columns = [[A[i][j] for j in cert.basis] for i in range(m)]
+        return (len(x) == n and all(v >= 0 for v in x)
+                and all(x[j] == 0 for j in range(n) if j not in cert.basis)
+                and all(sum(A[i][j] * x[j] for j in range(n)) == b[i]
+                        for i in range(m))
+                and matrix_rank(columns) == len(cert.basis) == matrix_rank(A))
+    w = cert.farkas
+    return (len(w) == m
+            and all(sum(w[i] * A[i][j] for i in range(m)) >= 0 for j in range(n))
+            and sum(w[i] * b[i] for i in range(m)) < 0)
+
+
+class TestPhaseOne:
+    def test_farkas_vector_undoes_row_flips(self):
+        # x1 + x2 = -1 is flipped before phase one; w = (1) proves it empty
+        cert = phase_one([[1, 1]], [-1])
+        assert not cert.feasible
+        assert cert.farkas == (F(1),)
+        assert certificate_holds([[1, 1]], [-1], cert)
+
+    def test_certificates_on_random_systems(self):
+        rng = random.Random(7)
+        verdicts = set()
+        for _ in range(400):
+            m, n = rng.randint(1, 4), rng.randint(1, 6)
+            A = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]
+            if m > 1 and rng.random() < 0.3:
+                A[-1] = [a + c for a, c in zip(A[0], A[1])]   # redundant row
+            b = [F(rng.randint(-8, 8), rng.randint(1, 3)) for _ in range(m)]
+            cert = phase_one(A, b)
+            assert certificate_holds(A, b, cert), (A, b)
+            assert cert.feasible == feasible(A, b)
+            assert cert.feasible == (simplex(A, b, [0] * n).status == "optimal")
+            verdicts.add(cert.feasible)
+        assert verdicts == {True, False}
+
+    def test_certificates_on_every_box_point(self):
+        from diffres import DEFAULT_LIFTINGS, SystemSpec, build_lp
+        spec = SystemSpec(1, 2)
+        for q in product(range(7), repeat=3):
+            inst = build_lp(q, spec, DEFAULT_LIFTINGS)
+            cert = phase_one(inst.A, inst.b)
+            assert certificate_holds(inst.A, inst.b, cert), q
+            if cert.feasible:
+                assert len(cert.basis) == 7

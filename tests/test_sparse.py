@@ -2,10 +2,11 @@
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
-from diffres import (DEFAULT_LIFTINGS, IllegalMove,
+from diffres import (DEFAULT_LIFTINGS, DEFAULT_PERTURBATION, IllegalMove,
                      Infeasible, InvalidPerturbation, Liftings, SystemSpec,
                      YMonomial, apply_moves, build_lp, build_sparse_matrix,
                      build_square_matrix, column_set, common_zero_specialization,
@@ -13,9 +14,10 @@ from diffres import (DEFAULT_LIFTINGS, IllegalMove,
                      lattice_points, newton_data, nonzero_random_probe,
                      partition_divisibility, simplex_solve, validate_liftings,
                      verify_basis)
-from diffres.lp import matrix_rank
-from diffres.sparse import (CASE_BASES, MOVES_TO_DIVISIBILITY_2_2, in_hull,
-                            var_labels, vertex_lists)
+from diffres import SingularBasis
+from diffres.lp import matrix_rank, simplex
+from diffres.sparse import (BLOCK_SIZES, CASE_BASES, MOVES_TO_DIVISIBILITY_2_2,
+                            TARGET_VERTEX, in_hull, var_labels, vertex_lists)
 
 F = Fraction
 
@@ -71,6 +73,110 @@ class TestLatticePoints:
         with pytest.raises(InvalidPerturbation):
             build_lp((1, 1, 1), SystemSpec(1, 1), DEFAULT_LIFTINGS,
                      (F(1), F(1, 2), F(1, 2)))
+
+
+HALF = (F(1, 2),) * 3   # a coarse perturbation: degenerate bases and ties
+
+
+def box_scan(spec, delta_vec=DEFAULT_PERTURBATION):
+    """Lattice points the slow way: a full simplex at every box point."""
+    limit = 2 * spec.d1 + 2 * spec.d2
+    found = []
+    for q in product(range(limit + 1), repeat=3):
+        inst = build_lp(q, spec, DEFAULT_LIFTINGS, delta_vec)
+        if simplex(inst.A, inst.b, [0] * 18).status == "optimal":
+            found.append(q)
+    return sorted(found, key=lambda p: (sum(p), p[2], p[1], p[0]))
+
+
+def reference_assignment(inst):
+    """(case, vertex, basis id, lambda, objective) from verify_basis alone:
+    the catalog in order, strict pass then weak pass; None if no basis fits."""
+    for strict in (True, False):
+        for case, bid, labels in CASE_BASES:
+            try:
+                report = verify_basis(inst, labels)
+            except SingularBasis:
+                continue
+            ok = report.strictly_feasible if strict else report.feasible
+            if not (ok and report.optimal):
+                continue
+            j = TARGET_VERTEX[case]
+            offset = sum(BLOCK_SIZES[:case - 1])
+            block = report.x[offset:offset + BLOCK_SIZES[case - 1]]
+            if block[j - 1] == 1 and sum(block) == 1:
+                return case, j, bid, report.x, report.objective
+    return None
+
+
+def seeded_liftings(seed):
+    """Heights drawn inside the intervals the merged constraints leave."""
+    r = random.Random(seed).randint
+    l32, l41 = r(-8, 8), r(-8, 8)
+    l42 = l32 + r(0, 5)
+    l31 = l32 + l41 - l42
+    l11 = r(l31, l41)
+    l21 = l31 - r(0, 5)
+    l12 = l32 - r(0, 5)
+    l22 = l12 - (l11 - l21) - r(0, 5)
+    l13 = r(-8, 8)
+    lift = Liftings((l11, l12, l13), (l21, l22, l13 + r(0, 5)),
+                    (l31, l32, r(-8, 8)), (l41, l42, r(-8, 8)))
+    assert validate_liftings(lift).passed
+    return lift
+
+
+class TestCertificateReuse:
+    @pytest.mark.parametrize("d", [(1, 1), (1, 2), (2, 2), (2, 3)])
+    def test_lattice_points_match_a_simplex_box_scan(self, d):
+        spec = SystemSpec(*d)
+        assert lattice_points(spec) == box_scan(spec)
+
+    def test_lattice_points_at_a_coarse_perturbation(self):
+        spec = SystemSpec(1, 2)
+        assert lattice_points(spec, HALF) == box_scan(spec, HALF)
+
+    def test_strict_pass_decides_degenerate_points(self):
+        # at a coarse perturbation some points have a weakly feasible basis
+        # ahead of a strictly feasible one in the catalog; grc_partition
+        # itself rejects the extra points, so the per-point step is used
+        from diffres.sparse import _PointSystem, _assign_point, _costs
+        spec = SystemSpec(1, 2)
+        catalog = _PointSystem(spec, HALF).optimal_catalog(
+            _costs(spec, DEFAULT_LIFTINGS))
+        for q in lattice_points(spec, HALF):
+            inst = build_lp(q, spec, DEFAULT_LIFTINGS, HALF)
+            ref = reference_assignment(inst)
+            if ref is not None:
+                a = _assign_point(inst, catalog, vertex_lists(spec))
+                assert (a.case, a.vertex_index, a.basis_id, a.lam,
+                        a.objective) == ref, q
+
+    @pytest.mark.parametrize("d", [(1, 2), (2, 2)])
+    def test_assignments_match_verify_basis_reference(self, d):
+        spec = SystemSpec(*d)
+        liftings = [DEFAULT_LIFTINGS] + [seeded_liftings(s) for s in (1, 2, 3)]
+        for lift in liftings:
+            result = grc_partition(spec, lift)
+            for q, a in result.assignments.items():
+                inst = build_lp(q, spec, lift)
+                got = (a.case, a.vertex_index, a.basis_id, a.lam, a.objective)
+                ref = reference_assignment(inst)
+                if ref is None:
+                    assert a.basis_id == "search", (lift, q)
+                    assert a.objective == simplex_solve(inst).objective
+                else:
+                    assert got == ref, (lift, q)
+
+    def test_one_point_takes_the_restricted_search_at_2_3(self):
+        result = grc_partition(SystemSpec(2, 3))
+        searched = [q for q, a in result.assignments.items()
+                    if a.basis_id == "search"]
+        assert len(searched) == 1
+        q = searched[0]
+        inst = build_lp(q, SystemSpec(2, 3), DEFAULT_LIFTINGS)
+        assert reference_assignment(inst) is None
+        assert result.assignments[q].objective == simplex_solve(inst).objective
 
 
 class TestBuildLP:
