@@ -12,8 +12,7 @@ from fractions import Fraction
 
 from diffres import (NotDivisible, SystemSpec, build_square_matrix,
                      common_zero_specialization, det_specialized,
-                     det_symbolic, eliminate_iterated, poly_exact_div,
-                     random_specialization)
+                     det_symbolic, eliminate_iterated, random_specialization)
 
 spec = SystemSpec(1, 1)
 candidate = eliminate_iterated(spec)
@@ -48,7 +47,7 @@ print("neither output is claimed to equal the resultant on the nose;")
 for name, num, den in (("determinant / oracle", determinant, candidate),
                        ("oracle / determinant", candidate, determinant)):
     try:
-        quotient = poly_exact_div(num, den)
+        quotient = num.exact_div(den)
         print(f"  {name}: exact quotient with {len(quotient)} terms")
     except NotDivisible:
         print(f"  {name}: no exact quotient")

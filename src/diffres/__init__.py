@@ -15,8 +15,7 @@ from .errors import (CapExceeded, CertificateFailure, ClosureViolation,
                      NoVertexOptimum, NotDivisible, SingularBasis, Unbounded,
                      UnassignedSymbol)
 from .symbols import CoeffSymbol, parse_symbol
-from .sympoly import (Monomial, Specialization, SymPoly, parse_sympoly,
-                      poly_add, poly_eval, poly_exact_div, poly_mul)
+from .sympoly import Monomial, Specialization, SymPoly, parse_sympoly
 from .diffsys import (DiffPoly, SystemSpec, YMonomial, delta, generic_poly,
                       generic_system, support, system_symbols, ym_render)
 from .monomials import (MainMonomials, MonomialSet, Partition, bset,

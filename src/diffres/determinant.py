@@ -1,14 +1,24 @@
 """Exact determinants and specialization generators.
 
-Three evaluation modes, all exact:
+One fraction-free elimination kernel (Bareiss 1968) serves both exact rings;
+only its row update and its pivot rule change:
 
-* symbolic: fraction-free elimination over the polynomial ring, for small
-  matrices only (every division is checked by the exact-division routine, so
-  a pivot-logic bug surfaces as NotDivisible instead of a wrong answer);
+* symbolic: over the polynomial ring, for small matrices only, pivoting on
+  the sparsest nonzero entry of the live block (fewest terms, which keeps
+  the intermediate polynomials small); every division is checked by the
+  exact-division routine, so a pivot-logic bug surfaces as NotDivisible
+  instead of a wrong answer;
 * specialized: rational entries are scaled to integers row by row and
-  eliminated fraction-free with machine-unbounded Python integers;
-* modular: residues modulo a list of primes, recombined by the Chinese
-  remainder theorem when the modulus product beats the Hadamard bound.
+  eliminated with unbounded Python integers, pivoting on the first nonzero
+  entry of the live column (a block search costs more than it saves on
+  integers), and a row whose factor is zero is only rescaled.
+
+Cofactor expansion with memoized minors is the independent cross-check of
+the kernel, over any ring (the oracle runs it on Sylvester matrices).  The
+modular mode keeps its own elimination over F_p: it reduces residues modulo
+a list of primes and skips every row whose factor is zero, which a
+fraction-free update cannot, and recombines them by the Chinese remainder
+theorem when the modulus product beats twice the Hadamard bound.
 
 The common-zero generator solves the four constant coefficients so that the
 system and its derivatives all vanish at a chosen rational point, which
@@ -20,7 +30,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from math import ceil, gcd, isqrt, lcm, prod
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import CapExceeded
 from .diffsys import SystemSpec, delta, generic_system, system_symbols
@@ -41,26 +51,33 @@ def det_symbolic(matrix: PolyMatrix, cap: int = SYMBOLIC_CAP_DEFAULT) -> SymPoly
     if n > cap:
         raise CapExceeded(f"symbolic determinant capped at {cap}x{cap}, got {n}")
     grid = [[matrix.entry(i, j) for j in range(n)] for i in range(n)]
-    return _bareiss_poly(grid)
+    return _bareiss(grid, _poly_combine, weight=len) if n else SymPoly.one()
 
 
-def _bareiss_poly(grid: List[List[SymPoly]]) -> SymPoly:
+def _bareiss(grid: List[list], combine: Callable, weight: Optional[Callable] = None):
+    """Fraction-free elimination (Bareiss 1968) of a square grid, in place.
+
+    Row i's tail right of pivot k becomes (gkk * tail_i - gik * tail_k) / prev,
+    prev the previous pivot (1 at the first step); ``combine(gkk, gik, tail_i,
+    tail_k, prev)`` computes it for the ring, every division exact.  With
+    ``weight=None`` the pivot is the first nonzero entry of the live column;
+    otherwise it is the nonzero entry of least weight in the live block (its
+    row and column swapped in).  Returns the determinant, a zero of the ring
+    when the live column or block is zero.
+    """
     n = len(grid)
     if n == 0:
-        return SymPoly.one()
-    sign = 1
-    prev = SymPoly.one()
+        return 1
+    sign, prev = 1, 1
     for k in range(n - 1):
-        # sparsest nonzero pivot anywhere in the live block
-        pivot = None
-        for i in range(k, n):
-            for j in range(k, n):
-                if not grid[i][j].is_zero():
-                    if pivot is None or len(grid[i][j]) < len(grid[pivot[0]][pivot[1]]):
-                        pivot = (i, j)
-        if pivot is None:
-            return SymPoly.zero()
-        pi, pj = pivot
+        if weight is None:
+            pi, pj = next((i for i in range(k, n) if grid[i][k]), None), k
+        else:
+            live = [(weight(grid[i][j]), i, j) for i in range(k, n)
+                    for j in range(k, n) if grid[i][j]]
+            _, pi, pj = min(live) if live else (None, None, k)
+        if pi is None:
+            return grid[k][k]
         if pi != k:
             grid[pi], grid[k] = grid[k], grid[pi]
             sign = -sign
@@ -68,32 +85,55 @@ def _bareiss_poly(grid: List[List[SymPoly]]) -> SymPoly:
             for row in grid:
                 row[pj], row[k] = row[k], row[pj]
             sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                value = grid[k][k] * grid[i][j] - grid[i][k] * grid[k][j]
-                grid[i][j] = value.exact_div(prev)
-            grid[i][k] = SymPoly.zero()
-        prev = grid[k][k]
+        row_k = grid[k]
+        gkk, tail_k = row_k[k], row_k[k + 1:]
+        zero = gkk - gkk   # frees the eliminated column as it goes
+        for row_i in grid[k + 1:]:
+            row_i[k + 1:] = combine(gkk, row_i[k], row_i[k + 1:], tail_k, prev)
+            row_i[k] = zero
+        prev = gkk
     return grid[n - 1][n - 1] * sign
 
 
-def det_laplace(grid: Sequence[Sequence[SymPoly]]) -> SymPoly:
-    """Cofactor expansion with minor memoization; independent cross-check."""
-    n = len(grid)
-    cache: Dict[Tuple[int, Tuple[int, ...]], SymPoly] = {}
+def _int_combine(gkk: int, gik: int, tail_i: List[int], tail_k: List[int],
+                 prev: int) -> List[int]:
+    if gik == 0:
+        return [gkk * x // prev for x in tail_i]
+    return [(gkk * x - gik * y) // prev for x, y in zip(tail_i, tail_k)]
 
-    def minor(row: int, cols: Tuple[int, ...]) -> SymPoly:
-        if not cols:
-            return SymPoly.one()
+
+def _poly_combine(gkk: SymPoly, gik: SymPoly, tail_i: List[SymPoly],
+                  tail_k: List[SymPoly], prev) -> List[SymPoly]:
+    """The Bareiss row update over SymPoly, each division checked exact."""
+    return [(gkk * x - gik * y).exact_div(prev) for x, y in zip(tail_i, tail_k)]
+
+
+def det_laplace(grid: Sequence[Sequence]):
+    """Cofactor expansion with minor memoization; independent cross-check.
+
+    Works over any commutative ring whose elements have +, -, *, is_zero()
+    and a static zero() (SymPoly and DiffPoly); the empty grid gives one.
+    """
+    n = len(grid)
+    if n == 0:
+        return SymPoly.one()
+    zero = type(grid[0][0]).zero()
+    cache: Dict[Tuple[int, Tuple[int, ...]], object] = {}
+
+    def minor(row: int, cols: Tuple[int, ...]):
+        if len(cols) == 1:
+            return grid[row][cols[0]]
         key = (row, cols)
         if key in cache:
             return cache[key]
-        total = SymPoly.zero()
+        total = zero
         for pos, j in enumerate(cols):
             v = grid[row][j]
             if v.is_zero():
                 continue
             sub = minor(row + 1, cols[:pos] + cols[pos + 1:])
+            if sub.is_zero():
+                continue
             term = v * sub
             total = total + (term if pos % 2 == 0 else -term)
         cache[key] = total
@@ -104,41 +144,13 @@ def det_laplace(grid: Sequence[Sequence[SymPoly]]) -> SymPoly:
 
 def det_rational(rows: List[List[Fraction]]) -> Fraction:
     """Exact determinant of a rational matrix via integer Bareiss."""
-    n = len(rows)
-    if n == 0:
-        return Fraction(1)
     scale = Fraction(1)
     grid: List[List[int]] = []
     for row in rows:
         denom = lcm(*(v.denominator for v in row)) if row else 1
         scale *= denom
         grid.append([int(v * denom) for v in row])
-    return Fraction(_bareiss_int(grid), 1) / scale
-
-
-def _bareiss_int(grid: List[List[int]]) -> int:
-    n = len(grid)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if grid[k][k] == 0:
-            for i in range(k + 1, n):
-                if grid[i][k] != 0:
-                    grid[i], grid[k] = grid[k], grid[i]
-                    sign = -sign
-                    break
-            else:
-                return 0  # live column is zero, so the determinant is too
-        for i in range(k + 1, n):
-            gik = grid[i][k]
-            gkk = grid[k][k]
-            row_i = grid[i]
-            row_k = grid[k]
-            for j in range(k + 1, n):
-                row_i[j] = (gkk * row_i[j] - gik * row_k[j]) // prev
-            row_i[k] = 0
-        prev = grid[k][k]
-    return sign * grid[n - 1][n - 1]
+    return _bareiss(grid, _int_combine) / scale
 
 
 def det_specialized(matrix: PolyMatrix, s: Specialization) -> Fraction:

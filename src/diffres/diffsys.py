@@ -18,7 +18,7 @@ from typing import Dict, Iterable, Mapping, NamedTuple, Tuple
 
 from .errors import DiffresError
 from .symbols import CoeffSymbol
-from .sympoly import SymPoly
+from .sympoly import Monomial, SymPoly
 
 
 class SystemSpec(NamedTuple):
@@ -169,10 +169,12 @@ class DiffPoly:
     def evaluate_point(self, point: Tuple[Fraction, Fraction, Fraction]) -> SymPoly:
         """Collapse the variables at a rational point, keeping the symbols."""
         py, py1, py2 = (Fraction(v) for v in point)
-        total = SymPoly.zero()
+        out: Dict[Monomial, Fraction] = {}
         for m, c in self._support.items():
-            total = total + c * (py ** m.ey * py1 ** m.ey1 * py2 ** m.ey2)
-        return total
+            scale = py ** m.ey * py1 ** m.ey1 * py2 ** m.ey2
+            for mono, v in c.terms():
+                out[mono] = out.get(mono, 0) + v * scale
+        return SymPoly(out)
 
     def substitute_symbols(self, mapping) -> "DiffPoly":
         return DiffPoly({m: c.substitute(mapping) for m, c in self._support.items()})

@@ -7,7 +7,8 @@ B^-1 b >= 0, or a Farkas vector w with w A >= 0 and w b < 0, read from the
 artificial columns of the final tableau.  A basis-verification routine
 certifies optimality of a proposed basic solution independently of the
 solver (feasibility of B^-1 b and nonpositive reduced costs), so the two can
-cross-check each other.
+cross-check each other.  One Gauss-Jordan pivot serves the tableau, the
+exact solves and inverses, and the rank.
 """
 
 from __future__ import annotations
@@ -28,62 +29,57 @@ def _as_fractions(rows: Sequence[Sequence]) -> Matrix:
 
 def solve_square(B: Matrix, rhs: Vector) -> Optional[Vector]:
     """Gaussian elimination with exact pivots; None when B is singular."""
-    solved = _solve_columns(B, [rhs])
-    return None if solved is None else solved[0]
+    solved = _solve(B, [[v] for v in rhs])
+    return None if solved is None else [row[0] for row in solved]
 
 
 def inverse(B: Matrix) -> Optional[Matrix]:
     """Exact inverse of a square matrix; None when it is singular."""
     n = len(B)
-    solved = _solve_columns(B, [[int(i == k) for i in range(n)] for k in range(n)])
-    if solved is None:
-        return None
-    return [[solved[k][i] for k in range(n)] for i in range(n)]
+    return _solve(B, [[int(i == k) for k in range(n)] for i in range(n)])
 
 
-def _solve_columns(B: Matrix, columns: Sequence[Vector]) -> Optional[List[Vector]]:
-    """Gauss-Jordan on B augmented by every right-hand side at once."""
+def _solve(B: Matrix, right: Sequence[Sequence]) -> Optional[Matrix]:
+    """B^-1 times the matrix `right`, by Gauss-Jordan on [B | right]."""
     n = len(B)
-    grid = [[Fraction(v) for v in row] + [Fraction(col[i]) for col in columns]
-            for i, row in enumerate(B)]
-    for k in range(n):
-        pivot_row = next((i for i in range(k, n) if grid[i][k] != 0), None)
-        if pivot_row is None:
-            return None
-        grid[k], grid[pivot_row] = grid[pivot_row], grid[k]
-        piv = grid[k][k]
-        if piv != 1:
-            grid[k] = [v / piv for v in grid[k]]
-        for i in range(n):
-            if i != k and grid[i][k] != 0:
-                factor = grid[i][k]
-                grid[i] = [a - factor * b if b else a
-                           for a, b in zip(grid[i], grid[k])]
-    return [[grid[i][n + k] for i in range(n)] for k in range(len(columns))]
+    grid = [[Fraction(v) for v in row] + [Fraction(v) for v in extra]
+            for row, extra in zip(B, right)]
+    if len(_row_reduce(grid, n)) < n:
+        return None
+    return [row[n:] for row in grid]
 
 
 def matrix_rank(rows: Sequence[Sequence]) -> int:
     grid = _as_fractions(rows)
-    if not grid:
-        return 0
-    m, n = len(grid), len(grid[0])
-    rank = 0
-    col = 0
-    for col in range(n):
-        pivot_row = next((i for i in range(rank, m) if grid[i][col] != 0), None)
-        if pivot_row is None:
+    return len(_row_reduce(grid, len(grid[0]))) if grid else 0
+
+
+def _pivot(rows: Matrix, r: int, c: int) -> None:
+    """Scale row r to a one in column c and clear column c from every other
+    row; a zero entry of row r leaves the other rows' entry untouched."""
+    piv = rows[r][c]
+    if piv != 1:
+        rows[r] = [v / piv for v in rows[r]]
+    pivot_row = rows[r]
+    for i, row in enumerate(rows):
+        factor = row[c]
+        if i != r and factor != 0:
+            rows[i] = [a - factor * b if b else a for a, b in zip(row, pivot_row)]
+
+
+def _row_reduce(rows: Matrix, ncols: int) -> List[int]:
+    """Reduced row echelon form over the first ncols columns, in place;
+    returns the pivot columns, one per independent row."""
+    pivots: List[int] = []
+    for c in range(ncols):
+        r = len(pivots)
+        found = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if found is None:
             continue
-        grid[rank], grid[pivot_row] = grid[pivot_row], grid[rank]
-        piv = grid[rank][col]
-        grid[rank] = [v / piv for v in grid[rank]]
-        for i in range(m):
-            if i != rank and grid[i][col] != 0:
-                factor = grid[i][col]
-                grid[i] = [a - factor * b for a, b in zip(grid[i], grid[rank])]
-        rank += 1
-        if rank == m:
-            break
-    return rank
+        rows[r], rows[found] = rows[found], rows[r]
+        _pivot(rows, r, c)
+        pivots.append(c)
+    return pivots
 
 
 @dataclass
@@ -115,14 +111,7 @@ class _Tableau:
         return list(range(first, self.n))
 
     def pivot(self, row: int, col: int) -> None:
-        piv = self.rows[row][col]
-        if piv != 1:
-            self.rows[row] = [v / piv for v in self.rows[row]]
-        for i in range(self.m):
-            if i != row and self.rows[i][col] != 0:
-                factor = self.rows[i][col]
-                self.rows[i] = [a - factor * b if b else a
-                                for a, b in zip(self.rows[i], self.rows[row])]
+        _pivot(self.rows, row, col)
         self.basis[row] = col
 
     def reduced_costs(self, cost: Vector) -> Tuple[Vector, Fraction]:

@@ -59,9 +59,6 @@ class PolyMatrix:
     def entry(self, i: int, j: int) -> SymPoly:
         return self.entries.get((i, j), SymPoly.zero())
 
-    def row_entries(self, i: int) -> Dict[int, SymPoly]:
-        return {j: v for (r, j), v in self.entries.items() if r == i}
-
     def symbols(self) -> set:
         out = set()
         for v in self.entries.values():

@@ -9,8 +9,9 @@ cross-check.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Dict, List
 
+from .determinant import det_laplace
 from .errors import DegreeZero, IntermediateZero
 from .diffsys import (DiffPoly, SystemSpec, YMonomial, delta, generic_system,
                       YM_ONE)
@@ -30,36 +31,6 @@ def coefficients_in(p: DiffPoly, var: str) -> List[DiffPoly]:
         rest[axis] = 0
         buckets[e][YMonomial(*rest)] = c
     return [DiffPoly(b) for b in buckets]
-
-
-def ring_det(grid: Sequence[Sequence], add: Callable, mul: Callable,
-             neg: Callable, is_zero: Callable, zero, one):
-    """Cofactor expansion with minor memoization over any commutative ring."""
-    n = len(grid)
-    cache: Dict[Tuple[int, Tuple[int, ...]], object] = {}
-
-    def minor(row: int, cols: Tuple[int, ...]):
-        if not cols:
-            return one
-        key = (row, cols)
-        if key in cache:
-            return cache[key]
-        total = zero
-        for pos, j in enumerate(cols):
-            v = grid[row][j]
-            if is_zero(v):
-                continue
-            sub = minor(row + 1, cols[:pos] + cols[pos + 1:])
-            if is_zero(sub):
-                continue
-            term = mul(v, sub)
-            if pos % 2 == 1:
-                term = neg(term)
-            total = add(total, term)
-        cache[key] = total
-        return total
-
-    return minor(0, tuple(range(n)))
 
 
 def sylvester_resultant(p: DiffPoly, q: DiffPoly, var: str) -> DiffPoly:
@@ -84,15 +55,7 @@ def sylvester_resultant(p: DiffPoly, q: DiffPoly, var: str) -> DiffPoly:
         for k, coeff in enumerate(reversed(qc)):
             row[shift + k] = coeff
         grid.append(row)
-    from .sympoly import SymPoly
-    from .diffsys import YM_ONE
-    return ring_det(grid,
-                    add=lambda a, b: a + b,
-                    mul=lambda a, b: a * b,
-                    neg=lambda a: -a,
-                    is_zero=lambda a: a.is_zero(),
-                    zero=DiffPoly.zero(),
-                    one=DiffPoly({YM_ONE: SymPoly.one()}))
+    return det_laplace(grid)
 
 
 def eliminate_iterated(spec: SystemSpec, substitution=None) -> SymPoly:

@@ -200,7 +200,10 @@ def lattice_points(spec: SystemSpec,
     """
     spec = SystemSpec(*spec).validate()
     _check_perturbation(delta_vec)
-    system = _PointSystem(spec, delta_vec)
+    return _scan_box(spec, _PointSystem(spec, delta_vec))
+
+
+def _scan_box(spec: SystemSpec, system: "_PointSystem") -> List[Point]:
     limit = 2 * spec.d1 + 2 * spec.d2
     found = [q for q in iter_product(range(limit + 1), repeat=3)
              if system.feasible(q)]
@@ -490,9 +493,11 @@ def grc_partition(spec: SystemSpec, lift: Liftings = DEFAULT_LIFTINGS,
     report = validate_liftings(lift)
     if not report.passed:
         raise DiffresError(f"liftings violate: {', '.join(report.violations)}")
-    points = lattice_points(spec, delta_vec)
+    _check_perturbation(delta_vec)
+    system = _PointSystem(spec, delta_vec)
+    points = _scan_box(spec, system)
     # the costs depend only on the liftings: certify optimality once per call
-    catalog = _PointSystem(spec, delta_vec).optimal_catalog(_costs(spec, lift))
+    catalog = system.optimal_catalog(_costs(spec, lift))
     vertices = vertex_lists(spec)
     assignments: Dict[Point, GrcAssignment] = {}
     buckets: Dict[int, List[YMonomial]] = {1: [], 2: [], 3: [], 4: []}

@@ -14,6 +14,7 @@ from __future__ import annotations
 import time
 from typing import Dict, Tuple
 
+from .determinant import _bareiss, _poly_combine
 from .errors import NotDivisible
 from .diffsys import SystemSpec
 from .matrices import build_square_matrix
@@ -44,38 +45,6 @@ def pinned_substitution() -> Dict[CoeffSymbol, SymPoly]:
     return sub
 
 
-def _budgeted_bareiss(grid, budget: _Budget) -> SymPoly:
-    n = len(grid)
-    sign = 1
-    prev = SymPoly.one()
-    for k in range(n - 1):
-        budget.check(f"determinant step {k}")
-        pivot = None
-        for i in range(k, n):
-            for j in range(k, n):
-                if not grid[i][j].is_zero():
-                    if pivot is None or len(grid[i][j]) < len(grid[pivot[0]][pivot[1]]):
-                        pivot = (i, j)
-        if pivot is None:
-            return SymPoly.zero()
-        pi, pj = pivot
-        if pi != k:
-            grid[pi], grid[k] = grid[k], grid[pi]
-            sign = -sign
-        if pj != k:
-            for row in grid:
-                row[pj], row[k] = row[k], row[pj]
-            sign = -sign
-        for i in range(k + 1, n):
-            budget.check(f"determinant step {k} row {i}")
-            for j in range(k + 1, n):
-                value = grid[k][k] * grid[i][j] - grid[i][k] * grid[k][j]
-                grid[i][j] = value.exact_div(prev)
-            grid[i][k] = SymPoly.zero()
-        prev = grid[k][k]
-    return grid[n - 1][n - 1] * sign
-
-
 def resultant_factor_2_2(time_budget: float = 600.0) -> Tuple[SymPoly, SymPoly]:
     """Expand the pinned determinant and split off the resultant factor.
 
@@ -90,7 +59,12 @@ def resultant_factor_2_2(time_budget: float = 600.0) -> Tuple[SymPoly, SymPoly]:
     matrix = build_square_matrix(spec).substitute(sub)
     n = matrix.nrows
     grid = [[matrix.entry(i, j) for j in range(n)] for i in range(n)]
-    determinant = _budgeted_bareiss(grid, budget)
+
+    def combine(*row_update):
+        budget.check("determinant")
+        return _poly_combine(*row_update)
+
+    determinant = _bareiss(grid, combine, weight=len)
 
     budget.check("candidate")
     candidate = eliminate_iterated(spec, sub)

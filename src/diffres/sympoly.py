@@ -264,7 +264,7 @@ class SymPoly:
 
     def substitute(self, mapping: Mapping[CoeffSymbol, "SymPoly | Fraction | int"]) -> "SymPoly":
         """Replace symbols by polynomials; untouched symbols pass through."""
-        out = SymPoly.zero()
+        out: Dict[Monomial, Fraction] = {}
         for m, c in self._terms.items():
             factor = SymPoly.const(c)
             rest: Dict[CoeffSymbol, int] = {}
@@ -273,22 +273,26 @@ class SymPoly:
                     factor = factor * (_coerce(mapping[s]) ** e)
                 else:
                     rest[s] = e
-            out = out + factor * SymPoly({mono_make(rest): Fraction(1)})
-        return out
+            tail = mono_make(rest)
+            for fm, fc in factor._terms.items():
+                t = mono_mul(fm, tail)
+                out[t] = out.get(t, 0) + fc
+        return SymPoly(out)
 
     def derivative(self) -> "SymPoly":
         """Formal derivation: each symbol's derivative bumps its order."""
-        out = SymPoly.zero()
+        out: Dict[Monomial, Fraction] = {}
         for m, c in self._terms.items():
-            for idx, (s, e) in enumerate(m):
+            for s, e in m:
                 rest = dict(m)
                 if e == 1:
                     del rest[s]
                 else:
                     rest[s] = e - 1
                 rest[s.differentiate()] = rest.get(s.differentiate(), 0) + 1
-                out = out + SymPoly({mono_make(rest): c * e})
-        return out
+                t = mono_make(rest)
+                out[t] = out.get(t, 0) + c * e
+        return SymPoly(out)
 
     # -- exact division ---------------------------------------------------
 
@@ -395,24 +399,6 @@ def parse_sympoly(text: str) -> SymPoly:
             coeff = -coeff
         total = total + SymPoly({mono_make(powers): coeff})
     return total
-
-
-# -- the spec'd operation surface -------------------------------------------
-
-def poly_add(p: SymPoly, q: SymPoly) -> SymPoly:
-    return p + q
-
-
-def poly_mul(p: SymPoly, q: SymPoly) -> SymPoly:
-    return p * q
-
-
-def poly_eval(p: SymPoly, s: "Specialization") -> Fraction:
-    return p.evaluate(s)
-
-
-def poly_exact_div(p: SymPoly, q: SymPoly) -> SymPoly:
-    return p.exact_div(q)
 
 
 class Specialization:

@@ -1,6 +1,9 @@
 """Generic systems and the derivation operator."""
 
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, strategies as st
 
 from diffres import (CoeffSymbol, DiffPoly, DiffresError, SymPoly,
                      SystemSpec, YMonomial, bset, delta, generic_system,
@@ -118,3 +121,16 @@ def test_json_dump_shape():
         {"monomial": [1, 0, 0], "coeff": "a(1,0)"},
         {"monomial": [0, 1, 0], "coeff": "a(0,1)"},
     ]
+
+
+@given(st.lists(st.builds(Fraction, st.integers(-5, 5), st.integers(1, 5)),
+                min_size=3, max_size=3))
+def test_evaluate_point_is_a_ring_homomorphism(point):
+    f1, f2 = generic_system(SystemSpec(1, 2))
+    df1 = delta(f1)
+    at = [p.evaluate_point(point) for p in (f1, f2, df1)]
+    assert (f1 * f2 + df1).evaluate_point(point) == at[0] * at[1] + at[2]
+    assert (f1 - f1).evaluate_point(point) == SymPoly.zero()
+    y, y1, y2 = point
+    assert DiffPoly({YMonomial(2, 1, 1): SymPoly.one()}).evaluate_point(point) \
+        == SymPoly.const(Fraction(y) ** 2 * y1 * y2)

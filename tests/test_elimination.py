@@ -1,0 +1,83 @@
+"""Every exact elimination route agrees: the determinant modes, the Gauss-Jordan
+solver over Q, and the budget hook of the stretch expansion."""
+
+import time
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from diffres import SymPoly, det_laplace
+from diffres.determinant import _bareiss, _det_mod, _poly_combine, det_rational
+from diffres.lp import inverse, matrix_rank, solve_square
+from diffres.stretch import resultant_factor_2_2
+
+PRIMES = (2, 3, 7, 101, 2147483647)
+
+# six in ten entries are zero: the square matrices are sparse too
+ENTRY = st.integers(0, 9).flatmap(
+    lambda r: st.integers(-9, 9) if r < 4 else st.just(0))
+
+
+@st.composite
+def integer_matrices(draw, max_n=6):
+    """(rows, forced_singular): a small mostly-zero integer matrix, in a
+    third of the draws given a repeated row or a zero column."""
+    n = draw(st.integers(1, max_n))
+    rows = [[draw(ENTRY) for _ in range(n)] for _ in range(n)]
+    kind = draw(st.sampled_from(["free", "repeated-row", "zero-column"]))
+    if kind == "repeated-row" and n > 1:
+        i, k = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
+                             unique=True))
+        rows[i] = list(rows[k])
+    elif kind == "zero-column":
+        j = draw(st.integers(0, n - 1))
+        for row in rows:
+            row[j] = 0
+    return rows, kind != "free" and (n > 1 or kind == "zero-column")
+
+
+def constant_grid(rows):
+    return [[SymPoly.const(v) for v in row] for row in rows]
+
+
+@settings(deadline=None)
+@given(integer_matrices())
+def test_determinant_modes_agree(case):
+    rows, singular = case
+    exact = det_rational([[Fraction(v) for v in row] for row in rows])
+    assert exact.denominator == 1
+    if singular:
+        assert exact == 0
+    assert det_laplace(constant_grid(rows)) == SymPoly.const(exact)
+    kernel = _bareiss(constant_grid(rows), _poly_combine, weight=len)
+    assert kernel == SymPoly.const(exact)
+    for p in PRIMES:
+        assert _det_mod([row[:] for row in rows], p) == exact.numerator % p
+
+
+@settings(deadline=None)
+@given(integer_matrices(), st.lists(st.integers(-9, 9), min_size=6, max_size=6))
+def test_gauss_jordan_agrees_with_the_determinant(case, rhs):
+    rows, _ = case
+    n = len(rows)
+    B = [[Fraction(v) for v in row] for row in rows]
+    b = [Fraction(v) for v in rhs[:n]]
+    inv = inverse(B)
+    x = solve_square(B, b)
+    if det_rational(B) == 0:
+        assert inv is None and x is None
+        assert matrix_rank(B) < n
+        return
+    assert matrix_rank(B) == n
+    assert [[sum(B[i][k] * inv[k][j] for k in range(n)) for j in range(n)]
+            for i in range(n)] == [[int(i == j) for j in range(n)]
+                                   for i in range(n)]
+    assert x == [sum(inv[i][k] * b[k] for k in range(n)) for i in range(n)]
+
+
+def test_stretch_budget_stops_the_determinant():
+    start = time.monotonic()
+    with pytest.raises(TimeoutError, match="determinant"):
+        resultant_factor_2_2(time_budget=0)
+    assert time.monotonic() - start < 10

@@ -44,6 +44,8 @@ class TestRank:
 
     def test_deficient(self):
         assert matrix_rank([[1, 2, 3], [2, 4, 6], [0, 0, 1]]) == 2
+        assert matrix_rank([[1, 2, 3, 4], [2, 4, 6, 8], [0, 1, 0, 1]]) == 2
+        assert matrix_rank([[0, 0], [0, 0]]) == 0
 
 
 class TestSimplex:

@@ -108,9 +108,12 @@ class TestCarraFerro:
         cf = build_carra_ferro(1, 1, 1, 1)
         sq = build_square_matrix(SystemSpec(1, 1))
         # same four row polynomials, different block order
-        cf_rows = {(r.poly.replace("p", "f"), r.mult): cf.row_entries(i)
+        def row_entries(M, i):
+            return {j: v for (r, j), v in M.entries.items() if r == i}
+
+        cf_rows = {(r.poly.replace("p", "f"), r.mult): row_entries(cf, i)
                    for i, r in enumerate(cf.rows)}
-        sq_rows = {(r.poly, r.mult): sq.row_entries(i)
+        sq_rows = {(r.poly, r.mult): row_entries(sq, i)
                    for i, r in enumerate(sq.rows)}
         assert set(cf_rows) == set(sq_rows)
         for key in cf_rows:

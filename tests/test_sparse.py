@@ -132,6 +132,22 @@ class TestCertificateReuse:
         spec = SystemSpec(*d)
         assert lattice_points(spec) == box_scan(spec)
 
+    def test_grc_partition_sets_up_the_point_system_once(self, monkeypatch):
+        from diffres import sparse
+        built = []
+
+        class Counting(sparse._PointSystem):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(sparse, "_PointSystem", Counting)
+        spec = SystemSpec(1, 2)
+        result = grc_partition(spec)
+        assert len(built) == 1
+        assert list(result.assignments) == lattice_points(spec)
+        assert len(built) == 2
+
     def test_lattice_points_at_a_coarse_perturbation(self):
         spec = SystemSpec(1, 2)
         assert lattice_points(spec, HALF) == box_scan(spec, HALF)

@@ -4,12 +4,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from diffres import (CoeffSymbol, DivisionByZero, NotDivisible,
                      Specialization, SymPoly, UnassignedSymbol, parse_symbol,
-                     parse_sympoly, poly_add, poly_eval, poly_exact_div,
-                     poly_mul)
+                     parse_sympoly)
+from diffres.sympoly import mono_make
 from conftest import SYMBOL_POOL, random_sympoly
 
 A0 = CoeffSymbol("a", 0, 0)
@@ -39,22 +39,22 @@ class TestSymbols:
 class TestAddMul:
     def test_add_identity(self):
         p = sym(A0) * 3 + 1
-        assert poly_add(p, SymPoly.zero()) == p
+        assert p + SymPoly.zero() == p
 
     def test_add_cancellation(self):
-        assert poly_add(2 * sym(A0), -2 * sym(A0)) == SymPoly.zero()
+        assert 2 * sym(A0) + -2 * sym(A0) == SymPoly.zero()
 
     def test_add_merges_terms(self):
         left = sym(A0) + sym(B0)
         right = sym(A0) - sym(B0)
-        assert poly_add(left, right) == 2 * sym(A0)
+        assert left + right == 2 * sym(A0)
 
     def test_mul_identity(self):
         p = sym(A0) ** 2 - 5
-        assert poly_mul(p, SymPoly.one()) == p
+        assert p * SymPoly.one() == p
 
     def test_mul_monomials(self):
-        assert poly_mul(sym(A0), sym(A0)) == sym(A0) ** 2
+        assert sym(A0) * sym(A0) == sym(A0) ** 2
 
     def test_binomial_square(self):
         p = sym(A0) + sym(B0)
@@ -65,20 +65,20 @@ class TestAddMul:
 class TestEval:
     def test_eval_zero(self):
         s = Specialization({A0: Fraction(7)})
-        assert poly_eval(SymPoly.zero(), s) == 0
+        assert SymPoly.zero().evaluate(s) == 0
 
     def test_eval_square(self):
         s = Specialization({A0: Fraction(3)})
-        assert poly_eval(sym(A0) ** 2, s) == 9
+        assert (sym(A0) ** 2).evaluate(s) == 9
 
     def test_eval_hand_arithmetic(self):
         s = Specialization({A0: Fraction(1, 2), B0: Fraction(4)})
-        assert poly_eval(2 * sym(A0) * sym(B0) + 1, s) == 5
+        assert (2 * sym(A0) * sym(B0) + 1).evaluate(s) == 5
 
     def test_missing_symbol_raises(self):
         s = Specialization({A0: Fraction(1)})
         with pytest.raises(UnassignedSymbol):
-            poly_eval(sym(B0), s)
+            sym(B0).evaluate(s)
 
     def test_universe_must_be_covered(self):
         with pytest.raises(UnassignedSymbol):
@@ -88,20 +88,20 @@ class TestEval:
 class TestExactDiv:
     def test_divide_by_one(self):
         p = 3 * sym(A0) * sym(B0) - 2
-        assert poly_exact_div(p, SymPoly.one()) == p
+        assert p.exact_div(SymPoly.one()) == p
 
     def test_difference_of_squares(self):
         p = sym(A0) ** 2 - sym(B0) ** 2
         q = sym(A0) - sym(B0)
-        assert poly_exact_div(p, q) == sym(A0) + sym(B0)
+        assert p.exact_div(q) == sym(A0) + sym(B0)
 
     def test_independent_symbols_not_divisible(self):
         with pytest.raises(NotDivisible):
-            poly_exact_div(sym(A0), sym(B0))
+            sym(A0).exact_div(sym(B0))
 
     def test_zero_divisor(self):
         with pytest.raises(DivisionByZero):
-            poly_exact_div(sym(A0), SymPoly.zero())
+            sym(A0).exact_div(SymPoly.zero())
 
     def test_product_division_roundtrip(self, rng):
         for _ in range(300):
@@ -109,7 +109,7 @@ class TestExactDiv:
             q = random_sympoly(rng)
             if q.is_zero():
                 continue
-            assert poly_exact_div(p * q, q) == p
+            assert (p * q).exact_div(q) == p
 
 
 class TestRingAxioms:
@@ -130,8 +130,8 @@ class TestRingAxioms:
             values = {s: Fraction(rng.randint(-5, 5), rng.randint(1, 3))
                       for s in SYMBOL_POOL}
             s = Specialization(values)
-            assert poly_eval(p * q + r, s) == \
-                poly_eval(p, s) * poly_eval(q, s) + poly_eval(r, s)
+            assert (p * q + r).evaluate(s) == \
+                p.evaluate(s) * q.evaluate(s) + r.evaluate(s)
 
 
 @given(st.integers(-20, 20), st.integers(-20, 20), st.integers(-20, 20))
@@ -173,6 +173,12 @@ class TestDerivation:
         p = sym(A0)
         assert p.derivative() == sym(CoeffSymbol("a", 0, 0, 1))
 
+    def test_second_derivative_merges_equal_terms(self):
+        def d(s, order):
+            return sym(s._replace(deriv=order))
+        assert (sym(A0) * sym(B0)).derivative().derivative() == \
+            d(A0, 2) * sym(B0) + 2 * d(A0, 1) * d(B0, 1) + sym(A0) * d(B0, 2)
+
     def test_product_rule_on_symbols(self, rng):
         for _ in range(100):
             p = random_sympoly(rng, max_terms=3, max_exp=2)
@@ -180,3 +186,33 @@ class TestDerivation:
             lhs = (p * q).derivative()
             rhs = p.derivative() * q + p * q.derivative()
             assert lhs == rhs
+
+
+# -- derivation and substitution as ring maps -------------------------------
+
+TERM = st.builds(
+    lambda c, d, powers: SymPoly({mono_make(powers): Fraction(c, d)}),
+    st.integers(-6, 6), st.integers(1, 4),
+    st.dictionaries(st.sampled_from(SYMBOL_POOL), st.integers(1, 2),
+                    max_size=2))
+POLY = st.lists(TERM, max_size=4).map(lambda terms: sum(terms, SymPoly.zero()))
+MAPPING = st.dictionaries(st.sampled_from(SYMBOL_POOL), POLY, max_size=3)
+
+
+@given(POLY, POLY)
+def test_derivative_obeys_the_product_rule(p, q):
+    assert (p * q).derivative() == p.derivative() * q + p * q.derivative()
+
+
+@settings(deadline=None)
+@given(POLY, POLY, MAPPING)
+def test_substitute_is_a_ring_homomorphism(p, q, mapping):
+    assert (p + q).substitute(mapping) == \
+        p.substitute(mapping) + q.substitute(mapping)
+    assert (p * q).substitute(mapping) == \
+        p.substitute(mapping) * q.substitute(mapping)
+
+
+@given(POLY)
+def test_substituting_each_symbol_by_itself_is_the_identity(p):
+    assert p.substitute({s: sym(s) for s in SYMBOL_POOL}) == p
