@@ -72,9 +72,15 @@ class PolyMatrix:
         return PolyMatrix(self.rows, self.cols, entries, polys, self.meta)
 
     def specialize(self, s: Specialization) -> List[List[Fraction]]:
+        """Dense values under s; rows of one block share their entry
+        objects, so each distinct object is evaluated once."""
         dense = [[Fraction(0)] * self.ncols for _ in range(self.nrows)]
+        values: Dict[int, Fraction] = {}
         for (i, j), v in self.entries.items():
-            dense[i][j] = v.evaluate(s)
+            x = values.get(id(v))
+            if x is None:
+                x = values[id(v)] = v.evaluate(s)
+            dense[i][j] = x
         return dense
 
     def row_label_map(self) -> Dict[RowLabel, Dict[YMonomial, SymPoly]]:

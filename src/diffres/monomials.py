@@ -33,7 +33,7 @@ class MonomialSet:
         return iter(self.elems)
 
     def __contains__(self, m: YMonomial) -> bool:
-        return m in set(self.elems)
+        return m in self.elems
 
     def as_set(self) -> frozenset:
         return frozenset(self.elems)

@@ -64,7 +64,7 @@ def resultant_factor_2_2(time_budget: float = 600.0) -> Tuple[SymPoly, SymPoly]:
         budget.check("determinant")
         return _poly_combine(*row_update)
 
-    determinant = _bareiss(grid, combine, weight=len)
+    determinant = _bareiss(grid, combine)
 
     budget.check("candidate")
     candidate = eliminate_iterated(spec, sub)

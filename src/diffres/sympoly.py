@@ -376,7 +376,7 @@ def parse_sympoly(text: str) -> SymPoly:
         text = "-" + text[2:]
     rational = re.compile(r"^-?\d+(/\d+)?$")
     factor = re.compile(r"^([abc]\(\d+,\d+\)'*)(?:\^(\d+))?$")
-    total = SymPoly.zero()
+    terms: Dict[Monomial, Fraction] = {}
     for raw in text.split(" + "):
         raw = raw.strip()
         negative = raw.startswith("-")
@@ -397,8 +397,9 @@ def parse_sympoly(text: str) -> SymPoly:
             powers[sym] = powers.get(sym, 0) + exp
         if negative:
             coeff = -coeff
-        total = total + SymPoly({mono_make(powers): coeff})
-    return total
+        mono = mono_make(powers)
+        terms[mono] = terms.get(mono, 0) + coeff
+    return SymPoly(terms)
 
 
 class Specialization:

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +12,7 @@ from diffres import (CapExceeded, CoeffSymbol, PolyMatrix, Specialization,
                      det_laplace, det_modular, det_specialized, det_symbolic,
                      generic_system, hadamard_bound, nonzero_random_probe,
                      random_specialization, system_symbols)
+from diffres.cli import main
 from diffres.determinant import crt_lift, is_prime
 from diffres.matrices import F1, RowLabel
 
@@ -230,3 +232,53 @@ class TestModular:
         values = {sym: Fraction(1, 2) for sym in universe}
         with pytest.raises(ValueError):
             det_modular(M, Specialization(values, universe), [7])
+
+
+def _degrees(d):
+    return f"{d[0]}-{d[1]}"
+
+
+def _primes_above(bound):
+    """Descending 61-bit primes whose product exceeds bound."""
+    primes, product, p = [], 1, 2 ** 61 - 1
+    while product <= bound:
+        if is_prime(p):
+            primes.append(p)
+            product *= p
+        p -= 2
+    return primes
+
+
+class TestSparseKernel:
+    """The sparse exact determinant against independent routes on the real
+    square matrices."""
+
+    @pytest.mark.parametrize("d", [(1, 2), (2, 2), (2, 3)], ids=_degrees)
+    def test_matches_the_crt_lift_of_the_residues(self, d):
+        M = build_square_matrix(SystemSpec(*d))
+        for seed in range(3):
+            s = random_specialization(d, 700 + seed)
+            exact = det_specialized(M, s)
+            bound = hadamard_bound(M.specialize(s))
+            moduli = _primes_above(2 * bound)
+            lifted = crt_lift(det_modular(M, s, moduli), moduli, bound)
+            assert exact != 0 and lifted == exact
+
+    @pytest.mark.parametrize("d", [(1, 2), (2, 2), (2, 3)], ids=_degrees)
+    def test_vanishes_at_negative_fractional_common_zeros(self, d):
+        M = build_square_matrix(SystemSpec(*d))
+        rng = random.Random(f"negative-zeros:{d}")
+        for seed in range(3):
+            # an odd numerator over an even denominator is never an integer
+            point = tuple(Fraction(-2 * rng.randint(0, 8) - 1,
+                                   2 * rng.randint(1, 4)) for _ in range(3))
+            s = common_zero_specialization(d, point, rng_seed=seed)
+            assert det_specialized(M, s) == 0
+
+    @pytest.mark.parametrize("d", [(2, 2), (2, 3)], ids=_degrees)
+    def test_cli_output_is_pinned(self, d, capsys):
+        assert main(["det", "--d1", str(d[0]), "--d2", str(d[1]),
+                     "--mode", "specialized", "--seed", "0"]) == 0
+        name = f"det_{d[0]}_{d[1]}_seed0.json"
+        pinned = Path(__file__).parent / "data" / name
+        assert capsys.readouterr().out == pinned.read_text()

@@ -50,10 +50,46 @@ def test_determinant_modes_agree(case):
     if singular:
         assert exact == 0
     assert det_laplace(constant_grid(rows)) == SymPoly.const(exact)
-    kernel = _bareiss(constant_grid(rows), _poly_combine, weight=len)
+    kernel = _bareiss(constant_grid(rows), _poly_combine)
     assert kernel == SymPoly.const(exact)
     for p in PRIMES:
         assert _det_mod([row[:] for row in rows], p) == exact.numerator % p
+
+
+# six in ten entries are zero; the rest are n/q with q drawn from 1, 2, 3, 7
+RATIONAL = st.integers(0, 9).flatmap(
+    lambda r: st.just(0) if r >= 4 else st.builds(
+        Fraction, st.integers(-9, 9), st.sampled_from([1, 1, 2, 3, 7])))
+
+
+@st.composite
+def rational_matrices(draw, max_n=6):
+    """(rows, forced_singular): a mostly-zero rational matrix, n = 0 allowed,
+    in a third of the draws given a zero row or a repeated scaled row."""
+    n = draw(st.integers(0, max_n))
+    rows = [[draw(RATIONAL) for _ in range(n)] for _ in range(n)]
+    kind = draw(st.sampled_from(["free", "zero-row", "scaled-row"]))
+    if kind == "zero-row" and n:
+        rows[draw(st.integers(0, n - 1))] = [Fraction(0)] * n
+    elif kind == "scaled-row" and n > 1:
+        i, k = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
+                             unique=True))
+        rows[i] = [Fraction(-2, 3) * v for v in rows[k]]
+    return rows, ((kind == "zero-row" and n > 0)
+                  or (kind == "scaled-row" and n > 1))
+
+
+@settings(deadline=None)
+@given(rational_matrices())
+def test_sparse_kernel_agrees_with_cofactor_expansion(case):
+    rows, singular = case
+    exact = det_rational(rows)
+    assert isinstance(exact, Fraction)
+    if singular:
+        assert exact == 0
+    assert det_laplace(constant_grid(rows)) == SymPoly.const(exact)
+    if len(rows) > 1:
+        assert det_rational([rows[1], rows[0]] + rows[2:]) == -exact
 
 
 @settings(deadline=None)

@@ -5,8 +5,8 @@ from math import comb
 import pytest
 
 from diffres import (SystemSpec, YMonomial, bset, closed_form_partition,
-                     column_set, default_main_monomials, delta,
-                     generic_system, multiplier_sizes,
+                     closed_form_sets, column_set, default_main_monomials,
+                     delta, generic_system, multiplier_sizes,
                      partition_divisibility, support)
 from diffres.diffsys import YM_ONE, ym_div, ym_divides, ym_mul
 
@@ -101,6 +101,15 @@ class TestPartition:
                 closed = closed_form_partition(spec)
                 for a, b in zip(div.sets(), closed.sets()):
                     assert a.as_set() == b.as_set(), (d1, d2, a.label)
+
+    def test_membership_in_a_closed_form_block(self):
+        spec = SystemSpec(2, 3)
+        for block in closed_form_sets(spec):
+            members = set(block.elems)
+            for m in bset(3, spec.D):
+                assert (m in block) == (m in members)
+            assert all(m in block for m in block)
+            assert YMonomial(spec.D + 1, 0, 0) not in block
 
     def test_validate_cover_detects_overlap(self):
         spec = SystemSpec(1, 1)

@@ -162,6 +162,21 @@ class TestTextForm:
         assert SymPoly.zero().render() == "0"
         assert parse_sympoly("0") == SymPoly.zero()
 
+    def test_round_trip_of_a_polynomial_with_thousands_of_terms(self):
+        p = SymPoly({mono_make({A0: i % 50, B0: i // 50,
+                                CoeffSymbol("a", 1, 0, 1): i % 7}):
+                     Fraction((-1) ** i * (i + 1), 1 + i % 5)
+                     for i in range(2500)})
+        assert len(p) == 2500
+        text = p.render()
+        again = parse_sympoly(text)
+        assert again == p
+        assert again.render() == text
+
+    def test_parse_merges_repeated_monomials(self):
+        assert parse_sympoly("a(0,0) + 2*b(0,0) - a(0,0)") == 2 * sym(B0)
+        assert parse_sympoly("a(0,0) - a(0,0)") == SymPoly.zero()
+
     def test_derivative_symbols_render_with_primes(self):
         p = sym(CoeffSymbol("a", 0, 2, 1))
         assert p.render() == "a(0,2)'"
