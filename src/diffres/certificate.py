@@ -129,11 +129,10 @@ def eliminate(matrix: PolyMatrix, spec: SystemSpec) -> Certificate:
         raise CertificateFailure(f"matrix is {matrix.nrows}x{matrix.ncols}, not square")
 
     # index entries by row for the occurrence scans
-    row_entries: List[Dict[int, SymPoly]] = [dict() for _ in range(n)]
-    for (i, j), v in matrix.entries.items():
-        row_entries[i][j] = v
-    entry_symbols: Dict[Tuple[int, int], set] = {
-        (i, j): v.symbols() for (i, j), v in matrix.entries.items()}
+    row_entries: List[Dict[int, int]] = [dict() for _ in range(n)]
+    for (i, j), x in matrix.entries.items():
+        row_entries[i][j] = x
+    pool_symbols = [v.symbols() for v in matrix.pool]
 
     alive_rows = set(range(n))
     alive_cols = set(range(n))
@@ -147,14 +146,14 @@ def eliminate(matrix: PolyMatrix, spec: SystemSpec) -> Certificate:
         pairs: List[Tuple[int, int]] = []
         units: List[Fraction] = []
         for i in block_rows:
-            hits = [j for j, v in row_entries[i].items()
-                    if j in alive_cols and sym in entry_symbols[(i, j)]]
+            hits = [j for j, x in row_entries[i].items()
+                    if j in alive_cols and sym in pool_symbols[x]]
             if len(hits) != 1:
                 raise CertificateFailure(
                     f"step symbol {sym} occurs {len(hits)} times in row "
                     f"{matrix.rows[i].render()}, expected exactly once")
             j = hits[0]
-            unit, clean = _symbol_occurrences(row_entries[i][j], sym)
+            unit, clean = _symbol_occurrences(matrix.pool[row_entries[i][j]], sym)
             if not clean or unit == 0:
                 raise CertificateFailure(
                     f"step symbol {sym} does not enter entry "
@@ -165,8 +164,8 @@ def eliminate(matrix: PolyMatrix, spec: SystemSpec) -> Certificate:
         for i in alive_rows:
             if matrix.rows[i].poly == block:
                 continue
-            for j, v in row_entries[i].items():
-                if j in alive_cols and sym in entry_symbols[(i, j)]:
+            for j, x in row_entries[i].items():
+                if j in alive_cols and sym in pool_symbols[x]:
                     raise CertificateFailure(
                         f"step symbol {sym} leaks into row "
                         f"{matrix.rows[i].render()} at column "

@@ -64,7 +64,7 @@ def _load_config(path: Optional[str]) -> dict:
 def _ints(values, count: int, what: str) -> List[int]:
     try:
         out = [int(v) for v in values]
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         out = []
     if len(out) != count:
         raise ValueError(f"{what}: expected {count} integers, got {values!r}")
@@ -91,9 +91,12 @@ def _liftings(args, config: dict) -> Liftings:
 
 def _rationals(values, what: str) -> tuple:
     try:
-        return tuple(Fraction(v) for v in values)
-    except (TypeError, ZeroDivisionError):
-        raise ValueError(f"{what}: expected rationals, got {values!r}") from None
+        out = tuple(Fraction(v) for v in values)
+    except (TypeError, ZeroDivisionError, OverflowError):
+        out = ()
+    if len(out) != 3:
+        raise ValueError(f"{what}: expected 3 rationals, got {values!r}")
+    return out
 
 
 def _delta_vec(args, config: dict):
@@ -110,13 +113,29 @@ def _load_specialization(path: str, spec: SystemSpec,
     return Specialization.from_json(data, universe)
 
 
-def _emit(payload, args) -> None:
+def _dumps(payload: dict) -> str:
+    """`json.dumps(payload, indent=2)`, byte for byte.  The indented encoder
+    runs in pure Python, so a matrix's "entries" list of [i, j, text] is
+    written here: one f-string per entry, one `json.dumps` per distinct text."""
+    entries = payload.get("entries")
+    if not entries:
+        return json.dumps(payload, indent=2)
+    text = json.dumps({**payload, "entries": None}, indent=2)
+    quoted = {t: json.dumps(t) for t in {e[2] for e in entries}}
+    body = ",\n".join(f"    [\n      {i},\n      {j},\n      {quoted[t]}\n    ]"
+                      for i, j, t in entries)
+    # only a top-level key sits at a two-space indent
+    return text.replace('\n  "entries": null', f'\n  "entries": [\n{body}\n  ]', 1)
+
+
+def _emit(payload: dict, args) -> None:
+    text = _dumps(payload)
     if getattr(args, "out", None):
         with open(args.out, "w") as fh:
-            json.dump(payload, fh, indent=2)
+            fh.write(text)
         print(f"wrote {args.out}")
     else:
-        print(json.dumps(payload, indent=2))
+        print(text)
 
 
 def _eq1_legend(degree: int, system: str) -> List[str]:

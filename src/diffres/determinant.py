@@ -371,18 +371,17 @@ def common_zero_specialization(spec: SystemSpec,
 
     f1, f2 = generic_system(spec)
     targets = [
-        (f1, CoeffSymbol("a", 0, 0, 0)),
-        (f2, CoeffSymbol("b", 0, 0, 0)),
-        (delta(f1), CoeffSymbol("a", 0, 0, 1)),
-        (delta(f2), CoeffSymbol("b", 0, 0, 1)),
+        (f1.evaluate_point(point), CoeffSymbol("a", 0, 0, 0)),
+        (f2.evaluate_point(point), CoeffSymbol("b", 0, 0, 0)),
+        (delta(f1).evaluate_point(point), CoeffSymbol("a", 0, 0, 1)),
+        (delta(f2).evaluate_point(point), CoeffSymbol("b", 0, 0, 1)),
     ]
-    for poly, sym in targets:
+    for at_point, sym in targets:
         values[sym] = Fraction(0)
-        residue = poly.evaluate_point(point).evaluate(values)
-        values[sym] = -residue
+        values[sym] = -at_point.evaluate(values)
     result = Specialization(values, universe)
-    for poly, _ in targets:
-        assert poly.evaluate_point(point).evaluate(result) == 0
+    for at_point, _ in targets:
+        assert at_point.evaluate(result) == 0
     return result
 
 

@@ -31,16 +31,30 @@ class RowLabel(NamedTuple):
 
 
 class PolyMatrix:
-    """Labeled sparse matrix with polynomial entries and fixed orderings."""
+    """Labeled sparse matrix with polynomial entries and fixed orderings.
 
-    __slots__ = ("rows", "cols", "entries", "polys", "_col_index", "meta")
+    `entries` maps (i, j), in row-major order, to an index into `pool`, the
+    nonzero entry polynomials, one per shared object, so per-polynomial work
+    (evaluation, substitution, symbol scans, rendering) runs once per pool
+    polynomial, not once per entry.
+    """
+
+    __slots__ = ("rows", "cols", "pool", "entries", "polys", "_col_index", "meta")
 
     def __init__(self, rows: Sequence[RowLabel], cols: Sequence[YMonomial],
                  entries: Mapping[Tuple[int, int], SymPoly],
-                 polys: Mapping[str, DiffPoly], meta: dict | None = None):
+                 polys: Mapping[str, DiffPoly], meta: dict | None = None,
+                 pool: Sequence[SymPoly] | None = None):
+        """`entries` maps (i, j) to a polynomial or, when `pool` is given, to
+        an index into it in row-major order."""
         self.rows = tuple(rows)
         self.cols = tuple(cols)
-        self.entries = {k: v for k, v in entries.items() if not v.is_zero()}
+        if pool is None:
+            pool, index = _distinct(entries.values())
+            entries = {k: index[id(entries[k])] for k in sorted(entries)
+                       if id(entries[k]) in index}
+        self.pool = tuple(pool)
+        self.entries = entries
         self.polys = dict(polys)
         self._col_index = {c: j for j, c in enumerate(self.cols)}
         self.meta = dict(meta or {})
@@ -57,40 +71,38 @@ class PolyMatrix:
         return self._col_index[m]
 
     def entry(self, i: int, j: int) -> SymPoly:
-        return self.entries.get((i, j), SymPoly.zero())
+        x = self.entries.get((i, j))
+        return SymPoly.zero() if x is None else self.pool[x]
 
     def symbols(self) -> set:
-        out = set()
-        for v in self.entries.values():
-            out |= v.symbols()
-        return out
+        return set().union(*(v.symbols() for v in self.pool))
 
     def substitute(self, mapping) -> "PolyMatrix":
-        entries = {k: v.substitute(mapping) for k, v in self.entries.items()}
-        polys = {name: p.substitute_symbols(mapping)
+        # the row polynomials' coefficients are pool objects and take their
+        # images; a zero image is falsy, so it is recomputed (still zero)
+        images = {id(v): v.substitute(mapping) for v in self.pool}
+        polys = {name: DiffPoly({m: images.get(id(c)) or c.substitute(mapping)
+                                 for m, c in p.items()})
                  for name, p in self.polys.items()}
+        entries = {k: images[id(self.pool[x])] for k, x in self.entries.items()}
         return PolyMatrix(self.rows, self.cols, entries, polys, self.meta)
 
     def specialize(self, s: Specialization) -> List[List[Fraction]]:
-        """Dense values under s; rows of one block share their entry
-        objects, so each distinct object is evaluated once."""
+        values = [v.evaluate(s) for v in self.pool]
         dense = [[Fraction(0)] * self.ncols for _ in range(self.nrows)]
-        values: Dict[int, Fraction] = {}
-        for (i, j), v in self.entries.items():
-            x = values.get(id(v))
-            if x is None:
-                x = values[id(v)] = v.evaluate(s)
-            dense[i][j] = x
+        for (i, j), x in self.entries.items():
+            dense[i][j] = values[x]
         return dense
 
     def row_label_map(self) -> Dict[RowLabel, Dict[YMonomial, SymPoly]]:
         """Row content keyed by label, for order-insensitive comparison."""
         out: Dict[RowLabel, Dict[YMonomial, SymPoly]] = {r: {} for r in self.rows}
-        for (i, j), v in self.entries.items():
-            out[self.rows[i]][self.cols[j]] = v
+        for (i, j), x in self.entries.items():
+            out[self.rows[i]][self.cols[j]] = self.pool[x]
         return out
 
     def to_json(self) -> dict:
+        texts = [v.render() for v in self.pool]
         return {
             "shape": [self.nrows, self.ncols],
             "meta": {k: v for k, v in self.meta.items()
@@ -98,8 +110,7 @@ class PolyMatrix:
             "rows": [{"poly": r.poly, "multiplier": list(r.mult)}
                      for r in self.rows],
             "cols": [list(c) for c in self.cols],
-            "entries": [[i, j, v.render()]
-                        for (i, j), v in sorted(self.entries.items())],
+            "entries": [[i, j, texts[x]] for (i, j), x in self.entries.items()],
         }
 
     def to_csv(self, s: Specialization) -> str:
@@ -111,20 +122,33 @@ class PolyMatrix:
         return "\n".join(lines) + "\n"
 
 
+def _distinct(values) -> Tuple[List[SymPoly], Dict[int, int]]:
+    """The distinct nonzero objects among `values`, and id -> index among them."""
+    distinct = {id(v): v for v in values if v}
+    return list(distinct.values()), {k: x for x, k in enumerate(distinct)}
+
+
 def _fill_rows(row_plan: Sequence[Tuple[RowLabel, DiffPoly]],
-               cols: Sequence[YMonomial]) -> Dict[Tuple[int, int], SymPoly]:
+               cols: Sequence[YMonomial]) -> Tuple[List[SymPoly], dict]:
+    """A pool of the row polynomials' coefficient objects, and (i, j) -> pool
+    index.  `cols` descend in `ym_key`, a monomial order, so taking each
+    polynomial's terms in that order fills every row in increasing j."""
     col_index = {c: j for j, c in enumerate(cols)}
-    entries: Dict[Tuple[int, int], SymPoly] = {}
+    polys = {id(poly): poly for _, poly in row_plan}.values()
+    pool, index = _distinct(c for poly in polys for _, c in poly.items())
+    terms = {id(poly): [(m, index[id(c)]) for m, c in sorted(
+        poly.items(), key=lambda t: ym_key(t[0]), reverse=True)] for poly in polys}
+    entries: Dict[Tuple[int, int], int] = {}
     for i, (label, poly) in enumerate(row_plan):
-        for m, coeff in poly.items():
+        for m, x in terms[id(poly)]:
             target = ym_mul(m, label.mult)
             j = col_index.get(target)
             if j is None:
                 raise ClosureViolation(
                     f"row {label.render()} produces {ym_render(target)} "
                     "outside the column set")
-            entries[(i, j)] = coeff
-    return entries
+            entries[(i, j)] = x
+    return pool, entries
 
 
 def build_square_matrix(spec: SystemSpec) -> PolyMatrix:
@@ -148,10 +172,10 @@ def build_square_matrix(spec: SystemSpec) -> PolyMatrix:
         for mult in ms:
             row_plan.append((RowLabel(tag, mult), polys[tag]))
 
-    entries = _fill_rows(row_plan, cols)
+    pool, entries = _fill_rows(row_plan, cols)
     matrix = PolyMatrix([r for r, _ in row_plan], cols, entries, polys,
                         meta={"kind": "square", "spec": [spec.d1, spec.d2],
-                              "block_counts": block_counts})
+                              "block_counts": block_counts}, pool=pool)
     assert matrix.nrows == matrix.ncols == spec.N
     return matrix
 
@@ -214,10 +238,10 @@ def build_carra_ferro(d1: int, d2: int, n: int, m: int) -> PolyMatrix:
         for mult in mult2:
             row_plan.append((RowLabel(tag, mult), polys[tag]))
 
-    entries = _fill_rows(row_plan, cols)
+    pool, entries = _fill_rows(row_plan, cols)
     matrix = PolyMatrix([r for r, _ in row_plan], cols, entries, polys,
                         meta={"kind": "carra-ferro",
-                              "params": [d1, d2, n, m], **shape})
+                              "params": [d1, d2, n, m], **shape}, pool=pool)
     assert matrix.nrows == shape["rows"] and matrix.ncols == shape["L"]
     return matrix
 

@@ -444,7 +444,7 @@ class Specialization:
             sym = parse_symbol(key)
             try:
                 values[sym] = Fraction(v)
-            except (TypeError, ZeroDivisionError):
+            except (TypeError, ZeroDivisionError, OverflowError):
                 raise ValueError(f"value of {key} is not a number: {v!r}") from None
         if universe is not None:
             allowed = set(universe)
@@ -452,4 +452,8 @@ class Specialization:
             if unknown:
                 sym = sorted(unknown, key=lambda s: s.key())[0]
                 raise ValueError(f"unknown symbol in specialization file: {sym}")
+            missing = allowed - set(values)
+            if missing:
+                sym = min(missing, key=lambda s: s.key())
+                raise ValueError(f"symbol missing from specialization file: {sym}")
         return Specialization(values, universe)

@@ -3,8 +3,13 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
+from random import Random
+
+import pytest
 
 from diffres.cli import main
+from diffres.diffsys import SystemSpec, system_symbols
 
 
 def run_cli(*argv):
@@ -52,6 +57,25 @@ def test_certificate_output(capsys):
     assert data["counts"] == [10, 10, 10, 6]
     assert data["coefficient"] in ("1024", "-1024")
     assert len(data["steps"]) == 4
+
+
+DATA = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("verb", ["build", "carra-ferro", "certificate"])
+@pytest.mark.parametrize("d", [(2, 2), (2, 3)], ids=lambda d: f"{d[0]}_{d[1]}")
+def test_matrix_output_is_pinned(verb, d, capsys):
+    assert run_cli(verb, "--d1", str(d[0]), "--d2", str(d[1])) == 0
+    pinned = DATA / f"{verb.replace('-', '_')}_{d[0]}_{d[1]}.json"
+    assert capsys.readouterr().out == pinned.read_text()
+
+
+def test_export_to_file_is_pinned(tmp_path, capsys):
+    out = tmp_path / "cf.json"
+    assert run_cli("export", "--what", "carra-ferro", "--d1", "2", "--d2", "2",
+                   "--out", str(out)) == 0
+    assert capsys.readouterr().out == f"wrote {out}\n"
+    assert out.read_bytes() == (DATA / "export_carra_ferro_2_2.json").read_bytes()
 
 
 def test_det_specialized_seeded_deterministic(capsys):
@@ -130,11 +154,85 @@ def test_malformed_json_inputs_exit_two(tmp_path, capsys):
         ("det", "--d1", "1", "--d2", "1", "--common-zero", "1/0", "1", "1"),
         ("det", "--d1", "1", "--d2", "1",
          "--spec-file", write("zero.json", {"a(0,0)": "1/0"})),
+        ("det", "--d1", "1", "--d2", "1", "--spec-file", write("empty.json", {})),
+        ("export", "--d1", "1", "--d2", "1", "--format", "csv",
+         "--spec-file", write("partial.json", {"a(0,0)": "1"})),
     ]
     for argv in cases:
         assert run_cli(*argv) == 2, argv
         err = capsys.readouterr().err.strip()
         assert err.startswith("error: ") and "\n" not in err, (argv, err)
+
+
+# values that no input field accepts: a fuzzed field gets one of these, so the
+# file is malformed, never well-typed but out of range (an out-of-range
+# perturbation exits 3, see test_invariant_violation_exit_code)
+MALFORMED = [None, "", "x", "1/0", "Infinity", [], [1, [2]], {}, {"k": 1},
+             float("inf"), float("-inf"), float("nan")]
+
+
+def _fuzz_value(rng, depth=0):
+    if depth < 2 and rng.random() < 0.3:
+        items = [_fuzz_value(rng, depth + 1) for _ in range(rng.randint(0, 4))]
+        return items if rng.random() < 0.5 else {str(v)[:8]: v for v in items}
+    return rng.choice(MALFORMED)
+
+
+def _fuzz_case(rng, universe):
+    """A command and a JSON file that is one fuzzed field away from valid."""
+    spec = {s.render(): str(rng.randint(-9, 9)) for s in universe}
+    config = {"liftings": [7, -4, -5, 5, -9, 5, 6, 2, 1, 8, 4, 7],
+              "delta": ["1/100"] * 3}
+    move = {"monomial": [0, 1, 1], "from": 4, "to": 1}
+    verb, data, fields = rng.choice([
+        (["det"], spec, [rng.choice(sorted(spec)), "a(9,9)"]),
+        (["export", "--format", "csv"], spec, [rng.choice(sorted(spec))]),
+        (["lp-partition"], config, ["liftings", "delta"]),
+        (["moves"], [move], [0]),
+    ])
+    flag = {"det": "--spec-file", "export": "--spec-file",
+            "lp-partition": "--config", "moves": "--moves-file"}[verb[0]]
+    roll = rng.random()
+    if roll < 0.15:
+        data = _fuzz_value(rng)
+    elif isinstance(data, list):
+        if roll < 0.6:
+            data[0] = dict(move, **{rng.choice(sorted(move)): _fuzz_value(rng)})
+        else:
+            data.append(_fuzz_value(rng))
+    else:
+        field = rng.choice(fields)
+        target = data.get(field)
+        if roll < 0.3:
+            data.pop(field, None)
+        elif isinstance(target, list) and roll < 0.6:
+            target[rng.randrange(len(target))] = _fuzz_value(rng)
+        else:
+            data[field] = _fuzz_value(rng)
+    text = json.dumps(data)
+    if rng.random() < 0.2:
+        text = text[:rng.randrange(len(text))]
+    return verb + ["--d1", "1", "--d2", "1", flag], text
+
+
+def test_fuzzed_json_inputs_exit_zero_or_two(tmp_path, capsys):
+    """A malformed spec, config or moves file, or truncated JSON, exits 2
+    with one error line; a file the fuzz left valid (a dropped config key
+    falls back to its default) exits 0."""
+    rng = Random(20260601)
+    universe = system_symbols(SystemSpec(1, 1))
+    path = tmp_path / "input.json"
+    codes = []
+    for _ in range(300):
+        argv, text = _fuzz_case(rng, universe)
+        path.write_text(text)
+        code = run_cli(*argv, str(path))
+        err = capsys.readouterr().err.strip()
+        codes.append(code)
+        assert code in (0, 2), (argv, text, code, err)
+        if code == 2:
+            assert err.startswith("error: ") and "\n" not in err, (argv, text, err)
+    assert codes.count(2) > 200
 
 
 def test_det_specialization_file(tmp_path, capsys):

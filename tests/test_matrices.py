@@ -1,12 +1,14 @@
 """Square and rectangular matrix builders."""
 
 import json
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from diffres import (PolyMatrix, Specialization, SystemSpec, YMonomial,
-                     bset, build_carra_ferro, build_square_matrix,
+from diffres import (PolyMatrix, Specialization, SymPoly, SystemSpec,
+                     YMonomial, bset, build_carra_ferro, build_square_matrix,
+                     certify,
                      carra_ferro_shape, column_set, system_symbols,
                      zero_columns)
 from diffres.diffsys import YM_ONE
@@ -50,7 +52,8 @@ class TestSquareMatrix:
     def test_entries_are_small_integer_linear_forms(self):
         for d1, d2 in ((1, 2), (2, 2), (3, 4)):
             M = build_square_matrix(SystemSpec(d1, d2))
-            for v in M.entries.values():
+            for i, j in M.entries:
+                v = M.entry(i, j)
                 assert v.total_degree() == 1
                 for _, c in v.terms():
                     assert c.denominator == 1
@@ -109,7 +112,7 @@ class TestCarraFerro:
         sq = build_square_matrix(SystemSpec(1, 1))
         # same four row polynomials, different block order
         def row_entries(M, i):
-            return {j: v for (r, j), v in M.entries.items() if r == i}
+            return {j: M.entry(r, j) for (r, j) in M.entries if r == i}
 
         cf_rows = {(r.poly.replace("p", "f"), r.mult): row_entries(cf, i)
                    for i, r in enumerate(cf.rows)}
@@ -158,3 +161,28 @@ class TestExports:
         assert lines[0].startswith("row,y^0*y1^0*y2^1")
         assert len(lines) == 5
         assert lines[3].split(",")[0] == "1*f1"
+
+
+def test_polynomial_work_runs_once_per_pool_entry(monkeypatch):
+    spec = SystemSpec(3, 3)
+    M = build_square_matrix(spec)
+    assert len(M.pool) < len(M.entries)
+    for built in (M, build_carra_ferro(2, 3, 1, 1)):
+        assert list(built.entries) == sorted(built.entries)
+    calls = Counter()
+
+    def count(name):
+        method = getattr(SymPoly, name)
+
+        def counted(self, *args):
+            calls[name] += 1
+            return method(self, *args)
+        monkeypatch.setattr(SymPoly, name, counted)
+
+    count("render")
+    count("substitute")
+    M.to_json()
+    assert calls["render"] == len(M.pool)
+    transformed, _ = certify(spec, M)
+    assert calls["substitute"] == len(M.pool)
+    assert len(transformed.pool) == len(M.pool)
