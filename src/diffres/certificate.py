@@ -128,10 +128,7 @@ def eliminate(matrix: PolyMatrix, spec: SystemSpec) -> Certificate:
     if n != matrix.ncols:
         raise CertificateFailure(f"matrix is {matrix.nrows}x{matrix.ncols}, not square")
 
-    # index entries by row for the occurrence scans
-    row_entries: List[Dict[int, int]] = [dict() for _ in range(n)]
-    for (i, j), x in matrix.entries.items():
-        row_entries[i][j] = x
+    row_entries = matrix.row_entries
     pool_symbols = [v.symbols() for v in matrix.pool]
 
     alive_rows = set(range(n))

@@ -29,7 +29,7 @@ from .determinant import (SIGN_NOTE, common_zero_specialization, crt_lift,
                           hadamard_bound, random_specialization)
 from .diffsys import (SystemSpec, delta, generic_system, system_symbols,
                       ym_render)
-from .errors import DiffresError
+from .errors import DiffresError, IllegalMove
 from .matrices import (build_carra_ferro, build_square_matrix, zero_columns)
 from .monomials import (closed_form_sets, column_set, default_main_monomials,
                         partition_divisibility)
@@ -63,7 +63,7 @@ def _load_config(path: Optional[str]) -> dict:
 
 def _ints(values, count: int, what: str) -> List[int]:
     try:
-        out = [int(v) for v in values]
+        out = [int(v) for v in values] if isinstance(values, (list, tuple)) else []
     except (TypeError, ValueError, OverflowError):
         out = []
     if len(out) != count:
@@ -91,7 +91,8 @@ def _liftings(args, config: dict) -> Liftings:
 
 def _rationals(values, what: str) -> tuple:
     try:
-        out = tuple(Fraction(v) for v in values)
+        out = (tuple(Fraction(v) for v in values)
+               if isinstance(values, (list, tuple)) else ())
     except (TypeError, ZeroDivisionError, OverflowError):
         out = ()
     if len(out) != 3:
@@ -113,29 +114,32 @@ def _load_specialization(path: str, spec: SystemSpec,
     return Specialization.from_json(data, universe)
 
 
-def _dumps(payload: dict) -> str:
-    """`json.dumps(payload, indent=2)`, byte for byte.  The indented encoder
-    runs in pure Python, so a matrix's "entries" list of [i, j, text] is
-    written here: one f-string per entry, one `json.dumps` per distinct text."""
-    entries = payload.get("entries")
-    if not entries:
-        return json.dumps(payload, indent=2)
-    text = json.dumps({**payload, "entries": None}, indent=2)
-    quoted = {t: json.dumps(t) for t in {e[2] for e in entries}}
-    body = ",\n".join(f"    [\n      {i},\n      {j},\n      {quoted[t]}\n    ]"
-                      for i, j, t in entries)
-    # only a top-level key sits at a two-space indent
-    return text.replace('\n  "entries": null', f'\n  "entries": [\n{body}\n  ]', 1)
-
-
-def _emit(payload: dict, args) -> None:
-    text = _dumps(payload)
+def _write(text: str, args) -> None:
     if getattr(args, "out", None):
         with open(args.out, "w") as fh:
             fh.write(text)
         print(f"wrote {args.out}")
     else:
         print(text)
+
+
+def _emit(payload: dict, args) -> None:
+    _write(json.dumps(payload, indent=2), args)
+
+
+def _emit_matrix(matrix, args, **extra) -> None:
+    """`_emit({**matrix.to_json(), **extra}, args)`, byte for byte.  The
+    indented encoder runs in pure Python, so the "entries" list of [i, j, text]
+    is written here straight from the rows, with one `json.dumps` per pool
+    polynomial and no list of entries built first."""
+    text = json.dumps({**matrix._json_head(), "entries": None, **extra}, indent=2)
+    tails = [f",\n      {json.dumps(v.render())}\n    ]" for v in matrix.pool]
+    body = ",\n".join([f"    [\n      {i},\n      {j}{tails[x]}"
+                       for i, row in enumerate(matrix.row_entries)
+                       for j, x in row.items()])
+    entries = f"[\n{body}\n  ]" if body else "[]"
+    # only a top-level key sits at a two-space indent
+    _write(text.replace('\n  "entries": null', f'\n  "entries": {entries}', 1), args)
 
 
 def _eq1_legend(degree: int, system: str) -> List[str]:
@@ -178,17 +182,14 @@ def cmd_sets(args) -> int:
 def cmd_build(args) -> int:
     spec = _spec(args)
     matrix = build_square_matrix(spec)
-    payload = matrix.to_json()
-    payload["spec"] = [spec.d1, spec.d2]
-    _emit(payload, args)
+    _emit_matrix(matrix, args, spec=[spec.d1, spec.d2])
     return 0
 
 
 def cmd_carra_ferro(args) -> int:
     matrix = build_carra_ferro(args.d1, args.d2, args.n, args.m)
-    payload = matrix.to_json()
-    payload["zero_columns"] = [ym_render(c) for c in zero_columns(matrix)]
-    _emit(payload, args)
+    _emit_matrix(matrix, args,
+                 zero_columns=[ym_render(c) for c in zero_columns(matrix)])
     return 0
 
 
@@ -287,7 +288,14 @@ def cmd_moves(args) -> int:
     result = grc_partition(spec, lift, delta_vec)
     E = column_set(spec)
     mm = default_main_monomials(spec)
-    moved = apply_moves(result.partition, moves, E, mm)
+    try:
+        moved = apply_moves(result.partition, moves, E, mm)
+    except IllegalMove as exc:
+        if not args.moves_file:
+            raise
+        # an illegal move in the user's file is an input error; in the
+        # built-in list it is a broken invariant
+        raise ValueError(f"{args.moves_file}: {exc}") from None
     matrix = build_sparse_matrix(moved, spec)
     payload = {"before": result.partition.to_json(),
                "after": moved.to_json(),
@@ -325,7 +333,7 @@ def cmd_export(args) -> int:
     else:
         matrix = build_carra_ferro(spec.d1, spec.d2, 1, 1)
     if args.format == "json":
-        _emit(matrix.to_json(), args)
+        _emit_matrix(matrix, args)
         return 0
     if not args.spec_file:
         print("csv export needs --spec-file (numeric entries only)",

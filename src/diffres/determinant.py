@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 from math import ceil, gcd, isqrt, lcm, prod
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -353,6 +354,14 @@ def random_specialization(spec: SystemSpec, rng_seed: int,
     return Specialization(values, universe)
 
 
+@lru_cache(maxsize=16)
+def _system_with_deltas(spec: SystemSpec) -> tuple:
+    """(f1, f2, f1', f2') of the generic system, built once per spec; the
+    polynomials are immutable, so every call may share them."""
+    f1, f2 = generic_system(spec)
+    return f1, f2, delta(f1), delta(f2)
+
+
 def common_zero_specialization(spec: SystemSpec,
                                point: Tuple[Fraction, Fraction, Fraction],
                                rng_seed: int = 0) -> Specialization:
@@ -369,12 +378,12 @@ def common_zero_specialization(spec: SystemSpec,
     values = {s: Fraction(rng.randint(-10 ** 6, 10 ** 6))
               for s in sorted(universe, key=lambda s: s.key())}
 
-    f1, f2 = generic_system(spec)
+    f1, f2, df1, df2 = _system_with_deltas(spec)
     targets = [
         (f1.evaluate_point(point), CoeffSymbol("a", 0, 0, 0)),
         (f2.evaluate_point(point), CoeffSymbol("b", 0, 0, 0)),
-        (delta(f1).evaluate_point(point), CoeffSymbol("a", 0, 0, 1)),
-        (delta(f2).evaluate_point(point), CoeffSymbol("b", 0, 0, 1)),
+        (df1.evaluate_point(point), CoeffSymbol("a", 0, 0, 1)),
+        (df2.evaluate_point(point), CoeffSymbol("b", 0, 0, 1)),
     ]
     for at_point, sym in targets:
         values[sym] = Fraction(0)

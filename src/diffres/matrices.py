@@ -13,7 +13,7 @@ from typing import Dict, List, Mapping, NamedTuple, Sequence, Tuple
 
 from .errors import ClosureViolation, DiffresError
 from .diffsys import (DiffPoly, SystemSpec, YMonomial, delta, generic_poly,
-                      generic_system, ym_csv_name, ym_key, ym_mul, ym_render)
+                      generic_system, ym_csv_name, ym_key, ym_render)
 from .monomials import closed_form_sets, column_set
 from .sympoly import Specialization, SymPoly
 
@@ -33,28 +33,21 @@ class RowLabel(NamedTuple):
 class PolyMatrix:
     """Labeled sparse matrix with polynomial entries and fixed orderings.
 
-    `entries` maps (i, j), in row-major order, to an index into `pool`, the
-    nonzero entry polynomials, one per shared object, so per-polynomial work
-    (evaluation, substitution, symbol scans, rendering) runs once per pool
-    polynomial, not once per entry.
+    `row_entries[i]` maps column j, in increasing order, to an index into
+    `pool`, the nonzero entry polynomials, one per shared object, so
+    per-polynomial work (evaluation, substitution, symbol scans, rendering)
+    runs once per pool polynomial, not once per entry.
     """
 
-    __slots__ = ("rows", "cols", "pool", "entries", "polys", "_col_index", "meta")
+    __slots__ = ("rows", "cols", "pool", "row_entries", "polys", "_col_index", "meta")
 
     def __init__(self, rows: Sequence[RowLabel], cols: Sequence[YMonomial],
-                 entries: Mapping[Tuple[int, int], SymPoly],
-                 polys: Mapping[str, DiffPoly], meta: dict | None = None,
-                 pool: Sequence[SymPoly] | None = None):
-        """`entries` maps (i, j) to a polynomial or, when `pool` is given, to
-        an index into it in row-major order."""
+                 pool: Sequence[SymPoly], row_entries: Sequence[Dict[int, int]],
+                 polys: Mapping[str, DiffPoly], meta: dict | None = None):
         self.rows = tuple(rows)
         self.cols = tuple(cols)
-        if pool is None:
-            pool, index = _distinct(entries.values())
-            entries = {k: index[id(entries[k])] for k in sorted(entries)
-                       if id(entries[k]) in index}
         self.pool = tuple(pool)
-        self.entries = entries
+        self.row_entries = list(row_entries)
         self.polys = dict(polys)
         self._col_index = {c: j for j, c in enumerate(self.cols)}
         self.meta = dict(meta or {})
@@ -71,38 +64,41 @@ class PolyMatrix:
         return self._col_index[m]
 
     def entry(self, i: int, j: int) -> SymPoly:
-        x = self.entries.get((i, j))
+        x = self.row_entries[i].get(j)
         return SymPoly.zero() if x is None else self.pool[x]
 
     def symbols(self) -> set:
         return set().union(*(v.symbols() for v in self.pool))
 
     def substitute(self, mapping) -> "PolyMatrix":
+        images = [v.substitute(mapping) for v in self.pool]
         # the row polynomials' coefficients are pool objects and take their
         # images; a zero image is falsy, so it is recomputed (still zero)
-        images = {id(v): v.substitute(mapping) for v in self.pool}
-        polys = {name: DiffPoly({m: images.get(id(c)) or c.substitute(mapping)
+        by_id = {id(v): w for v, w in zip(self.pool, images)}
+        polys = {name: DiffPoly({m: by_id.get(id(c)) or c.substitute(mapping)
                                  for m, c in p.items()})
                  for name, p in self.polys.items()}
-        entries = {k: images[id(self.pool[x])] for k, x in self.entries.items()}
-        return PolyMatrix(self.rows, self.cols, entries, polys, self.meta)
+        reindex = {x: y for y, x in enumerate(x for x, w in enumerate(images) if w)}
+        row_entries = [{j: reindex[x] for j, x in row.items() if x in reindex}
+                       for row in self.row_entries]
+        return PolyMatrix(self.rows, self.cols, [w for w in images if w],
+                          row_entries, polys, self.meta)
 
     def specialize(self, s: Specialization) -> List[List[Fraction]]:
         values = [v.evaluate(s) for v in self.pool]
-        dense = [[Fraction(0)] * self.ncols for _ in range(self.nrows)]
-        for (i, j), x in self.entries.items():
-            dense[i][j] = values[x]
+        dense = [[Fraction(0)] * self.ncols for _ in self.rows]
+        for out, row in zip(dense, self.row_entries):
+            for j, x in row.items():
+                out[j] = values[x]
         return dense
 
     def row_label_map(self) -> Dict[RowLabel, Dict[YMonomial, SymPoly]]:
         """Row content keyed by label, for order-insensitive comparison."""
-        out: Dict[RowLabel, Dict[YMonomial, SymPoly]] = {r: {} for r in self.rows}
-        for (i, j), x in self.entries.items():
-            out[self.rows[i]][self.cols[j]] = self.pool[x]
-        return out
+        return {label: {self.cols[j]: self.pool[x] for j, x in row.items()}
+                for label, row in zip(self.rows, self.row_entries)}
 
-    def to_json(self) -> dict:
-        texts = [v.render() for v in self.pool]
+    def _json_head(self) -> dict:
+        """The keys of `to_json` that come before "entries"."""
         return {
             "shape": [self.nrows, self.ncols],
             "meta": {k: v for k, v in self.meta.items()
@@ -110,8 +106,13 @@ class PolyMatrix:
             "rows": [{"poly": r.poly, "multiplier": list(r.mult)}
                      for r in self.rows],
             "cols": [list(c) for c in self.cols],
-            "entries": [[i, j, texts[x]] for (i, j), x in self.entries.items()],
         }
+
+    def to_json(self) -> dict:
+        texts = [v.render() for v in self.pool]
+        return {**self._json_head(),
+                "entries": [[i, j, texts[x]] for i, row in enumerate(self.row_entries)
+                            for j, x in row.items()]}
 
     def to_csv(self, s: Specialization) -> str:
         dense = self.specialize(s)
@@ -129,26 +130,27 @@ def _distinct(values) -> Tuple[List[SymPoly], Dict[int, int]]:
 
 
 def _fill_rows(row_plan: Sequence[Tuple[RowLabel, DiffPoly]],
-               cols: Sequence[YMonomial]) -> Tuple[List[SymPoly], dict]:
-    """A pool of the row polynomials' coefficient objects, and (i, j) -> pool
-    index.  `cols` descend in `ym_key`, a monomial order, so taking each
-    polynomial's terms in that order fills every row in increasing j."""
+               cols: Sequence[YMonomial]) -> Tuple[List[SymPoly], List[Dict[int, int]]]:
+    """A pool of the row polynomials' coefficient objects, and per row
+    {j: pool index}.  `cols` descend in `ym_key`, a monomial order, so taking
+    each polynomial's terms in that order fills every row in increasing j.  A
+    `YMonomial` hashes as its tuple, so columns are found by exponent sums."""
     col_index = {c: j for j, c in enumerate(cols)}
     polys = {id(poly): poly for _, poly in row_plan}.values()
     pool, index = _distinct(c for poly in polys for _, c in poly.items())
-    terms = {id(poly): [(m, index[id(c)]) for m, c in sorted(
+    terms = {id(poly): [(*m, index[id(c)]) for m, c in sorted(
         poly.items(), key=lambda t: ym_key(t[0]), reverse=True)] for poly in polys}
-    entries: Dict[Tuple[int, int], int] = {}
-    for i, (label, poly) in enumerate(row_plan):
-        for m, x in terms[id(poly)]:
-            target = ym_mul(m, label.mult)
-            j = col_index.get(target)
-            if j is None:
-                raise ClosureViolation(
-                    f"row {label.render()} produces {ym_render(target)} "
-                    "outside the column set")
-            entries[(i, j)] = x
-    return pool, entries
+    row_entries = []
+    for label, poly in row_plan:
+        a, b, c = label.mult
+        try:
+            row_entries.append({col_index[e + a, e1 + b, e2 + c]: x
+                                for e, e1, e2, x in terms[id(poly)]})
+        except KeyError as exc:
+            raise ClosureViolation(
+                f"row {label.render()} produces {ym_render(YMonomial(*exc.args[0]))} "
+                "outside the column set") from None
+    return pool, row_entries
 
 
 def build_square_matrix(spec: SystemSpec) -> PolyMatrix:
@@ -172,10 +174,10 @@ def build_square_matrix(spec: SystemSpec) -> PolyMatrix:
         for mult in ms:
             row_plan.append((RowLabel(tag, mult), polys[tag]))
 
-    pool, entries = _fill_rows(row_plan, cols)
-    matrix = PolyMatrix([r for r, _ in row_plan], cols, entries, polys,
+    pool, row_entries = _fill_rows(row_plan, cols)
+    matrix = PolyMatrix([r for r, _ in row_plan], cols, pool, row_entries, polys,
                         meta={"kind": "square", "spec": [spec.d1, spec.d2],
-                              "block_counts": block_counts}, pool=pool)
+                              "block_counts": block_counts})
     assert matrix.nrows == matrix.ncols == spec.N
     return matrix
 
@@ -238,14 +240,14 @@ def build_carra_ferro(d1: int, d2: int, n: int, m: int) -> PolyMatrix:
         for mult in mult2:
             row_plan.append((RowLabel(tag, mult), polys[tag]))
 
-    pool, entries = _fill_rows(row_plan, cols)
-    matrix = PolyMatrix([r for r, _ in row_plan], cols, entries, polys,
+    pool, row_entries = _fill_rows(row_plan, cols)
+    matrix = PolyMatrix([r for r, _ in row_plan], cols, pool, row_entries, polys,
                         meta={"kind": "carra-ferro",
-                              "params": [d1, d2, n, m], **shape}, pool=pool)
+                              "params": [d1, d2, n, m], **shape})
     assert matrix.nrows == shape["rows"] and matrix.ncols == shape["L"]
     return matrix
 
 
 def zero_columns(matrix: PolyMatrix) -> List[YMonomial]:
-    hit = set(j for (_, j) in matrix.entries)
+    hit = set().union(*matrix.row_entries)
     return [c for j, c in enumerate(matrix.cols) if j not in hit]

@@ -603,10 +603,10 @@ def build_sparse_matrix(part: Partition, spec: SystemSpec) -> PolyMatrix:
             mult = ym_div(monomial, mm_by_block[tag])
             row_plan.append((RowLabel(tag, mult), polys[tag]))
 
-    pool, entries = _fill_rows(row_plan, cols)
-    matrix = PolyMatrix([r for r, _ in row_plan], cols, entries, polys,
+    pool, row_entries = _fill_rows(row_plan, cols)
+    matrix = PolyMatrix([r for r, _ in row_plan], cols, pool, row_entries, polys,
                         meta={"kind": "sparse", "spec": [spec.d1, spec.d2],
                               "provenance": part.provenance,
-                              "block_counts": block_counts}, pool=pool)
+                              "block_counts": block_counts})
     assert matrix.nrows == matrix.ncols == spec.N
     return matrix

@@ -35,21 +35,24 @@ class TestTransform:
         Mt = transform_12(M, spec)
         old = substitution_symbol(spec)
         changed = 0
-        for key in M.entries:
-            value = M.entry(*key)
-            if old in value.symbols():
-                changed += 1
-                continue
-            assert key in Mt.entries
-            assert Mt.entry(*key).render() == value.render()
+        for i, row in enumerate(M.row_entries):
+            for j in row:
+                value = M.entry(i, j)
+                if old in value.symbols():
+                    changed += 1
+                    continue
+                assert j in Mt.row_entries[i]
+                assert Mt.entry(i, j).render() == value.render()
         assert changed == 10  # one entry per derivative-of-f1 row
 
     def test_double_application_is_stable(self):
         spec = SystemSpec(1, 2)
         Mt = transform_12(build_square_matrix(spec), spec)
         Mtt = transform_12(Mt, spec)
-        assert {k: Mt.entry(*k).render() for k in Mt.entries} == \
-            {k: Mtt.entry(*k).render() for k in Mtt.entries}
+        def rendered(M):
+            return [{j: M.pool[x].render() for j, x in row.items()}
+                    for row in M.row_entries]
+        assert rendered(Mt) == rendered(Mtt)
 
     def test_replaced_symbol_is_gone(self):
         spec = SystemSpec(2, 3)

@@ -1,5 +1,6 @@
 """Command-line surface: verbs, exit codes, file round trips."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -68,6 +69,29 @@ def test_matrix_output_is_pinned(verb, d, capsys):
     assert run_cli(verb, "--d1", str(d[0]), "--d2", str(d[1])) == 0
     pinned = DATA / f"{verb.replace('-', '_')}_{d[0]}_{d[1]}.json"
     assert capsys.readouterr().out == pinned.read_text()
+
+
+# sha256 of stdout at degrees too large to keep as files in tests/data
+PINNED_SHA256 = {
+    ("build", 3, 4): "dae9502929eef97c61f3d7db8aa93d0920c4eb5e7fbcccb8d913526c0a3fc84c",
+    ("build", 5, 5): "5c050b77db78ea598dc922c17782023c53fa432d3de3aef6df0a7c72e7bd1f57",
+    ("carra-ferro", 3, 4):
+        "222bb33433cee1d3f56b41cc8b428e2b67a93980bd54dcaf02f269139fd520a2",
+    ("carra-ferro", 5, 5):
+        "a3797e028b5e4f395e3877d6fc64cdd3f26bf7b7ed0a6220f4285c4b5e757f9a",
+    ("certificate", 3, 4):
+        "875d6c53c8449aac13cf84f6b8aa286d999a02b6727d7b2d0296269c32c6801f",
+    ("certificate", 5, 5):
+        "ee7a00e2e29f32b0c3af24fa6e47426c61770a620f8404f3c3e8e91185b64a68",
+}
+
+
+@pytest.mark.parametrize("verb, d1, d2", sorted(PINNED_SHA256),
+                         ids=lambda v: str(v))
+def test_matrix_output_hash_is_pinned(verb, d1, d2, capsys):
+    assert run_cli(verb, "--d1", str(d1), "--d2", str(d2)) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == PINNED_SHA256[verb, d1, d2]
 
 
 def test_export_to_file_is_pinned(tmp_path, capsys):
@@ -151,6 +175,13 @@ def test_malformed_json_inputs_exit_two(tmp_path, capsys):
          "--config", write("config_list.json", [])),
         ("lp-partition", "--d1", "1", "--d2", "1",
          "--config", write("delta.json", {"delta": [[1], 2, 3]})),
+        # a string is not read as a list of its characters
+        ("lp-partition", "--d1", "1", "--d2", "1",
+         "--config", write("lift_text.json", {"liftings": "745594621847"})),
+        ("lp-partition", "--d1", "1", "--d2", "1",
+         "--config", write("delta_text.json", {"delta": "123"})),
+        ("moves", "--d1", "2", "--d2", "2", "--moves-file",
+         write("mono_text.json", [{"monomial": "011", "from": 4, "to": 1}])),
         ("det", "--d1", "1", "--d2", "1", "--common-zero", "1/0", "1", "1"),
         ("det", "--d1", "1", "--d2", "1",
          "--spec-file", write("zero.json", {"a(0,0)": "1/0"})),
@@ -288,6 +319,20 @@ def test_moves_file(tmp_path, capsys):
                    "--moves-file", str(path)) == 0
     data = json.loads(capsys.readouterr().out)
     assert [s["count"] for s in data["after"]["sets"]] == [7, 10, 8, 11]
+
+
+def test_illegal_move_exit_code_depends_on_its_source(tmp_path, capsys):
+    # from the user's file it is an input error; the built-in list, meant for
+    # (2,2), does not fit (1,1) and that is an invariant violation
+    path = tmp_path / "moves.json"
+    path.write_text(json.dumps([{"monomial": [0, 0, 0], "from": 1, "to": 2}]))
+    assert run_cli("moves", "--d1", "1", "--d2", "1",
+                   "--moves-file", str(path)) == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error: ") and "\n" not in err
+    assert "is not currently in S1" in err
+    assert run_cli("moves", "--d1", "1", "--d2", "1") == 3
+    assert capsys.readouterr().err.startswith("invariant violation: ")
 
 
 def test_oracle_command(capsys):

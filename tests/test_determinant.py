@@ -25,9 +25,14 @@ def _matrix_from_grid(grid):
     n = len(grid)
     cols = [YMonomial(k, 0, 0) for k in range(n)]
     rows = [RowLabel(F1, YMonomial(0, k, 0)) for k in range(n)]
-    entries = {(i, j): v for i, row in enumerate(grid)
-               for j, v in enumerate(row) if not v.is_zero()}
-    return PolyMatrix(rows, cols, entries, {})
+    pool, row_entries = [], []
+    for row in grid:
+        row_entries.append({})
+        for j, v in enumerate(row):
+            if not v.is_zero():
+                row_entries[-1][j] = len(pool)
+                pool.append(v)
+    return PolyMatrix(rows, cols, pool, row_entries, {})
 
 
 class TestSymbolic:

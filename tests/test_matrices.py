@@ -3,16 +3,22 @@
 import json
 from collections import Counter
 from fractions import Fraction
+from random import Random
 
 import pytest
 
-from diffres import (PolyMatrix, Specialization, SymPoly, SystemSpec,
-                     YMonomial, bset, build_carra_ferro, build_square_matrix,
-                     certify,
-                     carra_ferro_shape, column_set, system_symbols,
-                     zero_columns)
-from diffres.diffsys import YM_ONE
-from diffres.matrices import DF1, DF2, F1, F2, RowLabel
+from diffres import (ClosureViolation, CoeffSymbol, PolyMatrix,
+                     Specialization, SymPoly, SystemSpec, YMonomial, bset,
+                     build_carra_ferro, build_sparse_matrix,
+                     build_square_matrix, certify, carra_ferro_shape,
+                     column_set, grc_partition, system_symbols, zero_columns)
+from diffres.diffsys import YM_ONE, generic_system, ym_mul
+from diffres.matrices import DF1, DF2, F1, F2, RowLabel, _fill_rows
+
+
+def keys(M):
+    """The (i, j) of every stored entry, in row-major order."""
+    return [(i, j) for i, row in enumerate(M.row_entries) for j in row]
 
 
 class TestSquareMatrix:
@@ -52,7 +58,7 @@ class TestSquareMatrix:
     def test_entries_are_small_integer_linear_forms(self):
         for d1, d2 in ((1, 2), (2, 2), (3, 4)):
             M = build_square_matrix(SystemSpec(d1, d2))
-            for i, j in M.entries:
+            for i, j in keys(M):
                 v = M.entry(i, j)
                 assert v.total_degree() == 1
                 for _, c in v.terms():
@@ -65,7 +71,7 @@ class TestSquareMatrix:
         M = build_square_matrix(spec)
         E = column_set(spec).as_set()
         df1_cols = set()
-        for (i, j) in M.entries:
+        for (i, j) in keys(M):
             if M.rows[i].poly == DF1:
                 df1_cols.add(M.cols[j])
         assert df1_cols == E
@@ -77,7 +83,7 @@ class TestSquareMatrix:
         d1, D = spec.d1, spec.D
         M = build_square_matrix(spec)
         got = set()
-        for (i, j) in M.entries:
+        for (i, j) in keys(M):
             if M.rows[i].poly == F1:
                 got.add(M.cols[j])
         expected = set()
@@ -112,7 +118,7 @@ class TestCarraFerro:
         sq = build_square_matrix(SystemSpec(1, 1))
         # same four row polynomials, different block order
         def row_entries(M, i):
-            return {j: M.entry(r, j) for (r, j) in M.entries if r == i}
+            return {j: M.entry(r, j) for (r, j) in keys(M) if r == i}
 
         cf_rows = {(r.poly.replace("p", "f"), r.mult): row_entries(cf, i)
                    for i, r in enumerate(cf.rows)}
@@ -137,7 +143,7 @@ class TestCarraFerro:
 
     def test_zero_matrix_has_all_columns_zero(self):
         empty = PolyMatrix([RowLabel(F1, YM_ONE)], [YM_ONE, YMonomial(1, 0, 0)],
-                           {}, {})
+                           [], [{}], {})
         assert zero_columns(empty) == [YM_ONE, YMonomial(1, 0, 0)]
 
 
@@ -166,9 +172,9 @@ class TestExports:
 def test_polynomial_work_runs_once_per_pool_entry(monkeypatch):
     spec = SystemSpec(3, 3)
     M = build_square_matrix(spec)
-    assert len(M.pool) < len(M.entries)
+    assert len(M.pool) < len(keys(M))
     for built in (M, build_carra_ferro(2, 3, 1, 1)):
-        assert list(built.entries) == sorted(built.entries)
+        assert keys(built) == sorted(keys(built))
     calls = Counter()
 
     def count(name):
@@ -186,3 +192,46 @@ def test_polynomial_work_runs_once_per_pool_entry(monkeypatch):
     transformed, _ = certify(spec, M)
     assert calls["substitute"] == len(M.pool)
     assert len(transformed.pool) == len(M.pool)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_square_matrix(SystemSpec(3, 3)),
+    lambda: build_carra_ferro(2, 3, 1, 1),
+    lambda: build_sparse_matrix(grc_partition(SystemSpec(2, 2)).partition,
+                                SystemSpec(2, 2)),
+], ids=["square_3_3", "carra_ferro_2_3", "sparse_2_2"])
+def test_rows_equal_their_shifted_row_polynomial(build):
+    M = build()
+    for label, row in zip(M.rows, M.row_entries):
+        expected = {M.col_index(ym_mul(m, label.mult)): c
+                    for m, c in M.polys[label.poly].items()}
+        assert {j: M.pool[x] for j, x in row.items()} == expected
+        assert list(row) == sorted(row)
+
+
+def test_fill_outside_the_column_set_names_the_monomial():
+    f1, _ = generic_system(SystemSpec(1, 1))
+    y2 = YMonomial(0, 0, 1)
+    # y2 * f1 reaches y1*y2, y*y2 and y2; leave out only y*y2
+    cols = [YMonomial(0, 1, 1), y2]
+    with pytest.raises(ClosureViolation, match=r"y\*y2 outside the column set"):
+        _fill_rows([(RowLabel(F1, y2), f1)], cols)
+
+
+def test_substitute_drops_exactly_the_vanishing_entries():
+    spec = SystemSpec(2, 2)
+    M = build_square_matrix(spec)
+    sym = CoeffSymbol("a", 0, 0, 0)
+    Ms = M.substitute({sym: 0})
+    images = {(i, j): M.entry(i, j).substitute({sym: 0}) for i, j in keys(M)}
+    kept = [k for k, v in images.items() if not v.is_zero()]
+    assert keys(Ms) == kept
+    assert len(kept) < len(images)
+    assert all(Ms.entry(i, j) == images[i, j] for i, j in kept)
+    assert all(v for v in Ms.pool)
+    universe = system_symbols(spec)
+    rng = Random(7)
+    values = {s: Fraction(rng.randint(-9, 9)) for s in universe}
+    values[sym] = Fraction(0)
+    s = Specialization(values, universe)
+    assert Ms.specialize(s) == M.specialize(s)
