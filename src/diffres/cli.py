@@ -20,7 +20,7 @@ import json
 import re
 import sys
 from fractions import Fraction
-from typing import List, Optional, Sequence
+from typing import Iterable, Iterator, List, Optional, Sequence
 
 from .certificate import certify, unique_monomial_coefficient
 from .checks import OPTIONAL_SUITES, SUITES, run_checks
@@ -46,11 +46,22 @@ def _spec(args) -> SystemSpec:
     return SystemSpec(args.d1, args.d2).validate()
 
 
+def _exact_number(text: str) -> Fraction:
+    """A JSON number read from its decimal text, so 0.01 is 1/100 and not the
+    binary float nearest to it.  An exponent past Python's integer-to-string
+    digit limit is refused rather than expanded."""
+    exponent = text.lower().partition("e")[2]
+    if exponent and abs(int(exponent)) > 4300:
+        raise ValueError(f"number out of range: {text}")
+    return Fraction(text)
+
+
 def _read_json(path: str, kind: type, what: str):
     """A JSON file's content, which must be of the given type (a ValueError,
-    so exit code 2, otherwise)."""
+    so exit code 2, otherwise).  Numbers with a fraction or exponent are
+    read exactly, as Fractions."""
     with open(path) as fh:
-        data = json.load(fh)
+        data = json.load(fh, parse_float=_exact_number)
     if not isinstance(data, kind):
         raise ValueError(f"{path}: {what} must hold a JSON "
                          f"{'object' if kind is dict else 'list'}")
@@ -62,13 +73,12 @@ def _load_config(path: Optional[str]) -> dict:
 
 
 def _ints(values, count: int, what: str) -> List[int]:
-    try:
-        out = [int(v) for v in values] if isinstance(values, (list, tuple)) else []
-    except (TypeError, ValueError, OverflowError):
-        out = []
-    if len(out) != count:
+    # a boolean, a string or a fraction such as 7.9 is not an integer here
+    if not (isinstance(values, (list, tuple)) and len(values) == count
+            and all(isinstance(v, (int, Fraction)) and not isinstance(v, bool)
+                    and v.denominator == 1 for v in values)):
         raise ValueError(f"{what}: expected {count} integers, got {values!r}")
-    return out
+    return [int(v) for v in values]
 
 
 def _move(entry) -> tuple:
@@ -114,32 +124,59 @@ def _load_specialization(path: str, spec: SystemSpec,
     return Specialization.from_json(data, universe)
 
 
-def _write(text: str, args) -> None:
+def _write(pieces: Iterable[str], args) -> None:
+    """Write a document, given in pieces, to the --out file (then print
+    `wrote PATH`) or to stdout with a final newline."""
     if getattr(args, "out", None):
         with open(args.out, "w") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
         print(f"wrote {args.out}")
     else:
-        print(text)
+        sys.stdout.writelines(pieces)
+        sys.stdout.write("\n")
 
 
 def _emit(payload: dict, args) -> None:
-    _write(json.dumps(payload, indent=2), args)
+    _write([json.dumps(payload, indent=2)], args)
+
+
+def _json_list(items: Sequence[str]) -> Iterator[str]:
+    """A list under a top-level key of an indented document, in pieces, from
+    the text of its items (each indented four spaces)."""
+    sep = "[\n"
+    for item in items:
+        yield sep
+        yield item
+        sep = ",\n"
+    yield "[]" if sep == "[\n" else "\n  ]"
 
 
 def _emit_matrix(matrix, args, **extra) -> None:
-    """`_emit({**matrix.to_json(), **extra}, args)`, byte for byte.  The
-    indented encoder runs in pure Python, so the "entries" list of [i, j, text]
-    is written here straight from the rows, with one `json.dumps` per pool
-    polynomial and no list of entries built first."""
-    text = json.dumps({**matrix._json_head(), "entries": None, **extra}, indent=2)
+    """`_emit({**matrix.to_json(), **extra}, args)`, byte for byte, written in
+    pieces.  The indented encoder runs in pure Python, so only the short keys
+    go through it: "rows" and "cols" take one f-string per item, and
+    "entries" one string per matrix row, each column index and pool
+    polynomial formatted once.  Every piece is made before `_write` opens
+    the file, and no string of the whole document is built."""
+    head = json.dumps(matrix._json_head(), indent=2)[:-2]  # less the closing "\n}"
+    tail = "," + json.dumps(extra, indent=2)[1:] if extra else "\n}"
+    polys = {p: json.dumps(p) for p, _ in matrix.rows}
+    rows = [f'    {{\n      "poly": {polys[p]},\n      "multiplier": [\n'
+            f'        {a},\n        {b},\n        {c}\n      ]\n    }}'
+            for p, (a, b, c) in matrix.rows]
+    cols = [f"    [\n      {a},\n      {b},\n      {c}\n    ]"
+            for a, b, c in matrix.cols]
+    js = [str(j) for j in range(matrix.ncols)]
     tails = [f",\n      {json.dumps(v.render())}\n    ]" for v in matrix.pool]
-    body = ",\n".join([f"    [\n      {i},\n      {j}{tails[x]}"
-                       for i, row in enumerate(matrix.row_entries)
-                       for j, x in row.items()])
-    entries = f"[\n{body}\n  ]" if body else "[]"
-    # only a top-level key sits at a two-space indent
-    _write(text.replace('\n  "entries": null', f'\n  "entries": {entries}', 1), args)
+    entries = []
+    for i, row in enumerate(matrix.row_entries):
+        if row:
+            lead = f"    [\n      {i},\n      "
+            entries.append(",\n".join([lead + js[j] + tails[x]
+                                        for j, x in row.items()]))
+    _write([head, ',\n  "rows": ', *_json_list(rows),
+            ',\n  "cols": ', *_json_list(cols),
+            ',\n  "entries": ', *_json_list(entries), tail], args)
 
 
 def _eq1_legend(degree: int, system: str) -> List[str]:
@@ -187,6 +224,10 @@ def cmd_build(args) -> int:
 
 
 def cmd_carra_ferro(args) -> int:
+    # the alphabet stops at y2 and the generic polynomials have order <= 1,
+    # so each derivative order is 0 or 1
+    if not {args.n, args.m} <= {0, 1}:
+        raise ValueError(f"--n and --m must be 0 or 1, got --n {args.n} --m {args.m}")
     matrix = build_carra_ferro(args.d1, args.d2, args.n, args.m)
     _emit_matrix(matrix, args,
                  zero_columns=[ym_render(c) for c in zero_columns(matrix)])

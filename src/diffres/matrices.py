@@ -98,19 +98,19 @@ class PolyMatrix:
                 for label, row in zip(self.rows, self.row_entries)}
 
     def _json_head(self) -> dict:
-        """The keys of `to_json` that come before "entries"."""
+        """The keys of `to_json` that come before "rows"."""
         return {
             "shape": [self.nrows, self.ncols],
             "meta": {k: v for k, v in self.meta.items()
                      if isinstance(v, (str, int, list, tuple))},
-            "rows": [{"poly": r.poly, "multiplier": list(r.mult)}
-                     for r in self.rows],
-            "cols": [list(c) for c in self.cols],
         }
 
     def to_json(self) -> dict:
         texts = [v.render() for v in self.pool]
         return {**self._json_head(),
+                "rows": [{"poly": r.poly, "multiplier": list(r.mult)}
+                         for r in self.rows],
+                "cols": [list(c) for c in self.cols],
                 "entries": [[i, j, texts[x]] for i, row in enumerate(self.row_entries)
                             for j, x in row.items()]}
 

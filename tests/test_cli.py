@@ -4,13 +4,15 @@ import hashlib
 import json
 import subprocess
 import sys
+from argparse import Namespace
 from pathlib import Path
 from random import Random
 
 import pytest
 
-from diffres.cli import main
+from diffres.cli import _emit_matrix, main
 from diffres.diffsys import SystemSpec, system_symbols
+from diffres.matrices import build_carra_ferro, build_square_matrix
 
 
 def run_cli(*argv):
@@ -92,6 +94,50 @@ def test_matrix_output_hash_is_pinned(verb, d1, d2, capsys):
     assert run_cli(verb, "--d1", str(d1), "--d2", str(d2)) == 0
     out = capsys.readouterr().out.encode()
     assert hashlib.sha256(out).hexdigest() == PINNED_SHA256[verb, d1, d2]
+
+
+# sha256 of the --out file at (3,4); stdout then holds only "wrote PATH"
+PINNED_OUT_SHA256 = {
+    "build": "bc822e70c92e4be71a4bd7023234c4b6404d30bbb4002f5db4fd63811b177a63",
+    "carra-ferro": "ad0313b9d9fa3b6d41928211252a3b47c05dbdb1b43bf4e30e5f68d8498fae39",
+}
+
+
+@pytest.mark.parametrize("verb", sorted(PINNED_OUT_SHA256))
+def test_matrix_file_hash_is_pinned(verb, tmp_path, capsys):
+    out = tmp_path / "matrix.json"
+    assert run_cli(verb, "--d1", "3", "--d2", "4", "--out", str(out)) == 0
+    assert capsys.readouterr().out == f"wrote {out}\n"
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_OUT_SHA256[verb]
+
+
+def _reference_matrix(name):
+    square = build_square_matrix(SystemSpec(1, 2))
+    if name == "square":
+        return square, {"spec": [1, 2]}
+    if name == "carra-ferro":
+        return build_carra_ferro(2, 2, 1, 0), {"zero_columns": ["y^4"]}
+    if name == "empty-rows":  # every f1 and f1' row runs empty
+        return square.substitute({s: 0 for s in square.symbols()
+                                  if s.system == "a"}), {}
+    # every entry vanishes: the pool is empty and "entries" is []
+    return square.substitute({s: 0 for s in square.symbols()}), {"zero_columns": []}
+
+
+@pytest.mark.parametrize("name", ["square", "carra-ferro", "empty-rows", "empty-pool"])
+def test_streamed_matrix_equals_the_indented_encoder(name, tmp_path, capsys):
+    matrix, extra = _reference_matrix(name)
+    expected = json.dumps({**matrix.to_json(), **extra}, indent=2)
+    if name == "empty-rows":
+        assert {} in matrix.row_entries and matrix.pool
+    if name == "empty-pool":
+        assert not matrix.pool and '"entries": []' in expected
+    _emit_matrix(matrix, Namespace(out=None), **extra)
+    assert capsys.readouterr().out == expected + "\n"
+    out = tmp_path / "m.json"
+    _emit_matrix(matrix, Namespace(out=str(out)), **extra)
+    assert capsys.readouterr().out == f"wrote {out}\n"
+    assert out.read_text() == expected
 
 
 def test_export_to_file_is_pinned(tmp_path, capsys):
@@ -188,7 +234,19 @@ def test_malformed_json_inputs_exit_two(tmp_path, capsys):
         ("det", "--d1", "1", "--d2", "1", "--spec-file", write("empty.json", {})),
         ("export", "--d1", "1", "--d2", "1", "--format", "csv",
          "--spec-file", write("partial.json", {"a(0,0)": "1"})),
+        # a lifting or a move block is an integer: not 7.9, true or "7"
+        *(("lp-partition", "--d1", "1", "--d2", "1", "--config",
+           write(f"lift{k}.json", {"liftings": [v, -4, -5, 5, -9, 5, 6, 2, 1, 8, 4, 7]}))
+          for k, v in enumerate([7.9, True, "7"])),
+        ("moves", "--d1", "2", "--d2", "2", "--moves-file",
+         write("move_frac.json", [{"monomial": [0, 1, 1], "from": 4.5, "to": 1}])),
+        ("moves", "--d1", "2", "--d2", "2", "--moves-file",
+         write("move_bool.json", [{"monomial": [0, True, 1], "from": 4, "to": 1}])),
     ]
+    # an exponent this large is refused, not expanded into a huge integer
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"delta": [1e999999999999, 0.01, 0.01]}')
+    cases.append(("lp-partition", "--d1", "1", "--d2", "1", "--config", str(huge)))
     for argv in cases:
         assert run_cli(*argv) == 2, argv
         err = capsys.readouterr().err.strip()
@@ -300,6 +358,35 @@ def test_lp_partition_with_config(tmp_path, capsys):
     assert data["lifting_report"]["passed"] is True
     assert len(data["points"]) == 4
     assert all(len(p["lambda"]) == 18 for p in data["points"])
+
+
+def test_json_numbers_are_read_exactly(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text('{"delta": [0.01, 1e-2, 0.01], "liftings": '
+                      '[7.0, -4, -5, 5, -9, 5, 6, 2, 1, 8, 4, 7]}')
+    assert run_cli("lp-partition", "--d1", "1", "--d2", "1",
+                   "--config", str(config)) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["delta"] == ["1/100"] * 3
+    assert data["liftings"][0] == [7, -4, -5]
+    values = {s.render(): "1/10" for s in system_symbols(SystemSpec(1, 1))}
+    dets = []
+    for name, text in (("text.json", json.dumps(values)),
+                       ("number.json", json.dumps(values).replace('"1/10"', "0.1"))):
+        (tmp_path / name).write_text(text)
+        assert run_cli("det", "--d1", "1", "--d2", "1",
+                       "--spec-file", str(tmp_path / name)) == 0
+        dets.append(json.loads(capsys.readouterr().out)["value"])
+    assert dets[0] == dets[1]
+
+
+def test_carra_ferro_orders_are_zero_or_one(capsys):
+    for n, m in ((2, 1), (2, 0), (0, 2), (-1, 1)):
+        assert run_cli("carra-ferro", "--d1", "1", "--d2", "1",
+                       "--n", str(n), "--m", str(m)) == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error: ") and "\n" not in err, err
+    assert run_cli("carra-ferro", "--d1", "1", "--d2", "1", "--n", "0", "--m", "1") == 0
 
 
 def test_moves_default_list(capsys):
