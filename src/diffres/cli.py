@@ -100,9 +100,11 @@ def _liftings(args, config: dict) -> Liftings:
 
 
 def _rationals(values, what: str) -> tuple:
+    # a boolean is not a rational here, nor is a string read as a list
     try:
         out = (tuple(Fraction(v) for v in values)
-               if isinstance(values, (list, tuple)) else ())
+               if isinstance(values, (list, tuple))
+               and not any(isinstance(v, bool) for v in values) else ())
     except (TypeError, ZeroDivisionError, OverflowError):
         out = ()
     if len(out) != 3:

@@ -1,34 +1,43 @@
-"""Exact rational linear programming.
+"""Exact rational linear programming, computed in integers.
 
-Standard-form solver for min c.x subject to A x = b, x >= 0, over Fractions
-throughout: two phases, Bland's anti-cycling pivot rule, no tolerances.
+Standard-form solver for min c.x subject to A x = b, x >= 0: two phases,
+Bland's anti-cycling pivot rule, no tolerances.  The tableau holds integer
+rows over one positive common denominator and pivots fraction-free
+(Bareiss 1968, Edmonds 1967).  [A | b] and c are each scaled by one
+positive integer, which leaves Bland's path and every result as they are
+over the rationals; Fractions are made only for what a call returns.
 Phase one alone returns a certificate with its verdict: a basis with
 B^-1 b >= 0, or a Farkas vector w with w A >= 0 and w b < 0, read from the
 artificial columns of the final tableau.  A basis-verification routine
 certifies optimality of a proposed basic solution independently of the
-solver (feasibility of B^-1 b and nonpositive reduced costs), so the two can
-cross-check each other.  One Gauss-Jordan pivot serves the tableau, the
-exact solves and inverses, and the rank.
+solver (feasibility of B^-1 b and nonpositive reduced costs, its solves
+checked by multiplying back), so the two can cross-check each other.  One
+fraction-free pivot serves the tableau, the exact solves, inverses and
+adjugates, and the rank.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
-from .errors import SingularBasis, Unbounded
+from .errors import CertificateFailure, SingularBasis, Unbounded
 
 Matrix = List[List[Fraction]]
 Vector = List[Fraction]
 
 
-def _as_fractions(rows: Sequence[Sequence]) -> Matrix:
-    return [[Fraction(v) for v in row] for row in rows]
+def _integers(rows: Sequence[Sequence]) -> List[List[int]]:
+    """The rows times one positive integer that clears every denominator."""
+    rows = [[Fraction(v) for v in row] for row in rows]
+    s = lcm(*(v.denominator for row in rows for v in row))
+    return [[v.numerator * (s // v.denominator) for v in row] for row in rows]
 
 
 def solve_square(B: Matrix, rhs: Vector) -> Optional[Vector]:
-    """Gaussian elimination with exact pivots; None when B is singular."""
+    """Exact solution of B x = rhs; None when B is singular."""
     solved = _solve(B, [[v] for v in rhs])
     return None if solved is None else [row[0] for row in solved]
 
@@ -42,44 +51,59 @@ def inverse(B: Matrix) -> Optional[Matrix]:
 def _solve(B: Matrix, right: Sequence[Sequence]) -> Optional[Matrix]:
     """B^-1 times the matrix `right`, by Gauss-Jordan on [B | right]."""
     n = len(B)
-    grid = [[Fraction(v) for v in row] + [Fraction(v) for v in extra]
-            for row, extra in zip(B, right)]
-    if len(_row_reduce(grid, n)) < n:
+    grid = _integers([list(row) + list(extra) for row, extra in zip(B, right)])
+    pivots, den = _row_reduce(grid, n)
+    if len(pivots) < n:
         return None
-    return [row[n:] for row in grid]
+    return [[Fraction(v, den) for v in row[n:]] for row in grid]
+
+
+def adjugate(B: Sequence[Sequence[int]]) -> Optional[Tuple[int, List[List[int]]]]:
+    """(p, adj) with B adj = p I and p = |det B| > 0 for a square integer
+    matrix B, by one fraction-free Gauss-Jordan on [B | I]; None when B is
+    singular."""
+    n = len(B)
+    grid = [list(row) + [int(i == k) for k in range(n)] for i, row in enumerate(B)]
+    pivots, p = _row_reduce(grid, n)
+    if len(pivots) < n:
+        return None
+    sign = 1 if p > 0 else -1
+    return sign * p, [[sign * v for v in row[n:]] for row in grid]
 
 
 def matrix_rank(rows: Sequence[Sequence]) -> int:
-    grid = _as_fractions(rows)
-    return len(_row_reduce(grid, len(grid[0]))) if grid else 0
+    return len(_row_reduce(_integers(rows), len(rows[0]))[0]) if rows else 0
 
 
-def _pivot(rows: Matrix, r: int, c: int) -> None:
-    """Scale row r to a one in column c and clear column c from every other
-    row; a zero entry of row r leaves the other rows' entry untouched."""
+def _pivot(rows: List[List[int]], den: int, r: int, c: int) -> int:
+    """Fraction-free pivot on integer rows over the common denominator den:
+    row r stays, every other row i becomes (piv row_i - row_i[c] row_r) / den
+    with piv = row_r[c], each division exact.  Returns the new denominator
+    piv; every earlier pivot row keeps it in its pivot column."""
     piv = rows[r][c]
-    if piv != 1:
-        rows[r] = [v / piv for v in rows[r]]
     pivot_row = rows[r]
     for i, row in enumerate(rows):
-        factor = row[c]
-        if i != r and factor != 0:
-            rows[i] = [a - factor * b if b else a for a, b in zip(row, pivot_row)]
+        if i != r:
+            f = row[c]
+            rows[i] = [(piv * a - f * b) // den for a, b in zip(row, pivot_row)]
+    return piv
 
 
-def _row_reduce(rows: Matrix, ncols: int) -> List[int]:
-    """Reduced row echelon form over the first ncols columns, in place;
-    returns the pivot columns, one per independent row."""
+def _row_reduce(rows: List[List[int]], ncols: int) -> Tuple[List[int], int]:
+    """Fraction-free reduced row echelon form over the first ncols columns,
+    in place; returns the pivot columns, one per independent row, and the
+    common denominator."""
     pivots: List[int] = []
+    den = 1
     for c in range(ncols):
         r = len(pivots)
         found = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
         if found is None:
             continue
         rows[r], rows[found] = rows[found], rows[r]
-        _pivot(rows, r, c)
+        den = _pivot(rows, den, r, c)
         pivots.append(c)
-    return pivots
+    return pivots, den
 
 
 @dataclass
@@ -91,66 +115,62 @@ class LPSolution:
 
 
 class _Tableau:
-    """Dense simplex tableau with Bland's rule; all entries Fractions."""
+    """Dense simplex tableau with Bland's rule, in integers.
 
-    def __init__(self, A: Matrix, b: Vector):
-        self.m = len(A)
-        self.n = len(A[0]) if A else 0
-        self.rows = [row[:] + [b[i]] for i, row in enumerate(A)]
-        # flip rows so the right-hand side is nonnegative
-        for i in range(self.m):
-            if self.rows[i][-1] < 0:
-                self.rows[i] = [-v for v in self.rows[i]]
-        self.basis: List[int] = [-1] * self.m
+    The entries are rows / den with den > 0.  The tableau starts as
+    [S A | I | S b] on the artificial basis I, S flipping the rows whose
+    right-hand side is negative; den is then |det| of the current basis.
+    """
 
-    def add_columns(self, count: int) -> List[int]:
-        first = self.n
-        for i in range(self.m):
-            self.rows[i][-1:-1] = [Fraction(0)] * count
-        self.n += count
-        return list(range(first, self.n))
+    def __init__(self, Ab: Sequence[Sequence[int]]):
+        self.m = len(Ab)
+        self.n = len(Ab[0]) - 1 + self.m if Ab else 0
+        self.rows = []
+        for i, row in enumerate(Ab):
+            sign = -1 if row[-1] < 0 else 1
+            self.rows.append([sign * v for v in row[:-1]]
+                             + [int(k == i) for k in range(self.m)] + [sign * row[-1]])
+        self.basis: List[int] = list(range(self.n - self.m, self.n))
+        self.den = 1
 
     def pivot(self, row: int, col: int) -> None:
-        _pivot(self.rows, row, col)
+        self.den = _pivot(self.rows, self.den, row, col)
+        if self.den < 0:   # only a drive-out pivot can be negative
+            self.rows = [[-v for v in r] for r in self.rows]
+            self.den = -self.den
         self.basis[row] = col
 
-    def reduced_costs(self, cost: Vector) -> Tuple[Vector, Fraction]:
-        """Costs minus the basic combination, plus the current objective."""
-        y = [cost[self.basis[i]] for i in range(self.m)]
-        reduced = list(cost)
-        objective = Fraction(0)
-        for i in range(self.m):
-            ci = y[i]
-            if ci == 0:
-                continue
-            row = self.rows[i]
-            for j in range(self.n):
-                if row[j] != 0:
-                    reduced[j] -= ci * row[j]
-            objective += ci * row[-1]
-        return reduced, objective
+    def reduced_costs(self, cost: Sequence[int]) -> List[int]:
+        """den times the costs minus the basic combination; the entry past
+        the last column is minus den times the current objective."""
+        reduced = [self.den * v for v in cost] + [0]
+        for i, row in enumerate(self.rows):
+            ci = cost[self.basis[i]]
+            if ci:
+                reduced = [r - ci * a for r, a in zip(reduced, row)]
+        return reduced
 
-    def run(self, cost: Vector, allowed: Sequence[bool]) -> Fraction:
-        """Minimise cost over the allowed columns; Bland's rule throughout."""
+    def run(self, cost: Sequence[int], allowed: Sequence[bool]) -> int:
+        """Minimise cost over the allowed columns; Bland's rule throughout.
+        Returns den times the optimum."""
         while True:
-            reduced, objective = self.reduced_costs(cost)
-            entering = None
-            for j in range(self.n):
-                if allowed[j] and reduced[j] < 0:
-                    entering = j
-                    break
+            reduced = self.reduced_costs(cost)
+            entering = next((j for j in range(self.n)
+                             if allowed[j] and reduced[j] < 0), None)
             if entering is None:
-                return objective
+                return -reduced[-1]
             leaving = None
-            best: Optional[Fraction] = None
-            for i in range(self.m):
-                a = self.rows[i][entering]
+            for i, row in enumerate(self.rows):
+                a = row[entering]
                 if a > 0:
-                    ratio = self.rows[i][-1] / a
-                    if (best is None or ratio < best or
-                            (ratio == best and self.basis[i] < self.basis[leaving])):
-                        best = ratio
-                        leaving = i
+                    if leaving is not None:
+                        # compare the ratios rhs / a by cross-multiplying
+                        best = self.rows[leaving]
+                        diff = row[-1] * best[entering] - best[-1] * a
+                        if diff > 0 or (diff == 0 and
+                                        self.basis[i] > self.basis[leaving]):
+                            continue
+                    leaving = i
             if leaving is None:
                 raise Unbounded("objective decreases without bound")
             self.pivot(leaving, entering)
@@ -158,7 +178,7 @@ class _Tableau:
     def solution(self) -> Vector:
         x = [Fraction(0)] * self.n
         for i in range(self.m):
-            x[self.basis[i]] = self.rows[i][-1]
+            x[self.basis[i]] = Fraction(self.rows[i][-1], self.den)
         return x
 
 
@@ -176,30 +196,23 @@ class Feasibility(NamedTuple):
     farkas: Tuple[Fraction, ...]
 
 
-def _phase_one(A: Matrix, b: Vector) -> Tuple[_Tableau, Optional[Vector]]:
-    """Phase one; the tableau on a basis of A's columns, or a Farkas vector.
+def _phase_one(Ab: Sequence[Sequence[int]]) -> Tuple[_Tableau, Optional[List[int]]]:
+    """Phase one on the integer system [A | b]; the tableau on a basis of A's
+    columns, or den times a Farkas vector.
 
-    At a positive optimum the artificial columns hold B^-1 of the row-flipped
-    system S A x = S b, so y = c_B B^-1 has y S A <= 0 (the reduced costs of
-    the original columns) and y S b > 0 (the optimum); w = -S y certifies
-    infeasibility.  Otherwise the artificial variables are driven out of the
+    At a positive optimum the artificial columns hold den B^-1 of the
+    row-flipped system S A x = S b, so y = c_B B^-1 has y S A <= 0 (the
+    reduced costs of the original columns) and y S b > 0 (the optimum);
+    w = -S y certifies infeasibility.  Otherwise the artificial variables are driven out of the
     basis and redundant rows dropped, ready for phase two.
     """
-    m = len(A)
-    n = len(A[0]) if A else 0
-    tab = _Tableau(A, b)
-    flipped = [b[i] < 0 for i in range(m)]
-    artificial = tab.add_columns(m)
-    for i, j in enumerate(artificial):
-        tab.rows[i][j] = Fraction(1)
-        tab.basis[i] = j
-
-    phase1_cost = [Fraction(0)] * n + [Fraction(1)] * m
-    value = tab.run(phase1_cost, [True] * tab.n)
-    if value > 0:
-        y = [sum(phase1_cost[tab.basis[i]] * tab.rows[i][j] for i in range(m))
-             for j in artificial]
-        return tab, [y[k] if flipped[k] else -y[k] for k in range(m)]
+    tab = _Tableau(Ab)
+    m, n = tab.m, tab.n - tab.m
+    phase1_cost = [0] * n + [1] * m
+    if tab.run(phase1_cost, [True] * tab.n) > 0:
+        y = [sum(row[n + k] for i, row in enumerate(tab.rows) if tab.basis[i] >= n)
+             for k in range(m)]
+        return tab, [y[k] if Ab[k][-1] < 0 else -y[k] for k in range(m)]
 
     # drive any artificial variable out of the basis
     drop_rows: List[int] = []
@@ -210,39 +223,46 @@ def _phase_one(A: Matrix, b: Vector) -> Tuple[_Tableau, Optional[Vector]]:
                 drop_rows.append(i)  # redundant constraint
             else:
                 tab.pivot(i, pivot_col)
-    if drop_rows:
-        for i in sorted(drop_rows, reverse=True):
-            del tab.rows[i]
-            del tab.basis[i]
-        tab.m = len(tab.rows)
+    for i in sorted(drop_rows, reverse=True):
+        del tab.rows[i]
+        del tab.basis[i]
+    tab.m = len(tab.rows)
     return tab, None
+
+
+def _augmented(A: Sequence[Sequence], b: Sequence) -> List[List[int]]:
+    return _integers([list(row) + [v] for row, v in zip(A, b)])
 
 
 def phase_one(A: Sequence[Sequence], b: Sequence) -> Feasibility:
     """Exact feasibility of A x = b, x >= 0 with a certificate either way."""
-    A = _as_fractions(A)
-    b = [Fraction(v) for v in b]
     n = len(A[0]) if A else 0
-    tab, farkas = _phase_one(A, b)
+    tab, farkas = _phase_one(_augmented(A, b))
     if farkas is not None:
-        return Feasibility(False, (), (), tuple(farkas))
+        return Feasibility(False, (), (), tuple(Fraction(w, tab.den) for w in farkas))
     return Feasibility(True, tuple(sorted(tab.basis)), tuple(tab.solution()[:n]), ())
+
+
+def integer_certificate(A: Sequence[Sequence[int]],
+                        b: Sequence[int]) -> Tuple[bool, Tuple[int, ...]]:
+    """Phase one on integer data with its certificate in integers: (True,
+    the basis of phase_one) or (False, w), w a positive multiple of the
+    Farkas vector of phase_one."""
+    tab, farkas = _phase_one([list(row) + [v] for row, v in zip(A, b)])
+    return (True, tuple(sorted(tab.basis))) if farkas is None else (False, tuple(farkas))
 
 
 def simplex(A: Sequence[Sequence], b: Sequence, c: Sequence) -> LPSolution:
     """Two-phase exact simplex for min c.x, A x = b, x >= 0."""
-    A = _as_fractions(A)
-    b = [Fraction(v) for v in b]
-    c = [Fraction(v) for v in c]
     n = len(A[0]) if A else 0
-    tab, farkas = _phase_one(A, b)
+    tab, farkas = _phase_one(_augmented(A, b))
     if farkas is not None:
         return LPSolution("infeasible", [], Fraction(0), ())
-    allowed = [j < n for j in range(tab.n)]
-    phase2_cost = c + [Fraction(0)] * (tab.n - n)
-    objective = tab.run(phase2_cost, allowed)
+    (cost,) = _integers([c])
+    tab.run(cost + [0] * (tab.n - n), [j < n for j in range(tab.n)])
     x = tab.solution()[:n]
-    return LPSolution("optimal", x, objective, tuple(sorted(tab.basis)))
+    return LPSolution("optimal", x, sum((cj * xj for cj, xj in zip(c, x)), Fraction(0)),
+                      tuple(sorted(tab.basis)))
 
 
 def feasible(A: Sequence[Sequence], b: Sequence) -> bool:
@@ -265,10 +285,11 @@ def verify_basis(A: Sequence[Sequence], b: Sequence, c: Sequence,
 
     The optimality test is the classical one for a minimisation problem:
     with y solving y B = c_B, the certified condition is y A - c <= 0
-    componentwise.  Raises SingularBasis when the chosen columns are
-    dependent.
+    componentwise.  Both solves are checked by multiplying back, so the
+    verdict does not rest on the elimination that the solver shares.
+    Raises SingularBasis when the chosen columns are dependent.
     """
-    A = _as_fractions(A)
+    A = [[Fraction(v) for v in row] for row in A]
     b = [Fraction(v) for v in b]
     c = [Fraction(v) for v in c]
     m = len(A)
@@ -278,9 +299,14 @@ def verify_basis(A: Sequence[Sequence], b: Sequence, c: Sequence,
     xb = solve_square(B, b)
     if xb is None:
         raise SingularBasis(f"columns {tuple(basis)} are linearly dependent")
-    Bt = [[B[i][j] for i in range(m)] for j in range(m)]
-    y = solve_square(Bt, [c[j] for j in basis])
-    assert y is not None
+    Bt = [list(col) for col in zip(*B)]
+    cb = [c[j] for j in basis]
+    y = solve_square(Bt, cb)
+    if (y is None or any(sum(v * x for v, x in zip(row, xb)) != bi
+                         for row, bi in zip(B, b))
+            or any(sum(v * yi for v, yi in zip(col, y)) != cj
+                   for col, cj in zip(Bt, cb))):
+        raise CertificateFailure(f"solves on basis {tuple(basis)} do not multiply back")
     n = len(A[0])
     optimal = True
     for j in range(n):

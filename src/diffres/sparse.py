@@ -12,11 +12,14 @@ moves.
 
 The constraint matrix depends only on the degrees and the costs only on
 the liftings, so each call sets up once and reuses certificates across
-points.  Feasibility is read from Farkas vectors and bases already found
-(the catalog bases first), with phase one only when none decides; the
-partition computes each catalog basis's inverse and optimality once and
-per point only x_B = B^-1 b.  Every verdict rests on a certificate checked
-in exact arithmetic.
+points, all in integers (b(q) scaled by the lcm D of the perturbation's
+denominators).  Each catalog basis carries (p, adj) with B adj = p I, and
+per basic variable a form a.q + k whose value at q is p D x_B.
+Feasibility is read from Farkas vectors and bases already found (the
+catalog bases first), with phase one only when none decides; optimality
+of each catalog basis is tested once per call, c_B adj A <= p c.
+Fractions are made only for the assignments returned.  Every verdict
+rests on a certificate checked in exact arithmetic.
 
 Ties between alternative optima are broken deterministically: the catalog
 of certified bases is scanned in its fixed order requiring strict
@@ -133,29 +136,21 @@ def newton_data(spec: SystemSpec) -> Tuple[Polytope, Polytope, Polytope, Polytop
 class LPInstance:
     """Standard-form data for one lattice point."""
 
-    A: Tuple[Tuple[Fraction, ...], ...]   # 7 x 18
+    A: Tuple[Tuple[int, ...], ...]        # 7 x 18
     b: Tuple[Fraction, ...]               # (A1, A2, A3, 1, 1, 1, 1)
-    c: Tuple[Fraction, ...]               # lifting heights, 18 entries
+    c: Tuple[int, ...]                    # lifting heights, 18 entries
     labels: Tuple[str, ...]
     point: Point
     spec: Tuple[int, int]
 
 
-def _constraint_matrix(spec: SystemSpec) -> List[List[Fraction]]:
-    lists = vertex_lists(spec)
-    cols: List[Tuple[int, ...]] = []
-    for verts in lists:
-        cols.extend(verts)
-    rows: List[List[Fraction]] = []
-    for axis in range(3):
-        rows.append([Fraction(v[axis]) for v in cols])
-    offset = 0
-    for size in BLOCK_SIZES:
-        row = [Fraction(0)] * len(cols)
-        for j in range(size):
-            row[offset + j] = Fraction(1)
-        rows.append(row)
-        offset += size
+def _constraint_matrix(spec: SystemSpec) -> List[List[int]]:
+    cols = [v for verts in vertex_lists(spec) for v in verts]
+    rows = [[v[axis] for v in cols] for axis in range(3)]
+    for i in range(1, 5):
+        offset = var_index(i, 1)
+        rows.append([int(offset <= j < offset + BLOCK_SIZES[i - 1])
+                     for j in range(len(cols))])
     return rows
 
 
@@ -176,9 +171,9 @@ def build_lp(q: Sequence[int], spec: SystemSpec, lift: Liftings,
     )
 
 
-def _costs(spec: SystemSpec, lift: Liftings) -> Tuple[Fraction, ...]:
+def _costs(spec: SystemSpec, lift: Liftings) -> Tuple[int, ...]:
     """The lifting heights of the 18 vertex columns."""
-    return tuple(Fraction(lift.height(i, v))
+    return tuple(lift.height(i, v)
                  for i, verts in enumerate(vertex_lists(spec), start=1)
                  for v in verts)
 
@@ -268,18 +263,6 @@ CASE_BASES: Tuple[Tuple[int, str, Tuple[str, ...]], ...] = tuple(
 Form = Tuple[int, int, int, int]
 
 
-def _sign_form(row: Sequence[Fraction], delta: Sequence[Fraction]) -> Form:
-    """Integers (a0, a1, a2, k) with a.q + k of the sign of row . b(q).
-
-    b(q) = (q - delta, 1, 1, 1, 1); the row is scaled by the positive least
-    common denominator of the form's coefficients, which keeps every sign.
-    """
-    const = sum(row[3:]) - sum(r * d for r, d in zip(row, delta))
-    coeffs = (row[0], row[1], row[2], const)
-    scale = lcm(*(Fraction(v).denominator for v in coeffs))
-    return tuple(int(v * scale) for v in coeffs)
-
-
 def _at(form: Form, q: Point) -> int:
     return form[0] * q[0] + form[1] * q[1] + form[2] * q[2] + form[3]
 
@@ -288,73 +271,91 @@ class _CatalogBasis(NamedTuple):
     case: int
     bid: str
     columns: Tuple[int, ...]
-    inverse: List[List[Fraction]]
-    forms: Tuple[Form, ...]        # one per row of B^-1: the signs of x_B
+    p: int                         # B adj = p I, p > 0
+    adj: List[List[int]]
+    forms: Tuple[Form, ...]        # one per row of adj: p D x_B at q
 
 
 class _PointSystem:
     """A lam = b(q), lam >= 0 for one spec and perturbation, set up once.
 
-    A depends only on the spec, so only b(q) moves from point to point.  A
-    point is decided by a certificate already in hand when one applies: a
-    Farkas vector w (w A >= 0, w b(q) < 0) proves it infeasible, a basis B
-    (B^-1 b(q) >= 0) proves it feasible.  The nonsingular catalog bases are
-    the first basis certificates; phase one runs only when none decides,
-    and its certificate is checked exactly before it is kept.  Nothing here
-    outlives the call that built it.
+    A depends only on the spec, so only b(q) moves from point to point; all
+    of it is held in integers, with b'(q) = D b(q) = (D q - D delta, D, D, D,
+    D) and D the lcm of delta's denominators.  A point is decided by a
+    certificate already in hand when one applies: a Farkas vector w
+    (w A >= 0, w b'(q) < 0) proves it infeasible, a basis B (adj b'(q) >= 0
+    for B adj = p I, p > 0) proves it feasible.  The nonsingular catalog
+    bases are the first basis certificates; phase one runs only when none
+    decides, and its certificate is checked exactly before it is kept.
+    Nothing here outlives the call that built it.
     """
 
     def __init__(self, spec: SystemSpec, delta_vec: Sequence[Fraction]):
         self.A = _constraint_matrix(spec)
-        self.delta = tuple(Fraction(d) for d in delta_vec)
+        delta = [Fraction(d) for d in delta_vec]
+        self.D = lcm(*(d.denominator for d in delta))
+        self.Ddelta = [int(d * self.D) for d in delta]
         index = {label: k for k, label in enumerate(var_labels())}
         self.catalog: List[_CatalogBasis] = []
         for case, bid, labels in CASE_BASES:
             columns = tuple(index[label] for label in labels)
-            inv = lp.inverse([[row[j] for j in columns] for row in self.A])
-            if inv is not None:
-                self.catalog.append(_CatalogBasis(case, bid, columns, inv,
-                                                  self._forms(inv)))
+            found = self._basis(columns)
+            if found is not None:
+                self.catalog.append(_CatalogBasis(case, bid, columns, *found))
         self.bases: List[Tuple[Form, ...]] = [b.forms for b in self.catalog]
         self.farkas: List[Form] = []
 
-    def _forms(self, inverse: Sequence[Sequence[Fraction]]) -> Tuple[Form, ...]:
-        return tuple(_sign_form(row, self.delta) for row in inverse)
+    def _basis(self, columns: Sequence[int]):
+        """(p, adj, forms) of the basis on these columns, with B adj = p I
+        checked exactly; None when the columns are dependent."""
+        B = [[row[j] for j in columns] for row in self.A]
+        found = lp.adjugate(B)
+        if found is None:
+            return None
+        p, adj = found
+        if p <= 0 or any(sum(a * b for a, b in zip(row, col)) != p * (i == k)
+                         for i, row in enumerate(B) for k, col in enumerate(zip(*adj))):
+            raise CertificateFailure(f"basis {tuple(columns)}: B adj != p I")
+        return p, adj, tuple(map(self._form, adj))
+
+    def _form(self, row: Sequence[int]) -> Form:
+        """row . b'(q) as the integers (a0, a1, a2, k) of a.q + k."""
+        D = self.D
+        return (D * row[0], D * row[1], D * row[2],
+                D * sum(row[3:]) - sum(r * d for r, d in zip(row, self.Ddelta)))
 
     def feasible(self, q: Point) -> bool:
         if any(_at(w, q) < 0 for w in self.farkas):
             return False
         if any(all(_at(f, q) >= 0 for f in forms) for forms in self.bases):
             return True
-        b = [Fraction(q[k]) - self.delta[k] for k in range(3)] + [Fraction(1)] * 4
-        verdict = lp.phase_one(self.A, b)
-        if verdict.feasible:
+        b = [self.D * q[k] - self.Ddelta[k] for k in range(3)] + [self.D] * 4
+        feasible, cert = lp.integer_certificate(self.A, b)
+        if feasible:
             # A has full row rank 7 (every block holds the origin vertex and
             # the vertices span R^3), so the basis is square
-            inv = lp.inverse([[row[j] for j in verdict.basis] for row in self.A])
-            forms = () if inv is None else self._forms(inv)
-            if not forms or any(_at(f, q) < 0 for f in forms):
+            found = self._basis(cert)
+            if found is None or any(_at(f, q) < 0 for f in found[2]):
                 raise CertificateFailure(
-                    f"phase-one basis {verdict.basis} does not certify {q}")
-            self.bases.append(forms)
+                    f"phase-one basis {cert} does not certify {q}")
+            self.bases.append(found[2])
         else:
-            w = verdict.farkas
-            form = _sign_form(w, self.delta)
-            if (any(sum(wi * row[j] for wi, row in zip(w, self.A)) < 0
+            form = self._form(cert)
+            if (any(sum(w * row[j] for w, row in zip(cert, self.A)) < 0
                     for j in range(len(self.A[0]))) or _at(form, q) >= 0):
                 raise CertificateFailure(
                     f"phase-one Farkas vector does not certify {q} infeasible")
             self.farkas.append(form)
-        return verdict.feasible
+        return feasible
 
-    def optimal_catalog(self, c: Sequence[Fraction]) -> List[_CatalogBasis]:
-        """Catalog bases with y A - c <= 0 for y = c_B B^-1, in catalog order."""
+    def optimal_catalog(self, c: Sequence[int]) -> List[_CatalogBasis]:
+        """Catalog bases with y A <= c for y = c_B B^-1, in catalog order; in
+        integers, u A <= p c for u = c_B adj."""
         out = []
         for basis in self.catalog:
-            cb = [c[j] for j in basis.columns]
-            y = [sum(cb[k] * basis.inverse[k][i] for k in range(len(cb)))
-                 for i in range(len(self.A))]
-            if all(sum(yi * row[j] for yi, row in zip(y, self.A)) <= c[j]
+            u = [sum(c[j] * v for j, v in zip(basis.columns, col))
+                 for col in zip(*basis.adj)]
+            if all(sum(ui * row[j] for ui, row in zip(u, self.A)) <= basis.p * c[j]
                    for j in range(len(c))):
                 out.append(basis)
         return out
@@ -417,12 +418,6 @@ class GrcPartitionResult:
     perturbation: Tuple[Fraction, ...]
 
 
-def _unit_at(solution: Sequence[Fraction], i: int, j: int) -> bool:
-    offset = sum(BLOCK_SIZES[:i - 1])
-    block = solution[offset:offset + BLOCK_SIZES[i - 1]]
-    return block[j - 1] == 1 and all(v == 0 for k, v in enumerate(block, 1) if k != j)
-
-
 def _restricted_optimum(inst: LPInstance, i: int, j: int) -> Optional[lp.LPSolution]:
     """Optimal value of the LP with lambda_{ij} pinned to one, if feasible."""
     offset = sum(BLOCK_SIZES[:i - 1])
@@ -444,25 +439,36 @@ def _restricted_optimum(inst: LPInstance, i: int, j: int) -> Optional[lp.LPSolut
                          result.objective + inst.c[pinned], result.basis)
 
 
-def _assign_point(inst: LPInstance, catalog: Sequence[_CatalogBasis],
-                  vertices: Tuple[Tuple[Point, ...], ...]) -> GrcAssignment:
+def _catalog_assignment(q: Point, catalog: Sequence[_CatalogBasis], D: int,
+                        c: Sequence[int], vertices: Tuple[Tuple[Point, ...], ...]
+                        ) -> Optional[GrcAssignment]:
     """Strict pass, then weak pass over the optimal catalog bases in order;
-    then the restricted search over the four target vertices, block order."""
+    None when no basis pins its block's target vertex at q."""
     for floor in (1, 0):   # the forms are integers: x_B > 0, then x_B >= 0
         for basis in catalog:
-            if any(_at(f, inst.point) < floor for f in basis.forms):
+            values = [_at(f, q) for f in basis.forms]
+            if min(values) < floor:
                 continue
-            lam = [Fraction(0)] * len(inst.c)
-            for row, j in zip(basis.inverse, basis.columns):
-                lam[j] = sum(v * b for v, b in zip(row, inst.b))
+            scale = basis.p * D    # lam = values / scale
+            lam = [0] * len(c)
+            for v, k in zip(values, basis.columns):
+                lam[k] = v
             case = basis.case
             j = TARGET_VERTEX[case]
-            if not _unit_at(lam, case, j):
+            offset = var_index(case, 1)
+            block = lam[offset:offset + BLOCK_SIZES[case - 1]]
+            if block[j - 1] != scale or sum(block) != scale:   # block is >= 0
                 continue
             vertex = vertices[case - 1][j - 1]
-            objective = sum(c * x for c, x in zip(inst.c, lam))
-            return GrcAssignment(inst.point, case, j, vertex, YMonomial(*vertex),
-                                 basis.bid, tuple(lam), objective)
+            return GrcAssignment(q, case, j, vertex, YMonomial(*vertex), basis.bid,
+                                 tuple(Fraction(v, scale) for v in lam),
+                                 Fraction(sum(a * v for a, v in zip(c, lam)), scale))
+    return None
+
+
+def _search_assignment(inst: LPInstance,
+                       vertices: Tuple[Tuple[Point, ...], ...]) -> GrcAssignment:
+    """The restricted search over the four target vertices, block order."""
     best = simplex_solve(inst)
     for case in (1, 2, 3, 4):
         j = TARGET_VERTEX[case]
@@ -497,13 +503,15 @@ def grc_partition(spec: SystemSpec, lift: Liftings = DEFAULT_LIFTINGS,
     system = _PointSystem(spec, delta_vec)
     points = _scan_box(spec, system)
     # the costs depend only on the liftings: certify optimality once per call
-    catalog = system.optimal_catalog(_costs(spec, lift))
+    costs = _costs(spec, lift)
+    catalog = system.optimal_catalog(costs)
     vertices = vertex_lists(spec)
     assignments: Dict[Point, GrcAssignment] = {}
     buckets: Dict[int, List[YMonomial]] = {1: [], 2: [], 3: [], 4: []}
     for q in points:
-        inst = build_lp(q, spec, lift, delta_vec)
-        assignment = _assign_point(inst, catalog, vertices)
+        assignment = (_catalog_assignment(q, catalog, system.D, costs, vertices)
+                      or _search_assignment(build_lp(q, spec, lift, delta_vec),
+                                            vertices))
         assignments[q] = assignment
         monomial = YMonomial(q[0] - 1, q[1] - 1, q[2] - 1)
         buckets[assignment.case].append(monomial)

@@ -443,6 +443,8 @@ class Specialization:
         for key, v in data.items():
             sym = parse_symbol(key)
             try:
+                if isinstance(v, bool):   # a JSON true is not the number 1
+                    raise TypeError(v)
                 values[sym] = Fraction(v)
             except (TypeError, ZeroDivisionError, OverflowError):
                 raise ValueError(f"value of {key} is not a number: {v!r}") from None

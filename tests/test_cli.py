@@ -140,6 +140,25 @@ def test_streamed_matrix_equals_the_indented_encoder(name, tmp_path, capsys):
     assert out.read_text() == expected
 
 
+LP_PINS = {
+    "lp_partition_1_1": ("lp-partition", "--d1", "1", "--d2", "1"),
+    "lp_partition_1_2": ("lp-partition", "--d1", "1", "--d2", "2"),
+    "lp_partition_2_2": ("lp-partition", "--d1", "2", "--d2", "2"),
+    "lp_partition_2_2_seeded": ("lp-partition", "--d1", "2", "--d2", "2",
+                                "--config",
+                                str(DATA / "lp_partition_2_2_seeded_config.json")),
+    "lp_partition_2_3": ("lp-partition", "--d1", "2", "--d2", "3"),
+    "moves_2_2": ("moves", "--d1", "2", "--d2", "2"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LP_PINS))
+def test_lp_output_is_pinned(name, capsys):
+    """Bases, lambdas and partitions of the LP partition, byte for byte."""
+    assert run_cli(*LP_PINS[name]) == 0
+    assert capsys.readouterr().out == (DATA / f"{name}.json").read_text()
+
+
 def test_export_to_file_is_pinned(tmp_path, capsys):
     out = tmp_path / "cf.json"
     assert run_cli("export", "--what", "carra-ferro", "--d1", "2", "--d2", "2",
@@ -242,6 +261,13 @@ def test_malformed_json_inputs_exit_two(tmp_path, capsys):
          write("move_frac.json", [{"monomial": [0, 1, 1], "from": 4.5, "to": 1}])),
         ("moves", "--d1", "2", "--d2", "2", "--moves-file",
          write("move_bool.json", [{"monomial": [0, True, 1], "from": 4, "to": 1}])),
+        # a JSON true is not the rational 1
+        ("det", "--d1", "1", "--d2", "1", "--spec-file",
+         write("spec_bool.json", {**{s.render(): 1 for s in
+                                     system_symbols(SystemSpec(1, 1))},
+                                  "a(0,0)": True})),
+        ("lp-partition", "--d1", "1", "--d2", "1", "--config",
+         write("delta_bool.json", {"delta": [True, "1/100", "1/100"]})),
     ]
     # an exponent this large is refused, not expanded into a huge integer
     huge = tmp_path / "huge.json"
@@ -256,7 +282,7 @@ def test_malformed_json_inputs_exit_two(tmp_path, capsys):
 # values that no input field accepts: a fuzzed field gets one of these, so the
 # file is malformed, never well-typed but out of range (an out-of-range
 # perturbation exits 3, see test_invariant_violation_exit_code)
-MALFORMED = [None, "", "x", "1/0", "Infinity", [], [1, [2]], {}, {"k": 1},
+MALFORMED = [None, True, "", "x", "1/0", "Infinity", [], [1, [2]], {}, {"k": 1},
              float("inf"), float("-inf"), float("nan")]
 
 

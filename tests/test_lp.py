@@ -1,10 +1,12 @@
 """Exact simplex engine, phase-one certificates and basis verification."""
 
+import hashlib
 import random
 from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from diffres import SingularBasis
 from diffres.lp import (feasible, inverse, matrix_rank, phase_one, simplex,
@@ -118,6 +120,16 @@ class TestVerifyBasis:
         with pytest.raises(SingularBasis):
             verify_basis([[1, 0], [0, 1]], [1, 1], [0, 0], [0])
 
+    def test_a_wrong_solve_is_caught(self, monkeypatch):
+        # verify_basis multiplies its solves back instead of trusting them
+        from diffres import lp
+        from diffres.errors import CertificateFailure
+        real = lp.solve_square
+        monkeypatch.setattr(lp, "solve_square",
+                            lambda B, rhs: [v + 1 for v in real(B, rhs)])
+        with pytest.raises(CertificateFailure):
+            verify_basis([[1, 2], [3, 2]], [4, 8], [1, 1], [0, 1])
+
     def test_infeasible_basis_reported(self):
         A = [[1, 1], [1, -1]]
         b = [1, 3]
@@ -184,3 +196,70 @@ class TestPhaseOne:
             assert certificate_holds(inst.A, inst.b, cert), q
             if cert.feasible:
                 assert len(cert.basis) == 7
+
+
+small_rationals = st.builds(F, st.integers(-4, 4), st.integers(1, 3))
+
+
+@st.composite
+def lp_systems(draw):
+    """(A, b, c) with 1-4 rows and 1-6 columns; A integer or small-rational,
+    its last row sometimes the sum of the first two."""
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    entries = st.integers(-3, 3) if draw(st.booleans()) else small_rationals
+    A = [draw(st.lists(entries, min_size=n, max_size=n)) for _ in range(m)]
+    if m > 1 and draw(st.booleans()):
+        A[-1] = [a + c for a, c in zip(A[0], A[1])]
+    b = draw(st.lists(st.builds(F, st.integers(-8, 8), st.integers(1, 3)),
+                      min_size=m, max_size=m))
+    c = draw(st.lists(small_rationals, min_size=n, max_size=n))
+    return A, b, c
+
+
+@settings(deadline=None, max_examples=300)
+@given(lp_systems())
+def test_simplex_phase_one_and_verify_basis_agree(system):
+    A, b, c = system
+    cert = phase_one(A, b)
+    assert certificate_holds(A, b, cert)
+    assert feasible(A, b) == cert.feasible
+    try:
+        result = simplex(A, b, c)
+    except Unbounded:
+        assert cert.feasible
+        return
+    assert (result.status == "optimal") == cert.feasible
+    if not cert.feasible:
+        return
+    assert all(sum(F(a) * x for a, x in zip(row, result.x)) == bi
+               for row, bi in zip(A, b))
+    assert sum(F(cj) * x for cj, x in zip(c, result.x)) == result.objective
+    if len(result.basis) == len(A):   # no redundant row was dropped
+        report = verify_basis(A, b, c, result.basis)
+        assert report.feasible and report.optimal
+        assert report.objective == result.objective
+        assert list(report.x) == result.x
+
+
+def test_solver_outputs_are_pinned():
+    """Verdicts, bases, x, objectives and Farkas vectors on 300 seeded
+    systems, many degenerate, hash to the value the Fraction tableau gave:
+    scaling to integers must leave Bland's path as it was."""
+    rng = random.Random(11)
+    digest = hashlib.sha256()
+    for _ in range(300):
+        m, n = rng.randint(1, 4), rng.randint(1, 7)
+        A = [[F(rng.randint(-3, 3), rng.choice((1, 1, 2))) for _ in range(n)]
+             for _ in range(m)]
+        if m > 1 and rng.random() < 0.3:
+            A[-1] = [a + c for a, c in zip(A[0], A[1])]
+        b = [F(rng.randint(-4, 4), rng.randint(1, 2)) for _ in range(m)]
+        c = [rng.randint(-3, 3) for _ in range(n)]
+        digest.update(repr(phase_one(A, b)).encode())
+        try:
+            r = simplex(A, b, c)
+            digest.update(repr((r.status, r.x, r.objective, r.basis)).encode())
+        except Unbounded:
+            digest.update(b"unbounded")
+    assert digest.hexdigest() == (
+        "92768c950814b0d6f7eca36656b8d2c916e380df25eef2697576154de84be846")

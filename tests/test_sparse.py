@@ -5,6 +5,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from diffres import (DEFAULT_LIFTINGS, DEFAULT_PERTURBATION, IllegalMove,
                      Infeasible, InvalidPerturbation, Liftings, SystemSpec,
@@ -14,7 +15,8 @@ from diffres import (DEFAULT_LIFTINGS, DEFAULT_PERTURBATION, IllegalMove,
                      lattice_points, newton_data, nonzero_random_probe,
                      partition_divisibility, simplex_solve, validate_liftings,
                      verify_basis)
-from diffres import SingularBasis
+from diffres import SingularBasis, sparse
+from diffres.errors import CertificateFailure
 from diffres.lp import matrix_rank, simplex
 from diffres.sparse import (BLOCK_SIZES, CASE_BASES, MOVES_TO_DIVISIBILITY_2_2,
                             TARGET_VERTEX, in_hull, var_labels, vertex_lists)
@@ -156,15 +158,17 @@ class TestCertificateReuse:
         # at a coarse perturbation some points have a weakly feasible basis
         # ahead of a strictly feasible one in the catalog; grc_partition
         # itself rejects the extra points, so the per-point step is used
-        from diffres.sparse import _PointSystem, _assign_point, _costs
+        from diffres.sparse import _PointSystem, _catalog_assignment, _costs
         spec = SystemSpec(1, 2)
-        catalog = _PointSystem(spec, HALF).optimal_catalog(
-            _costs(spec, DEFAULT_LIFTINGS))
+        costs = _costs(spec, DEFAULT_LIFTINGS)
+        system = _PointSystem(spec, HALF)
+        catalog = system.optimal_catalog(costs)
         for q in lattice_points(spec, HALF):
             inst = build_lp(q, spec, DEFAULT_LIFTINGS, HALF)
             ref = reference_assignment(inst)
             if ref is not None:
-                a = _assign_point(inst, catalog, vertex_lists(spec))
+                a = _catalog_assignment(q, catalog, system.D, costs,
+                                        vertex_lists(spec))
                 assert (a.case, a.vertex_index, a.basis_id, a.lam,
                         a.objective) == ref, q
 
@@ -193,6 +197,87 @@ class TestCertificateReuse:
         inst = build_lp(q, SystemSpec(2, 3), DEFAULT_LIFTINGS)
         assert reference_assignment(inst) is None
         assert result.assignments[q].objective == simplex_solve(inst).objective
+
+
+class TestIntegerCertificates:
+    """The integer catalog and phase-one certificates against verify_basis,
+    and the exact checks that guard them."""
+
+    # seeded liftings make every catalog basis optimal; free heights mostly
+    # do not, so both verdicts are compared
+    @settings(deadline=None, max_examples=30)
+    @given(st.one_of(
+        st.integers(0, 10**6).map(seeded_liftings),
+        st.lists(st.integers(-9, 9), min_size=12, max_size=12).map(
+            lambda h: Liftings(*(tuple(h[k:k + 3]) for k in range(0, 12, 3))))))
+    @pytest.mark.parametrize("d", [(1, 2), (2, 2)])
+    def test_optimal_catalog_matches_verify_basis(self, d, lift):
+        spec = SystemSpec(*d)
+        system = sparse._PointSystem(spec, DEFAULT_PERTURBATION)
+        optimal = {b.bid for b in system.optimal_catalog(sparse._costs(spec, lift))}
+        nonsingular = {b.bid for b in system.catalog}
+        # optimality does not depend on the right-hand side
+        inst = build_lp((1, 1, 1), spec, lift)
+        for case, bid, labels in CASE_BASES:
+            try:
+                report = verify_basis(inst, labels)
+            except SingularBasis:
+                assert bid not in nonsingular
+                continue
+            assert bid in nonsingular
+            assert report.optimal == (bid in optimal), (lift, bid)
+
+    @pytest.mark.parametrize("delta_vec", [DEFAULT_PERTURBATION, HALF,
+                                           (F(1, 3), F(2, 7), F(1, 10))])
+    def test_forms_give_x_b_at_every_lattice_point(self, delta_vec):
+        spec = SystemSpec(1, 2)
+        system = sparse._PointSystem(spec, delta_vec)
+        for q in lattice_points(spec, delta_vec):
+            inst = build_lp(q, spec, DEFAULT_LIFTINGS, delta_vec)
+            for basis in system.catalog:
+                x = verify_basis(inst, [var_labels()[j] for j in basis.columns]).x
+                assert [F(sparse._at(f, q), basis.p * system.D)
+                        for f in basis.forms] == [x[j] for j in basis.columns]
+
+    def test_a_corrupted_adjugate_entry_is_caught(self, monkeypatch):
+        real = sparse.lp.adjugate
+
+        def corrupted(B):
+            found = real(B)
+            if found is not None:
+                found[1][2][5] += 1
+            return found
+
+        monkeypatch.setattr(sparse.lp, "adjugate", corrupted)
+        with pytest.raises(CertificateFailure):
+            sparse._PointSystem(SystemSpec(1, 2), DEFAULT_PERTURBATION)
+
+    def test_a_farkas_vector_with_a_flipped_sign_is_caught(self, monkeypatch):
+        real = sparse.lp.integer_certificate
+
+        def flipped(A, b):
+            feasible, cert = real(A, b)
+            if not feasible:
+                k = next(i for i, w in enumerate(cert) if w)
+                cert = cert[:k] + (-cert[k],) + cert[k + 1:]
+            return feasible, cert
+
+        monkeypatch.setattr(sparse.lp, "integer_certificate", flipped)
+        system = sparse._PointSystem(SystemSpec(1, 2), DEFAULT_PERTURBATION)
+        # w = (-1, 1, 1, 0, 0, 0, 0) keeps w b'(q) < 0 at the origin; only
+        # w A >= 0 fails
+        with pytest.raises(CertificateFailure, match="Farkas"):
+            system.feasible((0, 0, 0))
+
+    def test_a_basis_negative_at_the_point_is_caught(self, monkeypatch):
+        # every phase-one verdict claims the first catalog basis, whose forms
+        # are negative at (0, 0, 0), the first box point phase one decides
+        spec = SystemSpec(1, 2)
+        columns = sparse._PointSystem(spec, DEFAULT_PERTURBATION).catalog[0].columns
+        monkeypatch.setattr(sparse.lp, "integer_certificate",
+                            lambda A, b: (True, columns))
+        with pytest.raises(CertificateFailure, match=r"does not certify \(0, 0, 0\)"):
+            lattice_points(spec)
 
 
 class TestBuildLP:
