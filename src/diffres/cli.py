@@ -20,6 +20,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Iterator, List, Optional, Sequence
 
 from .certificate import certify, unique_monomial_coefficient
@@ -399,7 +400,10 @@ def _add_spec_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", help="write JSON here instead of stdout")
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls:
+    parsing leaves it unchanged, and each `add_argument` costs a formatter."""
     parser = argparse.ArgumentParser(
         prog="diffres",
         description="Matrix constructions for first-order generic "

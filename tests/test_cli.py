@@ -486,6 +486,26 @@ def test_usage_error_exit_code():
     assert run_cli("no-such-command") == 2
 
 
+def test_consecutive_calls_share_no_state(monkeypatch, capsys):
+    """The parser is built once per process; each call still parses afresh,
+    so a call gives what a fresh process gives after any earlier call."""
+    monkeypatch.setenv("COLUMNS", "80")   # help text wraps at the same width
+
+    def fresh(*argv):
+        return subprocess.run([sys.executable, "-m", "diffres.cli", *argv],
+                              capture_output=True, text=True)
+
+    det = ("det", "--d1", "1", "--d2", "1", "--mode", "modular")
+    for argv, code in ((det, 0), (("det", "--help"), 0),
+                       (("build", "--d1", "2"), 2)):
+        assert run_cli(*det, "--moduli", "5", "7") == 0
+        capsys.readouterr()
+        proc = fresh(*argv)
+        assert run_cli(*argv) == proc.returncode == code
+        out, err = capsys.readouterr()
+        assert (out, err) == (proc.stdout, proc.stderr)
+
+
 def test_invariant_violation_exit_code(capsys):
     # an out-of-range perturbation is a library-level invariant failure
     code = run_cli("lp-partition", "--d1", "1", "--d2", "1",

@@ -5,6 +5,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from diffres import (CapExceeded, CoeffSymbol, PolyMatrix, Specialization,
                      SymPoly, SystemSpec, YMonomial, build_square_matrix,
@@ -13,8 +14,9 @@ from diffres import (CapExceeded, CoeffSymbol, PolyMatrix, Specialization,
                      generic_system, hadamard_bound, nonzero_random_probe,
                      random_specialization, system_symbols)
 from diffres.cli import main
-from diffres.determinant import crt_lift, is_prime
-from diffres.matrices import F1, RowLabel
+from diffres.determinant import (_det_mod, _pivot_order, crt_lift, det_rational,
+                                 is_prime)
+from diffres.matrices import F1, RowLabel, build_carra_ferro
 
 A = CoeffSymbol("a", 0, 0)
 B = CoeffSymbol("b", 0, 0)
@@ -230,6 +232,17 @@ class TestModular:
         assert hadamard_bound(rows) >= abs(Fraction(81, 50))
         assert hadamard_bound(rows) == 4
 
+    def test_rejects_non_square_matrices(self):
+        s = random_specialization((1, 2), 0)
+        tall = build_carra_ferro(1, 2, 1, 1)
+        assert (tall.nrows, tall.ncols) == (28, 20)
+        wide = PolyMatrix([RowLabel(F1, YMonomial(0, 0, 0))],
+                          [YMonomial(1, 0, 0), YMonomial(0, 0, 0)],
+                          [SymPoly.const(2)], [{0: 0, 1: 0}], {})
+        for matrix in (tall, wide):
+            with pytest.raises(ValueError, match="non-square"):
+                det_modular(matrix, s, [101])
+
     def test_rejects_rational_specialization(self):
         spec = SystemSpec(1, 1)
         M = build_square_matrix(spec)
@@ -280,10 +293,97 @@ class TestSparseKernel:
             s = common_zero_specialization(d, point, rng_seed=seed)
             assert det_specialized(M, s) == 0
 
-    @pytest.mark.parametrize("d", [(2, 2), (2, 3)], ids=_degrees)
-    def test_cli_output_is_pinned(self, d, capsys):
+    @pytest.mark.parametrize("d, extra", [
+        ((2, 2), ()), ((2, 3), ()), ((3, 3), ()),
+        ((2, 3), ("--common-zero", "1/2", "-3/4", "5/7"))],
+        ids=["2-2", "2-3", "3-3", "2-3-common-zero"])
+    def test_cli_output_is_pinned(self, d, extra, capsys):
         assert main(["det", "--d1", str(d[0]), "--d2", str(d[1]),
-                     "--mode", "specialized", "--seed", "0"]) == 0
-        name = f"det_{d[0]}_{d[1]}_seed0.json"
+                     "--mode", "specialized", "--seed", "0", *extra]) == 0
+        name = f"det_{d[0]}_{d[1]}_seed0{'_common_zero' if extra else ''}.json"
         pinned = Path(__file__).parent / "data" / name
         assert capsys.readouterr().out == pinned.read_text()
+
+
+# mostly zeros, so that grids are sparse and often singular
+SPARSE_VALUES = (0, 0, 0, 0, 0, 1, -1, 2, -3, 7)
+PRIME = 2147483647
+
+
+@st.composite
+def sparse_grids(draw):
+    """Square integer grids up to 6x6, some with an empty row or column."""
+    n = draw(st.integers(0, 6))
+    grid = [[draw(st.sampled_from(SPARSE_VALUES)) for _ in range(n)]
+            for _ in range(n)]
+    if n and draw(st.booleans()):
+        k = draw(st.integers(0, n - 1))
+        for i in range(n):
+            if draw(st.booleans()):
+                grid[k] = [0] * n
+                break
+            grid[i][k] = 0
+    return grid
+
+
+def _zero_pivot_order(grid, order, k):
+    """`order` with a zero entry planned as its k-th pivot, or None.
+
+    A row holding zeros in the first k pivot columns is untouched by those
+    k steps, so its zeros outside them are still zero at step k; k is
+    lowered until such a row has such a zero.
+    """
+    for step in range(min(k, len(order)), -1, -1):
+        rows = {i for i, _ in order[:step]}
+        cols = {j for _, j in order[:step]}
+        for i, row in enumerate(grid):
+            if i in rows or any(row[j] for j in cols):
+                continue
+            for j, v in enumerate(row):
+                if j not in cols and not v:
+                    return list(order[:step]) + [(i, j)] + list(order[step:])
+    return None
+
+
+class TestReplayedOrder:
+    """`det_rational` replays a planned pivot order while the planned
+    entries are nonzero; whatever the order, the value is the determinant."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(sparse_grids(), st.data())
+    def test_any_order_gives_the_determinant(self, grid, data):
+        rows = [[Fraction(v) for v in row] for row in grid]
+        polys = [[SymPoly.const(v) for v in row] for row in grid]
+        expected = det_laplace(polys)
+        analyzed = list(_pivot_order(_matrix_from_grid(polys)))
+        orders = [analyzed, data.draw(st.permutations(analyzed)), []]
+        zero_pivot = _zero_pivot_order(grid, analyzed,
+                                       data.draw(st.integers(0, len(grid))))
+        if zero_pivot is not None:
+            orders.append(zero_pivot)
+        for order in orders:
+            value = det_rational(rows, order)
+            assert SymPoly.const(value) == expected
+            assert value % PRIME == _det_mod(grid, PRIME)
+
+    def test_a_zero_planned_pivot_is_not_taken(self):
+        rows = [[Fraction(v) for v in row] for row in ([0, 2, 0], [3, 0, 0],
+                                                       [0, 0, 5])]
+        for order in ([(0, 0)], [(2, 2), (1, 1)], [(2, 2), (0, 0), (1, 1)]):
+            assert det_rational(rows, order) == -30
+
+    def test_analyzed_order_covers_the_square_matrices(self):
+        for d in ((1, 1), (2, 2), (2, 3)):
+            M = build_square_matrix(SystemSpec(*d))
+            order = _pivot_order(M)
+            assert _pivot_order(M) is order    # computed once per matrix
+            assert sorted(i for i, _ in order) == list(range(M.nrows))
+            assert sorted(j for _, j in order) == list(range(M.ncols))
+
+    def test_rejects_a_grid_that_is_not_square(self):
+        ragged = [[Fraction(1)], [Fraction(4), Fraction(5)]]
+        wide = [[Fraction(1), Fraction(2), Fraction(3)],
+                [Fraction(4), Fraction(5), Fraction(6)]]
+        for rows in (ragged, wide):
+            with pytest.raises(ValueError, match="non-square"):
+                det_rational(rows)
