@@ -17,9 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from .errors import CertificateFailure
+from .determinant import _perm_sign
 from .diffsys import SystemSpec, YMonomial, system_symbols, ym_render
 from .matrices import DF1, DF2, F1, F2, PolyMatrix, RowLabel
 from .symbols import CoeffSymbol
@@ -96,23 +97,6 @@ def _symbol_occurrences(entry: SymPoly, sym: CoeffSymbol):
         if present and mono != mono_make({sym: 1}):
             clean = False
     return linear, clean
-
-
-def _permutation_sign(perm: Sequence[int]) -> int:
-    seen = [False] * len(perm)
-    sign = 1
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        i = start
-        while not seen[i]:
-            seen[i] = True
-            i = perm[i]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
 
 
 def eliminate(matrix: PolyMatrix, spec: SystemSpec) -> Certificate:
@@ -196,7 +180,7 @@ def eliminate(matrix: PolyMatrix, spec: SystemSpec) -> Certificate:
         unique_monomial=unique,
         transversal={matrix.rows[i]: matrix.cols[j] for i, j in perm.items()},
         permutation=permutation,
-        sign=_permutation_sign(permutation),
+        sign=_perm_sign(permutation),
         counts=(by_block[DF1], by_block[DF2], by_block[F1], by_block[F2]),
     )
 

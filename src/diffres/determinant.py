@@ -5,23 +5,23 @@
   the live block (fewest terms, which keeps the intermediate polynomials
   small); every division is checked by the exact-division routine, so a
   pivot-logic bug surfaces as NotDivisible instead of a wrong answer;
-* specialized: sparse integer elimination with Markowitz (1957) pivots.  The
+* specialized and modular: one sparse elimination with Markowitz (1957)
+  pivots, `_eliminate`, given a row update per ring: over Z, each changed
+  row divided by its content to keep the integers short (the exact value);
+  over F_p (the residues, recombined by the Chinese remainder theorem when
+  the modulus product beats twice the Hadamard bound); and over the
+  pattern, every entry and fill-in taken as nonzero (the pivot order).  The
   square matrix is sparse (density 0.15 at (2,3), 0.13 at (3,3)), and
   choosing the entry of least fill-in cost keeps it so; only the rows that
-  hold the pivot column change, and each changed row is divided by its
-  content, which keeps the integers short.  As in sparse direct solvers,
-  the pivot order is analyzed once per matrix, on its pattern with every
-  entry and fill-in taken as nonzero, and replayed on each specialization;
-  from the first planned pivot that is zero (a common zero, a symbol set
-  to 0, a cancellation) the search takes over.  At (3,3) a cancellation
-  shared by every specialization ends the replay after 76 of 100 steps.
+  hold the pivot column change.  As in sparse direct solvers, the pivot
+  order is analyzed once per matrix, on its pattern, and replayed on each
+  specialization; from the first planned pivot that is zero (a common
+  zero, a symbol set to 0, a cancellation, a residue 0) the search takes
+  over.  At (3,3) a cancellation shared by every specialization ends the
+  replay over Z after 76 of 100 steps.
 
 Cofactor expansion with memoized minors is the independent cross-check of
-the kernels, over any ring (the oracle runs it on Sylvester matrices).  The
-modular mode keeps its own dense elimination over F_p: it reduces residues
-modulo a list of primes and skips every row whose factor is zero (a sparse
-search saves nothing there), and recombines them by the Chinese remainder
-theorem when the modulus product beats twice the Hadamard bound.
+the kernels, over any ring (the oracle runs it on Sylvester matrices).
 
 The common-zero generator solves the four constant coefficients so that the
 system and its derivatives all vanish at a chosen rational point, which
@@ -135,40 +135,94 @@ def det_laplace(grid: Sequence[Sequence]):
     return minor(0, tuple(range(n)))
 
 
-def det_rational(rows: List[List[Fraction]],
+def det_rational(rows: Sequence[Dict[int, Fraction]],
                  order: Sequence[Tuple[int, int]] = ()) -> Fraction:
-    """Exact determinant of a square rational matrix by sparse elimination.
+    """Exact determinant of a square rational matrix of sparse rows,
+    {column: value} each (zero values dropped), replaying `order`.
 
-    Each row is scaled to coprime integers and held as a {column: value}
-    dict beside a column -> rows index; a rational factor per row records
-    what the scalings and contents took out, so the determinant is the
-    signed product of pivot * factor over the pivots.  The pivots replay
-    `order`, a list of (row, column), while each planned entry is live and
-    nonzero; from the first miss on, `_markowitz_pivot` picks them.  Only
-    the rows holding the pivot column change: row_i <- (pv/g) row_i -
-    (gik/g) row_k with g = gcd(pv, gik), then divided by its content.  The
-    sign is that of the row pivot order times that of the column pivot
-    order; a row or column that runs empty gives 0.
+    Each row is scaled to coprime integers, and a rational factor per row
+    records what the scalings and contents took out, so the determinant is
+    the signed product of pivot * factor over the pivots.  The row update
+    is row_i <- (pv/g) row_i - (gik/g) row_k with g = gcd(pv, gik), then
+    divided by its content.
     """
-    n = len(rows)
-    if any(len(row) != n for row in rows):
-        raise ValueError("determinant of a non-square matrix")
     live: Dict[int, Dict[int, int]] = {}
     factor: Dict[int, Fraction] = {}
-    cols: Dict[int, set] = {j: set() for j in range(n)}
     for i, row in enumerate(rows):
-        nonzero = [(j, v) for j, v in enumerate(row) if v]
-        if not nonzero:
-            return Fraction(0)
-        denom = lcm(*(v.denominator for _, v in nonzero))
-        ints = {j: v.numerator * (denom // v.denominator) for j, v in nonzero}
+        denom = lcm(*(v.denominator for v in row.values()))
+        ints = {j: v.numerator * (denom // v.denominator)
+                for j, v in row.items() if v}
         content = gcd(*ints.values())
         live[i] = {j: v // content for j, v in ints.items()}
         factor[i] = Fraction(content, denom)
-        for j in ints:
+
+    def update(i, row_i, gik, pv, row_k):
+        g = gcd(pv, gik)
+        a, b = pv // g, gik // g
+        if a != 1:
+            for j in row_i:
+                row_i[j] *= a
+        for j, v in row_k.items():
+            x = row_i.get(j, 0) - b * v
+            if x:
+                row_i[j] = x
+            else:
+                del row_i[j]
+        content = gcd(*row_i.values())
+        if content > 1:
+            for j in row_i:
+                row_i[j] //= content
+        if a != 1 or content > 1:
+            factor[i] *= Fraction(content, a)
+
+    pivots, sign = _eliminate(live, order, update)
+    return prod((pv * factor[k] for k, _, pv in pivots), start=Fraction(sign))
+
+
+def _det_residue(rows: Sequence[Dict[int, int]], p: int,
+                 order: Sequence[Tuple[int, int]] = ()) -> int:
+    """The determinant modulo the prime p of a square matrix of sparse rows
+    with integer values (ints or integral Fractions), replaying `order`; the
+    row update is row_i <- row_i - (gik / pv mod p) row_k."""
+    live = {i: {j: r for j, v in row.items() if (r := v.numerator % p)}
+            for i, row in enumerate(rows)}
+
+    def update(i, row_i, gik, pv, row_k):
+        f = gik * pow(pv, -1, p) % p
+        for j, v in row_k.items():
+            x = (row_i.get(j, 0) - f * v) % p
+            if x:
+                row_i[j] = x
+            else:
+                del row_i[j]
+
+    pivots, sign = _eliminate(live, order, update)
+    return sign * prod(pv for _, _, pv in pivots) % p
+
+
+def _eliminate(live: Dict[int, Dict[int, int]], order: Sequence[Tuple[int, int]],
+               update: Callable) -> Tuple[List[Tuple[int, int, int]], int]:
+    """Sparse elimination of the square matrix `live`, {i: {j: v}} with
+    nonzero values, over the ring of the row update.
+
+    The pivots replay `order`, a list of (row, column), while each planned
+    entry is live; from the first miss on, `_markowitz_pivot` picks them.
+    Only the rows holding the pivot column change, each by
+    ``update(i, row_i, gik, pv, row_k)``, which folds row_k (pivot pv
+    removed) into row_i (entry gik removed) and drops the entries it
+    cancels; a column -> rows index follows the fill-in and cancellations.
+    Returns the pivots (row, column, value) and the sign of the permutation
+    they form, 0 when a row or column runs empty (the pivots stop there).
+    """
+    cols: Dict[int, set] = {j: set() for j in range(len(live))}
+    for i, row in live.items():
+        if not row.keys() <= cols.keys():
+            raise ValueError("determinant of a non-square matrix")
+        for j in row:
             cols[j].add(i)
-    det = Fraction(1)
-    row_order, col_order = [], []
+    pivots: List[Tuple[int, int, int]] = []
+    if not all(live.values()):
+        return pivots, 0
     planned = iter(order)
     while live:
         k, pj = next(planned, (None, None))
@@ -176,7 +230,7 @@ def det_rational(rows: List[List[Fraction]],
             planned = iter(())
             pivot = _markowitz_pivot(live, cols)
             if pivot is None:
-                return Fraction(0)
+                return pivots, 0
             k, pj = pivot
         row_k = live.pop(k)
         pv = row_k.pop(pj)
@@ -184,35 +238,23 @@ def det_rational(rows: List[List[Fraction]],
             cols[j].discard(k)
         targets = cols.pop(pj)
         targets.discard(k)
-        row_order.append(k)
-        col_order.append(pj)
-        det *= pv * factor.pop(k)
+        pivots.append((k, pj, pv))
         for i in targets:
             row_i = live[i]
             gik = row_i.pop(pj)
-            g = gcd(pv, gik)
-            a, b = pv // g, gik // g
-            if a != 1:
-                for j in row_i:
-                    row_i[j] *= a
-            for j, v in row_k.items():
-                x = row_i.get(j, 0) - b * v
-                if x:
+            fill = row_k.keys() - row_i.keys()
+            size = len(row_i) + len(fill)
+            update(i, row_i, gik, pv, row_k)
+            for j in fill:
+                cols[j].add(i)
+            if len(row_i) < size:
+                if not row_i:
+                    return pivots, 0
+                for j in row_k:
                     if j not in row_i:
-                        cols[j].add(i)
-                    row_i[j] = x
-                elif j in row_i:
-                    del row_i[j]
-                    cols[j].discard(i)
-            if not row_i:
-                return Fraction(0)
-            content = gcd(*row_i.values())
-            if content != 1:
-                for j in row_i:
-                    row_i[j] //= content
-            if a != 1 or content != 1:
-                factor[i] *= Fraction(content, a)
-    return det * _perm_sign(row_order) * _perm_sign(col_order)
+                        cols[j].discard(i)
+    return pivots, (_perm_sign([k for k, _, _ in pivots])
+                    * _perm_sign([j for _, j, _ in pivots]))
 
 
 def _markowitz_pivot(live: Dict[int, Dict[int, int]],
@@ -238,27 +280,15 @@ def _markowitz_pivot(live: Dict[int, Dict[int, int]],
 @lru_cache(maxsize=16)
 def _pivot_order(matrix: PolyMatrix) -> Tuple[Tuple[int, int], ...]:
     """The Markowitz pivot order of the matrix's sparsity pattern, every
-    stored entry and fill-in taken as nonzero; it stops at an empty column."""
+    stored entry and fill-in taken as nonzero; it stops where a row or
+    column runs empty."""
     live = {i: dict.fromkeys(row, 1) for i, row in enumerate(matrix.row_entries)}
-    cols = {j: {i for i, row in live.items() if j in row}
-            for j in range(matrix.ncols)}
-    order = []
-    while live and (pivot := _markowitz_pivot(live, cols)):
-        k, pj = pivot
-        order.append(pivot)
-        row_k = live.pop(k)
-        del row_k[pj]
-        for i in cols.pop(pj) - {k}:
-            del live[i][pj]
-            for j in row_k:
-                live[i][j] = 1
-                cols[j].add(i)
-        for j in row_k:
-            cols[j].discard(k)
-    return tuple(order)
+    pivots, _ = _eliminate(live, (), lambda i, row_i, gik, pv, row_k:
+                           row_i.update(dict.fromkeys(row_k, 1)))
+    return tuple((k, j) for k, j, _ in pivots)
 
 
-def _perm_sign(perm: List[int]) -> int:
+def _perm_sign(perm: Sequence[int]) -> int:
     """Sign of a permutation of range(n): (-1) ** (n - number of cycles)."""
     cycles, seen = 0, [False] * len(perm)
     for start in range(len(perm)):
@@ -275,34 +305,6 @@ def det_specialized(matrix: PolyMatrix, s: Specialization) -> Fraction:
     if matrix.nrows != matrix.ncols:
         raise ValueError("determinant of a non-square matrix")
     return det_rational(matrix.specialize(s), _pivot_order(matrix))
-
-
-def _det_mod(rows: List[List[int]], p: int) -> int:
-    n = len(rows)
-    grid = [[v % p for v in row] for row in rows]
-    det = 1
-    for k in range(n):
-        pivot_row = None
-        for i in range(k, n):
-            if grid[i][k] % p:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            return 0
-        if pivot_row != k:
-            grid[pivot_row], grid[k] = grid[k], grid[pivot_row]
-            det = -det
-        piv = grid[k][k]
-        det = det * piv % p
-        inv = pow(piv, -1, p)
-        for i in range(k + 1, n):
-            factor = grid[i][k] * inv % p
-            if factor:
-                row_i = grid[i]
-                row_k = grid[k]
-                for j in range(k, n):
-                    row_i[j] = (row_i[j] - factor * row_k[j]) % p
-    return det % p
 
 
 # Miller-Rabin with the primes up to 41 as bases decides primality exactly
@@ -345,13 +347,11 @@ def det_modular(matrix: PolyMatrix, s: Specialization,
     for p in moduli:
         if not is_prime(p):
             raise ValueError(f"modulus {p} is not a prime")
-    dense = matrix.specialize(s)
-    for row in dense:
-        for v in row:
-            if v.denominator != 1:
-                raise ValueError("modular mode needs an integral specialization")
-    int_rows = [[int(v) for v in row] for row in dense]
-    return [_det_mod([row[:] for row in int_rows], p) for p in moduli]
+    rows = matrix.specialize(s)
+    if any(v.denominator != 1 for row in rows for v in row.values()):
+        raise ValueError("modular mode needs an integral specialization")
+    order = _pivot_order(matrix)
+    return [_det_residue(rows, p, order) for p in moduli]
 
 
 def crt_combine(residues: Sequence[int], moduli: Sequence[int]) -> int:
@@ -380,11 +380,12 @@ def crt_lift(residues: Sequence[int], moduli: Sequence[int],
     return crt_combine(residues, moduli)
 
 
-def hadamard_bound(rows: List[List[Fraction]]) -> int:
-    """Integer bound with |det| <= bound, rounding each |entry| up."""
+def hadamard_bound(rows: Sequence[Dict[int, Fraction]]) -> int:
+    """Integer bound with |det| <= bound, rounding each |entry| up; the rows
+    are sparse, {column: value}."""
     bound = 1
     for row in rows:
-        norm_sq = sum(ceil(abs(v)) ** 2 for v in row)
+        norm_sq = sum(ceil(abs(v)) ** 2 for v in row.values())
         bound *= isqrt(norm_sq) + 1
     return bound
 

@@ -84,13 +84,11 @@ class PolyMatrix:
         return PolyMatrix(self.rows, self.cols, [w for w in images if w],
                           row_entries, polys, self.meta)
 
-    def specialize(self, s: Specialization) -> List[List[Fraction]]:
+    def specialize(self, s: Specialization) -> List[Dict[int, Fraction]]:
+        """The specialized rows, {j: value} each, nonzero values only."""
         values = [v.evaluate(s) for v in self.pool]
-        dense = [[Fraction(0)] * self.ncols for _ in self.rows]
-        for out, row in zip(dense, self.row_entries):
-            for j, x in row.items():
-                out[j] = values[x]
-        return dense
+        return [{j: values[x] for j, x in row.items() if values[x]}
+                for row in self.row_entries]
 
     def row_label_map(self) -> Dict[RowLabel, Dict[YMonomial, SymPoly]]:
         """Row content keyed by label, for order-insensitive comparison."""
@@ -115,11 +113,11 @@ class PolyMatrix:
                             for j, x in row.items()]}
 
     def to_csv(self, s: Specialization) -> str:
-        dense = self.specialize(s)
         header = ["row"] + [ym_csv_name(c) for c in self.cols]
         lines = [",".join(header)]
-        for label, row in zip(self.rows, dense):
-            lines.append(",".join([label.render()] + [str(v) for v in row]))
+        for label, row in zip(self.rows, self.specialize(s)):
+            dense = [str(row.get(j, 0)) for j in range(self.ncols)]
+            lines.append(",".join([label.render()] + dense))
         return "\n".join(lines) + "\n"
 
 

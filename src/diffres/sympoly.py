@@ -168,14 +168,6 @@ class SymPoly:
                 out.add(s)
         return out
 
-    def constant_value(self) -> Fraction:
-        """The value of a constant polynomial; raises if symbols remain."""
-        if not self._terms:
-            return Fraction(0)
-        if set(self._terms) != {MONO_ONE}:
-            raise ValueError("polynomial is not constant")
-        return self._terms[MONO_ONE]
-
     # -- ring operations ------------------------------------------------
 
     def __add__(self, other) -> "SymPoly":

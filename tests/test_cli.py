@@ -167,6 +167,16 @@ def test_export_to_file_is_pinned(tmp_path, capsys):
     assert out.read_bytes() == (DATA / "export_carra_ferro_2_2.json").read_bytes()
 
 
+@pytest.mark.parametrize("what", ["matrix", "carra-ferro"])
+def test_export_csv_is_pinned(what, capsys):
+    """Specialized entries at (2,2), zeros and fractions among them."""
+    assert run_cli("export", "--what", what, "--d1", "2", "--d2", "2",
+                   "--format", "csv",
+                   "--spec-file", str(DATA / "spec_2_2.json")) == 0
+    name = f"export_{what.replace('-', '_')}_2_2.csv"
+    assert capsys.readouterr().out == (DATA / name).read_text()
+
+
 def test_det_specialized_seeded_deterministic(capsys):
     assert run_cli("det", "--d1", "1", "--d2", "1", "--seed", "5") == 0
     first = json.loads(capsys.readouterr().out)

@@ -14,8 +14,8 @@ from diffres import (CapExceeded, CoeffSymbol, PolyMatrix, Specialization,
                      generic_system, hadamard_bound, nonzero_random_probe,
                      random_specialization, system_symbols)
 from diffres.cli import main
-from diffres.determinant import (_det_mod, _pivot_order, crt_lift, det_rational,
-                                 is_prime)
+from diffres.determinant import (_det_residue, _pivot_order, crt_lift,
+                                 det_rational, is_prime)
 from diffres.matrices import F1, RowLabel, build_carra_ferro
 
 A = CoeffSymbol("a", 0, 0)
@@ -175,8 +175,7 @@ class TestModular:
         for seed in range(50):
             s = random_specialization(spec, seed, lo=-10 ** 6, hi=10 ** 6)
             exact = det_specialized(M, s)
-            dense = M.specialize(s)
-            bound = hadamard_bound(dense)
+            bound = hadamard_bound(M.specialize(s))
             moduli = []
             product = 1
             for p in self.MODULI + [2147483579, 2147483563]:
@@ -226,8 +225,8 @@ class TestModular:
             is_prime(2 ** 89 - 1)
 
     def test_hadamard_bound_rounds_rational_entries_up(self):
-        rows = [[Fraction(9, 10), Fraction(-9, 10)],
-                [Fraction(9, 10), Fraction(9, 10)]]
+        rows = [{0: Fraction(9, 10), 1: Fraction(-9, 10)},
+                {0: Fraction(9, 10), 1: Fraction(9, 10)}]
         # |det| = 81/50; truncating the entries to 0 would give a bound of 1
         assert hadamard_bound(rows) >= abs(Fraction(81, 50))
         assert hadamard_bound(rows) == 4
@@ -254,6 +253,11 @@ class TestModular:
 
 def _degrees(d):
     return f"{d[0]}-{d[1]}"
+
+
+PRIMES_31 = (2147483647, 2147483629, 2147483587, 2147483579, 2147483563,
+             2147483549, 2147483543, 2147483497, 2147483489, 2147483477,
+             2147483423, 2147483399)    # the largest 31-bit primes, descending
 
 
 def _primes_above(bound):
@@ -293,15 +297,25 @@ class TestSparseKernel:
             s = common_zero_specialization(d, point, rng_seed=seed)
             assert det_specialized(M, s) == 0
 
-    @pytest.mark.parametrize("d, extra", [
-        ((2, 2), ()), ((2, 3), ()), ((3, 3), ()),
-        ((2, 3), ("--common-zero", "1/2", "-3/4", "5/7"))],
-        ids=["2-2", "2-3", "3-3", "2-3-common-zero"])
-    def test_cli_output_is_pinned(self, d, extra, capsys):
+    @pytest.mark.parametrize("d, mode, extra, name", [
+        ((2, 2), "specialized", (), "det_2_2_seed0"),
+        ((2, 3), "specialized", (), "det_2_3_seed0"),
+        ((3, 3), "specialized", (), "det_3_3_seed0"),
+        ((2, 3), "specialized", ("--common-zero", "1/2", "-3/4", "5/7"),
+         "det_2_3_seed0_common_zero"),
+        # twelve 31-bit primes beat twice the Hadamard bound: the CRT lifts
+        ((1, 2), "modular", ("--moduli", *map(str, PRIMES_31)),
+         "det_1_2_seed0_modular"),
+        # the two default moduli fall short: residues and a crt_note
+        ((2, 3), "modular", (), "det_2_3_seed0_modular"),
+        ((2, 2), "modular", ("--common-zero", "1", "-2", "3"),
+         "det_2_2_seed0_modular_common_zero")],
+        ids=["2-2", "2-3", "3-3", "2-3-common-zero", "1-2-modular",
+             "2-3-modular", "2-2-modular-common-zero"])
+    def test_cli_output_is_pinned(self, d, mode, extra, name, capsys):
         assert main(["det", "--d1", str(d[0]), "--d2", str(d[1]),
-                     "--mode", "specialized", "--seed", "0", *extra]) == 0
-        name = f"det_{d[0]}_{d[1]}_seed0{'_common_zero' if extra else ''}.json"
-        pinned = Path(__file__).parent / "data" / name
+                     "--mode", mode, "--seed", "0", *extra]) == 0
+        pinned = Path(__file__).parent / "data" / f"{name}.json"
         assert capsys.readouterr().out == pinned.read_text()
 
 
@@ -345,6 +359,20 @@ def _zero_pivot_order(grid, order, k):
     return None
 
 
+def _replay_orders(grid, data):
+    """The analyzed pivot order of the grid, a permutation of it, the empty
+    order and, where one exists, the analyzed order with a zero planned
+    pivot."""
+    polys = [[SymPoly.const(v) for v in row] for row in grid]
+    analyzed = list(_pivot_order(_matrix_from_grid(polys)))
+    orders = [analyzed, data.draw(st.permutations(analyzed)), []]
+    zero_pivot = _zero_pivot_order(grid, analyzed,
+                                   data.draw(st.integers(0, len(grid))))
+    if zero_pivot is not None:
+        orders.append(zero_pivot)
+    return orders
+
+
 class TestReplayedOrder:
     """`det_rational` replays a planned pivot order while the planned
     entries are nonzero; whatever the order, the value is the determinant."""
@@ -352,23 +380,26 @@ class TestReplayedOrder:
     @settings(deadline=None, max_examples=300)
     @given(sparse_grids(), st.data())
     def test_any_order_gives_the_determinant(self, grid, data):
-        rows = [[Fraction(v) for v in row] for row in grid]
-        polys = [[SymPoly.const(v) for v in row] for row in grid]
-        expected = det_laplace(polys)
-        analyzed = list(_pivot_order(_matrix_from_grid(polys)))
-        orders = [analyzed, data.draw(st.permutations(analyzed)), []]
-        zero_pivot = _zero_pivot_order(grid, analyzed,
-                                       data.draw(st.integers(0, len(grid))))
-        if zero_pivot is not None:
-            orders.append(zero_pivot)
-        for order in orders:
-            value = det_rational(rows, order)
-            assert SymPoly.const(value) == expected
-            assert value % PRIME == _det_mod(grid, PRIME)
+        rows = [{j: Fraction(v) for j, v in enumerate(row)} for row in grid]
+        expected = det_laplace([[SymPoly.const(v) for v in row] for row in grid])
+        for order in _replay_orders(grid, data):
+            assert SymPoly.const(det_rational(rows, order)) == expected
+
+    @settings(deadline=None, max_examples=300)
+    @given(sparse_grids(), st.data())
+    def test_residue_replay_is_the_determinant_mod_p(self, grid, data):
+        """Modulo 2 and 3 some nonzero entries are zero residues, so planned
+        pivots miss and the search takes over."""
+        rows = [dict(enumerate(row)) for row in grid]
+        exact = det_rational([{j: Fraction(v) for j, v in row.items()}
+                              for row in rows])
+        for order in _replay_orders(grid, data):
+            for p in (2, 3, PRIME):
+                assert _det_residue(rows, p, order) == exact.numerator % p
 
     def test_a_zero_planned_pivot_is_not_taken(self):
-        rows = [[Fraction(v) for v in row] for row in ([0, 2, 0], [3, 0, 0],
-                                                       [0, 0, 5])]
+        rows = [{j: Fraction(v) for j, v in enumerate(row)}
+                for row in ([0, 2, 0], [3, 0, 0], [0, 0, 5])]
         for order in ([(0, 0)], [(2, 2), (1, 1)], [(2, 2), (0, 0), (1, 1)]):
             assert det_rational(rows, order) == -30
 
@@ -381,9 +412,11 @@ class TestReplayedOrder:
             assert sorted(j for _, j in order) == list(range(M.ncols))
 
     def test_rejects_a_grid_that_is_not_square(self):
-        ragged = [[Fraction(1)], [Fraction(4), Fraction(5)]]
-        wide = [[Fraction(1), Fraction(2), Fraction(3)],
-                [Fraction(4), Fraction(5), Fraction(6)]]
-        for rows in (ragged, wide):
+        negative = [{0: Fraction(1)}, {-1: Fraction(4), 1: Fraction(5)}]
+        wide = [{0: Fraction(1), 1: Fraction(2), 2: Fraction(3)},
+                {0: Fraction(4), 1: Fraction(5), 2: Fraction(6)}]
+        for rows in (negative, wide):
             with pytest.raises(ValueError, match="non-square"):
                 det_rational(rows)
+            with pytest.raises(ValueError, match="non-square"):
+                _det_residue(rows, PRIME)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from diffres import SymPoly, det_laplace
-from diffres.determinant import _bareiss, _det_mod, _poly_combine, det_rational
+from diffres.determinant import _bareiss, _det_residue, _poly_combine, det_rational
 from diffres.lp import inverse, matrix_rank, solve_square
 from diffres.stretch import resultant_factor_2_2
 
@@ -41,11 +41,18 @@ def constant_grid(rows):
     return [[SymPoly.const(v) for v in row] for row in rows]
 
 
+def sparse_rows(rows):
+    """The {column: value} rows the sparse kernels take (zeros included:
+    the kernels drop them)."""
+    return [dict(enumerate(row)) for row in rows]
+
+
 @settings(deadline=None)
 @given(integer_matrices())
 def test_determinant_modes_agree(case):
     rows, singular = case
-    exact = det_rational([[Fraction(v) for v in row] for row in rows])
+    exact = det_rational(sparse_rows([[Fraction(v) for v in row]
+                                      for row in rows]))
     assert exact.denominator == 1
     if singular:
         assert exact == 0
@@ -53,7 +60,7 @@ def test_determinant_modes_agree(case):
     kernel = _bareiss(constant_grid(rows), _poly_combine)
     assert kernel == SymPoly.const(exact)
     for p in PRIMES:
-        assert _det_mod([row[:] for row in rows], p) == exact.numerator % p
+        assert _det_residue(sparse_rows(rows), p) == exact.numerator % p
 
 
 # six in ten entries are zero; the rest are n/q with q drawn from 1, 2, 3, 7
@@ -83,13 +90,13 @@ def rational_matrices(draw, max_n=6):
 @given(rational_matrices())
 def test_sparse_kernel_agrees_with_cofactor_expansion(case):
     rows, singular = case
-    exact = det_rational(rows)
+    exact = det_rational(sparse_rows(rows))
     assert isinstance(exact, Fraction)
     if singular:
         assert exact == 0
     assert det_laplace(constant_grid(rows)) == SymPoly.const(exact)
     if len(rows) > 1:
-        assert det_rational([rows[1], rows[0]] + rows[2:]) == -exact
+        assert det_rational(sparse_rows([rows[1], rows[0]] + rows[2:])) == -exact
 
 
 @settings(deadline=None)
@@ -101,7 +108,7 @@ def test_gauss_jordan_agrees_with_the_determinant(case, rhs):
     b = [Fraction(v) for v in rhs[:n]]
     inv = inverse(B)
     x = solve_square(B, b)
-    if det_rational(B) == 0:
+    if det_rational(sparse_rows(B)) == 0:
         assert inv is None and x is None
         assert matrix_rank(B) < n
         return
