@@ -13,12 +13,12 @@
   pattern, every entry and fill-in taken as nonzero (the pivot order).  The
   square matrix is sparse (density 0.15 at (2,3), 0.13 at (3,3)), and
   choosing the entry of least fill-in cost keeps it so; only the rows that
-  hold the pivot column change.  As in sparse direct solvers, the pivot
-  order is analyzed once per matrix, on its pattern, and replayed on each
-  specialization; from the first planned pivot that is zero (a common
-  zero, a symbol set to 0, a cancellation, a residue 0) the search takes
-  over.  At (3,3) a cancellation shared by every specialization ends the
-  replay over Z after 76 of 100 steps.
+  hold the pivot column change.  Over Z, as in sparse direct solvers, the
+  pivot order is analyzed once per matrix, on its pattern, and replayed on
+  each specialization; from the first planned pivot that is zero (a common
+  zero, a symbol set to 0, a cancellation) the search takes over.  Over F_p
+  the first prime searches and each next one replays the pivots of the one
+  before, so a one-shot call pays for no analysis.
 
 Cofactor expansion with memoized minors is the independent cross-check of
 the kernels, over any ring (the oracle runs it on Sylvester matrices).
@@ -138,14 +138,15 @@ def det_laplace(grid: Sequence[Sequence]):
 def det_rational(rows: Sequence[Dict[int, Fraction]],
                  order: Sequence[Tuple[int, int]] = ()) -> Fraction:
     """Exact determinant of a square rational matrix of sparse rows,
-    {column: value} each (zero values dropped), replaying `order`.
+    {column: value} each (zero values dropped), replaying `order`.  The
+    caller guarantees n = len(rows) rows with columns in range(n): a
+    tall or zero-padded wide matrix reads as square and gives 0.
 
     Each row is scaled to coprime integers, and a rational factor per row
     records what the scalings and contents took out, so the determinant is
     the signed product of pivot * factor over the pivots.  The row update
-    is row_i <- (pv/g) row_i - (gik/g) row_k with g = gcd(pv, gik), then
-    divided by its content.
-    """
+    is row_i <- (pv/g) row_i - (gik/g) row_k, g = gcd(pv, gik), then divided
+    by its content."""
     live: Dict[int, Dict[int, int]] = {}
     factor: Dict[int, Fraction] = {}
     for i, row in enumerate(rows):
@@ -180,10 +181,12 @@ def det_rational(rows: Sequence[Dict[int, Fraction]],
 
 
 def _det_residue(rows: Sequence[Dict[int, int]], p: int,
-                 order: Sequence[Tuple[int, int]] = ()) -> int:
+                 order: Sequence[Tuple[int, int]] = ()) -> Tuple[int, list]:
     """The determinant modulo the prime p of a square matrix of sparse rows
-    with integer values (ints or integral Fractions), replaying `order`; the
-    row update is row_i <- row_i - (gik / pv mod p) row_k."""
+    with integer values (ints or integral Fractions), shaped as for
+    `det_rational`, replaying `order`; the row update is
+    row_i <- row_i - (gik / pv mod p) row_k.  Returns the residue and the
+    pivots taken, (row, column) each."""
     live = {i: {j: r for j, v in row.items() if (r := v.numerator % p)}
             for i, row in enumerate(rows)}
 
@@ -197,7 +200,8 @@ def _det_residue(rows: Sequence[Dict[int, int]], p: int,
                 del row_i[j]
 
     pivots, sign = _eliminate(live, order, update)
-    return sign * prod(pv for _, _, pv in pivots) % p
+    return (sign * prod(pv for _, _, pv in pivots) % p,
+            [(k, j) for k, j, _ in pivots])
 
 
 def _eliminate(live: Dict[int, Dict[int, int]], order: Sequence[Tuple[int, int]],
@@ -247,9 +251,9 @@ def _eliminate(live: Dict[int, Dict[int, int]], order: Sequence[Tuple[int, int]]
             update(i, row_i, gik, pv, row_k)
             for j in fill:
                 cols[j].add(i)
+            if not row_i:
+                return pivots, 0
             if len(row_i) < size:
-                if not row_i:
-                    return pivots, 0
                 for j in row_k:
                     if j not in row_i:
                         cols[j].discard(i)
@@ -350,8 +354,11 @@ def det_modular(matrix: PolyMatrix, s: Specialization,
     rows = matrix.specialize(s)
     if any(v.denominator != 1 for row in rows for v in row.values()):
         raise ValueError("modular mode needs an integral specialization")
-    order = _pivot_order(matrix)
-    return [_det_residue(rows, p, order) for p in moduli]
+    residues, order = [], ()
+    for p in moduli:    # the first prime searches, the others replay
+        residue, order = _det_residue(rows, p, order)
+        residues.append(residue)
+    return residues
 
 
 def crt_combine(residues: Sequence[int], moduli: Sequence[int]) -> int:
@@ -381,8 +388,7 @@ def crt_lift(residues: Sequence[int], moduli: Sequence[int],
 
 
 def hadamard_bound(rows: Sequence[Dict[int, Fraction]]) -> int:
-    """Integer bound with |det| <= bound, rounding each |entry| up; the rows
-    are sparse, {column: value}."""
+    """Integer bound on |det| of sparse rows, each |entry| rounded up."""
     bound = 1
     for row in rows:
         norm_sq = sum(ceil(abs(v)) ** 2 for v in row.values())

@@ -227,16 +227,11 @@ def build_carra_ferro(d1: int, d2: int, n: int, m: int) -> PolyMatrix:
 
     polys: Dict[str, DiffPoly] = {}
     row_plan: List[Tuple[RowLabel, DiffPoly]] = []
-    for level in range(n, -1, -1):
-        tag = "p1" + "'" * level
-        polys[tag] = _iterated_delta(p1, level)
-        for mult in mult1:
-            row_plan.append((RowLabel(tag, mult), polys[tag]))
-    for level in range(m, -1, -1):
-        tag = "p2" + "'" * level
-        polys[tag] = _iterated_delta(p2, level)
-        for mult in mult2:
-            row_plan.append((RowLabel(tag, mult), polys[tag]))
+    for name, p, top, mults in (("p1", p1, n, mult1), ("p2", p2, m, mult2)):
+        for level in range(top, -1, -1):
+            tag = name + "'" * level
+            polys[tag] = _iterated_delta(p, level)
+            row_plan.extend((RowLabel(tag, mult), polys[tag]) for mult in mults)
 
     pool, row_entries = _fill_rows(row_plan, cols)
     matrix = PolyMatrix([r for r, _ in row_plan], cols, pool, row_entries, polys,

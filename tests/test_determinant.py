@@ -395,13 +395,27 @@ class TestReplayedOrder:
                               for row in rows])
         for order in _replay_orders(grid, data):
             for p in (2, 3, PRIME):
-                assert _det_residue(rows, p, order) == exact.numerator % p
+                residue, pivots = _det_residue(rows, p, order)
+                assert residue == exact.numerator % p
+                # det_modular replays one prime's pivots for the next
+                replayed, _ = _det_residue(rows, PRIME, pivots)
+                assert replayed == exact.numerator % PRIME
 
     def test_a_zero_planned_pivot_is_not_taken(self):
         rows = [{j: Fraction(v) for j, v in enumerate(row)}
                 for row in ([0, 2, 0], [3, 0, 0], [0, 0, 5])]
         for order in ([(0, 0)], [(2, 2), (1, 1)], [(2, 2), (0, 0), (1, 1)]):
             assert det_rational(rows, order) == -30
+
+    def test_a_row_emptied_without_cancellation_stops_the_pivots(self):
+        """Two rows that hold only column 0: the first pivot leaves the
+        other row empty with nothing cancelled, and no pivot follows."""
+        grid = [[1, 0, 0], [2, 0, 0], [0, 1, 1]]
+        M = _matrix_from_grid([[SymPoly.const(v) for v in row] for row in grid])
+        assert _pivot_order(M) == ((0, 0),)
+        rows = [{j: Fraction(v) for j, v in enumerate(row) if v} for row in grid]
+        assert det_rational(rows) == 0
+        assert _det_residue(rows, PRIME) == (0, [(0, 0)])
 
     def test_analyzed_order_covers_the_square_matrices(self):
         for d in ((1, 1), (2, 2), (2, 3)):
