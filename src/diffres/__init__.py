@@ -23,7 +23,8 @@ from .monomials import (MainMonomials, MonomialSet, Partition, bset,
                         default_main_monomials, multiplier_sizes,
                         partition_divisibility)
 from .matrices import (PolyMatrix, RowLabel, build_carra_ferro,
-                       build_square_matrix, carra_ferro_shape, zero_columns)
+                       build_sparse_matrix, build_square_matrix,
+                       carra_ferro_shape, zero_columns)
 from .certificate import (Certificate, certify, eliminate,
                           ranking_specialization, transform_12,
                           unique_monomial_coefficient)
@@ -34,9 +35,9 @@ from .determinant import (common_zero_specialization, crt_combine,
 from .sparse import (DEFAULT_LIFTINGS, DEFAULT_PERTURBATION, GrcAssignment,
                      GrcPartitionResult, Liftings, LPInstance,
                      MOVES_TO_DIVISIBILITY_2_2, Polytope, apply_moves,
-                     build_lp, build_sparse_matrix, grc_partition,
-                     lattice_points, newton_data, simplex_solve,
-                     validate_liftings, verify_basis, vertex_lists)
+                     build_lp, grc_partition, lattice_points, newton_data,
+                     simplex_solve, validate_liftings, verify_basis,
+                     vertex_lists)
 from .oracle import eliminate_iterated, sylvester_resultant
 from .checks import CheckReport, run_checks
 

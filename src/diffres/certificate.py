@@ -191,12 +191,10 @@ def unique_monomial_coefficient(matrix: PolyMatrix, cert: Certificate) -> Fracti
     Equals sign(transversal) times the product of the linear factors with
     which each step symbol enters its transversal entry; its absolute value
     is therefore the product of those unit factors (d1 to the power of the
-    second block size), and the remaining sign factor is +-1.
+    second block size), and the remaining sign factor is +-1.  The matrix
+    is not read: the certificate already holds every factor.
     """
-    value = Fraction(cert.sign)
-    for step in cert.steps:
-        for unit in step.unit_coefficients:
-            value *= unit
+    value = cert.sign * cert.unit_product()
     if value == 0:
         raise CertificateFailure("transversal product vanished")
     return value

@@ -27,14 +27,15 @@ from .determinant import (common_zero_specialization, det_laplace,
                           random_specialization)
 from .diffsys import SystemSpec, YMonomial, system_symbols, ym_render
 from .errors import DiffresError, SingularBasis
-from .matrices import build_carra_ferro, build_square_matrix, zero_columns
+from .matrices import (build_carra_ferro, build_sparse_matrix,
+                       build_square_matrix, zero_columns)
 from .monomials import (column_set, default_main_monomials,
                         multiplier_sizes, partition_divisibility)
 from .oracle import eliminate_iterated
 from .sparse import (CASE_BASES, DEFAULT_LIFTINGS,
                      MOVES_TO_DIVISIBILITY_2_2, apply_moves, build_lp,
-                     build_sparse_matrix, grc_partition, lattice_points,
-                     simplex_solve, validate_liftings, verify_basis)
+                     grc_partition, lattice_points, simplex_solve,
+                     validate_liftings, verify_basis)
 from .symbols import CoeffSymbol
 from .sympoly import Specialization
 
@@ -75,6 +76,7 @@ def _random_point(rng: random.Random) -> Tuple[Fraction, Fraction, Fraction]:
 
 
 VANISHING_SPECS = ((1, 1), (1, 2), (2, 2), (2, 3))
+VANISHING_TRIALS = 100   # common-zero specializations per spec
 CERTIFICATE_SPECS = ((1, 1), (1, 2), (2, 2), (2, 3), (3, 3))
 
 
@@ -154,38 +156,34 @@ def check_certificate(seed: int = 0) -> List[CheckReport]:
 
 # --- criteria 4 and 5 --------------------------------------------------------
 
-def check_vanishing(seed: int = 0, trials: int = 100,
-                    matrix_factory=build_square_matrix,
-                    label: str = "vanishing") -> List[CheckReport]:
+def check_vanishing(seed: int = 0) -> List[CheckReport]:
     reports = []
     for d in VANISHING_SPECS:
         def body(d=d) -> Dict[str, object]:
             spec = SystemSpec(*d)
-            matrix = matrix_factory(spec)
+            matrix = build_square_matrix(spec)
             rng = random.Random(seed * 7919 + d[0] * 101 + d[1])
-            for trial in range(trials):
+            for trial in range(VANISHING_TRIALS):
                 point = _random_point(rng)
                 s = common_zero_specialization(spec, point, rng_seed=seed + trial)
                 value = det_specialized(matrix, s)
                 assert value == 0, \
                     f"trial {trial} at point {point}: det = {value}"
-            return {"trials": trials, "seed": seed}
-        reports.append(_report(label, d, body))
+            return {"trials": VANISHING_TRIALS, "seed": seed}
+        reports.append(_report("vanishing", d, body))
     return reports
 
 
-def check_nonvanishing(seed: int = 0,
-                       matrix_factory=build_square_matrix,
-                       label: str = "nonvanishing") -> List[CheckReport]:
+def check_nonvanishing(seed: int = 0) -> List[CheckReport]:
     reports = []
     for d in VANISHING_SPECS:
         def body(d=d) -> Dict[str, object]:
             spec = SystemSpec(*d)
-            matrix = matrix_factory(spec)
+            matrix = build_square_matrix(spec)
             ok, witness = nonzero_random_probe(matrix, spec, seed=seed)
             assert ok, f"ten random specializations all vanished: {witness}"
             return witness
-        reports.append(_report(label, d, body))
+        reports.append(_report("nonvanishing", d, body))
     return reports
 
 

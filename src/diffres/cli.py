@@ -31,13 +31,13 @@ from .determinant import (SIGN_NOTE, common_zero_specialization, crt_lift,
 from .diffsys import (SystemSpec, delta, generic_system, system_symbols,
                       ym_render)
 from .errors import DiffresError, IllegalMove
-from .matrices import (build_carra_ferro, build_square_matrix, zero_columns)
+from .matrices import (build_carra_ferro, build_sparse_matrix,
+                       build_square_matrix, zero_columns)
 from .monomials import (closed_form_sets, column_set, default_main_monomials,
                         partition_divisibility)
 from .oracle import eliminate_iterated
 from .sparse import (DEFAULT_LIFTINGS, DEFAULT_PERTURBATION, Liftings,
-                     MOVES_TO_DIVISIBILITY_2_2, apply_moves,
-                     build_sparse_matrix, grc_partition, lattice_points,
+                     MOVES_TO_DIVISIBILITY_2_2, apply_moves, grc_partition,
                      validate_liftings)
 from .sympoly import Specialization
 from .diffsys import YMonomial

@@ -189,9 +189,10 @@ def _det_residue(rows: Sequence[Dict[int, int]], p: int,
     pivots taken, (row, column) each."""
     live = {i: {j: r for j, v in row.items() if (r := v.numerator % p)}
             for i, row in enumerate(rows)}
+    inverse = lru_cache(maxsize=None)(lambda v: pow(v, -1, p))   # once per pivot
 
     def update(i, row_i, gik, pv, row_k):
-        f = gik * pow(pv, -1, p) % p
+        f = gik * inverse(pv) % p
         for j, v in row_k.items():
             x = (row_i.get(j, 0) - f * v) % p
             if x:

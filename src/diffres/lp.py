@@ -12,8 +12,8 @@ artificial columns of the final tableau.  A basis-verification routine
 certifies optimality of a proposed basic solution independently of the
 solver (feasibility of B^-1 b and nonpositive reduced costs, its solves
 checked by multiplying back), so the two can cross-check each other.  One
-fraction-free pivot serves the tableau, the exact solves, inverses and
-adjugates, and the rank.
+fraction-free pivot serves the tableau, the exact solves, the adjugates and
+the rank.
 """
 
 from __future__ import annotations
@@ -37,25 +37,14 @@ def _integers(rows: Sequence[Sequence]) -> List[List[int]]:
 
 
 def solve_square(B: Matrix, rhs: Vector) -> Optional[Vector]:
-    """Exact solution of B x = rhs; None when B is singular."""
-    solved = _solve(B, [[v] for v in rhs])
-    return None if solved is None else [row[0] for row in solved]
-
-
-def inverse(B: Matrix) -> Optional[Matrix]:
-    """Exact inverse of a square matrix; None when it is singular."""
+    """Exact solution of B x = rhs, by Gauss-Jordan on [B | rhs]; None when
+    B is singular."""
     n = len(B)
-    return _solve(B, [[int(i == k) for k in range(n)] for i in range(n)])
-
-
-def _solve(B: Matrix, right: Sequence[Sequence]) -> Optional[Matrix]:
-    """B^-1 times the matrix `right`, by Gauss-Jordan on [B | right]."""
-    n = len(B)
-    grid = _integers([list(row) + list(extra) for row, extra in zip(B, right)])
+    grid = _integers([list(row) + [v] for row, v in zip(B, rhs)])
     pivots, den = _row_reduce(grid, n)
     if len(pivots) < n:
         return None
-    return [[Fraction(v, den) for v in row[n:]] for row in grid]
+    return [Fraction(row[n], den) for row in grid]
 
 
 def adjugate(B: Sequence[Sequence[int]]) -> Optional[Tuple[int, List[List[int]]]]:

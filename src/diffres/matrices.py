@@ -4,17 +4,25 @@ Rows are monomial multiples of the four polynomials (derivatives included);
 columns are the monomials of the chosen column set in decreasing canonical
 order.  Entries are stored sparsely and every stored entry is nonzero, so a
 row re-derives exactly from its label and generating polynomial.
+
+The square matrix has one assembly, `_block_matrix`, fed two ways: the
+closed-form multiplier sets (`build_square_matrix`) or a four-block
+partition of the column set divided by the main monomials
+(`build_sparse_matrix`, the sparse-resultant route).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Mapping, NamedTuple, Sequence, Tuple
+from typing import (Collection, Dict, List, Mapping, NamedTuple, Sequence,
+                    Tuple)
 
 from .errors import ClosureViolation, DiffresError
 from .diffsys import (DiffPoly, SystemSpec, YMonomial, delta, generic_poly,
-                      generic_system, ym_csv_name, ym_key, ym_render)
-from .monomials import closed_form_sets, column_set
+                      generic_system, ym_csv_name, ym_div, ym_divides, ym_key,
+                      ym_render)
+from .monomials import (Partition, closed_form_sets, column_set,
+                        default_main_monomials)
 from .sympoly import Specialization, SymPoly
 
 # Row polynomial tags for the square construction; derivatives carry primes.
@@ -39,16 +47,15 @@ class PolyMatrix:
     runs once per pool polynomial, not once per entry.
     """
 
-    __slots__ = ("rows", "cols", "pool", "row_entries", "polys", "_col_index", "meta")
+    __slots__ = ("rows", "cols", "pool", "row_entries", "_col_index", "meta")
 
     def __init__(self, rows: Sequence[RowLabel], cols: Sequence[YMonomial],
                  pool: Sequence[SymPoly], row_entries: Sequence[Dict[int, int]],
-                 polys: Mapping[str, DiffPoly], meta: dict | None = None):
+                 meta: dict | None = None):
         self.rows = tuple(rows)
         self.cols = tuple(cols)
         self.pool = tuple(pool)
         self.row_entries = list(row_entries)
-        self.polys = dict(polys)
         self._col_index = {c: j for j, c in enumerate(self.cols)}
         self.meta = dict(meta or {})
 
@@ -72,17 +79,11 @@ class PolyMatrix:
 
     def substitute(self, mapping) -> "PolyMatrix":
         images = [v.substitute(mapping) for v in self.pool]
-        # the row polynomials' coefficients are pool objects and take their
-        # images; a zero image is falsy, so it is recomputed (still zero)
-        by_id = {id(v): w for v, w in zip(self.pool, images)}
-        polys = {name: DiffPoly({m: by_id.get(id(c)) or c.substitute(mapping)
-                                 for m, c in p.items()})
-                 for name, p in self.polys.items()}
         reindex = {x: y for y, x in enumerate(x for x, w in enumerate(images) if w)}
         row_entries = [{j: reindex[x] for j, x in row.items() if x in reindex}
                        for row in self.row_entries]
         return PolyMatrix(self.rows, self.cols, [w for w in images if w],
-                          row_entries, polys, self.meta)
+                          row_entries, self.meta)
 
     def specialize(self, s: Specialization) -> List[Dict[int, Fraction]]:
         """The specialized rows, {j: value} each, nonzero values only."""
@@ -151,33 +152,59 @@ def _fill_rows(row_plan: Sequence[Tuple[RowLabel, DiffPoly]],
     return pool, row_entries
 
 
+def row_polys(spec: SystemSpec) -> Dict[str, DiffPoly]:
+    """The four row polynomials of the square matrix, by block tag."""
+    f1, f2 = generic_system(spec)
+    return {DF1: delta(f1), DF2: delta(f2), F1: f1, F2: f2}
+
+
+def _block_matrix(spec: SystemSpec,
+                  multipliers: Mapping[str, Collection[YMonomial]],
+                  meta: dict) -> PolyMatrix:
+    """The square matrix whose rows are, block by block in SQUARE_BLOCK_ORDER,
+    each multiplier in decreasing canonical order times the block's row
+    polynomial; columns: the column set in decreasing canonical order."""
+    polys = row_polys(spec)
+    row_plan = [(RowLabel(tag, mult), polys[tag]) for tag in SQUARE_BLOCK_ORDER
+                for mult in sorted(multipliers[tag], key=ym_key, reverse=True)]
+    cols = sorted(column_set(spec), key=ym_key, reverse=True)
+    pool, row_entries = _fill_rows(row_plan, cols)
+    block_counts = [len(multipliers[tag]) for tag in SQUARE_BLOCK_ORDER]
+    matrix = PolyMatrix([r for r, _ in row_plan], cols, pool, row_entries,
+                        meta={**meta, "block_counts": block_counts})
+    assert matrix.nrows == matrix.ncols == spec.N
+    return matrix
+
+
 def build_square_matrix(spec: SystemSpec) -> PolyMatrix:
     """The square matrix whose determinant the construction certifies.
 
-    Block rows: multiplier sets from the closed forms times (df1, df2, f1, f2);
-    columns: the column set in decreasing canonical order.
+    Block rows: multiplier sets from the closed forms times (df1, df2, f1, f2).
     """
     spec = SystemSpec(*spec).validate()
-    f1, f2 = generic_system(spec)
-    polys = {DF1: delta(f1), DF2: delta(f2), F1: f1, F2: f2}
-    m1, m2, t1, t2 = closed_form_sets(spec)
-    multipliers = {DF1: m1, DF2: m2, F1: t1, F2: t2}
+    multipliers = dict(zip(SQUARE_BLOCK_ORDER, closed_form_sets(spec)))
+    return _block_matrix(spec, multipliers,
+                         {"kind": "square", "spec": [spec.d1, spec.d2]})
 
-    cols = sorted(column_set(spec), key=ym_key, reverse=True)
-    row_plan: List[Tuple[RowLabel, DiffPoly]] = []
-    block_counts = []
-    for tag in SQUARE_BLOCK_ORDER:
-        ms = sorted(multipliers[tag], key=ym_key, reverse=True)
-        block_counts.append(len(ms))
-        for mult in ms:
-            row_plan.append((RowLabel(tag, mult), polys[tag]))
 
-    pool, row_entries = _fill_rows(row_plan, cols)
-    matrix = PolyMatrix([r for r, _ in row_plan], cols, pool, row_entries, polys,
-                        meta={"kind": "square", "spec": [spec.d1, spec.d2],
-                              "block_counts": block_counts})
-    assert matrix.nrows == matrix.ncols == spec.N
-    return matrix
+def build_sparse_matrix(part: Partition, spec: SystemSpec) -> PolyMatrix:
+    """Square matrix with one row per column monomial, per the partition.
+
+    The row for a monomial in block i is (monomial / mm_i) times the block's
+    polynomial; closure into the column set is enforced entry by entry.
+    """
+    spec = SystemSpec(*spec).validate()
+    multipliers = {}
+    for tag, mm, block in zip(SQUARE_BLOCK_ORDER,
+                              default_main_monomials(spec).as_tuple(), part.sets()):
+        for monomial in block:
+            if not ym_divides(mm, monomial):
+                raise ClosureViolation(
+                    f"main monomial of {tag} does not divide {ym_render(monomial)}")
+        multipliers[tag] = [ym_div(monomial, mm) for monomial in block]
+    return _block_matrix(spec, multipliers,
+                         {"kind": "sparse", "spec": [spec.d1, spec.d2],
+                          "provenance": part.provenance})
 
 
 def _iterated_delta(p: DiffPoly, times: int) -> DiffPoly:
@@ -225,16 +252,14 @@ def build_carra_ferro(d1: int, d2: int, n: int, m: int) -> PolyMatrix:
     mult1 = sorted(bset(var_count + 1, D - d1), key=ym_key, reverse=True)
     mult2 = sorted(bset(var_count + 1, D - d2), key=ym_key, reverse=True)
 
-    polys: Dict[str, DiffPoly] = {}
     row_plan: List[Tuple[RowLabel, DiffPoly]] = []
     for name, p, top, mults in (("p1", p1, n, mult1), ("p2", p2, m, mult2)):
         for level in range(top, -1, -1):
-            tag = name + "'" * level
-            polys[tag] = _iterated_delta(p, level)
-            row_plan.extend((RowLabel(tag, mult), polys[tag]) for mult in mults)
+            tag, poly = name + "'" * level, _iterated_delta(p, level)
+            row_plan.extend((RowLabel(tag, mult), poly) for mult in mults)
 
     pool, row_entries = _fill_rows(row_plan, cols)
-    matrix = PolyMatrix([r for r, _ in row_plan], cols, pool, row_entries, polys,
+    matrix = PolyMatrix([r for r, _ in row_plan], cols, pool, row_entries,
                         meta={"kind": "carra-ferro",
                               "params": [d1, d2, n, m], **shape})
     assert matrix.nrows == shape["rows"] and matrix.ncols == shape["L"]

@@ -6,9 +6,9 @@ geometry.  For each point a 7x18 linear program over the four vertex lists
 is solved; an optimal solution that concentrates one block on a single
 vertex assigns the point to that block (its generalized row content).  With
 suitable integer liftings the selected vertices are exactly the four main
-monomials, the blocks tile the column set, and the resulting square matrix
-is a row rearrangement of the standard one after a short list of legal
-moves.
+monomials, the blocks tile the column set, and the square matrix that
+`matrices.build_sparse_matrix` assembles from the partition is a row
+rearrangement of the standard one after a short list of legal moves.
 
 The constraint matrix depends only on the degrees and the costs only on
 the liftings, so each call sets up once and reuses certificates across
@@ -35,16 +35,14 @@ from itertools import product as iter_product
 from math import lcm
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .errors import (CertificateFailure, ClosureViolation, DiffresError,
-                     IllegalMove, Infeasible, InvalidPerturbation,
-                     NoVertexOptimum, SingularBasis, Unbounded)
+from .errors import (CertificateFailure, DiffresError, IllegalMove,
+                     Infeasible, InvalidPerturbation, NoVertexOptimum,
+                     SingularBasis, Unbounded)
 from . import lp
-from .diffsys import (DiffPoly, SystemSpec, YMonomial, delta, generic_system,
-                      support, ym_divides, ym_div, ym_key, ym_mul, ym_render)
-from .matrices import (DF1, DF2, F1, F2, PolyMatrix, RowLabel,
-                       SQUARE_BLOCK_ORDER, _fill_rows)
-from .monomials import (MainMonomials, MonomialSet, Partition, column_set,
-                        default_main_monomials)
+from .diffsys import (SystemSpec, YMonomial, delta, generic_system, support,
+                      ym_divides, ym_div, ym_mul, ym_render)
+from .matrices import SQUARE_BLOCK_ORDER, row_polys
+from .monomials import MainMonomials, MonomialSet, Partition, column_set
 
 Point = Tuple[int, int, int]
 LiftVector = Tuple[int, int, int]
@@ -523,7 +521,7 @@ def grc_partition(spec: SystemSpec, lift: Liftings = DEFAULT_LIFTINGS,
                               tuple(Fraction(d) for d in delta_vec))
 
 
-# --- moves and matrix assembly ----------------------------------------------
+# --- moves -------------------------------------------------------------------
 
 # Moves that turn the LP partition for degrees (2, 2) with the default
 # liftings into the divisibility partition: (monomial, from block, to block).
@@ -539,11 +537,6 @@ MOVES_TO_DIVISIBILITY_2_2: Tuple[Tuple[YMonomial, int, int], ...] = (
 )
 
 
-def _row_polys(spec: SystemSpec) -> Dict[str, DiffPoly]:
-    f1, f2 = generic_system(spec)
-    return {DF1: delta(f1), DF2: delta(f2), F1: f1, F2: f2}
-
-
 def apply_moves(part: Partition, moves: Sequence[Tuple[YMonomial, int, int]],
                 E: MonomialSet, mm: MainMonomials) -> Partition:
     """Relocate monomials between blocks, validating each move.
@@ -553,8 +546,7 @@ def apply_moves(part: Partition, moves: Sequence[Tuple[YMonomial, int, int]],
     polynomial stays inside the column set.
     """
     spec = _spec_from_mm(mm)
-    polys = _row_polys(spec)
-    block_poly = {1: DF1, 2: DF2, 3: F1, 4: F2}
+    polys = row_polys(spec)
     mm_by_block = dict(zip((1, 2, 3, 4), mm.as_tuple()))
     sets = {i + 1: list(s.elems) for i, s in enumerate(part.sets())}
     col_set = E.as_set()
@@ -569,7 +561,7 @@ def apply_moves(part: Partition, moves: Sequence[Tuple[YMonomial, int, int]],
                 f"main monomial {ym_render(target_mm)} of block {dst} does "
                 f"not divide {ym_render(monomial)}")
         mult = ym_div(monomial, target_mm)
-        for m in support(polys[block_poly[dst]]):
+        for m in support(polys[SQUARE_BLOCK_ORDER[dst - 1]]):
             shifted = ym_mul(m, mult)
             if shifted not in col_set:
                 raise IllegalMove(
@@ -584,37 +576,3 @@ def apply_moves(part: Partition, moves: Sequence[Tuple[YMonomial, int, int]],
 
 def _spec_from_mm(mm: MainMonomials) -> SystemSpec:
     return SystemSpec(mm.mm3.ey, mm.mm2.ey1).validate()
-
-
-def build_sparse_matrix(part: Partition, spec: SystemSpec) -> PolyMatrix:
-    """Square matrix with one row per column monomial, per the partition.
-
-    The row for a monomial in block i is (monomial / mm_i) times the block's
-    polynomial; closure into the column set is enforced entry by entry.
-    """
-    spec = SystemSpec(*spec).validate()
-    mm = default_main_monomials(spec)
-    polys = _row_polys(spec)
-    mm_by_block = dict(zip(SQUARE_BLOCK_ORDER, (mm.mm1, mm.mm2, mm.mm3, mm.mm4)))
-    cols = sorted(column_set(spec), key=ym_key, reverse=True)
-
-    row_plan: List[Tuple[RowLabel, DiffPoly]] = []
-    block_counts = []
-    for tag, block_set in zip(SQUARE_BLOCK_ORDER, part.sets()):
-        members = sorted(block_set, key=ym_key, reverse=True)
-        block_counts.append(len(members))
-        for monomial in members:
-            if not ym_divides(mm_by_block[tag], monomial):
-                raise ClosureViolation(
-                    f"main monomial of {tag} does not divide "
-                    f"{ym_render(monomial)}")
-            mult = ym_div(monomial, mm_by_block[tag])
-            row_plan.append((RowLabel(tag, mult), polys[tag]))
-
-    pool, row_entries = _fill_rows(row_plan, cols)
-    matrix = PolyMatrix([r for r, _ in row_plan], cols, pool, row_entries, polys,
-                        meta={"kind": "sparse", "spec": [spec.d1, spec.d2],
-                              "provenance": part.provenance,
-                              "block_counts": block_counts})
-    assert matrix.nrows == matrix.ncols == spec.N
-    return matrix

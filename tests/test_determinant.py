@@ -34,7 +34,7 @@ def _matrix_from_grid(grid):
             if not v.is_zero():
                 row_entries[-1][j] = len(pool)
                 pool.append(v)
-    return PolyMatrix(rows, cols, pool, row_entries, {})
+    return PolyMatrix(rows, cols, pool, row_entries)
 
 
 class TestSymbolic:
@@ -237,7 +237,7 @@ class TestModular:
         assert (tall.nrows, tall.ncols) == (28, 20)
         wide = PolyMatrix([RowLabel(F1, YMonomial(0, 0, 0))],
                           [YMonomial(1, 0, 0), YMonomial(0, 0, 0)],
-                          [SymPoly.const(2)], [{0: 0, 1: 0}], {})
+                          [SymPoly.const(2)], [{0: 0, 1: 0}])
         for matrix in (tall, wide):
             with pytest.raises(ValueError, match="non-square"):
                 det_modular(matrix, s, [101])

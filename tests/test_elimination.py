@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from diffres import SymPoly, det_laplace
 from diffres.determinant import _bareiss, _det_residue, _poly_combine, det_rational
-from diffres.lp import inverse, matrix_rank, solve_square
+from diffres.lp import adjugate, matrix_rank, solve_square
 from diffres.stretch import resultant_factor_2_2
 
 PRIMES = (2, 3, 7, 101, 2147483647)
@@ -106,17 +106,20 @@ def test_gauss_jordan_agrees_with_the_determinant(case, rhs):
     n = len(rows)
     B = [[Fraction(v) for v in row] for row in rows]
     b = [Fraction(v) for v in rhs[:n]]
-    inv = inverse(B)
+    found = adjugate(rows)
     x = solve_square(B, b)
-    if det_rational(sparse_rows(B)) == 0:
-        assert inv is None and x is None
+    det = det_rational(sparse_rows(B))
+    if det == 0:
+        assert found is None and x is None
         assert matrix_rank(B) < n
         return
     assert matrix_rank(B) == n
-    assert [[sum(B[i][k] * inv[k][j] for k in range(n)) for j in range(n)]
-            for i in range(n)] == [[int(i == j) for j in range(n)]
+    p, adj = found
+    assert p == abs(det)
+    assert [[sum(B[i][k] * adj[k][j] for k in range(n)) for j in range(n)]
+            for i in range(n)] == [[p * (i == j) for j in range(n)]
                                    for i in range(n)]
-    assert x == [sum(inv[i][k] * b[k] for k in range(n)) for i in range(n)]
+    assert x == [sum(adj[i][k] * b[k] for k in range(n)) / p for i in range(n)]
 
 
 def test_stretch_budget_stops_the_determinant():

@@ -1,0 +1,50 @@
+"""Source hygiene: every name a library module imports is used in it."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "diffres"
+# __init__.py imports to re-export, so it is left out
+MODULES = sorted(p.stem for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def _annotation_names(node):
+    """Names read by an annotation, quoted ones included."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        node = ast.parse(node.value, mode="eval")
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+
+
+def unused_imports(source: str):
+    """The names bound by the imports of `source` that nothing reads."""
+    tree = ast.parse(source)
+    imported, used = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.arg) and node.annotation is not None:
+            used |= _annotation_names(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+            used |= _annotation_names(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            used |= _annotation_names(node.annotation)
+    return [name for name in imported if name not in used]
+
+
+def test_the_scan_finds_an_unused_import():
+    source = ("from __future__ import annotations\n"
+              "import os, sys as system\n"
+              "from typing import List, Tuple\n"
+              "def f(x: 'List[int]') -> Tuple: return system.argv\n")
+    assert unused_imports(source) == ["os"]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_imported_name_is_used(module):
+    assert unused_imports((SRC / f"{module}.py").read_text()) == []

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from diffres import SingularBasis
-from diffres.lp import (feasible, inverse, matrix_rank, phase_one, simplex,
+from diffres.lp import (adjugate, feasible, matrix_rank, phase_one, simplex,
                         solve_square, verify_basis)
 from diffres.errors import Unbounded
 
@@ -29,15 +29,18 @@ class TestSolveSquare:
 
 
 class TestInverse:
+    """The inverse as the adjugate over |det B|."""
+
     def test_product_is_identity(self):
-        B = [[F(2), F(1), F(0)], [F(1), F(3), F(1)], [F(0), F(1), F(4)]]
-        inv = inverse(B)
+        B = [[2, 1, 0], [1, 3, 1], [0, 1, 4]]
+        p, adj = adjugate(B)
+        assert p == 18   # |det B|
         for i in range(3):
             for j in range(3):
-                assert sum(B[i][k] * inv[k][j] for k in range(3)) == (i == j)
+                assert sum(B[i][k] * adj[k][j] for k in range(3)) == p * (i == j)
 
     def test_singular_returns_none(self):
-        assert inverse([[F(1), F(2)], [F(2), F(4)]]) is None
+        assert adjugate([[1, 2], [2, 4]]) is None
 
 
 class TestRank:

@@ -11,9 +11,10 @@ from diffres import (ClosureViolation, CoeffSymbol, PolyMatrix,
                      Specialization, SymPoly, SystemSpec, YMonomial, bset,
                      build_carra_ferro, build_sparse_matrix,
                      build_square_matrix, certify, carra_ferro_shape,
-                     column_set, grc_partition, system_symbols, zero_columns)
+                     closed_form_partition, column_set, grc_partition,
+                     system_symbols, zero_columns)
 from diffres.diffsys import YM_ONE, generic_system, ym_mul
-from diffres.matrices import DF1, DF2, F1, F2, RowLabel, _fill_rows
+from diffres.matrices import DF1, DF2, F1, F2, RowLabel, _fill_rows, row_polys
 
 
 def keys(M):
@@ -50,8 +51,9 @@ class TestSquareMatrix:
     def test_entries_rederive_from_row_polynomials(self):
         spec = SystemSpec(2, 3)
         M = build_square_matrix(spec)
+        polys = row_polys(spec)
         for i, label in enumerate(M.rows):
-            shifted = M.polys[label.poly].shift(label.mult)
+            shifted = polys[label.poly].shift(label.mult)
             for j, col in enumerate(M.cols):
                 assert M.entry(i, j) == shifted.coefficient(col)
 
@@ -143,7 +145,7 @@ class TestCarraFerro:
 
     def test_zero_matrix_has_all_columns_zero(self):
         empty = PolyMatrix([RowLabel(F1, YM_ONE)], [YM_ONE, YMonomial(1, 0, 0)],
-                           [], [{}], {})
+                           [], [{}])
         assert zero_columns(empty) == [YM_ONE, YMonomial(1, 0, 0)]
 
 
@@ -194,19 +196,35 @@ def test_polynomial_work_runs_once_per_pool_entry(monkeypatch):
     assert len(transformed.pool) == len(M.pool)
 
 
-@pytest.mark.parametrize("build", [
-    lambda: build_square_matrix(SystemSpec(3, 3)),
-    lambda: build_carra_ferro(2, 3, 1, 1),
-    lambda: build_sparse_matrix(grc_partition(SystemSpec(2, 2)).partition,
-                                SystemSpec(2, 2)),
+@pytest.mark.parametrize("build, spec", [
+    (lambda: build_square_matrix(SystemSpec(3, 3)), SystemSpec(3, 3)),
+    (lambda: build_carra_ferro(2, 3, 1, 1), SystemSpec(2, 3)),
+    (lambda: build_sparse_matrix(grc_partition(SystemSpec(2, 2)).partition,
+                                 SystemSpec(2, 2)), SystemSpec(2, 2)),
 ], ids=["square_3_3", "carra_ferro_2_3", "sparse_2_2"])
-def test_rows_equal_their_shifted_row_polynomial(build):
+def test_rows_equal_their_shifted_row_polynomial(build, spec):
     M = build()
+    # the rectangular construction's p1, p2 are the square one's f1, f2
+    polys = row_polys(spec)
     for label, row in zip(M.rows, M.row_entries):
         expected = {M.col_index(ym_mul(m, label.mult)): c
-                    for m, c in M.polys[label.poly].items()}
+                    for m, c in polys[label.poly.replace("p", "f")].items()}
         assert {j: M.pool[x] for j, x in row.items()} == expected
         assert list(row) == sorted(row)
+
+
+@pytest.mark.parametrize("d1, d2", [(d1, d2) for d2 in range(1, 5)
+                                    for d1 in range(1, d2 + 1)])
+def test_closed_form_partition_rebuilds_the_square_matrix_row_for_row(d1, d2):
+    spec = SystemSpec(d1, d2)
+    square = build_square_matrix(spec)
+    sparse = build_sparse_matrix(closed_form_partition(spec), spec)
+    assert sparse.rows == square.rows
+    assert sparse.cols == square.cols
+    assert sparse.row_entries == square.row_entries
+    assert [v.render() for v in sparse.pool] == [v.render() for v in square.pool]
+    assert sparse.meta.pop("provenance") == "ClosedForm"
+    assert {**sparse.meta, "kind": "square"} == square.meta
 
 
 def test_fill_outside_the_column_set_names_the_monomial():
