@@ -26,7 +26,7 @@ from typing import Iterable, Iterator, List, Optional, Sequence
 from .certificate import certify, unique_monomial_coefficient
 from .checks import OPTIONAL_SUITES, SUITES, run_checks
 from .determinant import (SIGN_NOTE, common_zero_specialization, crt_lift,
-                          det_modular, det_specialized, det_symbolic,
+                          det_residues, det_specialized, det_symbolic,
                           hadamard_bound, random_specialization)
 from .diffsys import (SystemSpec, delta, generic_system, system_symbols,
                       ym_render)
@@ -280,8 +280,9 @@ def cmd_det(args) -> int:
                        "sign_convention": SIGN_NOTE}
         else:
             moduli = [int(p) for p in args.moduli]
-            residues = det_modular(matrix, s, moduli)
-            bound = hadamard_bound(matrix.specialize(s))
+            rows = matrix.specialize(s)
+            residues = det_residues(rows, moduli)
+            bound = hadamard_bound(rows)
             lifted = crt_lift(residues, moduli, bound)
             payload = {"mode": "Modular", "moduli": moduli,
                        "residues": residues,
@@ -332,14 +333,18 @@ def cmd_moves(args) -> int:
     result = grc_partition(spec, lift, delta_vec)
     E = column_set(spec)
     mm = default_main_monomials(spec)
+    # where the built-in list does not apply, or does not reach the
+    # divisibility partition, the moves must come from a file
+    builtin = ("the built-in moves are made for the default (2,2) LP "
+               "partition; give --moves-file")
     try:
         moved = apply_moves(result.partition, moves, E, mm)
     except IllegalMove as exc:
-        if not args.moves_file:
-            raise
-        # an illegal move in the user's file is an input error; in the
-        # built-in list it is a broken invariant
-        raise ValueError(f"{args.moves_file}: {exc}") from None
+        raise ValueError(f"{args.moves_file or builtin}: {exc}") from None
+    if not args.moves_file and any(
+            a.as_set() != b.as_set() for a, b in
+            zip(moved.sets(), partition_divisibility(E, mm).sets())):
+        raise ValueError(f"{builtin}: they do not reach the divisibility partition")
     matrix = build_sparse_matrix(moved, spec)
     payload = {"before": result.partition.to_json(),
                "after": moved.to_json(),

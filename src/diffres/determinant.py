@@ -25,7 +25,9 @@ the kernels, over any ring (the oracle runs it on Sylvester matrices).
 
 The common-zero generator solves the four constant coefficients so that the
 system and its derivatives all vanish at a chosen rational point, which
-forces the specialized determinant to vanish exactly.
+forces the specialized determinant to vanish exactly.  It solves in integers,
+on integer linear forms of the four polynomials made once per spec, each
+solved coefficient one fraction over the point's common denominator.
 """
 
 from __future__ import annotations
@@ -37,8 +39,8 @@ from math import ceil, gcd, isqrt, lcm, prod
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import CapExceeded
-from .diffsys import SystemSpec, delta, generic_system, system_symbols
-from .matrices import PolyMatrix
+from .diffsys import SystemSpec, system_symbols
+from .matrices import DF1, DF2, F1, F2, PolyMatrix, row_polys
 from .symbols import CoeffSymbol
 from .sympoly import Specialization, SymPoly
 
@@ -349,10 +351,15 @@ def det_modular(matrix: PolyMatrix, s: Specialization,
     integer entries (the elimination divides, so each modulus must be prime)."""
     if matrix.nrows != matrix.ncols:
         raise ValueError("determinant of a non-square matrix")
+    return det_residues(matrix.specialize(s), moduli)
+
+
+def det_residues(rows: Sequence[Dict[int, Fraction]],
+                 moduli: Sequence[int]) -> List[int]:
+    """`det_modular` of specialized rows, shaped as for `det_rational`."""
     for p in moduli:
         if not is_prime(p):
             raise ValueError(f"modulus {p} is not a prime")
-    rows = matrix.specialize(s)
     if any(v.denominator != 1 for row in rows for v in row.values()):
         raise ValueError("modular mode needs an integral specialization")
     residues, order = [], ()
@@ -411,11 +418,20 @@ def random_specialization(spec: SystemSpec, rng_seed: int,
 
 
 @lru_cache(maxsize=16)
-def _system_with_deltas(spec: SystemSpec) -> tuple:
-    """(f1, f2, f1', f2') of the generic system, built once per spec; the
-    polynomials are immutable, so every call may share them."""
-    f1, f2 = generic_system(spec)
-    return f1, f2, delta(f1), delta(f2)
+def _integer_forms(spec: SystemSpec) -> tuple:
+    """The symbols in draw order; per row polynomial, in solving order, the
+    constant symbol that enters it once, at 1, and the polynomial as an
+    integer form ((y-monomial, ((int, symbol), ...)), ...), y-monomial 1 last
+    so a form at a solution adds its one fraction last; the top exponents."""
+    universe = tuple(sorted(system_symbols(spec), key=lambda s: s.key()))
+    polys = row_polys(spec)
+    forms = tuple(
+        (CoeffSymbol(name, 0, 0, order),
+         tuple((m, tuple((int(c), s) for ((s, _),), c in coeff.terms()))
+               for m, coeff in sorted(polys[tag].items(), reverse=True)))
+        for tag, name, order in ((F1, "a", 0), (F2, "b", 0), (DF1, "a", 1), (DF2, "b", 1)))
+    tops = tuple(max(m[v] for _, form in forms for m, _ in form) for v in range(3))
+    return universe, forms, tops
 
 
 def common_zero_specialization(spec: SystemSpec,
@@ -430,24 +446,21 @@ def common_zero_specialization(spec: SystemSpec,
     spec = SystemSpec(*spec).validate()
     point = tuple(Fraction(v) for v in point)
     rng = random.Random(rng_seed)
-    universe = system_symbols(spec)
-    values = {s: Fraction(rng.randint(-10 ** 6, 10 ** 6))
-              for s in sorted(universe, key=lambda s: s.key())}
+    universe, forms, tops = _integer_forms(spec)
+    values = {s: rng.randint(-10 ** 6, 10 ** 6) for s in universe}
+    # coordinate n/q of top exponent t weighs n^k q^(t-k) at exponent k
+    wy, wy1, wy2 = ([v.numerator ** k * v.denominator ** (t - k) for k in range(t + 1)]
+                    for v, t in zip(point, tops))
 
-    f1, f2, df1, df2 = _system_with_deltas(spec)
-    targets = [
-        (f1.evaluate_point(point), CoeffSymbol("a", 0, 0, 0)),
-        (f2.evaluate_point(point), CoeffSymbol("b", 0, 0, 0)),
-        (df1.evaluate_point(point), CoeffSymbol("a", 0, 0, 1)),
-        (df2.evaluate_point(point), CoeffSymbol("b", 0, 0, 1)),
-    ]
-    for at_point, sym in targets:
-        values[sym] = Fraction(0)
-        values[sym] = -at_point.evaluate(values)
-    result = Specialization(values, universe)
-    for at_point, _ in targets:
-        assert at_point.evaluate(result) == 0
-    return result
+    def scaled(form):   # the form's value at the point times wy[0] wy1[0] wy2[0]
+        return sum(wy[a] * wy1[b] * wy2[c] * sum(k * values[s] for k, s in terms)
+                   for (a, b, c), terms in form)
+
+    for sym, form in forms:
+        values[sym] = 0
+        values[sym] = Fraction(-scaled(form), wy[0] * wy1[0] * wy2[0])
+    assert all(scaled(form) == 0 for _, form in forms)
+    return Specialization(values, universe)
 
 
 def nonzero_random_probe(matrix: PolyMatrix, spec: SystemSpec, seed: int,

@@ -88,7 +88,8 @@ class PolyMatrix:
     def specialize(self, s: Specialization) -> List[Dict[int, Fraction]]:
         """The specialized rows, {j: value} each, nonzero values only."""
         values = [v.evaluate(s) for v in self.pool]
-        return [{j: values[x] for j, x in row.items() if values[x]}
+        zero = {x for x, v in enumerate(values) if not v}
+        return [{j: values[x] for j, x in row.items() if x not in zero}
                 for row in self.row_entries]
 
     def row_label_map(self) -> Dict[RowLabel, Dict[YMonomial, SymPoly]]:

@@ -239,19 +239,17 @@ class SymPoly:
 
     def evaluate(self, assignment: "Specialization | Mapping[CoeffSymbol, Fraction]") -> Fraction:
         """Exact value under a total assignment of the polynomial's symbols."""
-        get = assignment.value_of if isinstance(assignment, Specialization) else None
+        values = (assignment._values if isinstance(assignment, Specialization)
+                  else {s: Fraction(v) for s, v in assignment.items()})
         total = Fraction(0)
-        for m, c in self._terms.items():
-            v = c
-            for s, e in m:
-                if get is not None:
-                    x = get(s)
-                else:
-                    if s not in assignment:
-                        raise UnassignedSymbol(f"symbol {s} has no assigned value")
-                    x = assignment[s]
-                v *= Fraction(x) ** e
-            total += v
+        try:
+            for m, c in self._terms.items():
+                for s, e in m:
+                    x = values[s]
+                    c *= x if e == 1 else x ** e
+                total += c
+        except KeyError as exc:
+            raise UnassignedSymbol(f"symbol {exc.args[0]} has no assigned value") from None
         return total
 
     def substitute(self, mapping: Mapping[CoeffSymbol, "SymPoly | Fraction | int"]) -> "SymPoly":

@@ -445,8 +445,8 @@ def test_moves_file(tmp_path, capsys):
 
 
 def test_illegal_move_exit_code_depends_on_its_source(tmp_path, capsys):
-    # from the user's file it is an input error; the built-in list, meant for
-    # (2,2), does not fit (1,1) and that is an invariant violation
+    # an input error either way: the user's file names the file, and the
+    # built-in list, meant for (2,2), asks for a --moves-file
     path = tmp_path / "moves.json"
     path.write_text(json.dumps([{"monomial": [0, 0, 0], "from": 1, "to": 2}]))
     assert run_cli("moves", "--d1", "1", "--d2", "1",
@@ -454,8 +454,19 @@ def test_illegal_move_exit_code_depends_on_its_source(tmp_path, capsys):
     err = capsys.readouterr().err.strip()
     assert err.startswith("error: ") and "\n" not in err
     assert "is not currently in S1" in err
-    assert run_cli("moves", "--d1", "1", "--d2", "1") == 3
-    assert capsys.readouterr().err.startswith("invariant violation: ")
+    assert run_cli("moves", "--d1", "1", "--d2", "1") == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error: the built-in moves") and "--moves-file" in err
+
+
+@pytest.mark.parametrize("d1, d2", [(1, 1), (2, 3), (3, 3)])
+def test_builtin_moves_off_2_2_exit_two(d1, d2, capsys):
+    # the built-in list raises IllegalMove at (1,1) and (3,3) and ends off the
+    # divisibility partition at (2,3)
+    assert run_cli("moves", "--d1", str(d1), "--d2", str(d2)) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert "--moves-file" in err
 
 
 def test_oracle_command(capsys):

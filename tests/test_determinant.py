@@ -5,7 +5,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from diffres import (CapExceeded, CoeffSymbol, PolyMatrix, Specialization,
                      SymPoly, SystemSpec, YMonomial, build_square_matrix,
@@ -118,7 +118,48 @@ class TestSpecialized:
         assert det_specialized(M, s) == det_symbolic(M).evaluate(s)
 
 
+def common_zero_reference(spec, point, rng_seed=0):
+    """The common-zero generator solved over `SymPoly`: each polynomial
+    collapsed at the point by `DiffPoly.evaluate_point`, each constant
+    symbol solved from the linear form that gives, the draws as in
+    `common_zero_specialization`."""
+    spec = SystemSpec(*spec).validate()
+    point = tuple(Fraction(v) for v in point)
+    rng = random.Random(rng_seed)
+    universe = system_symbols(spec)
+    values = {s: Fraction(rng.randint(-10 ** 6, 10 ** 6))
+              for s in sorted(universe, key=lambda s: s.key())}
+    f1, f2 = generic_system(spec)
+    targets = [(f1.evaluate_point(point), CoeffSymbol("a", 0, 0, 0)),
+               (f2.evaluate_point(point), CoeffSymbol("b", 0, 0, 0)),
+               (delta(f1).evaluate_point(point), CoeffSymbol("a", 0, 0, 1)),
+               (delta(f2).evaluate_point(point), CoeffSymbol("b", 0, 0, 1))]
+    for at_point, sym in targets:
+        values[sym] = Fraction(0)
+        values[sym] = -at_point.evaluate(values)
+    result = Specialization(values, universe)
+    for at_point, _ in targets:
+        assert at_point.evaluate(result) == 0
+    return result
+
+
+# zero, integer and (negative) fractional coordinates
+COORDINATES = st.one_of(st.just(Fraction(0)), st.integers(-30, 30).map(Fraction),
+                        st.fractions(-30, 30, max_denominator=40))
+
+
 class TestCommonZero:
+    @settings(max_examples=60, deadline=None)
+    @given(spec=st.sampled_from([(1, 1), (1, 2), (2, 2), (2, 3), (3, 3), (3, 4),
+                                 (4, 4)]),
+           point=st.tuples(COORDINATES, COORDINATES, COORDINATES),
+           seed=st.integers(0, 2 ** 62))
+    @example(spec=(4, 4), point=(Fraction(0), Fraction(7), Fraction(-5, 7)), seed=3)
+    @example(spec=(1, 1), point=(Fraction(-1, 2), Fraction(0), Fraction(-9)), seed=0)
+    def test_matches_the_sympoly_reference(self, spec, point, seed):
+        assert common_zero_specialization(spec, point, rng_seed=seed).to_json() \
+            == common_zero_reference(spec, point, rng_seed=seed).to_json()
+
     def test_origin_forces_constant_symbols_to_zero(self):
         spec = SystemSpec(2, 2)
         s = common_zero_specialization(spec, (0, 0, 0), rng_seed=5)
@@ -186,6 +227,14 @@ class TestModular:
             assert product > 2 * bound
             residues = det_modular(M, s, moduli)
             assert crt_combine(residues, moduli) == exact
+
+    def test_cli_specializes_the_matrix_once(self, monkeypatch, capsys):
+        calls = []
+        specialize = PolyMatrix.specialize
+        monkeypatch.setattr(PolyMatrix, "specialize",
+                            lambda m, s: calls.append(m) or specialize(m, s))
+        assert main(["det", "--d1", "2", "--d2", "2", "--mode", "modular"]) == 0
+        assert len(calls) == 1 and '"residues"' in capsys.readouterr().out
 
     def test_single_small_modulus(self):
         grid = [[SymPoly.const(2), SymPoly.const(4)],

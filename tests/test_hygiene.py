@@ -1,4 +1,5 @@
-"""Source hygiene: every name a library module imports is used in it."""
+"""Source hygiene: every name a library module imports is used in it, and
+every module-level private function is named somewhere in the library."""
 
 import ast
 from pathlib import Path
@@ -37,12 +38,47 @@ def unused_imports(source: str):
     return [name for name in imported if name not in used]
 
 
+def unreferenced_private_functions(sources):
+    """(module, name) of each module-level private function in `sources`,
+    {module: source}, that no source names outside the function's own def."""
+    defined, named = [], set()
+    for module, source in sources.items():
+        for top in ast.parse(source).body:
+            owner = None
+            if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner = (module, top.name)
+                if top.name.startswith("_") and not top.name.endswith("__"):
+                    defined.append(owner)
+            for node in ast.walk(top):
+                name = (node.id if isinstance(node, ast.Name) else
+                        node.attr if isinstance(node, ast.Attribute) else
+                        node.name if isinstance(node, ast.alias) else None)
+                if name is not None:
+                    named.add((name, owner))
+    return [(module, name) for module, name in defined
+            if not any(n == name and owner != (module, name) for n, owner in named)]
+
+
 def test_the_scan_finds_an_unused_import():
     source = ("from __future__ import annotations\n"
               "import os, sys as system\n"
               "from typing import List, Tuple\n"
               "def f(x: 'List[int]') -> Tuple: return system.argv\n")
     assert unused_imports(source) == ["os"]
+
+
+def test_the_scan_finds_an_unreferenced_private_function():
+    sources = {"a": ("def _called(): pass\n"
+                     "def _recursive(n): return _recursive(n - 1)\n"
+                     "def _imported(): pass\n"
+                     "def public(): return _called()\n"),
+               "b": "from a import _imported\n"}
+    assert unreferenced_private_functions(sources) == [("a", "_recursive")]
+
+
+def test_every_private_function_is_named_in_the_library():
+    sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert unreferenced_private_functions(sources) == []
 
 
 @pytest.mark.parametrize("module", MODULES)
