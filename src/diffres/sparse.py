@@ -10,16 +10,21 @@ monomials, the blocks tile the column set, and the square matrix that
 `matrices.build_sparse_matrix` assembles from the partition is a row
 rearrangement of the standard one after a short list of legal moves.
 
-The constraint matrix depends only on the degrees and the costs only on
-the liftings, so each call sets up once and reuses certificates across
-points, all in integers (b(q) scaled by the lcm D of the perturbation's
+The constraint matrix depends only on the degrees, b(q) only on the point
+and the perturbation, and the costs only on the liftings.  So the point
+system and the sorted lattice points are built once per (spec,
+perturbation) and kept by `_scanned`, an `lru_cache` of the 16 latest
+pairs, keyed by the validated `SystemSpec` and the perturbation as a tuple
+of Fractions; `lattice_points` and `grc_partition` both read it.  All of
+it is in integers (b(q) scaled by the lcm D of the perturbation's
 denominators).  Each catalog basis carries (p, adj) with B adj = p I, and
 per basic variable a form a.q + k whose value at q is p D x_B.
 Feasibility is read from Farkas vectors and bases already found (the
-catalog bases first), with phase one only when none decides; optimality
-of each catalog basis is tested once per call, c_B adj A <= p c.
+catalog bases first), with phase one only when none decides.  A call pays
+only for its liftings: optimality of each catalog basis, c_B adj A <= p c,
+is tested once per call, then each point takes the catalog passes below.
 Fractions are made only for the assignments returned.  Every verdict
-rests on a certificate checked in exact arithmetic.
+rests on a certificate checked in exact arithmetic when it was made.
 
 Ties between alternative optima are broken deterministically: the catalog
 of certified bases is scanned in its fixed order requiring strict
@@ -31,6 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product as iter_product
 from math import lcm
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
@@ -189,19 +195,25 @@ def lattice_points(spec: SystemSpec,
     The bounding box [0, 2*d1 + 2*d2]^3 is scanned; a point is kept when the
     vertex-decomposition system for it admits a nonnegative solution.  Each
     verdict rests on an exactly checked basis or Farkas vector, reused
-    across the points of the call.
+    across the points of the scan; the scan is kept per (spec, delta_vec),
+    and each call returns a fresh list.
     """
     spec = SystemSpec(*spec).validate()
     _check_perturbation(delta_vec)
-    return _scan_box(spec, _PointSystem(spec, delta_vec))
+    return list(_scanned(spec, tuple(Fraction(d) for d in delta_vec))[1])
 
 
-def _scan_box(spec: SystemSpec, system: "_PointSystem") -> List[Point]:
+@lru_cache(maxsize=16)
+def _scanned(spec: SystemSpec, delta_vec: Tuple[Fraction, ...]
+             ) -> Tuple["_PointSystem", Tuple[Point, ...]]:
+    """The point system of (spec, delta) and its lattice points, sorted,
+    kept for the 16 latest pairs; neither changes after this scan."""
+    system = _PointSystem(spec, delta_vec)
     limit = 2 * spec.d1 + 2 * spec.d2
     found = [q for q in iter_product(range(limit + 1), repeat=3)
              if system.feasible(q)]
     found.sort(key=lambda p: (sum(p), p[2], p[1], p[0]))
-    return found
+    return system, tuple(found)
 
 
 def simplex_solve(inst: LPInstance) -> lp.LPSolution:
@@ -285,7 +297,9 @@ class _PointSystem:
     for B adj = p I, p > 0) proves it feasible.  The nonsingular catalog
     bases are the first basis certificates; phase one runs only when none
     decides, and its certificate is checked exactly before it is kept.
-    Nothing here outlives the call that built it.
+    `_scanned` keeps one per (spec, perturbation), for the 16 latest pairs,
+    with the points its scan kept; after that scan only `catalog`, `A` and
+    `D` are read, and nothing is changed.
     """
 
     def __init__(self, spec: SystemSpec, delta_vec: Sequence[Fraction]):
@@ -498,8 +512,8 @@ def grc_partition(spec: SystemSpec, lift: Liftings = DEFAULT_LIFTINGS,
     if not report.passed:
         raise DiffresError(f"liftings violate: {', '.join(report.violations)}")
     _check_perturbation(delta_vec)
-    system = _PointSystem(spec, delta_vec)
-    points = _scan_box(spec, system)
+    delta_vec = tuple(Fraction(d) for d in delta_vec)
+    system, points = _scanned(spec, delta_vec)
     # the costs depend only on the liftings: certify optimality once per call
     costs = _costs(spec, lift)
     catalog = system.optimal_catalog(costs)
@@ -517,8 +531,7 @@ def grc_partition(spec: SystemSpec, lift: Liftings = DEFAULT_LIFTINGS,
         *(MonomialSet.of(buckets[i], f"S{i}") for i in (1, 2, 3, 4)),
         provenance="LPDriven")
     partition.validate_cover(column_set(spec))
-    return GrcPartitionResult(partition, assignments, lift,
-                              tuple(Fraction(d) for d in delta_vec))
+    return GrcPartitionResult(partition, assignments, lift, delta_vec)
 
 
 # --- moves -------------------------------------------------------------------

@@ -399,7 +399,8 @@ class Specialization:
 
     def __init__(self, assignment: Mapping[CoeffSymbol, Fraction],
                  universe: Iterable[CoeffSymbol] | None = None):
-        self._values = {s: Fraction(v) for s, v in assignment.items()}
+        self._values = {s: v if isinstance(v, Fraction) else Fraction(v)
+                        for s, v in assignment.items()}
         self.universe = frozenset(universe) if universe is not None \
             else frozenset(self._values)
         missing = self.universe - set(self._values)

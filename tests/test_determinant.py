@@ -1,5 +1,7 @@
 """Determinant modes and specialization generators."""
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -196,6 +198,28 @@ class TestCommonZero:
             M = build_square_matrix(spec)
             ok, witness = nonzero_random_probe(M, spec, seed=11)
             assert ok and "seed" in witness
+
+
+# sha256 of the JSON list of the specializations in the test below, taken
+# when Specialization still wrapped every value, Fractions included
+SPECIALIZATIONS_SHA256 = \
+    "b101a4d9a4ec3dc9afe63d719d43eb29c86bb82296f50358cfa308b14f125062"
+
+
+def test_specializations_are_unchanged():
+    docs = []
+    for d1, d2 in ((1, 1), (1, 2), (1, 3), (1, 4), (2, 2), (2, 3), (2, 4),
+                   (3, 3), (3, 4), (4, 4)):
+        for seed in range(3):
+            made = (random_specialization((d1, d2), seed),
+                    common_zero_specialization(
+                        (d1, d2), (Fraction(-1, 2), Fraction(0), Fraction(7, 3)),
+                        rng_seed=seed))
+            for s in made:
+                assert all(type(v) is Fraction for _, v in s.items())
+                docs.append(s.to_json())
+    digest = hashlib.sha256(json.dumps(docs).encode()).hexdigest()
+    assert digest == SPECIALIZATIONS_SHA256
 
 
 class TestModular:

@@ -1,5 +1,6 @@
-"""Source hygiene: every name a library module imports is used in it, and
-every module-level private function is named somewhere in the library."""
+"""Source hygiene: every name a library module imports is used in it,
+every module-level private function is named somewhere in the library, and
+every module-level cache is bounded."""
 
 import ast
 from pathlib import Path
@@ -57,6 +58,50 @@ def unreferenced_private_functions(sources):
                     named.add((name, owner))
     return [(module, name) for module, name in defined
             if not any(n == name and owner != (module, name) for n, owner in named)]
+
+
+def unbounded_caches(source: str):
+    """Names of the functions of `source`, at module level or methods of a
+    module-level class, that a `functools` cache decorates without an
+    integer literal `maxsize`."""
+    functions = []
+    for top in ast.parse(source).body:
+        body = top.body if isinstance(top, ast.ClassDef) else [top]
+        functions += [f for f in body
+                      if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    found = []
+    for f in functions:
+        for dec in f.decorator_list:
+            call = dec if isinstance(dec, ast.Call) else None
+            name = call.func if call else dec
+            name = getattr(name, "id", getattr(name, "attr", None))
+            if name not in ("lru_cache", "cache"):
+                continue
+            sizes = (call.args[:1] + [k.value for k in call.keywords
+                                      if k.arg == "maxsize"]) if call else []
+            if not (len(sizes) == 1 and isinstance(sizes[0], ast.Constant)
+                    and type(sizes[0].value) is int):
+                found.append(f.name)
+    return found
+
+
+def test_the_scan_finds_an_unbounded_cache():
+    source = ("import functools\n"
+              "from functools import cache, lru_cache\n"
+              "@lru_cache(maxsize=16)\ndef bounded(x): return x\n"
+              "@functools.lru_cache(8)\ndef positional(x): return x\n"
+              "@functools.lru_cache(maxsize=None)\ndef unbounded(x): return x\n"
+              "@lru_cache\ndef implicit(x): return x\n"
+              "class C:\n"
+              "    @cache\n    def forever(self): return 1\n"
+              "def per_call():\n"
+              "    return lru_cache(maxsize=None)(abs)\n")
+    assert unbounded_caches(source) == ["unbounded", "implicit", "forever"]
+
+
+def test_every_module_level_cache_is_bounded():
+    for path in sorted(SRC.glob("*.py")):
+        assert unbounded_caches(path.read_text()) == [], path.name
 
 
 def test_the_scan_finds_an_unused_import():

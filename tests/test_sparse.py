@@ -128,14 +128,60 @@ def seeded_liftings(seed):
     return lift
 
 
+@pytest.fixture
+def cold_scan():
+    """An empty scan cache, emptied again after the test: a patched `lp` is
+    reached beneath `lattice_points` and `grc_partition`, and what it built
+    is not kept."""
+    sparse._scanned.cache_clear()
+    yield
+    sparse._scanned.cache_clear()
+
+
+def summary(result):
+    """The partition blocks and, per point in order, what was assigned."""
+    return ([tuple(s.elems) for s in result.partition.sets()],
+            [(q, a.case, a.vertex, a.basis_id, a.lam, a.objective)
+             for q, a in result.assignments.items()])
+
+
+class TestScanCache:
+    @pytest.mark.parametrize("d", [(1, 2), (2, 2), (2, 3)])
+    def test_a_cached_result_equals_a_fresh_one(self, d):
+        spec = SystemSpec(*d)
+        lattice_points(spec)
+        for lift in [DEFAULT_LIFTINGS] + [seeded_liftings(s) for s in range(1, 6)]:
+            hits = sparse._scanned.cache_info().hits
+            cached = grc_partition(spec, lift)
+            assert sparse._scanned.cache_info().hits == hits + 1
+            sparse._scanned.cache_clear()
+            assert summary(cached) == summary(grc_partition(spec, lift)), lift
+
+    def test_the_returned_points_are_a_fresh_list(self):
+        spec = SystemSpec(1, 2)
+        points = lattice_points(spec)
+        expected = list(points)
+        points[0] = (0, 0, 0)
+        points.pop()
+        assert lattice_points(spec) == expected
+        assert list(grc_partition(spec).assignments) == expected
+
+    def test_the_perturbation_is_part_of_the_key(self):
+        spec = SystemSpec(1, 2)
+        default = lattice_points(spec)
+        assert lattice_points(spec, HALF) != default
+        assert lattice_points(spec) == default
+
+
 class TestCertificateReuse:
     @pytest.mark.parametrize("d", [(1, 1), (1, 2), (2, 2), (2, 3)])
     def test_lattice_points_match_a_simplex_box_scan(self, d):
         spec = SystemSpec(*d)
         assert lattice_points(spec) == box_scan(spec)
 
+    @pytest.mark.usefixtures("cold_scan")
     def test_grc_partition_sets_up_the_point_system_once(self, monkeypatch):
-        from diffres import sparse
+        # once per (spec, perturbation), whatever the liftings
         built = []
 
         class Counting(sparse._PointSystem):
@@ -145,9 +191,13 @@ class TestCertificateReuse:
 
         monkeypatch.setattr(sparse, "_PointSystem", Counting)
         spec = SystemSpec(1, 2)
-        result = grc_partition(spec)
+        first = grc_partition(spec)
+        second = grc_partition(spec, seeded_liftings(1))
         assert len(built) == 1
-        assert list(result.assignments) == lattice_points(spec)
+        assert list(first.assignments) == list(second.assignments) \
+            == lattice_points(spec)
+        assert len(built) == 1
+        lattice_points(spec, HALF)
         assert len(built) == 2
 
     def test_lattice_points_at_a_coarse_perturbation(self):
@@ -269,6 +319,7 @@ class TestIntegerCertificates:
         with pytest.raises(CertificateFailure, match="Farkas"):
             system.feasible((0, 0, 0))
 
+    @pytest.mark.usefixtures("cold_scan")
     def test_a_basis_negative_at_the_point_is_caught(self, monkeypatch):
         # every phase-one verdict claims the first catalog basis, whose forms
         # are negative at (0, 0, 0), the first box point phase one decides

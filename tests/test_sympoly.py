@@ -84,6 +84,12 @@ class TestEval:
         with pytest.raises(UnassignedSymbol):
             Specialization({A0: Fraction(1)}, universe={A0, B0})
 
+    def test_values_come_back_as_fractions(self):
+        half = Fraction(1, 2)
+        s = Specialization({A0: 3, B0: half})
+        assert type(s[A0]) is Fraction and s[A0] == 3
+        assert s[B0] is half
+
 
 class TestExactDiv:
     def test_divide_by_one(self):
