@@ -261,6 +261,10 @@ def cmd_certificate(args) -> int:
 
 def cmd_det(args) -> int:
     spec = _spec(args)
+    if args.mode == "symbolic" and (args.spec_file or args.common_zero):
+        raise ValueError("--mode symbolic takes no --spec-file or --common-zero")
+    if args.spec_file and args.common_zero:
+        raise ValueError("--spec-file and --common-zero exclude each other")
     matrix = build_square_matrix(spec)
     if args.mode == "symbolic":
         value = det_symbolic(matrix, cap=args.cap)

@@ -6,8 +6,10 @@
   small); every division is checked by the exact-division routine, so a
   pivot-logic bug surfaces as NotDivisible instead of a wrong answer;
 * specialized and modular: one sparse elimination with Markowitz (1957)
-  pivots, `_eliminate`, given a row update per ring: over Z, each changed
-  row divided by its content to keep the integers short (the exact value);
+  pivots, `_eliminate`, given a row update per ring, which also keeps the
+  column -> rows index: over Z, in ints from row set-up to the last pivot,
+  each changed row divided by its content and its factor kept as a pair of
+  ints, one Fraction made at the return (the exact value);
   over F_p (the residues, recombined by the Chinese remainder theorem when
   the modulus product beats twice the Hadamard bound); and over the
   pattern, every entry and fill-in taken as nonzero (the pivot order).  The
@@ -144,42 +146,50 @@ def det_rational(rows: Sequence[Dict[int, Fraction]],
     caller guarantees n = len(rows) rows with columns in range(n): a
     tall or zero-padded wide matrix reads as square and gives 0.
 
-    Each row is scaled to coprime integers, and a rational factor per row
-    records what the scalings and contents took out, so the determinant is
-    the signed product of pivot * factor over the pivots.  The row update
-    is row_i <- (pv/g) row_i - (gik/g) row_k, g = gcd(pv, gik), then divided
-    by its content."""
+    Each row is scaled to coprime integers, and a pair of ints per row,
+    num / den in lowest terms, records what the scalings and contents took
+    out; the one Fraction, made at the return, is the signed product of
+    pivot * num over the product of den.  The row update is row_i <-
+    (pv/g) row_i - (gik/g) row_k, g = gcd(pv, gik), then content-divided."""
     live: Dict[int, Dict[int, int]] = {}
-    factor: Dict[int, Fraction] = {}
+    num: List[int] = []     # row i's factor is num[i] / den[i], two ints
+    den: List[int] = []
     for i, row in enumerate(rows):
-        denom = lcm(*(v.denominator for v in row.values()))
-        ints = {j: v.numerator * (denom // v.denominator)
-                for j, v in row.items() if v}
+        pairs = [(j, v.numerator, v.denominator) for j, v in row.items()]
+        denom = lcm(*(d for _, _, d in pairs))
+        ints = ({j: n for j, n, _ in pairs if n} if denom == 1 else
+                {j: n * (denom // d) for j, n, d in pairs if n})
         content = gcd(*ints.values())
-        live[i] = {j: v // content for j, v in ints.items()}
-        factor[i] = Fraction(content, denom)
+        live[i] = {j: v // content for j, v in ints.items()} if content > 1 else ints
+        num.append(content)
+        den.append(denom)
 
-    def update(i, row_i, gik, pv, row_k):
+    def update(i, row_i, gik, pv, row_k, cols):
         g = gcd(pv, gik)
         a, b = pv // g, gik // g
         if a != 1:
             for j in row_i:
                 row_i[j] *= a
         for j, v in row_k.items():
-            x = row_i.get(j, 0) - b * v
-            if x:
+            if x := row_i.get(j, 0) - b * v:
                 row_i[j] = x
+                cols[j].add(i)      # a no-op unless j is a fill-in
             else:
                 del row_i[j]
+                cols[j].discard(i)
         content = gcd(*row_i.values())
         if content > 1:
             for j in row_i:
                 row_i[j] //= content
         if a != 1 or content > 1:
-            factor[i] *= Fraction(content, a)
+            # content / a is in lowest terms (row_k is primitive): cross-reduce
+            g1, g2 = gcd(num[i], a), gcd(content, den[i])
+            num[i] = num[i] // g1 * (content // g2)
+            den[i] = den[i] // g2 * (a // g1)
 
     pivots, sign = _eliminate(live, order, update)
-    return prod((pv * factor[k] for k, _, pv in pivots), start=Fraction(sign))
+    return Fraction(sign * prod(pv * num[k] for k, _, pv in pivots),
+                    prod(den[k] for k, _, _ in pivots))
 
 
 def _det_residue(rows: Sequence[Dict[int, int]], p: int,
@@ -193,14 +203,15 @@ def _det_residue(rows: Sequence[Dict[int, int]], p: int,
             for i, row in enumerate(rows)}
     inverse = lru_cache(maxsize=None)(lambda v: pow(v, -1, p))   # once per pivot
 
-    def update(i, row_i, gik, pv, row_k):
+    def update(i, row_i, gik, pv, row_k, cols):
         f = gik * inverse(pv) % p
         for j, v in row_k.items():
-            x = (row_i.get(j, 0) - f * v) % p
-            if x:
+            if x := (row_i.get(j, 0) - f * v) % p:
                 row_i[j] = x
+                cols[j].add(i)
             else:
                 del row_i[j]
+                cols[j].discard(i)
 
     pivots, sign = _eliminate(live, order, update)
     return (sign * prod(pv for _, _, pv in pivots) % p,
@@ -215,9 +226,10 @@ def _eliminate(live: Dict[int, Dict[int, int]], order: Sequence[Tuple[int, int]]
     The pivots replay `order`, a list of (row, column), while each planned
     entry is live; from the first miss on, `_markowitz_pivot` picks them.
     Only the rows holding the pivot column change, each by
-    ``update(i, row_i, gik, pv, row_k)``, which folds row_k (pivot pv
-    removed) into row_i (entry gik removed) and drops the entries it
-    cancels; a column -> rows index follows the fill-in and cancellations.
+    ``update(i, row_i, gik, pv, row_k, cols)``, which folds row_k (pivot pv
+    removed) into row_i (entry gik removed), drops what it cancels and
+    keeps the column -> rows index: i joins cols[j] on a fill-in at j,
+    leaves it on a cancellation.
     Returns the pivots (row, column, value) and the sign of the permutation
     they form, 0 when a row or column runs empty (the pivots stop there).
     """
@@ -248,18 +260,9 @@ def _eliminate(live: Dict[int, Dict[int, int]], order: Sequence[Tuple[int, int]]
         pivots.append((k, pj, pv))
         for i in targets:
             row_i = live[i]
-            gik = row_i.pop(pj)
-            fill = row_k.keys() - row_i.keys()
-            size = len(row_i) + len(fill)
-            update(i, row_i, gik, pv, row_k)
-            for j in fill:
-                cols[j].add(i)
+            update(i, row_i, row_i.pop(pj), pv, row_k, cols)
             if not row_i:
                 return pivots, 0
-            if len(row_i) < size:
-                for j in row_k:
-                    if j not in row_i:
-                        cols[j].discard(i)
     return pivots, (_perm_sign([k for k, _, _ in pivots])
                     * _perm_sign([j for _, j, _ in pivots]))
 
@@ -289,9 +292,14 @@ def _pivot_order(matrix: PolyMatrix) -> Tuple[Tuple[int, int], ...]:
     """The Markowitz pivot order of the matrix's sparsity pattern, every
     stored entry and fill-in taken as nonzero; it stops where a row or
     column runs empty."""
+    def fill(i, row_i, gik, pv, row_k, cols):
+        for j in row_k:     # in row_k's order: Markowitz ties follow it
+            if j not in row_i:
+                row_i[j] = 1
+                cols[j].add(i)
+
     live = {i: dict.fromkeys(row, 1) for i, row in enumerate(matrix.row_entries)}
-    pivots, _ = _eliminate(live, (), lambda i, row_i, gik, pv, row_k:
-                           row_i.update(dict.fromkeys(row_k, 1)))
+    pivots, _ = _eliminate(live, (), fill)
     return tuple((k, j) for k, j, _ in pivots)
 
 
@@ -357,9 +365,11 @@ def det_modular(matrix: PolyMatrix, s: Specialization,
 def det_residues(rows: Sequence[Dict[int, Fraction]],
                  moduli: Sequence[int]) -> List[int]:
     """`det_modular` of specialized rows, shaped as for `det_rational`."""
-    for p in moduli:
+    for k, p in enumerate(moduli):
         if not is_prime(p):
             raise ValueError(f"modulus {p} is not a prime")
+        if p in moduli[:k]:
+            raise ValueError(f"modulus {p} is repeated")
     if any(v.denominator != 1 for row in rows for v in row.values()):
         raise ValueError("modular mode needs an integral specialization")
     residues, order = [], ()
@@ -388,9 +398,9 @@ def crt_combine(residues: Sequence[int], moduli: Sequence[int]) -> int:
 def crt_lift(residues: Sequence[int], moduli: Sequence[int],
              bound: int) -> Optional[int]:
     """The integer of absolute value at most `bound` with these residues, or
-    None when the moduli's product does not exceed twice the bound (the
-    residues then do not determine it)."""
-    if prod(moduli) <= 2 * bound:
+    None when the product of the distinct moduli does not exceed twice the
+    bound (the residues then do not determine it)."""
+    if prod(set(moduli)) <= 2 * bound:
         return None
     return crt_combine(residues, moduli)
 

@@ -221,6 +221,9 @@ def test_det_modular_needs_prime_moduli(capsys):
         assert run_cli("det", "--d1", "1", "--d2", "1", "--mode", "modular",
                        "--moduli", *moduli) == 2
         assert "not a prime" in capsys.readouterr().err
+    assert run_cli("det", "--d1", "1", "--d2", "1", "--mode", "modular",
+                   "--moduli", "2147483647", "7", "2147483647") == 2
+    assert "modulus 2147483647 is repeated" in capsys.readouterr().err
 
 
 def test_det_common_zero_negative_fraction(capsys):
@@ -261,6 +264,15 @@ def test_malformed_json_inputs_exit_two(tmp_path, capsys):
         ("det", "--d1", "1", "--d2", "1",
          "--spec-file", write("zero.json", {"a(0,0)": "1/0"})),
         ("det", "--d1", "1", "--d2", "1", "--spec-file", write("empty.json", {})),
+        # the symbolic mode specializes nothing, and one specialization at a time
+        ("det", "--d1", "1", "--d2", "1", "--mode", "symbolic",
+         "--common-zero", "1", "2", "3"),
+        ("det", "--d1", "1", "--d2", "1", "--mode", "symbolic",
+         "--spec-file", write("symbolic.json", {"a(0,0)": "1"})),
+        ("det", "--d1", "1", "--d2", "1", "--common-zero", "1", "2", "3",
+         "--spec-file", write("both.json", {"a(0,0)": "1"})),
+        ("det", "--d1", "1", "--d2", "1", "--mode", "modular",
+         "--moduli", *["2147483647"] * 6),
         ("export", "--d1", "1", "--d2", "1", "--format", "csv",
          "--spec-file", write("partial.json", {"a(0,0)": "1"})),
         # a lifting or a move block is an integer: not 7.9, true or "7"

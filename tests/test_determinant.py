@@ -4,6 +4,8 @@ import hashlib
 import json
 import random
 from fractions import Fraction
+from functools import lru_cache
+from math import gcd, lcm, prod
 from pathlib import Path
 
 import pytest
@@ -15,6 +17,7 @@ from diffres import (CapExceeded, CoeffSymbol, PolyMatrix, Specialization,
                      det_laplace, det_modular, det_specialized, det_symbolic,
                      generic_system, hadamard_bound, nonzero_random_probe,
                      random_specialization, system_symbols)
+from diffres import determinant
 from diffres.cli import main
 from diffres.determinant import (_det_residue, _pivot_order, crt_lift,
                                  det_rational, is_prime)
@@ -286,6 +289,26 @@ class TestModular:
             with pytest.raises(ValueError):
                 det_modular(M, s, moduli)
 
+    def test_a_repeated_modulus_is_rejected_before_any_elimination(
+            self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(determinant, "_det_residue",
+                            lambda *args: calls.append(args))
+        M = build_square_matrix(SystemSpec(1, 1))
+        s = random_specialization((1, 1), 0)
+        p, q = self.MODULI[:2]
+        for moduli in ([p] * 6, [p, q, p]):
+            with pytest.raises(ValueError, match=f"modulus {p} is repeated"):
+                det_modular(M, s, moduli)
+        assert calls == []
+
+    def test_crt_lift_counts_a_repeated_modulus_once(self):
+        p = self.MODULI[0]
+        # p * p exceeds twice the bound, but p alone does not
+        assert crt_lift([5, 5], [p, p], p) is None
+        with pytest.raises(ValueError, match="coprime"):
+            crt_lift([5, 5], [p, p], p // 2)
+
     def test_is_prime_matches_trial_division(self):
         def trial(n):
             return n > 1 and all(n % d for d in range(2, int(n ** 0.5) + 1))
@@ -392,9 +415,80 @@ class TestSparseKernel:
         assert capsys.readouterr().out == pinned.read_text()
 
 
+# sha256 of repr(_pivot_order(M)) of the square matrices, taken while the
+# elimination loop still kept the column index by set differences
+PIVOT_ORDER_SHA256 = {
+    (1, 1): "182da7c4e64a06a507c0c6f92ca8e788bdae9f84f95eca51168e02e4ee0e006f",
+    (1, 2): "a279cb7b601bcf0057782ae0fb63b033b957aef281a75fdcc1536f2fc7349377",
+    (2, 2): "e9d43bd73fb3d721fdeab34a1f1c68b9b36ba571f966cbde1d1478303e326461",
+    (2, 3): "f0597560339be0f4c6932844bf956a7106c2ee44d21afc85a9cb3391e97c8f71",
+    (3, 3): "787cf6676f69420d102fc7e8de2f7d034e4242bdf026e812fd79a239a415e8b5",
+    (3, 4): "5810a8999f0a3af34208c76fe371dd032e5da9be5dbcf80b2812f59dd9fcad26",
+    (4, 4): "c9db499e25000fb1137dfcae04c22f287e083b9a7f58c52d77be72e8f8217df0",
+    (5, 5): "02d02746f0288579e318a337935060f4a42dfdf461910dca944a655bf76a4ea4",
+}
+
+
+@pytest.mark.parametrize("d", sorted(PIVOT_ORDER_SHA256), ids=_degrees)
+def test_pivot_orders_are_unchanged(d):
+    """Markowitz ties follow dict insertion order, so the pattern update
+    must add fill-in in the pivot row's order."""
+    order = _pivot_order(build_square_matrix(SystemSpec(*d)))
+    assert hashlib.sha256(repr(order).encode()).hexdigest() == PIVOT_ORDER_SHA256[d]
+
+
+def det_rational_reference(rows, order=()):
+    """`det_rational` with a `Fraction` factor per row, and the column index
+    kept by the set of fill-in columns taken before each row update and a
+    scan of the pivot row after it."""
+    live, factor = {}, {}
+    for i, row in enumerate(rows):
+        denom = lcm(*(v.denominator for v in row.values()))
+        ints = {j: v.numerator * (denom // v.denominator)
+                for j, v in row.items() if v}
+        content = gcd(*ints.values())
+        live[i] = {j: v // content for j, v in ints.items()}
+        factor[i] = Fraction(content, denom)
+
+    def update(i, row_i, gik, pv, row_k, cols):
+        fill = row_k.keys() - row_i.keys()
+        g = gcd(pv, gik)
+        a, b = pv // g, gik // g
+        if a != 1:
+            for j in row_i:
+                row_i[j] *= a
+        for j, v in row_k.items():
+            x = row_i.get(j, 0) - b * v
+            if x:
+                row_i[j] = x
+            else:
+                del row_i[j]
+        for j in fill:
+            cols[j].add(i)
+        for j in row_k:
+            if j not in row_i:
+                cols[j].discard(i)
+        content = gcd(*row_i.values())
+        if content > 1:
+            for j in row_i:
+                row_i[j] //= content
+        if a != 1 or content > 1:
+            factor[i] *= Fraction(content, a)
+
+    pivots, sign = determinant._eliminate(live, order, update)
+    return prod((pv * factor[k] for k, _, pv in pivots), start=Fraction(sign))
+
+
 # mostly zeros, so that grids are sparse and often singular
 SPARSE_VALUES = (0, 0, 0, 0, 0, 1, -1, 2, -3, 7)
 PRIME = 2147483647
+RATIONAL_ENTRIES = st.builds(Fraction, st.integers(-9, 9),
+                             st.sampled_from([1, 1, 2, 3, 7]))
+
+
+@lru_cache(maxsize=8)
+def _square_matrix(d):
+    return build_square_matrix(SystemSpec(*d))
 
 
 @st.composite
@@ -497,6 +591,70 @@ class TestReplayedOrder:
             assert _pivot_order(M) is order    # computed once per matrix
             assert sorted(i for i, _ in order) == list(range(M.nrows))
             assert sorted(j for _, j in order) == list(range(M.ncols))
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.integers(0, 6).flatmap(lambda n: st.lists(
+        st.lists(st.one_of(st.just(Fraction(0)), RATIONAL_ENTRIES),
+                 min_size=n, max_size=n), min_size=n, max_size=n)),
+        st.data())
+    def test_matches_the_fraction_factor_reference(self, grid, data):
+        """Mixed denominators; in some draws a zero row, a zero column or a
+        scaled copy of another row (singular); the empty grid at n = 0."""
+        n = len(grid)
+        kind = data.draw(st.sampled_from(["row", "column", "copy", "free"]))
+        k = data.draw(st.integers(0, max(n - 1, 0)))
+        if kind == "row" and n:
+            grid[k] = [Fraction(0)] * n
+        elif kind == "column" and n:
+            for row in grid:
+                row[k] = Fraction(0)
+        elif kind == "copy" and n > 1:
+            grid[k] = [Fraction(-3, 5) * v for v in grid[(k + 1) % n]]
+        rows = [{j: v for j, v in enumerate(row) if v} for row in grid]
+        for order in _replay_orders(grid, data):
+            assert det_rational(rows, order) == det_rational_reference(rows, order)
+
+    @settings(deadline=None, max_examples=30)
+    @given(d=st.sampled_from([(1, 1), (1, 2), (2, 2), (2, 3), (3, 3)]),
+           seed=st.integers(0, 2 ** 62),
+           point=st.none() | st.tuples(COORDINATES, COORDINATES, COORDINATES),
+           replay=st.booleans())
+    def test_square_matrices_match_the_reference(self, d, seed, point, replay):
+        M = _square_matrix(d)
+        s = (random_specialization(d, seed) if point is None
+             else common_zero_specialization(d, point, rng_seed=seed))
+        rows = M.specialize(s)
+        order = _pivot_order(M) if replay else ()
+        value = det_rational(rows, order)
+        assert value == det_rational_reference(rows, order)
+        if point is not None:
+            assert value == 0
+
+    def test_row_factors_stay_in_lowest_terms(self, monkeypatch):
+        """The kernel's num[i] / den[i] pairs, read from its row update."""
+        factors = []
+        eliminate = determinant._eliminate
+
+        def spy(live, order, update):
+            result = eliminate(live, order, update)
+            if update.__closure__ is None:      # the pattern, in _pivot_order
+                return result
+            cells = dict(zip(update.__code__.co_freevars, update.__closure__))
+            num, den = cells["num"].cell_contents, cells["den"].cell_contents
+            factors.extend((num[k], den[k]) for k, _, _ in result[0])
+            return result
+
+        monkeypatch.setattr(determinant, "_eliminate", spy)
+        M = _square_matrix((2, 3))
+        for seed in range(3):
+            s = common_zero_specialization(
+                (2, 3), (Fraction(1, 2), Fraction(-3, 4), Fraction(5, 7)),
+                rng_seed=seed)
+            det_rational(M.specialize(s), _pivot_order(M))
+            det_rational(M.specialize(random_specialization((2, 3), seed)))
+        assert any(abs(n) > 1 for n, _ in factors)
+        assert any(abs(d) > 1 for _, d in factors)
+        assert all(gcd(n, d) == 1 for n, d in factors)
 
     def test_rejects_a_grid_that_is_not_square(self):
         negative = [{0: Fraction(1)}, {-1: Fraction(4), 1: Fraction(5)}]
