@@ -25,9 +25,10 @@ from typing import Iterable, Iterator, List, Optional, Sequence
 
 from .certificate import certify, unique_monomial_coefficient
 from .checks import OPTIONAL_SUITES, SUITES, run_checks
-from .determinant import (SIGN_NOTE, common_zero_specialization, crt_lift,
-                          det_residues, det_specialized, det_symbolic,
-                          hadamard_bound, random_specialization)
+from .determinant import (SIGN_NOTE, SYMBOLIC_CAP_DEFAULT,
+                          common_zero_specialization, crt_lift, det_residues,
+                          det_specialized, det_symbolic, hadamard_bound,
+                          random_specialization)
 from .diffsys import (SystemSpec, delta, generic_system, system_symbols,
                       ym_render)
 from .errors import DiffresError, IllegalMove
@@ -120,11 +121,9 @@ def _delta_vec(args, config: dict):
     return _rationals(values, "delta")
 
 
-def _load_specialization(path: str, spec: SystemSpec,
-                         include_fresh: bool = False) -> Specialization:
+def _load_specialization(path: str, spec: SystemSpec) -> Specialization:
     data = _read_json(path, dict, "a specialization file")
-    universe = system_symbols(spec, include_fresh=include_fresh)
-    return Specialization.from_json(data, universe)
+    return Specialization.from_json(data, system_symbols(spec))
 
 
 def _write(pieces: Iterable[str], args) -> None:
@@ -259,15 +258,23 @@ def cmd_certificate(args) -> int:
     return 0
 
 
+DEFAULT_MODULI = ("2147483647", "2147483629")
+
+
 def cmd_det(args) -> int:
     spec = _spec(args)
     if args.mode == "symbolic" and (args.spec_file or args.common_zero):
         raise ValueError("--mode symbolic takes no --spec-file or --common-zero")
+    if args.mode != "modular" and args.moduli is not None:
+        raise ValueError(f"--mode {args.mode} takes no --moduli")
+    if args.mode != "symbolic" and args.cap is not None:
+        raise ValueError(f"--mode {args.mode} takes no --cap")
     if args.spec_file and args.common_zero:
         raise ValueError("--spec-file and --common-zero exclude each other")
     matrix = build_square_matrix(spec)
     if args.mode == "symbolic":
-        value = det_symbolic(matrix, cap=args.cap)
+        cap = SYMBOLIC_CAP_DEFAULT if args.cap is None else args.cap
+        value = det_symbolic(matrix, cap=cap)
         payload = {"mode": "Symbolic", "value": value.render(),
                    "sign_convention": SIGN_NOTE}
     else:
@@ -283,7 +290,7 @@ def cmd_det(args) -> int:
             payload = {"mode": "SpecializedExact", "value": str(value),
                        "sign_convention": SIGN_NOTE}
         else:
-            moduli = [int(p) for p in args.moduli]
+            moduli = [int(p) for p in args.moduli or DEFAULT_MODULI]
             rows = matrix.specialize(s)
             residues = det_residues(rows, moduli)
             bound = hadamard_bound(rows)
@@ -448,15 +455,18 @@ def build_parser() -> argparse.ArgumentParser:
     _add_spec_args(p)
     p.add_argument("--mode", choices=["symbolic", "specialized", "modular"],
                    default="specialized")
-    p.add_argument("--cap", type=int, default=8,
-                   help="size cap for the symbolic mode")
+    p.add_argument("--cap", type=int,
+                   help="size cap for the symbolic mode (default "
+                        f"{SYMBOLIC_CAP_DEFAULT})")
     p.add_argument("--spec-file", help="JSON symbol-to-rational map")
     p.add_argument("--common-zero", nargs=3, metavar=("Y", "Y1", "Y2"),
                    help="build a common-zero specialization at this point")
     # argparse takes "-3/4" for an option unless it reads as a negative number
     p._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--moduli", nargs="+", default=["2147483647", "2147483629"])
+    p.add_argument("--moduli", nargs="+",
+                   help="primes for the modular mode (default "
+                        f"{' '.join(DEFAULT_MODULI)})")
     p.set_defaults(fn=cmd_det)
 
     p = sub.add_parser("lp-partition",

@@ -417,11 +417,9 @@ def hadamard_bound(rows: Sequence[Dict[int, Fraction]]) -> int:
 # --- specialization generators ---------------------------------------------
 
 def random_specialization(spec: SystemSpec, rng_seed: int,
-                          lo: int = -10 ** 6, hi: int = 10 ** 6,
-                          include_fresh: bool = False) -> Specialization:
+                          lo: int = -10 ** 6, hi: int = 10 ** 6) -> Specialization:
     rng = random.Random(rng_seed)
-    universe = system_symbols(SystemSpec(*spec).validate(),
-                              include_fresh=include_fresh)
+    universe = system_symbols(SystemSpec(*spec).validate())
     values = {s: Fraction(rng.randint(lo, hi))
               for s in sorted(universe, key=lambda s: s.key())}
     return Specialization(values, universe)
@@ -473,14 +471,15 @@ def common_zero_specialization(spec: SystemSpec,
     return Specialization(values, universe)
 
 
-def nonzero_random_probe(matrix: PolyMatrix, spec: SystemSpec, seed: int,
-                         retries: int = 10,
-                         include_fresh: bool = False) -> Tuple[bool, dict]:
-    """Schwartz–Zippel style nonvanishing probe with a retry budget."""
-    for attempt in range(retries):
-        s = random_specialization(spec, seed + attempt,
-                                  include_fresh=include_fresh)
-        value = det_specialized(matrix, s)
+PROBE_RETRIES = 10
+
+
+def nonzero_random_probe(matrix: PolyMatrix, spec: SystemSpec,
+                         seed: int) -> Tuple[bool, dict]:
+    """Schwartz–Zippel style nonvanishing probe: seeds seed, seed + 1, ...,
+    PROBE_RETRIES of them."""
+    for attempt in range(PROBE_RETRIES):
+        value = det_specialized(matrix, random_specialization(spec, seed + attempt))
         if value != 0:
             return True, {"seed": seed + attempt, "value": str(value)}
-    return False, {"seed": seed, "retries": retries}
+    return False, {"seed": seed, "retries": PROBE_RETRIES}

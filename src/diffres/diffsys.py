@@ -14,7 +14,7 @@ All values are immutable; operations are pure functions.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, NamedTuple, Tuple
+from typing import Dict, Mapping, NamedTuple, Tuple
 
 from .errors import DiffresError
 from .symbols import CoeffSymbol
@@ -154,13 +154,6 @@ class DiffPoly:
                     out[m] = v
         return DiffPoly(out)
 
-    def scale(self, factor: SymPoly) -> "DiffPoly":
-        return DiffPoly({m: c * factor for m, c in self._support.items()})
-
-    def shift(self, mono: YMonomial) -> "DiffPoly":
-        """Multiply by a single monomial in (y, y1, y2)."""
-        return DiffPoly({ym_mul(m, mono): c for m, c in self._support.items()})
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, DiffPoly):
             return NotImplemented
@@ -257,16 +250,16 @@ def support(p: DiffPoly) -> Tuple[YMonomial, ...]:
     return p.support_set()
 
 
-def system_symbols(spec: SystemSpec, orders: Iterable[int] = (0, 1),
-                   include_fresh: bool = False) -> set:
-    """The symbol universe of a spec: every coefficient at the given orders."""
+def system_symbols(spec: SystemSpec, include_fresh: bool = False) -> set:
+    """The symbol universe of a spec: every coefficient and its derivative,
+    and the certificate's fresh symbol when asked for."""
     spec = SystemSpec(*spec).validate()
     out = set()
     for system, d in (("a", spec.d1), ("b", spec.d2)):
         for k in range(d + 1):
             for l in range(d - k + 1):
-                for o in orders:
-                    out.add(CoeffSymbol(system, k, l, o))
+                out.add(CoeffSymbol(system, k, l, 0))
+                out.add(CoeffSymbol(system, k, l, 1))
     if include_fresh:
         out.add(CoeffSymbol("a", spec.d1 - 1, 1, 0, fresh=True))
     return out

@@ -47,7 +47,7 @@ class PolyMatrix:
     runs once per pool polynomial, not once per entry.
     """
 
-    __slots__ = ("rows", "cols", "pool", "row_entries", "_col_index", "meta")
+    __slots__ = ("rows", "cols", "pool", "row_entries", "meta")
 
     def __init__(self, rows: Sequence[RowLabel], cols: Sequence[YMonomial],
                  pool: Sequence[SymPoly], row_entries: Sequence[Dict[int, int]],
@@ -56,7 +56,6 @@ class PolyMatrix:
         self.cols = tuple(cols)
         self.pool = tuple(pool)
         self.row_entries = list(row_entries)
-        self._col_index = {c: j for j, c in enumerate(self.cols)}
         self.meta = dict(meta or {})
 
     @property
@@ -66,9 +65,6 @@ class PolyMatrix:
     @property
     def ncols(self) -> int:
         return len(self.cols)
-
-    def col_index(self, m: YMonomial) -> int:
-        return self._col_index[m]
 
     def entry(self, i: int, j: int) -> SymPoly:
         x = self.row_entries[i].get(j)

@@ -29,7 +29,8 @@ rests on a certificate checked in exact arithmetic when it was made.
 Ties between alternative optima are broken deterministically: the catalog
 of certified bases is scanned in its fixed order requiring strict
 feasibility, then weak feasibility, then a restricted-LP search over the
-four target vertices in block order.  The choice is recorded per point.
+four target vertices in block order, solved by `lp.simplex` on the same
+kept point system and b'(q).  The choice is recorded per point.
 """
 
 from __future__ import annotations
@@ -298,8 +299,8 @@ class _PointSystem:
     bases are the first basis certificates; phase one runs only when none
     decides, and its certificate is checked exactly before it is kept.
     `_scanned` keeps one per (spec, perturbation), for the 16 latest pairs,
-    with the points its scan kept; after that scan only `catalog`, `A` and
-    `D` are read, and nothing is changed.
+    with the points its scan kept; after that scan `grc_partition` reads
+    `catalog`, `A`, `D` and `rhs`, and changes nothing.
     """
 
     def __init__(self, spec: SystemSpec, delta_vec: Sequence[Fraction]):
@@ -336,13 +337,16 @@ class _PointSystem:
         return (D * row[0], D * row[1], D * row[2],
                 D * sum(row[3:]) - sum(r * d for r, d in zip(row, self.Ddelta)))
 
+    def rhs(self, q: Point) -> List[int]:
+        """b'(q) = D b(q)."""
+        return [self.D * q[k] - self.Ddelta[k] for k in range(3)] + [self.D] * 4
+
     def feasible(self, q: Point) -> bool:
         if any(_at(w, q) < 0 for w in self.farkas):
             return False
         if any(all(_at(f, q) >= 0 for f in forms) for forms in self.bases):
             return True
-        b = [self.D * q[k] - self.Ddelta[k] for k in range(3)] + [self.D] * 4
-        feasible, cert = lp.integer_certificate(self.A, b)
+        feasible, cert = lp.integer_certificate(self.A, self.rhs(q))
         if feasible:
             # A has full row rank 7 (every block holds the origin vertex and
             # the vertices span R^3), so the basis is square
@@ -430,27 +434,6 @@ class GrcPartitionResult:
     perturbation: Tuple[Fraction, ...]
 
 
-def _restricted_optimum(inst: LPInstance, i: int, j: int) -> Optional[lp.LPSolution]:
-    """Optimal value of the LP with lambda_{ij} pinned to one, if feasible."""
-    offset = sum(BLOCK_SIZES[:i - 1])
-    size = BLOCK_SIZES[i - 1]
-    keep = [k for k in range(18) if not (offset <= k < offset + size)]
-    pinned = var_index(i, j)
-    rows = []
-    rhs = []
-    for r in range(7):
-        if r == 3 + (i - 1):
-            continue  # convexity row of the pinned block is spent
-        rows.append([inst.A[r][k] for k in keep])
-        rhs.append(inst.b[r] - inst.A[r][pinned])
-    cost = [inst.c[k] for k in keep]
-    result = lp.simplex(rows, rhs, cost)
-    if result.status != "optimal":
-        return None
-    return lp.LPSolution(result.status, result.x,
-                         result.objective + inst.c[pinned], result.basis)
-
-
 def _catalog_assignment(q: Point, catalog: Sequence[_CatalogBasis], D: int,
                         c: Sequence[int], vertices: Tuple[Tuple[Point, ...], ...]
                         ) -> Optional[GrcAssignment]:
@@ -478,29 +461,37 @@ def _catalog_assignment(q: Point, catalog: Sequence[_CatalogBasis], D: int,
     return None
 
 
-def _search_assignment(inst: LPInstance,
+def _search_assignment(system: _PointSystem, q: Point, c: Sequence[int],
                        vertices: Tuple[Tuple[Point, ...], ...]) -> GrcAssignment:
-    """The restricted search over the four target vertices, block order."""
-    best = simplex_solve(inst)
+    """The restricted search over the four target vertices, block order: the
+    first case whose optimum with lambda_{case, j} pinned to one equals the
+    full optimum.  Each LP is solved on b'(q) = D b(q), so lambda and the
+    objective are D times their values until the return."""
+    A, b, D = system.A, system.rhs(q), system.D
+    best = lp.simplex(A, b, c)
+    if best.status != "optimal":
+        raise Infeasible(f"lattice point {q} admits no decomposition")
     for case in (1, 2, 3, 4):
         j = TARGET_VERTEX[case]
-        restricted = _restricted_optimum(inst, case, j)
-        if restricted is not None and restricted.objective == best.objective:
-            offset = sum(BLOCK_SIZES[:case - 1])
-            size = BLOCK_SIZES[case - 1]
-            lam = []
-            it = iter(restricted.x)
-            for k in range(18):
-                if offset <= k < offset + size:
-                    lam.append(Fraction(1) if k == var_index(case, j) else Fraction(0))
-                else:
-                    lam.append(next(it))
+        offset = var_index(case, 1)
+        pinned = var_index(case, j)
+        # drop the block's columns and its spent convexity row
+        keep = [k for k in range(len(c))
+                if not offset <= k < offset + BLOCK_SIZES[case - 1]]
+        rows = [r for r in range(len(A)) if r != 2 + case]
+        restricted = lp.simplex([[A[r][k] for k in keep] for r in rows],
+                                [b[r] - D * A[r][pinned] for r in rows],
+                                [c[k] for k in keep])
+        if (restricted.status == "optimal"
+                and restricted.objective + D * c[pinned] == best.objective):
+            lam = [Fraction(0)] * len(c)
+            for k, v in zip(keep, restricted.x):
+                lam[k] = v / D
+            lam[pinned] = Fraction(1)
             vertex = vertices[case - 1][j - 1]
-            return GrcAssignment(inst.point, case, j, vertex,
-                                 YMonomial(*vertex), "search", tuple(lam),
-                                 best.objective)
-    raise NoVertexOptimum(
-        f"no optimal solution at {inst.point} pins a target vertex")
+            return GrcAssignment(q, case, j, vertex, YMonomial(*vertex), "search",
+                                 tuple(lam), best.objective / D)
+    raise NoVertexOptimum(f"no optimal solution at {q} pins a target vertex")
 
 
 def grc_partition(spec: SystemSpec, lift: Liftings = DEFAULT_LIFTINGS,
@@ -522,8 +513,7 @@ def grc_partition(spec: SystemSpec, lift: Liftings = DEFAULT_LIFTINGS,
     buckets: Dict[int, List[YMonomial]] = {1: [], 2: [], 3: [], 4: []}
     for q in points:
         assignment = (_catalog_assignment(q, catalog, system.D, costs, vertices)
-                      or _search_assignment(build_lp(q, spec, lift, delta_vec),
-                                            vertices))
+                      or _search_assignment(system, q, costs, vertices))
         assignments[q] = assignment
         monomial = YMonomial(q[0] - 1, q[1] - 1, q[2] - 1)
         buckets[assignment.case].append(monomial)

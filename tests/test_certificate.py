@@ -21,7 +21,7 @@ class TestTransform:
         M = build_square_matrix(spec)
         Mt = transform_12(M, spec)
         target_col = ym_mul(YMonomial(1, 1, 0), M.rows[0].mult)
-        j = M.col_index(target_col)
+        j = M.cols.index(target_col)
         before = M.entry(0, j)
         after = Mt.entry(0, j)
         # before: derivative symbol plus d1 times the pure-y coefficient

@@ -273,6 +273,9 @@ def test_malformed_json_inputs_exit_two(tmp_path, capsys):
          "--spec-file", write("both.json", {"a(0,0)": "1"})),
         ("det", "--d1", "1", "--d2", "1", "--mode", "modular",
          "--moduli", *["2147483647"] * 6),
+        # a flag that the mode does not read
+        ("det", "--d1", "1", "--d2", "1", "--moduli", "4", "9"),
+        ("det", "--d1", "1", "--d2", "1", "--mode", "modular", "--cap", "1"),
         ("export", "--d1", "1", "--d2", "1", "--format", "csv",
          "--spec-file", write("partial.json", {"a(0,0)": "1"})),
         # a lifting or a move block is an integer: not 7.9, true or "7"
@@ -512,6 +515,21 @@ def test_export_csv_with_file(tmp_path, capsys):
     lines = out.read_text().strip().split("\n")
     assert len(lines) == 5
     assert lines[0].split(",")[1] == "y^0*y1^0*y2^1"
+
+
+@pytest.mark.parametrize("mode, flag", [
+    ("specialized", ("--moduli", "5", "7")), ("symbolic", ("--moduli", "5", "7")),
+    ("specialized", ("--cap", "8")), ("modular", ("--cap", "8"))])
+def test_det_flag_outside_its_mode_is_named(mode, flag, capsys):
+    assert run_cli("det", "--d1", "1", "--d2", "1", "--mode", mode, *flag) == 2
+    assert capsys.readouterr().err.strip() == f"error: --mode {mode} takes no {flag[0]}"
+
+
+def test_det_help_states_the_defaults(capsys):
+    assert run_cli("det", "--help") == 0
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "(default 8)" in help_text
+    assert "(default 2147483647 2147483629)" in help_text
 
 
 def test_usage_error_exit_code():

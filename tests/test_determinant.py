@@ -202,6 +202,20 @@ class TestCommonZero:
             ok, witness = nonzero_random_probe(M, spec, seed=11)
             assert ok and "seed" in witness
 
+    def test_nonvanishing_probe_gives_up_after_ten_seeds(self, monkeypatch):
+        seen = []
+
+        def zero(matrix, s):
+            seen.append(s)
+            return 0
+
+        monkeypatch.setattr(determinant, "det_specialized", zero)
+        spec = SystemSpec(1, 1)
+        ok, witness = nonzero_random_probe(build_square_matrix(spec), spec, seed=4)
+        assert (ok, witness) == (False, {"seed": 4, "retries": 10})
+        assert [s.to_json() for s in seen] == \
+            [random_specialization(spec, 4 + k).to_json() for k in range(10)]
+
 
 # sha256 of the JSON list of the specializations in the test below, taken
 # when Specialization still wrapped every value, Fractions included

@@ -13,7 +13,7 @@ from diffres import (ClosureViolation, CoeffSymbol, PolyMatrix,
                      build_square_matrix, certify, carra_ferro_shape,
                      closed_form_partition, column_set, grc_partition,
                      system_symbols, zero_columns)
-from diffres.diffsys import YM_ONE, generic_system, ym_mul
+from diffres.diffsys import YM_ONE, DiffPoly, generic_system, ym_mul
 from diffres.matrices import DF1, DF2, F1, F2, RowLabel, _fill_rows, row_polys
 
 
@@ -53,7 +53,7 @@ class TestSquareMatrix:
         M = build_square_matrix(spec)
         polys = row_polys(spec)
         for i, label in enumerate(M.rows):
-            shifted = polys[label.poly].shift(label.mult)
+            shifted = polys[label.poly] * DiffPoly({label.mult: SymPoly.one()})
             for j, col in enumerate(M.cols):
                 assert M.entry(i, j) == shifted.coefficient(col)
 
@@ -207,7 +207,7 @@ def test_rows_equal_their_shifted_row_polynomial(build, spec):
     # the rectangular construction's p1, p2 are the square one's f1, f2
     polys = row_polys(spec)
     for label, row in zip(M.rows, M.row_entries):
-        expected = {M.col_index(ym_mul(m, label.mult)): c
+        expected = {M.cols.index(ym_mul(m, label.mult)): c
                     for m, c in polys[label.poly.replace("p", "f")].items()}
         assert {j: M.pool[x] for j, x in row.items()} == expected
         assert list(row) == sorted(row)

@@ -52,7 +52,7 @@ class TestSylvester:
         explicit = DiffPoly.zero()
         low1 = DiffPoly({m: c for m, c in df1.items() if m.ey2 == 0})
         low2 = DiffPoly({m: c for m, c in df2.items() if m.ey2 == 0})
-        explicit = low1.scale(b01) - low2.scale(a01)
+        explicit = low1 * DiffPoly({YM_ONE: b01}) - low2 * DiffPoly({YM_ONE: a01})
         assert r == explicit or r == -explicit
 
     def test_classic_discriminant(self):

@@ -128,6 +128,31 @@ def seeded_liftings(seed):
     return lift
 
 
+def reference_search(inst):
+    """The restricted-LP search in Fractions on build_lp's instance: the full
+    optimum, then per case in block order the LP with lambda_{case, j}
+    pinned to one (the block's columns and its convexity row dropped); (case, vertex, lambda, objective) of the first case that
+    reaches the full optimum, None if none does."""
+    best = simplex_solve(inst)
+    for case in (1, 2, 3, 4):
+        j = TARGET_VERTEX[case]
+        offset = sum(BLOCK_SIZES[:case - 1])
+        size = BLOCK_SIZES[case - 1]
+        keep = [k for k in range(18) if not (offset <= k < offset + size)]
+        pinned = offset + j - 1
+        rows = [r for r in range(7) if r != 3 + (case - 1)]
+        restricted = simplex([[inst.A[r][k] for k in keep] for r in rows],
+                             [inst.b[r] - inst.A[r][pinned] for r in rows],
+                             [inst.c[k] for k in keep])
+        if (restricted.status == "optimal"
+                and restricted.objective + inst.c[pinned] == best.objective):
+            it = iter(restricted.x)
+            lam = tuple((F(k == pinned) if offset <= k < offset + size
+                         else next(it)) for k in range(18))
+            return case, j, lam, best.objective
+    return None
+
+
 @pytest.fixture
 def cold_scan():
     """An empty scan cache, emptied again after the test: a patched `lp` is
@@ -237,6 +262,32 @@ class TestCertificateReuse:
                     assert a.objective == simplex_solve(inst).objective
                 else:
                     assert got == ref, (lift, q)
+
+    @pytest.mark.parametrize("d", [(2, 3), (3, 3)])
+    def test_search_assignments_match_the_fraction_search(self, d):
+        spec = SystemSpec(*d)
+        searched = 0
+        for lift in [DEFAULT_LIFTINGS] + [seeded_liftings(s) for s in (1, 2, 3)]:
+            for q, a in grc_partition(spec, lift).assignments.items():
+                if a.basis_id == "search":
+                    searched += 1
+                    case, j, lam, objective = reference_search(build_lp(q, spec, lift))
+                    assert (a.case, a.vertex_index, a.lam, a.objective) \
+                        == (case, j, lam, objective), (lift, q)
+                    assert a.vertex == vertex_lists(spec)[case - 1][j - 1]
+                    assert a.main_monomial == YMonomial(*a.vertex)
+        assert searched > 0
+
+    @pytest.mark.usefixtures("cold_scan")
+    def test_grc_partition_builds_no_per_point_lp(self, monkeypatch):
+        # the scan and the search both run on the kept integer point system
+        def refused(*args):
+            raise AssertionError("a per-point Fraction LP was built")
+
+        monkeypatch.setattr(sparse, "build_lp", refused)
+        monkeypatch.setattr(sparse, "simplex_solve", refused)
+        result = grc_partition(SystemSpec(2, 3))
+        assert [a.basis_id for a in result.assignments.values()].count("search") == 1
 
     def test_one_point_takes_the_restricted_search_at_2_3(self):
         result = grc_partition(SystemSpec(2, 3))
