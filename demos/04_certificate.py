@@ -26,7 +26,7 @@ print("block counts (n1, n2, n3, n4):", cert.counts)
 unique = " * ".join(f"{s.render()}^{e}" for s, e in cert.unique_monomial)
 print("unique monomial:", unique)
 
-coeff = unique_monomial_coefficient(transformed, cert)
+coeff = unique_monomial_coefficient(cert)
 units = cert.unit_product()
 print(f"its determinant coefficient: {coeff} "
       f"= ({coeff // units}) x (unit multipliers {units})")

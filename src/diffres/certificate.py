@@ -185,14 +185,15 @@ def eliminate(matrix: PolyMatrix, spec: SystemSpec) -> Certificate:
     )
 
 
-def unique_monomial_coefficient(matrix: PolyMatrix, cert: Certificate) -> Fraction:
-    """Exact coefficient of the unique monomial in the determinant.
+def unique_monomial_coefficient(cert: Certificate) -> Fraction:
+    """Exact coefficient of the unique monomial in the determinant of the
+    certified matrix.
 
     Equals sign(transversal) times the product of the linear factors with
     which each step symbol enters its transversal entry; its absolute value
     is therefore the product of those unit factors (d1 to the power of the
-    second block size), and the remaining sign factor is +-1.  The matrix
-    is not read: the certificate already holds every factor.
+    second block size), and the remaining sign factor is +-1.  The
+    certificate holds every factor.
     """
     value = cert.sign * cert.unit_product()
     if value == 0:

@@ -31,7 +31,7 @@ from .determinant import (SIGN_NOTE, SYMBOLIC_CAP_DEFAULT,
                           random_specialization)
 from .diffsys import (SystemSpec, delta, generic_system, system_symbols,
                       ym_render)
-from .errors import DiffresError, IllegalMove
+from .errors import CapExceeded, DiffresError, IllegalMove
 from .matrices import (build_carra_ferro, build_sparse_matrix,
                        build_square_matrix, zero_columns)
 from .monomials import (closed_form_sets, column_set, default_main_monomials,
@@ -238,8 +238,8 @@ def cmd_carra_ferro(args) -> int:
 
 def cmd_certificate(args) -> int:
     spec = _spec(args)
-    transformed, cert = certify(spec)
-    coefficient = unique_monomial_coefficient(transformed, cert)
+    _, cert = certify(spec)
+    coefficient = unique_monomial_coefficient(cert)
     payload = {
         "spec": [spec.d1, spec.d2],
         "counts": list(cert.counts),
@@ -274,7 +274,10 @@ def cmd_det(args) -> int:
     matrix = build_square_matrix(spec)
     if args.mode == "symbolic":
         cap = SYMBOLIC_CAP_DEFAULT if args.cap is None else args.cap
-        value = det_symbolic(matrix, cap=cap)
+        try:
+            value = det_symbolic(matrix, cap=cap)
+        except CapExceeded as exc:
+            raise ValueError(f"--cap {cap}: {exc}") from exc
         payload = {"mode": "Symbolic", "value": value.render(),
                    "sign_convention": SIGN_NOTE}
     else:

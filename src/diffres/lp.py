@@ -10,10 +10,10 @@ Phase one alone returns a certificate with its verdict: a basis with
 B^-1 b >= 0, or a Farkas vector w with w A >= 0 and w b < 0, read from the
 artificial columns of the final tableau.  A basis-verification routine
 certifies optimality of a proposed basic solution independently of the
-solver (feasibility of B^-1 b and nonpositive reduced costs, its solves
-checked by multiplying back), so the two can cross-check each other.  One
-fraction-free pivot serves the tableau, the exact solves, the adjugates and
-the rank.
+solver (feasibility of B^-1 b and nonpositive reduced costs, both read
+from an adjugate whose product B adj = p I is checked exactly), so the two
+can cross-check each other.  One fraction-free pivot serves the tableau,
+the adjugates and the rank.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import CertificateFailure, SingularBasis, Unbounded
 
-Matrix = List[List[Fraction]]
 Vector = List[Fraction]
 
 
@@ -36,28 +35,32 @@ def _integers(rows: Sequence[Sequence]) -> List[List[int]]:
     return [[v.numerator * (s // v.denominator) for v in row] for row in rows]
 
 
-def solve_square(B: Matrix, rhs: Vector) -> Optional[Vector]:
-    """Exact solution of B x = rhs, by Gauss-Jordan on [B | rhs]; None when
-    B is singular."""
-    n = len(B)
-    grid = _integers([list(row) + [v] for row, v in zip(B, rhs)])
-    pivots, den = _row_reduce(grid, n)
-    if len(pivots) < n:
-        return None
-    return [Fraction(row[n], den) for row in grid]
-
-
 def adjugate(B: Sequence[Sequence[int]]) -> Optional[Tuple[int, List[List[int]]]]:
     """(p, adj) with B adj = p I and p = |det B| > 0 for a square integer
     matrix B, by one fraction-free Gauss-Jordan on [B | I]; None when B is
-    singular."""
+    singular.  The product is checked exactly, so no caller trusts the
+    elimination: CertificateFailure when it does not give p I."""
     n = len(B)
     grid = [list(row) + [int(i == k) for k in range(n)] for i, row in enumerate(B)]
     pivots, p = _row_reduce(grid, n)
     if len(pivots) < n:
         return None
     sign = 1 if p > 0 else -1
-    return sign * p, [[sign * v for v in row[n:]] for row in grid]
+    p, adj = sign * p, [[sign * v for v in row[n:]] for row in grid]
+    if p <= 0 or any(sum(a * b for a, b in zip(row, col)) != p * (i == k)
+                     for i, row in enumerate(B) for k, col in enumerate(zip(*adj))):
+        raise CertificateFailure(f"B adj != p I for B = {B}")
+    return p, adj
+
+
+def optimal(A: Sequence[Sequence[int]], c: Sequence[int], basis: Sequence[int],
+            p: int, adj: Sequence[Sequence[int]]) -> bool:
+    """Whether the basis is optimal for min c.x over integer A and c: the
+    reduced costs y A - c of y = c_B B^-1 are <= 0, tested in integers as
+    u A <= p c for u = c_B adj, with B adj = p I and p > 0."""
+    u = [sum(c[j] * v for j, v in zip(basis, col)) for col in zip(*adj)]
+    return all(sum(ui * a for ui, a in zip(u, col)) <= p * c[j]
+               for j, col in enumerate(zip(*A)))
 
 
 def matrix_rank(rows: Sequence[Sequence]) -> int:
@@ -272,45 +275,31 @@ def verify_basis(A: Sequence[Sequence], b: Sequence, c: Sequence,
                  basis: Sequence[int]) -> BasisReport:
     """Certify a basic solution: x_B = B^-1 b and reduced costs <= 0.
 
-    The optimality test is the classical one for a minimisation problem:
-    with y solving y B = c_B, the certified condition is y A - c <= 0
-    componentwise.  Both solves are checked by multiplying back, so the
-    verdict does not rest on the elimination that the solver shares.
-    Raises SingularBasis when the chosen columns are dependent.
+    In integers, with [A | b] and c each scaled by one positive integer:
+    `adjugate` gives B adj = p I, checked exactly, so x_B = adj b / p and
+    the verdict does not rest on the elimination that the solver shares;
+    `optimal` gives the classical test y A - c <= 0 of a minimisation.
+    Fractions are made only for x and the objective.  Raises SingularBasis
+    when the chosen columns are dependent.
     """
-    A = [[Fraction(v) for v in row] for row in A]
-    b = [Fraction(v) for v in b]
-    c = [Fraction(v) for v in c]
     m = len(A)
     if len(basis) != m:
         raise SingularBasis(f"basis needs {m} columns, got {len(basis)}")
-    B = [[A[i][j] for j in basis] for i in range(m)]
-    xb = solve_square(B, b)
-    if xb is None:
+    Ab = _augmented(A, b)
+    A, b = [row[:-1] for row in Ab], [row[-1] for row in Ab]
+    found = adjugate([[row[j] for j in basis] for row in A])
+    if found is None:
         raise SingularBasis(f"columns {tuple(basis)} are linearly dependent")
-    Bt = [list(col) for col in zip(*B)]
-    cb = [c[j] for j in basis]
-    y = solve_square(Bt, cb)
-    if (y is None or any(sum(v * x for v, x in zip(row, xb)) != bi
-                         for row, bi in zip(B, b))
-            or any(sum(v * yi for v, yi in zip(col, y)) != cj
-                   for col, cj in zip(Bt, cb))):
-        raise CertificateFailure(f"solves on basis {tuple(basis)} do not multiply back")
-    n = len(A[0])
-    optimal = True
-    for j in range(n):
-        reduced = sum(y[i] * A[i][j] for i in range(m)) - c[j]
-        if reduced > 0:
-            optimal = False
-            break
-    x = [Fraction(0)] * n
+    p, adj = found
+    xb = [sum(a * v for a, v in zip(row, b)) for row in adj]
+    (cost,) = _integers([c])
+    x = [Fraction(0)] * len(A[0])
     for value, j in zip(xb, basis):
-        x[j] = value
-    objective = sum(c[j] * x[j] for j in range(n))
+        x[j] = Fraction(value, p)
     return BasisReport(
         feasible=all(v >= 0 for v in xb),
         strictly_feasible=all(v > 0 for v in xb),
-        optimal=optimal,
+        optimal=optimal(A, cost, basis, p, adj),
         x=tuple(x),
-        objective=objective,
+        objective=sum(Fraction(cj) * xj for cj, xj in zip(c, x)),
     )

@@ -319,16 +319,12 @@ class _PointSystem:
         self.farkas: List[Form] = []
 
     def _basis(self, columns: Sequence[int]):
-        """(p, adj, forms) of the basis on these columns, with B adj = p I
-        checked exactly; None when the columns are dependent."""
-        B = [[row[j] for j in columns] for row in self.A]
-        found = lp.adjugate(B)
+        """(p, adj, forms) of the basis on these columns, B adj = p I as
+        `lp.adjugate` checks it; None when the columns are dependent."""
+        found = lp.adjugate([[row[j] for j in columns] for row in self.A])
         if found is None:
             return None
         p, adj = found
-        if p <= 0 or any(sum(a * b for a, b in zip(row, col)) != p * (i == k)
-                         for i, row in enumerate(B) for k, col in enumerate(zip(*adj))):
-            raise CertificateFailure(f"basis {tuple(columns)}: B adj != p I")
         return p, adj, tuple(map(self._form, adj))
 
     def _form(self, row: Sequence[int]) -> Form:
@@ -365,16 +361,9 @@ class _PointSystem:
         return feasible
 
     def optimal_catalog(self, c: Sequence[int]) -> List[_CatalogBasis]:
-        """Catalog bases with y A <= c for y = c_B B^-1, in catalog order; in
-        integers, u A <= p c for u = c_B adj."""
-        out = []
-        for basis in self.catalog:
-            u = [sum(c[j] * v for j, v in zip(basis.columns, col))
-                 for col in zip(*basis.adj)]
-            if all(sum(ui * row[j] for ui, row in zip(u, self.A)) <= basis.p * c[j]
-                   for j in range(len(c))):
-                out.append(basis)
-        return out
+        """Catalog bases optimal for the integer costs c, in catalog order."""
+        return [b for b in self.catalog
+                if lp.optimal(self.A, c, b.columns, b.p, b.adj)]
 
 
 @dataclass(frozen=True)

@@ -72,7 +72,7 @@ class TestEliminate:
             "f2": YM_ONE,
         }
         assert cert.counts == (1, 1, 1, 1)
-        assert abs(unique_monomial_coefficient(Mt, cert)) == 1
+        assert abs(unique_monomial_coefficient(cert)) == 1
 
     def test_reference_exponents_degree_two(self):
         spec = SystemSpec(2, 2)
@@ -90,7 +90,7 @@ class TestEliminate:
         for d in ((1, 1), (1, 2), (2, 2), (2, 3), (3, 3)):
             Mt, cert = certify(SystemSpec(*d))
             assert sum(cert.counts) == SystemSpec(*d).N
-            coeff = unique_monomial_coefficient(Mt, cert)
+            coeff = unique_monomial_coefficient(cert)
             assert coeff != 0
             assert abs(coeff) == Fraction(d[0]) ** cert.counts[0]
 
@@ -146,7 +146,7 @@ class TestRankingCrossCheck:
         Mt, cert = certify(spec)
         full = det_symbolic(Mt)
         assert full.coefficient(cert.unique_monomial) == \
-            unique_monomial_coefficient(Mt, cert)
+            unique_monomial_coefficient(cert)
 
 
 class TestRearrangedMatrices:
@@ -166,4 +166,4 @@ class TestRearrangedMatrices:
         Mt = transform_12(raw, spec)
         cert = eliminate(Mt, spec)
         assert sum(cert.counts) == 36
-        assert unique_monomial_coefficient(Mt, cert) != 0
+        assert unique_monomial_coefficient(cert) != 0

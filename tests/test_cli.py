@@ -532,9 +532,15 @@ def test_det_help_states_the_defaults(capsys):
     assert "(default 2147483647 2147483629)" in help_text
 
 
-def test_usage_error_exit_code():
+def test_usage_error_exit_code(capsys):
     assert run_cli("build", "--d1", "2") == 2          # missing --d2
     assert run_cli("no-such-command") == 2
+    # a matrix past the symbolic cap (36 > 8 at (2,2)), or a cap below 4x4
+    for d, cap in (("2", ()), ("1", ("--cap", "0")), ("1", ("--cap", "-3"))):
+        capsys.readouterr()
+        assert run_cli("det", "--d1", d, "--d2", d, "--mode", "symbolic", *cap) == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error: --cap ") and "\n" not in err, (d, cap, err)
 
 
 def test_consecutive_calls_share_no_state(monkeypatch, capsys):

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from diffres import SymPoly, det_laplace
 from diffres.determinant import _bareiss, _det_residue, _poly_combine, det_rational
-from diffres.lp import adjugate, matrix_rank, solve_square
+from diffres.lp import adjugate, matrix_rank
 from diffres.stretch import resultant_factor_2_2
 
 PRIMES = (2, 3, 7, 101, 2147483647)
@@ -100,17 +100,15 @@ def test_sparse_kernel_agrees_with_cofactor_expansion(case):
 
 
 @settings(deadline=None)
-@given(integer_matrices(), st.lists(st.integers(-9, 9), min_size=6, max_size=6))
-def test_gauss_jordan_agrees_with_the_determinant(case, rhs):
+@given(integer_matrices())
+def test_gauss_jordan_agrees_with_the_determinant(case):
     rows, _ = case
     n = len(rows)
     B = [[Fraction(v) for v in row] for row in rows]
-    b = [Fraction(v) for v in rhs[:n]]
     found = adjugate(rows)
-    x = solve_square(B, b)
     det = det_rational(sparse_rows(B))
     if det == 0:
-        assert found is None and x is None
+        assert found is None
         assert matrix_rank(B) < n
         return
     assert matrix_rank(B) == n
@@ -119,7 +117,6 @@ def test_gauss_jordan_agrees_with_the_determinant(case, rhs):
     assert [[sum(B[i][k] * adj[k][j] for k in range(n)) for j in range(n)]
             for i in range(n)] == [[p * (i == j) for j in range(n)]
                                    for i in range(n)]
-    assert x == [sum(adj[i][k] * b[k] for k in range(n)) / p for i in range(n)]
 
 
 def test_stretch_budget_stops_the_determinant():

@@ -6,26 +6,69 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from diffres import SingularBasis
-from diffres.lp import (adjugate, feasible, matrix_rank, phase_one, simplex,
-                        solve_square, verify_basis)
-from diffres.errors import Unbounded
+from diffres.lp import (BasisReport, adjugate, feasible, matrix_rank, phase_one,
+                        simplex, verify_basis)
+from diffres.errors import CertificateFailure, Unbounded
 
 
 F = Fraction
 
 
-class TestSolveSquare:
-    def test_inverse_action(self):
-        B = [[F(2), F(1)], [F(1), F(3)]]
-        x = solve_square(B, [F(5), F(10)])
-        assert x == [F(1), F(3)]
+def fraction_solve(B, rhs):
+    """B x = rhs by Gauss-Jordan over the Fractions; None when B is singular."""
+    n = len(B)
+    rows = [[F(v) for v in row] + [F(r)] for row, r in zip(B, rhs)]
+    for c in range(n):
+        found = next((i for i in range(c, n) if rows[i][c] != 0), None)
+        if found is None:
+            return None
+        rows[c], rows[found] = rows[found], rows[c]
+        rows[c] = [v / rows[c][c] for v in rows[c]]
+        for i in range(n):
+            if i != c and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * v for a, v in zip(rows[i], rows[c])]
+    return [row[n] for row in rows]
 
-    def test_singular_returns_none(self):
-        B = [[F(1), F(2)], [F(2), F(4)]]
-        assert solve_square(B, [F(1), F(1)]) is None
+
+def verify_basis_reference(A, b, c, basis) -> BasisReport:
+    """verify_basis in Fractions, apart from the library's elimination: x_B
+    from B x = b, y from y B = c_B, both multiplied back, then the reduced
+    costs y A - c <= 0 column by column."""
+    A = [[F(v) for v in row] for row in A]
+    b = [F(v) for v in b]
+    c = [F(v) for v in c]
+    m = len(A)
+    if len(basis) != m:
+        raise SingularBasis(f"basis needs {m} columns, got {len(basis)}")
+    B = [[A[i][j] for j in basis] for i in range(m)]
+    xb = fraction_solve(B, b)
+    if xb is None:
+        raise SingularBasis(f"columns {tuple(basis)} are linearly dependent")
+    Bt = [list(col) for col in zip(*B)]
+    cb = [c[j] for j in basis]
+    y = fraction_solve(Bt, cb)
+    if (y is None or any(sum(v * x for v, x in zip(row, xb)) != bi
+                         for row, bi in zip(B, b))
+            or any(sum(v * yi for v, yi in zip(col, y)) != cj
+                   for col, cj in zip(Bt, cb))):
+        raise CertificateFailure(f"solves on basis {tuple(basis)} do not multiply back")
+    n = len(A[0])
+    optimal = all(sum(y[i] * A[i][j] for i in range(m)) - c[j] <= 0
+                  for j in range(n))
+    x = [F(0)] * n
+    for value, j in zip(xb, basis):
+        x[j] = value
+    return BasisReport(
+        feasible=all(v >= 0 for v in xb),
+        strictly_feasible=all(v > 0 for v in xb),
+        optimal=optimal,
+        x=tuple(x),
+        objective=sum(c[j] * x[j] for j in range(n)),
+    )
 
 
 class TestInverse:
@@ -123,13 +166,17 @@ class TestVerifyBasis:
         with pytest.raises(SingularBasis):
             verify_basis([[1, 0], [0, 1]], [1, 1], [0, 0], [0])
 
-    def test_a_wrong_solve_is_caught(self, monkeypatch):
-        # verify_basis multiplies its solves back instead of trusting them
+    def test_a_corrupted_adjugate_entry_is_caught(self, monkeypatch):
+        # the adjugate checks B adj = p I instead of trusting the elimination
         from diffres import lp
-        from diffres.errors import CertificateFailure
-        real = lp.solve_square
-        monkeypatch.setattr(lp, "solve_square",
-                            lambda B, rhs: [v + 1 for v in real(B, rhs)])
+        real = lp._row_reduce
+
+        def corrupted(rows, ncols):
+            found = real(rows, ncols)
+            rows[0][-1] += 1
+            return found
+
+        monkeypatch.setattr(lp, "_row_reduce", corrupted)
         with pytest.raises(CertificateFailure):
             verify_basis([[1, 2], [3, 2]], [4, 8], [1, 1], [0, 1])
 
@@ -242,6 +289,38 @@ def test_simplex_phase_one_and_verify_basis_agree(system):
         assert report.feasible and report.optimal
         assert report.objective == result.objective
         assert list(report.x) == result.x
+
+
+@st.composite
+def lp_systems_with_bases(draw):
+    """lp_systems with a drawn basis: m columns, repeats allowed (so often
+    singular), or at times one column too few or too many."""
+    A, b, c = draw(lp_systems())
+    m, n = len(A), len(A[0])
+    size = draw(st.sampled_from((m, m, m, m - 1, m + 1)))
+    return A, b, c, draw(st.lists(st.integers(0, n - 1), min_size=size, max_size=size))
+
+
+@settings(deadline=None, max_examples=300)
+@given(lp_systems_with_bases())
+@example(([[1, 2, 2], [2, 4, 4]], [1, 2], [0, 0, 0], [1, 2]))      # singular
+@example(([[1, 0], [0, 1]], [1, 1], [0, 0], [0]))                  # wrong size
+@example(([[1, 1, 1, 0], [1, 3, 0, 1]], [4, 6], [-2, -1, 0, 0], [2, 3]))  # not optimal
+@example(([[F(1, 4), -60, F(-1, 25), 9, 1, 0, 0],                   # Fractions
+           [F(1, 2), -90, F(-1, 50), 3, 0, 1, 0], [0, 0, 1, 0, 0, 0, 1]],
+          [0, 0, 1], [F(-3, 4), 150, F(-1, 50), 6, 0, 0, 0], [0, 2, 6]))
+def test_verify_basis_matches_the_fraction_reference(system):
+    A, b, c, basis = system
+    try:
+        expected = verify_basis_reference(A, b, c, basis)
+    except SingularBasis as exc:
+        with pytest.raises(SingularBasis) as got:
+            verify_basis(A, b, c, basis)
+        assert str(got.value) == str(exc)
+        return
+    got = verify_basis(A, b, c, basis)
+    for field in ("feasible", "strictly_feasible", "optimal", "x", "objective"):
+        assert repr(getattr(got, field)) == repr(getattr(expected, field)), field
 
 
 def test_solver_outputs_are_pinned():

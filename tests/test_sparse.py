@@ -20,6 +20,7 @@ from diffres.errors import CertificateFailure
 from diffres.lp import matrix_rank, simplex
 from diffres.sparse import (BLOCK_SIZES, CASE_BASES, MOVES_TO_DIVISIBILITY_2_2,
                             TARGET_VERTEX, in_hull, var_labels, vertex_lists)
+from test_lp import verify_basis_reference
 
 F = Fraction
 
@@ -301,8 +302,8 @@ class TestCertificateReuse:
 
 
 class TestIntegerCertificates:
-    """The integer catalog and phase-one certificates against verify_basis,
-    and the exact checks that guard them."""
+    """The integer catalog and phase-one certificates against the Fraction
+    reference of verify_basis, and the exact checks that guard them."""
 
     # seeded liftings make every catalog basis optimal; free heights mostly
     # do not, so both verdicts are compared
@@ -319,9 +320,11 @@ class TestIntegerCertificates:
         nonsingular = {b.bid for b in system.catalog}
         # optimality does not depend on the right-hand side
         inst = build_lp((1, 1, 1), spec, lift)
+        index = {label: k for k, label in enumerate(var_labels())}
         for case, bid, labels in CASE_BASES:
             try:
-                report = verify_basis(inst, labels)
+                report = verify_basis_reference(inst.A, inst.b, inst.c,
+                                                [index[label] for label in labels])
             except SingularBasis:
                 assert bid not in nonsingular
                 continue
@@ -336,20 +339,19 @@ class TestIntegerCertificates:
         for q in lattice_points(spec, delta_vec):
             inst = build_lp(q, spec, DEFAULT_LIFTINGS, delta_vec)
             for basis in system.catalog:
-                x = verify_basis(inst, [var_labels()[j] for j in basis.columns]).x
+                x = verify_basis_reference(inst.A, inst.b, inst.c, basis.columns).x
                 assert [F(sparse._at(f, q), basis.p * system.D)
                         for f in basis.forms] == [x[j] for j in basis.columns]
 
     def test_a_corrupted_adjugate_entry_is_caught(self, monkeypatch):
-        real = sparse.lp.adjugate
+        real = sparse.lp._row_reduce
 
-        def corrupted(B):
-            found = real(B)
-            if found is not None:
-                found[1][2][5] += 1
+        def corrupted(rows, ncols):
+            found = real(rows, ncols)
+            rows[2][-3] += 1
             return found
 
-        monkeypatch.setattr(sparse.lp, "adjugate", corrupted)
+        monkeypatch.setattr(sparse.lp, "_row_reduce", corrupted)
         with pytest.raises(CertificateFailure):
             sparse._PointSystem(SystemSpec(1, 2), DEFAULT_PERTURBATION)
 
