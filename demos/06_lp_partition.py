@@ -40,7 +40,7 @@ print()
 
 E = column_set(spec)
 mm = default_main_monomials(spec)
-moved = apply_moves(result.partition, MOVES_TO_DIVISIBILITY_2_2, E, mm)
+moved = apply_moves(result.partition, MOVES_TO_DIVISIBILITY_2_2, spec)
 target = partition_divisibility(E, mm)
 print("after", len(MOVES_TO_DIVISIBILITY_2_2), "moves:", moved.sizes(),
       "- equals the divisibility partition:",

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Dict, List, Tuple
 
 from .errors import CertificateFailure
-from .determinant import _perm_sign
+from .determinant import perm_sign
 from .diffsys import SystemSpec, YMonomial, system_symbols, ym_render
 from .matrices import DF1, DF2, F1, F2, PolyMatrix, RowLabel
 from .symbols import CoeffSymbol
@@ -180,7 +180,7 @@ def eliminate(matrix: PolyMatrix, spec: SystemSpec) -> Certificate:
         unique_monomial=unique,
         transversal={matrix.rows[i]: matrix.cols[j] for i, j in perm.items()},
         permutation=permutation,
-        sign=_perm_sign(permutation),
+        sign=perm_sign(permutation),
         counts=(by_block[DF1], by_block[DF2], by_block[F1], by_block[F2]),
     )
 

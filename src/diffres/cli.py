@@ -352,7 +352,7 @@ def cmd_moves(args) -> int:
     builtin = ("the built-in moves are made for the default (2,2) LP "
                "partition; give --moves-file")
     try:
-        moved = apply_moves(result.partition, moves, E, mm)
+        moved = apply_moves(result.partition, moves, spec)
     except IllegalMove as exc:
         raise ValueError(f"{args.moves_file or builtin}: {exc}") from None
     if not args.moves_file and any(

@@ -1,10 +1,9 @@
 """Exact determinants and specialization generators.
 
-* symbolic: fraction-free elimination (Bareiss 1968) over the polynomial
-  ring, for small matrices only, pivoting on the sparsest nonzero entry of
-  the live block (fewest terms, which keeps the intermediate polynomials
-  small); every division is checked by the exact-division routine, so a
-  pivot-logic bug surfaces as NotDivisible instead of a wrong answer;
+* symbolic: cofactor expansion with memoized minors (`det_laplace`) over
+  the polynomial ring, for small matrices only (the cap); it needs no
+  division, and each minor of the trailing rows is expanded once, so the
+  16x16 matrix at (1,2) takes seconds;
 * specialized and modular: one sparse elimination with Markowitz (1957)
   pivots, `_eliminate`, given a row update per ring, which also keeps the
   column -> rows index: over Z, in ints from row set-up to the last pivot,
@@ -22,8 +21,9 @@
   the first prime searches and each next one replays the pivots of the one
   before, so a one-shot call pays for no analysis.
 
-Cofactor expansion with memoized minors is the independent cross-check of
-the kernels, over any ring (the oracle runs it on Sylvester matrices).
+The cofactor expansion works over any ring: the oracle runs it on Sylvester
+matrices of differential polynomials, and the tests check the sparse
+kernels against it.
 
 The common-zero generator solves the four constant coefficients so that the
 system and its derivatives all vanish at a chosen rational point, which
@@ -52,61 +52,18 @@ SIGN_NOTE = ("value tied to the canonical decreasing column order and the "
 
 
 def det_symbolic(matrix: PolyMatrix, cap: int = SYMBOLIC_CAP_DEFAULT) -> SymPoly:
-    """Fraction-free determinant over the polynomial ring."""
+    """The determinant over the polynomial ring, by `det_laplace`."""
     n = matrix.nrows
     if n != matrix.ncols:
         raise ValueError("determinant of a non-square matrix")
     if n > cap:
         raise CapExceeded(f"symbolic determinant capped at {cap}x{cap}, got {n}")
-    grid = [[matrix.entry(i, j) for j in range(n)] for i in range(n)]
-    return _bareiss(grid, _poly_combine) if n else SymPoly.one()
-
-
-def _bareiss(grid: List[list], combine: Callable):
-    """Fraction-free elimination (Bareiss 1968) of a square grid, in place.
-
-    Row i's tail right of pivot k becomes (gkk * tail_i - gik * tail_k) / prev,
-    prev the previous pivot (1 at the first step); ``combine(gkk, gik, tail_i,
-    tail_k, prev)`` computes it for the ring, every division exact.  The
-    pivot is the nonzero entry of fewest terms in the live block (its row and
-    column swapped in).  Returns the determinant, a zero of the ring when the
-    live block is zero.
-    """
-    n = len(grid)
-    if n == 0:
-        return 1
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        live = [(len(grid[i][j]), i, j) for i in range(k, n)
-                for j in range(k, n) if grid[i][j]]
-        if not live:
-            return grid[k][k]
-        _, pi, pj = min(live)
-        if pi != k:
-            grid[pi], grid[k] = grid[k], grid[pi]
-            sign = -sign
-        if pj != k:
-            for row in grid:
-                row[pj], row[k] = row[k], row[pj]
-            sign = -sign
-        row_k = grid[k]
-        gkk, tail_k = row_k[k], row_k[k + 1:]
-        zero = gkk - gkk   # frees the eliminated column as it goes
-        for row_i in grid[k + 1:]:
-            row_i[k + 1:] = combine(gkk, row_i[k], row_i[k + 1:], tail_k, prev)
-            row_i[k] = zero
-        prev = gkk
-    return grid[n - 1][n - 1] * sign
-
-
-def _poly_combine(gkk: SymPoly, gik: SymPoly, tail_i: List[SymPoly],
-                  tail_k: List[SymPoly], prev) -> List[SymPoly]:
-    """The Bareiss row update over SymPoly, each division checked exact."""
-    return [(gkk * x - gik * y).exact_div(prev) for x, y in zip(tail_i, tail_k)]
+    return det_laplace([[matrix.entry(i, j) for j in range(n)] for i in range(n)])
 
 
 def det_laplace(grid: Sequence[Sequence]):
-    """Cofactor expansion with minor memoization; independent cross-check.
+    """Cofactor expansion along the rows, each minor expanded once (memoized
+    by its first row and its columns).
 
     Works over any commutative ring whose elements have +, -, *, is_zero()
     and a static zero() (SymPoly and DiffPoly); the empty grid gives one.
@@ -263,8 +220,8 @@ def _eliminate(live: Dict[int, Dict[int, int]], order: Sequence[Tuple[int, int]]
             update(i, row_i, row_i.pop(pj), pv, row_k, cols)
             if not row_i:
                 return pivots, 0
-    return pivots, (_perm_sign([k for k, _, _ in pivots])
-                    * _perm_sign([j for _, j, _ in pivots]))
+    return pivots, (perm_sign([k for k, _, _ in pivots])
+                    * perm_sign([j for _, j, _ in pivots]))
 
 
 def _markowitz_pivot(live: Dict[int, Dict[int, int]],
@@ -303,7 +260,7 @@ def _pivot_order(matrix: PolyMatrix) -> Tuple[Tuple[int, int], ...]:
     return tuple((k, j) for k, j, _ in pivots)
 
 
-def _perm_sign(perm: Sequence[int]) -> int:
+def perm_sign(perm: Sequence[int]) -> int:
     """Sign of a permutation of range(n): (-1) ** (n - number of cycles)."""
     cycles, seen = 0, [False] * len(perm)
     for start in range(len(perm)):
@@ -420,8 +377,7 @@ def random_specialization(spec: SystemSpec, rng_seed: int,
                           lo: int = -10 ** 6, hi: int = 10 ** 6) -> Specialization:
     rng = random.Random(rng_seed)
     universe = system_symbols(SystemSpec(*spec).validate())
-    values = {s: Fraction(rng.randint(lo, hi))
-              for s in sorted(universe, key=lambda s: s.key())}
+    values = {s: Fraction(rng.randint(lo, hi)) for s in sorted(universe)}
     return Specialization(values, universe)
 
 
@@ -431,7 +387,7 @@ def _integer_forms(spec: SystemSpec) -> tuple:
     constant symbol that enters it once, at 1, and the polynomial as an
     integer form ((y-monomial, ((int, symbol), ...)), ...), y-monomial 1 last
     so a form at a solution adds its one fraction last; the top exponents."""
-    universe = tuple(sorted(system_symbols(spec), key=lambda s: s.key()))
+    universe = tuple(sorted(system_symbols(spec)))
     polys = row_polys(spec)
     forms = tuple(
         (CoeffSymbol(name, 0, 0, order),

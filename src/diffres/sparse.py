@@ -49,7 +49,8 @@ from . import lp
 from .diffsys import (SystemSpec, YMonomial, delta, generic_system, support,
                       ym_divides, ym_div, ym_mul, ym_render)
 from .matrices import SQUARE_BLOCK_ORDER, row_polys
-from .monomials import MainMonomials, MonomialSet, Partition, column_set
+from .monomials import (MonomialSet, Partition, column_set,
+                        default_main_monomials)
 
 Point = Tuple[int, int, int]
 LiftVector = Tuple[int, int, int]
@@ -530,18 +531,18 @@ MOVES_TO_DIVISIBILITY_2_2: Tuple[Tuple[YMonomial, int, int], ...] = (
 
 
 def apply_moves(part: Partition, moves: Sequence[Tuple[YMonomial, int, int]],
-                E: MonomialSet, mm: MainMonomials) -> Partition:
+                spec: SystemSpec) -> Partition:
     """Relocate monomials between blocks, validating each move.
 
-    A move is legal when the destination's main monomial divides the moved
-    monomial and every monomial of (moved / mm) times the destination
-    polynomial stays inside the column set.
+    A move is legal when the destination's main monomial (the spec's
+    default) divides the moved monomial and every monomial of (moved / mm)
+    times the destination polynomial stays inside the spec's column set.
     """
-    spec = _spec_from_mm(mm)
+    spec = SystemSpec(*spec).validate()
     polys = row_polys(spec)
-    mm_by_block = dict(zip((1, 2, 3, 4), mm.as_tuple()))
+    mm_by_block = dict(enumerate(default_main_monomials(spec).as_tuple(), 1))
     sets = {i + 1: list(s.elems) for i, s in enumerate(part.sets())}
-    col_set = E.as_set()
+    col_set = column_set(spec).as_set()
     for monomial, src, dst in moves:
         monomial = YMonomial(*monomial)
         if monomial not in sets[src]:
@@ -564,7 +565,3 @@ def apply_moves(part: Partition, moves: Sequence[Tuple[YMonomial, int, int]],
     return Partition(
         *(MonomialSet.of(sets[i], f"S{i}") for i in (1, 2, 3, 4)),
         provenance=part.provenance + "+moves")
-
-
-def _spec_from_mm(mm: MainMonomials) -> SystemSpec:
-    return SystemSpec(mm.mm3.ey, mm.mm2.ey1).validate()

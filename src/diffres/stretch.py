@@ -7,14 +7,17 @@ full symbolic determinant and the iterated-resultant candidate) grow far
 beyond desk scale in this implementation, so the whole routine runs under a
 wall-clock budget and raises TimeoutError when it cannot finish.  Nothing
 else in the package depends on this module.
+
+The determinant is expanded by fraction-free elimination (Bareiss 1968): a
+memoized cofactor expansion of the 36x36 matrix holds too many minors (a
+probe ran past 3 GB).
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 
-from .determinant import _bareiss, _poly_combine
 from .errors import NotDivisible
 from .diffsys import SystemSpec
 from .matrices import build_square_matrix
@@ -30,6 +33,44 @@ class _Budget:
     def check(self, stage: str) -> None:
         if time.monotonic() > self.deadline:
             raise TimeoutError(f"stretch stage {stage!r} exceeded the budget")
+
+
+def _bareiss(grid: List[List[SymPoly]], budget: _Budget) -> SymPoly:
+    """Fraction-free elimination (Bareiss 1968) of a square grid, in place.
+
+    Row i's tail right of pivot k becomes (gkk * tail_i - gik * tail_k) / prev,
+    prev the previous pivot (1 at the first step), the budget checked before
+    each row.  Every division is checked exact, so a pivot-logic bug surfaces
+    as NotDivisible instead of a wrong answer.  The pivot is the nonzero
+    entry of fewest terms in the live block (its row and column swapped in),
+    which keeps the intermediate polynomials small.  Returns the
+    determinant, zero when the live block is zero.
+    """
+    n = len(grid)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        live = [(len(grid[i][j]), i, j) for i in range(k, n)
+                for j in range(k, n) if grid[i][j]]
+        if not live:
+            return grid[k][k]
+        _, pi, pj = min(live)
+        if pi != k:
+            grid[pi], grid[k] = grid[k], grid[pi]
+            sign = -sign
+        if pj != k:
+            for row in grid:
+                row[pj], row[k] = row[k], row[pj]
+            sign = -sign
+        row_k = grid[k]
+        gkk, tail_k = row_k[k], row_k[k + 1:]
+        for row_i in grid[k + 1:]:
+            budget.check("determinant")
+            gik = row_i[k]
+            row_i[k + 1:] = [(gkk * x - gik * y).exact_div(prev)
+                             for x, y in zip(row_i[k + 1:], tail_k)]
+            row_i[k] = SymPoly.zero()   # frees the eliminated column
+        prev = gkk
+    return grid[n - 1][n - 1] * sign
 
 
 def pinned_substitution() -> Dict[CoeffSymbol, SymPoly]:
@@ -59,12 +100,7 @@ def resultant_factor_2_2(time_budget: float = 600.0) -> Tuple[SymPoly, SymPoly]:
     matrix = build_square_matrix(spec).substitute(sub)
     n = matrix.nrows
     grid = [[matrix.entry(i, j) for j in range(n)] for i in range(n)]
-
-    def combine(*row_update):
-        budget.check("determinant")
-        return _poly_combine(*row_update)
-
-    determinant = _bareiss(grid, combine)
+    determinant = _bareiss(grid, budget)
 
     budget.check("candidate")
     candidate = eliminate_iterated(spec, sub)

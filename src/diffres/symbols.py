@@ -20,15 +20,13 @@ from typing import NamedTuple
 
 
 class CoeffSymbol(NamedTuple):
+    """Symbols order as their fields: system, exponents, derivative, fresh."""
+
     system: str  # "a" (first polynomial) or "b" (second)
     k: int       # exponent of y in the named coefficient's monomial
     l: int       # exponent of y1
     deriv: int = 0
     fresh: bool = False
-
-    def key(self) -> tuple:
-        """Fixed total order: system, exponent lex, derivative order, fresh."""
-        return (self.system, self.k, self.l, self.deriv, self.fresh)
 
     def differentiate(self) -> "CoeffSymbol":
         return self._replace(deriv=self.deriv + 1)

@@ -20,7 +20,7 @@ from typing import Dict, Iterable, Iterator, Mapping, Tuple
 from .errors import DivisionByZero, NotDivisible, UnassignedSymbol
 from .symbols import CoeffSymbol, parse_symbol
 
-# Monomial: ((symbol, exponent), ...) sorted by symbol key, exponents > 0.
+# Monomial: ((symbol, exponent), ...) sorted by symbol, exponents > 0.
 Monomial = Tuple[Tuple[CoeffSymbol, int], ...]
 
 MONO_ONE: Monomial = ()
@@ -31,8 +31,7 @@ def mono_make(pairs: Mapping[CoeffSymbol, int]) -> Monomial:
     for s, e in items:
         if e < 0:
             raise ValueError(f"negative exponent on {s}")
-    items.sort(key=lambda se: se[0].key())
-    return tuple(items)
+    return tuple(sorted(items))
 
 
 def mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
@@ -43,7 +42,7 @@ def mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
     acc = dict(m1)
     for s, e in m2:
         acc[s] = acc.get(s, 0) + e
-    return tuple(sorted(acc.items(), key=lambda se: se[0].key()))
+    return tuple(sorted(acc.items()))
 
 
 def mono_degree(m: Monomial) -> int:
@@ -61,8 +60,7 @@ def mono_div(m2: Monomial, m1: Monomial) -> Monomial:
     acc = dict(m2)
     for s, e in m1:
         acc[s] -= e
-    return tuple(sorted(((s, e) for s, e in acc.items() if e),
-                        key=lambda se: se[0].key()))
+    return tuple(sorted((s, e) for s, e in acc.items() if e))
 
 
 def mono_cmp(m1: Monomial, m2: Monomial) -> int:
@@ -79,13 +77,12 @@ def mono_cmp(m1: Monomial, m2: Monomial) -> int:
     while i < len(m1) and j < len(m2):
         s1, e1 = m1[i]
         s2, e2 = m2[j]
-        k1, k2 = s1.key(), s2.key()
-        if k1 == k2:
+        if s1 == s2:
             if e1 != e2:
                 return 1 if e1 > e2 else -1
             i += 1
             j += 1
-        elif k1 < k2:
+        elif s1 < s2:
             # m1 has positive exponent on an earlier symbol that m2 lacks.
             return 1
         else:
@@ -405,7 +402,7 @@ class Specialization:
             else frozenset(self._values)
         missing = self.universe - set(self._values)
         if missing:
-            sym = sorted(missing, key=lambda s: s.key())[0]
+            sym = min(missing)
             raise UnassignedSymbol(f"universe symbol {sym} is unassigned")
 
     def value_of(self, sym: CoeffSymbol) -> Fraction:
@@ -424,8 +421,7 @@ class Specialization:
         return self._values.items()
 
     def to_json(self) -> dict:
-        return {s.render(): str(v) for s, v in sorted(
-            self._values.items(), key=lambda kv: kv[0].key())}
+        return {s.render(): str(v) for s, v in sorted(self._values.items())}
 
     @staticmethod
     def from_json(data: Mapping[str, str],
@@ -443,10 +439,10 @@ class Specialization:
             allowed = set(universe)
             unknown = set(values) - allowed
             if unknown:
-                sym = sorted(unknown, key=lambda s: s.key())[0]
+                sym = min(unknown)
                 raise ValueError(f"unknown symbol in specialization file: {sym}")
             missing = allowed - set(values)
             if missing:
-                sym = min(missing, key=lambda s: s.key())
+                sym = min(missing)
                 raise ValueError(f"symbol missing from specialization file: {sym}")
         return Specialization(values, universe)

@@ -75,14 +75,28 @@ class TestSymbolic:
         values[CoeffSymbol("b", 1, 0, 0)] = Fraction(1)
         assert abs(d.evaluate(Specialization(values, universe))) == 1
 
-    def test_bareiss_agrees_with_laplace(self, rng):
-        from conftest import random_sympoly
+    def test_agrees_with_rational_determinant_at_points(self, rng):
+        from conftest import SYMBOL_POOL, random_sympoly
         for _ in range(25):
             n = rng.randint(1, 4)
             grid = [[random_sympoly(rng, max_terms=2, max_exp=1)
                      for _ in range(n)] for _ in range(n)]
-            M = _matrix_from_grid(grid)
-            assert det_symbolic(M) == det_laplace(grid)
+            d = det_symbolic(_matrix_from_grid(grid))
+            for _ in range(2):
+                s = Specialization({x: Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                                    for x in SYMBOL_POOL})
+                rows = [{j: v.evaluate(s) for j, v in enumerate(row)}
+                        for row in grid]
+                assert d.evaluate(s) == det_rational(rows)
+
+    def test_sixteen_by_sixteen_agrees_with_specialized(self):
+        spec = SystemSpec(1, 2)
+        M = build_square_matrix(spec)
+        d = det_symbolic(M, cap=16)
+        assert len(d) == 3873
+        for seed in (0, 1):
+            s = random_specialization(spec, seed)
+            assert d.evaluate(s) == det_specialized(M, s) != 0
 
 
 class TestSpecialized:
@@ -133,7 +147,7 @@ def common_zero_reference(spec, point, rng_seed=0):
     rng = random.Random(rng_seed)
     universe = system_symbols(spec)
     values = {s: Fraction(rng.randint(-10 ** 6, 10 ** 6))
-              for s in sorted(universe, key=lambda s: s.key())}
+              for s in sorted(universe)}
     f1, f2 = generic_system(spec)
     targets = [(f1.evaluate_point(point), CoeffSymbol("a", 0, 0, 0)),
                (f2.evaluate_point(point), CoeffSymbol("b", 0, 0, 0)),

@@ -1,5 +1,5 @@
 """Every exact elimination route agrees: the determinant modes, the Gauss-Jordan
-solver over Q, and the budget hook of the stretch expansion."""
+solver over Q, and the stretch's fraction-free kernel with its budget check."""
 
 import time
 from fractions import Fraction
@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from diffres import SymPoly, det_laplace
-from diffres.determinant import _bareiss, _det_residue, _poly_combine, det_rational
+from diffres.determinant import _det_residue, det_rational
 from diffres.lp import adjugate, matrix_rank
-from diffres.stretch import resultant_factor_2_2
+from diffres.stretch import _bareiss, _Budget, resultant_factor_2_2
 
 PRIMES = (2, 3, 7, 101, 2147483647)
 
@@ -57,7 +57,7 @@ def test_determinant_modes_agree(case):
     if singular:
         assert exact == 0
     assert det_laplace(constant_grid(rows)) == SymPoly.const(exact)
-    kernel = _bareiss(constant_grid(rows), _poly_combine)
+    kernel = _bareiss(constant_grid(rows), _Budget(60))
     assert kernel == SymPoly.const(exact)
     for p in PRIMES:
         assert _det_residue(sparse_rows(rows), p)[0] == exact.numerator % p

@@ -1,6 +1,7 @@
-"""Source hygiene: every name a library module imports is used in it,
-every module-level private function is named somewhere in the library, and
-every module-level cache is bounded."""
+"""Source hygiene: every name a library module imports is used in it, no
+library module imports a private name from another, every module-level
+private function is named somewhere in the library, and every module-level
+cache is bounded."""
 
 import ast
 from pathlib import Path
@@ -37,6 +38,15 @@ def unused_imports(source: str):
         elif isinstance(node, ast.AnnAssign):
             used |= _annotation_names(node.annotation)
     return [name for name in imported if name not in used]
+
+
+def private_imports(source: str):
+    """The private names that `source` imports from a module of the package
+    (a relative import or one from `diffres`)."""
+    return [a.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "diffres")
+            for a in node.names if a.name.startswith("_")]
 
 
 def unreferenced_private_functions(sources):
@@ -110,6 +120,22 @@ def test_the_scan_finds_an_unused_import():
               "from typing import List, Tuple\n"
               "def f(x: 'List[int]') -> Tuple: return system.argv\n")
     assert unused_imports(source) == ["os"]
+
+
+def test_the_scan_finds_a_private_import():
+    source = ("from __future__ import annotations\n"
+              "from ._private import public\n"
+              "from .determinant import _bareiss, det_laplace\n"
+              "from diffres.lp import _pivot\n"
+              "from collections import _chain\n"
+              "def f():\n"
+              "    from . import _late\n")
+    assert private_imports(source) == ["_bareiss", "_pivot", "_late"]
+
+
+def test_no_library_module_imports_a_private_name():
+    for path in sorted(SRC.glob("*.py")):
+        assert private_imports(path.read_text()) == [], path.name
 
 
 def test_the_scan_finds_an_unreferenced_private_function():

@@ -486,7 +486,7 @@ class TestGrcPartition:
         assert result.partition.sizes() == (6, 10, 8, 12)
         E = column_set(spec)
         mm = default_main_monomials(spec)
-        moved = apply_moves(result.partition, MOVES_TO_DIVISIBILITY_2_2, E, mm)
+        moved = apply_moves(result.partition, MOVES_TO_DIVISIBILITY_2_2, spec)
         target = partition_divisibility(E, mm)
         for a, b in zip(moved.sets(), target.sets()):
             assert a.as_set() == b.as_set()
@@ -527,37 +527,34 @@ class TestGrcPartition:
 class TestMoves:
     def _setup(self):
         spec = SystemSpec(2, 2)
-        E = column_set(spec)
-        mm = default_main_monomials(spec)
-        part = grc_partition(spec).partition
-        return spec, E, mm, part
+        return spec, grc_partition(spec).partition
 
     def test_move_to_block_without_divisor_is_illegal(self):
-        spec, E, mm, part = self._setup()
+        spec, part = self._setup()
         with pytest.raises(IllegalMove):
-            apply_moves(part, [(YMonomial(0, 0, 0), 4, 1)], E, mm)
+            apply_moves(part, [(YMonomial(0, 0, 0), 4, 1)], spec)
 
     def test_move_must_come_from_declared_block(self):
-        spec, E, mm, part = self._setup()
+        spec, part = self._setup()
         with pytest.raises(IllegalMove):
-            apply_moves(part, [(YMonomial(3, 1, 1), 4, 1)], E, mm)
+            apply_moves(part, [(YMonomial(3, 1, 1), 4, 1)], spec)
 
     def test_move_to_constant_block_is_always_divisible(self):
-        spec, E, mm, part = self._setup()
+        spec, part = self._setup()
         monomial = YMonomial(0, 1, 1)   # currently in the fourth block? no:
         # after the LP run it sits in S4 per the reference layout, move it to
         # S1 and back to S4: the constant main monomial divides everything
-        moved = apply_moves(part, [(monomial, 4, 1), (monomial, 1, 4)], E, mm)
+        moved = apply_moves(part, [(monomial, 4, 1), (monomial, 1, 4)], spec)
         assert moved.sizes() == part.sizes()
 
     def test_escape_is_reported(self):
-        spec, E, mm, part = self._setup()
+        spec, part = self._setup()
         # the constant block accepts any monomial by divisibility, but the
         # top corner pushes the block polynomial's support out of the columns
         top = YMonomial(5, 0, 0)
         src = next(i + 1 for i, s in enumerate(part.sets()) if top in s)
         with pytest.raises(IllegalMove):
-            apply_moves(part, [(top, src, 4)], E, mm)
+            apply_moves(part, [(top, src, 4)], spec)
 
 
 class TestSparseMatrix:

@@ -32,8 +32,8 @@ class TestSymbols:
         assert CoeffSymbol("a", 1, 1, 0, fresh=True).render() == "c(1,1)"
 
     def test_total_order_is_deterministic(self):
-        pool = sorted(SYMBOL_POOL, key=lambda s: s.key())
-        assert pool == sorted(reversed(pool), key=lambda s: s.key())
+        pool = sorted(SYMBOL_POOL)
+        assert pool == sorted(reversed(pool))
 
 
 class TestAddMul:
