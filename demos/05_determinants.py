@@ -4,7 +4,10 @@ The determinant of the square matrix must vanish whenever the system and
 its derivatives share a zero, and must not vanish identically.  Both sides
 are checked with exact arithmetic: specialized integer elimination, a full
 symbolic expansion for the smallest case, and modular residues recombined
-by the Chinese remainder theorem.
+by the Chinese remainder theorem.  At a common zero no elimination runs:
+the column monomials evaluated at the point form a nonzero vector (the
+monomial 1 is a column) that the specialized matrix sends to zero, and
+`det_specialized` checks that product, in integers, before it returns 0.
 """
 
 import random

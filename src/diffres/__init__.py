@@ -30,8 +30,8 @@ from .certificate import (Certificate, certify, eliminate,
                           unique_monomial_coefficient)
 from .determinant import (common_zero_specialization, crt_combine,
                           det_laplace, det_modular, det_specialized,
-                          det_symbolic, hadamard_bound, nonzero_random_probe,
-                          random_specialization)
+                          det_symbolic, hadamard_bound, kernel_certifies,
+                          nonzero_random_probe, random_specialization)
 from .sparse import (DEFAULT_LIFTINGS, DEFAULT_PERTURBATION, GrcAssignment,
                      GrcPartitionResult, Liftings, LPInstance,
                      MOVES_TO_DIVISIBILITY_2_2, Polytope, apply_moves,

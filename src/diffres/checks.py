@@ -23,7 +23,7 @@ from . import lp
 from .certificate import (certify, ranking_specialization,
                           unique_monomial_coefficient)
 from .determinant import (common_zero_specialization, det_specialized,
-                          det_symbolic, nonzero_random_probe,
+                          det_symbolic, kernel_certifies, nonzero_random_probe,
                           random_specialization)
 from .diffsys import SystemSpec, YMonomial, system_symbols, ym_render
 from .errors import DiffresError, SingularBasis
@@ -75,7 +75,8 @@ def _random_point(rng: random.Random) -> Tuple[Fraction, Fraction, Fraction]:
     return (coord(), coord(), coord())
 
 
-VANISHING_SPECS = ((1, 1), (1, 2), (2, 2), (2, 3))
+VANISHING_SPECS = ((1, 1), (1, 2), (2, 2), (2, 3))   # det == 0 by elimination too
+KERNEL_VECTOR_SPECS = ((3, 3), (4, 4), (5, 5))        # by kernel vector only
 VANISHING_TRIALS = 100   # common-zero specializations per spec
 CERTIFICATE_SPECS = ((1, 1), (1, 2), (2, 2), (2, 3), (3, 3))
 
@@ -157,19 +158,28 @@ def check_certificate(seed: int = 0) -> List[CheckReport]:
 # --- criteria 4 and 5 --------------------------------------------------------
 
 def check_vanishing(seed: int = 0) -> List[CheckReport]:
+    """Every common-zero specialization has a kernel vector, the column
+    monomials at its point; at VANISHING_SPECS the exact elimination, run
+    on a copy of the values that carries no zero, gives det == 0 as well."""
     reports = []
-    for d in VANISHING_SPECS:
+    for d in VANISHING_SPECS + KERNEL_VECTOR_SPECS:
         def body(d=d) -> Dict[str, object]:
             spec = SystemSpec(*d)
             matrix = build_square_matrix(spec)
             rng = random.Random(seed * 7919 + d[0] * 101 + d[1])
+            eliminate = d in VANISHING_SPECS
             for trial in range(VANISHING_TRIALS):
                 point = _random_point(rng)
                 s = common_zero_specialization(spec, point, rng_seed=seed + trial)
-                value = det_specialized(matrix, s)
-                assert value == 0, \
-                    f"trial {trial} at point {point}: det = {value}"
-            return {"trials": VANISHING_TRIALS, "seed": seed}
+                assert kernel_certifies(matrix.specialize(s), matrix.cols, s.zero), \
+                    f"trial {trial} at point {point}: no kernel vector"
+                if eliminate:
+                    value = det_specialized(
+                        matrix, Specialization(dict(s.items()), s.universe))
+                    assert value == 0, \
+                        f"trial {trial} at point {point}: det = {value}"
+            return {"trials": VANISHING_TRIALS, "seed": seed,
+                    "method": "elimination" if eliminate else "kernel-vector"}
         reports.append(_report("vanishing", d, body))
     return reports
 

@@ -21,13 +21,22 @@
   the first prime searches and each next one replays the pivots of the one
   before, so a one-shot call pays for no analysis.
 
+A specialization solved for a common zero (`Specialization.zero`) needs no
+elimination: the rows are monomial multiples of f1, f2, f1' and f2', so the
+vector v of the column monomials at the point is a kernel vector of the
+specialized matrix, and v != 0 since the monomial 1 is a column.
+`kernel_certifies` checks M v = 0 in integers, one pass over the nonzeros,
+and `det_specialized` returns 0 only on that proof; a zero that fails it
+costs that pass and the elimination runs as for any specialization.
+
 The cofactor expansion works over any ring: the oracle runs it on Sylvester
 matrices of differential polynomials, and the tests check the sparse
 kernels against it.
 
 The common-zero generator solves the four constant coefficients so that the
 system and its derivatives all vanish at a chosen rational point, which
-forces the specialized determinant to vanish exactly.  It solves in integers,
+forces the specialized determinant to vanish exactly, and records the point
+as the specialization's `zero`.  It solves in integers,
 on integer linear forms of the four polynomials made once per spec, each
 solved coefficient one fraction over the point's common denominator.
 """
@@ -41,7 +50,7 @@ from math import ceil, gcd, isqrt, lcm, prod
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import CapExceeded
-from .diffsys import SystemSpec, system_symbols
+from .diffsys import YM_ONE, SystemSpec, YMonomial, system_symbols
 from .matrices import DF1, DF2, F1, F2, PolyMatrix, row_polys
 from .symbols import CoeffSymbol
 from .sympoly import Specialization, SymPoly
@@ -274,9 +283,46 @@ def perm_sign(perm: Sequence[int]) -> int:
 
 
 def det_specialized(matrix: PolyMatrix, s: Specialization) -> Fraction:
+    """The exact determinant of the matrix at `s`: 0 when `s.zero` is set
+    and `kernel_certifies` proves it, else `det_rational` of the specialized
+    rows, replaying the matrix's analyzed pivot order."""
     if matrix.nrows != matrix.ncols:
         raise ValueError("determinant of a non-square matrix")
-    return det_rational(matrix.specialize(s), _pivot_order(matrix))
+    rows = matrix.specialize(s)
+    if s.zero is not None and kernel_certifies(rows, matrix.cols, s.zero):
+        return Fraction(0)
+    return det_rational(rows, _pivot_order(matrix))
+
+
+def _weights(point: Sequence[Fraction], tops: Sequence[int]) -> List[List[int]]:
+    """Per coordinate n/q of top exponent t, the ints n^k q^(t-k), k = 0..t:
+    a monomial y^a y1^b y2^c at the point, times the product of the q^t, is
+    the product of the a-th, b-th and c-th of them."""
+    return [[v.numerator ** k * v.denominator ** (t - k) for k in range(t + 1)]
+            for v, t in zip(point, tops)]
+
+
+def kernel_certifies(rows: Sequence[Dict[int, Fraction]],
+                     cols: Sequence[YMonomial],
+                     point: Sequence[Fraction]) -> bool:
+    """True when the rows, shaped as for `det_rational` over the columns
+    `cols`, vanish on v, the column monomials at `point`, and v != 0: the
+    constant monomial is a column.  Then the columns are dependent and a
+    square matrix has determinant 0; False proves nothing.
+
+    One pass over the nonzeros in ints: v scaled by the product of the
+    coordinates' denominators to the top exponents, each row by the lcm of
+    its denominators."""
+    if YM_ONE not in cols:
+        return False
+    tops = [max(c[k] for c in cols) for k in range(3)]
+    wy, wy1, wy2 = _weights([Fraction(x) for x in point], tops)
+    v = [wy[a] * wy1[b] * wy2[c] for a, b, c in cols]
+    for row in rows:
+        denom = lcm(*(x.denominator for x in row.values()))
+        if sum(x.numerator * (denom // x.denominator) * v[j] for j, x in row.items()):
+            return False
+    return True
 
 
 # Miller-Rabin with the primes up to 41 as bases decides primality exactly
@@ -405,16 +451,15 @@ def common_zero_specialization(spec: SystemSpec,
 
     Each of the four constant-like symbols enters its polynomial linearly
     with unit coefficient, so solving them one at a time (base coefficients
-    before derivative ones) lands the system exactly on the given point.
+    before derivative ones) lands the system exactly on the given point,
+    which the result carries as its `zero`.
     """
     spec = SystemSpec(*spec).validate()
     point = tuple(Fraction(v) for v in point)
     rng = random.Random(rng_seed)
     universe, forms, tops = _integer_forms(spec)
     values = {s: rng.randint(-10 ** 6, 10 ** 6) for s in universe}
-    # coordinate n/q of top exponent t weighs n^k q^(t-k) at exponent k
-    wy, wy1, wy2 = ([v.numerator ** k * v.denominator ** (t - k) for k in range(t + 1)]
-                    for v, t in zip(point, tops))
+    wy, wy1, wy2 = _weights(point, tops)
 
     def scaled(form):   # the form's value at the point times wy[0] wy1[0] wy2[0]
         return sum(wy[a] * wy1[b] * wy2[c] * sum(k * values[s] for k, s in terms)
@@ -424,7 +469,7 @@ def common_zero_specialization(spec: SystemSpec,
         values[sym] = 0
         values[sym] = Fraction(-scaled(form), wy[0] * wy1[0] * wy2[0])
     assert all(scaled(form) == 0 for _, form in forms)
-    return Specialization(values, universe)
+    return Specialization(values, universe, zero=point)
 
 
 PROBE_RETRIES = 10

@@ -164,7 +164,7 @@ def _block_matrix(spec: SystemSpec,
     polys = row_polys(spec)
     row_plan = [(RowLabel(tag, mult), polys[tag]) for tag in SQUARE_BLOCK_ORDER
                 for mult in sorted(multipliers[tag], key=ym_key, reverse=True)]
-    cols = sorted(column_set(spec), key=ym_key, reverse=True)
+    cols = column_set(spec).elems[::-1]
     pool, row_entries = _fill_rows(row_plan, cols)
     block_counts = [len(multipliers[tag]) for tag in SQUARE_BLOCK_ORDER]
     matrix = PolyMatrix([r for r, _ in row_plan], cols, pool, row_entries,
@@ -245,9 +245,9 @@ def build_carra_ferro(d1: int, d2: int, n: int, m: int) -> PolyMatrix:
     if m > 1 or n > 1:
         raise DiffresError("generic polynomials of order > 1 are not representable")
 
-    cols = sorted(bset(var_count + 1, D), key=ym_key, reverse=True)
-    mult1 = sorted(bset(var_count + 1, D - d1), key=ym_key, reverse=True)
-    mult2 = sorted(bset(var_count + 1, D - d2), key=ym_key, reverse=True)
+    cols = bset(var_count + 1, D).elems[::-1]
+    mult1 = bset(var_count + 1, D - d1).elems[::-1]
+    mult2 = bset(var_count + 1, D - d2).elems[::-1]
 
     row_plan: List[Tuple[RowLabel, DiffPoly]] = []
     for name, p, top, mults in (("p1", p1, n, mult1), ("p2", p2, m, mult2)):

@@ -172,19 +172,14 @@ def closed_form_sets(spec: SystemSpec) -> Tuple[MonomialSet, MonomialSet,
     m1 = bset(3, D - d1)
     m2 = bset(3, D - d2)
 
-    t1 = MonomialSet.of([], "T1")
-    for i in range(d2):
-        t1 = t1.union(bset(2, D - d1 - i).scaled(YMonomial(0, i, 0)))
-    for i in range(d1 - 1):
-        t1 = t1.union(bset(2, D - d1 - 1 - i).scaled(YMonomial(0, i, 1)))
-    t1 = MonomialSet(t1.elems, "T1")
-
-    t2 = MonomialSet.of([], "T2")
-    for i in range(d2):
-        t2 = t2.union(bset(2, d1 - 1).scaled(YMonomial(0, i, 0)))
-    for i in range(d1 - 1):
-        t2 = t2.union(bset(2, d1 - 1).scaled(YMonomial(0, i, 1)))
-    t2 = MonomialSet(t2.elems, "T2")
+    # y^a y1^i y2^c, a <= bound: the slice y1^i y2^c times B2^bound
+    t1 = MonomialSet.of(
+        [YMonomial(a, i, 0) for i in range(d2) for a in range(D - d1 - i + 1)]
+        + [YMonomial(a, i, 1) for i in range(d1 - 1) for a in range(D - d1 - i)],
+        "T1")
+    t2 = MonomialSet.of(
+        [YMonomial(a, i, c) for c, top in ((0, d2), (1, d1 - 1))
+         for i in range(top) for a in range(d1)], "T2")
 
     return (MonomialSet(m1.elems, "M1"), MonomialSet(m2.elems, "M2"), t1, t2)
 

@@ -390,12 +390,19 @@ def parse_sympoly(text: str) -> SymPoly:
 
 
 class Specialization:
-    """Total assignment of exact rationals over a declared symbol universe."""
+    """Total assignment of exact rationals over a declared symbol universe.
 
-    __slots__ = ("_values", "universe")
+    `zero`, when set, is the point (y, y1, y2) the values were solved for
+    (see `common_zero_specialization`): a claim that `det_specialized`
+    checks before it uses it, and that no output carries.
+    """
+
+    __slots__ = ("_values", "universe", "zero")
 
     def __init__(self, assignment: Mapping[CoeffSymbol, Fraction],
-                 universe: Iterable[CoeffSymbol] | None = None):
+                 universe: Iterable[CoeffSymbol] | None = None,
+                 zero: Tuple[Fraction, Fraction, Fraction] | None = None):
+        self.zero = zero
         self._values = {s: v if isinstance(v, Fraction) else Fraction(v)
                         for s, v in assignment.items()}
         self.universe = frozenset(universe) if universe is not None \

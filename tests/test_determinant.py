@@ -15,8 +15,9 @@ from diffres import (CapExceeded, CoeffSymbol, PolyMatrix, Specialization,
                      SymPoly, SystemSpec, YMonomial, build_square_matrix,
                      common_zero_specialization, crt_combine, delta,
                      det_laplace, det_modular, det_specialized, det_symbolic,
-                     generic_system, hadamard_bound, nonzero_random_probe,
-                     random_specialization, system_symbols)
+                     generic_system, hadamard_bound, kernel_certifies,
+                     nonzero_random_probe, random_specialization,
+                     system_symbols)
 from diffres import determinant
 from diffres.cli import main
 from diffres.determinant import (_det_residue, _pivot_order, crt_lift,
@@ -693,3 +694,97 @@ class TestReplayedOrder:
                 det_rational(rows)
             with pytest.raises(ValueError, match="non-square"):
                 _det_residue(rows, PRIME)
+
+
+def _zero_free(s):
+    """The same values with no `zero`: `det_specialized` eliminates."""
+    return Specialization(dict(s.items()), s.universe)
+
+
+KERNEL_POINT = (Fraction(1, 2), Fraction(-3, 4), Fraction(5, 7))
+
+
+class TestKernelVector:
+    """`kernel_certifies`, M(s) v = 0 for v the column monomials at a
+    point, against the exact determinant, and the path of `det_specialized`
+    that returns 0 on it."""
+
+    @pytest.mark.parametrize("d", [(1, 2), (2, 2), (2, 3)], ids=_degrees)
+    def test_holds_exactly_where_the_determinant_vanishes(self, d):
+        M = _square_matrix(d)
+        rng = random.Random(f"kernel:{d}")
+        for seed in range(4):
+            point = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                          for _ in range(3))
+            s = common_zero_specialization(d, point, rng_seed=seed)
+            assert s.zero == point
+            rows = M.specialize(s)
+            assert kernel_certifies(rows, M.cols, point)
+            assert det_rational(rows, _pivot_order(M)) == 0
+            rows = M.specialize(random_specialization(d, seed))
+            assert not kernel_certifies(rows, M.cols, point)
+            assert det_rational(rows, _pivot_order(M)) != 0
+
+    def test_permuted_columns_fail(self):
+        M = _square_matrix((2, 3))
+        rows = M.specialize(common_zero_specialization((2, 3), KERNEL_POINT))
+        swapped = (M.cols[1], M.cols[0]) + M.cols[2:]
+        for cols in (M.cols[::-1], swapped):
+            assert not kernel_certifies(rows, cols, KERNEL_POINT)
+
+    def test_one_corrupted_row_fails(self):
+        M = _square_matrix((2, 3))
+        rows = M.specialize(common_zero_specialization((2, 3), KERNEL_POINT))
+        one = M.cols.index(YMonomial(0, 0, 0))    # v is nonzero there
+        for k in (0, len(rows) // 2, len(rows) - 1):
+            corrupted = [dict(row) for row in rows]
+            corrupted[k][one] = corrupted[k].get(one, 0) + 1
+            assert not kernel_certifies(corrupted, M.cols, KERNEL_POINT)
+
+    def test_columns_without_the_constant_fail(self):
+        """At the origin v is 0 off the constant column, so without it
+        v = 0 and M v = 0 would prove nothing."""
+        M = _square_matrix((2, 2))
+        origin = (Fraction(0),) * 3
+        rows = M.specialize(common_zero_specialization((2, 2), origin))
+        assert kernel_certifies(rows, M.cols, origin)
+        cols = tuple(YMonomial(0, 0, 9) if c == YMonomial(0, 0, 0) else c
+                     for c in M.cols)
+        assert not kernel_certifies(rows, cols, origin)
+
+    def test_a_false_zero_gets_the_exact_determinant(self):
+        M = _square_matrix((2, 3))
+        r = random_specialization((2, 3), 5)
+        value = det_specialized(M, _zero_free(r))
+        assert value != 0
+        assert det_specialized(
+            M, Specialization(dict(r.items()), r.universe, zero=KERNEL_POINT)) == value
+        s = common_zero_specialization((2, 3), KERNEL_POINT, rng_seed=5)
+        moved = Specialization(dict(s.items()), s.universe, zero=(1, 2, 3))
+        assert det_specialized(M, moved) == 0
+
+    def test_the_zero_path_neither_analyzes_nor_eliminates(self, monkeypatch):
+        M = build_square_matrix(SystemSpec(2, 3))   # no cached pivot order
+        s = common_zero_specialization((2, 3), KERNEL_POINT)
+        before = _pivot_order.cache_info()
+        monkeypatch.setattr(determinant, "det_rational", None)
+        assert det_specialized(M, s) == 0
+        assert _pivot_order.cache_info() == before
+
+    @pytest.mark.parametrize("d", [(1, 1), (1, 2), (2, 2), (2, 3), (3, 3)],
+                             ids=_degrees)
+    def test_values_match_the_zero_free_elimination(self, d):
+        M = _square_matrix(d)
+        rng = random.Random(f"zero-free:{d}")
+        for seed in range(3):
+            point = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                          for _ in range(3))
+            for s in (common_zero_specialization(d, point, rng_seed=seed),
+                      random_specialization(d, seed)):
+                assert det_specialized(M, s) == det_specialized(M, _zero_free(s))
+
+    def test_the_zero_stays_out_of_the_json(self):
+        s = common_zero_specialization((2, 2), KERNEL_POINT, rng_seed=3)
+        assert s.to_json() == _zero_free(s).to_json()
+        assert Specialization.from_json(s.to_json()).zero is None
+        assert random_specialization((2, 2), 3).zero is None
