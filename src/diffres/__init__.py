@@ -36,8 +36,7 @@ from .sparse import (DEFAULT_LIFTINGS, DEFAULT_PERTURBATION, GrcAssignment,
                      GrcPartitionResult, Liftings, LPInstance,
                      MOVES_TO_DIVISIBILITY_2_2, Polytope, apply_moves,
                      build_lp, grc_partition, lattice_points, newton_data,
-                     simplex_solve, validate_liftings, verify_basis,
-                     vertex_lists)
+                     simplex_solve, validate_liftings, vertex_lists)
 from .oracle import eliminate_iterated, sylvester_resultant
 from .checks import CheckReport, run_checks
 

@@ -218,7 +218,7 @@ def ranking_specialization(spec: SystemSpec, t: int = 10 ** 6) -> Specialization
     determinant isolates the unique monomial's contribution.
     """
     spec = SystemSpec(*spec).validate()
-    universe = system_symbols(spec, include_fresh=True)
+    universe = system_symbols(spec) | {fresh_symbol(spec)}
     values = {s: Fraction(0) for s in universe}
     for power, (sym, _) in enumerate(step_symbols(spec), start=1):
         values[sym] = Fraction(t) ** power

@@ -35,7 +35,7 @@ from .oracle import eliminate_iterated
 from .sparse import (CASE_BASES, DEFAULT_LIFTINGS,
                      MOVES_TO_DIVISIBILITY_2_2, apply_moves, build_lp,
                      grc_partition, lattice_points, simplex_solve,
-                     validate_liftings, verify_basis)
+                     validate_liftings)
 from .symbols import CoeffSymbol
 from .sympoly import Specialization
 
@@ -287,8 +287,7 @@ def check_basis_certification(seed: int = 0) -> List[CheckReport]:
         points = lattice_points(spec)
         inst0 = build_lp(points[0], spec, DEFAULT_LIFTINGS)
         assert lp.matrix_rank(inst0.A) == 7
-        b11 = next(labels for case, bid, labels in CASE_BASES if bid == "1.1")
-        cols = [inst0.labels.index(l) for l in b11]
+        cols = next(columns for case, bid, columns in CASE_BASES if bid == "1.1")
         basis_matrix = [[inst0.A[i][j] for j in cols] for i in range(7)]
         assert lp.matrix_rank(basis_matrix) == 7
         certified = {}
@@ -296,9 +295,9 @@ def check_basis_certification(seed: int = 0) -> List[CheckReport]:
             inst = build_lp(q, spec, DEFAULT_LIFTINGS)
             best = simplex_solve(inst)
             found = None
-            for case, bid, labels in CASE_BASES:
+            for case, bid, columns in CASE_BASES:
                 try:
-                    report = verify_basis(inst, labels)
+                    report = lp.verify_basis(inst.A, inst.b, inst.c, columns)
                 except SingularBasis:   # a failed certificate stays fatal
                     continue
                 if report.feasible and report.optimal:

@@ -250,9 +250,8 @@ def support(p: DiffPoly) -> Tuple[YMonomial, ...]:
     return p.support_set()
 
 
-def system_symbols(spec: SystemSpec, include_fresh: bool = False) -> set:
-    """The symbol universe of a spec: every coefficient and its derivative,
-    and the certificate's fresh symbol when asked for."""
+def system_symbols(spec: SystemSpec) -> set:
+    """The symbol universe of a spec: every coefficient and its derivative."""
     spec = SystemSpec(*spec).validate()
     out = set()
     for system, d in (("a", spec.d1), ("b", spec.d2)):
@@ -260,6 +259,4 @@ def system_symbols(spec: SystemSpec, include_fresh: bool = False) -> set:
             for l in range(d - k + 1):
                 out.add(CoeffSymbol(system, k, l, 0))
                 out.add(CoeffSymbol(system, k, l, 1))
-    if include_fresh:
-        out.add(CoeffSymbol("a", spec.d1 - 1, 1, 0, fresh=True))
     return out

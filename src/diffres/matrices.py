@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import (Collection, Dict, List, Mapping, NamedTuple, Sequence,
                     Tuple)
 
-from .errors import ClosureViolation, DiffresError
+from .errors import ClosureViolation
 from .diffsys import (DiffPoly, SystemSpec, YMonomial, delta, generic_poly,
                       generic_system, ym_csv_name, ym_div, ym_divides, ym_key,
                       ym_render)
@@ -227,23 +227,21 @@ def build_carra_ferro(d1: int, d2: int, n: int, m: int) -> PolyMatrix:
 
     The first polynomial has order m and degree d1 and receives derivatives
     up to order n; the second has order n and degree d2 and receives
-    derivatives up to order m.  Only m + n <= 2 fits the three-variable
-    alphabet (y, y1, y2).
+    derivatives up to order m.  The alphabet (y, y1, y2) stops at y2 and
+    the generic polynomials have order <= 1, so each order is 0 or 1.
     """
-    if m + n > 2:
-        raise DiffresError("variable alphabet stops at y2: need m + n <= 2")
-    if min(d1, d2) < 1 or min(m, n) < 0:
-        raise ValueError("degrees must be >= 1 and orders >= 0")
+    if min(d1, d2) < 1:
+        raise ValueError("degrees must be >= 1")
+    if not {n, m} <= {0, 1}:
+        raise ValueError(f"orders must be 0 or 1, got n = {n}, m = {m}")
     from .monomials import bset
 
     shape = carra_ferro_shape(d1, d2, n, m)
     D = shape["D"]
     var_count = m + n + 1  # monomials live in bset(var_count + 1, .)
 
-    p1 = generic_poly("a", d1, order=min(m, 1))
-    p2 = generic_poly("b", d2, order=min(n, 1))
-    if m > 1 or n > 1:
-        raise DiffresError("generic polynomials of order > 1 are not representable")
+    p1 = generic_poly("a", d1, order=m)
+    p2 = generic_poly("b", d2, order=n)
 
     cols = bset(var_count + 1, D).elems[::-1]
     mult1 = bset(var_count + 1, D - d1).elems[::-1]

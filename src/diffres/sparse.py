@@ -44,7 +44,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import (CertificateFailure, DiffresError, IllegalMove,
                      Infeasible, InvalidPerturbation, NoVertexOptimum,
-                     SingularBasis, Unbounded)
+                     Unbounded)
 from . import lp
 from .diffsys import (SystemSpec, YMonomial, delta, generic_system, support,
                       ym_divides, ym_div, ym_mul, ym_render)
@@ -88,7 +88,7 @@ class Polytope:
 
 
 def vertex_lists(spec: SystemSpec) -> Tuple[Tuple[Point, ...], ...]:
-    """The four vertex lists in the order that fixes the LP variable labels.
+    """The four vertex lists in the order that fixes the LP columns.
 
     Degenerate coincidences for d1 = 1 are kept: the list length is what the
     LP's 18 columns are built from.
@@ -104,14 +104,6 @@ def vertex_lists(spec: SystemSpec) -> Tuple[Tuple[Point, ...], ...]:
 
 BLOCK_SIZES = (6, 6, 3, 3)
 TARGET_VERTEX = {1: 3, 2: 4, 3: 3, 4: 1}   # lambda index of the main monomial
-
-
-def var_labels() -> Tuple[str, ...]:
-    labels = []
-    for i, size in enumerate(BLOCK_SIZES, start=1):
-        for j in range(1, size + 1):
-            labels.append(f"lam{i}{j}")
-    return tuple(labels)
 
 
 def var_index(i: int, j: int) -> int:
@@ -145,7 +137,6 @@ class LPInstance:
     A: Tuple[Tuple[int, ...], ...]        # 7 x 18
     b: Tuple[Fraction, ...]               # (A1, A2, A3, 1, 1, 1, 1)
     c: Tuple[int, ...]                    # lifting heights, 18 entries
-    labels: Tuple[str, ...]
     point: Point
     spec: Tuple[int, int]
 
@@ -171,7 +162,6 @@ def build_lp(q: Sequence[int], spec: SystemSpec, lift: Liftings,
         A=tuple(tuple(row) for row in A),
         b=tuple(b),
         c=_costs(spec, lift),
-        labels=var_labels(),
         point=tuple(int(x) for x in q),
         spec=(spec.d1, spec.d2),
     )
@@ -227,23 +217,15 @@ def simplex_solve(inst: LPInstance) -> lp.LPSolution:
     return result
 
 
-def verify_basis(inst: LPInstance, basis_labels: Sequence[str]) -> lp.BasisReport:
-    index = {label: k for k, label in enumerate(inst.labels)}
-    try:
-        basis = [index[label] for label in basis_labels]
-    except KeyError as exc:
-        raise SingularBasis(f"unknown variable label {exc}") from None
-    return lp.verify_basis(inst.A, inst.b, inst.c, basis)
-
-
 # --- certified basis catalog -------------------------------------------------
 
-# Scanned in order; each entry is (case, id, basis labels), the labels given
-# below by their (block, vertex) digits.  Every basis contains exactly one
-# variable of its case's block, which the convexity row then pins to one,
-# selecting that block's target vertex.
-CASE_BASES: Tuple[Tuple[int, str, Tuple[str, ...]], ...] = tuple(
-    (int(bid[0]), bid, tuple(f"lam{ij}" for ij in digits.split()))
+# Scanned in order; each entry is (case, id, basis columns), the columns
+# given below by their (block, vertex) digits.  Every basis contains exactly
+# one variable of its case's block, which the convexity row then pins to
+# one, selecting that block's target vertex.
+CASE_BASES: Tuple[Tuple[int, str, Tuple[int, ...]], ...] = tuple(
+    (int(bid[0]), bid, tuple(var_index(int(ij[0]), int(ij[1]))
+                             for ij in digits.split()))
     for bid, digits in (
         ("1.1", "13 23 24 32 33 41 43"),
         ("1.2", "13 23 24 31 32 33 41"),
@@ -309,10 +291,8 @@ class _PointSystem:
         delta = [Fraction(d) for d in delta_vec]
         self.D = lcm(*(d.denominator for d in delta))
         self.Ddelta = [int(d * self.D) for d in delta]
-        index = {label: k for k, label in enumerate(var_labels())}
         self.catalog: List[_CatalogBasis] = []
-        for case, bid, labels in CASE_BASES:
-            columns = tuple(index[label] for label in labels)
+        for case, bid, columns in CASE_BASES:
             found = self._basis(columns)
             if found is not None:
                 self.catalog.append(_CatalogBasis(case, bid, columns, *found))

@@ -6,10 +6,12 @@ floats ever enter, and every operation returns a canonical form (no zero
 coefficients, no zero exponents).  Values are immutable after construction
 and safe to share between threads.
 
-Term order is graded lexicographic over the fixed symbol order, which makes
-the exact-division loop below a genuine multivariate long division (the
-leading monomial strictly decreases, and an exact quotient is found whenever
-one exists).
+Term order is graded lexicographic over the fixed symbol order, given by
+one sort key, `mono_order`, that both `render` and `exact_div` use.  It must
+be a monomial order (multiplicative and a well-order): that makes the
+exact-division loop below a genuine multivariate long division (the leading
+monomial strictly decreases, and an exact quotient is found whenever one
+exists).
 """
 
 from __future__ import annotations
@@ -49,49 +51,26 @@ def mono_degree(m: Monomial) -> int:
     return sum(e for _, e in m)
 
 
-def mono_divides(m1: Monomial, m2: Monomial) -> bool:
-    """True when m1 divides m2 componentwise."""
-    d2 = dict(m2)
-    return all(d2.get(s, 0) >= e for s, e in m1)
-
-
-def mono_div(m2: Monomial, m1: Monomial) -> Monomial:
-    """m2 / m1; caller guarantees divisibility."""
+def mono_div(m2: Monomial, m1: Monomial) -> Monomial | None:
+    """m2 / m1, or None when m1 does not divide m2."""
     acc = dict(m2)
     for s, e in m1:
-        acc[s] -= e
-    return tuple(sorted((s, e) for s, e in acc.items() if e))
+        left = acc.get(s, 0) - e
+        if left < 0:
+            return None
+        acc[s] = left
+    return tuple((s, e) for s, e in acc.items() if e)
 
 
-def mono_cmp(m1: Monomial, m2: Monomial) -> int:
-    """Graded lex: degree first, then exponents along the symbol order.
+def mono_order(m: Monomial) -> tuple:
+    """Sort key of the term order: ascending puts the largest monomial first.
 
-    Within one degree the monomial with the larger exponent on the earliest
-    differing symbol is the larger one.  This is a proper monomial order
-    (multiplicative and a well-order), which exact division relies on.
+    Degree first; within one degree, the (symbol, -exponent) pairs compared
+    as tuples put first the monomial with the larger exponent on the earliest
+    differing symbol, or with an earlier symbol the other lacks (neither can
+    be a proper prefix of the other at equal degree).
     """
-    d1, d2 = mono_degree(m1), mono_degree(m2)
-    if d1 != d2:
-        return -1 if d1 < d2 else 1
-    i = j = 0
-    while i < len(m1) and j < len(m2):
-        s1, e1 = m1[i]
-        s2, e2 = m2[j]
-        if s1 == s2:
-            if e1 != e2:
-                return 1 if e1 > e2 else -1
-            i += 1
-            j += 1
-        elif s1 < s2:
-            # m1 has positive exponent on an earlier symbol that m2 lacks.
-            return 1
-        else:
-            return -1
-    if i < len(m1):
-        return 1
-    if j < len(m2):
-        return -1
-    return 0
+    return (-mono_degree(m), tuple((s, -e) for s, e in m))
 
 
 def mono_render(m: Monomial) -> str:
@@ -99,15 +78,6 @@ def mono_render(m: Monomial) -> str:
     for s, e in m:
         parts.append(s.render() if e == 1 else f"{s.render()}^{e}")
     return "*".join(parts)
-
-
-def _leading(terms: Dict[Monomial, Fraction]) -> Monomial:
-    it = iter(terms)
-    best = next(it)
-    for m in it:
-        if mono_cmp(m, best) > 0:
-            best = m
-    return best
 
 
 class SymPoly:
@@ -290,15 +260,15 @@ class SymPoly:
             raise DivisionByZero("division by the zero polynomial")
         if self.is_zero():
             return SymPoly.zero()
-        lead_d = _leading(divisor._terms)
+        lead_d = min(divisor._terms, key=mono_order)
         coeff_d = divisor._terms[lead_d]
         quotient: Dict[Monomial, Fraction] = {}
         remainder = dict(self._terms)
         while remainder:
-            lead_r = _leading(remainder)
-            if not mono_divides(lead_d, lead_r):
-                raise NotDivisible("no exact quotient")
+            lead_r = min(remainder, key=mono_order)
             qm = mono_div(lead_r, lead_d)
+            if qm is None:
+                raise NotDivisible("no exact quotient")
             qc = remainder[lead_r] / coeff_d
             quotient[qm] = quotient.get(qm, Fraction(0)) + qc
             for m, c in divisor._terms.items():
@@ -315,11 +285,8 @@ class SymPoly:
     def render(self) -> str:
         if not self._terms:
             return "0"
-        import functools
-        ordered = sorted(self._terms, key=functools.cmp_to_key(mono_cmp),
-                         reverse=True)
         pieces = []
-        for m in ordered:
+        for m in sorted(self._terms, key=mono_order):
             c = self._terms[m]
             mono = mono_render(m)
             mag = abs(c)

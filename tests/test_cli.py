@@ -96,6 +96,22 @@ def test_matrix_output_hash_is_pinned(verb, d1, d2, capsys):
     assert hashlib.sha256(out).hexdigest() == PINNED_SHA256[verb, d1, d2]
 
 
+# sha256 of stdout of verbs that print polynomials in the term order
+PINNED_POLY_SHA256 = {
+    ("det", "--d1", "1", "--d2", "1", "--mode", "symbolic"):
+        "aa8514da88f9df4fe786b84087f79f4fcd5c1035d305adb76750a158ab551049",
+    ("oracle", "--d1", "1", "--d2", "1", "--full"):
+        "227d079f4fb2a1fd925c8d829f4351efcbf15596924217b11a5680daa8968516",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(PINNED_POLY_SHA256), ids=" ".join)
+def test_polynomial_output_hash_is_pinned(argv, capsys):
+    assert run_cli(*argv) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == PINNED_POLY_SHA256[argv]
+
+
 # sha256 of the --out file at (3,4); stdout then holds only "wrote PATH"
 PINNED_OUT_SHA256 = {
     "build": "bc822e70c92e4be71a4bd7023234c4b6404d30bbb4002f5db4fd63811b177a63",
@@ -499,6 +515,8 @@ def test_check_suite_exit_zero(capsys):
 def test_export_csv_requires_specialization(capsys):
     code = run_cli("export", "--d1", "1", "--d2", "1", "--format", "csv")
     assert code == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error: ") and "\n" not in err, err
 
 
 def test_export_csv_with_file(tmp_path, capsys):

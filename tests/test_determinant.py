@@ -95,6 +95,8 @@ class TestSymbolic:
         M = build_square_matrix(spec)
         d = det_symbolic(M, cap=16)
         assert len(d) == 3873
+        assert hashlib.sha256(d.render().encode()).hexdigest() == \
+            "ec341e849bad000f1d1f2e38b0feb67aab7be9fa828c5e4d8465daae7d7f9aa1"
         for seed in (0, 1):
             s = random_specialization(spec, seed)
             assert d.evaluate(s) == det_specialized(M, s) != 0

@@ -139,8 +139,7 @@ class TestCarraFerro:
         assert order[60:] == ["p2"] * 20
 
     def test_rejects_high_orders(self):
-        from diffres import DiffresError
-        with pytest.raises(DiffresError):
+        with pytest.raises(ValueError):
             build_carra_ferro(2, 2, 2, 1)
 
     def test_zero_matrix_has_all_columns_zero(self):

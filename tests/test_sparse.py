@@ -13,13 +13,12 @@ from diffres import (DEFAULT_LIFTINGS, DEFAULT_PERTURBATION, IllegalMove,
                      build_square_matrix, column_set, common_zero_specialization,
                      default_main_monomials, det_specialized, grc_partition,
                      lattice_points, newton_data, nonzero_random_probe,
-                     partition_divisibility, simplex_solve, validate_liftings,
-                     verify_basis)
+                     partition_divisibility, simplex_solve, validate_liftings)
 from diffres import SingularBasis, sparse
 from diffres.errors import CertificateFailure
-from diffres.lp import matrix_rank, simplex
+from diffres.lp import matrix_rank, simplex, verify_basis
 from diffres.sparse import (BLOCK_SIZES, CASE_BASES, MOVES_TO_DIVISIBILITY_2_2,
-                            TARGET_VERTEX, in_hull, var_labels, vertex_lists)
+                            TARGET_VERTEX, in_hull, var_index, vertex_lists)
 from test_lp import verify_basis_reference
 
 F = Fraction
@@ -52,7 +51,7 @@ class TestNewtonData:
         assert v2[3] == (0, 3, 0)
         assert v3[2] == (2, 0, 0)
         assert v4[0] == (0, 0, 0)
-        assert len(var_labels()) == 18
+        assert var_index(4, 3) == 17   # 18 columns, block by block
 
 
 class TestLatticePoints:
@@ -96,9 +95,9 @@ def reference_assignment(inst):
     """(case, vertex, basis id, lambda, objective) from verify_basis alone:
     the catalog in order, strict pass then weak pass; None if no basis fits."""
     for strict in (True, False):
-        for case, bid, labels in CASE_BASES:
+        for case, bid, columns in CASE_BASES:
             try:
-                report = verify_basis(inst, labels)
+                report = verify_basis(inst.A, inst.b, inst.c, columns)
             except SingularBasis:
                 continue
             ok = report.strictly_feasible if strict else report.feasible
@@ -320,11 +319,9 @@ class TestIntegerCertificates:
         nonsingular = {b.bid for b in system.catalog}
         # optimality does not depend on the right-hand side
         inst = build_lp((1, 1, 1), spec, lift)
-        index = {label: k for k, label in enumerate(var_labels())}
-        for case, bid, labels in CASE_BASES:
+        for case, bid, columns in CASE_BASES:
             try:
-                report = verify_basis_reference(inst.A, inst.b, inst.c,
-                                                [index[label] for label in labels])
+                report = verify_basis_reference(inst.A, inst.b, inst.c, columns)
             except SingularBasis:
                 assert bid not in nonsingular
                 continue
@@ -419,11 +416,10 @@ class TestVerifyBasis:
         spec = SystemSpec(2, 2)
         # the first range: third coordinate 2, band constraints on the rest
         inst = build_lp((2, 3, 2), spec, DEFAULT_LIFTINGS)
-        labels = CASE_BASES[0][2]
-        report = verify_basis(inst, labels)
+        cols = CASE_BASES[0][2]
+        report = verify_basis(inst.A, inst.b, inst.c, cols)
         assert report.feasible and report.strictly_feasible and report.optimal
         # basis matrix itself has full rank
-        cols = [inst.labels.index(l) for l in labels]
         B = [[inst.A[i][j] for j in cols] for i in range(7)]
         assert matrix_rank(B) == 7
 
@@ -432,9 +428,10 @@ class TestVerifyBasis:
         inst = build_lp((2, 3, 2), spec, DEFAULT_LIFTINGS)
         from diffres import SingularBasis
         # no variable from the fourth block: its convexity row is unsatisfiable
-        bad = ("lam13", "lam23", "lam24", "lam31", "lam32", "lam33", "lam11")
+        bad = tuple(var_index(i, j) for i, j in
+                    ((1, 3), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (1, 1)))
         with pytest.raises(SingularBasis):
-            verify_basis(inst, bad)
+            verify_basis(inst.A, inst.b, inst.c, bad)
 
     def test_simplex_agreement_on_all_points(self):
         spec = SystemSpec(2, 2)
@@ -442,9 +439,9 @@ class TestVerifyBasis:
             inst = build_lp(q, spec, DEFAULT_LIFTINGS)
             best = simplex_solve(inst)
             certified = None
-            for case, bid, labels in CASE_BASES:
+            for case, bid, columns in CASE_BASES:
                 try:
-                    report = verify_basis(inst, labels)
+                    report = verify_basis(inst.A, inst.b, inst.c, columns)
                 except Exception:
                     continue
                 if report.feasible and report.optimal:

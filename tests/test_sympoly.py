@@ -4,12 +4,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from diffres import (CoeffSymbol, DivisionByZero, NotDivisible,
                      Specialization, SymPoly, UnassignedSymbol, parse_symbol,
                      parse_sympoly)
-from diffres.sympoly import mono_make
+from diffres.sympoly import mono_make, mono_order
 from conftest import SYMBOL_POOL, random_sympoly
 
 A0 = CoeffSymbol("a", 0, 0)
@@ -237,3 +237,30 @@ def test_substitute_is_a_ring_homomorphism(p, q, mapping):
 @given(POLY)
 def test_substituting_each_symbol_by_itself_is_the_identity(p):
     assert p.substitute({s: sym(s) for s in SYMBOL_POOL}) == p
+
+
+# -- the term order ----------------------------------------------------------
+
+ORDER_POOL = SYMBOL_POOL + [CoeffSymbol("b", 1, 0, 2),
+                            CoeffSymbol("a", 1, 1, 0, fresh=True)]
+MONO = st.dictionaries(st.sampled_from(ORDER_POOL), st.integers(1, 3),
+                       max_size=3).map(mono_make)
+
+
+def graded_lex_reference(monos):
+    """Largest first: degree, then exponent vectors over the sorted alphabet
+    compared lexicographically."""
+    alphabet = sorted(ORDER_POOL)
+
+    def dense(m):
+        powers = dict(m)
+        return [powers.get(s, 0) for s in alphabet]
+    return sorted(monos, key=lambda m: (sum(dense(m)), dense(m)), reverse=True)
+
+
+@given(st.lists(MONO, max_size=12))
+@example([mono_make({B0: 2}), mono_make({A0: 1, B0: 1}), mono_make({A0: 2}),
+          mono_make({ORDER_POOL[-1]: 1, A0: 1}), mono_make({}),
+          mono_make({CoeffSymbol("a", 0, 0, 1): 2})])
+def test_mono_order_is_graded_lex_on_dense_exponents(monos):
+    assert sorted(monos, key=mono_order) == graded_lex_reference(monos)
