@@ -7,39 +7,66 @@ a transversal certificate that the determinant is not identically zero, and
 the sparse-resultant route that recovers the same matrix from exact linear
 programs over lifted Newton polytopes.  All arithmetic is over arbitrary
 precision rationals; nothing is ever rounded.
+
+Names load on first use.  `import diffres` imports no submodule: each name
+of `__all__` is looked up in `_EXPORTS`, its submodule is imported when the
+name is first read (`diffres.SymPoly`, `from diffres import certify`), and
+the value is kept in the package namespace from then on.  The submodules
+themselves (`diffres.sparse`, `from diffres import lp`) load the same way.
 """
 
-from .errors import (CapExceeded, CertificateFailure, ClosureViolation,
-                     DegreeZero, DiffresError, DivisionByZero, IllegalMove,
-                     Infeasible, IntermediateZero, InvalidPerturbation,
-                     NoVertexOptimum, NotDivisible, SingularBasis, Unbounded,
-                     UnassignedSymbol)
-from .symbols import CoeffSymbol, parse_symbol
-from .sympoly import Monomial, Specialization, SymPoly, parse_sympoly
-from .diffsys import (DiffPoly, SystemSpec, YMonomial, delta, generic_poly,
-                      generic_system, support, system_symbols, ym_render)
-from .monomials import (MainMonomials, MonomialSet, Partition, bset,
-                        closed_form_partition, closed_form_sets, column_set,
-                        default_main_monomials, multiplier_sizes,
-                        partition_divisibility)
-from .matrices import (PolyMatrix, RowLabel, build_carra_ferro,
-                       build_sparse_matrix, build_square_matrix,
-                       carra_ferro_shape, zero_columns)
-from .certificate import (Certificate, certify, eliminate,
-                          ranking_specialization, transform_12,
-                          unique_monomial_coefficient)
-from .determinant import (common_zero_specialization, crt_combine,
-                          det_laplace, det_modular, det_specialized,
-                          det_symbolic, hadamard_bound, kernel_certifies,
-                          nonzero_random_probe, random_specialization)
-from .sparse import (DEFAULT_LIFTINGS, DEFAULT_PERTURBATION, GrcAssignment,
-                     GrcPartitionResult, Liftings, LPInstance,
-                     MOVES_TO_DIVISIBILITY_2_2, Polytope, apply_moves,
-                     build_lp, grc_partition, lattice_points, newton_data,
-                     simplex_solve, validate_liftings, vertex_lists)
-from .oracle import eliminate_iterated, sylvester_resultant
-from .checks import CheckReport, run_checks
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# submodule -> the names the package re-exports from it
+_EXPORTS = {
+    "errors": ("CapExceeded", "CertificateFailure", "ClosureViolation",
+               "DegreeZero", "DiffresError", "DivisionByZero", "IllegalMove",
+               "Infeasible", "IntermediateZero", "InvalidPerturbation",
+               "NoVertexOptimum", "NotDivisible", "SingularBasis", "Unbounded",
+               "UnassignedSymbol"),
+    "symbols": ("CoeffSymbol", "parse_symbol"),
+    "sympoly": ("Monomial", "Specialization", "SymPoly", "parse_sympoly"),
+    "diffsys": ("DiffPoly", "SystemSpec", "YMonomial", "delta", "generic_poly",
+                "generic_system", "support", "system_symbols", "ym_render"),
+    "monomials": ("MainMonomials", "MonomialSet", "Partition", "bset",
+                  "closed_form_partition", "closed_form_sets", "column_set",
+                  "default_main_monomials", "multiplier_sizes",
+                  "partition_divisibility"),
+    "matrices": ("PolyMatrix", "RowLabel", "build_carra_ferro",
+                 "build_sparse_matrix", "build_square_matrix",
+                 "carra_ferro_shape", "zero_columns"),
+    "certificate": ("Certificate", "certify", "eliminate",
+                    "ranking_specialization", "transform_12",
+                    "unique_monomial_coefficient"),
+    "determinant": ("common_zero_specialization", "crt_combine", "det_laplace",
+                    "det_modular", "det_specialized", "det_symbolic",
+                    "hadamard_bound", "kernel_certifies", "nonzero_random_probe",
+                    "random_specialization"),
+    "lp": (),
+    "sparse": ("DEFAULT_LIFTINGS", "DEFAULT_PERTURBATION", "GrcAssignment",
+               "GrcPartitionResult", "Liftings", "LPInstance",
+               "MOVES_TO_DIVISIBILITY_2_2", "Polytope", "apply_moves",
+               "build_lp", "grc_partition", "lattice_points", "newton_data",
+               "simplex_solve", "validate_liftings", "vertex_lists"),
+    "oracle": ("eliminate_iterated", "sylvester_resultant"),
+    "checks": ("CheckReport", "run_checks"),
+}
+_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted([*_EXPORTS, *_SOURCE])
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _SOURCE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_SOURCE[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

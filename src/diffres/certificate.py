@@ -15,9 +15,8 @@ procedure is a proof artifact, never downgraded to a warning.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 from .errors import CertificateFailure
 from .determinant import perm_sign
@@ -60,8 +59,7 @@ def transform_12(matrix: PolyMatrix, spec: SystemSpec) -> PolyMatrix:
     return matrix.substitute({old: replacement})
 
 
-@dataclass(frozen=True)
-class CertStep:
+class CertStep(NamedTuple):
     symbol: CoeffSymbol
     block: str
     deleted_rows: Tuple[RowLabel, ...]
@@ -70,8 +68,7 @@ class CertStep:
     unit_coefficients: Tuple[Fraction, ...]   # factor of the symbol per entry
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     steps: Tuple[CertStep, ...]
     unique_monomial: Monomial
     transversal: Dict[RowLabel, YMonomial]

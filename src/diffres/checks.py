@@ -15,9 +15,8 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from . import lp
 from .certificate import (certify, ranking_specialization,
@@ -40,12 +39,11 @@ from .symbols import CoeffSymbol
 from .sympoly import Specialization
 
 
-@dataclass
-class CheckReport:
+class CheckReport(NamedTuple):
     name: str
     spec: Optional[Tuple[int, int]]
     status: str                    # "pass" | "fail"
-    witness: Dict[str, object] = field(default_factory=dict)
+    witness: Dict[str, object]
     runtime: float = 0.0
 
     @property
@@ -380,8 +378,9 @@ def run_checks(suite: str = "all", seed: int = 0) -> List[CheckReport]:
     elif suite in OPTIONAL_SUITES:
         selected = [OPTIONAL_SUITES[suite]]
     else:
+        names = ["all", *sorted(SUITES), *sorted(OPTIONAL_SUITES)]
         raise ValueError(f"unknown suite {suite!r}; choose from "
-                         f"{sorted(SUITES) + sorted(OPTIONAL_SUITES)}")
+                         f"{', '.join(names)}")
     reports: List[CheckReport] = []
     for fn in selected:
         reports.extend(fn(seed))

@@ -24,38 +24,23 @@ from functools import lru_cache
 from typing import Iterable, Iterator, List, Optional, Sequence
 
 from .certificate import certify, unique_monomial_coefficient
-from .checks import OPTIONAL_SUITES, SUITES, run_checks
 from .determinant import (SIGN_NOTE, SYMBOLIC_CAP_DEFAULT,
                           common_zero_specialization, crt_lift, det_residues,
                           det_specialized, det_symbolic, hadamard_bound,
                           random_specialization)
-from .diffsys import (SystemSpec, delta, generic_system, system_symbols,
-                      ym_render)
+from .diffsys import (SystemSpec, YMonomial, delta, generic_system,
+                      system_symbols, ym_render)
 from .errors import CapExceeded, DiffresError, IllegalMove
 from .matrices import (build_carra_ferro, build_sparse_matrix,
                        build_square_matrix, zero_columns)
 from .monomials import (closed_form_sets, column_set, default_main_monomials,
                         partition_divisibility)
 from .oracle import eliminate_iterated
-from .sparse import (DEFAULT_LIFTINGS, DEFAULT_PERTURBATION, Liftings,
-                     MOVES_TO_DIVISIBILITY_2_2, apply_moves, grc_partition,
-                     validate_liftings)
-from .sympoly import Specialization
-from .diffsys import YMonomial
+from .sympoly import Specialization, parse_rational
 
 
 def _spec(args) -> SystemSpec:
     return SystemSpec(args.d1, args.d2).validate()
-
-
-def _exact_number(text: str) -> Fraction:
-    """A JSON number read from its decimal text, so 0.01 is 1/100 and not the
-    binary float nearest to it.  An exponent past Python's integer-to-string
-    digit limit is refused rather than expanded."""
-    exponent = text.lower().partition("e")[2]
-    if exponent and abs(int(exponent)) > 4300:
-        raise ValueError(f"number out of range: {text}")
-    return Fraction(text)
 
 
 def _read_json(path: str, kind: type, what: str):
@@ -63,7 +48,7 @@ def _read_json(path: str, kind: type, what: str):
     so exit code 2, otherwise).  Numbers with a fraction or exponent are
     read exactly, as Fractions."""
     with open(path) as fh:
-        data = json.load(fh, parse_float=_exact_number)
+        data = json.load(fh, parse_float=parse_rational)
     if not isinstance(data, kind):
         raise ValueError(f"{path}: {what} must hold a JSON "
                          f"{'object' if kind is dict else 'list'}")
@@ -92,7 +77,8 @@ def _move(entry) -> tuple:
     return YMonomial(*_ints(entry["monomial"], 3, "move monomial")), src, dst
 
 
-def _liftings(args, config: dict) -> Liftings:
+def _liftings(args, config: dict):
+    from .sparse import DEFAULT_LIFTINGS, Liftings
     values = args.liftings if args.liftings else config.get("liftings")
     if values is None:
         return DEFAULT_LIFTINGS
@@ -104,7 +90,7 @@ def _liftings(args, config: dict) -> Liftings:
 def _rationals(values, what: str) -> tuple:
     # a boolean is not a rational here, nor is a string read as a list
     try:
-        out = (tuple(Fraction(v) for v in values)
+        out = (tuple(parse_rational(v) for v in values)
                if isinstance(values, (list, tuple))
                and not any(isinstance(v, bool) for v in values) else ())
     except (TypeError, ZeroDivisionError, OverflowError):
@@ -115,6 +101,7 @@ def _rationals(values, what: str) -> tuple:
 
 
 def _delta_vec(args, config: dict):
+    from .sparse import DEFAULT_PERTURBATION
     values = args.delta if args.delta else config.get("delta")
     if values is None:
         return DEFAULT_PERTURBATION
@@ -306,6 +293,7 @@ def cmd_det(args) -> int:
 
 
 def cmd_lp_partition(args) -> int:
+    from .sparse import grc_partition, validate_liftings
     spec = _spec(args)
     config = _load_config(args.config)
     lift = _liftings(args, config)
@@ -332,6 +320,7 @@ def cmd_lp_partition(args) -> int:
 
 
 def cmd_moves(args) -> int:
+    from .sparse import MOVES_TO_DIVISIBILITY_2_2, apply_moves, grc_partition
     spec = _spec(args)
     config = _load_config(args.config)
     lift = _liftings(args, config)
@@ -375,6 +364,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_check(args) -> int:
+    from .checks import run_checks
     reports = run_checks(args.suite, seed=args.seed)
     for report in reports:
         print(report.line())
@@ -492,7 +482,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="run verification suites")
     p.add_argument("--suite", default="all",
-                   choices=["all"] + sorted(SUITES) + sorted(OPTIONAL_SUITES))
+                   help="a suite name, or all (the default) for every "
+                        "non-optional suite")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--verbose", action="store_true")
     p.set_defaults(fn=cmd_check)

@@ -18,7 +18,6 @@ the adjugates and the rank.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import List, NamedTuple, Optional, Sequence, Tuple
@@ -98,8 +97,7 @@ def _row_reduce(rows: List[List[int]], ncols: int) -> Tuple[List[int], int]:
     return pivots, den
 
 
-@dataclass
-class LPSolution:
+class LPSolution(NamedTuple):
     status: str                 # "optimal" | "infeasible" | "unbounded"
     x: Vector
     objective: Fraction
@@ -262,8 +260,7 @@ def feasible(A: Sequence[Sequence], b: Sequence) -> bool:
     return phase_one(A, b).feasible
 
 
-@dataclass(frozen=True)
-class BasisReport:
+class BasisReport(NamedTuple):
     feasible: bool
     strictly_feasible: bool
     optimal: bool

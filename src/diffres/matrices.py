@@ -129,22 +129,35 @@ def _fill_rows(row_plan: Sequence[Tuple[RowLabel, DiffPoly]],
                cols: Sequence[YMonomial]) -> Tuple[List[SymPoly], List[Dict[int, int]]]:
     """A pool of the row polynomials' coefficient objects, and per row
     {j: pool index}.  `cols` descend in `ym_key`, a monomial order, so taking
-    each polynomial's terms in that order fills every row in increasing j.  A
-    `YMonomial` hashes as its tuple, so columns are found by exponent sums."""
-    col_index = {c: j for j, c in enumerate(cols)}
+    each polynomial's terms in that order fills every row in increasing j.
+
+    Columns are found by packed exponents (e*B + e1)*B + e2, with the base B
+    above every exponent of a column and of a term times a multiplier: the
+    packing is then linear and one-to-one, so a row's keys are its
+    multiplier's key plus each term's, and no monomial outside the column
+    set lands on a column by a carry."""
     polys = {id(poly): poly for _, poly in row_plan}.values()
+    top_term = max((max(m) for poly in polys for m, _ in poly.items()), default=0)
+    top_mult = max((max(label.mult) for label, _ in row_plan), default=0)
+    base = max([top_term + top_mult, *map(max, cols)]) + 1
+
+    def pack(m: YMonomial) -> int:
+        return (m[0] * base + m[1]) * base + m[2]
+
+    col_index = {pack(c): j for j, c in enumerate(cols)}
     pool, index = _distinct(c for poly in polys for _, c in poly.items())
-    terms = {id(poly): [(*m, index[id(c)]) for m, c in sorted(
+    terms = {id(poly): [(pack(m), index[id(c)]) for m, c in sorted(
         poly.items(), key=lambda t: ym_key(t[0]), reverse=True)] for poly in polys}
     row_entries = []
     for label, poly in row_plan:
-        a, b, c = label.mult
+        shift = pack(label.mult)
         try:
-            row_entries.append({col_index[e + a, e1 + b, e2 + c]: x
-                                for e, e1, e2, x in terms[id(poly)]})
+            row_entries.append({col_index[k + shift]: x for k, x in terms[id(poly)]})
         except KeyError as exc:
+            e, rest = divmod(exc.args[0], base * base)
+            outside = YMonomial(e, *divmod(rest, base))
             raise ClosureViolation(
-                f"row {label.render()} produces {ym_render(YMonomial(*exc.args[0]))} "
+                f"row {label.render()} produces {ym_render(outside)} "
                 "outside the column set") from None
     return pool, row_entries
 

@@ -8,19 +8,34 @@ the central property test of this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Tuple
 
 from .diffsys import (SystemSpec, YMonomial, YM_ONE, ym_divides, ym_key,
                       ym_mul, ym_render)
 
 
-@dataclass(frozen=True)
 class MonomialSet:
-    """Ordered, duplicate-free set of monomials in (y, y1, y2)."""
+    """Ordered, duplicate-free set of monomials in (y, y1, y2).
 
-    elems: Tuple[YMonomial, ...]
-    label: str = ""
+    A value: equal, hashed and shown by (elems, label).  Not a tuple, since
+    its length and iteration are those of `elems`."""
+
+    __slots__ = ("elems", "label")
+
+    def __init__(self, elems: Tuple[YMonomial, ...], label: str = ""):
+        self.elems = elems
+        self.label = label
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.elems, self.label) == (other.elems, other.label)
+
+    def __hash__(self) -> int:
+        return hash((self.elems, self.label))
+
+    def __repr__(self) -> str:
+        return f"MonomialSet(elems={self.elems!r}, label={self.label!r})"
 
     @staticmethod
     def of(monomials: Iterable[YMonomial], label: str = "") -> "MonomialSet":
@@ -53,8 +68,7 @@ class MonomialSet:
         return "{" + ", ".join(ym_render(m) for m in self.elems) + "}"
 
 
-@dataclass(frozen=True)
-class MainMonomials:
+class MainMonomials(NamedTuple):
     """Designated monomial of each of the four row polynomials."""
 
     mm1: YMonomial  # for the derivative of the first polynomial
@@ -76,8 +90,7 @@ def default_main_monomials(spec: SystemSpec) -> MainMonomials:
     )
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(NamedTuple):
     """Disjoint four-way split of the column set."""
 
     s1: MonomialSet

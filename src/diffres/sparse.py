@@ -59,8 +59,7 @@ DEFAULT_PERTURBATION: Tuple[Fraction, Fraction, Fraction] = (
     Fraction(1, 100), Fraction(1, 100), Fraction(1, 100))
 
 
-@dataclass(frozen=True)
-class Liftings:
+class Liftings(NamedTuple):
     """One integer height vector per polytope, acting on (y, y1, y2)."""
 
     l1: LiftVector
@@ -81,8 +80,7 @@ class Liftings:
 DEFAULT_LIFTINGS = Liftings((7, -4, -5), (5, -9, 5), (6, 2, 1), (8, 4, 7))
 
 
-@dataclass(frozen=True)
-class Polytope:
+class Polytope(NamedTuple):
     points: Tuple[Point, ...]
     vertices: Tuple[Point, ...]
 
@@ -130,8 +128,7 @@ def newton_data(spec: SystemSpec) -> Tuple[Polytope, Polytope, Polytope, Polytop
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class LPInstance:
+class LPInstance(NamedTuple):
     """Standard-form data for one lattice point."""
 
     A: Tuple[Tuple[int, ...], ...]        # 7 x 18
@@ -347,8 +344,7 @@ class _PointSystem:
                 if lp.optimal(self.A, c, b.columns, b.p, b.adj)]
 
 
-@dataclass(frozen=True)
-class LiftingReport:
+class LiftingReport(NamedTuple):
     passed: bool
     violations: Tuple[str, ...]
     degenerate: Tuple[str, ...]   # inequalities holding with equality

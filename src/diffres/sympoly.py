@@ -16,6 +16,7 @@ exists).
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Dict, Iterable, Iterator, Mapping, Tuple
 
@@ -318,9 +319,26 @@ def _coerce(value) -> SymPoly:
     return NotImplemented
 
 
+# a decimal exponent larger than Python's default limit on the digits of an
+# int's text would be expanded into an integer too long to print
+MAX_EXPONENT = 4300
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+
+
+def parse_rational(value) -> Fraction:
+    """The exact rational of a text such as "3/4", "-0.25" or "1e-3", so
+    "0.01" is 1/100 and not the binary float nearest to it; an int or a
+    Fraction is taken as it is.  A text with a decimal exponent beyond
+    MAX_EXPONENT is refused with a ValueError rather than expanded."""
+    if isinstance(value, str):
+        m = _EXPONENT.search(value)
+        if m and abs(int(m.group(1))) > MAX_EXPONENT:
+            raise ValueError(f"number out of range: {value}")
+    return Fraction(value)
+
+
 def parse_sympoly(text: str) -> SymPoly:
     """Inverse of SymPoly.render (serialize -> parse -> serialize is stable)."""
-    import re
     text = text.strip()
     if text == "0":
         return SymPoly.zero()
@@ -370,7 +388,7 @@ class Specialization:
                  universe: Iterable[CoeffSymbol] | None = None,
                  zero: Tuple[Fraction, Fraction, Fraction] | None = None):
         self.zero = zero
-        self._values = {s: v if isinstance(v, Fraction) else Fraction(v)
+        self._values = {s: v if isinstance(v, Fraction) else parse_rational(v)
                         for s, v in assignment.items()}
         self.universe = frozenset(universe) if universe is not None \
             else frozenset(self._values)
@@ -406,7 +424,7 @@ class Specialization:
             try:
                 if isinstance(v, bool):   # a JSON true is not the number 1
                     raise TypeError(v)
-                values[sym] = Fraction(v)
+                values[sym] = parse_rational(v)
             except (TypeError, ZeroDivisionError, OverflowError):
                 raise ValueError(f"value of {key} is not a number: {v!r}") from None
         if universe is not None:

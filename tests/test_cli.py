@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 import subprocess
 import sys
 from argparse import Namespace
@@ -594,3 +595,53 @@ def test_installed_entry_point_runs():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["N"] == 4
+
+
+def test_unknown_suite_names_the_suites(capsys):
+    """The parser takes any suite name; `run_checks` refuses an unknown one,
+    in-process as in a fresh process, with one line naming the suites."""
+    def runtimes_out(text):
+        return re.sub(r"\(\d+\.\d\ds\)", "(s)", text)
+
+    for suite, code in (("sizes", 0), ("nosuch", 2)):
+        proc = subprocess.run([sys.executable, "-m", "diffres.cli", "check",
+                               "--suite", suite], capture_output=True, text=True)
+        assert run_cli("check", "--suite", suite) == proc.returncode == code
+        out, err = capsys.readouterr()
+        assert (runtimes_out(out), err) == (runtimes_out(proc.stdout), proc.stderr)
+    assert out == ""
+    assert err == ("error: unknown suite 'nosuch'; choose from all, basis, "
+                   "carra-ferro, certificate, linear, lp-partition, "
+                   "nonvanishing, oracle, sizes, vanishing, stretch\n")
+
+
+# a decimal exponent past 4300 is refused wherever a rational is read from
+# text, not expanded into an integer of that many digits (which ran for
+# minutes); each case runs in its own process, under a timeout
+HUGE_EXPONENT_CASES = {
+    "common-zero": (("det", "--d1", "1", "--d2", "1",
+                     "--common-zero", "1e99999999", "1", "1"), None),
+    "delta": (("lp-partition", "--d1", "1", "--d2", "1",
+               "--delta", "1/100", "1E-99_999_999", "1/100"), None),
+    "config-text": (("lp-partition", "--d1", "1", "--d2", "1", "--config"),
+                    '{"delta": ["1/100", "1/100", "1e+99999999"]}'),
+    "spec-file-text": (("det", "--d1", "1", "--d2", "1", "--spec-file"),
+                       '{"a(0,0)": "1e99999999"}'),
+    "json-number": (("det", "--d1", "1", "--d2", "1", "--spec-file"),
+                    '{"a(0,0)": 1e99999999}'),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HUGE_EXPONENT_CASES))
+def test_a_huge_decimal_exponent_is_refused(case, tmp_path):
+    argv, content = HUGE_EXPONENT_CASES[case]
+    if content is not None:
+        path = tmp_path / "input.json"
+        path.write_text(content)
+        argv = (*argv, str(path))
+    proc = subprocess.run([sys.executable, "-m", "diffres.cli", *argv],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: number out of range: ")
+    assert proc.stderr.count("\n") == 1

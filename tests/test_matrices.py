@@ -235,6 +235,15 @@ def test_fill_outside_the_column_set_names_the_monomial():
         _fill_rows([(RowLabel(F1, y2), f1)], cols)
 
 
+def test_fill_outside_the_column_set_takes_no_column_by_a_carry():
+    # y2 * y2 = y2^2 is outside; packed in base 2, one above the largest
+    # column exponent, it would carry into y1, which is a column
+    y2 = YMonomial(0, 0, 1)
+    with pytest.raises(ClosureViolation, match=r"y2\^2 outside the column set"):
+        _fill_rows([(RowLabel(F1, y2), DiffPoly({y2: SymPoly.const(1)}))],
+                   [YMonomial(0, 1, 0), y2])
+
+
 def test_substitute_drops_exactly_the_vanishing_entries():
     spec = SystemSpec(2, 2)
     M = build_square_matrix(spec)

@@ -9,7 +9,8 @@ from hypothesis import example, given, settings, strategies as st
 from diffres import (CoeffSymbol, DivisionByZero, NotDivisible,
                      Specialization, SymPoly, UnassignedSymbol, parse_symbol,
                      parse_sympoly)
-from diffres.sympoly import mono_make, mono_order
+from diffres.sympoly import (MAX_EXPONENT, mono_make, mono_order,
+                             parse_rational)
 from conftest import SYMBOL_POOL, random_sympoly
 
 A0 = CoeffSymbol("a", 0, 0)
@@ -264,3 +265,28 @@ def graded_lex_reference(monos):
           mono_make({CoeffSymbol("a", 0, 0, 1): 2})])
 def test_mono_order_is_graded_lex_on_dense_exponents(monos):
     assert sorted(monos, key=mono_order) == graded_lex_reference(monos)
+
+
+@pytest.mark.parametrize("text, value", [
+    ("3/4", Fraction(3, 4)), (" -0.25 ", Fraction(-1, 4)),
+    ("1E-3", Fraction(1, 1000)), ("2.5e+1", Fraction(25)),
+    ("1_0e1_0", Fraction(10) ** 11),
+    (f"1e{MAX_EXPONENT}", Fraction(10) ** MAX_EXPONENT),
+    (f"-1e-{MAX_EXPONENT}", -Fraction(1, 10 ** MAX_EXPONENT)),
+    (7, Fraction(7)), (Fraction(2, 3), Fraction(2, 3))])
+def test_parse_rational_reads_exact_text(text, value):
+    assert parse_rational(text) == value
+
+
+@pytest.mark.parametrize("text", [
+    f"1e{MAX_EXPONENT + 1}", f"0.5E-{MAX_EXPONENT + 1}", "1e+99_999_999",
+    "2e99999999 "])
+def test_parse_rational_refuses_a_huge_exponent(text):
+    with pytest.raises(ValueError, match="number out of range"):
+        parse_rational(text)
+
+
+def test_a_specialization_reads_text_values_exactly():
+    assert Specialization({A0: "-0.25", B0: 3})[A0] == Fraction(-1, 4)
+    with pytest.raises(ValueError, match="number out of range"):
+        Specialization({A0: "1e99999"})
