@@ -1,10 +1,14 @@
 """Named verification suites.
 
-Each suite is the executable form of one acceptance criterion: it returns a
-CheckReport carrying pass/fail, witness data (seeds, counts, values) and its
-runtime, and is deterministic given the seed.  The CLI `check` command and
-the acceptance tests both run through here, so there is exactly one
-implementation of every criterion.
+Each acceptance criterion is one function `check_x(spec, seed)`: it asserts
+the criterion at one degree pair (a SystemSpec, or None for a criterion
+that sweeps its own pairs) and returns its witness data (seeds, counts,
+values), deterministically given the seed.  `SUITES` is the one table of
+suites: a row gives the report name, the degree pairs and the criterion,
+and marks the optional suite.  `run_checks` alone loops over the pairs,
+times each call and reports an AssertionError as a failure.  The CLI
+`check` command and the acceptance tests both run through here, so there is
+exactly one implementation of every criterion.
 
 Reports are produced sequentially and order-normalized by name before
 emission; nothing in a check depends on when any other check runs, so a
@@ -55,15 +59,16 @@ class CheckReport(NamedTuple):
         return f"[{self.status.upper():4}] {self.name}{spec}  ({self.runtime:.2f}s)"
 
 
-def _report(name: str, spec, fn: Callable[[], Dict[str, object]]) -> CheckReport:
+def _report(name: str, d: Optional[Tuple[int, int]],
+            criterion: Callable[..., Dict[str, object]], seed: int) -> CheckReport:
     start = time.perf_counter()
     try:
-        witness = fn()
+        witness = criterion(SystemSpec(*d) if d else None, seed)
         status = "pass"
     except AssertionError as exc:
         witness = {"error": str(exc)}
         status = "fail"
-    return CheckReport(name, spec, status, witness,
+    return CheckReport(name, d, status, witness,
                        runtime=time.perf_counter() - start)
 
 
@@ -81,118 +86,96 @@ CERTIFICATE_SPECS = ((1, 1), (1, 2), (2, 2), (2, 3), (3, 3))
 
 # --- criterion 1 -------------------------------------------------------------
 
-def check_sizes(seed: int = 0) -> List[CheckReport]:
-    def body() -> Dict[str, object]:
-        for d1 in range(1, 7):
-            for d2 in range(d1, 7):
-                spec = SystemSpec(d1, d2)
-                matrix = build_square_matrix(spec)
-                n = spec.N
-                assert matrix.nrows == matrix.ncols == n, \
-                    f"{(d1, d2)}: shape {matrix.nrows}x{matrix.ncols} != {n}"
-                assert n == (spec.D + 1) ** 2 == 4 * (d1 + d2 - 1) ** 2
-                counts = tuple(matrix.meta["block_counts"])
-                assert sum(counts) == n, f"{(d1, d2)}: blocks {counts}"
-                assert counts == multiplier_sizes(spec)
-        m22 = build_square_matrix(SystemSpec(2, 2))
-        assert m22.nrows == 36
-        assert tuple(m22.meta["block_counts"]) == (10, 10, 10, 6)
-        return {"specs": 21, "reference": {"d": [2, 2], "N": 36,
-                                           "blocks": [10, 10, 10, 6]}}
-    return [_report("sizes", None, body)]
+def check_sizes(spec: Optional[SystemSpec], seed: int) -> Dict[str, object]:
+    for d1 in range(1, 7):
+        for d2 in range(d1, 7):
+            spec = SystemSpec(d1, d2)
+            matrix = build_square_matrix(spec)
+            n = spec.N
+            assert matrix.nrows == matrix.ncols == n, \
+                f"{(d1, d2)}: shape {matrix.nrows}x{matrix.ncols} != {n}"
+            assert n == (spec.D + 1) ** 2 == 4 * (d1 + d2 - 1) ** 2
+            counts = tuple(matrix.meta["block_counts"])
+            assert sum(counts) == n, f"{(d1, d2)}: blocks {counts}"
+            assert counts == multiplier_sizes(spec)
+    m22 = build_square_matrix(SystemSpec(2, 2))
+    assert m22.nrows == 36
+    assert tuple(m22.meta["block_counts"]) == (10, 10, 10, 6)
+    return {"specs": 21, "reference": {"d": [2, 2], "N": 36,
+                                       "blocks": [10, 10, 10, 6]}}
 
 
 # --- criterion 2 -------------------------------------------------------------
 
-def check_carra_ferro(seed: int = 0) -> List[CheckReport]:
-    def body() -> Dict[str, object]:
-        matrix = build_carra_ferro(2, 2, 1, 1)
-        meta = matrix.meta
-        assert (matrix.nrows, matrix.ncols) == (80, 56), \
-            f"shape {matrix.nrows}x{matrix.ncols}"
-        assert meta["D"] == 5 and meta["L"] == 56
-        assert meta["L1"] == meta["L2"] == 20
-        zeros = zero_columns(matrix)
-        assert YMonomial(0, 0, 5) in zeros, "column y2^5 is not identically zero"
-        assert matrix.cols[0] == YMonomial(0, 0, 5)
-        return {"shape": [80, 56], "zero_columns": [ym_render(c) for c in zeros]}
-    return [_report("carra-ferro", (2, 2), body)]
+def check_carra_ferro(spec: SystemSpec, seed: int) -> Dict[str, object]:
+    matrix = build_carra_ferro(*spec, 1, 1)
+    meta = matrix.meta
+    assert (matrix.nrows, matrix.ncols) == (80, 56), \
+        f"shape {matrix.nrows}x{matrix.ncols}"
+    assert meta["D"] == 5 and meta["L"] == 56
+    assert meta["L1"] == meta["L2"] == 20
+    zeros = zero_columns(matrix)
+    assert YMonomial(0, 0, 5) in zeros, "column y2^5 is not identically zero"
+    assert matrix.cols[0] == YMonomial(0, 0, 5)
+    return {"shape": [80, 56], "zero_columns": [ym_render(c) for c in zeros]}
 
 
 # --- criterion 3 -------------------------------------------------------------
 
-def check_certificate(seed: int = 0) -> List[CheckReport]:
-    reports = []
-    for d in CERTIFICATE_SPECS:
-        def body(d=d) -> Dict[str, object]:
-            spec = SystemSpec(*d)
-            transformed, cert = certify(spec)
-            n1, n2, n3, n4 = cert.counts
-            assert sum(cert.counts) == spec.N
-            coeff = unique_monomial_coefficient(cert)
-            units = cert.unit_product()
-            assert units == Fraction(spec.d1) ** n1, \
-                f"unit product {units} != d1^n1"
-            assert coeff / units in (1, -1), \
-                f"normalized coefficient {coeff / units} is not a sign"
-            if d == (2, 2):
-                expected = {
-                    CoeffSymbol("a", 0, 2, 0): 10,   # top coefficient of f1
-                    CoeffSymbol("b", 0, 2, 1): 10,   # derivative of f2's top
-                    CoeffSymbol("a", 2, 0, 0): 10,   # pure-y coefficient of f1
-                    CoeffSymbol("b", 0, 0, 0): 6,    # constant of f2
-                }
-                assert dict(cert.unique_monomial) == expected, \
-                    f"unique monomial {dict(cert.unique_monomial)}"
-            rank_spec = ranking_specialization(spec)
-            assert det_specialized(transformed, rank_spec) != 0, \
-                "ranking specialization killed the determinant"
-            return {"counts": list(cert.counts), "coefficient": str(coeff),
-                    "sign": cert.sign}
-        reports.append(_report("certificate", d, body))
-    return reports
+def check_certificate(spec: SystemSpec, seed: int) -> Dict[str, object]:
+    transformed, cert = certify(spec)
+    n1, n2, n3, n4 = cert.counts
+    assert sum(cert.counts) == spec.N
+    coeff = unique_monomial_coefficient(cert)
+    units = cert.unit_product()
+    assert units == Fraction(spec.d1) ** n1, \
+        f"unit product {units} != d1^n1"
+    assert coeff / units in (1, -1), \
+        f"normalized coefficient {coeff / units} is not a sign"
+    if spec == (2, 2):
+        expected = {
+            CoeffSymbol("a", 0, 2, 0): 10,   # top coefficient of f1
+            CoeffSymbol("b", 0, 2, 1): 10,   # derivative of f2's top
+            CoeffSymbol("a", 2, 0, 0): 10,   # pure-y coefficient of f1
+            CoeffSymbol("b", 0, 0, 0): 6,    # constant of f2
+        }
+        assert dict(cert.unique_monomial) == expected, \
+            f"unique monomial {dict(cert.unique_monomial)}"
+    rank_spec = ranking_specialization(spec)
+    assert det_specialized(transformed, rank_spec) != 0, \
+        "ranking specialization killed the determinant"
+    return {"counts": list(cert.counts), "coefficient": str(coeff),
+            "sign": cert.sign}
 
 
 # --- criteria 4 and 5 --------------------------------------------------------
 
-def check_vanishing(seed: int = 0) -> List[CheckReport]:
+def check_vanishing(spec: SystemSpec, seed: int) -> Dict[str, object]:
     """Every common-zero specialization has a kernel vector, the column
     monomials at its point; at VANISHING_SPECS the exact elimination, run
     on a copy of the values that carries no zero, gives det == 0 as well."""
-    reports = []
-    for d in VANISHING_SPECS + KERNEL_VECTOR_SPECS:
-        def body(d=d) -> Dict[str, object]:
-            spec = SystemSpec(*d)
-            matrix = build_square_matrix(spec)
-            rng = random.Random(seed * 7919 + d[0] * 101 + d[1])
-            eliminate = d in VANISHING_SPECS
-            for trial in range(VANISHING_TRIALS):
-                point = _random_point(rng)
-                s = common_zero_specialization(spec, point, rng_seed=seed + trial)
-                assert kernel_certifies(matrix.specialize(s), matrix.cols, s.zero), \
-                    f"trial {trial} at point {point}: no kernel vector"
-                if eliminate:
-                    value = det_specialized(
-                        matrix, Specialization(dict(s.items()), s.universe))
-                    assert value == 0, \
-                        f"trial {trial} at point {point}: det = {value}"
-            return {"trials": VANISHING_TRIALS, "seed": seed,
-                    "method": "elimination" if eliminate else "kernel-vector"}
-        reports.append(_report("vanishing", d, body))
-    return reports
+    matrix = build_square_matrix(spec)
+    rng = random.Random(seed * 7919 + spec.d1 * 101 + spec.d2)
+    eliminate = spec in VANISHING_SPECS
+    for trial in range(VANISHING_TRIALS):
+        point = _random_point(rng)
+        s = common_zero_specialization(spec, point, rng_seed=seed + trial)
+        assert kernel_certifies(matrix.specialize(s), matrix.cols, s.zero), \
+            f"trial {trial} at point {point}: no kernel vector"
+        if eliminate:
+            value = det_specialized(
+                matrix, Specialization(dict(s.items()), s.universe))
+            assert value == 0, \
+                f"trial {trial} at point {point}: det = {value}"
+    return {"trials": VANISHING_TRIALS, "seed": seed,
+            "method": "elimination" if eliminate else "kernel-vector"}
 
 
-def check_nonvanishing(seed: int = 0) -> List[CheckReport]:
-    reports = []
-    for d in VANISHING_SPECS:
-        def body(d=d) -> Dict[str, object]:
-            spec = SystemSpec(*d)
-            matrix = build_square_matrix(spec)
-            ok, witness = nonzero_random_probe(matrix, spec, seed=seed)
-            assert ok, f"ten random specializations all vanished: {witness}"
-            return witness
-        reports.append(_report("nonvanishing", d, body))
-    return reports
+def check_nonvanishing(spec: SystemSpec, seed: int) -> Dict[str, object]:
+    matrix = build_square_matrix(spec)
+    ok, witness = nonzero_random_probe(matrix, spec, seed=seed)
+    assert ok, f"ten random specializations all vanished: {witness}"
+    return witness
 
 
 # --- criterion 6 -------------------------------------------------------------
@@ -205,132 +188,120 @@ def _specialization_from(spec: SystemSpec,
     return Specialization(table, universe)
 
 
-def check_linear_case(seed: int = 0) -> List[CheckReport]:
-    def body() -> Dict[str, object]:
-        spec = SystemSpec(1, 1)
-        matrix = build_square_matrix(spec)
-        assert [r.poly for r in matrix.rows] == ["f1'", "f2'", "f1", "f2"]
-        assert list(matrix.cols) == [YMonomial(0, 0, 1), YMonomial(0, 1, 0),
-                                     YMonomial(1, 0, 0), YMonomial(0, 0, 0)]
-        # f1 = y1 + 1, f2 = y1 + y, every derivative symbol zero
-        s1 = _specialization_from(spec, {
-            CoeffSymbol("a", 0, 1, 0): 1, CoeffSymbol("a", 0, 0, 0): 1,
-            CoeffSymbol("b", 0, 1, 0): 1, CoeffSymbol("b", 1, 0, 0): 1})
-        v1 = det_specialized(matrix, s1)
-        assert abs(v1) == 1, f"fixture determinant {v1}"
-        # f1 = y1 + y, f2 = y1 - y: common zero at the origin
-        s2 = _specialization_from(spec, {
-            CoeffSymbol("a", 0, 1, 0): 1, CoeffSymbol("a", 1, 0, 0): 1,
-            CoeffSymbol("b", 0, 1, 0): 1, CoeffSymbol("b", 1, 0, 0): -1})
-        assert det_specialized(matrix, s2) == 0
-        symbolic = det_symbolic(matrix)
-        assert symbolic.total_degree() == 4
-        for trial in range(50):
-            s = random_specialization(spec, seed + 1000 + trial)
-            assert symbolic.evaluate(s) == det_specialized(matrix, s), \
-                f"trial {trial}: symbolic and specialized paths disagree"
-        return {"fixture_value": str(v1), "degree": symbolic.total_degree(),
-                "terms": len(symbolic)}
-    return [_report("linear-case", (1, 1), body)]
+def check_linear_case(spec: SystemSpec, seed: int) -> Dict[str, object]:
+    matrix = build_square_matrix(spec)
+    assert [r.poly for r in matrix.rows] == ["f1'", "f2'", "f1", "f2"]
+    assert list(matrix.cols) == [YMonomial(0, 0, 1), YMonomial(0, 1, 0),
+                                 YMonomial(1, 0, 0), YMonomial(0, 0, 0)]
+    # f1 = y1 + 1, f2 = y1 + y, every derivative symbol zero
+    s1 = _specialization_from(spec, {
+        CoeffSymbol("a", 0, 1, 0): 1, CoeffSymbol("a", 0, 0, 0): 1,
+        CoeffSymbol("b", 0, 1, 0): 1, CoeffSymbol("b", 1, 0, 0): 1})
+    v1 = det_specialized(matrix, s1)
+    assert abs(v1) == 1, f"fixture determinant {v1}"
+    # f1 = y1 + y, f2 = y1 - y: common zero at the origin
+    s2 = _specialization_from(spec, {
+        CoeffSymbol("a", 0, 1, 0): 1, CoeffSymbol("a", 1, 0, 0): 1,
+        CoeffSymbol("b", 0, 1, 0): 1, CoeffSymbol("b", 1, 0, 0): -1})
+    assert det_specialized(matrix, s2) == 0
+    symbolic = det_symbolic(matrix)
+    assert symbolic.total_degree() == 4
+    for trial in range(50):
+        s = random_specialization(spec, seed + 1000 + trial)
+        assert symbolic.evaluate(s) == det_specialized(matrix, s), \
+            f"trial {trial}: symbolic and specialized paths disagree"
+    return {"fixture_value": str(v1), "degree": symbolic.total_degree(),
+            "terms": len(symbolic)}
 
 
 # --- criterion 7 -------------------------------------------------------------
 
-def check_lp_partition(seed: int = 0) -> List[CheckReport]:
-    def body() -> Dict[str, object]:
-        spec = SystemSpec(2, 2)
-        lift_report = validate_liftings(DEFAULT_LIFTINGS)
-        assert lift_report.passed, f"liftings violate {lift_report.violations}"
+def check_lp_partition(spec: SystemSpec, seed: int) -> Dict[str, object]:
+    lift_report = validate_liftings(DEFAULT_LIFTINGS)
+    assert lift_report.passed, f"liftings violate {lift_report.violations}"
 
-        points = lattice_points(spec)
-        E = column_set(spec)
-        shifted = sorted(((m.ey + 1, m.ey1 + 1, m.ey2 + 1) for m in E),
-                         key=lambda p: (sum(p), p[2], p[1], p[0]))
-        assert len(points) == 36 and points == shifted, \
-            "lattice points differ from the shifted column set"
+    points = lattice_points(spec)
+    E = column_set(spec)
+    shifted = sorted(((m.ey + 1, m.ey1 + 1, m.ey2 + 1) for m in E),
+                     key=lambda p: (sum(p), p[2], p[1], p[0]))
+    assert len(points) == 36 and points == shifted, \
+        "lattice points differ from the shifted column set"
 
-        result = grc_partition(spec)
-        result.partition.validate_cover(E)
-        mm = default_main_monomials(spec)
-        moved = apply_moves(result.partition, MOVES_TO_DIVISIBILITY_2_2, spec)
-        divis = partition_divisibility(E, mm)
-        assert all(a.as_set() == b.as_set()
-                   for a, b in zip(moved.sets(), divis.sets())), \
-            "moves do not reach the divisibility partition"
+    result = grc_partition(spec)
+    result.partition.validate_cover(E)
+    mm = default_main_monomials(spec)
+    moved = apply_moves(result.partition, MOVES_TO_DIVISIBILITY_2_2, spec)
+    divis = partition_divisibility(E, mm)
+    assert all(a.as_set() == b.as_set()
+               for a, b in zip(moved.sets(), divis.sets())), \
+        "moves do not reach the divisibility partition"
 
-        rearranged = build_sparse_matrix(moved, spec)
-        square = build_square_matrix(spec)
-        assert rearranged.row_label_map() == square.row_label_map(), \
-            "rearranged matrix differs from the square construction"
+    rearranged = build_sparse_matrix(moved, spec)
+    square = build_square_matrix(spec)
+    assert rearranged.row_label_map() == square.row_label_map(), \
+        "rearranged matrix differs from the square construction"
 
-        raw = build_sparse_matrix(result.partition, spec)
-        rng = random.Random(seed)
-        for trial in range(100):
-            s = common_zero_specialization(spec, _random_point(rng),
-                                           rng_seed=seed + trial)
-            assert det_specialized(raw, s) == 0, f"raw matrix trial {trial}"
-        ok, witness = nonzero_random_probe(raw, spec, seed=seed)
-        assert ok, "raw LP matrix vanished on ten random specializations"
-        return {"partition_sizes": list(result.partition.sizes()),
-                "moves": len(MOVES_TO_DIVISIBILITY_2_2),
-                "nonzero_witness": witness}
-    return [_report("lp-partition", (2, 2), body)]
+    raw = build_sparse_matrix(result.partition, spec)
+    rng = random.Random(seed)
+    for trial in range(100):
+        s = common_zero_specialization(spec, _random_point(rng),
+                                       rng_seed=seed + trial)
+        assert det_specialized(raw, s) == 0, f"raw matrix trial {trial}"
+    ok, witness = nonzero_random_probe(raw, spec, seed=seed)
+    assert ok, "raw LP matrix vanished on ten random specializations"
+    return {"partition_sizes": list(result.partition.sizes()),
+            "moves": len(MOVES_TO_DIVISIBILITY_2_2),
+            "nonzero_witness": witness}
 
 
 # --- criterion 8 -------------------------------------------------------------
 
-def check_basis_certification(seed: int = 0) -> List[CheckReport]:
-    def body() -> Dict[str, object]:
-        spec = SystemSpec(2, 2)
-        points = lattice_points(spec)
-        inst0 = build_lp(points[0], spec, DEFAULT_LIFTINGS)
-        assert lp.matrix_rank(inst0.A) == 7
-        cols = next(columns for case, bid, columns in CASE_BASES if bid == "1.1")
-        basis_matrix = [[inst0.A[i][j] for j in cols] for i in range(7)]
-        assert lp.matrix_rank(basis_matrix) == 7
-        certified = {}
-        for q in points:
-            inst = build_lp(q, spec, DEFAULT_LIFTINGS)
-            best = simplex_solve(inst)
-            found = None
-            for case, bid, columns in CASE_BASES:
-                try:
-                    report = lp.verify_basis(inst.A, inst.b, inst.c, columns)
-                except SingularBasis:   # a failed certificate stays fatal
-                    continue
-                if report.feasible and report.optimal:
-                    assert report.objective == best.objective, \
-                        f"{q}: certified objective differs from the solver"
-                    found = bid
-                    break
-            assert found is not None, f"no certified basis covers {q}"
-            certified[q] = found
-        return {"points": len(points),
-                "bases_used": sorted(set(certified.values()))}
-    return [_report("basis-certification", (2, 2), body)]
+def check_basis_certification(spec: SystemSpec, seed: int) -> Dict[str, object]:
+    points = lattice_points(spec)
+    inst0 = build_lp(points[0], spec, DEFAULT_LIFTINGS)
+    assert lp.matrix_rank(inst0.A) == 7
+    cols = next(columns for case, bid, columns in CASE_BASES if bid == "1.1")
+    basis_matrix = [[inst0.A[i][j] for j in cols] for i in range(7)]
+    assert lp.matrix_rank(basis_matrix) == 7
+    certified = {}
+    for q in points:
+        inst = build_lp(q, spec, DEFAULT_LIFTINGS)
+        best = simplex_solve(inst)
+        found = None
+        for case, bid, columns in CASE_BASES:
+            try:
+                report = lp.verify_basis(inst.A, inst.b, inst.c, columns)
+            except SingularBasis:   # a failed certificate stays fatal
+                continue
+            if report.feasible and report.optimal:
+                assert report.objective == best.objective, \
+                    f"{q}: certified objective differs from the solver"
+                found = bid
+                break
+        assert found is not None, f"no certified basis covers {q}"
+        certified[q] = found
+    return {"points": len(points),
+            "bases_used": sorted(set(certified.values()))}
 
 
 # --- criterion 9 -------------------------------------------------------------
 
-def check_oracle(seed: int = 0) -> List[CheckReport]:
-    def body() -> Dict[str, object]:
-        spec = SystemSpec(1, 1)
-        matrix = build_square_matrix(spec)
-        candidate = eliminate_iterated(spec)
-        assert not candidate.is_zero()
-        rng = random.Random(seed)
-        for trial in range(100):
-            s = common_zero_specialization(spec, _random_point(rng),
-                                           rng_seed=seed + trial)
-            v_oracle = candidate.evaluate(s)
-            v_det = det_specialized(matrix, s)
-            assert v_oracle == 0 and v_det == 0, \
-                f"trial {trial}: oracle {v_oracle}, det {v_det}"
-        generic = random_specialization(spec, seed + 424242)
-        assert candidate.evaluate(generic) != 0
-        assert det_specialized(matrix, generic) != 0
-        return {"trials": 100, "oracle_terms": len(candidate)}
-    return [_report("oracle", (1, 1), body)]
+def check_oracle(spec: SystemSpec, seed: int) -> Dict[str, object]:
+    matrix = build_square_matrix(spec)
+    candidate = eliminate_iterated(spec)
+    assert not candidate.is_zero()
+    rng = random.Random(seed)
+    for trial in range(100):
+        s = common_zero_specialization(spec, _random_point(rng),
+                                       rng_seed=seed + trial)
+        v_oracle = candidate.evaluate(s)
+        v_det = det_specialized(matrix, s)
+        assert v_oracle == 0 and v_det == 0, \
+            f"trial {trial}: oracle {v_oracle}, det {v_det}"
+    generic = random_specialization(spec, seed + 424242)
+    assert candidate.evaluate(generic) != 0
+    assert det_specialized(matrix, generic) != 0
+    return {"trials": 100, "oracle_terms": len(candidate)}
 
 
 # --- criterion 10 (optional stretch) ----------------------------------------
@@ -338,51 +309,46 @@ def check_oracle(seed: int = 0) -> List[CheckReport]:
 STRETCH_SECONDS = 600.0
 
 
-def check_stretch(seed: int = 0) -> List[CheckReport]:
-    def body() -> Dict[str, object]:
-        from .stretch import resultant_factor_2_2
-        try:
-            factor, cofactor = resultant_factor_2_2(time_budget=STRETCH_SECONDS)
-        except (TimeoutError, DiffresError) as exc:
-            raise AssertionError(f"expansion did not complete: {exc}") from exc
-        assert factor.total_degree() == 12, f"degree {factor.total_degree()}"
-        assert len(factor) == 3210, f"term count {len(factor)}"
-        return {"degree": factor.total_degree(), "terms": len(factor),
-                "cofactor_terms": len(cofactor)}
-    return [_report("stretch", (2, 2), body)]
+def check_stretch(spec: SystemSpec, seed: int) -> Dict[str, object]:
+    from .stretch import resultant_factor_2_2
+    try:
+        factor, cofactor = resultant_factor_2_2(time_budget=STRETCH_SECONDS)
+    except (TimeoutError, DiffresError) as exc:
+        raise AssertionError(f"expansion did not complete: {exc}") from exc
+    assert factor.total_degree() == 12, f"degree {factor.total_degree()}"
+    assert len(factor) == 3210, f"term count {len(factor)}"
+    return {"degree": factor.total_degree(), "terms": len(factor),
+            "cofactor_terms": len(cofactor)}
 
 
-SUITES: Dict[str, Callable[[int], List[CheckReport]]] = {
-    "sizes": check_sizes,
-    "carra-ferro": check_carra_ferro,
-    "certificate": check_certificate,
-    "vanishing": check_vanishing,
-    "nonvanishing": check_nonvanishing,
-    "linear": check_linear_case,
-    "lp-partition": check_lp_partition,
-    "basis": check_basis_certification,
-    "oracle": check_oracle,
-}
-
-OPTIONAL_SUITES: Dict[str, Callable[[int], List[CheckReport]]] = {
-    "stretch": check_stretch,
+# suite name -> (report name, degree pairs, criterion, optional); `all` runs
+# every suite that is not optional
+SUITES: Dict[str, Tuple[str, tuple, Callable[..., Dict[str, object]], bool]] = {
+    "sizes": ("sizes", (None,), check_sizes, False),
+    "carra-ferro": ("carra-ferro", ((2, 2),), check_carra_ferro, False),
+    "certificate": ("certificate", CERTIFICATE_SPECS, check_certificate, False),
+    "vanishing": ("vanishing", VANISHING_SPECS + KERNEL_VECTOR_SPECS,
+                  check_vanishing, False),
+    "nonvanishing": ("nonvanishing", VANISHING_SPECS, check_nonvanishing, False),
+    "linear": ("linear-case", ((1, 1),), check_linear_case, False),
+    "lp-partition": ("lp-partition", ((2, 2),), check_lp_partition, False),
+    "basis": ("basis-certification", ((2, 2),), check_basis_certification, False),
+    "oracle": ("oracle", ((1, 1),), check_oracle, False),
+    "stretch": ("stretch", ((2, 2),), check_stretch, True),
 }
 
 
 def run_checks(suite: str = "all", seed: int = 0) -> List[CheckReport]:
     """Run one named suite, or every non-optional one."""
     if suite == "all":
-        selected = list(SUITES.values())
+        selected = [row for row in SUITES.values() if not row[3]]
     elif suite in SUITES:
         selected = [SUITES[suite]]
-    elif suite in OPTIONAL_SUITES:
-        selected = [OPTIONAL_SUITES[suite]]
     else:
-        names = ["all", *sorted(SUITES), *sorted(OPTIONAL_SUITES)]
+        names = sorted(SUITES, key=lambda name: (SUITES[name][3], name))
         raise ValueError(f"unknown suite {suite!r}; choose from "
-                         f"{', '.join(names)}")
-    reports: List[CheckReport] = []
-    for fn in selected:
-        reports.extend(fn(seed))
+                         f"{', '.join(['all', *names])}")
+    reports = [_report(name, d, criterion, seed)
+               for name, pairs, criterion, _ in selected for d in pairs]
     reports.sort(key=lambda r: (r.name, r.spec or (0, 0)))
     return reports

@@ -55,9 +55,6 @@ class YMonomial(NamedTuple):
 
 
 YM_ONE = YMonomial(0, 0, 0)
-YM_Y = YMonomial(1, 0, 0)
-YM_Y1 = YMonomial(0, 1, 0)
-YM_Y2 = YMonomial(0, 0, 1)
 
 
 def ym_key(m: YMonomial) -> tuple:

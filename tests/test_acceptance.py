@@ -8,15 +8,40 @@ are exact; there are no numeric tolerances anywhere.
 The final criterion (deep expansion of the degree-two determinant with
 factor extraction) is optional by its own wording and runs only under
 ``pytest -m stretch``.
+
+Each suite's reports are pinned at seed 0: the sha256 of their names, specs,
+statuses and witnesses, so a change to the code that runs the suites cannot
+change what they report.
 """
+
+import hashlib
+import json
 
 import pytest
 
 from diffres import run_checks
 
+WITNESS_PINS = {
+    "sizes": "05a30cda8c41d4e3b58fc951ee22a268895e0b59586a27efdc85d068776927fe",
+    "carra-ferro": "10c11454e1e9a16965c556effd05e8812c09262cb37fda5f4aead326857fc13b",
+    "certificate": "ac35b4ec3f231d94cb379b33e01997525a3450b89495fc03f2ff9c4ea6279af1",
+    "vanishing": "55512af8f10e3117384c96a201ae92aa66f59d45aa1b27b18ec2668294852c7a",
+    "nonvanishing": "e4f41667555a37b0f177ed22b8f6cfdcd4a4460ae9b0f9791b2c75f6866ad93a",
+    "linear": "f6874ceb345144227bf31fc58a9afa368cea9ded3ebda1b056d6c400af671fb8",
+    "lp-partition": "62d0776c4c42c29dd8e033e3a1fdf7083c30286e5a2400121796fa01ea612d9d",
+    "basis": "4783f369031c41eab37d2878b2d691dc4b554ec17dff950d8ce77b75d02f7f68",
+    "oracle": "fa7ec3e4c59edf16b577eae7b02901fdd9d026de7165bfaa268dcf6bad066ec4",
+}
 
-def _run(suite: str, budget: float, seed: int = 0):
-    reports = run_checks(suite, seed=seed)
+
+def _witness_digest(reports) -> str:
+    blob = json.dumps([[r.name, r.spec, r.status, r.witness] for r in reports],
+                      sort_keys=True, default=str)
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def _run(suite: str, budget: float):
+    reports = run_checks(suite, seed=0)
     total = 0.0
     for report in reports:
         print(report.line())
@@ -25,6 +50,7 @@ def _run(suite: str, budget: float, seed: int = 0):
     assert not failures, "; ".join(
         f"{r.name} {r.spec}: {r.witness.get('error')}" for r in failures)
     assert total < budget, f"suite {suite} took {total:.1f}s (budget {budget}s)"
+    assert _witness_digest(reports) == WITNESS_PINS[suite]
     return reports
 
 
@@ -86,3 +112,12 @@ def test_criterion_10_stretch_factor_extraction():
     for report in reports:
         print(report.line())
     assert all(r.passed for r in reports)
+
+
+def test_criterion_10_reports_a_spent_budget_as_a_failure(monkeypatch):
+    from diffres import checks
+    monkeypatch.setattr(checks, "STRETCH_SECONDS", 0.01)
+    [report] = run_checks("stretch", seed=0)
+    assert (report.name, report.spec, report.status) == ("stretch", (2, 2), "fail")
+    assert report.witness == {"error": "expansion did not complete: stretch "
+                                       "stage 'determinant' exceeded the budget"}

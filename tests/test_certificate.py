@@ -1,5 +1,6 @@
 """Substitution, four-step elimination, and the transversal certificate."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -10,8 +11,9 @@ from diffres import (CertificateFailure, CoeffSymbol, SymPoly, SystemSpec,
                      det_specialized, eliminate, grc_partition,
                      partition_divisibility, ranking_specialization,
                      transform_12, unique_monomial_coefficient)
-from diffres.certificate import fresh_symbol, substitution_symbol
+from diffres.certificate import fresh_symbol, step_symbols, substitution_symbol
 from diffres.diffsys import YM_ONE, ym_mul
+from diffres.matrices import F1, PolyMatrix, RowLabel, build_carra_ferro
 from diffres.monomials import closed_form_sets
 
 
@@ -121,6 +123,46 @@ class TestEliminate:
         # derivative rows, which the disjointness scan must catch
         with pytest.raises(CertificateFailure):
             eliminate(M, spec)
+
+    def test_a_rectangular_matrix_is_refused(self):
+        with pytest.raises(CertificateFailure, match="80x56, not square"):
+            eliminate(build_carra_ferro(2, 2, 1, 1), SystemSpec(2, 2))
+
+    def test_an_absent_step_symbol_is_refused(self):
+        spec = SystemSpec(2, 2)
+        sym = step_symbols(spec)[0][0]
+        Mt = transform_12(build_square_matrix(spec), spec).substitute({sym: 0})
+        with pytest.raises(CertificateFailure,
+                           match=re.escape(f"{sym} occurs 0 times")):
+            eliminate(Mt, spec)
+
+    def test_a_step_symbol_entering_nonlinearly_is_refused(self):
+        spec = SystemSpec(2, 2)
+        sym = step_symbols(spec)[0][0]
+        square = SymPoly.symbol(sym) * SymPoly.symbol(sym)
+        Mt = transform_12(build_square_matrix(spec), spec).substitute({sym: square})
+        with pytest.raises(CertificateFailure,
+                           match=re.escape(f"{sym} does not enter entry (")
+                           + r".*\) linearly"):
+            eliminate(Mt, spec)
+
+    def test_two_rows_on_one_column_are_refused(self):
+        spec = SystemSpec(1, 1)
+        sym = step_symbols(spec)[0][0]
+        rows = [RowLabel(F1, YM_ONE), RowLabel(F1, YMonomial(1, 0, 0))]
+        matrix = PolyMatrix(rows, [YM_ONE, YMonomial(1, 0, 0)],
+                            [SymPoly.symbol(sym), SymPoly.one()],
+                            [{0: 0, 1: 1}, {0: 0}])
+        with pytest.raises(CertificateFailure,
+                           match=re.escape(f"{sym} repeats a column inside its block")):
+            eliminate(matrix, spec)
+
+    def test_rows_outside_the_four_blocks_are_refused(self):
+        matrix = PolyMatrix([RowLabel("p1", YM_ONE)], [YM_ONE],
+                            [SymPoly.one()], [{0: 0}])
+        with pytest.raises(CertificateFailure,
+                           match="1 rows / 1 columns remain after the four steps"):
+            eliminate(matrix, SystemSpec(1, 1))
 
     def test_unit_multipliers_are_degree_factors(self):
         spec = SystemSpec(3, 3)

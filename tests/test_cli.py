@@ -513,6 +513,21 @@ def test_check_suite_exit_zero(capsys):
     assert "PASS" in out and "1/1 checks passed" in out
 
 
+def test_check_suite_exit_one_on_a_failed_criterion(capsys, monkeypatch):
+    from diffres import checks
+
+    def failing(spec, seed):
+        raise AssertionError("planted failure")
+
+    monkeypatch.setitem(checks.SUITES, "sizes",
+                        ("sizes", (None,), failing, False))
+    assert run_cli("check", "--suite", "sizes", "--verbose") == 1
+    out = re.sub(r"\(\d+\.\d\ds\)", "(s)", capsys.readouterr().out)
+    assert out == ("[FAIL] sizes  (s)\n"
+                   '       {"error": "planted failure"}\n'
+                   "0/1 checks passed\n")
+
+
 def test_export_csv_requires_specialization(capsys):
     code = run_cli("export", "--d1", "1", "--d2", "1", "--format", "csv")
     assert code == 2

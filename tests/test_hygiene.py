@@ -1,12 +1,15 @@
 """Source hygiene: every name a library module imports is used in it, no
 library module imports a private name from another, every module-level
-private function is named somewhere in the library, and every module-level
-cache is bounded."""
+private function is named somewhere in the library, every module-level
+cache is bounded, and every criterion runs in exactly one suite."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
+
+from diffres import checks
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "diffres"
 # __init__.py imports to re-export, so it is left out
@@ -155,3 +158,31 @@ def test_every_private_function_is_named_in_the_library():
 @pytest.mark.parametrize("module", MODULES)
 def test_every_imported_name_is_used(module):
     assert unused_imports((SRC / f"{module}.py").read_text()) == []
+
+
+def criteria_not_run_once(namespace, suites):
+    """The public `check_*` functions of `namespace` that the suite table
+    `suites` does not run exactly once."""
+    run = [criterion for _, _, criterion, _ in suites.values()]
+    return [name for name, f in namespace.items()
+            if name.startswith("check_") and inspect.isfunction(f)
+            and run.count(f) != 1]
+
+
+def test_the_scan_finds_a_criterion_not_run_once():
+    def check_twice(spec, seed): pass
+    def check_never(spec, seed): pass
+    def check_once(spec, seed): pass
+    namespace = {"check_twice": check_twice, "check_never": check_never,
+                 "check_once": check_once, "CHECK_LIMIT": 3}
+    suites = {"a": ("a", (None,), check_twice, False),
+              "b": ("b", ((1, 1),), check_twice, True),
+              "c": ("c", ((2, 2),), check_once, False)}
+    assert criteria_not_run_once(namespace, suites) == ["check_twice",
+                                                        "check_never"]
+
+
+def test_every_criterion_runs_in_exactly_one_suite():
+    assert criteria_not_run_once(vars(checks), checks.SUITES) == []
+    names = [name for name, _, _, _ in checks.SUITES.values()]
+    assert len(set(names)) == len(names)
