@@ -46,8 +46,9 @@ def adjugate(B: Sequence[Sequence[int]]) -> Optional[Tuple[int, List[List[int]]]
         return None
     sign = 1 if p > 0 else -1
     p, adj = sign * p, [[sign * v for v in row[n:]] for row in grid]
+    cols = list(zip(*adj))
     if p <= 0 or any(sum(a * b for a, b in zip(row, col)) != p * (i == k)
-                     for i, row in enumerate(B) for k, col in enumerate(zip(*adj))):
+                     for i, row in enumerate(B) for k, col in enumerate(cols)):
         raise CertificateFailure(f"B adj != p I for B = {B}")
     return p, adj
 

@@ -18,13 +18,14 @@ pairs, keyed by the validated `SystemSpec` and the perturbation as a tuple
 of Fractions; `lattice_points` and `grc_partition` both read it.  All of
 it is in integers (b(q) scaled by the lcm D of the perturbation's
 denominators).  Each catalog basis carries (p, adj) with B adj = p I, and
-per basic variable a form a.q + k whose value at q is p D x_B.
-Feasibility is read from Farkas vectors and bases already found (the
-catalog bases first), with phase one only when none decides.  A call pays
-only for its liftings: optimality of each catalog basis, c_B adj A <= p c,
-is tested once per call, then each point takes the catalog passes below.
-Fractions are made only for the assignments returned.  Every verdict
-rests on a certificate checked in exact arithmetic when it was made.
+per basic variable a form a.q + k whose value at q is p D x_B.  Only the
+sum's bounding box, shifted by delta, is scanned; feasibility is read from
+Farkas vectors and bases already found (the catalog bases first), with
+phase one only when none decides.  A call pays only for its liftings:
+optimality of each catalog basis, c_B adj A <= p c, is tested once per
+call, then each point takes the catalog passes below over what each basis
+keeps per point (its least x_B and, if it pins its target vertex, lambda).
+Every verdict rests on a certificate checked exactly when it was made.
 
 Ties between alternative optima are broken deterministically: the catalog
 of certified bases is scanned in its fixed order requiring strict
@@ -172,24 +173,30 @@ def _costs(spec: SystemSpec, lift: Liftings) -> Tuple[int, ...]:
 
 
 def _check_perturbation(delta_vec: Sequence[Fraction]) -> None:
-    if len(delta_vec) != 3 or any(not (0 < Fraction(d) < 1) for d in delta_vec):
+    # no int lies in (0, 1), and a float or a text is not read exactly
+    if len(delta_vec) != 3 or any(type(d) is not Fraction or not 0 < d < 1
+                                  for d in delta_vec):
         raise InvalidPerturbation(
-            f"perturbation must have three components in (0, 1): {delta_vec}")
+            f"perturbation must be three Fractions in (0, 1): {delta_vec}")
 
 
 def lattice_points(spec: SystemSpec,
                    delta_vec: Sequence[Fraction] = DEFAULT_PERTURBATION) -> List[Point]:
     """Integer points of the perturbed Minkowski sum, by exact feasibility.
 
-    The bounding box [0, 2*d1 + 2*d2]^3 is scanned; a point is kept when the
-    vertex-decomposition system for it admits a nonnegative solution.  Each
-    verdict rests on an exactly checked basis or Farkas vector, reused
-    across the points of the scan; the scan is kept per (spec, delta_vec),
-    and each call returns a fresh list.
+    q - delta lies in the sum's bounding box and 0 < delta < 1, so only
+    lo_k < q_k <= hi_k is scanned, lo_k and hi_k the sums over the blocks
+    of their least and greatest coordinate on axis k.  Off it a Farkas
+    vector proves q infeasible: e_k less lo_ik on block i's convexity row
+    if q_k <= lo_k, -e_k plus hi_ik if q_k > hi_k.  A scanned point is kept
+    when the vertex-decomposition system for it admits a nonnegative
+    solution.  Each verdict rests on an exactly checked basis or Farkas
+    vector, reused across the points of the scan; the scan is kept per
+    (spec, delta_vec), and each call returns a fresh list.
     """
     spec = SystemSpec(*spec).validate()
     _check_perturbation(delta_vec)
-    return list(_scanned(spec, tuple(Fraction(d) for d in delta_vec))[1])
+    return list(_scanned(spec, tuple(delta_vec))[1])
 
 
 @lru_cache(maxsize=16)
@@ -198,9 +205,11 @@ def _scanned(spec: SystemSpec, delta_vec: Tuple[Fraction, ...]
     """The point system of (spec, delta) and its lattice points, sorted,
     kept for the 16 latest pairs; neither changes after this scan."""
     system = _PointSystem(spec, delta_vec)
-    limit = 2 * spec.d1 + 2 * spec.d2
-    found = [q for q in iter_product(range(limit + 1), repeat=3)
-             if system.feasible(q)]
+    blocks = vertex_lists(spec)
+    box = [range(sum(min(v[k] for v in verts) for verts in blocks) + 1,
+                 sum(max(v[k] for v in verts) for verts in blocks) + 1)
+           for k in range(3)]
+    found = [q for q in iter_product(*box) if system.feasible(q)]
     found.sort(key=lambda p: (sum(p), p[2], p[1], p[0]))
     return system, tuple(found)
 
@@ -252,6 +261,7 @@ CASE_BASES: Tuple[Tuple[int, str, Tuple[int, ...]], ...] = tuple(
 # --- per-call certificates ---------------------------------------------------
 
 Form = Tuple[int, int, int, int]
+_ZERO = Fraction(0)
 
 
 def _at(form: Form, q: Point) -> int:
@@ -265,6 +275,26 @@ class _CatalogBasis(NamedTuple):
     p: int                         # B adj = p I, p > 0
     adj: List[List[int]]
     forms: Tuple[Form, ...]        # one per row of adj: p D x_B at q
+    verdicts: Dict[Point, Tuple[int, List[int], Optional[Tuple[Fraction, ...]]]]
+
+    def verdict(self, q: Point, D: int):
+        """(least form value, form values, lam or None when the basis does
+        not put its block on the target vertex) at q, kept per point: none
+        of it depends on the liftings."""
+        if q not in self.verdicts:
+            values = [_at(f, q) for f in self.forms]
+            lam = [0] * sum(BLOCK_SIZES)
+            for v, k in zip(values, self.columns):
+                lam[k] = v
+            scale = self.p * D     # lam = values / scale
+            offset = var_index(self.case, 1)
+            block = lam[offset:offset + BLOCK_SIZES[self.case - 1]]
+            least = min(values)    # block is >= 0 when least is
+            pinned = (least >= 0
+                      and block[TARGET_VERTEX[self.case] - 1] == scale == sum(block))
+            self.verdicts[q] = (least, values, tuple(
+                Fraction(v, scale) if v else _ZERO for v in lam) if pinned else None)
+        return self.verdicts[q]
 
 
 class _PointSystem:
@@ -280,19 +310,19 @@ class _PointSystem:
     decides, and its certificate is checked exactly before it is kept.
     `_scanned` keeps one per (spec, perturbation), for the 16 latest pairs,
     with the points its scan kept; after that scan `grc_partition` reads
-    `catalog`, `A`, `D` and `rhs`, and changes nothing.
+    `catalog`, `A`, `D` and `rhs`, and adds only to each catalog basis's
+    per-point verdicts, which hold nothing of the liftings.
     """
 
     def __init__(self, spec: SystemSpec, delta_vec: Sequence[Fraction]):
         self.A = _constraint_matrix(spec)
-        delta = [Fraction(d) for d in delta_vec]
-        self.D = lcm(*(d.denominator for d in delta))
-        self.Ddelta = [int(d * self.D) for d in delta]
+        self.D = lcm(*(d.denominator for d in delta_vec))
+        self.Ddelta = [int(d * self.D) for d in delta_vec]
         self.catalog: List[_CatalogBasis] = []
         for case, bid, columns in CASE_BASES:
             found = self._basis(columns)
             if found is not None:
-                self.catalog.append(_CatalogBasis(case, bid, columns, *found))
+                self.catalog.append(_CatalogBasis(case, bid, columns, *found, {}))
         self.bases: List[Tuple[Form, ...]] = [b.forms for b in self.catalog]
         self.farkas: List[Form] = []
 
@@ -404,26 +434,19 @@ def _catalog_assignment(q: Point, catalog: Sequence[_CatalogBasis], D: int,
                         c: Sequence[int], vertices: Tuple[Tuple[Point, ...], ...]
                         ) -> Optional[GrcAssignment]:
     """Strict pass, then weak pass over the optimal catalog bases in order;
-    None when no basis pins its block's target vertex at q."""
+    None when no basis pins its block's target vertex at q.  Only the
+    objective is computed here; the rest is each basis's kept verdict."""
     for floor in (1, 0):   # the forms are integers: x_B > 0, then x_B >= 0
         for basis in catalog:
-            values = [_at(f, q) for f in basis.forms]
-            if min(values) < floor:
+            least, values, lam = basis.verdict(q, D)
+            if least < floor or lam is None:
                 continue
-            scale = basis.p * D    # lam = values / scale
-            lam = [0] * len(c)
-            for v, k in zip(values, basis.columns):
-                lam[k] = v
             case = basis.case
             j = TARGET_VERTEX[case]
-            offset = var_index(case, 1)
-            block = lam[offset:offset + BLOCK_SIZES[case - 1]]
-            if block[j - 1] != scale or sum(block) != scale:   # block is >= 0
-                continue
             vertex = vertices[case - 1][j - 1]
+            objective = sum(c[k] * v for k, v in zip(basis.columns, values))
             return GrcAssignment(q, case, j, vertex, YMonomial(*vertex), basis.bid,
-                                 tuple(Fraction(v, scale) for v in lam),
-                                 Fraction(sum(a * v for a, v in zip(c, lam)), scale))
+                                 lam, Fraction(objective, basis.p * D))
     return None
 
 
@@ -469,7 +492,7 @@ def grc_partition(spec: SystemSpec, lift: Liftings = DEFAULT_LIFTINGS,
     if not report.passed:
         raise DiffresError(f"liftings violate: {', '.join(report.violations)}")
     _check_perturbation(delta_vec)
-    delta_vec = tuple(Fraction(d) for d in delta_vec)
+    delta_vec = tuple(delta_vec)
     system, points = _scanned(spec, delta_vec)
     # the costs depend only on the liftings: certify optimality once per call
     costs = _costs(spec, lift)

@@ -22,6 +22,8 @@ from diffres.sparse import (BLOCK_SIZES, CASE_BASES, MOVES_TO_DIVISIBILITY_2_2,
 from test_lp import verify_basis_reference
 
 F = Fraction
+HALF = (F(1, 2),) * 3   # a coarse perturbation: degenerate bases and ties
+DEGREES_TO_5 = [(d1, d2) for d2 in range(1, 6) for d1 in range(1, d2 + 1)]
 
 
 class TestNewtonData:
@@ -60,7 +62,7 @@ class TestLatticePoints:
         assert points == [(1, 1, 1), (2, 1, 1), (1, 2, 1), (1, 1, 2)]
 
     def test_shifted_column_set(self):
-        for d in ((1, 1), (1, 2), (2, 2)):
+        for d in DEGREES_TO_5:
             spec = SystemSpec(*d)
             points = lattice_points(spec)
             expected = sorted(
@@ -76,8 +78,41 @@ class TestLatticePoints:
             build_lp((1, 1, 1), SystemSpec(1, 1), DEFAULT_LIFTINGS,
                      (F(1), F(1, 2), F(1, 2)))
 
+    @pytest.mark.parametrize("delta_vec", [
+        (0.01, 0.01, 0.01), (F(1, 2), F(1, 2), 0.5), (F(1, 2), F(1, 2), "1/2"),
+        (F(1, 2), F(1, 2), True)])
+    def test_perturbation_must_be_exact(self, delta_vec):
+        # 0.01 would be read as 5764607523034235/576460752303423488
+        with pytest.raises(InvalidPerturbation, match="three Fractions"):
+            lattice_points(SystemSpec(1, 1), delta_vec)
+        with pytest.raises(InvalidPerturbation):
+            grc_partition(SystemSpec(1, 1), DEFAULT_LIFTINGS, delta_vec)
+        with pytest.raises(InvalidPerturbation):
+            build_lp((1, 1, 1), SystemSpec(1, 1), DEFAULT_LIFTINGS, delta_vec)
 
-HALF = (F(1, 2),) * 3   # a coarse perturbation: degenerate bases and ties
+    @pytest.mark.parametrize("d", DEGREES_TO_5)
+    def test_farkas_vectors_rule_out_every_point_off_the_box(self, d):
+        # off lo_k < q_k <= hi_k, w = e_k - sum_i lo_ik u_i (q_k <= lo_k) or
+        # w = -e_k + sum_i hi_ik u_i (q_k > hi_k), u_i block i's convexity row
+        spec = SystemSpec(*d)
+        A = sparse._constraint_matrix(spec)
+        blocks = vertex_lists(spec)
+        for k in range(3):
+            lows = [min(v[k] for v in verts) for verts in blocks]
+            highs = [max(v[k] for v in verts) for verts in blocks]
+            below = [int(r == k) for r in range(3)] + [-x for x in lows]
+            above = [-int(r == k) for r in range(3)] + highs
+            for w, q_k in ((below, sum(lows)), (above, sum(highs) + 1)):
+                assert all(sum(wr * row[j] for wr, row in zip(w, A)) >= 0
+                           for j in range(len(A[0])))
+                for delta_vec in (DEFAULT_PERTURBATION, HALF,
+                                  (F(99, 100), F(1, 1000), F(1, 3))):
+                    q = [1, 1, 1]
+                    q[k] = q_k
+                    b = [q[r] - delta_vec[r] for r in range(3)] + [1] * 4
+                    assert sum(wr * br for wr, br in zip(w, b)) < 0, (k, q)
+
+
 
 
 def box_scan(spec, delta_vec=DEFAULT_PERTURBATION):
@@ -171,7 +206,7 @@ def summary(result):
 
 
 class TestScanCache:
-    @pytest.mark.parametrize("d", [(1, 2), (2, 2), (2, 3)])
+    @pytest.mark.parametrize("d", [(1, 2), (2, 2), (2, 3), (3, 3)])
     def test_a_cached_result_equals_a_fresh_one(self, d):
         spec = SystemSpec(*d)
         lattice_points(spec)
@@ -232,20 +267,21 @@ class TestCertificateReuse:
     def test_strict_pass_decides_degenerate_points(self):
         # at a coarse perturbation some points have a weakly feasible basis
         # ahead of a strictly feasible one in the catalog; grc_partition
-        # itself rejects the extra points, so the per-point step is used
+        # itself rejects the extra points, so the per-point step is used.
+        # The default liftings fill each basis's verdicts; the seeded ones
+        # then read them on the same point system
         from diffres.sparse import _PointSystem, _catalog_assignment, _costs
         spec = SystemSpec(1, 2)
-        costs = _costs(spec, DEFAULT_LIFTINGS)
         system = _PointSystem(spec, HALF)
-        catalog = system.optimal_catalog(costs)
-        for q in lattice_points(spec, HALF):
-            inst = build_lp(q, spec, DEFAULT_LIFTINGS, HALF)
-            ref = reference_assignment(inst)
-            if ref is not None:
+        for lift in [DEFAULT_LIFTINGS] + [seeded_liftings(s) for s in (1, 2, 3)]:
+            costs = _costs(spec, lift)
+            catalog = system.optimal_catalog(costs)
+            for q in lattice_points(spec, HALF):
+                ref = reference_assignment(build_lp(q, spec, lift, HALF))
                 a = _catalog_assignment(q, catalog, system.D, costs,
                                         vertex_lists(spec))
-                assert (a.case, a.vertex_index, a.basis_id, a.lam,
-                        a.objective) == ref, q
+                assert (a and (a.case, a.vertex_index, a.basis_id, a.lam,
+                               a.objective)) == ref, (lift, q)
 
     @pytest.mark.parametrize("d", [(1, 2), (2, 2)])
     def test_assignments_match_verify_basis_reference(self, d):
@@ -372,12 +408,12 @@ class TestIntegerCertificates:
     @pytest.mark.usefixtures("cold_scan")
     def test_a_basis_negative_at_the_point_is_caught(self, monkeypatch):
         # every phase-one verdict claims the first catalog basis, whose forms
-        # are negative at (0, 0, 0), the first box point phase one decides
+        # are negative at (1, 4, 2), the first box point phase one decides
         spec = SystemSpec(1, 2)
         columns = sparse._PointSystem(spec, DEFAULT_PERTURBATION).catalog[0].columns
         monkeypatch.setattr(sparse.lp, "integer_certificate",
                             lambda A, b: (True, columns))
-        with pytest.raises(CertificateFailure, match=r"does not certify \(0, 0, 0\)"):
+        with pytest.raises(CertificateFailure, match=r"does not certify \(1, 4, 2\)"):
             lattice_points(spec)
 
 
