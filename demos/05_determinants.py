@@ -49,7 +49,7 @@ print()
 print("== modular residues recombine to the exact value ==")
 s = random_specialization(spec, rng_seed=7)
 exact = det_specialized(M, s)
-bound = hadamard_bound(M.specialize(s))
+bound = hadamard_bound(M.specialize(s)[0])
 moduli = [2147483647, 2147483629, 2147483587, 2147483579, 2147483563]
 used = []
 product = 1

@@ -160,7 +160,7 @@ def check_vanishing(spec: SystemSpec, seed: int) -> Dict[str, object]:
     for trial in range(VANISHING_TRIALS):
         point = _random_point(rng)
         s = common_zero_specialization(spec, point, rng_seed=seed + trial)
-        assert kernel_certifies(matrix.specialize(s), matrix.cols, s.zero), \
+        assert kernel_certifies(matrix.specialize(s)[0], matrix.cols, s.zero), \
             f"trial {trial} at point {point}: no kernel vector"
         if eliminate:
             value = det_specialized(

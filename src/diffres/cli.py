@@ -149,7 +149,7 @@ def _emit_matrix(matrix, args, **extra) -> None:
     the file, and no string of the whole document is built."""
     head = json.dumps(matrix._json_head(), indent=2)[:-2]  # less the closing "\n}"
     tail = "," + json.dumps(extra, indent=2)[1:] if extra else "\n}"
-    polys = {p: json.dumps(p) for p, _ in matrix.rows}
+    polys = {p: json.dumps(p) for p in {r.poly for r in matrix.rows}}
     rows = [f'    {{\n      "poly": {polys[p]},\n      "multiplier": [\n'
             f'        {a},\n        {b},\n        {c}\n      ]\n    }}'
             for p, (a, b, c) in matrix.rows]
@@ -277,8 +277,8 @@ def cmd_det(args) -> int:
                        "sign_convention": SIGN_NOTE}
         else:
             moduli = [int(p) for p in args.moduli or DEFAULT_MODULI]
-            rows = matrix.specialize(s)
-            residues = det_residues(rows, moduli)
+            rows, den = matrix.specialize(s)
+            residues = det_residues(rows, den, moduli)
             bound = hadamard_bound(rows)
             lifted = crt_lift(residues, moduli, bound)
             payload = {"mode": "Modular", "moduli": moduli,

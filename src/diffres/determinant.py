@@ -6,7 +6,8 @@
   16x16 matrix at (1,2) takes seconds;
 * specialized and modular: one sparse elimination with Markowitz (1957)
   pivots, `_eliminate`, given a row update per ring, which also keeps the
-  column -> rows index: over Z, in ints from row set-up to the last pivot,
+  column -> rows index: over Z, in ints from `PolyMatrix.specialize` (int
+  rows over one denominator, no Fraction per entry) to the last pivot,
   each changed row divided by its content and its factor kept as a pair of
   ints, one Fraction made at the return (the exact value);
   over F_p (the residues, recombined by the Chinese remainder theorem when
@@ -25,9 +26,10 @@ A specialization solved for a common zero (`Specialization.zero`) needs no
 elimination: the rows are monomial multiples of f1, f2, f1' and f2', so the
 vector v of the column monomials at the point is a kernel vector of the
 specialized matrix, and v != 0 since the monomial 1 is a column.
-`kernel_certifies` checks M v = 0 in integers, one pass over the nonzeros,
+`kernel_certifies` checks M v = 0 on the int rows, one dot product per
+row (the rows' common denominator cannot turn a nonzero product into 0),
 and `det_specialized` returns 0 only on that proof; a zero that fails it
-costs that pass and the elimination runs as for any specialization.
+costs that pass and the same int rows are eliminated.
 
 The cofactor expansion works over any ring: the oracle runs it on Sylvester
 matrices of differential polynomials, and the tests check the sparse
@@ -47,6 +49,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from math import ceil, gcd, isqrt, lcm, prod
+from operator import mul
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import CapExceeded
@@ -108,27 +111,37 @@ def det_laplace(grid: Sequence[Sequence]):
 def det_rational(rows: Sequence[Dict[int, Fraction]],
                  order: Sequence[Tuple[int, int]] = ()) -> Fraction:
     """Exact determinant of a square rational matrix of sparse rows,
-    {column: value} each (zero values dropped), replaying `order`.  The
-    caller guarantees n = len(rows) rows with columns in range(n): a
-    tall or zero-padded wide matrix reads as square and gives 0.
+    {column: value} each, replaying `order`: `_det_scaled` of the rows read
+    as ints over the lcm of all their denominators."""
+    denom = lcm(*(v.denominator for row in rows for v in row.values()))
+    return _det_scaled([{j: v.numerator * (denom // v.denominator)
+                         for j, v in row.items() if v} for row in rows],
+                       denom, order)
 
-    Each row is scaled to coprime integers, and a pair of ints per row,
-    num / den in lowest terms, records what the scalings and contents took
-    out; the one Fraction, made at the return, is the signed product of
-    pivot * num over the product of den.  The row update is row_i <-
-    (pv/g) row_i - (gik/g) row_k, g = gcd(pv, gik), then content-divided."""
+
+def _det_scaled(rows: Sequence[Dict[int, int]], denom: int,
+                order: Sequence[Tuple[int, int]] = ()) -> Fraction:
+    """Exact determinant of rows / denom, a square matrix of sparse int
+    rows, {column: value} each, nonzero values only (the elimination takes
+    them over), replaying `order`.  The caller guarantees n = len(rows)
+    rows with columns in range(n): a tall or zero-padded wide matrix reads
+    as square and gives 0.
+
+    Each row is divided by its content, and a pair of ints per row,
+    num / den in lowest terms, records what the content, denom and the
+    scalings took out; the one Fraction, made at the return, is the signed
+    product of pivot * num over the product of den.  The row update is
+    row_i <- (pv/g) row_i - (gik/g) row_k, g = gcd(pv, gik), then
+    content-divided."""
     live: Dict[int, Dict[int, int]] = {}
     num: List[int] = []     # row i's factor is num[i] / den[i], two ints
     den: List[int] = []
     for i, row in enumerate(rows):
-        pairs = [(j, v.numerator, v.denominator) for j, v in row.items()]
-        denom = lcm(*(d for _, _, d in pairs))
-        ints = ({j: n for j, n, _ in pairs if n} if denom == 1 else
-                {j: n * (denom // d) for j, n, d in pairs if n})
-        content = gcd(*ints.values())
-        live[i] = {j: v // content for j, v in ints.items()} if content > 1 else ints
-        num.append(content)
-        den.append(denom)
+        content = gcd(*row.values())
+        live[i] = {j: v // content for j, v in row.items()} if content > 1 else row
+        g = gcd(content, denom)
+        num.append(content // g)
+        den.append(denom // g)
 
     def update(i, row_i, gik, pv, row_k, cols):
         g = gcd(pv, gik)
@@ -284,14 +297,14 @@ def perm_sign(perm: Sequence[int]) -> int:
 
 def det_specialized(matrix: PolyMatrix, s: Specialization) -> Fraction:
     """The exact determinant of the matrix at `s`: 0 when `s.zero` is set
-    and `kernel_certifies` proves it, else `det_rational` of the specialized
-    rows, replaying the matrix's analyzed pivot order."""
+    and `kernel_certifies` proves it on the specialized int rows, else
+    their elimination, replaying the matrix's analyzed pivot order."""
     if matrix.nrows != matrix.ncols:
         raise ValueError("determinant of a non-square matrix")
-    rows = matrix.specialize(s)
+    rows, den = matrix.specialize(s)
     if s.zero is not None and kernel_certifies(rows, matrix.cols, s.zero):
         return Fraction(0)
-    return det_rational(rows, _pivot_order(matrix))
+    return _det_scaled(rows, den, _pivot_order(matrix))
 
 
 def _weights(point: Sequence[Fraction], tops: Sequence[int]) -> List[List[int]]:
@@ -302,27 +315,25 @@ def _weights(point: Sequence[Fraction], tops: Sequence[int]) -> List[List[int]]:
             for v, t in zip(point, tops)]
 
 
-def kernel_certifies(rows: Sequence[Dict[int, Fraction]],
+def kernel_certifies(rows: Sequence[Dict[int, int]],
                      cols: Sequence[YMonomial],
                      point: Sequence[Fraction]) -> bool:
-    """True when the rows, shaped as for `det_rational` over the columns
-    `cols`, vanish on v, the column monomials at `point`, and v != 0: the
-    constant monomial is a column.  Then the columns are dependent and a
-    square matrix has determinant 0; False proves nothing.
+    """True when the rows, sparse over the columns `cols`, vanish on v, the
+    column monomials at `point`, and v != 0: the constant monomial is a
+    column.  Then the columns are dependent and a square matrix has
+    determinant 0; False proves nothing.
 
-    One pass over the nonzeros in ints: v scaled by the product of the
-    coordinates' denominators to the top exponents, each row by the lcm of
-    its denominators."""
+    One dot product per row, in ints on the int rows of
+    `PolyMatrix.specialize` (their denominator does not change which
+    products vanish; Fraction rows work too): v scaled by the product of
+    the coordinates' denominators to the top exponents."""
     if YM_ONE not in cols:
         return False
     tops = [max(c[k] for c in cols) for k in range(3)]
     wy, wy1, wy2 = _weights([Fraction(x) for x in point], tops)
     v = [wy[a] * wy1[b] * wy2[c] for a, b, c in cols]
-    for row in rows:
-        denom = lcm(*(x.denominator for x in row.values()))
-        if sum(x.numerator * (denom // x.denominator) * v[j] for j, x in row.items()):
-            return False
-    return True
+    return not any(sum(map(mul, row.values(), map(v.__getitem__, row)))
+                   for row in rows)
 
 
 # Miller-Rabin with the primes up to 41 as bases decides primality exactly
@@ -362,18 +373,19 @@ def det_modular(matrix: PolyMatrix, s: Specialization,
     integer entries (the elimination divides, so each modulus must be prime)."""
     if matrix.nrows != matrix.ncols:
         raise ValueError("determinant of a non-square matrix")
-    return det_residues(matrix.specialize(s), moduli)
+    return det_residues(*matrix.specialize(s), moduli)
 
 
-def det_residues(rows: Sequence[Dict[int, Fraction]],
+def det_residues(rows: Sequence[Dict[int, int]], den: int,
                  moduli: Sequence[int]) -> List[int]:
-    """`det_modular` of specialized rows, shaped as for `det_rational`."""
+    """`det_modular` of int rows over the denominator den, as
+    `PolyMatrix.specialize` gives them."""
     for k, p in enumerate(moduli):
         if not is_prime(p):
             raise ValueError(f"modulus {p} is not a prime")
         if p in moduli[:k]:
             raise ValueError(f"modulus {p} is repeated")
-    if any(v.denominator != 1 for row in rows for v in row.values()):
+    if den != 1:
         raise ValueError("modular mode needs an integral specialization")
     residues, order = [], ()
     for p in moduli:    # the first prime searches, the others replay

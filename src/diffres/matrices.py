@@ -14,6 +14,8 @@ partition of the column set divided by the main monomials
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
+from math import gcd, lcm, prod
 from typing import (Collection, Dict, List, Mapping, NamedTuple, Sequence,
                     Tuple)
 
@@ -23,7 +25,7 @@ from .diffsys import (DiffPoly, SystemSpec, YMonomial, delta, generic_poly,
                       ym_render)
 from .monomials import (Partition, closed_form_sets, column_set,
                         default_main_monomials)
-from .sympoly import Specialization, SymPoly
+from .sympoly import Specialization, SymPoly, mono_degree
 
 # Row polynomial tags for the square construction; derivatives carry primes.
 DF1, DF2, F1, F2 = "f1'", "f2'", "f1", "f2"
@@ -81,12 +83,26 @@ class PolyMatrix:
         return PolyMatrix(self.rows, self.cols, [w for w in images if w],
                           row_entries, self.meta)
 
-    def specialize(self, s: Specialization) -> List[Dict[int, Fraction]]:
-        """The specialized rows, {j: value} each, nonzero values only."""
-        values = [v.evaluate(s) for v in self.pool]
-        zero = {x for x, v in enumerate(values) if not v}
-        return [{j: values[x] for j, x in row.items() if x not in zero}
-                for row in self.row_entries]
+    def specialize(self, s: Specialization) -> Tuple[List[Dict[int, int]], int]:
+        """The specialized rows in ints, {j: value} each, nonzero values
+        only, and their least common denominator den: entry (i, j) is
+        rows[i][j] / den.  The values of `s` are read as ints over L, the
+        lcm of their denominators, and each pool polynomial is one int dot
+        product over its `_int_forms`."""
+        syms, top, scale, forms = _int_forms(self)
+        values = [s[x] for x in syms]
+        L = lcm(*(v.denominator for v in values))
+        n = {x: v.numerator * (L // v.denominator) for x, v in zip(syms, values)}
+        n[None] = L
+        pool = [sum(c * prod(map(n.__getitem__, f)) for c, f in form)
+                for form in forms]
+        den = scale * L ** top
+        if (g := gcd(den, *pool)) > 1:
+            den, pool = den // g, [v // g for v in pool]
+        rows = [{j: pool[x] for j, x in row.items()} for row in self.row_entries]
+        if 0 in pool:   # drop the entries of a polynomial that vanishes at s
+            rows = [{j: v for j, v in row.items() if v} for row in rows]
+        return rows, den
 
     def row_label_map(self) -> Dict[RowLabel, Dict[YMonomial, SymPoly]]:
         """Row content keyed by label, for order-insensitive comparison."""
@@ -113,10 +129,29 @@ class PolyMatrix:
     def to_csv(self, s: Specialization) -> str:
         header = ["row"] + [ym_csv_name(c) for c in self.cols]
         lines = [",".join(header)]
-        for label, row in zip(self.rows, self.specialize(s)):
-            dense = [str(row.get(j, 0)) for j in range(self.ncols)]
+        rows, den = self.specialize(s)
+        for label, row in zip(self.rows, rows):
+            texts = {j: str(Fraction(v, den)) for j, v in row.items()}
+            dense = [texts.get(j, "0") for j in range(self.ncols)]
             lines.append(",".join([label.render()] + dense))
         return "\n".join(lines) + "\n"
+
+
+@lru_cache(maxsize=16)
+def _int_forms(matrix: PolyMatrix) -> tuple:
+    """The pool as int forms, made once per matrix: the symbols; t, the top
+    degree of a term; C, the lcm of the coefficients' denominators; per
+    polynomial, per term, C times its coefficient and its factors, the
+    symbols with multiplicity and None up to t.  With each value n/L read
+    as n and None as L, a form sums to C L^t times the polynomial's value."""
+    terms = [t for p in matrix.pool for t in p.terms()]
+    top = max((mono_degree(m) for m, _ in terms), default=0)
+    scale = lcm(*(c.denominator for _, c in terms))
+    factors = {m: tuple(s for s, e in m for _ in range(e)) +
+               (None,) * (top - mono_degree(m)) for m, _ in terms}
+    forms = tuple(tuple((int(c * scale), factors[m]) for m, c in p.terms())
+                  for p in matrix.pool)
+    return tuple(sorted({s for m in factors for s, _ in m})), top, scale, forms
 
 
 def _distinct(values) -> Tuple[List[SymPoly], Dict[int, int]]:

@@ -407,6 +407,20 @@ def test_det_specialization_file(tmp_path, capsys):
     assert data["mode"] == "SpecializedExact"
 
 
+def test_det_modular_needs_an_integral_specialization_file(tmp_path, capsys):
+    table = {s.render(): "3" for s in system_symbols(SystemSpec(1, 1))}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(table))
+    argv = ("det", "--d1", "1", "--d2", "1", "--mode", "modular",
+            "--spec-file", str(path))
+    assert run_cli(*argv) == 0
+    assert json.loads(capsys.readouterr().out)["mode"] == "Modular"
+    path.write_text(json.dumps({**table, "b(1,0)'": "7/2"}))
+    assert run_cli(*argv) == 2
+    assert "modular mode needs an integral specialization" in \
+        capsys.readouterr().err
+
+
 def test_specialization_file_rejects_unknown_symbols(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"a(9,9)": "1"}))

@@ -13,15 +13,15 @@ from hypothesis import example, given, settings, strategies as st
 
 from diffres import (CapExceeded, CoeffSymbol, PolyMatrix, Specialization,
                      SymPoly, SystemSpec, YMonomial, build_square_matrix,
-                     common_zero_specialization, crt_combine, delta,
+                     certify, common_zero_specialization, crt_combine, delta,
                      det_laplace, det_modular, det_specialized, det_symbolic,
                      generic_system, hadamard_bound, kernel_certifies,
                      nonzero_random_probe, random_specialization,
-                     system_symbols)
+                     ranking_specialization, system_symbols)
 from diffres import determinant
 from diffres.cli import main
-from diffres.determinant import (_det_residue, _pivot_order, crt_lift,
-                                 det_rational, is_prime)
+from diffres.determinant import (_det_residue, _det_scaled, _pivot_order,
+                                 crt_lift, det_rational, is_prime)
 from diffres.matrices import F1, RowLabel, build_carra_ferro
 
 A = CoeffSymbol("a", 0, 0)
@@ -274,7 +274,7 @@ class TestModular:
         for seed in range(50):
             s = random_specialization(spec, seed, lo=-10 ** 6, hi=10 ** 6)
             exact = det_specialized(M, s)
-            bound = hadamard_bound(M.specialize(s))
+            bound = hadamard_bound(M.specialize(s)[0])
             moduli = []
             product = 1
             for p in self.MODULI + [2147483579, 2147483563]:
@@ -306,7 +306,7 @@ class TestModular:
         M = build_square_matrix(spec)
         s = random_specialization(spec, 0)
         exact = det_specialized(M, s)
-        bound = hadamard_bound(M.specialize(s))
+        bound = hadamard_bound(M.specialize(s)[0])
         two = self.MODULI[:2]
         assert two[0] * two[1] <= 2 * bound     # two 31-bit primes fall short
         assert crt_lift(det_modular(M, s, two), two, bound) is None
@@ -408,7 +408,7 @@ class TestSparseKernel:
         for seed in range(3):
             s = random_specialization(d, 700 + seed)
             exact = det_specialized(M, s)
-            bound = hadamard_bound(M.specialize(s))
+            bound = hadamard_bound(M.specialize(s)[0])
             moduli = _primes_above(2 * bound)
             lifted = crt_lift(det_modular(M, s, moduli), moduli, bound)
             assert exact != 0 and lifted == exact
@@ -654,9 +654,11 @@ class TestReplayedOrder:
         M = _square_matrix(d)
         s = (random_specialization(d, seed) if point is None
              else common_zero_specialization(d, point, rng_seed=seed))
-        rows = M.specialize(s)
+        ints, den = M.specialize(s)
+        rows = [{j: Fraction(v, den) for j, v in row.items()} for row in ints]
         order = _pivot_order(M) if replay else ()
         value = det_rational(rows, order)
+        assert _det_scaled(ints, den, order) == value
         assert value == det_rational_reference(rows, order)
         if point is not None:
             assert value == 0
@@ -681,8 +683,8 @@ class TestReplayedOrder:
             s = common_zero_specialization(
                 (2, 3), (Fraction(1, 2), Fraction(-3, 4), Fraction(5, 7)),
                 rng_seed=seed)
-            det_rational(M.specialize(s), _pivot_order(M))
-            det_rational(M.specialize(random_specialization((2, 3), seed)))
+            _det_scaled(*M.specialize(s), _pivot_order(M))
+            _det_scaled(*M.specialize(random_specialization((2, 3), seed)))
         assert any(abs(n) > 1 for n, _ in factors)
         assert any(abs(d) > 1 for _, d in factors)
         assert all(gcd(n, d) == 1 for n, d in factors)
@@ -720,23 +722,23 @@ class TestKernelVector:
                           for _ in range(3))
             s = common_zero_specialization(d, point, rng_seed=seed)
             assert s.zero == point
-            rows = M.specialize(s)
+            rows, den = M.specialize(s)
             assert kernel_certifies(rows, M.cols, point)
-            assert det_rational(rows, _pivot_order(M)) == 0
-            rows = M.specialize(random_specialization(d, seed))
+            assert _det_scaled(rows, den, _pivot_order(M)) == 0
+            rows, den = M.specialize(random_specialization(d, seed))
             assert not kernel_certifies(rows, M.cols, point)
-            assert det_rational(rows, _pivot_order(M)) != 0
+            assert _det_scaled(rows, den, _pivot_order(M)) != 0
 
     def test_permuted_columns_fail(self):
         M = _square_matrix((2, 3))
-        rows = M.specialize(common_zero_specialization((2, 3), KERNEL_POINT))
+        rows, _ = M.specialize(common_zero_specialization((2, 3), KERNEL_POINT))
         swapped = (M.cols[1], M.cols[0]) + M.cols[2:]
         for cols in (M.cols[::-1], swapped):
             assert not kernel_certifies(rows, cols, KERNEL_POINT)
 
     def test_one_corrupted_row_fails(self):
         M = _square_matrix((2, 3))
-        rows = M.specialize(common_zero_specialization((2, 3), KERNEL_POINT))
+        rows, _ = M.specialize(common_zero_specialization((2, 3), KERNEL_POINT))
         one = M.cols.index(YMonomial(0, 0, 0))    # v is nonzero there
         for k in (0, len(rows) // 2, len(rows) - 1):
             corrupted = [dict(row) for row in rows]
@@ -748,7 +750,7 @@ class TestKernelVector:
         v = 0 and M v = 0 would prove nothing."""
         M = _square_matrix((2, 2))
         origin = (Fraction(0),) * 3
-        rows = M.specialize(common_zero_specialization((2, 2), origin))
+        rows, _ = M.specialize(common_zero_specialization((2, 2), origin))
         assert kernel_certifies(rows, M.cols, origin)
         cols = tuple(YMonomial(0, 0, 9) if c == YMonomial(0, 0, 0) else c
                      for c in M.cols)
@@ -769,9 +771,26 @@ class TestKernelVector:
         M = build_square_matrix(SystemSpec(2, 3))   # no cached pivot order
         s = common_zero_specialization((2, 3), KERNEL_POINT)
         before = _pivot_order.cache_info()
-        monkeypatch.setattr(determinant, "det_rational", None)
+        monkeypatch.setattr(determinant, "_det_scaled", None)
         assert det_specialized(M, s) == 0
         assert _pivot_order.cache_info() == before
+
+    def test_no_entry_goes_through_sympoly_evaluate(self, monkeypatch):
+        """Random, common-zero, false-zero and ranking specializations of
+        the square and transformed matrices, every entry made in ints."""
+        spec = SystemSpec(2, 2)
+        M = _square_matrix((2, 3))
+        transformed, _ = certify(spec)
+        r = random_specialization((2, 3), 1)
+        s = common_zero_specialization((2, 3), KERNEL_POINT, rng_seed=1)
+        monkeypatch.setattr(SymPoly, "evaluate",
+                            lambda *args: pytest.fail("SymPoly.evaluate called"))
+        assert det_specialized(M, r) != 0
+        assert det_specialized(M, s) == 0
+        assert det_specialized(M, _zero_free(s)) == 0
+        false_zero = Specialization(dict(r.items()), r.universe, zero=KERNEL_POINT)
+        assert det_specialized(M, false_zero) == det_specialized(M, r)
+        assert det_specialized(transformed, ranking_specialization(spec)) != 0
 
     @pytest.mark.parametrize("d", [(1, 1), (1, 2), (2, 2), (2, 3), (3, 3)],
                              ids=_degrees)

@@ -3,16 +3,20 @@
 import json
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
+from math import gcd
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from diffres import (ClosureViolation, CoeffSymbol, PolyMatrix,
                      Specialization, SymPoly, SystemSpec, YMonomial, bset,
                      build_carra_ferro, build_sparse_matrix,
                      build_square_matrix, certify, carra_ferro_shape,
-                     closed_form_partition, column_set, grc_partition,
-                     system_symbols, zero_columns)
+                     closed_form_partition, column_set,
+                     common_zero_specialization, grc_partition,
+                     random_specialization, system_symbols, zero_columns)
 from diffres.diffsys import YM_ONE, DiffPoly, generic_system, ym_mul
 from diffres.matrices import DF1, DF2, F1, F2, RowLabel, _fill_rows, row_polys
 
@@ -261,3 +265,84 @@ def test_substitute_drops_exactly_the_vanishing_entries():
     values[sym] = Fraction(0)
     s = Specialization(values, universe)
     assert Ms.specialize(s) == M.specialize(s)
+
+
+# --- specialization in ints --------------------------------------------------
+
+def assert_specializes_entrywise(M, s):
+    """`M.specialize(s)`, int rows over one denominator, against
+    `SymPoly.evaluate` of each entry, and the denominator the least one."""
+    rows, den = M.specialize(s)
+    assert den > 0 and all(type(v) is int for row in rows for v in row.values())
+    assert [{j: Fraction(v, den) for j, v in row.items()} for row in rows] == \
+        [{j: v for j, x in row.items() if (v := M.pool[x].evaluate(s))}
+         for row in M.row_entries]
+    assert gcd(den, *(v for row in rows for v in row.values())) == 1
+
+
+@lru_cache(maxsize=None)
+def _specialized_matrix(kind, d):
+    spec = SystemSpec(*d)
+    if kind == "sparse":
+        return build_sparse_matrix(grc_partition(spec).partition, spec)
+    if kind == "transform_12":
+        return certify(spec)[0]
+    return build_square_matrix(spec)
+
+
+def _fraction(rng):
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+
+
+@settings(deadline=None, max_examples=60)
+@given(kind=st.sampled_from(["square", "sparse", "transform_12"]),
+       d=st.sampled_from([(1, 1), (1, 2), (2, 2), (2, 3), (3, 3)]),
+       values=st.sampled_from(["random", "common-zero", "fractional"]),
+       seed=st.integers(0, 2 ** 62))
+def test_int_rows_are_the_evaluated_entries(kind, d, values, seed):
+    """Random, common-zero and fractional specializations of the square,
+    sparse (GRC partition, at (2,2) only) and transformed matrices; a
+    symbol no generator draws (the fresh one of `transform_12`) gets a
+    fraction."""
+    if kind == "sparse":
+        d = (2, 2)
+    M = _specialized_matrix(kind, d)
+    rng = Random(seed)
+    if values == "random":
+        table = dict(random_specialization(d, seed).items())
+    elif values == "common-zero":
+        point = (_fraction(rng), _fraction(rng), _fraction(rng))
+        table = dict(common_zero_specialization(d, point, rng_seed=seed).items())
+    else:
+        table = {}
+    for sym in sorted(M.symbols() - table.keys()):
+        table[sym] = _fraction(rng)
+    assert_specializes_entrywise(M, Specialization(table))
+
+
+_SYMS = [CoeffSymbol("a", 0, 0), CoeffSymbol("b", 1, 0), CoeffSymbol("a", 0, 1, 1)]
+_TERMS = st.tuples(st.tuples(*[st.integers(0, 3)] * 3),
+                   st.builds(Fraction, st.integers(-9, 9), st.sampled_from([1, 2, 3, 6])))
+
+
+@settings(deadline=None, max_examples=200)
+@given(grid=st.lists(st.lists(st.lists(_TERMS, max_size=3), min_size=3, max_size=3),
+                     min_size=1, max_size=3),
+       values=st.lists(st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12)),
+                       min_size=3, max_size=3))
+def test_higher_degrees_and_fractional_coefficients(grid, values):
+    """Pool entries of degree up to 9 with fractional coefficients and
+    constants: each scales by L^t and the coefficients' lcm."""
+    polys = [[sum((c * SymPoly.symbol(_SYMS[0]) ** a * SymPoly.symbol(_SYMS[1]) ** b
+                   * SymPoly.symbol(_SYMS[2]) ** e for (a, b, e), c in terms),
+                  SymPoly.zero()) for terms in row] for row in grid]
+    pool, row_entries = [], []
+    for row in polys:
+        row_entries.append({})
+        for j, v in enumerate(row):
+            if v:
+                row_entries[-1][j] = len(pool)
+                pool.append(v)
+    M = PolyMatrix([RowLabel(F1, YMonomial(0, k, 0)) for k in range(len(grid))],
+                   [YMonomial(k, 0, 0) for k in range(3)], pool, row_entries)
+    assert_specializes_entrywise(M, Specialization(dict(zip(_SYMS, values))))
