@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import mul
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import CertificateFailure, SingularBasis, Unbounded
@@ -47,7 +48,7 @@ def adjugate(B: Sequence[Sequence[int]]) -> Optional[Tuple[int, List[List[int]]]
     sign = 1 if p > 0 else -1
     p, adj = sign * p, [[sign * v for v in row[n:]] for row in grid]
     cols = list(zip(*adj))
-    if p <= 0 or any(sum(a * b for a, b in zip(row, col)) != p * (i == k)
+    if p <= 0 or any(sum(map(mul, row, col)) != p * (i == k)
                      for i, row in enumerate(B) for k, col in enumerate(cols)):
         raise CertificateFailure(f"B adj != p I for B = {B}")
     return p, adj
@@ -58,9 +59,24 @@ def optimal(A: Sequence[Sequence[int]], c: Sequence[int], basis: Sequence[int],
     """Whether the basis is optimal for min c.x over integer A and c: the
     reduced costs y A - c of y = c_B B^-1 are <= 0, tested in integers as
     u A <= p c for u = c_B adj, with B adj = p I and p > 0."""
-    u = [sum(c[j] * v for j, v in zip(basis, col)) for col in zip(*adj)]
-    return all(sum(ui * a for ui, a in zip(u, col)) <= p * c[j]
-               for j, col in enumerate(zip(*A)))
+    return optimal_columns(list(zip(*A)), c, basis, p, list(zip(*adj)),
+                           [j for j in range(len(A[0])) if j not in basis])
+
+
+def optimal_columns(columns: Sequence[Sequence[int]], c: Sequence[int],
+                    basis: Sequence[int], p: int,
+                    adj_columns: Sequence[Sequence[int]],
+                    nonbasic: Sequence[int]) -> bool:
+    """`optimal` on the columns of A and of adj, which a caller testing one
+    basis against many costs keeps.  Only the nonbasic columns are tested:
+    adj B = p I follows from B adj = p I, so at basic column j = basis[i]
+    u A_j = p c_B[i] = p c_j holds with equality."""
+    cb = [c[j] for j in basis]
+    u = [sum(map(mul, cb, col)) for col in adj_columns]
+    for j in nonbasic:
+        if sum(map(mul, u, columns[j])) > p * c[j]:
+            return False
+    return True
 
 
 def matrix_rank(rows: Sequence[Sequence]) -> int:

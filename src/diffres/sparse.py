@@ -21,11 +21,18 @@ denominators).  Each catalog basis carries (p, adj) with B adj = p I, and
 per basic variable a form a.q + k whose value at q is p D x_B.  Only the
 sum's bounding box, shifted by delta, is scanned; feasibility is read from
 Farkas vectors and bases already found (the catalog bases first), with
-phase one only when none decides.  A call pays only for its liftings:
-optimality of each catalog basis, c_B adj A <= p c, is tested once per
-call, then each point takes the catalog passes below over what each basis
-keeps per point (its least x_B and, if it pins its target vertex, lambda).
-Every verdict rests on a certificate checked exactly when it was made.
+phase one only when none decides.  A repeated call pays only for its
+liftings: the costs, read off the kept vertex table; optimality of each
+catalog basis, u = c_B adj and u A_j <= p c_j at the nonbasic columns j,
+on the kept columns of A and adj; per point one kept verdict and the
+objective when the point's first pinning basis is optimal (under liftings
+that pass `validate_liftings` every catalog basis was optimal in every
+draw the tests make up to (4,4), but nothing relies on it); and the
+restricted-LP searches.  What holds nothing of the liftings is kept
+per point as it is first needed: each basis's verdict (its least x_B and,
+if it pins its target vertex, lambda) and the first catalog basis that
+pins strictly and weakly, from which the passes below start.  Every
+verdict rests on a certificate checked exactly when it was made.
 
 Ties between alternative optima are broken deterministically: the catalog
 of certified bases is scanned in its fixed order requiring strict
@@ -38,9 +45,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product as iter_product
 from math import lcm
+from operator import mul
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import (CertificateFailure, DiffresError, IllegalMove,
@@ -70,10 +78,6 @@ class Liftings(NamedTuple):
 
     def as_tuple(self) -> Tuple[LiftVector, ...]:
         return (self.l1, self.l2, self.l3, self.l4)
-
-    def height(self, i: int, point: Sequence[int]) -> int:
-        vec = self.as_tuple()[i - 1]
-        return sum(a * b for a, b in zip(vec, point))
 
 
 # Integer liftings satisfying every merged optimality constraint checked by
@@ -159,17 +163,17 @@ def build_lp(q: Sequence[int], spec: SystemSpec, lift: Liftings,
     return LPInstance(
         A=tuple(tuple(row) for row in A),
         b=tuple(b),
-        c=_costs(spec, lift),
+        c=_costs(vertex_lists(spec), lift),
         point=tuple(int(x) for x in q),
         spec=(spec.d1, spec.d2),
     )
 
 
-def _costs(spec: SystemSpec, lift: Liftings) -> Tuple[int, ...]:
-    """The lifting heights of the 18 vertex columns."""
-    return tuple(lift.height(i, v)
-                 for i, verts in enumerate(vertex_lists(spec), start=1)
-                 for v in verts)
+def _costs(vertices: Tuple[Tuple[Point, ...], ...], lift: Liftings
+           ) -> Tuple[int, ...]:
+    """The lifting heights of the 18 vertex columns, from `vertex_lists`."""
+    return tuple(sum(map(mul, vec, v))
+                 for vec, verts in zip(lift, vertices) for v in verts)
 
 
 def _check_perturbation(delta_vec: Sequence[Fraction]) -> None:
@@ -273,7 +277,8 @@ class _CatalogBasis(NamedTuple):
     bid: str
     columns: Tuple[int, ...]
     p: int                         # B adj = p I, p > 0
-    adj: List[List[int]]
+    adj_columns: Tuple[Tuple[int, ...], ...]   # u = c_B adj, per call
+    nonbasic: Tuple[int, ...]      # the columns whose reduced costs vary
     forms: Tuple[Form, ...]        # one per row of adj: p D x_B at q
     verdicts: Dict[Point, Tuple[int, List[int], Optional[Tuple[Fraction, ...]]]]
 
@@ -296,6 +301,12 @@ class _CatalogBasis(NamedTuple):
                 Fraction(v, scale) if v else _ZERO for v in lam) if pinned else None)
         return self.verdicts[q]
 
+    def pins(self, q: Point, D: int, floor: int):
+        """The verdict at q when every form is >= floor there and the basis
+        puts its block on the target vertex; None otherwise."""
+        found = self.verdict(q, D)
+        return found if found[0] >= floor and found[2] is not None else None
+
 
 class _PointSystem:
     """A lam = b(q), lam >= 0 for one spec and perturbation, set up once.
@@ -309,22 +320,38 @@ class _PointSystem:
     bases are the first basis certificates; phase one runs only when none
     decides, and its certificate is checked exactly before it is kept.
     `_scanned` keeps one per (spec, perturbation), for the 16 latest pairs,
-    with the points its scan kept; after that scan `grc_partition` reads
-    `catalog`, `A`, `D` and `rhs`, and adds only to each catalog basis's
-    per-point verdicts, which hold nothing of the liftings.
+    with the points its scan kept.  After that scan `grc_partition` reads
+    the vertex table, A's columns, each catalog basis's adj columns and
+    nonbasic columns, `D`, `rhs` and the column set, and adds only what
+    holds nothing of the liftings: each catalog basis's per-point verdicts
+    and, per point, the first basis that pins its target vertex strictly
+    and the first that pins it weakly.
     """
 
     def __init__(self, spec: SystemSpec, delta_vec: Sequence[Fraction]):
+        self.spec = spec
+        self.vertices = vertex_lists(spec)
         self.A = _constraint_matrix(spec)
+        self.A_columns = tuple(zip(*self.A))
         self.D = lcm(*(d.denominator for d in delta_vec))
         self.Ddelta = [int(d * self.D) for d in delta_vec]
         self.catalog: List[_CatalogBasis] = []
         for case, bid, columns in CASE_BASES:
             found = self._basis(columns)
             if found is not None:
-                self.catalog.append(_CatalogBasis(case, bid, columns, *found, {}))
+                p, adj, forms = found
+                nonbasic = tuple(j for j in range(len(self.A_columns))
+                                 if j not in columns)
+                self.catalog.append(_CatalogBasis(
+                    case, bid, columns, p, tuple(zip(*adj)), nonbasic, forms, {}))
         self.bases: List[Tuple[Form, ...]] = [b.forms for b in self.catalog]
         self.farkas: List[Form] = []
+        self.first: Dict[Tuple[Point, int], int] = {}
+
+    @cached_property
+    def cover(self) -> MonomialSet:
+        """The column set the partition must tile, made on first use."""
+        return column_set(self.spec)
 
     def _basis(self, columns: Sequence[int]):
         """(p, adj, forms) of the basis on these columns, B adj = p I as
@@ -361,17 +388,30 @@ class _PointSystem:
             self.bases.append(found[2])
         else:
             form = self._form(cert)
-            if (any(sum(w * row[j] for w, row in zip(cert, self.A)) < 0
-                    for j in range(len(self.A[0]))) or _at(form, q) >= 0):
+            if (any(sum(map(mul, cert, col)) < 0 for col in self.A_columns)
+                    or _at(form, q) >= 0):
                 raise CertificateFailure(
                     f"phase-one Farkas vector does not certify {q} infeasible")
             self.farkas.append(form)
         return feasible
 
-    def optimal_catalog(self, c: Sequence[int]) -> List[_CatalogBasis]:
-        """Catalog bases optimal for the integer costs c, in catalog order."""
-        return [b for b in self.catalog
-                if lp.optimal(self.A, c, b.columns, b.p, b.adj)]
+    def optimal(self, c: Sequence[int]) -> List[bool]:
+        """Per catalog basis, whether it is optimal for the integer costs c:
+        `lp.optimal` on the kept columns of A and of adj."""
+        A = self.A_columns
+        return [lp.optimal_columns(A, c, b.columns, b.p, b.adj_columns, b.nonbasic)
+                for b in self.catalog]
+
+    def first_pinned(self, q: Point, floor: int) -> int:
+        """The index of the first catalog basis that pins its target vertex
+        at q with every form >= floor, len(catalog) when none does; kept per
+        point and floor, as the verdicts it reads are."""
+        key = (q, floor)
+        if key not in self.first:
+            D = self.D
+            self.first[key] = next((k for k, b in enumerate(self.catalog)
+                                    if b.pins(q, D, floor)), len(self.catalog))
+        return self.first[key]
 
 
 class LiftingReport(NamedTuple):
@@ -430,28 +470,32 @@ class GrcPartitionResult:
     perturbation: Tuple[Fraction, ...]
 
 
-def _catalog_assignment(q: Point, catalog: Sequence[_CatalogBasis], D: int,
-                        c: Sequence[int], vertices: Tuple[Tuple[Point, ...], ...]
-                        ) -> Optional[GrcAssignment]:
-    """Strict pass, then weak pass over the optimal catalog bases in order;
-    None when no basis pins its block's target vertex at q.  Only the
-    objective is computed here; the rest is each basis's kept verdict."""
+def _catalog_assignment(q: Point, system: _PointSystem, optimal: Sequence[bool],
+                        c: Sequence[int]) -> Optional[GrcAssignment]:
+    """Strict pass, then weak pass over the catalog bases optimal for c
+    (`optimal`, per basis), in order; None when none pins its block's target
+    vertex at q.  Each pass starts at the first basis that pins at q, kept
+    per point whatever the costs, so with that basis optimal it reads one
+    verdict.  Only the objective is computed here."""
+    catalog, D = system.catalog, system.D
     for floor in (1, 0):   # the forms are integers: x_B > 0, then x_B >= 0
-        for basis in catalog:
-            least, values, lam = basis.verdict(q, D)
-            if least < floor or lam is None:
+        for k in range(system.first_pinned(q, floor), len(catalog)):
+            basis = catalog[k]
+            found = optimal[k] and basis.pins(q, D, floor)
+            if not found:
                 continue
+            _, values, lam = found
             case = basis.case
             j = TARGET_VERTEX[case]
-            vertex = vertices[case - 1][j - 1]
-            objective = sum(c[k] * v for k, v in zip(basis.columns, values))
+            vertex = system.vertices[case - 1][j - 1]
+            objective = sum(map(mul, map(c.__getitem__, basis.columns), values))
             return GrcAssignment(q, case, j, vertex, YMonomial(*vertex), basis.bid,
                                  lam, Fraction(objective, basis.p * D))
     return None
 
 
-def _search_assignment(system: _PointSystem, q: Point, c: Sequence[int],
-                       vertices: Tuple[Tuple[Point, ...], ...]) -> GrcAssignment:
+def _search_assignment(system: _PointSystem, q: Point, c: Sequence[int]
+                       ) -> GrcAssignment:
     """The restricted search over the four target vertices, block order: the
     first case whose optimum with lambda_{case, j} pinned to one equals the
     full optimum.  Each LP is solved on b'(q) = D b(q), so lambda and the
@@ -477,7 +521,7 @@ def _search_assignment(system: _PointSystem, q: Point, c: Sequence[int],
             for k, v in zip(keep, restricted.x):
                 lam[k] = v / D
             lam[pinned] = Fraction(1)
-            vertex = vertices[case - 1][j - 1]
+            vertex = system.vertices[case - 1][j - 1]
             return GrcAssignment(q, case, j, vertex, YMonomial(*vertex), "search",
                                  tuple(lam), best.objective / D)
     raise NoVertexOptimum(f"no optimal solution at {q} pins a target vertex")
@@ -495,21 +539,20 @@ def grc_partition(spec: SystemSpec, lift: Liftings = DEFAULT_LIFTINGS,
     delta_vec = tuple(delta_vec)
     system, points = _scanned(spec, delta_vec)
     # the costs depend only on the liftings: certify optimality once per call
-    costs = _costs(spec, lift)
-    catalog = system.optimal_catalog(costs)
-    vertices = vertex_lists(spec)
+    costs = _costs(system.vertices, lift)
+    optimal = system.optimal(costs)
     assignments: Dict[Point, GrcAssignment] = {}
     buckets: Dict[int, List[YMonomial]] = {1: [], 2: [], 3: [], 4: []}
     for q in points:
-        assignment = (_catalog_assignment(q, catalog, system.D, costs, vertices)
-                      or _search_assignment(system, q, costs, vertices))
+        assignment = (_catalog_assignment(q, system, optimal, costs)
+                      or _search_assignment(system, q, costs))
         assignments[q] = assignment
         monomial = YMonomial(q[0] - 1, q[1] - 1, q[2] - 1)
         buckets[assignment.case].append(monomial)
     partition = Partition(
         *(MonomialSet.of(buckets[i], f"S{i}") for i in (1, 2, 3, 4)),
         provenance="LPDriven")
-    partition.validate_cover(column_set(spec))
+    partition.validate_cover(system.cover)
     return GrcPartitionResult(partition, assignments, lift, delta_vec)
 
 

@@ -1,11 +1,12 @@
 """Polytopes, lattice points, the vertex-decomposition LP, and the partition."""
 
+import hashlib
 import random
 from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from diffres import (DEFAULT_LIFTINGS, DEFAULT_PERTURBATION, IllegalMove,
                      Infeasible, InvalidPerturbation, Liftings, SystemSpec,
@@ -14,7 +15,7 @@ from diffres import (DEFAULT_LIFTINGS, DEFAULT_PERTURBATION, IllegalMove,
                      default_main_monomials, det_specialized, grc_partition,
                      lattice_points, newton_data, nonzero_random_probe,
                      partition_divisibility, simplex_solve, validate_liftings)
-from diffres import SingularBasis, sparse
+from diffres import SingularBasis, monomials, sparse
 from diffres.errors import CertificateFailure
 from diffres.lp import matrix_rank, simplex, verify_basis
 from diffres.sparse import (BLOCK_SIZES, CASE_BASES, MOVES_TO_DIVISIBILITY_2_2,
@@ -24,6 +25,7 @@ from test_lp import verify_basis_reference
 F = Fraction
 HALF = (F(1, 2),) * 3   # a coarse perturbation: degenerate bases and ties
 DEGREES_TO_5 = [(d1, d2) for d2 in range(1, 6) for d1 in range(1, d2 + 1)]
+DEGREES_TO_4 = [d for d in DEGREES_TO_5 if d[1] <= 4]
 
 
 class TestNewtonData:
@@ -163,6 +165,16 @@ def seeded_liftings(seed):
     return lift
 
 
+seeded = st.integers(0, 10**6).map(seeded_liftings)
+# heights free of the merged constraints; grc_partition rejects most
+free_liftings = st.lists(st.integers(-9, 9), min_size=12, max_size=12).map(
+    lambda h: Liftings(*(tuple(h[k:k + 3]) for k in range(0, 12, 3))))
+ZERO_LIFTINGS = Liftings(*[(0, 0, 0)] * 4)     # every reduced cost is zero
+# at (1,2) the first basis that strictly pins its target vertex is not
+# optimal at 11 points, and a later catalog basis assigns 3 of them
+SCAN_ON = Liftings((3, -7, -7), (-7, -3, -2), (-8, 3, -9), (-6, 3, 8))
+
+
 def reference_search(inst):
     """The restricted-LP search in Fractions on build_lp's instance: the full
     optimum, then per case in block order the LP with lambda_{case, j}
@@ -233,6 +245,49 @@ class TestScanCache:
         assert lattice_points(spec) == default
 
 
+def assignments_digest(results):
+    """sha256 over every assignment of the results, in order: point, case,
+    vertex index, basis id, lam and objective."""
+    digest = hashlib.sha256()
+    for result in results:
+        for q, a in result.assignments.items():
+            digest.update(repr((q, a.case, a.vertex_index, a.basis_id, a.lam,
+                                a.objective)).encode())
+    return digest.hexdigest()
+
+
+# assignments_digest of the default and the five seeded liftings, in that
+# order, per degree pair: fixed values, so any changed assignment fails
+PARTITION_PINS = {
+    (1, 1): "9d04955a595733fa4a4eb7f05b870e23ddcbf4eb0c4d38c2eeac5ad65eafbdbe",
+    (1, 2): "6bd1d57a98985dc06875af1c0c4f14c06d18e2e121a714d57cc12a09946bad38",
+    (2, 2): "ff1c5333d043f3b3c0ca66ee8f8c5eabd4eb4b68285760661d7ca26e745f8f30",
+    (1, 3): "42c4c51dd1475333c75dd92850c2d706a85e38fd167add2f0cd5c74795808c46",
+    (2, 3): "03bdf70ca89ba72e9cec9344484056ee0d2f5258b8f125c18f7036ec472626f6",
+    (3, 3): "37b718d3f9f5ad7d5d763fa4dc6dc354673e9221f3a93479e8804ec01eb76428",
+    (1, 4): "9861ed661e84c69dfc4124a7ea4bbe68fc0e8d99eec5714dd896c77381b64b63",
+    (2, 4): "f7e58c4b64f0b7ee148ebeed16c5514908ff4f7731dfb722f389f09bbe29e2ac",
+    (3, 4): "81503a35d31476d06d168151124bf5145a597ad90dcc0bd758b951e003593b6e",
+    (4, 4): "79f52711cf35d2cfabb9819b6146159eea392f25415946d7ff7501b4f3bc2d91",
+}
+
+
+class TestAssignmentPins:
+    @pytest.mark.usefixtures("cold_scan")
+    @pytest.mark.parametrize("d", DEGREES_TO_4)
+    def test_cold_and_warm_calls_match_the_pins(self, d):
+        spec = SystemSpec(*d)
+        liftings = [DEFAULT_LIFTINGS] + [seeded_liftings(s) for s in range(1, 6)]
+        cold = []
+        for lift in liftings:
+            sparse._scanned.cache_clear()
+            cold.append(grc_partition(spec, lift))
+        # every call below finds the scan and the verdicts of all six
+        warm = [grc_partition(spec, lift) for lift in liftings]
+        assert assignments_digest(cold) == PARTITION_PINS[d]
+        assert assignments_digest(warm) == PARTITION_PINS[d]
+
+
 class TestCertificateReuse:
     @pytest.mark.parametrize("d", [(1, 1), (1, 2), (2, 2), (2, 3)])
     def test_lattice_points_match_a_simplex_box_scan(self, d):
@@ -274,12 +329,11 @@ class TestCertificateReuse:
         spec = SystemSpec(1, 2)
         system = _PointSystem(spec, HALF)
         for lift in [DEFAULT_LIFTINGS] + [seeded_liftings(s) for s in (1, 2, 3)]:
-            costs = _costs(spec, lift)
-            catalog = system.optimal_catalog(costs)
+            costs = _costs(system.vertices, lift)
+            optimal = system.optimal(costs)
             for q in lattice_points(spec, HALF):
                 ref = reference_assignment(build_lp(q, spec, lift, HALF))
-                a = _catalog_assignment(q, catalog, system.D, costs,
-                                        vertex_lists(spec))
+                a = _catalog_assignment(q, system, optimal, costs)
                 assert (a and (a.case, a.vertex_index, a.basis_id, a.lam,
                                a.objective)) == ref, (lift, q)
 
@@ -343,15 +397,15 @@ class TestIntegerCertificates:
     # seeded liftings make every catalog basis optimal; free heights mostly
     # do not, so both verdicts are compared
     @settings(deadline=None, max_examples=30)
-    @given(st.one_of(
-        st.integers(0, 10**6).map(seeded_liftings),
-        st.lists(st.integers(-9, 9), min_size=12, max_size=12).map(
-            lambda h: Liftings(*(tuple(h[k:k + 3]) for k in range(0, 12, 3))))))
+    @given(st.one_of(seeded, free_liftings))
+    @example(lift=ZERO_LIFTINGS)
     @pytest.mark.parametrize("d", [(1, 2), (2, 2)])
     def test_optimal_catalog_matches_verify_basis(self, d, lift):
         spec = SystemSpec(*d)
         system = sparse._PointSystem(spec, DEFAULT_PERTURBATION)
-        optimal = {b.bid for b in system.optimal_catalog(sparse._costs(spec, lift))}
+        costs = sparse._costs(system.vertices, lift)
+        optimal = {b.bid for b, ok in zip(system.catalog, system.optimal(costs))
+                   if ok}
         nonsingular = {b.bid for b in system.catalog}
         # optimality does not depend on the right-hand side
         inst = build_lp((1, 1, 1), spec, lift)
@@ -415,6 +469,109 @@ class TestIntegerCertificates:
                             lambda A, b: (True, columns))
         with pytest.raises(CertificateFailure, match=r"does not certify \(1, 4, 2\)"):
             lattice_points(spec)
+
+
+def optimal_reference(A, c, basis, p, adj):
+    """The integer optimality test over every column, the basic ones
+    included: u = c_B adj, then u A_j <= p c_j."""
+    u = [sum(c[j] * adj[i][k] for i, j in enumerate(basis)) for k in range(len(adj))]
+    return all(sum(u[k] * A[k][j] for k in range(len(A))) <= p * c[j]
+               for j in range(len(A[0])))
+
+
+def scan_reference(system, optimal_flags, q, c):
+    """The catalog passes without the per-point memo: strict, then weak, over
+    every optimal basis in catalog order; (basis id, lam, c.lam) of the first
+    that pins its target vertex at q, None when none does."""
+    for floor in (1, 0):
+        for basis, ok in zip(system.catalog, optimal_flags):
+            least, _, lam = basis.verdict(q, system.D)
+            if ok and least >= floor and lam is not None:
+                return basis.bid, lam, sum(ck * x for ck, x in zip(c, lam))
+    return None
+
+
+class TestPerCallWork:
+    """A repeated grc_partition call does only what depends on its liftings:
+    the kept columns give `lp.optimal`, the per-point memo gives the full
+    catalog scan, and nothing that holds no lifting is redone."""
+
+    @settings(deadline=None, max_examples=20)
+    @given(st.one_of(seeded, free_liftings))
+    @example(lift=ZERO_LIFTINGS)
+    @example(lift=SCAN_ON)
+    def test_the_kept_columns_give_lp_optimal(self, lift):
+        for d in DEGREES_TO_4:
+            system, _ = sparse._scanned(SystemSpec(*d), DEFAULT_PERTURBATION)
+            costs = sparse._costs(system.vertices, lift)
+            for basis, ok in zip(system.catalog, system.optimal(costs)):
+                B = [[row[j] for j in basis.columns] for row in system.A]
+                p, adj = sparse.lp.adjugate(B)
+                args = (system.A, costs, basis.columns, p, adj)
+                assert ok == sparse.lp.optimal(*args) == optimal_reference(*args), \
+                    (d, lift, basis.bid)
+
+    @settings(deadline=None, max_examples=20)
+    @given(st.one_of(seeded, free_liftings))
+    @example(lift=DEFAULT_LIFTINGS)
+    @example(lift=SCAN_ON)
+    @pytest.mark.parametrize("delta_vec, degrees", [
+        (DEFAULT_PERTURBATION, DEGREES_TO_4), (HALF, [(1, 2), (2, 2)])])
+    def test_the_point_memo_gives_the_catalog_scan(self, delta_vec, degrees, lift):
+        # at HALF some points have a weakly pinning basis ahead of the first
+        # strictly pinning one
+        for d in degrees:
+            system, points = sparse._scanned(SystemSpec(*d), delta_vec)
+            costs = sparse._costs(system.vertices, lift)
+            flags = system.optimal(costs)
+            for q in points:
+                a = sparse._catalog_assignment(q, system, flags, costs)
+                assert (a and (a.basis_id, a.lam, a.objective)) \
+                    == scan_reference(system, flags, q, costs), (d, lift, q)
+
+    def test_free_heights_reach_the_scan_on_path(self):
+        system, points = sparse._scanned(SystemSpec(1, 2), DEFAULT_PERTURBATION)
+        costs = sparse._costs(system.vertices, SCAN_ON)
+        flags = system.optimal(costs) + [True]   # True past the catalog's end
+        passed_over = [q for q in points if not flags[system.first_pinned(q, 1)]]
+        assigned = [q for q in passed_over
+                    if sparse._catalog_assignment(q, system, flags, costs)]
+        assert (len(passed_over), len(assigned)) == (11, 3)
+
+    @settings(deadline=None, max_examples=40)
+    @given(seeded)
+    def test_valid_liftings_make_every_catalog_basis_optimal(self, lift):
+        # the case the memo serves in one read per point; the code does not
+        # rely on it, as the free heights above show
+        for d in DEGREES_TO_4:
+            system, _ = sparse._scanned(SystemSpec(*d), DEFAULT_PERTURBATION)
+            assert all(system.optimal(sparse._costs(system.vertices, lift))), (d, lift)
+
+    @pytest.mark.usefixtures("cold_scan")
+    @pytest.mark.parametrize("d", DEGREES_TO_4)
+    def test_a_warm_call_does_no_lifting_free_work(self, d, monkeypatch):
+        spec = SystemSpec(*d)
+        grc_partition(spec)
+        liftings = [seeded_liftings(s) for s in (7, 8, 9)]
+        verdict = sparse._CatalogBasis.verdict
+
+        def refused(*args):
+            raise AssertionError("a warm call redid lifting-free work")
+
+        def kept_only(basis, q, D):
+            if q not in basis.verdicts:
+                raise AssertionError(f"a fresh verdict of {basis.bid} at {q}")
+            return verdict(basis, q, D)
+
+        with monkeypatch.context() as patched:
+            patched.setattr(sparse.lp, "adjugate", refused)
+            patched.setattr(sparse.lp, "integer_certificate", refused)
+            patched.setattr(monomials, "bset", refused)
+            patched.setattr(sparse._CatalogBasis, "verdict", kept_only)
+            warm = [grc_partition(spec, lift) for lift in liftings]
+        for lift, result in zip(liftings, warm):
+            sparse._scanned.cache_clear()
+            assert result == grc_partition(spec, lift), lift
 
 
 class TestBuildLP:
