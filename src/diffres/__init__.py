@@ -46,10 +46,9 @@ _EXPORTS = {
                     "random_specialization"),
     "lp": (),
     "sparse": ("DEFAULT_LIFTINGS", "DEFAULT_PERTURBATION", "GrcAssignment",
-               "GrcPartitionResult", "Liftings", "LPInstance",
-               "MOVES_TO_DIVISIBILITY_2_2", "Polytope", "apply_moves",
-               "build_lp", "grc_partition", "lattice_points", "newton_data",
-               "simplex_solve", "validate_liftings", "vertex_lists"),
+               "GrcPartitionResult", "Liftings", "MOVES_TO_DIVISIBILITY_2_2",
+               "apply_moves", "grc_partition", "lattice_points",
+               "validate_liftings", "vertex_lists"),
     "oracle": ("eliminate_iterated", "sylvester_resultant"),
     "checks": ("CheckReport", "run_checks"),
 }

@@ -35,9 +35,9 @@ from .matrices import (build_carra_ferro, build_sparse_matrix,
 from .monomials import (column_set, default_main_monomials,
                         multiplier_sizes, partition_divisibility)
 from .oracle import eliminate_iterated
-from .sparse import (CASE_BASES, DEFAULT_LIFTINGS,
-                     MOVES_TO_DIVISIBILITY_2_2, apply_moves, build_lp,
-                     grc_partition, lattice_points, simplex_solve,
+from .sparse import (CASE_BASES, DEFAULT_LIFTINGS, DEFAULT_PERTURBATION,
+                     MOVES_TO_DIVISIBILITY_2_2, apply_moves, costs,
+                     grc_partition, lattice_points, scanned,
                      validate_liftings)
 from .symbols import CoeffSymbol
 from .sympoly import Specialization
@@ -257,20 +257,22 @@ def check_lp_partition(spec: SystemSpec, seed: int) -> Dict[str, object]:
 # --- criterion 8 -------------------------------------------------------------
 
 def check_basis_certification(spec: SystemSpec, seed: int) -> Dict[str, object]:
-    points = lattice_points(spec)
-    inst0 = build_lp(points[0], spec, DEFAULT_LIFTINGS)
-    assert lp.matrix_rank(inst0.A) == 7
+    # the kept integer point system: b' = D b(q), so the solver's and each
+    # certified objective are both D times the LP's, and compare directly
+    system, points = scanned(spec, DEFAULT_PERTURBATION)
+    A, c = system.A, costs(system.vertices, DEFAULT_LIFTINGS)
+    assert lp.matrix_rank(A) == 7
     cols = next(columns for case, bid, columns in CASE_BASES if bid == "1.1")
-    basis_matrix = [[inst0.A[i][j] for j in cols] for i in range(7)]
-    assert lp.matrix_rank(basis_matrix) == 7
+    assert lp.matrix_rank([[row[j] for j in cols] for row in A]) == 7
     certified = {}
     for q in points:
-        inst = build_lp(q, spec, DEFAULT_LIFTINGS)
-        best = simplex_solve(inst)
+        b = system.rhs(q)
+        best = lp.simplex(A, b, c)
+        assert best.status == "optimal", f"lattice point {q} admits no decomposition"
         found = None
         for case, bid, columns in CASE_BASES:
             try:
-                report = lp.verify_basis(inst.A, inst.b, inst.c, columns)
+                report = lp.verify_basis(A, b, c, columns)
             except SingularBasis:   # a failed certificate stays fatal
                 continue
             if report.feasible and report.optimal:

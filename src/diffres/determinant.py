@@ -48,7 +48,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, gcd, isqrt, lcm, prod
+from math import ceil, gcd, isqrt, prod
 from operator import mul
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -108,17 +108,6 @@ def det_laplace(grid: Sequence[Sequence]):
     return minor(0, tuple(range(n)))
 
 
-def det_rational(rows: Sequence[Dict[int, Fraction]],
-                 order: Sequence[Tuple[int, int]] = ()) -> Fraction:
-    """Exact determinant of a square rational matrix of sparse rows,
-    {column: value} each, replaying `order`: `_det_scaled` of the rows read
-    as ints over the lcm of all their denominators."""
-    denom = lcm(*(v.denominator for row in rows for v in row.values()))
-    return _det_scaled([{j: v.numerator * (denom // v.denominator)
-                         for j, v in row.items() if v} for row in rows],
-                       denom, order)
-
-
 def _det_scaled(rows: Sequence[Dict[int, int]], denom: int,
                 order: Sequence[Tuple[int, int]] = ()) -> Fraction:
     """Exact determinant of rows / denom, a square matrix of sparse int
@@ -175,7 +164,7 @@ def _det_residue(rows: Sequence[Dict[int, int]], p: int,
                  order: Sequence[Tuple[int, int]] = ()) -> Tuple[int, list]:
     """The determinant modulo the prime p of a square matrix of sparse rows
     with integer values (ints or integral Fractions), shaped as for
-    `det_rational`, replaying `order`; the row update is
+    `_det_scaled`, replaying `order`; the row update is
     row_i <- row_i - (gik / pv mod p) row_k.  Returns the residue and the
     pivots taken, (row, column) each."""
     live = {i: {j: r for j, v in row.items() if (r := v.numerator % p)}

@@ -6,14 +6,17 @@ rows over one positive common denominator and pivots fraction-free
 (Bareiss 1968, Edmonds 1967).  [A | b] and c are each scaled by one
 positive integer, which leaves Bland's path and every result as they are
 over the rationals; Fractions are made only for what a call returns.
-Phase one alone returns a certificate with its verdict: a basis with
-B^-1 b >= 0, or a Farkas vector w with w A >= 0 and w b < 0, read from the
-artificial columns of the final tableau.  A basis-verification routine
-certifies optimality of a proposed basic solution independently of the
-solver (feasibility of B^-1 b and nonpositive reduced costs, both read
-from an adjugate whose product B adj = p I is checked exactly), so the two
-can cross-check each other.  One fraction-free pivot serves the tableau,
-the adjugates and the rank.
+Phase one alone, `integer_certificate` on integer data, returns its
+verdict with a certificate: a basis with B^-1 b >= 0, or an integer Farkas
+vector w with w A >= 0 and w b < 0, read from the artificial columns of
+the final tableau.  A basis-verification routine certifies optimality of
+a proposed basic solution independently of the solver (feasibility of
+B^-1 b and nonpositive reduced costs, both read from an adjugate whose
+product B adj = p I is checked exactly), so the two can cross-check each
+other.  `sparse` and the `basis-certification` check run them on one
+integer point system per spec and perturbation (`sparse.scanned`); no
+Fraction copy of it is built.  One fraction-free pivot serves the
+tableau, the adjugates and the rank.
 """
 
 from __future__ import annotations
@@ -189,20 +192,6 @@ class _Tableau:
         return x
 
 
-class Feasibility(NamedTuple):
-    """Phase-one verdict on A x = b, x >= 0, with its certificate.
-
-    Feasible: ``basis`` lists columns of A whose basic solution ``x`` is
-    nonnegative (B^-1 b >= 0; one column per independent row of A).
-    Infeasible: ``farkas`` is a vector w with w A >= 0 and w b < 0.
-    """
-
-    feasible: bool
-    basis: Tuple[int, ...]
-    x: Tuple[Fraction, ...]
-    farkas: Tuple[Fraction, ...]
-
-
 def _phase_one(Ab: Sequence[Sequence[int]]) -> Tuple[_Tableau, Optional[List[int]]]:
     """Phase one on the integer system [A | b]; the tableau on a basis of A's
     columns, or den times a Farkas vector.
@@ -241,20 +230,11 @@ def _augmented(A: Sequence[Sequence], b: Sequence) -> List[List[int]]:
     return _integers([list(row) + [v] for row, v in zip(A, b)])
 
 
-def phase_one(A: Sequence[Sequence], b: Sequence) -> Feasibility:
-    """Exact feasibility of A x = b, x >= 0 with a certificate either way."""
-    n = len(A[0]) if A else 0
-    tab, farkas = _phase_one(_augmented(A, b))
-    if farkas is not None:
-        return Feasibility(False, (), (), tuple(Fraction(w, tab.den) for w in farkas))
-    return Feasibility(True, tuple(sorted(tab.basis)), tuple(tab.solution()[:n]), ())
-
-
 def integer_certificate(A: Sequence[Sequence[int]],
                         b: Sequence[int]) -> Tuple[bool, Tuple[int, ...]]:
-    """Phase one on integer data with its certificate in integers: (True,
-    the basis of phase_one) or (False, w), w a positive multiple of the
-    Farkas vector of phase_one."""
+    """Exact feasibility of A x = b, x >= 0 for integer A and b, with its
+    certificate: (True, a basis, one column per independent row of A, with
+    B^-1 b >= 0) or (False, w) with w A >= 0 and w b < 0."""
     tab, farkas = _phase_one([list(row) + [v] for row, v in zip(A, b)])
     return (True, tuple(sorted(tab.basis))) if farkas is None else (False, tuple(farkas))
 
@@ -270,11 +250,6 @@ def simplex(A: Sequence[Sequence], b: Sequence, c: Sequence) -> LPSolution:
     x = tab.solution()[:n]
     return LPSolution("optimal", x, sum((cj * xj for cj, xj in zip(c, x)), Fraction(0)),
                       tuple(sorted(tab.basis)))
-
-
-def feasible(A: Sequence[Sequence], b: Sequence) -> bool:
-    """Exact feasibility of A x = b, x >= 0 (phase one only)."""
-    return phase_one(A, b).feasible
 
 
 class BasisReport(NamedTuple):

@@ -1,4 +1,4 @@
-"""Sparse-resultant machinery: polytopes, lattice points, LP partition.
+"""Sparse-resultant machinery: vertex lists, lattice points, LP partition.
 
 The column monomials are recovered as the lattice points of a perturbed
 Minkowski sum, decided exactly by LP feasibility instead of any convex-hull
@@ -13,9 +13,10 @@ rearrangement of the standard one after a short list of legal moves.
 The constraint matrix depends only on the degrees, b(q) only on the point
 and the perturbation, and the costs only on the liftings.  So the point
 system and the sorted lattice points are built once per (spec,
-perturbation) and kept by `_scanned`, an `lru_cache` of the 16 latest
+perturbation) and kept by `scanned`, an `lru_cache` of the 16 latest
 pairs, keyed by the validated `SystemSpec` and the perturbation as a tuple
-of Fractions; `lattice_points` and `grc_partition` both read it.  All of
+of Fractions; `lattice_points`, `grc_partition` and the
+`basis-certification` check read it, with `costs` for the liftings.  All of
 it is in integers (b(q) scaled by the lcm D of the perturbation's
 denominators).  Each catalog basis carries (p, adj) with B adj = p I, and
 per basic variable a form a.q + k whose value at q is p D x_B.  Only the
@@ -52,11 +53,10 @@ from operator import mul
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import (CertificateFailure, DiffresError, IllegalMove,
-                     Infeasible, InvalidPerturbation, NoVertexOptimum,
-                     Unbounded)
+                     Infeasible, InvalidPerturbation, NoVertexOptimum)
 from . import lp
-from .diffsys import (SystemSpec, YMonomial, delta, generic_system, support,
-                      ym_divides, ym_div, ym_mul, ym_render)
+from .diffsys import (SystemSpec, YMonomial, support, ym_divides, ym_div,
+                      ym_mul, ym_render)
 from .matrices import SQUARE_BLOCK_ORDER, row_polys
 from .monomials import (MonomialSet, Partition, column_set,
                         default_main_monomials)
@@ -85,11 +85,6 @@ class Liftings(NamedTuple):
 DEFAULT_LIFTINGS = Liftings((7, -4, -5), (5, -9, 5), (6, 2, 1), (8, 4, 7))
 
 
-class Polytope(NamedTuple):
-    points: Tuple[Point, ...]
-    vertices: Tuple[Point, ...]
-
-
 def vertex_lists(spec: SystemSpec) -> Tuple[Tuple[Point, ...], ...]:
     """The four vertex lists in the order that fixes the LP columns.
 
@@ -113,36 +108,6 @@ def var_index(i: int, j: int) -> int:
     return sum(BLOCK_SIZES[:i - 1]) + (j - 1)
 
 
-def in_hull(point: Sequence, vertices: Sequence[Point]) -> bool:
-    """Exact membership of a point in the convex hull of the vertices."""
-    A = [[Fraction(v[axis]) for v in vertices] for axis in range(3)]
-    A.append([Fraction(1)] * len(vertices))
-    b = [Fraction(x) for x in point] + [Fraction(1)]
-    return lp.feasible(A, b)
-
-
-def newton_data(spec: SystemSpec) -> Tuple[Polytope, Polytope, Polytope, Polytope]:
-    """Support points and (deduplicated) vertex sets of the four polytopes."""
-    spec = SystemSpec(*spec).validate()
-    f1, f2 = generic_system(spec)
-    supports = [support(delta(f1)), support(delta(f2)), support(f1), support(f2)]
-    out = []
-    for pts, verts in zip(supports, vertex_lists(spec)):
-        unique = tuple(dict.fromkeys(verts))
-        out.append(Polytope(tuple((m.ey, m.ey1, m.ey2) for m in pts), unique))
-    return tuple(out)
-
-
-class LPInstance(NamedTuple):
-    """Standard-form data for one lattice point."""
-
-    A: Tuple[Tuple[int, ...], ...]        # 7 x 18
-    b: Tuple[Fraction, ...]               # (A1, A2, A3, 1, 1, 1, 1)
-    c: Tuple[int, ...]                    # lifting heights, 18 entries
-    point: Point
-    spec: Tuple[int, int]
-
-
 def _constraint_matrix(spec: SystemSpec) -> List[List[int]]:
     cols = [v for verts in vertex_lists(spec) for v in verts]
     rows = [[v[axis] for v in cols] for axis in range(3)]
@@ -153,24 +118,8 @@ def _constraint_matrix(spec: SystemSpec) -> List[List[int]]:
     return rows
 
 
-def build_lp(q: Sequence[int], spec: SystemSpec, lift: Liftings,
-             delta_vec: Sequence[Fraction] = DEFAULT_PERTURBATION) -> LPInstance:
-    spec = SystemSpec(*spec).validate()
-    _check_perturbation(delta_vec)
-    A = _constraint_matrix(spec)
-    b = [Fraction(q[k]) - Fraction(delta_vec[k]) for k in range(3)]
-    b += [Fraction(1)] * 4
-    return LPInstance(
-        A=tuple(tuple(row) for row in A),
-        b=tuple(b),
-        c=_costs(vertex_lists(spec), lift),
-        point=tuple(int(x) for x in q),
-        spec=(spec.d1, spec.d2),
-    )
-
-
-def _costs(vertices: Tuple[Tuple[Point, ...], ...], lift: Liftings
-           ) -> Tuple[int, ...]:
+def costs(vertices: Tuple[Tuple[Point, ...], ...], lift: Liftings
+          ) -> Tuple[int, ...]:
     """The lifting heights of the 18 vertex columns, from `vertex_lists`."""
     return tuple(sum(map(mul, vec, v))
                  for vec, verts in zip(lift, vertices) for v in verts)
@@ -200,14 +149,15 @@ def lattice_points(spec: SystemSpec,
     """
     spec = SystemSpec(*spec).validate()
     _check_perturbation(delta_vec)
-    return list(_scanned(spec, tuple(delta_vec))[1])
+    return list(scanned(spec, tuple(delta_vec))[1])
 
 
 @lru_cache(maxsize=16)
-def _scanned(spec: SystemSpec, delta_vec: Tuple[Fraction, ...]
-             ) -> Tuple["_PointSystem", Tuple[Point, ...]]:
+def scanned(spec: SystemSpec, delta_vec: Tuple[Fraction, ...]
+            ) -> Tuple["_PointSystem", Tuple[Point, ...]]:
     """The point system of (spec, delta) and its lattice points, sorted,
-    kept for the 16 latest pairs; neither changes after this scan."""
+    kept for the 16 latest pairs; neither changes after this scan.  The
+    spec is validated and delta checked by the caller."""
     system = _PointSystem(spec, delta_vec)
     blocks = vertex_lists(spec)
     box = [range(sum(min(v[k] for v in verts) for verts in blocks) + 1,
@@ -216,15 +166,6 @@ def _scanned(spec: SystemSpec, delta_vec: Tuple[Fraction, ...]
     found = [q for q in iter_product(*box) if system.feasible(q)]
     found.sort(key=lambda p: (sum(p), p[2], p[1], p[0]))
     return system, tuple(found)
-
-
-def simplex_solve(inst: LPInstance) -> lp.LPSolution:
-    result = lp.simplex(inst.A, inst.b, inst.c)
-    if result.status == "infeasible":
-        raise Infeasible(f"lattice point {inst.point} admits no decomposition")
-    if result.status == "unbounded":
-        raise Unbounded("vertex-decomposition LP cannot be unbounded")
-    return result
 
 
 # --- certified basis catalog -------------------------------------------------
@@ -319,7 +260,7 @@ class _PointSystem:
     for B adj = p I, p > 0) proves it feasible.  The nonsingular catalog
     bases are the first basis certificates; phase one runs only when none
     decides, and its certificate is checked exactly before it is kept.
-    `_scanned` keeps one per (spec, perturbation), for the 16 latest pairs,
+    `scanned` keeps one per (spec, perturbation), for the 16 latest pairs,
     with the points its scan kept.  After that scan `grc_partition` reads
     the vertex table, A's columns, each catalog basis's adj columns and
     nonbasic columns, `D`, `rhs` and the column set, and adds only what
@@ -537,15 +478,15 @@ def grc_partition(spec: SystemSpec, lift: Liftings = DEFAULT_LIFTINGS,
         raise DiffresError(f"liftings violate: {', '.join(report.violations)}")
     _check_perturbation(delta_vec)
     delta_vec = tuple(delta_vec)
-    system, points = _scanned(spec, delta_vec)
+    system, points = scanned(spec, delta_vec)
     # the costs depend only on the liftings: certify optimality once per call
-    costs = _costs(system.vertices, lift)
-    optimal = system.optimal(costs)
+    c = costs(system.vertices, lift)
+    optimal = system.optimal(c)
     assignments: Dict[Point, GrcAssignment] = {}
     buckets: Dict[int, List[YMonomial]] = {1: [], 2: [], 3: [], 4: []}
     for q in points:
-        assignment = (_catalog_assignment(q, system, optimal, costs)
-                      or _search_assignment(system, q, costs))
+        assignment = (_catalog_assignment(q, system, optimal, c)
+                      or _search_assignment(system, q, c))
         assignments[q] = assignment
         monomial = YMonomial(q[0] - 1, q[1] - 1, q[2] - 1)
         buckets[assignment.case].append(monomial)

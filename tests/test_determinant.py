@@ -21,7 +21,7 @@ from diffres import (CapExceeded, CoeffSymbol, PolyMatrix, Specialization,
 from diffres import determinant
 from diffres.cli import main
 from diffres.determinant import (_det_residue, _det_scaled, _pivot_order,
-                                 crt_lift, det_rational, is_prime)
+                                 crt_lift, is_prime)
 from diffres.matrices import F1, RowLabel, build_carra_ferro
 
 A = CoeffSymbol("a", 0, 0)
@@ -466,6 +466,16 @@ def test_pivot_orders_are_unchanged(d):
     must add fill-in in the pivot row's order."""
     order = _pivot_order(build_square_matrix(SystemSpec(*d)))
     assert hashlib.sha256(repr(order).encode()).hexdigest() == PIVOT_ORDER_SHA256[d]
+
+
+def det_rational(rows, order=()):
+    """The exact determinant of a square matrix of sparse `Fraction` rows,
+    {column: value} each, replaying `order`: `_det_scaled` of the rows read
+    as ints over the lcm of all their denominators."""
+    denom = lcm(*(v.denominator for row in rows for v in row.values()))
+    return _det_scaled([{j: v.numerator * (denom // v.denominator)
+                         for j, v in row.items() if v} for row in rows],
+                       denom, order)
 
 
 def det_rational_reference(rows, order=()):

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from diffres import SymPoly, det_laplace
-from diffres.determinant import _det_residue, det_rational
+from diffres.determinant import _det_residue
 from diffres.lp import adjugate, matrix_rank
 from diffres.stretch import _bareiss, _Budget, resultant_factor_2_2
+from test_determinant import det_rational
 
 PRIMES = (2, 3, 7, 101, 2147483647)
 

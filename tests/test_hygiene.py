@@ -1,7 +1,8 @@
 """Source hygiene: every name a library module imports is used in it, no
 library module imports a private name from another, every module-level
-private function is named somewhere in the library, every module-level
-cache is bounded, and every criterion runs in exactly one suite."""
+private function and class, and every public one the package does not
+export, is named somewhere in the library, every module-level cache is
+bounded, and every criterion runs in exactly one suite."""
 
 import ast
 import inspect
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import diffres
 from diffres import checks
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "diffres"
@@ -52,16 +54,20 @@ def private_imports(source: str):
             for a in node.names if a.name.startswith("_")]
 
 
-def unreferenced_private_functions(sources):
-    """(module, name) of each module-level private function in `sources`,
-    {module: source}, that no source names outside the function's own def."""
+def unreferenced_definitions(sources, exported=None):
+    """(module, name) of each module-level private function and class in
+    `sources`, {module: source}, that no source names outside its own
+    definition; with `exported`, a set of names, also of each public one
+    not in it."""
     defined, named = [], set()
     for module, source in sources.items():
         for top in ast.parse(source).body:
             owner = None
-            if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                ast.ClassDef)):
                 owner = (module, top.name)
-                if top.name.startswith("_") and not top.name.endswith("__"):
+                if (not top.name.endswith("__") if top.name.startswith("_")
+                        else exported is not None and top.name not in exported):
                     defined.append(owner)
             for node in ast.walk(top):
                 name = (node.id if isinstance(node, ast.Name) else
@@ -147,12 +153,36 @@ def test_the_scan_finds_an_unreferenced_private_function():
                      "def _imported(): pass\n"
                      "def public(): return _called()\n"),
                "b": "from a import _imported\n"}
-    assert unreferenced_private_functions(sources) == [("a", "_recursive")]
+    assert unreferenced_definitions(sources) == [("a", "_recursive")]
 
 
 def test_every_private_function_is_named_in_the_library():
     sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
-    assert unreferenced_private_functions(sources) == []
+    assert unreferenced_definitions(sources) == []
+
+
+def test_the_scan_finds_an_unreferenced_public_definition():
+    sources = {"a": ("class Exported: pass\n"
+                     "class _Private: pass\n"
+                     "class _Unused: pass\n"
+                     "class Named(_Private): pass\n"
+                     "class Dead:\n"
+                     "    def method(self): return Dead()\n"
+                     "def exported(): pass\n"
+                     "def dead(): return dead()\n"
+                     "def _private(): pass\n"
+                     "def caller(x: Named): return _private()\n"),
+               "b": "from a import caller\n"}
+    assert unreferenced_definitions(sources, {"Exported", "exported"}) == [
+        ("a", "_Unused"), ("a", "Dead"), ("a", "dead")]
+    # without the exported names only private definitions are scanned
+    assert unreferenced_definitions(sources) == [("a", "_Unused")]
+
+
+def test_every_public_definition_is_exported_or_named_in_the_library():
+    sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    exported = {name for names in diffres._EXPORTS.values() for name in names}
+    assert unreferenced_definitions(sources, exported) == []
 
 
 @pytest.mark.parametrize("module", MODULES)

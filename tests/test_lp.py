@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+from collections import namedtuple
 from fractions import Fraction
 from itertools import product
 
@@ -9,8 +10,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from diffres import SingularBasis
-from diffres.lp import (BasisReport, adjugate, feasible, matrix_rank, phase_one,
-                        simplex, verify_basis)
+from diffres.lp import (BasisReport, _augmented, _integers, _phase_one, adjugate,
+                        integer_certificate, matrix_rank, simplex, verify_basis)
 from diffres.errors import CertificateFailure, Unbounded
 
 
@@ -18,20 +19,23 @@ F = Fraction
 
 
 def fraction_solve(B, rhs):
-    """B x = rhs by Gauss-Jordan over the Fractions; None when B is singular."""
-    n = len(B)
+    """B x = rhs by Gauss-Jordan over the Fractions, B with no more columns
+    than rows; None when its columns are dependent or no x solves it."""
     rows = [[F(v) for v in row] + [F(r)] for row, r in zip(B, rhs)]
+    n = len(rows[0]) - 1
     for c in range(n):
-        found = next((i for i in range(c, n) if rows[i][c] != 0), None)
+        found = next((i for i in range(c, len(rows)) if rows[i][c] != 0), None)
         if found is None:
             return None
         rows[c], rows[found] = rows[found], rows[c]
         rows[c] = [v / rows[c][c] for v in rows[c]]
-        for i in range(n):
+        for i in range(len(rows)):
             if i != c and rows[i][c] != 0:
                 f = rows[i][c]
                 rows[i] = [a - f * v for a, v in zip(rows[i], rows[c])]
-    return [row[n] for row in rows]
+    if any(row[n] for row in rows[n:]):
+        return None
+    return [row[n] for row in rows[:n]]
 
 
 def verify_basis_reference(A, b, c, basis) -> BasisReport:
@@ -132,8 +136,8 @@ class TestSimplex:
         assert result.objective == F(-1, 20)
 
     def test_feasibility_probe(self):
-        assert feasible([[1, 1]], [1])
-        assert not feasible([[1, 1]], [-2])
+        assert integer_certificate([[1, 1]], [1])[0]
+        assert not integer_certificate([[1, 1]], [-2])[0]
 
 
 class TestVerifyBasis:
@@ -189,37 +193,42 @@ class TestVerifyBasis:
         assert not report.strictly_feasible
 
 
-def certificate_holds(A, b, cert) -> bool:
-    """Check a phase-one certificate exactly, without the solver's tableau.
+def integer_data(A, b):
+    """[A | b] times the one positive integer `lp._integers` picks, split
+    back into A and b: the data `integer_certificate` reads."""
+    Ab = _integers([list(row) + [v] for row, v in zip(A, b)])
+    return [row[:-1] for row in Ab], [row[-1] for row in Ab]
 
-    Feasible: x >= 0 vanishes off the basis and solves A x = b, and the basis
-    columns are independent and span the row space of A, so x_B = B^-1 b.
-    Infeasible: the Farkas vector has w A >= 0 and w b < 0.
+
+def certificate_holds(A, b, verdict) -> bool:
+    """Check a verdict of `integer_certificate` on A x = b, x >= 0 exactly,
+    without the solver's tableau.
+
+    Feasible: the basis has as many columns as A has rank, and B x_B = b
+    has a solution x_B >= 0, unique since its columns are independent.
+    Infeasible: the Farkas vector has w A >= 0 and w b < 0.  Both hold for
+    [A | b] scaled by a positive number exactly when they hold for it.
     """
-    A = [[F(v) for v in row] for row in A]
-    b = [F(v) for v in b]
-    m, n = len(A), len(A[0])
-    if cert.feasible:
-        x = cert.x
-        columns = [[A[i][j] for j in cert.basis] for i in range(m)]
-        return (len(x) == n and all(v >= 0 for v in x)
-                and all(x[j] == 0 for j in range(n) if j not in cert.basis)
-                and all(sum(A[i][j] * x[j] for j in range(n)) == b[i]
-                        for i in range(m))
-                and matrix_rank(columns) == len(cert.basis) == matrix_rank(A))
-    w = cert.farkas
-    return (len(w) == m
-            and all(sum(w[i] * A[i][j] for i in range(m)) >= 0 for j in range(n))
-            and sum(w[i] * b[i] for i in range(m)) < 0)
+    feasible, cert = verdict
+    if feasible:
+        x_b = fraction_solve([[row[j] for j in cert] for row in A], b)
+        return (x_b is not None and all(v >= 0 for v in x_b)
+                and len(cert) == matrix_rank(A))
+    return (len(cert) == len(A)
+            and all(sum(w * row[j] for w, row in zip(cert, A)) >= 0
+                    for j in range(len(A[0])))
+            and sum(w * v for w, v in zip(cert, b)) < 0)
 
 
 class TestPhaseOne:
+    """`integer_certificate`, the phase one the sparse layer runs, on
+    rational data scaled to integers."""
+
     def test_farkas_vector_undoes_row_flips(self):
         # x1 + x2 = -1 is flipped before phase one; w = (1) proves it empty
-        cert = phase_one([[1, 1]], [-1])
-        assert not cert.feasible
-        assert cert.farkas == (F(1),)
-        assert certificate_holds([[1, 1]], [-1], cert)
+        verdict = integer_certificate([[1, 1]], [-1])
+        assert verdict == (False, (1,))
+        assert certificate_holds([[1, 1]], [-1], verdict)
 
     def test_certificates_on_random_systems(self):
         rng = random.Random(7)
@@ -230,22 +239,21 @@ class TestPhaseOne:
             if m > 1 and rng.random() < 0.3:
                 A[-1] = [a + c for a, c in zip(A[0], A[1])]   # redundant row
             b = [F(rng.randint(-8, 8), rng.randint(1, 3)) for _ in range(m)]
-            cert = phase_one(A, b)
-            assert certificate_holds(A, b, cert), (A, b)
-            assert cert.feasible == feasible(A, b)
-            assert cert.feasible == (simplex(A, b, [0] * n).status == "optimal")
-            verdicts.add(cert.feasible)
+            verdict = integer_certificate(*integer_data(A, b))
+            assert certificate_holds(A, b, verdict), (A, b)
+            assert verdict[0] == (simplex(A, b, [0] * n).status == "optimal")
+            verdicts.add(verdict[0])
         assert verdicts == {True, False}
 
     def test_certificates_on_every_box_point(self):
-        from diffres import DEFAULT_LIFTINGS, SystemSpec, build_lp
-        spec = SystemSpec(1, 2)
+        from diffres import DEFAULT_PERTURBATION, SystemSpec, sparse
+        A = sparse._constraint_matrix(SystemSpec(1, 2))
         for q in product(range(7), repeat=3):
-            inst = build_lp(q, spec, DEFAULT_LIFTINGS)
-            cert = phase_one(inst.A, inst.b)
-            assert certificate_holds(inst.A, inst.b, cert), q
-            if cert.feasible:
-                assert len(cert.basis) == 7
+            b = [q[k] - DEFAULT_PERTURBATION[k] for k in range(3)] + [1] * 4
+            verdict = integer_certificate(*integer_data(A, b))
+            assert certificate_holds(A, b, verdict), q
+            if verdict[0]:
+                assert len(verdict[1]) == 7
 
 
 small_rationals = st.builds(F, st.integers(-4, 4), st.integers(1, 3))
@@ -270,16 +278,15 @@ def lp_systems(draw):
 @given(lp_systems())
 def test_simplex_phase_one_and_verify_basis_agree(system):
     A, b, c = system
-    cert = phase_one(A, b)
-    assert certificate_holds(A, b, cert)
-    assert feasible(A, b) == cert.feasible
+    feasible, cert = integer_certificate(*integer_data(A, b))
+    assert certificate_holds(A, b, (feasible, cert))
     try:
         result = simplex(A, b, c)
     except Unbounded:
-        assert cert.feasible
+        assert feasible
         return
-    assert (result.status == "optimal") == cert.feasible
-    if not cert.feasible:
+    assert (result.status == "optimal") == feasible
+    if not feasible:
         return
     assert all(sum(F(a) * x for a, x in zip(row, result.x)) == bi
                for row, bi in zip(A, b))
@@ -321,6 +328,20 @@ def test_verify_basis_matches_the_fraction_reference(system):
     got = verify_basis(A, b, c, basis)
     for field in ("feasible", "strictly_feasible", "optimal", "x", "objective"):
         assert repr(getattr(got, field)) == repr(getattr(expected, field)), field
+
+
+# a phase-one verdict in Fractions, the form the digest below pins
+Feasibility = namedtuple("Feasibility", "feasible basis x farkas")
+
+
+def phase_one(A, b) -> Feasibility:
+    """`lp._phase_one` on rational data: its basis with x, or its Farkas
+    vector over the tableau's denominator."""
+    tab, farkas = _phase_one(_augmented(A, b))
+    if farkas is not None:
+        return Feasibility(False, (), (), tuple(F(w, tab.den) for w in farkas))
+    return Feasibility(True, tuple(sorted(tab.basis)),
+                       tuple(tab.solution()[:len(A[0])]), ())
 
 
 def test_solver_outputs_are_pinned():

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+from collections import namedtuple
 from fractions import Fraction
 from itertools import product
 
@@ -10,16 +11,17 @@ from hypothesis import example, given, settings, strategies as st
 
 from diffres import (DEFAULT_LIFTINGS, DEFAULT_PERTURBATION, IllegalMove,
                      Infeasible, InvalidPerturbation, Liftings, SystemSpec,
-                     YMonomial, apply_moves, build_lp, build_sparse_matrix,
+                     YMonomial, apply_moves, build_sparse_matrix,
                      build_square_matrix, column_set, common_zero_specialization,
-                     default_main_monomials, det_specialized, grc_partition,
-                     lattice_points, newton_data, nonzero_random_probe,
-                     partition_divisibility, simplex_solve, validate_liftings)
+                     default_main_monomials, delta, det_specialized,
+                     generic_system, grc_partition, lattice_points,
+                     nonzero_random_probe, partition_divisibility, support,
+                     validate_liftings)
 from diffres import SingularBasis, monomials, sparse
 from diffres.errors import CertificateFailure
 from diffres.lp import matrix_rank, simplex, verify_basis
 from diffres.sparse import (BLOCK_SIZES, CASE_BASES, MOVES_TO_DIVISIBILITY_2_2,
-                            TARGET_VERTEX, in_hull, var_index, vertex_lists)
+                            TARGET_VERTEX, var_index, vertex_lists)
 from test_lp import verify_basis_reference
 
 F = Fraction
@@ -27,27 +29,46 @@ HALF = (F(1, 2),) * 3   # a coarse perturbation: degenerate bases and ties
 DEGREES_TO_5 = [(d1, d2) for d2 in range(1, 6) for d1 in range(1, d2 + 1)]
 DEGREES_TO_4 = [d for d in DEGREES_TO_5 if d[1] <= 4]
 
+LP = namedtuple("LP", "A b c")
+
+
+def fraction_lp(q, spec, lift, delta_vec=DEFAULT_PERTURBATION):
+    """The vertex-decomposition LP at q in Fractions, unscaled: the
+    library's A and costs, and b(q) = (q - delta, 1, 1, 1, 1)."""
+    return LP(sparse._constraint_matrix(spec),
+              [q[k] - delta_vec[k] for k in range(3)] + [F(1)] * 4,
+              sparse.costs(vertex_lists(spec), lift))
+
+
+def kept_lp(q, spec, lift=DEFAULT_LIFTINGS):
+    """The LP at q as the library holds it: the kept system's A, its
+    b'(q) = D b(q), and the integer costs."""
+    system = sparse.scanned(spec, DEFAULT_PERTURBATION)[0]
+    return LP(system.A, system.rhs(q), sparse.costs(system.vertices, lift))
+
 
 class TestNewtonData:
     def test_triangle_vertices_degree_two(self):
-        polys = newton_data(SystemSpec(2, 2))
-        assert set(polys[2].vertices) == {(0, 0, 0), (0, 2, 0), (2, 0, 0)}
+        assert set(vertex_lists(SystemSpec(2, 2))[2]) == {(0, 0, 0), (0, 2, 0),
+                                                          (2, 0, 0)}
 
     def test_vertex_counts_nondegenerate(self):
-        polys = newton_data(SystemSpec(2, 3))
-        assert tuple(len(p.vertices) for p in polys) == (6, 6, 3, 3)
-
-    def test_degenerate_vertex_list_deduplicates(self):
-        polys = newton_data(SystemSpec(1, 1))
-        assert len(polys[0].vertices) == 4
-        assert set(polys[0].vertices) == {(0, 0, 0), (0, 0, 1), (0, 1, 0),
-                                          (1, 0, 0)}
+        assert tuple(map(len, vertex_lists(SystemSpec(2, 3)))) == (6, 6, 3, 3)
 
     def test_every_support_point_in_hull(self):
+        # the vertex lists span the Newton polytopes of delta f1, delta f2,
+        # f1 and f2: each support point is a convex combination of its list
         for d in ((1, 2), (2, 2), (2, 3)):
-            for poly in newton_data(SystemSpec(*d)):
-                for point in poly.points:
-                    assert in_hull(point, poly.vertices)
+            spec = SystemSpec(*d)
+            f1, f2 = generic_system(spec)
+            supports = [support(delta(f1)), support(delta(f2)), support(f1),
+                        support(f2)]
+            for points, verts in zip(supports, vertex_lists(spec)):
+                A = [[v[axis] for v in verts] for axis in range(3)]
+                A.append([1] * len(verts))
+                for m in points:
+                    b = [m.ey, m.ey1, m.ey2, 1]
+                    assert simplex(A, b, [0] * len(verts)).status == "optimal", (d, m)
 
     def test_vertex_lists_fix_lambda_indexing(self):
         v1, v2, v3, v4 = vertex_lists(SystemSpec(2, 3))
@@ -77,8 +98,8 @@ class TestLatticePoints:
         with pytest.raises(InvalidPerturbation):
             lattice_points(SystemSpec(1, 1), (F(0), F(1, 2), F(1, 2)))
         with pytest.raises(InvalidPerturbation):
-            build_lp((1, 1, 1), SystemSpec(1, 1), DEFAULT_LIFTINGS,
-                     (F(1), F(1, 2), F(1, 2)))
+            grc_partition(SystemSpec(1, 1), DEFAULT_LIFTINGS,
+                          (F(1), F(1, 2), F(1, 2)))
 
     @pytest.mark.parametrize("delta_vec", [
         (0.01, 0.01, 0.01), (F(1, 2), F(1, 2), 0.5), (F(1, 2), F(1, 2), "1/2"),
@@ -89,8 +110,6 @@ class TestLatticePoints:
             lattice_points(SystemSpec(1, 1), delta_vec)
         with pytest.raises(InvalidPerturbation):
             grc_partition(SystemSpec(1, 1), DEFAULT_LIFTINGS, delta_vec)
-        with pytest.raises(InvalidPerturbation):
-            build_lp((1, 1, 1), SystemSpec(1, 1), DEFAULT_LIFTINGS, delta_vec)
 
     @pytest.mark.parametrize("d", DEGREES_TO_5)
     def test_farkas_vectors_rule_out_every_point_off_the_box(self, d):
@@ -122,7 +141,7 @@ def box_scan(spec, delta_vec=DEFAULT_PERTURBATION):
     limit = 2 * spec.d1 + 2 * spec.d2
     found = []
     for q in product(range(limit + 1), repeat=3):
-        inst = build_lp(q, spec, DEFAULT_LIFTINGS, delta_vec)
+        inst = fraction_lp(q, spec, DEFAULT_LIFTINGS, delta_vec)
         if simplex(inst.A, inst.b, [0] * 18).status == "optimal":
             found.append(q)
     return sorted(found, key=lambda p: (sum(p), p[2], p[1], p[0]))
@@ -176,11 +195,12 @@ SCAN_ON = Liftings((3, -7, -7), (-7, -3, -2), (-8, 3, -9), (-6, 3, 8))
 
 
 def reference_search(inst):
-    """The restricted-LP search in Fractions on build_lp's instance: the full
-    optimum, then per case in block order the LP with lambda_{case, j}
-    pinned to one (the block's columns and its convexity row dropped); (case, vertex, lambda, objective) of the first case that
-    reaches the full optimum, None if none does."""
-    best = simplex_solve(inst)
+    """The restricted-LP search in Fractions on fraction_lp's instance: the
+    full optimum, then per case in block order the LP with lambda_{case, j}
+    pinned to one (the block's columns and its convexity row dropped);
+    (case, vertex, lambda, objective) of the first case that reaches the
+    full optimum, None if none does."""
+    best = simplex(*inst)
     for case in (1, 2, 3, 4):
         j = TARGET_VERTEX[case]
         offset = sum(BLOCK_SIZES[:case - 1])
@@ -205,9 +225,9 @@ def cold_scan():
     """An empty scan cache, emptied again after the test: a patched `lp` is
     reached beneath `lattice_points` and `grc_partition`, and what it built
     is not kept."""
-    sparse._scanned.cache_clear()
+    sparse.scanned.cache_clear()
     yield
-    sparse._scanned.cache_clear()
+    sparse.scanned.cache_clear()
 
 
 def summary(result):
@@ -223,10 +243,10 @@ class TestScanCache:
         spec = SystemSpec(*d)
         lattice_points(spec)
         for lift in [DEFAULT_LIFTINGS] + [seeded_liftings(s) for s in range(1, 6)]:
-            hits = sparse._scanned.cache_info().hits
+            hits = sparse.scanned.cache_info().hits
             cached = grc_partition(spec, lift)
-            assert sparse._scanned.cache_info().hits == hits + 1
-            sparse._scanned.cache_clear()
+            assert sparse.scanned.cache_info().hits == hits + 1
+            sparse.scanned.cache_clear()
             assert summary(cached) == summary(grc_partition(spec, lift)), lift
 
     def test_the_returned_points_are_a_fresh_list(self):
@@ -280,7 +300,7 @@ class TestAssignmentPins:
         liftings = [DEFAULT_LIFTINGS] + [seeded_liftings(s) for s in range(1, 6)]
         cold = []
         for lift in liftings:
-            sparse._scanned.cache_clear()
+            sparse.scanned.cache_clear()
             cold.append(grc_partition(spec, lift))
         # every call below finds the scan and the verdicts of all six
         warm = [grc_partition(spec, lift) for lift in liftings]
@@ -325,14 +345,14 @@ class TestCertificateReuse:
         # itself rejects the extra points, so the per-point step is used.
         # The default liftings fill each basis's verdicts; the seeded ones
         # then read them on the same point system
-        from diffres.sparse import _PointSystem, _catalog_assignment, _costs
+        from diffres.sparse import _PointSystem, _catalog_assignment
         spec = SystemSpec(1, 2)
         system = _PointSystem(spec, HALF)
         for lift in [DEFAULT_LIFTINGS] + [seeded_liftings(s) for s in (1, 2, 3)]:
-            costs = _costs(system.vertices, lift)
+            costs = sparse.costs(system.vertices, lift)
             optimal = system.optimal(costs)
             for q in lattice_points(spec, HALF):
-                ref = reference_assignment(build_lp(q, spec, lift, HALF))
+                ref = reference_assignment(fraction_lp(q, spec, lift, HALF))
                 a = _catalog_assignment(q, system, optimal, costs)
                 assert (a and (a.case, a.vertex_index, a.basis_id, a.lam,
                                a.objective)) == ref, (lift, q)
@@ -344,12 +364,12 @@ class TestCertificateReuse:
         for lift in liftings:
             result = grc_partition(spec, lift)
             for q, a in result.assignments.items():
-                inst = build_lp(q, spec, lift)
+                inst = fraction_lp(q, spec, lift)
                 got = (a.case, a.vertex_index, a.basis_id, a.lam, a.objective)
                 ref = reference_assignment(inst)
                 if ref is None:
                     assert a.basis_id == "search", (lift, q)
-                    assert a.objective == simplex_solve(inst).objective
+                    assert a.objective == simplex(*inst).objective
                 else:
                     assert got == ref, (lift, q)
 
@@ -361,7 +381,7 @@ class TestCertificateReuse:
             for q, a in grc_partition(spec, lift).assignments.items():
                 if a.basis_id == "search":
                     searched += 1
-                    case, j, lam, objective = reference_search(build_lp(q, spec, lift))
+                    case, j, lam, objective = reference_search(fraction_lp(q, spec, lift))
                     assert (a.case, a.vertex_index, a.lam, a.objective) \
                         == (case, j, lam, objective), (lift, q)
                     assert a.vertex == vertex_lists(spec)[case - 1][j - 1]
@@ -370,14 +390,23 @@ class TestCertificateReuse:
 
     @pytest.mark.usefixtures("cold_scan")
     def test_grc_partition_builds_no_per_point_lp(self, monkeypatch):
-        # the scan and the search both run on the kept integer point system
-        def refused(*args):
-            raise AssertionError("a per-point Fraction LP was built")
+        # the scan runs phase one only, and a simplex runs only in the
+        # restricted search: the full LP and at most one per case
+        calls = []
+        real = sparse.lp.simplex
 
-        monkeypatch.setattr(sparse, "build_lp", refused)
-        monkeypatch.setattr(sparse, "simplex_solve", refused)
-        result = grc_partition(SystemSpec(2, 3))
-        assert [a.basis_id for a in result.assignments.values()].count("search") == 1
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(sparse.lp, "simplex", counted)
+        for d, searches in (((2, 2), 0), ((2, 3), 1)):
+            calls.clear()
+            result = grc_partition(SystemSpec(*d))
+            searched = [a.basis_id for a in result.assignments.values()
+                        ].count("search")
+            assert searched == searches
+            assert 2 * searched <= len(calls) <= 5 * searched, d
 
     def test_one_point_takes_the_restricted_search_at_2_3(self):
         result = grc_partition(SystemSpec(2, 3))
@@ -385,9 +414,9 @@ class TestCertificateReuse:
                     if a.basis_id == "search"]
         assert len(searched) == 1
         q = searched[0]
-        inst = build_lp(q, SystemSpec(2, 3), DEFAULT_LIFTINGS)
+        inst = fraction_lp(q, SystemSpec(2, 3), DEFAULT_LIFTINGS)
         assert reference_assignment(inst) is None
-        assert result.assignments[q].objective == simplex_solve(inst).objective
+        assert result.assignments[q].objective == simplex(*inst).objective
 
 
 class TestIntegerCertificates:
@@ -403,12 +432,12 @@ class TestIntegerCertificates:
     def test_optimal_catalog_matches_verify_basis(self, d, lift):
         spec = SystemSpec(*d)
         system = sparse._PointSystem(spec, DEFAULT_PERTURBATION)
-        costs = sparse._costs(system.vertices, lift)
+        costs = sparse.costs(system.vertices, lift)
         optimal = {b.bid for b, ok in zip(system.catalog, system.optimal(costs))
                    if ok}
         nonsingular = {b.bid for b in system.catalog}
         # optimality does not depend on the right-hand side
-        inst = build_lp((1, 1, 1), spec, lift)
+        inst = fraction_lp((1, 1, 1), spec, lift)
         for case, bid, columns in CASE_BASES:
             try:
                 report = verify_basis_reference(inst.A, inst.b, inst.c, columns)
@@ -424,7 +453,7 @@ class TestIntegerCertificates:
         spec = SystemSpec(1, 2)
         system = sparse._PointSystem(spec, delta_vec)
         for q in lattice_points(spec, delta_vec):
-            inst = build_lp(q, spec, DEFAULT_LIFTINGS, delta_vec)
+            inst = fraction_lp(q, spec, DEFAULT_LIFTINGS, delta_vec)
             for basis in system.catalog:
                 x = verify_basis_reference(inst.A, inst.b, inst.c, basis.columns).x
                 assert [F(sparse._at(f, q), basis.p * system.D)
@@ -502,8 +531,8 @@ class TestPerCallWork:
     @example(lift=SCAN_ON)
     def test_the_kept_columns_give_lp_optimal(self, lift):
         for d in DEGREES_TO_4:
-            system, _ = sparse._scanned(SystemSpec(*d), DEFAULT_PERTURBATION)
-            costs = sparse._costs(system.vertices, lift)
+            system, _ = sparse.scanned(SystemSpec(*d), DEFAULT_PERTURBATION)
+            costs = sparse.costs(system.vertices, lift)
             for basis, ok in zip(system.catalog, system.optimal(costs)):
                 B = [[row[j] for j in basis.columns] for row in system.A]
                 p, adj = sparse.lp.adjugate(B)
@@ -521,8 +550,8 @@ class TestPerCallWork:
         # at HALF some points have a weakly pinning basis ahead of the first
         # strictly pinning one
         for d in degrees:
-            system, points = sparse._scanned(SystemSpec(*d), delta_vec)
-            costs = sparse._costs(system.vertices, lift)
+            system, points = sparse.scanned(SystemSpec(*d), delta_vec)
+            costs = sparse.costs(system.vertices, lift)
             flags = system.optimal(costs)
             for q in points:
                 a = sparse._catalog_assignment(q, system, flags, costs)
@@ -530,8 +559,8 @@ class TestPerCallWork:
                     == scan_reference(system, flags, q, costs), (d, lift, q)
 
     def test_free_heights_reach_the_scan_on_path(self):
-        system, points = sparse._scanned(SystemSpec(1, 2), DEFAULT_PERTURBATION)
-        costs = sparse._costs(system.vertices, SCAN_ON)
+        system, points = sparse.scanned(SystemSpec(1, 2), DEFAULT_PERTURBATION)
+        costs = sparse.costs(system.vertices, SCAN_ON)
         flags = system.optimal(costs) + [True]   # True past the catalog's end
         passed_over = [q for q in points if not flags[system.first_pinned(q, 1)]]
         assigned = [q for q in passed_over
@@ -544,8 +573,8 @@ class TestPerCallWork:
         # the case the memo serves in one read per point; the code does not
         # rely on it, as the free heights above show
         for d in DEGREES_TO_4:
-            system, _ = sparse._scanned(SystemSpec(*d), DEFAULT_PERTURBATION)
-            assert all(system.optimal(sparse._costs(system.vertices, lift))), (d, lift)
+            system, _ = sparse.scanned(SystemSpec(*d), DEFAULT_PERTURBATION)
+            assert all(system.optimal(sparse.costs(system.vertices, lift))), (d, lift)
 
     @pytest.mark.usefixtures("cold_scan")
     @pytest.mark.parametrize("d", DEGREES_TO_4)
@@ -570,45 +599,45 @@ class TestPerCallWork:
             patched.setattr(sparse._CatalogBasis, "verdict", kept_only)
             warm = [grc_partition(spec, lift) for lift in liftings]
         for lift, result in zip(liftings, warm):
-            sparse._scanned.cache_clear()
+            sparse.scanned.cache_clear()
             assert result == grc_partition(spec, lift), lift
 
 
 class TestBuildLP:
     def test_cost_vector_closed_form(self):
-        spec = SystemSpec(2, 2)
-        inst = build_lp((2, 3, 2), spec, DEFAULT_LIFTINGS)
+        c = sparse.costs(vertex_lists(SystemSpec(2, 2)), DEFAULT_LIFTINGS)
         l1, l2, l3, l4 = DEFAULT_LIFTINGS.as_tuple()
         d1, d2 = 2, 2
         expected_first_block = [
             0, l1[2], (d1 - 1) * l1[1] + l1[2], d1 * l1[1],
             (d1 - 1) * l1[0] + l1[2], d1 * l1[0]]
-        assert list(inst.c[:6]) == expected_first_block
-        assert list(inst.c[12:15]) == [0, d1 * l3[1], d1 * l3[0]]
-        assert list(inst.c[15:18]) == [0, d2 * l4[1], d2 * l4[0]]
+        assert list(c[:6]) == expected_first_block
+        assert list(c[12:15]) == [0, d1 * l3[1], d1 * l3[0]]
+        assert list(c[15:18]) == [0, d2 * l4[1], d2 * l4[0]]
         # the three zero-cost entries sit at each block's base vertex
-        assert inst.c[0] == inst.c[6] == inst.c[12] == inst.c[15] == 0
+        assert c[0] == c[6] == c[12] == c[15] == 0
 
     def test_constraint_rows(self):
-        spec = SystemSpec(2, 3)
-        inst = build_lp((1, 1, 1), spec, DEFAULT_LIFTINGS)
-        assert list(inst.A[3]) == [1, 1, 1, 1, 1, 1] + [0] * 12
-        assert list(inst.A[0]) == [0, 0, 0, 0, 1, 2,
-                                   0, 0, 0, 0, 2, 3,
-                                   0, 0, 2, 0, 0, 3]
-        assert list(inst.b[3:]) == [1, 1, 1, 1]
-        assert matrix_rank(inst.A) == 7
+        A = sparse._constraint_matrix(SystemSpec(2, 3))
+        assert list(A[3]) == [1, 1, 1, 1, 1, 1] + [0] * 12
+        assert list(A[0]) == [0, 0, 0, 0, 1, 2,
+                              0, 0, 0, 0, 2, 3,
+                              0, 0, 2, 0, 0, 3]
+        assert matrix_rank(A) == 7
 
     def test_rhs_carries_perturbation(self):
-        inst = build_lp((2, 3, 2), SystemSpec(2, 2), DEFAULT_LIFTINGS)
-        assert list(inst.b[:3]) == [F(199, 100), F(299, 100), F(199, 100)]
+        # b'(q) = D b(q), D = 100 the lcm of the perturbation's denominators
+        inst = kept_lp((2, 3, 2), SystemSpec(2, 2))
+        assert inst.b == [199, 299, 199, 100, 100, 100, 100]
 
 
 class TestVerifyBasis:
+    """`verify_basis` on the kept integer point system, as the
+    `basis-certification` check runs it."""
+
     def test_case_one_basis_in_its_range(self):
-        spec = SystemSpec(2, 2)
         # the first range: third coordinate 2, band constraints on the rest
-        inst = build_lp((2, 3, 2), spec, DEFAULT_LIFTINGS)
+        inst = kept_lp((2, 3, 2), SystemSpec(2, 2))
         cols = CASE_BASES[0][2]
         report = verify_basis(inst.A, inst.b, inst.c, cols)
         assert report.feasible and report.strictly_feasible and report.optimal
@@ -617,9 +646,7 @@ class TestVerifyBasis:
         assert matrix_rank(B) == 7
 
     def test_dropping_a_block_breaks_the_basis(self):
-        spec = SystemSpec(2, 2)
-        inst = build_lp((2, 3, 2), spec, DEFAULT_LIFTINGS)
-        from diffres import SingularBasis
+        inst = kept_lp((2, 3, 2), SystemSpec(2, 2))
         # no variable from the fourth block: its convexity row is unsatisfiable
         bad = tuple(var_index(i, j) for i, j in
                     ((1, 3), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (1, 1)))
@@ -629,13 +656,13 @@ class TestVerifyBasis:
     def test_simplex_agreement_on_all_points(self):
         spec = SystemSpec(2, 2)
         for q in lattice_points(spec):
-            inst = build_lp(q, spec, DEFAULT_LIFTINGS)
-            best = simplex_solve(inst)
+            inst = kept_lp(q, spec)
+            best = simplex(*inst)
             certified = None
             for case, bid, columns in CASE_BASES:
                 try:
                     report = verify_basis(inst.A, inst.b, inst.c, columns)
-                except Exception:
+                except SingularBasis:
                     continue
                 if report.feasible and report.optimal:
                     certified = report
@@ -644,10 +671,10 @@ class TestVerifyBasis:
             assert certified.objective == best.objective
 
     def test_point_outside_is_infeasible(self):
-        spec = SystemSpec(2, 2)
-        inst = build_lp((9, 9, 9), spec, DEFAULT_LIFTINGS)
+        system = sparse.scanned(SystemSpec(2, 2), DEFAULT_PERTURBATION)[0]
+        c = sparse.costs(system.vertices, DEFAULT_LIFTINGS)
         with pytest.raises(Infeasible):
-            simplex_solve(inst)
+            sparse._search_assignment(system, (9, 9, 9), c)
 
 
 class TestLiftings:
