@@ -2,10 +2,12 @@
 
 The column monomials reappear as the lattice points of a perturbed
 Minkowski sum of four Newton polytopes.  One 7 x 18 linear program per
-point, solved exactly over rationals with fixed integer liftings, assigns
-each point to a block; a short list of legal moves turns that partition
-into the divisibility one, and the rebuilt matrix matches the square
-construction row for row.
+point, with fixed integer liftings, assigns each point to the block whose
+optimum puts all its weight on one vertex; it is decided exactly, in
+integers, by certified bases set up once per degree pair and kept between
+calls.  A short list of legal moves turns that partition into the
+divisibility one, and the rebuilt matrix matches the square construction
+row for row.
 """
 
 from collections import Counter

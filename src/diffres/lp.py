@@ -57,23 +57,14 @@ def adjugate(B: Sequence[Sequence[int]]) -> Optional[Tuple[int, List[List[int]]]
     return p, adj
 
 
-def optimal(A: Sequence[Sequence[int]], c: Sequence[int], basis: Sequence[int],
-            p: int, adj: Sequence[Sequence[int]]) -> bool:
-    """Whether the basis is optimal for min c.x over integer A and c: the
-    reduced costs y A - c of y = c_B B^-1 are <= 0, tested in integers as
-    u A <= p c for u = c_B adj, with B adj = p I and p > 0."""
-    return optimal_columns(list(zip(*A)), c, basis, p, list(zip(*adj)),
-                           [j for j in range(len(A[0])) if j not in basis])
-
-
-def optimal_columns(columns: Sequence[Sequence[int]], c: Sequence[int],
-                    basis: Sequence[int], p: int,
-                    adj_columns: Sequence[Sequence[int]],
-                    nonbasic: Sequence[int]) -> bool:
-    """`optimal` on the columns of A and of adj, which a caller testing one
-    basis against many costs keeps.  Only the nonbasic columns are tested:
-    adj B = p I follows from B adj = p I, so at basic column j = basis[i]
-    u A_j = p c_B[i] = p c_j holds with equality."""
+def optimal(columns: Sequence[Sequence[int]], c: Sequence[int],
+            basis: Sequence[int], p: int, adj_columns: Sequence[Sequence[int]],
+            nonbasic: Sequence[int]) -> bool:
+    """Whether the basis is optimal for min c.x over integer A and c, read
+    from the columns of A and of adj: y A - c <= 0 for y = c_B B^-1, tested
+    as u A_j <= p c_j for u = c_B adj, B adj = p I, p > 0.  Only nonbasic
+    columns j are tested: adj B = p I follows, so u A_j = p c_j at a basic
+    one."""
     cb = [c[j] for j in basis]
     u = [sum(map(mul, cb, col)) for col in adj_columns]
     for j in nonbasic:
@@ -288,7 +279,8 @@ def verify_basis(A: Sequence[Sequence], b: Sequence, c: Sequence,
     return BasisReport(
         feasible=all(v >= 0 for v in xb),
         strictly_feasible=all(v > 0 for v in xb),
-        optimal=optimal(A, cost, basis, p, adj),
+        optimal=optimal(list(zip(*A)), cost, basis, p, list(zip(*adj)),
+                        [j for j in range(len(A[0])) if j not in basis]),
         x=tuple(x),
         objective=sum(Fraction(cj) * xj for cj, xj in zip(c, x)),
     )

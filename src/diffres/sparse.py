@@ -25,14 +25,10 @@ Farkas vectors and bases already found (the catalog bases first), with
 phase one only when none decides.  A repeated call pays only for its
 liftings: the costs, read off the kept vertex table; optimality of each
 catalog basis, u = c_B adj and u A_j <= p c_j at the nonbasic columns j,
-on the kept columns of A and adj; per point one kept verdict and the
-objective when the point's first pinning basis is optimal (under liftings
-that pass `validate_liftings` every catalog basis was optimal in every
-draw the tests make up to (4,4), but nothing relies on it); and the
-restricted-LP searches.  What holds nothing of the liftings is kept
-per point as it is first needed: each basis's verdict (its least x_B and,
-if it pins its target vertex, lambda) and the first catalog basis that
-pins strictly and weakly, from which the passes below start.  Every
+on the kept columns of A and adj; per point, the objective of the first
+kept feasible basis that is optimal; and the restricted-LP searches.
+What holds nothing of the liftings is kept per point as it is first
+needed: the catalog bases feasible there, with x_B and lambda.  Every
 verdict rests on a certificate checked exactly when it was made.
 
 Ties between alternative optima are broken deterministically: the catalog
@@ -172,8 +168,9 @@ def scanned(spec: SystemSpec, delta_vec: Tuple[Fraction, ...]
 
 # Scanned in order; each entry is (case, id, basis columns), the columns
 # given below by their (block, vertex) digits.  Every basis contains exactly
-# one variable of its case's block, which the convexity row then pins to
-# one, selecting that block's target vertex.
+# one variable of its case's block, its target vertex's, which the block's
+# convexity row then sets to one: a catalog basis feasible at a point puts
+# its block on the target vertex.  `_PointSystem` checks the columns.
 CASE_BASES: Tuple[Tuple[int, str, Tuple[int, ...]], ...] = tuple(
     (int(bid[0]), bid, tuple(var_index(int(ij[0]), int(ij[1]))
                              for ij in digits.split()))
@@ -206,6 +203,7 @@ CASE_BASES: Tuple[Tuple[int, str, Tuple[int, ...]], ...] = tuple(
 # --- per-call certificates ---------------------------------------------------
 
 Form = Tuple[int, int, int, int]
+Feasible = Tuple[int, List[int], Tuple[Fraction, ...]]   # index, form values, lam
 _ZERO = Fraction(0)
 
 
@@ -221,32 +219,6 @@ class _CatalogBasis(NamedTuple):
     adj_columns: Tuple[Tuple[int, ...], ...]   # u = c_B adj, per call
     nonbasic: Tuple[int, ...]      # the columns whose reduced costs vary
     forms: Tuple[Form, ...]        # one per row of adj: p D x_B at q
-    verdicts: Dict[Point, Tuple[int, List[int], Optional[Tuple[Fraction, ...]]]]
-
-    def verdict(self, q: Point, D: int):
-        """(least form value, form values, lam or None when the basis does
-        not put its block on the target vertex) at q, kept per point: none
-        of it depends on the liftings."""
-        if q not in self.verdicts:
-            values = [_at(f, q) for f in self.forms]
-            lam = [0] * sum(BLOCK_SIZES)
-            for v, k in zip(values, self.columns):
-                lam[k] = v
-            scale = self.p * D     # lam = values / scale
-            offset = var_index(self.case, 1)
-            block = lam[offset:offset + BLOCK_SIZES[self.case - 1]]
-            least = min(values)    # block is >= 0 when least is
-            pinned = (least >= 0
-                      and block[TARGET_VERTEX[self.case] - 1] == scale == sum(block))
-            self.verdicts[q] = (least, values, tuple(
-                Fraction(v, scale) if v else _ZERO for v in lam) if pinned else None)
-        return self.verdicts[q]
-
-    def pins(self, q: Point, D: int, floor: int):
-        """The verdict at q when every form is >= floor there and the basis
-        puts its block on the target vertex; None otherwise."""
-        found = self.verdict(q, D)
-        return found if found[0] >= floor and found[2] is not None else None
 
 
 class _PointSystem:
@@ -264,9 +236,8 @@ class _PointSystem:
     with the points its scan kept.  After that scan `grc_partition` reads
     the vertex table, A's columns, each catalog basis's adj columns and
     nonbasic columns, `D`, `rhs` and the column set, and adds only what
-    holds nothing of the liftings: each catalog basis's per-point verdicts
-    and, per point, the first basis that pins its target vertex strictly
-    and the first that pins it weakly.
+    holds nothing of the liftings: per point, the catalog bases feasible
+    there (`feasible_catalog`).
     """
 
     def __init__(self, spec: SystemSpec, delta_vec: Sequence[Fraction]):
@@ -278,16 +249,20 @@ class _PointSystem:
         self.Ddelta = [int(d * self.D) for d in delta_vec]
         self.catalog: List[_CatalogBasis] = []
         for case, bid, columns in CASE_BASES:
+            block = range(var_index(case, 1), var_index(case + 1, 1))
+            if [j for j in columns if j in block] != [var_index(case, TARGET_VERTEX[case])]:
+                raise CertificateFailure(f"catalog basis {bid} holds a column of "
+                                         f"block {case} besides its target vertex")
             found = self._basis(columns)
             if found is not None:
                 p, adj, forms = found
                 nonbasic = tuple(j for j in range(len(self.A_columns))
                                  if j not in columns)
                 self.catalog.append(_CatalogBasis(
-                    case, bid, columns, p, tuple(zip(*adj)), nonbasic, forms, {}))
+                    case, bid, columns, p, tuple(zip(*adj)), nonbasic, forms))
         self.bases: List[Tuple[Form, ...]] = [b.forms for b in self.catalog]
         self.farkas: List[Form] = []
-        self.first: Dict[Tuple[Point, int], int] = {}
+        self.kept: Dict[Point, Tuple[Feasible, ...]] = {}
 
     @cached_property
     def cover(self) -> MonomialSet:
@@ -340,19 +315,28 @@ class _PointSystem:
         """Per catalog basis, whether it is optimal for the integer costs c:
         `lp.optimal` on the kept columns of A and of adj."""
         A = self.A_columns
-        return [lp.optimal_columns(A, c, b.columns, b.p, b.adj_columns, b.nonbasic)
+        return [lp.optimal(A, c, b.columns, b.p, b.adj_columns, b.nonbasic)
                 for b in self.catalog]
 
-    def first_pinned(self, q: Point, floor: int) -> int:
-        """The index of the first catalog basis that pins its target vertex
-        at q with every form >= floor, len(catalog) when none does; kept per
-        point and floor, as the verdicts it reads are."""
-        key = (q, floor)
-        if key not in self.first:
-            D = self.D
-            self.first[key] = next((k for k, b in enumerate(self.catalog)
-                                    if b.pins(q, D, floor)), len(self.catalog))
-        return self.first[key]
+    def feasible_catalog(self, q: Point) -> Tuple[Feasible, ...]:
+        """The catalog bases feasible at q, as (index, form values, lam):
+        those with every form >= 1 (x_B > 0), then those whose least form
+        is 0, each in catalog order.  Kept per point: none of it depends
+        on the liftings."""
+        if q not in self.kept:
+            found: List[Feasible] = []
+            for k, basis in enumerate(self.catalog):
+                values = [_at(f, q) for f in basis.forms]
+                if min(values) < 0:
+                    continue
+                scale = basis.p * self.D     # lam = values / scale
+                lam = [_ZERO] * sum(BLOCK_SIZES)
+                for v, j in zip(values, basis.columns):
+                    if v:
+                        lam[j] = Fraction(v, scale)
+                found.append((k, values, tuple(lam)))
+            self.kept[q] = tuple(sorted(found, key=lambda e: min(e[1]) == 0))
+        return self.kept[q]
 
 
 class LiftingReport(NamedTuple):
@@ -413,25 +397,19 @@ class GrcPartitionResult:
 
 def _catalog_assignment(q: Point, system: _PointSystem, optimal: Sequence[bool],
                         c: Sequence[int]) -> Optional[GrcAssignment]:
-    """Strict pass, then weak pass over the catalog bases optimal for c
-    (`optimal`, per basis), in order; None when none pins its block's target
-    vertex at q.  Each pass starts at the first basis that pins at q, kept
-    per point whatever the costs, so with that basis optimal it reads one
-    verdict.  Only the objective is computed here."""
-    catalog, D = system.catalog, system.D
-    for floor in (1, 0):   # the forms are integers: x_B > 0, then x_B >= 0
-        for k in range(system.first_pinned(q, floor), len(catalog)):
-            basis = catalog[k]
-            found = optimal[k] and basis.pins(q, D, floor)
-            if not found:
-                continue
-            _, values, lam = found
+    """The first catalog basis feasible at q, as `feasible_catalog` orders
+    them, that is optimal for c (`optimal`, per basis); None when there is
+    none.  Such a basis puts its block on the target vertex; only the
+    objective is computed here."""
+    for k, values, lam in system.feasible_catalog(q):
+        if optimal[k]:
+            basis = system.catalog[k]
             case = basis.case
             j = TARGET_VERTEX[case]
             vertex = system.vertices[case - 1][j - 1]
             objective = sum(map(mul, map(c.__getitem__, basis.columns), values))
             return GrcAssignment(q, case, j, vertex, YMonomial(*vertex), basis.bid,
-                                 lam, Fraction(objective, basis.p * D))
+                                 lam, Fraction(objective, basis.p * system.D))
     return None
 
 

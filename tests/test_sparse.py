@@ -292,20 +292,47 @@ PARTITION_PINS = {
 }
 
 
+# the same at the perturbation (1/3, 1/7, 2/5), where 18 to 204 of the
+# assignments per pair from (2,2) on come from the restricted-LP search
+THIRDS = (F(1, 3), F(1, 7), F(2, 5))
+PARTITION_PINS_THIRDS = {
+    (1, 1): "3f6cca951ceadca1bdb89d55aab987a10a14a2f9a60a55155c8f5e415cd994f5",
+    (1, 2): "7a6570c98859497a1a50421658bd592632f6503ce7b8c1811cff864adedadb68",
+    (2, 2): "61b67d689e24a02f44fdbe6c965cd937b9fc4fcc67d70002eb9574ef8a619807",
+    (1, 3): "00d045b9b7842c948f7cb2c0b1bd3756da344b4f2da7ede7615972591f64460c",
+    (2, 3): "8ad3e3da97039372690ab60b968d6aaeaa673d5a03f96e30bebf22a7def1615e",
+    (3, 3): "5016807559f6a6707f96bad39b6b3d070e8add0368e65766d4f915214f810e5f",
+    (1, 4): "25aac2bd3f8778624de5314a7c36991deabe1144a69a1d5b95a8d64b7e4dc4a7",
+    (2, 4): "3e908823357bbae1f563219ebcfc3948bdfa1c2881424fd854d6e64855b14fc7",
+    (3, 4): "dff7f99b4ef45cd52ccf7da67ddd469236febfce44fcdf0a67a5552dc7f6f3c6",
+    (4, 4): "0cb967ef8770f121217daf6ccacae8de129b56b8a0674f5a88c5c6475cee21f3",
+}
+
+
+def cold_and_warm_digests(spec, delta_vec):
+    """assignments_digest of the default and the five seeded liftings, each
+    call on an emptied scan cache, then each again on the kept scan."""
+    liftings = [DEFAULT_LIFTINGS] + [seeded_liftings(s) for s in range(1, 6)]
+    cold = []
+    for lift in liftings:
+        sparse.scanned.cache_clear()
+        cold.append(grc_partition(spec, lift, delta_vec))
+    # every call below finds the scan and each point's feasible catalog bases
+    warm = [grc_partition(spec, lift, delta_vec) for lift in liftings]
+    return assignments_digest(cold), assignments_digest(warm)
+
+
+@pytest.mark.usefixtures("cold_scan")
 class TestAssignmentPins:
-    @pytest.mark.usefixtures("cold_scan")
     @pytest.mark.parametrize("d", DEGREES_TO_4)
     def test_cold_and_warm_calls_match_the_pins(self, d):
-        spec = SystemSpec(*d)
-        liftings = [DEFAULT_LIFTINGS] + [seeded_liftings(s) for s in range(1, 6)]
-        cold = []
-        for lift in liftings:
-            sparse.scanned.cache_clear()
-            cold.append(grc_partition(spec, lift))
-        # every call below finds the scan and the verdicts of all six
-        warm = [grc_partition(spec, lift) for lift in liftings]
-        assert assignments_digest(cold) == PARTITION_PINS[d]
-        assert assignments_digest(warm) == PARTITION_PINS[d]
+        digests = cold_and_warm_digests(SystemSpec(*d), DEFAULT_PERTURBATION)
+        assert digests == (PARTITION_PINS[d],) * 2
+
+    @pytest.mark.parametrize("d", DEGREES_TO_4)
+    def test_cold_and_warm_calls_match_the_pins_at_thirds(self, d):
+        digests = cold_and_warm_digests(SystemSpec(*d), THIRDS)
+        assert digests == (PARTITION_PINS_THIRDS[d],) * 2
 
 
 class TestCertificateReuse:
@@ -510,13 +537,20 @@ def optimal_reference(A, c, basis, p, adj):
 
 def scan_reference(system, optimal_flags, q, c):
     """The catalog passes without the per-point memo: strict, then weak, over
-    every optimal basis in catalog order; (basis id, lam, c.lam) of the first
-    that pins its target vertex at q, None when none does."""
+    every optimal basis in catalog order, x_B read off the basis's forms at
+    q; (basis id, lam, c.lam) of the first that pins its target vertex at q
+    (lam 1 there and the block summing to 1), None when none does."""
     for floor in (1, 0):
         for basis, ok in zip(system.catalog, optimal_flags):
-            least, _, lam = basis.verdict(q, system.D)
-            if ok and least >= floor and lam is not None:
-                return basis.bid, lam, sum(ck * x for ck, x in zip(c, lam))
+            values = [sparse._at(f, q) for f in basis.forms]
+            lam = [F(0)] * 18
+            for v, j in zip(values, basis.columns):
+                lam[j] = F(v, basis.p * system.D)
+            offset = var_index(basis.case, 1)
+            block = lam[offset:offset + BLOCK_SIZES[basis.case - 1]]
+            pinned = block[TARGET_VERTEX[basis.case] - 1] == 1 == sum(block)
+            if ok and min(values) >= floor and pinned:
+                return basis.bid, tuple(lam), sum(ck * x for ck, x in zip(c, lam))
     return None
 
 
@@ -536,9 +570,11 @@ class TestPerCallWork:
             for basis, ok in zip(system.catalog, system.optimal(costs)):
                 B = [[row[j] for j in basis.columns] for row in system.A]
                 p, adj = sparse.lp.adjugate(B)
-                args = (system.A, costs, basis.columns, p, adj)
-                assert ok == sparse.lp.optimal(*args) == optimal_reference(*args), \
-                    (d, lift, basis.bid)
+                nonbasic = [j for j in range(18) if j not in basis.columns]
+                got = sparse.lp.optimal(list(zip(*system.A)), costs, basis.columns,
+                                        p, list(zip(*adj)), nonbasic)
+                assert ok == got == optimal_reference(
+                    system.A, costs, basis.columns, p, adj), (d, lift, basis.bid)
 
     @settings(deadline=None, max_examples=20)
     @given(st.one_of(seeded, free_liftings))
@@ -547,8 +583,8 @@ class TestPerCallWork:
     @pytest.mark.parametrize("delta_vec, degrees", [
         (DEFAULT_PERTURBATION, DEGREES_TO_4), (HALF, [(1, 2), (2, 2)])])
     def test_the_point_memo_gives_the_catalog_scan(self, delta_vec, degrees, lift):
-        # at HALF some points have a weakly pinning basis ahead of the first
-        # strictly pinning one
+        # at HALF some points have a weakly feasible basis ahead of the
+        # first strictly feasible one
         for d in degrees:
             system, points = sparse.scanned(SystemSpec(*d), delta_vec)
             costs = sparse.costs(system.vertices, lift)
@@ -561,8 +597,11 @@ class TestPerCallWork:
     def test_free_heights_reach_the_scan_on_path(self):
         system, points = sparse.scanned(SystemSpec(1, 2), DEFAULT_PERTURBATION)
         costs = sparse.costs(system.vertices, SCAN_ON)
-        flags = system.optimal(costs) + [True]   # True past the catalog's end
-        passed_over = [q for q in points if not flags[system.first_pinned(q, 1)]]
+        flags = system.optimal(costs)
+        # the first basis feasible at q is strictly feasible and not optimal
+        firsts = [(q, system.feasible_catalog(q)[:1]) for q in points]
+        passed_over = [q for q, first in firsts
+                       if first and min(first[0][1]) > 0 and not flags[first[0][0]]]
         assigned = [q for q in passed_over
                     if sparse._catalog_assignment(q, system, flags, costs)]
         assert (len(passed_over), len(assigned)) == (11, 3)
@@ -582,21 +621,16 @@ class TestPerCallWork:
         spec = SystemSpec(*d)
         grc_partition(spec)
         liftings = [seeded_liftings(s) for s in (7, 8, 9)]
-        verdict = sparse._CatalogBasis.verdict
 
         def refused(*args):
             raise AssertionError("a warm call redid lifting-free work")
-
-        def kept_only(basis, q, D):
-            if q not in basis.verdicts:
-                raise AssertionError(f"a fresh verdict of {basis.bid} at {q}")
-            return verdict(basis, q, D)
 
         with monkeypatch.context() as patched:
             patched.setattr(sparse.lp, "adjugate", refused)
             patched.setattr(sparse.lp, "integer_certificate", refused)
             patched.setattr(monomials, "bset", refused)
-            patched.setattr(sparse._CatalogBasis, "verdict", kept_only)
+            # no form is evaluated: each point's feasible bases are kept
+            patched.setattr(sparse, "_at", refused)
             warm = [grc_partition(spec, lift) for lift in liftings]
         for lift, result in zip(liftings, warm):
             sparse.scanned.cache_clear()
@@ -629,6 +663,43 @@ class TestBuildLP:
         # b'(q) = D b(q), D = 100 the lcm of the perturbation's denominators
         inst = kept_lp((2, 3, 2), SystemSpec(2, 2))
         assert inst.b == [199, 299, 199, 100, 100, 100, 100]
+
+
+class TestCatalogStructure:
+    """A catalog basis holds one column of its case's block, the target
+    vertex's, so a basis feasible at q puts its block on the target vertex;
+    `_PointSystem` checks the columns when it is built."""
+
+    def test_each_basis_holds_only_its_target_vertex_in_its_block(self):
+        for case, bid, columns in CASE_BASES:
+            offset = var_index(case, 1)
+            in_block = [j for j in columns
+                        if offset <= j < offset + BLOCK_SIZES[case - 1]]
+            assert in_block == [var_index(case, TARGET_VERTEX[case])], bid
+
+    def test_a_basis_holding_another_vertex_of_its_block_is_refused(self, monkeypatch):
+        # 1.1 with column 14 for 13: the same block, not the target vertex
+        swap = {var_index(1, 3): var_index(1, 4)}
+        mutant = tuple((case, bid, tuple(swap.get(j, j) for j in columns)
+                        if bid == "1.1" else columns)
+                       for case, bid, columns in CASE_BASES)
+        monkeypatch.setattr(sparse, "CASE_BASES", mutant)
+        with pytest.raises(CertificateFailure, match=r"1\.1"):
+            sparse._PointSystem(SystemSpec(1, 2), DEFAULT_PERTURBATION)
+
+    @pytest.mark.parametrize("delta_vec, degrees", [
+        (DEFAULT_PERTURBATION, DEGREES_TO_4), (HALF, [(1, 2), (2, 2)])])
+    def test_every_feasible_basis_puts_its_block_on_the_target(self, delta_vec,
+                                                               degrees):
+        for d in degrees:
+            system, points = sparse.scanned(SystemSpec(*d), delta_vec)
+            for q in points:
+                for k, values, lam in system.feasible_catalog(q):
+                    case = system.catalog[k].case
+                    offset = var_index(case, 1)
+                    block = lam[offset:offset + BLOCK_SIZES[case - 1]]
+                    assert min(values) >= 0
+                    assert block[TARGET_VERTEX[case] - 1] == 1 == sum(block), (d, q, k)
 
 
 class TestVerifyBasis:
