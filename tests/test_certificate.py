@@ -121,8 +121,10 @@ class TestEliminate:
         M = build_square_matrix(spec)
         # without the substitution, the first step symbol still occurs in the
         # derivative rows, which the disjointness scan must catch
-        with pytest.raises(CertificateFailure):
+        with pytest.raises(CertificateFailure) as info:
             eliminate(M, spec)
+        assert str(info.value) == ("step symbol a(2,0) leaks into row "
+                                   "y1^3*f1' at column y*y1^4")
 
     def test_a_rectangular_matrix_is_refused(self):
         with pytest.raises(CertificateFailure, match="80x56, not square"):

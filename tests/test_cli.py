@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 from argparse import Namespace
+from fractions import Fraction
 from pathlib import Path
 from random import Random
 
@@ -76,12 +77,17 @@ def test_matrix_output_is_pinned(verb, d, capsys):
 
 # sha256 of stdout at degrees too large to keep as files in tests/data
 PINNED_SHA256 = {
+    ("build", 1, 1): "a55190b9a6a4a05aae8c652c943920d0001629e3f0d931d66f5b09ebfec730c5",
     ("build", 3, 4): "dae9502929eef97c61f3d7db8aa93d0920c4eb5e7fbcccb8d913526c0a3fc84c",
     ("build", 5, 5): "5c050b77db78ea598dc922c17782023c53fa432d3de3aef6df0a7c72e7bd1f57",
+    ("carra-ferro", 1, 1):
+        "94ca7a4b3f9f3d309cf911d70ca6f2974b06bd9906a67b7871df64c30a5ff53b",
     ("carra-ferro", 3, 4):
         "222bb33433cee1d3f56b41cc8b428e2b67a93980bd54dcaf02f269139fd520a2",
     ("carra-ferro", 5, 5):
         "a3797e028b5e4f395e3877d6fc64cdd3f26bf7b7ed0a6220f4285c4b5e757f9a",
+    ("certificate", 1, 1):
+        "8858c3c36927ffc23d893b4140fa333e72eb1a43fc2e8a11a4738bfd13087667",
     ("certificate", 3, 4):
         "875d6c53c8449aac13cf84f6b8aa286d999a02b6727d7b2d0296269c32c6801f",
     ("certificate", 5, 5):
@@ -95,6 +101,57 @@ def test_matrix_output_hash_is_pinned(verb, d1, d2, capsys):
     assert run_cli(verb, "--d1", str(d1), "--d2", str(d2)) == 0
     out = capsys.readouterr().out.encode()
     assert hashlib.sha256(out).hexdigest() == PINNED_SHA256[verb, d1, d2]
+
+
+# sha256 of stdout of `export`; csv reads the specialization `_spec_table`
+PINNED_EXPORT_SHA256 = {
+    ("matrix", "json", 1, 1):
+        "c9ba9b44533370b29619824a8237590993194b7bdef83eedff743c025af95f90",
+    ("matrix", "json", 3, 4):
+        "bdffa32a0f13137810d6cff739eb0252a7f3e77189356ecb1749eabe532f55a1",
+    ("matrix", "json", 5, 5):
+        "88e1b15aa4820d49a2293a44ae51e844714043eb445bf40729485757694393db",
+    ("matrix", "csv", 1, 1):
+        "6dd35a378e6b09eb21595c0a2dbb6cfa297e91401619176a63d2cddd795a69a5",
+    ("matrix", "csv", 3, 4):
+        "e934e0c89a62cbe7fb1dde7c98bcd5d49111ece4a5aca89b8aa1fd16a2f03800",
+    ("matrix", "csv", 5, 5):
+        "c5afcf06ec0db43117057a39c32a488b0a5277399a00d29ecc11ad11acf4e547",
+    ("carra-ferro", "json", 1, 1):
+        "5284ba04927bc1235b12c5db7292e2a0992387c11230074e50098f77d7608320",
+    ("carra-ferro", "json", 3, 4):
+        "60ba03350b1ee62203b7de73829f784522b8394bd4881899d2e82fd159add96b",
+    ("carra-ferro", "json", 5, 5):
+        "09102f525b60a0a49f2c58443e3ddb4eb16d11ebb7e0d3987c9455bfacf7676a",
+    ("carra-ferro", "csv", 1, 1):
+        "920cc7dafdd6838208898f34cf1d43c61948a31c9749cd10bff671520fda974b",
+    ("carra-ferro", "csv", 3, 4):
+        "f5f4094c8697495ffe3f282c168aa69dfe04beb1eae985f403bbf231d4d7abc0",
+    ("carra-ferro", "csv", 5, 5):
+        "757344322b03ecf28d8142621f987cd5ba5be2b903d249126982264b4c1e7a10",
+}
+
+
+def _spec_table(d1, d2):
+    """A specialization with zeros, negatives and fractions, fixed by the
+    symbols' sorted order."""
+    syms = sorted(system_symbols(SystemSpec(d1, d2)))
+    return {s.render(): str(Fraction((7 * k) % 11 - 5, k % 4 + 1))
+            for k, s in enumerate(syms)}
+
+
+@pytest.mark.parametrize("what, fmt, d1, d2", sorted(PINNED_EXPORT_SHA256),
+                         ids=lambda v: str(v))
+def test_export_output_hash_is_pinned(what, fmt, d1, d2, tmp_path, capsys):
+    argv = ["export", "--what", what, "--d1", str(d1), "--d2", str(d2),
+            "--format", fmt]
+    if fmt == "csv":
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(_spec_table(d1, d2)))
+        argv += ["--spec-file", str(path)]
+    assert run_cli(*argv) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == PINNED_EXPORT_SHA256[what, fmt, d1, d2]
 
 
 # sha256 of stdout of verbs that print polynomials in the term order
