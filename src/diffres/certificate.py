@@ -21,7 +21,7 @@ from typing import Dict, List, NamedTuple, Tuple
 from .errors import CertificateFailure
 from .determinant import perm_sign
 from .diffsys import SystemSpec, YMonomial, system_symbols, ym_render
-from .matrices import DF1, DF2, F1, F2, PolyMatrix, RowLabel
+from .matrices import DF1, DF2, F1, F2, PolyMatrix, RowLabel, per_tuple
 from .symbols import CoeffSymbol
 from .sympoly import Monomial, Specialization, SymPoly, mono_make
 
@@ -119,19 +119,22 @@ def eliminate(matrix: PolyMatrix, spec: SystemSpec) -> Certificate:
     perm: Dict[int, int] = {}
 
     for sym, block in step_symbols(spec):
+        # per distinct pool-index tuple, the positions whose entry holds sym
+        at = per_tuple(row_entries, lambda xs: [
+            k for k, x in enumerate(xs) if sym in pool_symbols[x]])
         block_rows = sorted(i for i in alive_rows
                             if matrix.rows[i].poly == block)
         pairs: List[Tuple[int, int]] = []
         units: List[Fraction] = []
         for i in block_rows:
-            hits = [j for j, x in row_entries[i].items()
-                    if j in alive_cols and sym in pool_symbols[x]]
+            js, xs = row_entries[i]
+            hits = [k for k in at[id(xs)] if js[k] in alive_cols]
             if len(hits) != 1:
                 raise CertificateFailure(
                     f"step symbol {sym} occurs {len(hits)} times in row "
                     f"{matrix.rows[i].render()}, expected exactly once")
-            j = hits[0]
-            unit, clean = _symbol_occurrences(matrix.pool[row_entries[i][j]], sym)
+            j = js[hits[0]]
+            unit, clean = _symbol_occurrences(matrix.pool[xs[hits[0]]], sym)
             if not clean or unit == 0:
                 raise CertificateFailure(
                     f"step symbol {sym} does not enter entry "
@@ -142,8 +145,9 @@ def eliminate(matrix: PolyMatrix, spec: SystemSpec) -> Certificate:
         for i in alive_rows:
             if matrix.rows[i].poly == block:
                 continue
-            for j, x in row_entries[i].items():
-                if j in alive_cols and sym in pool_symbols[x]:
+            js, xs = row_entries[i]
+            for j in (js[k] for k in at[id(xs)]):
+                if j in alive_cols:
                     raise CertificateFailure(
                         f"step symbol {sym} leaks into row "
                         f"{matrix.rows[i].render()} at column "

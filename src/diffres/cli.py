@@ -32,7 +32,7 @@ from .diffsys import (SystemSpec, YMonomial, delta, generic_system,
                       system_symbols, ym_render)
 from .errors import CapExceeded, DiffresError, IllegalMove
 from .matrices import (build_carra_ferro, build_sparse_matrix,
-                       build_square_matrix, zero_columns)
+                       build_square_matrix, per_tuple, zero_columns)
 from .monomials import (closed_form_sets, column_set, default_main_monomials,
                         partition_divisibility)
 from .oracle import eliminate_iterated
@@ -144,9 +144,12 @@ def _emit_matrix(matrix, args, **extra) -> None:
     """`_emit({**matrix.to_json(), **extra}, args)`, byte for byte, written in
     pieces.  The indented encoder runs in pure Python, so only the short keys
     go through it: "rows" and "cols" take one f-string per item, and
-    "entries" one string per matrix row, each column index and pool
-    polynomial formatted once.  Every piece is made before `_write` opens
-    the file, and no string of the whole document is built."""
+    "entries" one string per matrix row, each column index formatted once
+    and each pool-index tuple's entry tails once.  A row's string is one
+    join of a list made to size and filled by slice assignment: its lead,
+    then per entry the column, the tail and the separator.  Every piece is
+    made before `_write` opens the file, and no string of the whole
+    document is built."""
     head = json.dumps(matrix._json_head(), indent=2)[:-2]  # less the closing "\n}"
     tail = "," + json.dumps(extra, indent=2)[1:] if extra else "\n}"
     polys = {p: json.dumps(p) for p in {r.poly for r in matrix.rows}}
@@ -157,12 +160,16 @@ def _emit_matrix(matrix, args, **extra) -> None:
             for a, b, c in matrix.cols]
     js = [str(j) for j in range(matrix.ncols)]
     tails = [f",\n      {json.dumps(v.render())}\n    ]" for v in matrix.pool]
+    row_tails = per_tuple(matrix.row_entries, lambda xs: [tails[x] for x in xs])
     entries = []
-    for i, row in enumerate(matrix.row_entries):
-        if row:
+    for i, (columns, xs) in enumerate(matrix.row_entries):
+        if columns:
             lead = f"    [\n      {i},\n      "
-            entries.append(",\n".join([lead + js[j] + tails[x]
-                                        for j, x in row.items()]))
+            parts = [",\n" + lead] * (3 * len(columns))
+            parts[0] = lead
+            parts[1::3] = [js[j] for j in columns]
+            parts[2::3] = row_tails[id(xs)]
+            entries.append("".join(parts))
     _write([head, ',\n  "rows": ', *_json_list(rows),
             ',\n  "cols": ', *_json_list(cols),
             ',\n  "entries": ', *_json_list(entries), tail], args)

@@ -266,7 +266,7 @@ def _pivot_order(matrix: PolyMatrix) -> Tuple[Tuple[int, int], ...]:
                 row_i[j] = 1
                 cols[j].add(i)
 
-    live = {i: dict.fromkeys(row, 1) for i, row in enumerate(matrix.row_entries)}
+    live = {i: dict.fromkeys(cols, 1) for i, (cols, _) in enumerate(matrix.row_entries)}
     pivots, _ = _eliminate(live, (), fill)
     return tuple((k, j) for k, j, _ in pivots)
 

@@ -13,6 +13,7 @@ partition of the column set divided by the main monomials
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm, prod
@@ -40,19 +41,25 @@ class RowLabel(NamedTuple):
         return f"{ym_render(self.mult)}*{self.poly}"
 
 
+# (column indices, pool indices) of a PolyMatrix row
+Row = Tuple[Tuple[int, ...], Tuple[int, ...]]
+
+
 class PolyMatrix:
     """Labeled sparse matrix with polynomial entries and fixed orderings.
 
-    `row_entries[i]` maps column j, in increasing order, to an index into
-    `pool`, the nonzero entry polynomials, one per shared object, so
-    per-polynomial work (evaluation, substitution, symbol scans, rendering)
-    runs once per pool polynomial, not once per entry.
+    `row_entries[i]` is a pair (columns, pool indices): the row's column
+    indices, increasing, and as many indices into `pool`, the nonzero entry
+    polynomials, one per shared object.  All rows of one row polynomial
+    share one pool-index tuple object, so per-polynomial work (evaluation,
+    substitution, symbol scans, rendering) runs once per pool polynomial
+    or per distinct tuple, not once per entry.
     """
 
     __slots__ = ("rows", "cols", "pool", "row_entries", "meta")
 
     def __init__(self, rows: Sequence[RowLabel], cols: Sequence[YMonomial],
-                 pool: Sequence[SymPoly], row_entries: Sequence[Dict[int, int]],
+                 pool: Sequence[SymPoly], row_entries: Sequence[Row],
                  meta: dict | None = None):
         self.rows = tuple(rows)
         self.cols = tuple(cols)
@@ -69,17 +76,23 @@ class PolyMatrix:
         return len(self.cols)
 
     def entry(self, i: int, j: int) -> SymPoly:
-        x = self.row_entries[i].get(j)
-        return SymPoly.zero() if x is None else self.pool[x]
+        cols, xs = self.row_entries[i]
+        k = bisect_left(cols, j)
+        return self.pool[xs[k]] if k < len(cols) and cols[k] == j else SymPoly.zero()
 
     def symbols(self) -> set:
         return set().union(*(v.symbols() for v in self.pool))
 
     def substitute(self, mapping) -> "PolyMatrix":
         images = [v.substitute(mapping) for v in self.pool]
-        reindex = {x: y for y, x in enumerate(x for x, w in enumerate(images) if w)}
-        row_entries = [{j: reindex[x] for j, x in row.items() if x in reindex}
-                       for row in self.row_entries]
+        row_entries = self.row_entries
+        if not all(images):   # drop the entries of the vanishing polynomials
+            reindex = {x: y for y, x in enumerate(x for x, w in enumerate(images) if w)}
+            kept = per_tuple(row_entries, lambda xs: (
+                [k for k, x in enumerate(xs) if x in reindex],
+                tuple(reindex[x] for x in xs if x in reindex)))
+            row_entries = [(tuple([cols[k] for k in keep]), ys)
+                           for cols, xs in row_entries for keep, ys in [kept[id(xs)]]]
         return PolyMatrix(self.rows, self.cols, [w for w in images if w],
                           row_entries, self.meta)
 
@@ -99,14 +112,15 @@ class PolyMatrix:
         den = scale * L ** top
         if (g := gcd(den, *pool)) > 1:
             den, pool = den // g, [v // g for v in pool]
-        rows = [{j: pool[x] for j, x in row.items()} for row in self.row_entries]
+        by_tuple = per_tuple(self.row_entries, lambda xs: [pool[x] for x in xs])
+        rows = [dict(zip(cols, by_tuple[id(xs)])) for cols, xs in self.row_entries]
         if 0 in pool:   # drop the entries of a polynomial that vanishes at s
             rows = [{j: v for j, v in row.items() if v} for row in rows]
         return rows, den
 
     def row_label_map(self) -> Dict[RowLabel, Dict[YMonomial, SymPoly]]:
         """Row content keyed by label, for order-insensitive comparison."""
-        return {label: {self.cols[j]: self.pool[x] for j, x in row.items()}
+        return {label: {self.cols[j]: self.pool[x] for j, x in zip(*row)}
                 for label, row in zip(self.rows, self.row_entries)}
 
     def _json_head(self) -> dict:
@@ -124,7 +138,7 @@ class PolyMatrix:
                          for r in self.rows],
                 "cols": [list(c) for c in self.cols],
                 "entries": [[i, j, texts[x]] for i, row in enumerate(self.row_entries)
-                            for j, x in row.items()]}
+                            for j, x in zip(*row)]}
 
     def to_csv(self, s: Specialization) -> str:
         header = ["row"] + [ym_csv_name(c) for c in self.cols]
@@ -135,6 +149,13 @@ class PolyMatrix:
             dense = [texts.get(j, "0") for j in range(self.ncols)]
             lines.append(",".join([label.render()] + dense))
         return "\n".join(lines) + "\n"
+
+
+def per_tuple(row_entries: Sequence[Row], fn) -> dict:
+    """`fn` of each distinct pool-index tuple of the rows, keyed by its id:
+    work made once per row polynomial, not once per row."""
+    distinct = {id(xs): xs for _, xs in row_entries}
+    return {k: fn(xs) for k, xs in distinct.items()}
 
 
 @lru_cache(maxsize=16)
@@ -161,10 +182,12 @@ def _distinct(values) -> Tuple[List[SymPoly], Dict[int, int]]:
 
 
 def _fill_rows(row_plan: Sequence[Tuple[RowLabel, DiffPoly]],
-               cols: Sequence[YMonomial]) -> Tuple[List[SymPoly], List[Dict[int, int]]]:
-    """A pool of the row polynomials' coefficient objects, and per row
-    {j: pool index}.  `cols` descend in `ym_key`, a monomial order, so taking
-    each polynomial's terms in that order fills every row in increasing j.
+               cols: Sequence[YMonomial]) -> Tuple[List[SymPoly], List[Row]]:
+    """A pool of the row polynomials' coefficient objects, and per row its
+    (columns, pool indices).  Each polynomial's pool indices are one tuple,
+    shared by all its rows; a row is one comprehension of column lookups.
+    `cols` descend in `ym_key`, a monomial order, so taking each
+    polynomial's terms in that order gives every row increasing columns.
 
     Columns are found by packed exponents (e*B + e1)*B + e2, with the base B
     above every exponent of a column and of a term times a multiplier: the
@@ -181,13 +204,17 @@ def _fill_rows(row_plan: Sequence[Tuple[RowLabel, DiffPoly]],
 
     col_index = {pack(c): j for j, c in enumerate(cols)}
     pool, index = _distinct(c for poly in polys for _, c in poly.items())
-    terms = {id(poly): [(pack(m), index[id(c)]) for m, c in sorted(
-        poly.items(), key=lambda t: ym_key(t[0]), reverse=True)] for poly in polys}
+    terms = {}  # per polynomial: its terms' packed keys, and their pool indices
+    for poly in polys:
+        ordered = sorted(poly.items(), key=lambda t: ym_key(t[0]), reverse=True)
+        terms[id(poly)] = (tuple(pack(m) for m, _ in ordered),
+                           tuple(index[id(c)] for _, c in ordered))
     row_entries = []
     for label, poly in row_plan:
         shift = pack(label.mult)
+        keys, xs = terms[id(poly)]
         try:
-            row_entries.append({col_index[k + shift]: x for k, x in terms[id(poly)]})
+            row_entries.append((tuple([col_index[k + shift] for k in keys]), xs))
         except KeyError as exc:
             e, rest = divmod(exc.args[0], base * base)
             outside = YMonomial(e, *divmod(rest, base))
@@ -310,5 +337,5 @@ def build_carra_ferro(d1: int, d2: int, n: int, m: int) -> PolyMatrix:
 
 
 def zero_columns(matrix: PolyMatrix) -> List[YMonomial]:
-    hit = set().union(*matrix.row_entries)
+    hit = set().union(*(cols for cols, _ in matrix.row_entries))
     return [c for j, c in enumerate(matrix.cols) if j not in hit]

@@ -13,8 +13,9 @@ from diffres import (CertificateFailure, CoeffSymbol, SymPoly, SystemSpec,
                      transform_12, unique_monomial_coefficient)
 from diffres.certificate import fresh_symbol, step_symbols, substitution_symbol
 from diffres.diffsys import YM_ONE, ym_mul
-from diffres.matrices import F1, PolyMatrix, RowLabel, build_carra_ferro
+from diffres.matrices import F1, RowLabel, build_carra_ferro
 from diffres.monomials import closed_form_sets
+from conftest import matrix_from_grid
 
 
 class TestTransform:
@@ -37,13 +38,13 @@ class TestTransform:
         Mt = transform_12(M, spec)
         old = substitution_symbol(spec)
         changed = 0
-        for i, row in enumerate(M.row_entries):
-            for j in row:
+        for i, (cols, _) in enumerate(M.row_entries):
+            for j in cols:
                 value = M.entry(i, j)
                 if old in value.symbols():
                     changed += 1
                     continue
-                assert j in Mt.row_entries[i]
+                assert j in Mt.row_entries[i][0]
                 assert Mt.entry(i, j).render() == value.render()
         assert changed == 10  # one entry per derivative-of-f1 row
 
@@ -52,7 +53,7 @@ class TestTransform:
         Mt = transform_12(build_square_matrix(spec), spec)
         Mtt = transform_12(Mt, spec)
         def rendered(M):
-            return [{j: M.pool[x].render() for j, x in row.items()}
+            return [{j: M.pool[x].render() for j, x in zip(*row)}
                     for row in M.row_entries]
         assert rendered(Mt) == rendered(Mtt)
 
@@ -152,16 +153,14 @@ class TestEliminate:
         spec = SystemSpec(1, 1)
         sym = step_symbols(spec)[0][0]
         rows = [RowLabel(F1, YM_ONE), RowLabel(F1, YMonomial(1, 0, 0))]
-        matrix = PolyMatrix(rows, [YM_ONE, YMonomial(1, 0, 0)],
-                            [SymPoly.symbol(sym), SymPoly.one()],
-                            [{0: 0, 1: 1}, {0: 0}])
+        x = SymPoly.symbol(sym)
+        matrix = matrix_from_grid([[x, SymPoly.one()], [x, SymPoly.zero()]], rows)
         with pytest.raises(CertificateFailure,
                            match=re.escape(f"{sym} repeats a column inside its block")):
             eliminate(matrix, spec)
 
     def test_rows_outside_the_four_blocks_are_refused(self):
-        matrix = PolyMatrix([RowLabel("p1", YM_ONE)], [YM_ONE],
-                            [SymPoly.one()], [{0: 0}])
+        matrix = matrix_from_grid([[SymPoly.one()]], [RowLabel("p1", YM_ONE)])
         with pytest.raises(CertificateFailure,
                            match="1 rows / 1 columns remain after the four steps"):
             eliminate(matrix, SystemSpec(1, 1))

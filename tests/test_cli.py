@@ -203,7 +203,7 @@ def test_streamed_matrix_equals_the_indented_encoder(name, tmp_path, capsys):
     matrix, extra = _reference_matrix(name)
     expected = json.dumps({**matrix.to_json(), **extra}, indent=2)
     if name == "empty-rows":
-        assert {} in matrix.row_entries and matrix.pool
+        assert ((), ()) in matrix.row_entries and matrix.pool
     if name == "empty-pool":
         assert not matrix.pool and '"entries": []' in expected
     _emit_matrix(matrix, Namespace(out=None), **extra)

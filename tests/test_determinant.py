@@ -23,24 +23,11 @@ from diffres.cli import main
 from diffres.determinant import (_det_residue, _det_scaled, _pivot_order,
                                  crt_lift, is_prime)
 from diffres.matrices import F1, RowLabel, build_carra_ferro
+from conftest import matrix_from_grid
 
 A = CoeffSymbol("a", 0, 0)
 B = CoeffSymbol("b", 0, 0)
 C = CoeffSymbol("a", 1, 0)
-
-
-def _matrix_from_grid(grid):
-    n = len(grid)
-    cols = [YMonomial(k, 0, 0) for k in range(n)]
-    rows = [RowLabel(F1, YMonomial(0, k, 0)) for k in range(n)]
-    pool, row_entries = [], []
-    for row in grid:
-        row_entries.append({})
-        for j, v in enumerate(row):
-            if not v.is_zero():
-                row_entries[-1][j] = len(pool)
-                pool.append(v)
-    return PolyMatrix(rows, cols, pool, row_entries)
 
 
 class TestSymbolic:
@@ -48,14 +35,14 @@ class TestSymbolic:
         grid = [[SymPoly.symbol(A), SymPoly.zero(), SymPoly.zero()],
                 [SymPoly.zero(), SymPoly.symbol(B), SymPoly.zero()],
                 [SymPoly.zero(), SymPoly.zero(), SymPoly.symbol(C)]]
-        M = _matrix_from_grid(grid)
+        M = matrix_from_grid(grid)
         assert det_symbolic(M) == \
             SymPoly.symbol(A) * SymPoly.symbol(B) * SymPoly.symbol(C)
 
     def test_zero_column_gives_zero(self):
         grid = [[SymPoly.symbol(A), SymPoly.zero()],
                 [SymPoly.symbol(B), SymPoly.zero()]]
-        assert det_symbolic(_matrix_from_grid(grid)) == SymPoly.zero()
+        assert det_symbolic(matrix_from_grid(grid)) == SymPoly.zero()
 
     def test_cap(self):
         M = build_square_matrix(SystemSpec(1, 2))
@@ -82,7 +69,7 @@ class TestSymbolic:
             n = rng.randint(1, 4)
             grid = [[random_sympoly(rng, max_terms=2, max_exp=1)
                      for _ in range(n)] for _ in range(n)]
-            d = det_symbolic(_matrix_from_grid(grid))
+            d = det_symbolic(matrix_from_grid(grid))
             for _ in range(2):
                 s = Specialization({x: Fraction(rng.randint(-9, 9), rng.randint(1, 5))
                                     for x in SYMBOL_POOL})
@@ -297,7 +284,7 @@ class TestModular:
     def test_single_small_modulus(self):
         grid = [[SymPoly.const(2), SymPoly.const(4)],
                 [SymPoly.const(6), SymPoly.const(8)]]
-        M = _matrix_from_grid(grid)
+        M = matrix_from_grid(grid)
         s = Specialization({})
         assert det_modular(M, s, [2]) == [0]
 
@@ -364,7 +351,7 @@ class TestModular:
         assert (tall.nrows, tall.ncols) == (28, 20)
         wide = PolyMatrix([RowLabel(F1, YMonomial(0, 0, 0))],
                           [YMonomial(1, 0, 0), YMonomial(0, 0, 0)],
-                          [SymPoly.const(2)], [{0: 0, 1: 0}])
+                          [SymPoly.const(2)], [((0, 1), (0, 0))])
         for matrix in (tall, wide):
             with pytest.raises(ValueError, match="non-square"):
                 det_modular(matrix, s, [101])
@@ -572,7 +559,7 @@ def _replay_orders(grid, data):
     order and, where one exists, the analyzed order with a zero planned
     pivot."""
     polys = [[SymPoly.const(v) for v in row] for row in grid]
-    analyzed = list(_pivot_order(_matrix_from_grid(polys)))
+    analyzed = list(_pivot_order(matrix_from_grid(polys)))
     orders = [analyzed, data.draw(st.permutations(analyzed)), []]
     zero_pivot = _zero_pivot_order(grid, analyzed,
                                    data.draw(st.integers(0, len(grid))))
@@ -619,7 +606,7 @@ class TestReplayedOrder:
         """Two rows that hold only column 0: the first pivot leaves the
         other row empty with nothing cancelled, and no pivot follows."""
         grid = [[1, 0, 0], [2, 0, 0], [0, 1, 1]]
-        M = _matrix_from_grid([[SymPoly.const(v) for v in row] for row in grid])
+        M = matrix_from_grid([[SymPoly.const(v) for v in row] for row in grid])
         assert _pivot_order(M) == ((0, 0),)
         rows = [{j: Fraction(v) for j, v in enumerate(row) if v} for row in grid]
         assert det_rational(rows) == 0

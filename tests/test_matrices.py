@@ -10,7 +10,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from diffres import (ClosureViolation, CoeffSymbol, PolyMatrix,
+from diffres import (ClosureViolation, CoeffSymbol,
                      Specialization, SymPoly, SystemSpec, YMonomial, bset,
                      build_carra_ferro, build_sparse_matrix,
                      build_square_matrix, certify, carra_ferro_shape,
@@ -19,11 +19,12 @@ from diffres import (ClosureViolation, CoeffSymbol, PolyMatrix,
                      random_specialization, system_symbols, zero_columns)
 from diffres.diffsys import YM_ONE, DiffPoly, generic_system, ym_mul
 from diffres.matrices import DF1, DF2, F1, F2, RowLabel, _fill_rows, row_polys
+from conftest import matrix_from_grid
 
 
 def keys(M):
     """The (i, j) of every stored entry, in row-major order."""
-    return [(i, j) for i, row in enumerate(M.row_entries) for j in row]
+    return [(i, j) for i, (cols, _) in enumerate(M.row_entries) for j in cols]
 
 
 class TestSquareMatrix:
@@ -147,8 +148,8 @@ class TestCarraFerro:
             build_carra_ferro(2, 2, 2, 1)
 
     def test_zero_matrix_has_all_columns_zero(self):
-        empty = PolyMatrix([RowLabel(F1, YM_ONE)], [YM_ONE, YMonomial(1, 0, 0)],
-                           [], [{}])
+        empty = matrix_from_grid([[SymPoly.zero(), SymPoly.zero()]])
+        assert empty.rows == (RowLabel(F1, YM_ONE),) and not empty.pool
         assert zero_columns(empty) == [YM_ONE, YMonomial(1, 0, 0)]
 
 
@@ -212,8 +213,58 @@ def test_rows_equal_their_shifted_row_polynomial(build, spec):
     for label, row in zip(M.rows, M.row_entries):
         expected = {M.cols.index(ym_mul(m, label.mult)): c
                     for m, c in polys[label.poly.replace("p", "f")].items()}
-        assert {j: M.pool[x] for j, x in row.items()} == expected
-        assert list(row) == sorted(row)
+        assert {j: M.pool[x] for j, x in zip(*row)} == expected
+        assert list(row[0]) == sorted(row[0])
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_square_matrix(SystemSpec(2, 3)),
+    lambda: build_sparse_matrix(grc_partition(SystemSpec(2, 2)).partition,
+                                SystemSpec(2, 2)),
+    lambda: build_carra_ferro(2, 3, 1, 1),
+], ids=["square_2_3", "sparse_2_2", "carra_ferro_2_3"])
+def test_rows_of_one_polynomial_share_one_pool_index_tuple(build):
+    M = build()
+    shared = {}
+    for label, (cols, xs) in zip(M.rows, M.row_entries):
+        assert type(cols) is tuple and type(xs) is tuple
+        assert len(cols) == len(xs)
+        assert shared.setdefault(label.poly, xs) is xs
+    assert len({id(xs) for xs in shared.values()}) == len(shared) >= 4
+
+
+def test_substitute_zeroing_one_pool_polynomial_keeps_the_row_form():
+    M = build_square_matrix(SystemSpec(2, 2))
+    sym = CoeffSymbol("a", 0, 0, 1)
+    Ms = M.substitute({sym: 0})
+    gone = [x for x, v in enumerate(M.pool) if v.substitute({sym: 0}).is_zero()]
+    assert gone == [M.pool.index(SymPoly.symbol(sym))]
+    assert len(Ms.pool) == len(M.pool) - 1
+    dropped = 0
+    for (cols, xs), (new_cols, new_xs) in zip(M.row_entries, Ms.row_entries):
+        kept = [(j, M.pool[x]) for j, x in zip(cols, xs) if x not in gone]
+        dropped += len(cols) - len(kept)
+        assert [(j, Ms.pool[y]) for j, y in zip(new_cols, new_xs)] == kept
+        assert list(new_cols) == sorted(set(new_cols))
+    assert dropped == M.meta["block_counts"][0]   # one entry per f1' row
+    for rows in (M.row_entries, Ms.row_entries):
+        tuples = {}
+        for label, (_, xs) in zip(M.rows, rows):
+            assert tuples.setdefault(label.poly, xs) is xs
+
+
+def test_entry_is_zero_off_the_stored_columns():
+    x, y = SymPoly.symbol(CoeffSymbol("a", 0, 0)), SymPoly.symbol(CoeffSymbol("b", 0, 0))
+    zero = SymPoly.zero()
+    M = matrix_from_grid([[zero, x, zero, zero, y, zero]])
+    assert M.row_entries == [((1, 4), (0, 1))]
+    assert [M.entry(0, j) for j in range(6)] == [zero, x, zero, zero, y, zero]
+    square = build_square_matrix(SystemSpec(2, 2))
+    cols, _ = square.row_entries[1]
+    assert cols[0] > 0 and cols[-1] < square.ncols - 1
+    gap = next(j for j in range(cols[0], cols[-1]) if j not in cols)
+    for j in (0, gap, square.ncols - 1):
+        assert square.entry(1, j).is_zero()
 
 
 @pytest.mark.parametrize("d1, d2", [(d1, d2) for d2 in range(1, 5)
@@ -275,7 +326,7 @@ def assert_specializes_entrywise(M, s):
     rows, den = M.specialize(s)
     assert den > 0 and all(type(v) is int for row in rows for v in row.values())
     assert [{j: Fraction(v, den) for j, v in row.items()} for row in rows] == \
-        [{j: v for j, x in row.items() if (v := M.pool[x].evaluate(s))}
+        [{j: v for j, x in zip(*row) if (v := M.pool[x].evaluate(s))}
          for row in M.row_entries]
     assert gcd(den, *(v for row in rows for v in row.values())) == 1
 
@@ -336,13 +387,6 @@ def test_higher_degrees_and_fractional_coefficients(grid, values):
     polys = [[sum((c * SymPoly.symbol(_SYMS[0]) ** a * SymPoly.symbol(_SYMS[1]) ** b
                    * SymPoly.symbol(_SYMS[2]) ** e for (a, b, e), c in terms),
                   SymPoly.zero()) for terms in row] for row in grid]
-    pool, row_entries = [], []
-    for row in polys:
-        row_entries.append({})
-        for j, v in enumerate(row):
-            if v:
-                row_entries[-1][j] = len(pool)
-                pool.append(v)
-    M = PolyMatrix([RowLabel(F1, YMonomial(0, k, 0)) for k in range(len(grid))],
-                   [YMonomial(k, 0, 0) for k in range(3)], pool, row_entries)
+    M = matrix_from_grid(polys)
+    assert M.cols == tuple(YMonomial(k, 0, 0) for k in range(3))
     assert_specializes_entrywise(M, Specialization(dict(zip(_SYMS, values))))
