@@ -8,12 +8,14 @@ introduces y2 and order-1 symbols; the Leibniz bookkeeping is exact:
                               + k * coeff * y^(k-1) * y1^(l+1)
                               + l * coeff * y^k * y1^(l-1) * y2
 
-All values are immutable; operations are pure functions.
+All values are immutable and operations pure, so a generic polynomial is
+made once per (system, degree, order) and keeps its derivative once made.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, Mapping, NamedTuple, Tuple
 
 from .errors import DiffresError
@@ -95,9 +97,10 @@ def ym_csv_name(m: YMonomial) -> str:
 class DiffPoly:
     """Polynomial in (y, y1, y2) whose coefficients are SymPoly values."""
 
-    __slots__ = ("_support",)
+    __slots__ = ("_support", "_delta")
 
     def __init__(self, support: Mapping[YMonomial, SymPoly] | None = None):
+        self._delta = None  # set by the first delta(self)
         self._support = {m: c for m, c in (support or {}).items()
                          if isinstance(c, SymPoly) and not c.is_zero()}
 
@@ -192,11 +195,13 @@ class DiffPoly:
         return f"DiffPoly({self.render()})"
 
 
+@lru_cache(maxsize=16)
 def generic_poly(system: str, degree: int, order: int = 1) -> DiffPoly:
     """Generic polynomial with one fresh symbol per monomial of degree <= d.
 
     order 1 uses monomials in (y, y1); order 0 restricts to y alone.  The
-    symbol for y^k*y1^l is CoeffSymbol(system, k, l, 0).
+    symbol for y^k*y1^l is CoeffSymbol(system, k, l, 0).  The 16 latest
+    are kept, keyed by the arguments as passed: the library passes all three.
     """
     if order not in (0, 1):
         raise DiffresError(f"generic polynomials support order 0 or 1, not {order}")
@@ -211,15 +216,17 @@ def generic_poly(system: str, degree: int, order: int = 1) -> DiffPoly:
 
 def generic_system(spec: SystemSpec) -> Tuple[DiffPoly, DiffPoly]:
     spec = SystemSpec(*spec).validate()
-    return generic_poly("a", spec.d1), generic_poly("b", spec.d2)
+    return generic_poly("a", spec.d1, 1), generic_poly("b", spec.d2, 1)
 
 
 def delta(p: DiffPoly) -> DiffPoly:
     """Formal derivation with delta(y) = y1, delta(y1) = y2.
 
     The input must be free of y2 (the variable alphabet stops there); symbol
-    derivative orders are unbounded.
+    derivative orders are unbounded.  The result is kept on `p`.
     """
+    if p._delta is not None:
+        return p._delta
     out: Dict[YMonomial, SymPoly] = {}
 
     def _accumulate(m: YMonomial, c: SymPoly) -> None:
@@ -240,7 +247,8 @@ def delta(p: DiffPoly) -> DiffPoly:
             _accumulate(YMonomial(m.ey - 1, m.ey1 + 1, 0), coeff * m.ey)
         if m.ey1:
             _accumulate(YMonomial(m.ey, m.ey1 - 1, 1), coeff * m.ey1)
-    return DiffPoly(out)
+    p._delta = DiffPoly(out)
+    return p._delta
 
 
 def support(p: DiffPoly) -> Tuple[YMonomial, ...]:

@@ -279,12 +279,6 @@ def build_sparse_matrix(part: Partition, spec: SystemSpec) -> PolyMatrix:
                           "provenance": part.provenance})
 
 
-def _iterated_delta(p: DiffPoly, times: int) -> DiffPoly:
-    for _ in range(times):
-        p = delta(p)
-    return p
-
-
 def carra_ferro_shape(d1: int, d2: int, n: int, m: int) -> dict:
     """Row/column counts of the rectangular construction."""
     from math import comb
@@ -315,8 +309,8 @@ def build_carra_ferro(d1: int, d2: int, n: int, m: int) -> PolyMatrix:
     D = shape["D"]
     var_count = m + n + 1  # monomials live in bset(var_count + 1, .)
 
-    p1 = generic_poly("a", d1, order=m)
-    p2 = generic_poly("b", d2, order=n)
+    p1 = generic_poly("a", d1, m)
+    p2 = generic_poly("b", d2, n)
 
     cols = bset(var_count + 1, D).elems[::-1]
     mult1 = bset(var_count + 1, D - d1).elems[::-1]
@@ -325,7 +319,7 @@ def build_carra_ferro(d1: int, d2: int, n: int, m: int) -> PolyMatrix:
     row_plan: List[Tuple[RowLabel, DiffPoly]] = []
     for name, p, top, mults in (("p1", p1, n, mult1), ("p2", p2, m, mult2)):
         for level in range(top, -1, -1):
-            tag, poly = name + "'" * level, _iterated_delta(p, level)
+            tag, poly = name + "'" * level, delta(p) if level else p
             row_plan.extend((RowLabel(tag, mult), poly) for mult in mults)
 
     pool, row_entries = _fill_rows(row_plan, cols)

@@ -121,6 +121,14 @@ class Partition(NamedTuple):
                 "sets": [s.to_json() for s in self.sets()]}
 
 
+def _box(j: int, top1: int, top2: int) -> Tuple[YMonomial, ...]:
+    """y^a*y1^b*y2^c with a+b+c <= j, b <= top1 and c <= top2, made in
+    ascending `ym_key` order (degree, then c, then b) with no sort."""
+    return tuple(YMonomial(t - b - c, b, c) for t in range(j + 1)
+                 for c in range(min(t, top2) + 1)
+                 for b in range(min(t - c, top1) + 1))
+
+
 def bset(i: int, j: int) -> MonomialSet:
     """Monomials of total degree <= j over the first i of (1, y, y1, y2).
 
@@ -130,28 +138,15 @@ def bset(i: int, j: int) -> MonomialSet:
     """
     if i not in (2, 3, 4):
         raise ValueError(f"i must be 2, 3 or 4, got {i}")
-    if j < 0:
-        return MonomialSet.of([], f"B{i}^{j}")
-    out: List[YMonomial] = []
-    for a in range(j + 1):
-        if i == 2:
-            out.append(YMonomial(a, 0, 0))
-            continue
-        for b in range(j - a + 1):
-            if i == 3:
-                out.append(YMonomial(a, b, 0))
-                continue
-            for c in range(j - a - b + 1):
-                out.append(YMonomial(a, b, c))
-    return MonomialSet.of(out, f"B{i}^{j}")
+    return MonomialSet(_box(j, j if i >= 3 else 0, j if i == 4 else 0),
+                       f"B{i}^{j}")
 
 
 def column_set(spec: SystemSpec) -> MonomialSet:
-    """The columns: degree <= D monomials plus y2 times degree <= D-1 ones."""
+    """The columns: degree <= D monomials plus y2 times degree <= D-1 ones,
+    that is, those of degree <= D in which y2 appears at most once."""
     spec = SystemSpec(*spec).validate()
-    base = bset(3, spec.D)
-    lifted = bset(3, spec.D - 1).scaled(YMonomial(0, 0, 1))
-    out = base.union(lifted, "E")
+    out = MonomialSet(_box(spec.D, spec.D, 1), "E")
     assert len(out) == spec.N
     return out
 

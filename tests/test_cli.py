@@ -77,6 +77,12 @@ def test_matrix_output_is_pinned(verb, d, capsys):
 
 # sha256 of stdout at degrees too large to keep as files in tests/data
 PINNED_SHA256 = {
+    ("gen", 1, 1): "efc1d9453164e369b0842312e1eadf495a23cf41235914937c160d22ab4a9e1b",
+    ("gen", 3, 4): "a740ac6dfd8945e06cb99d2ca6cd3750152e8740e14f43785cbc283c3538bdfb",
+    ("gen", 5, 5): "5b16d66777f688a15b7ba6599f5d5e34ae4d1b65014b81c883251e3147e946bf",
+    ("sets", 1, 1): "bea0ed37d1adb0f280196f03420943e13bb090bb88de47498541fda0cf0095da",
+    ("sets", 3, 4): "b729984779de916bf301d4595b548b103c0c25e7ae0bdb3178ce7392d1a836a1",
+    ("sets", 5, 5): "9b5d16044e829b3c3fbd77bccc1eb3b3762682edcb9d9f37f1304c855edb9bcb",
     ("build", 1, 1): "a55190b9a6a4a05aae8c652c943920d0001629e3f0d931d66f5b09ebfec730c5",
     ("build", 3, 4): "dae9502929eef97c61f3d7db8aa93d0920c4eb5e7fbcccb8d913526c0a3fc84c",
     ("build", 5, 5): "5c050b77db78ea598dc922c17782023c53fa432d3de3aef6df0a7c72e7bd1f57",
@@ -154,8 +160,17 @@ def test_export_output_hash_is_pinned(what, fmt, d1, d2, tmp_path, capsys):
     assert hashlib.sha256(out).hexdigest() == PINNED_EXPORT_SHA256[what, fmt, d1, d2]
 
 
-# sha256 of stdout of verbs that print polynomials in the term order
+# sha256 of stdout of verbs that print polynomials in the term order, and of
+# Carra-Ferro's matrix at orders other than (n, m) = (1, 1)
 PINNED_POLY_SHA256 = {
+    ("gen", "--d1", "2", "--d2", "3", "--legend"):
+        "173259255727eaca5e6c7b9c7d817d514a87359722899eb0c274c7c9a010ec52",
+    ("carra-ferro", "--d1", "2", "--d2", "3", "--n", "0", "--m", "0"):
+        "eb4fed9c8497c9b391682645461b9e05f855fd65236c9cde6b3ee76875df34bf",
+    ("carra-ferro", "--d1", "2", "--d2", "3", "--n", "0", "--m", "1"):
+        "8a34dde27f4dc9c86c567939096a5baec4abfb0609be7d3383dd2fe20e338c2a",
+    ("carra-ferro", "--d1", "2", "--d2", "3", "--n", "1", "--m", "0"):
+        "964981576c5fd89fc976912f4f30d49a9a2f9bb815016ece16e5f1bb421fd065",
     ("det", "--d1", "1", "--d2", "1", "--mode", "symbolic"):
         "aa8514da88f9df4fe786b84087f79f4fcd5c1035d305adb76750a158ab551049",
     ("oracle", "--d1", "1", "--d2", "1", "--full"):

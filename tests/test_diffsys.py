@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from diffres import (CoeffSymbol, DiffPoly, DiffresError, SymPoly,
-                     SystemSpec, YMonomial, bset, delta, generic_system,
-                     support)
+                     SystemSpec, YMonomial, bset, build_square_matrix, delta,
+                     generic_poly, generic_system, support)
 from diffres.diffsys import YM_ONE, ym_key
 
 
@@ -89,6 +89,28 @@ class TestDelta:
                     for mono, c in coeff.terms():
                         assert c.denominator == 1
                         assert all(s.deriv <= 1 for s, _ in mono)
+
+
+class TestMemo:
+    def test_generic_poly_is_made_once(self):
+        assert generic_poly("a", 3) is generic_poly("a", 3)
+
+    def test_delta_is_kept_on_its_argument(self):
+        p = generic_poly("b", 2)
+        assert delta(p) is delta(p)
+
+    def test_kept_delta_equals_delta_of_an_uncached_copy(self):
+        for system in ("a", "b"):
+            for degree in range(7):
+                for order in (0, 1):
+                    p = generic_poly(system, degree, order)
+                    assert delta(p) == delta(DiffPoly(dict(p.items())))
+
+    def test_a_second_square_matrix_reuses_the_generic_polynomials(self):
+        build_square_matrix(SystemSpec(2, 3))
+        hits = generic_poly.cache_info().hits
+        build_square_matrix(SystemSpec(2, 3))
+        assert generic_poly.cache_info().hits > hits
 
 
 def test_delta_is_a_derivation_on_products(rng):

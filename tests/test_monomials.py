@@ -4,10 +4,10 @@ from math import comb
 
 import pytest
 
-from diffres import (SystemSpec, YMonomial, bset, closed_form_partition,
-                     closed_form_sets, column_set, default_main_monomials,
-                     delta, generic_system, multiplier_sizes,
-                     partition_divisibility, support)
+from diffres import (MonomialSet, SystemSpec, YMonomial, bset,
+                     closed_form_partition, closed_form_sets, column_set,
+                     default_main_monomials, delta, generic_system,
+                     multiplier_sizes, partition_divisibility, support)
 from diffres.diffsys import YM_ONE, ym_div, ym_divides, ym_mul
 
 
@@ -36,6 +36,18 @@ class TestBset:
         with pytest.raises(ValueError):
             bset(5, 1)
 
+    def test_generated_in_order_equals_the_sorted_box(self):
+        def reference(i, j):
+            out = []
+            for a in range(j + 1):
+                for b in range(j - a + 1 if i >= 3 else 1):
+                    for c in range(j - a - b + 1 if i == 4 else 1):
+                        out.append(YMonomial(a, b, c))
+            return MonomialSet.of(out, f"B{i}^{j}")
+        for i in (2, 3, 4):
+            for j in range(-1, 13):
+                assert bset(i, j) == reference(i, j)
+
 
 class TestColumnSet:
     def test_degree_one(self):
@@ -46,6 +58,13 @@ class TestColumnSet:
     def test_reference_count(self):
         assert len(column_set(SystemSpec(2, 2))) == 36
         assert len(column_set(SystemSpec(2, 3))) == 64
+
+    def test_equals_the_box_union_its_y2_lift(self):
+        for d1 in range(1, 7):
+            for d2 in range(d1, 7):
+                spec = SystemSpec(d1, d2)
+                assert column_set(spec) == bset(3, spec.D).union(
+                    bset(3, spec.D - 1).scaled(YMonomial(0, 0, 1)), "E")
 
     def test_y2_exponent_bounded(self):
         for spec in ((1, 2), (2, 2), (3, 4)):
