@@ -55,10 +55,6 @@ def _read_json(path: str, kind: type, what: str):
     return data
 
 
-def _load_config(path: Optional[str]) -> dict:
-    return _read_json(path, dict, "a config file") if path else {}
-
-
 def _ints(values, count: int, what: str) -> List[int]:
     # a boolean, a string or a fraction such as 7.9 is not an integer here
     if not (isinstance(values, (list, tuple)) and len(values) == count
@@ -77,16 +73,6 @@ def _move(entry) -> tuple:
     return YMonomial(*_ints(entry["monomial"], 3, "move monomial")), src, dst
 
 
-def _liftings(args, config: dict):
-    from .sparse import DEFAULT_LIFTINGS, Liftings
-    values = args.liftings if args.liftings else config.get("liftings")
-    if values is None:
-        return DEFAULT_LIFTINGS
-    values = _ints(values, 12, "liftings")
-    return Liftings(tuple(values[0:3]), tuple(values[3:6]),
-                    tuple(values[6:9]), tuple(values[9:12]))
-
-
 def _rationals(values, what: str) -> tuple:
     # a boolean is not a rational here, nor is a string read as a list
     try:
@@ -100,12 +86,17 @@ def _rationals(values, what: str) -> tuple:
     return out
 
 
-def _delta_vec(args, config: dict):
-    from .sparse import DEFAULT_PERTURBATION
-    values = args.delta if args.delta else config.get("delta")
-    if values is None:
-        return DEFAULT_PERTURBATION
-    return _rationals(values, "delta")
+def _lp_inputs(args) -> tuple:
+    """The liftings and the perturbation of `lp-partition` and `moves`, each
+    from its flags, else from the --config file, else the default."""
+    from .sparse import DEFAULT_LIFTINGS, DEFAULT_PERTURBATION, Liftings
+    config = _read_json(args.config, dict, "a config file") if args.config else {}
+    lift, values = DEFAULT_LIFTINGS, args.liftings or config.get("liftings")
+    if values is not None:
+        v = _ints(values, 12, "liftings")
+        lift = Liftings(tuple(v[0:3]), tuple(v[3:6]), tuple(v[6:9]), tuple(v[9:12]))
+    values = args.delta or config.get("delta")
+    return lift, DEFAULT_PERTURBATION if values is None else _rationals(values, "delta")
 
 
 def _load_specialization(path: str, spec: SystemSpec) -> Specialization:
@@ -113,20 +104,46 @@ def _load_specialization(path: str, spec: SystemSpec) -> Specialization:
     return Specialization.from_json(data, system_symbols(spec))
 
 
-def _write(pieces: Iterable[str], args) -> None:
+def _write(pieces: Iterable[str], args, end: str = "\n") -> None:
     """Write a document, given in pieces, to the --out file (then print
-    `wrote PATH`) or to stdout with a final newline."""
+    `wrote PATH`) or to stdout followed by `end`."""
     if getattr(args, "out", None):
         with open(args.out, "w") as fh:
             fh.writelines(pieces)
         print(f"wrote {args.out}")
     else:
         sys.stdout.writelines(pieces)
-        sys.stdout.write("\n")
+        sys.stdout.write(end)
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _dumps(v, nl: str = "\n") -> str:
+    """`json.dumps(v, indent=2)`, byte for byte, without its pure-Python
+    indented encoder: a dict, list or tuple is one `str.join` of its items,
+    and a str or an int (by exact type) is written by C code; anything else
+    (bool, None, float, or what json refuses) goes to `json.dumps`."""
+    t = type(v)
+    if t is str:
+        return _encode_str(v)
+    if t is int:
+        return int.__repr__(v)
+    inner = nl + "  "
+    if isinstance(v, dict):
+        brackets, items = "{}", [
+            f"{_encode_str(k) if type(k) is str else json.dumps({k: 0})[1:-4]}"
+            f": {_dumps(x, inner)}" for k, x in v.items()]
+    elif isinstance(v, (list, tuple)):
+        brackets, items = "[]", [_dumps(x, inner) for x in v]
+    else:
+        return json.dumps(v)
+    return (f"{brackets[0]}{inner}{(',' + inner).join(items)}{nl}{brackets[1]}"
+            if items else brackets)
 
 
 def _emit(payload: dict, args) -> None:
-    _write([json.dumps(payload, indent=2)], args)
+    _write([_dumps(payload)], args)
 
 
 def _json_list(items: Sequence[str]) -> Iterator[str]:
@@ -142,24 +159,24 @@ def _json_list(items: Sequence[str]) -> Iterator[str]:
 
 def _emit_matrix(matrix, args, **extra) -> None:
     """`_emit({**matrix.to_json(), **extra}, args)`, byte for byte, written in
-    pieces.  The indented encoder runs in pure Python, so only the short keys
-    go through it: "rows" and "cols" take one f-string per item, and
-    "entries" one string per matrix row, each column index formatted once
-    and each pool-index tuple's entry tails once.  A row's string is one
-    join of a list made to size and filled by slice assignment: its lead,
-    then per entry the column, the tail and the separator.  Every piece is
-    made before `_write` opens the file, and no string of the whole
-    document is built."""
-    head = json.dumps(matrix._json_head(), indent=2)[:-2]  # less the closing "\n}"
-    tail = "," + json.dumps(extra, indent=2)[1:] if extra else "\n}"
-    polys = {p: json.dumps(p) for p in {r.poly for r in matrix.rows}}
+    pieces, with no `to_json()` list of [i, j, text] triples: only the short
+    keys go through `_dumps`, "rows" and "cols" take one f-string per item,
+    and "entries" one string per matrix row, each column index formatted
+    once and each pool-index tuple's entry tails once.  A row's string is
+    one join of a list made to size and filled by slice assignment: its
+    lead, then per entry the column, the tail and the separator.  Every
+    piece is made before `_write` opens the file, and no string of the
+    whole document is built."""
+    head = _dumps(matrix._json_head())[:-2]  # less the closing "\n}"
+    tail = "," + _dumps(extra)[1:] if extra else "\n}"
+    polys = {p: _dumps(p) for p in {r.poly for r in matrix.rows}}
     rows = [f'    {{\n      "poly": {polys[p]},\n      "multiplier": [\n'
             f'        {a},\n        {b},\n        {c}\n      ]\n    }}'
             for p, (a, b, c) in matrix.rows]
     cols = [f"    [\n      {a},\n      {b},\n      {c}\n    ]"
             for a, b, c in matrix.cols]
     js = [str(j) for j in range(matrix.ncols)]
-    tails = [f",\n      {json.dumps(v.render())}\n    ]" for v in matrix.pool]
+    tails = [f",\n      {_dumps(v.render())}\n    ]" for v in matrix.pool]
     row_tails = per_tuple(matrix.row_entries, lambda xs: [tails[x] for x in xs])
     entries = []
     for i, (columns, xs) in enumerate(matrix.row_entries):
@@ -302,9 +319,7 @@ def cmd_det(args) -> int:
 def cmd_lp_partition(args) -> int:
     from .sparse import grc_partition, validate_liftings
     spec = _spec(args)
-    config = _load_config(args.config)
-    lift = _liftings(args, config)
-    delta_vec = _delta_vec(args, config)
+    lift, delta_vec = _lp_inputs(args)
     report = validate_liftings(lift)
     result = grc_partition(spec, lift, delta_vec)
     payload = {
@@ -329,9 +344,7 @@ def cmd_lp_partition(args) -> int:
 def cmd_moves(args) -> int:
     from .sparse import MOVES_TO_DIVISIBILITY_2_2, apply_moves, grc_partition
     spec = _spec(args)
-    config = _load_config(args.config)
-    lift = _liftings(args, config)
-    delta_vec = _delta_vec(args, config)
+    lift, delta_vec = _lp_inputs(args)
     if args.moves_file:
         moves = [_move(m) for m in _read_json(args.moves_file, list, "a moves file")]
     else:
@@ -393,14 +406,7 @@ def cmd_export(args) -> int:
     if args.format == "json":
         _emit_matrix(matrix, args)
         return 0
-    s = _load_specialization(args.spec_file, spec)
-    text = matrix.to_csv(s)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-        print(f"wrote {args.out}")
-    else:
-        print(text, end="")
+    _write([matrix.to_csv(_load_specialization(args.spec_file, spec))], args, end="")
     return 0
 
 

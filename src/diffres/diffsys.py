@@ -127,13 +127,9 @@ class DiffPoly:
         return max(m[var_index] for m in self._support)
 
     def __add__(self, other: "DiffPoly") -> "DiffPoly":
-        out = dict(self._support)
+        out = dict(self._support)   # the constructor drops zero sums
         for m, c in other._support.items():
-            v = out.get(m, SymPoly.zero()) + c
-            if v.is_zero():
-                out.pop(m, None)
-            else:
-                out[m] = v
+            out[m] = out[m] + c if m in out else c
         return DiffPoly(out)
 
     def __neg__(self) -> "DiffPoly":
@@ -147,11 +143,7 @@ class DiffPoly:
         for m1, c1 in self._support.items():
             for m2, c2 in other._support.items():
                 m = ym_mul(m1, m2)
-                v = out.get(m, SymPoly.zero()) + c1 * c2
-                if v.is_zero():
-                    out.pop(m, None)
-                else:
-                    out[m] = v
+                out[m] = out[m] + c1 * c2 if m in out else c1 * c2
         return DiffPoly(out)
 
     def __eq__(self, other) -> bool:
@@ -195,14 +187,18 @@ class DiffPoly:
         return f"DiffPoly({self.render()})"
 
 
-@lru_cache(maxsize=16)
 def generic_poly(system: str, degree: int, order: int = 1) -> DiffPoly:
     """Generic polynomial with one fresh symbol per monomial of degree <= d.
 
     order 1 uses monomials in (y, y1); order 0 restricts to y alone.  The
     symbol for y^k*y1^l is CoeffSymbol(system, k, l, 0).  The 16 latest
-    are kept, keyed by the arguments as passed: the library passes all three.
+    are kept, keyed by (system, degree, order) however they are passed.
     """
+    return _generic_poly(system, degree, order)
+
+
+@lru_cache(maxsize=16)
+def _generic_poly(system: str, degree: int, order: int) -> DiffPoly:
     if order not in (0, 1):
         raise DiffresError(f"generic polynomials support order 0 or 1, not {order}")
     support: Dict[YMonomial, SymPoly] = {}
@@ -230,13 +226,7 @@ def delta(p: DiffPoly) -> DiffPoly:
     out: Dict[YMonomial, SymPoly] = {}
 
     def _accumulate(m: YMonomial, c: SymPoly) -> None:
-        if c.is_zero():
-            return
-        v = out.get(m, SymPoly.zero()) + c
-        if v.is_zero():
-            out.pop(m, None)
-        else:
-            out[m] = v
+        out[m] = out[m] + c if m in out else c   # DiffPoly drops zero sums
 
     for m, coeff in p.items():
         if m.ey2:

@@ -16,6 +16,7 @@ probe ran past 3 GB).
 from __future__ import annotations
 
 import time
+from fractions import Fraction
 from typing import Dict, List, Tuple
 
 from .errors import NotDivisible
@@ -86,6 +87,13 @@ def pinned_substitution() -> Dict[CoeffSymbol, SymPoly]:
     return sub
 
 
+def strip_content(p: SymPoly) -> SymPoly:
+    """p over its smallest absolute coefficient, so the division target has
+    a coefficient of 1 or -1 (the zero polynomial is returned as it is)."""
+    content = min((abs(c) for _, c in p.terms()), default=0)
+    return p * Fraction(1, content) if content else p
+
+
 def resultant_factor_2_2(time_budget: float = 600.0) -> Tuple[SymPoly, SymPoly]:
     """Expand the pinned determinant and split off the resultant factor.
 
@@ -106,11 +114,7 @@ def resultant_factor_2_2(time_budget: float = 600.0) -> Tuple[SymPoly, SymPoly]:
     candidate = eliminate_iterated(spec, sub)
 
     budget.check("division")
-    # Strip the rational content so the division target is primitive.
-    content = None
-    for _, c in candidate.terms():
-        content = abs(c) if content is None else min(content, abs(c))
-    primitive = candidate * (1 / content) if content else candidate
+    primitive = strip_content(candidate)
     cofactor = determinant.exact_div(primitive)
     if primitive.total_degree() != 12:
         raise NotDivisible(

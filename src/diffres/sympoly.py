@@ -1,10 +1,12 @@
 """Exact sparse polynomial arithmetic over the coefficient symbols.
 
 A monomial is a sorted tuple of (CoeffSymbol, positive exponent) pairs; a
-polynomial maps monomials to nonzero Fractions.  Everything is exact: no
-floats ever enter, and every operation returns a canonical form (no zero
-coefficients, no zero exponents).  Values are immutable after construction
-and safe to share between threads.
+polynomial maps monomials to nonzero exact coefficients: an int when the
+value is integral, as in every generic polynomial, δ and determinant, and a
+Fraction otherwise (from a specialization or `exact_div`).  Everything is
+exact: no floats ever enter, and every operation returns a canonical form
+(no zero coefficients, no zero exponents).  Values are immutable after
+construction and safe to share between threads.
 
 Term order is graded lexicographic over the fixed symbol order, given by
 one sort key, `mono_order`, that both `render` and `exact_div` use.  It must
@@ -17,6 +19,7 @@ exists).
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from fractions import Fraction
 from typing import Dict, Iterable, Iterator, Mapping, Tuple
 
@@ -28,6 +31,16 @@ Monomial = Tuple[Tuple[CoeffSymbol, int], ...]
 
 MONO_ONE: Monomial = ()
 
+Coeff = int | Fraction
+
+
+def _exact(value) -> Coeff:
+    """The value as an int when it is integral, else as a Fraction."""
+    if type(value) is int:
+        return value
+    value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
+
 
 def mono_make(pairs: Mapping[CoeffSymbol, int]) -> Monomial:
     items = [(s, e) for s, e in pairs.items() if e != 0]
@@ -38,14 +51,16 @@ def mono_make(pairs: Mapping[CoeffSymbol, int]) -> Monomial:
 
 
 def mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
-    if not m1:
-        return m2
-    if not m2:
-        return m1
-    acc = dict(m1)
-    for s, e in m2:
-        acc[s] = acc.get(s, 0) + e
-    return tuple(sorted(acc.items()))
+    """The product: each pair of the shorter monomial bisected into the other."""
+    if len(m1) > len(m2):
+        m1, m2 = m2, m1
+    out = list(m2)
+    for s, e in m1:
+        k = bisect_left(out, (s,))
+        if k < len(out) and out[k][0] == s:
+            e += out.pop(k)[1]
+        out.insert(k, (s, e))
+    return tuple(out)
 
 
 def mono_degree(m: Monomial) -> int:
@@ -82,11 +97,11 @@ def mono_render(m: Monomial) -> str:
 
 
 class SymPoly:
-    """Sparse multivariate polynomial with exact rational coefficients."""
+    """Sparse multivariate polynomial with exact int or Fraction coefficients."""
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Dict[Monomial, Fraction] | None = None):
+    def __init__(self, terms: Dict[Monomial, Coeff] | None = None):
         self._terms = {m: c for m, c in (terms or {}).items() if c != 0}
 
     # -- constructors -------------------------------------------------
@@ -97,15 +112,15 @@ class SymPoly:
 
     @staticmethod
     def one() -> "SymPoly":
-        return SymPoly({MONO_ONE: Fraction(1)})
+        return SymPoly({MONO_ONE: 1})
 
     @staticmethod
     def const(value) -> "SymPoly":
-        return SymPoly({MONO_ONE: Fraction(value)})
+        return SymPoly({MONO_ONE: _exact(value)})
 
     @staticmethod
     def symbol(sym: CoeffSymbol, coeff=1) -> "SymPoly":
-        return SymPoly({((sym, 1),): Fraction(coeff)})
+        return SymPoly({((sym, 1),): _exact(coeff)})
 
     # -- queries -------------------------------------------------------
 
@@ -118,11 +133,11 @@ class SymPoly:
     def __len__(self) -> int:
         return len(self._terms)
 
-    def terms(self) -> Iterator[Tuple[Monomial, Fraction]]:
+    def terms(self) -> Iterator[Tuple[Monomial, Coeff]]:
         return iter(self._terms.items())
 
-    def coefficient(self, mono: Monomial) -> Fraction:
-        return self._terms.get(mono, Fraction(0))
+    def coefficient(self, mono: Monomial) -> Coeff:
+        return self._terms.get(mono, 0)
 
     def total_degree(self) -> int:
         if not self._terms:
@@ -144,7 +159,7 @@ class SymPoly:
             return NotImplemented
         out = dict(self._terms)
         for m, c in other._terms.items():
-            v = out.get(m, Fraction(0)) + c
+            v = out.get(m, 0) + c
             if v:
                 out[m] = v
             else:
@@ -169,11 +184,11 @@ class SymPoly:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out: Dict[Monomial, Fraction] = {}
+        out: Dict[Monomial, Coeff] = {}
         for m1, c1 in self._terms.items():
             for m2, c2 in other._terms.items():
                 m = mono_mul(m1, m2)
-                v = out.get(m, Fraction(0)) + c1 * c2
+                v = out.get(m, 0) + c1 * c2
                 if v:
                     out[m] = v
                 else:
@@ -222,7 +237,7 @@ class SymPoly:
 
     def substitute(self, mapping: Mapping[CoeffSymbol, "SymPoly | Fraction | int"]) -> "SymPoly":
         """Replace symbols by polynomials; untouched symbols pass through."""
-        out: Dict[Monomial, Fraction] = {}
+        out: Dict[Monomial, Coeff] = {}
         for m, c in self._terms.items():
             factor = SymPoly.const(c)
             rest: Dict[CoeffSymbol, int] = {}
@@ -239,7 +254,7 @@ class SymPoly:
 
     def derivative(self) -> "SymPoly":
         """Formal derivation: each symbol's derivative bumps its order."""
-        out: Dict[Monomial, Fraction] = {}
+        out: Dict[Monomial, Coeff] = {}
         for m, c in self._terms.items():
             for s, e in m:
                 rest = dict(m)
@@ -263,18 +278,18 @@ class SymPoly:
             return SymPoly.zero()
         lead_d = min(divisor._terms, key=mono_order)
         coeff_d = divisor._terms[lead_d]
-        quotient: Dict[Monomial, Fraction] = {}
+        quotient: Dict[Monomial, Coeff] = {}
         remainder = dict(self._terms)
         while remainder:
             lead_r = min(remainder, key=mono_order)
             qm = mono_div(lead_r, lead_d)
             if qm is None:
                 raise NotDivisible("no exact quotient")
-            qc = remainder[lead_r] / coeff_d
-            quotient[qm] = quotient.get(qm, Fraction(0)) + qc
+            qc = _exact(Fraction(remainder[lead_r]) / coeff_d)   # int / int is a float
+            quotient[qm] = quotient.get(qm, 0) + qc
             for m, c in divisor._terms.items():
                 t = mono_mul(m, qm)
-                v = remainder.get(t, Fraction(0)) - qc * c
+                v = remainder.get(t, 0) - qc * c
                 if v:
                     remainder[t] = v
                 else:
@@ -348,18 +363,18 @@ def parse_sympoly(text: str) -> SymPoly:
         text = "-" + text[2:]
     rational = re.compile(r"^-?\d+(/\d+)?$")
     factor = re.compile(r"^([abc]\(\d+,\d+\)'*)(?:\^(\d+))?$")
-    terms: Dict[Monomial, Fraction] = {}
+    terms: Dict[Monomial, Coeff] = {}
     for raw in text.split(" + "):
         raw = raw.strip()
         negative = raw.startswith("-")
         if negative:
             raw = raw[1:]
-        coeff = Fraction(1)
+        coeff = 1
         powers: Dict[CoeffSymbol, int] = {}
         for part in raw.split("*"):
             part = part.strip()
             if rational.match(part):
-                coeff *= Fraction(part)
+                coeff *= _exact(part)
                 continue
             m = factor.match(part)
             if m is None:
@@ -397,17 +412,14 @@ class Specialization:
             sym = min(missing)
             raise UnassignedSymbol(f"universe symbol {sym} is unassigned")
 
-    def value_of(self, sym: CoeffSymbol) -> Fraction:
-        try:
-            return self._values[sym]
-        except KeyError:
-            raise UnassignedSymbol(f"symbol {sym} has no assigned value") from None
-
     def __contains__(self, sym: CoeffSymbol) -> bool:
         return sym in self._values
 
     def __getitem__(self, sym: CoeffSymbol) -> Fraction:
-        return self.value_of(sym)
+        try:
+            return self._values[sym]
+        except KeyError:
+            raise UnassignedSymbol(f"symbol {sym} has no assigned value") from None
 
     def items(self):
         return self._values.items()

@@ -11,9 +11,10 @@ from pathlib import Path
 from random import Random
 
 import pytest
+from hypothesis import example, given, strategies as st
 
-from diffres.cli import _emit_matrix, main
-from diffres.diffsys import SystemSpec, system_symbols
+from diffres.cli import _dumps, _emit_matrix, main
+from diffres.diffsys import SystemSpec, YMonomial, system_symbols
 from diffres.matrices import build_carra_ferro, build_square_matrix
 
 
@@ -227,6 +228,39 @@ def test_streamed_matrix_equals_the_indented_encoder(name, tmp_path, capsys):
     _emit_matrix(matrix, Namespace(out=str(out)), **extra)
     assert capsys.readouterr().out == f"wrote {out}\n"
     assert out.read_text() == expected
+
+
+TEXT = "quote \" backslash \\ slash / \b\f\n\r\t \x00\x1f\x7f é ß 漢 𝄞 \u2028\ud800"
+SCALARS = (st.none() | st.booleans() | st.integers() | st.text()
+           | st.floats(allow_nan=False) | st.sampled_from([TEXT, 10 ** 400, -(10 ** 400)]))
+KEYS = st.text() | st.sampled_from([TEXT, 1, -(10 ** 30), 2.5, True, False, None])
+PAYLOADS = st.recursive(SCALARS, lambda inner: (
+    st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(KEYS, inner, max_size=4)), max_leaves=24)
+
+
+@given(PAYLOADS)
+@example({"": [], "e": {}, "t": (), TEXT: [[{}], ({"x": [1, True, None]},)]})
+@example({1: "int key", "1": "its text", None: 0, 2.5: [-1.5, 1e300]})
+def test_dumps_equals_the_indented_encoder(value):
+    assert _dumps(value) == json.dumps(value, indent=2)
+
+
+def test_dumps_writes_subclasses_as_their_base_type():
+    from collections import OrderedDict
+    value = OrderedDict(b=[YMonomial(1, 2, 0)], a=OrderedDict())
+    assert _dumps(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("value", [
+    Fraction(1, 2), Fraction(3), {1, 2}, {"coeff": [1, Fraction(1, 3)]},
+    {(1, 2): "tuple key"}, [{"a": {frozenset(): 0}}]])
+def test_dumps_refuses_what_json_refuses(value):
+    with pytest.raises(TypeError) as expected:
+        json.dumps(value, indent=2)
+    with pytest.raises(TypeError) as got:
+        _dumps(value)
+    assert str(got.value) == str(expected.value)
 
 
 LP_PINS = {

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from diffres import (CoeffSymbol, DiffPoly, DiffresError, SymPoly,
                      SystemSpec, YMonomial, bset, build_square_matrix, delta,
                      generic_poly, generic_system, support)
+from diffres import diffsys
 from diffres.diffsys import YM_ONE, ym_key
 
 
@@ -95,6 +96,15 @@ class TestMemo:
     def test_generic_poly_is_made_once(self):
         assert generic_poly("a", 3) is generic_poly("a", 3)
 
+    def test_generic_poly_is_one_object_however_order_is_passed(self):
+        p = generic_poly("a", 3)
+        assert generic_poly("a", 3, 1) is p
+        assert generic_poly("a", 3, order=1) is p
+        assert generic_poly(system="a", degree=3, order=1) is p
+        assert delta(generic_poly("a", 3, order=1)) is delta(p)
+        assert generic_poly("a", 3, order=0) is generic_poly("a", 3, 0)
+        assert generic_poly("a", 3, 0) is not p
+
     def test_delta_is_kept_on_its_argument(self):
         p = generic_poly("b", 2)
         assert delta(p) is delta(p)
@@ -108,9 +118,9 @@ class TestMemo:
 
     def test_a_second_square_matrix_reuses_the_generic_polynomials(self):
         build_square_matrix(SystemSpec(2, 3))
-        hits = generic_poly.cache_info().hits
+        hits = diffsys._generic_poly.cache_info().hits
         build_square_matrix(SystemSpec(2, 3))
-        assert generic_poly.cache_info().hits > hits
+        assert diffsys._generic_poly.cache_info().hits > hits
 
 
 def test_delta_is_a_derivation_on_products(rng):

@@ -7,10 +7,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from diffres import SymPoly, det_laplace
+from diffres import CoeffSymbol, SymPoly, det_laplace
 from diffres.determinant import _det_residue
 from diffres.lp import adjugate, matrix_rank
-from diffres.stretch import _bareiss, _Budget, resultant_factor_2_2
+from diffres.stretch import (_bareiss, _Budget, resultant_factor_2_2,
+                             strip_content)
 from test_determinant import det_rational
 
 PRIMES = (2, 3, 7, 101, 2147483647)
@@ -125,3 +126,14 @@ def test_stretch_budget_stops_the_determinant():
     with pytest.raises(TimeoutError, match="determinant"):
         resultant_factor_2_2(time_budget=0)
     assert time.monotonic() - start < 10
+
+
+def test_strip_content_scales_an_integer_polynomial_to_a_unit_coefficient():
+    a, b = (SymPoly.symbol(CoeffSymbol(s, 0, 0)) for s in "ab")
+    p = 6 * a * a - 4 * a * b + 10 * b
+    q = strip_content(p)
+    assert q == Fraction(3, 2) * a * a - a * b + Fraction(5, 2) * b
+    assert 4 * q == p
+    assert {type(c) for _, c in q.terms()} <= {int, Fraction}
+    assert strip_content(-3 * a + 3 * b) == b - a
+    assert strip_content(SymPoly.zero()) == SymPoly.zero()

@@ -2,7 +2,8 @@
 library module imports a private name from another, every module-level
 private function and class, and every public one the package does not
 export, is named somewhere in the library, every module-level cache is
-bounded, and every criterion runs in exactly one suite."""
+bounded, no module calls the indented JSON encoder, and every criterion
+runs in exactly one suite."""
 
 import ast
 import inspect
@@ -188,6 +189,34 @@ def test_every_public_definition_is_exported_or_named_in_the_library():
 @pytest.mark.parametrize("module", MODULES)
 def test_every_imported_name_is_used(module):
     assert unused_imports((SRC / f"{module}.py").read_text()) == []
+
+
+def indented_json_calls(source: str):
+    """Line numbers of the calls in `source` of a `dumps` or `dump` with an
+    `indent` argument: the indented encoder runs in pure Python, and the CLI
+    writes every document through `cli._dumps` instead."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call)
+                  and getattr(node.func, "attr", getattr(node.func, "id", None))
+                  in ("dumps", "dump")
+                  and any(k.arg == "indent" for k in node.keywords))
+
+
+def test_the_scan_finds_an_indented_json_call():
+    source = ("import json\n"
+              "from json import dumps\n"
+              "a = json.dumps({}, indent=2)\n"
+              "b = json.dumps({})\n"
+              "c = dumps([], sort_keys=True,\n"
+              "          indent=None)\n"
+              "json.dump({}, open('f', 'w'), indent=4)\n"
+              "d = 'json.dumps(x, indent=2), in a string'\n")
+    assert indented_json_calls(source) == [3, 5, 7]
+
+
+def test_no_library_module_calls_the_indented_json_encoder():
+    for path in sorted(SRC.glob("*.py")):
+        assert indented_json_calls(path.read_text()) == [], path.name
 
 
 def criteria_not_run_once(namespace, suites):

@@ -1,6 +1,7 @@
 """Exact polynomial core: ring laws, evaluation, division, text round trip."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from diffres import (CoeffSymbol, DivisionByZero, NotDivisible,
                      Specialization, SymPoly, UnassignedSymbol, parse_symbol,
                      parse_sympoly)
-from diffres.sympoly import (MAX_EXPONENT, mono_make, mono_order,
+from diffres.sympoly import (MAX_EXPONENT, mono_make, mono_mul, mono_order,
                              parse_rational)
 from conftest import SYMBOL_POOL, random_sympoly
 
@@ -238,6 +239,53 @@ def test_substitute_is_a_ring_homomorphism(p, q, mapping):
 @given(POLY)
 def test_substituting_each_symbol_by_itself_is_the_identity(p):
     assert p.substitute({s: sym(s) for s in SYMBOL_POOL}) == p
+
+
+# -- exact coefficients: ints where integral, never a float -------------------
+
+INT_TERM = st.builds(
+    lambda c, powers: SymPoly({mono_make(powers): c}), st.integers(-6, 6),
+    st.dictionaries(st.sampled_from(SYMBOL_POOL), st.integers(1, 2),
+                    max_size=2))
+INT_POLY = st.lists(INT_TERM, max_size=4).map(
+    lambda terms: sum(terms, SymPoly.zero()))
+
+
+def coefficient_types(*polys):
+    return {type(c) for p in polys for _, c in p.terms()}
+
+
+@settings(deadline=None)
+@given(INT_POLY, INT_POLY, INT_POLY | POLY, MAPPING, st.integers(-5, 5))
+def test_no_operation_yields_a_float_coefficient(p, q, r, mapping, k):
+    # integer inputs give int coefficients: ring operations, derivation and
+    # an exact quotient, whose integral coefficients come back as ints
+    ints = [p + q, p - q, -p, p * q, k * p, p + k, k - p, p ** 3,
+            p.derivative(), SymPoly.const(Fraction(4, 2)), SymPoly.symbol(A0, 3.0)]
+    if q:
+        ints.append((p * q).exact_div(q))
+        assert ints[-1] == p
+    assert coefficient_types(*ints) <= {int}
+    # with fractions mixed in, substitution, division and the render text
+    # still give only ints and Fractions
+    exact = [p * r, r.substitute(mapping), p.substitute(mapping),
+             parse_sympoly(r.render()), parse_sympoly(p.render())]
+    if r:
+        exact.append((p * r).exact_div(r))
+        assert exact[-1] == p
+    assert coefficient_types(*exact) <= {int, Fraction}
+    assert coefficient_types(parse_sympoly(p.render())) <= {int}
+    assert SymPoly({m: Fraction(c) for m, c in p.terms()}).render() == p.render()
+
+
+LONG_MONO = st.dictionaries(st.sampled_from(SYMBOL_POOL), st.integers(1, 3),
+                           max_size=5).map(mono_make)
+
+
+@given(LONG_MONO, LONG_MONO)
+def test_mono_mul_adds_exponents(m1, m2):
+    powers = Counter(dict(m1)) + Counter(dict(m2))
+    assert mono_mul(m1, m2) == mono_make(powers) == mono_mul(m2, m1)
 
 
 # -- the term order ----------------------------------------------------------
