@@ -16,7 +16,10 @@ product B adj = p I is checked exactly), so the two can cross-check each
 other.  `sparse` and the `basis-certification` check run them on one
 integer point system per spec and perturbation (`sparse.scanned`); no
 Fraction copy of it is built.  One fraction-free pivot serves the
-tableau, the adjugates and the rank.
+tableau, the adjugates and the rank; a row whose entry in the pivot
+column is zero is only rescaled to the new denominator, and left alone
+when that denominator is unchanged.  Integer data is read as it is, with
+no Fraction per entry.
 """
 
 from __future__ import annotations
@@ -32,7 +35,10 @@ Vector = List[Fraction]
 
 
 def _integers(rows: Sequence[Sequence]) -> List[List[int]]:
-    """The rows times one positive integer that clears every denominator."""
+    """The rows times one positive integer that clears every denominator, as
+    new lists; rows of ints are copied as they are."""
+    if all(type(v) is int for row in rows for v in row):
+        return [list(row) for row in rows]
     rows = [[Fraction(v) for v in row] for row in rows]
     s = lcm(*(v.denominator for row in rows for v in row))
     return [[v.numerator * (s // v.denominator) for v in row] for row in rows]
@@ -80,14 +86,20 @@ def matrix_rank(rows: Sequence[Sequence]) -> int:
 def _pivot(rows: List[List[int]], den: int, r: int, c: int) -> int:
     """Fraction-free pivot on integer rows over the common denominator den:
     row r stays, every other row i becomes (piv row_i - row_i[c] row_r) / den
-    with piv = row_r[c], each division exact.  Returns the new denominator
-    piv; every earlier pivot row keeps it in its pivot column."""
+    with piv = row_r[c], each division exact.  A row with row_i[c] = 0 is
+    only rescaled, piv row_i / den, and left alone when piv = den.  Returns
+    the new denominator piv; every earlier pivot row keeps it in its pivot
+    column."""
     piv = rows[r][c]
     pivot_row = rows[r]
     for i, row in enumerate(rows):
-        if i != r:
-            f = row[c]
+        if i == r:
+            continue
+        f = row[c]
+        if f:
             rows[i] = [(piv * a - f * b) // den for a, b in zip(row, pivot_row)]
+        elif piv != den:
+            rows[i] = [piv * a // den for a in row]
     return piv
 
 

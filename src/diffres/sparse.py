@@ -20,15 +20,15 @@ of Fractions; `lattice_points`, `grc_partition` and the
 it is in integers (b(q) scaled by the lcm D of the perturbation's
 denominators).  Each catalog basis carries (p, adj) with B adj = p I, and
 per basic variable a form a.q + k whose value at q is p D x_B.  Only the
-sum's bounding box, shifted by delta, is scanned; feasibility is read from
-Farkas vectors and bases already found (the catalog bases first), with
-phase one only when none decides.  A repeated call pays only for its
-liftings: the costs, read off the kept vertex table; optimality of each
-catalog basis, u = c_B adj and u A_j <= p c_j at the nonbasic columns j,
-on the kept columns of A and adj; per point, the objective of the first
-kept feasible basis that is optimal; and the restricted-LP searches.
-What holds nothing of the liftings is kept per point as it is first
-needed: the catalog bases feasible there, with x_B and lambda.  Every
+sum's bounding box, shifted by delta, is scanned.  A point is decided by
+the Farkas vectors found so far, then by the catalog bases feasible there,
+which the scan keeps per point with x_B and lambda, then by the phase-one
+bases found so far, with phase one only when none decides.  So every
+call after the scan, the first too, pays only for its liftings: the
+costs, read off the kept vertex table; optimality of each catalog basis,
+u = c_B adj and u A_j <= p c_j at the nonbasic columns j, on the kept
+columns of A and adj; per point, the objective of the first kept
+feasible basis that is optimal; and the restricted-LP searches.  Every
 verdict rests on a certificate checked exactly when it was made.
 
 Ties between alternative optima are broken deterministically: the catalog
@@ -207,8 +207,16 @@ Feasible = Tuple[int, List[int], Tuple[Fraction, ...]]   # index, form values, l
 _ZERO = Fraction(0)
 
 
-def _at(form: Form, q: Point) -> int:
-    return form[0] * q[0] + form[1] * q[1] + form[2] * q[2] + form[3]
+def _values(forms: Sequence[Form], q: Point) -> Optional[List[int]]:
+    """The forms' values at q; None from the first negative one on."""
+    q0, q1, q2 = q
+    values = []
+    for a0, a1, a2, k in forms:
+        v = a0 * q0 + a1 * q1 + a2 * q2 + k
+        if v < 0:
+            return None
+        values.append(v)
+    return values
 
 
 class _CatalogBasis(NamedTuple):
@@ -230,14 +238,14 @@ class _PointSystem:
     certificate already in hand when one applies: a Farkas vector w
     (w A >= 0, w b'(q) < 0) proves it infeasible, a basis B (adj b'(q) >= 0
     for B adj = p I, p > 0) proves it feasible.  The nonsingular catalog
-    bases are the first basis certificates; phase one runs only when none
-    decides, and its certificate is checked exactly before it is kept.
-    `scanned` keeps one per (spec, perturbation), for the 16 latest pairs,
-    with the points its scan kept.  After that scan `grc_partition` reads
-    the vertex table, A's columns, each catalog basis's adj columns and
-    nonbasic columns, `D`, `rhs` and the column set, and adds only what
-    holds nothing of the liftings: per point, the catalog bases feasible
-    there (`feasible_catalog`).
+    bases are the first basis certificates, and what they give at a point
+    is kept (`feasible_catalog`); phase one runs only when none decides,
+    and its certificate is checked exactly before its basis joins `bases`
+    or its vector `farkas`.  `scanned` keeps one per (spec, perturbation),
+    for the 16 latest pairs, with the points its scan kept.  After that
+    scan `grc_partition` only reads: the vertex table, A's columns, each
+    catalog basis's adj columns and nonbasic columns, `D`, `rhs`, the
+    column set and, per point, the kept catalog bases.
     """
 
     def __init__(self, spec: SystemSpec, delta_vec: Sequence[Fraction]):
@@ -260,7 +268,7 @@ class _PointSystem:
                                  if j not in columns)
                 self.catalog.append(_CatalogBasis(
                     case, bid, columns, p, tuple(zip(*adj)), nonbasic, forms))
-        self.bases: List[Tuple[Form, ...]] = [b.forms for b in self.catalog]
+        self.bases: List[Tuple[Form, ...]] = []
         self.farkas: List[Form] = []
         self.kept: Dict[Point, Tuple[Feasible, ...]] = {}
 
@@ -289,23 +297,27 @@ class _PointSystem:
         return [self.D * q[k] - self.Ddelta[k] for k in range(3)] + [self.D] * 4
 
     def feasible(self, q: Point) -> bool:
-        if any(_at(w, q) < 0 for w in self.farkas):
+        """Whether q is a lattice point, by the first certificate in hand
+        that decides it, else by phase one; unless a Farkas vector rules q
+        out, its feasible catalog bases are kept on the way."""
+        if _values(self.farkas, q) is None:    # a Farkas form is negative
             return False
-        if any(all(_at(f, q) >= 0 for f in forms) for forms in self.bases):
+        if self.feasible_catalog(q) or any(_values(forms, q) is not None
+                                           for forms in self.bases):
             return True
         feasible, cert = lp.integer_certificate(self.A, self.rhs(q))
         if feasible:
             # A has full row rank 7 (every block holds the origin vertex and
             # the vertices span R^3), so the basis is square
             found = self._basis(cert)
-            if found is None or any(_at(f, q) < 0 for f in found[2]):
+            if found is None or _values(found[2], q) is None:
                 raise CertificateFailure(
                     f"phase-one basis {cert} does not certify {q}")
             self.bases.append(found[2])
         else:
             form = self._form(cert)
             if (any(sum(map(mul, cert, col)) < 0 for col in self.A_columns)
-                    or _at(form, q) >= 0):
+                    or _values([form], q) is not None):
                 raise CertificateFailure(
                     f"phase-one Farkas vector does not certify {q} infeasible")
             self.farkas.append(form)
@@ -321,13 +333,14 @@ class _PointSystem:
     def feasible_catalog(self, q: Point) -> Tuple[Feasible, ...]:
         """The catalog bases feasible at q, as (index, form values, lam):
         those with every form >= 1 (x_B > 0), then those whose least form
-        is 0, each in catalog order.  Kept per point: none of it depends
-        on the liftings."""
+        is 0, each in catalog order.  A basis's forms are evaluated up to
+        its first negative one.  Kept per point, as the scan reaches it:
+        none of it depends on the liftings."""
         if q not in self.kept:
             found: List[Feasible] = []
             for k, basis in enumerate(self.catalog):
-                values = [_at(f, q) for f in basis.forms]
-                if min(values) < 0:
+                values = _values(basis.forms, q)
+                if values is None:
                     continue
                 scale = basis.p * self.D     # lam = values / scale
                 lam = [_ZERO] * sum(BLOCK_SIZES)

@@ -5,17 +5,20 @@ import random
 from collections import namedtuple
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from diffres import SingularBasis
-from diffres.lp import (BasisReport, _augmented, _integers, _phase_one, adjugate,
-                        integer_certificate, matrix_rank, simplex, verify_basis)
+from diffres.lp import (BasisReport, _augmented, _integers, _phase_one, _pivot,
+                        adjugate, integer_certificate, matrix_rank, simplex,
+                        verify_basis)
 from diffres.errors import CertificateFailure, Unbounded
 
 
 F = Fraction
+small_rationals = st.builds(F, st.integers(-4, 4), st.integers(1, 3))
 
 
 def fraction_solve(B, rhs):
@@ -193,6 +196,97 @@ class TestVerifyBasis:
         assert not report.strictly_feasible
 
 
+def full_pivot(rows, den, r, c):
+    """The fraction-free step on every row but r, a zero multiplier too:
+    (piv row_i - row_i[c] row_r) / den, each division checked exact."""
+    piv = rows[r][c]
+    out = []
+    for i, row in enumerate(rows):
+        if i == r:
+            out.append(list(row))
+            continue
+        pairs = [divmod(piv * a - row[c] * b, den) for a, b in zip(row, rows[r])]
+        assert all(rem == 0 for _, rem in pairs)
+        out.append([v for v, _ in pairs])
+    return out, piv
+
+
+@st.composite
+def mid_elimination(draw):
+    """(rows, den, r, c): an integer matrix, many entries zero, after one to
+    three steps of `full_pivot` on drawn nonzero entries of fresh rows, and
+    the nonzero entry of a fresh row to pivot on next."""
+    m, n = draw(st.integers(2, 5)), draw(st.integers(1, 6))
+    entries = st.sampled_from((0, 0, 0, 1, -1, 2, -2, 3, -4, 7))
+    rows = [draw(st.lists(entries, min_size=n, max_size=n)) for _ in range(m)]
+    den, fresh = 1, list(range(m))
+    for _ in range(draw(st.integers(1, min(3, m - 1)))):
+        choices = [(i, j) for i in fresh for j in range(n) if rows[i][j]]
+        assume(choices)
+        r, c = draw(st.sampled_from(choices))
+        rows, den = full_pivot(rows, den, r, c)
+        fresh.remove(r)
+    choices = [(i, j) for i in fresh for j in range(n) if rows[i][j]]
+    assume(choices)
+    r, c = draw(st.sampled_from(choices))
+    return rows, den, r, c
+
+
+class TestPivot:
+    # rows (2 1 0 / 0 3 1 / 4 0 2 / 0 0 5) after the step on (0, 0)
+    AFTER_ONE = [[2, 1, 0], [0, 6, 2], [0, -4, 4], [0, 0, 10]]
+
+    @settings(deadline=None, max_examples=300)
+    @given(mid_elimination())
+    @example((AFTER_ONE, 2, 2, 1))   # den 2, pivot -4: row 3 only rescaled
+    @example((AFTER_ONE, 2, 1, 2))   # pivot 2 = den: row 0 left alone
+    def test_pivot_equals_the_full_update(self, tableau):
+        rows, den, r, c = tableau
+        expected, piv = full_pivot(rows, den, r, c)
+        got = [list(row) for row in rows]
+        assert _pivot(got, den, r, c) == piv
+        assert got == expected
+
+    def test_a_row_left_alone_is_the_same_list(self):
+        rows = [list(row) for row in self.AFTER_ONE]
+        untouched = rows[0]
+        _pivot(rows, 2, 1, 2)
+        assert rows[0] is untouched and rows[0] == [2, 1, 0]
+
+
+def integers_reference(rows):
+    """`_integers` as every entry made a Fraction: the rows times the lcm
+    of their denominators."""
+    rows = [[F(v) for v in row] for row in rows]
+    s = 1
+    for row in rows:
+        for v in row:
+            s = s * v.denominator // gcd(s, v.denominator)
+    return [[int(v * s) for v in row] for row in rows]
+
+
+class TestIntegers:
+    @given(st.lists(st.lists(st.integers(-10**20, 10**20), min_size=1, max_size=5),
+                    min_size=1, max_size=4))
+    def test_int_rows_come_back_unchanged(self, rows):
+        passed = [list(row) for row in rows]
+        got = _integers(passed)
+        assert got == rows == integers_reference(rows)
+        assert all(type(v) is int for row in got for v in row)
+        # fresh lists: `matrix_rank` reduces them in place
+        got[0][0] += 1
+        assert passed == rows
+
+    @given(st.lists(st.lists(st.one_of(st.integers(-9, 9), small_rationals),
+                             min_size=1, max_size=5), min_size=1, max_size=4))
+    @example([[F(1, 2), 3], [F(-2, 3), 0]])
+    @example([[True, 2]])
+    def test_mixed_rows_are_scaled_as_before(self, rows):
+        got = _integers(rows)
+        assert got == integers_reference(rows)
+        assert all(type(v) is int for row in got for v in row)
+
+
 def integer_data(A, b):
     """[A | b] times the one positive integer `lp._integers` picks, split
     back into A and b: the data `integer_certificate` reads."""
@@ -254,9 +348,6 @@ class TestPhaseOne:
             assert certificate_holds(A, b, verdict), q
             if verdict[0]:
                 assert len(verdict[1]) == 7
-
-
-small_rationals = st.builds(F, st.integers(-4, 4), st.integers(1, 3))
 
 
 @st.composite

@@ -40,6 +40,11 @@ def fraction_lp(q, spec, lift, delta_vec=DEFAULT_PERTURBATION):
               sparse.costs(vertex_lists(spec), lift))
 
 
+def at(form, q):
+    """A kept form a.q + k at q, whatever its sign."""
+    return form[0] * q[0] + form[1] * q[1] + form[2] * q[2] + form[3]
+
+
 def kept_lp(q, spec, lift=DEFAULT_LIFTINGS):
     """The LP at q as the library holds it: the kept system's A, its
     b'(q) = D b(q), and the integer costs."""
@@ -483,7 +488,7 @@ class TestIntegerCertificates:
             inst = fraction_lp(q, spec, DEFAULT_LIFTINGS, delta_vec)
             for basis in system.catalog:
                 x = verify_basis_reference(inst.A, inst.b, inst.c, basis.columns).x
-                assert [F(sparse._at(f, q), basis.p * system.D)
+                assert [F(at(f, q), basis.p * system.D)
                         for f in basis.forms] == [x[j] for j in basis.columns]
 
     def test_a_corrupted_adjugate_entry_is_caught(self, monkeypatch):
@@ -542,7 +547,7 @@ def scan_reference(system, optimal_flags, q, c):
     (lam 1 there and the block summing to 1), None when none does."""
     for floor in (1, 0):
         for basis, ok in zip(system.catalog, optimal_flags):
-            values = [sparse._at(f, q) for f in basis.forms]
+            values = [at(f, q) for f in basis.forms]
             lam = [F(0)] * 18
             for v, j in zip(values, basis.columns):
                 lam[j] = F(v, basis.p * system.D)
@@ -629,12 +634,33 @@ class TestPerCallWork:
             patched.setattr(sparse.lp, "adjugate", refused)
             patched.setattr(sparse.lp, "integer_certificate", refused)
             patched.setattr(monomials, "bset", refused)
-            # no form is evaluated: each point's feasible bases are kept
-            patched.setattr(sparse, "_at", refused)
+            # no form is evaluated: each point's feasible bases are kept,
+            # and `_values` is the one evaluator of catalog, phase-one and
+            # Farkas forms
+            patched.setattr(sparse, "_values", refused)
             warm = [grc_partition(spec, lift) for lift in liftings]
         for lift, result in zip(liftings, warm):
             sparse.scanned.cache_clear()
             assert result == grc_partition(spec, lift), lift
+
+    @pytest.mark.usefixtures("cold_scan")
+    @pytest.mark.parametrize("d", DEGREES_TO_4)
+    def test_the_scan_keeps_every_lattice_points_catalog_bases(self, d, monkeypatch):
+        # the scan decides each point by its feasible catalog bases, so the
+        # first grc_partition after it evaluates no form
+        spec = SystemSpec(*d)
+        system, points = sparse.scanned(spec, DEFAULT_PERTURBATION)
+        assert all(type(system.kept.get(q)) is tuple for q in points)
+
+        def refused(*args):
+            raise AssertionError("a first call after the scan evaluated a form")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(sparse.lp, "adjugate", refused)
+            patched.setattr(sparse.lp, "integer_certificate", refused)
+            patched.setattr(sparse, "_values", refused)
+            first = grc_partition(spec)
+        assert list(first.assignments) == list(points)
 
 
 class TestBuildLP:
