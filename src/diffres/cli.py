@@ -55,13 +55,13 @@ def _read_json(path: str, kind: type, what: str):
     return data
 
 
-def _ints(values, count: int, what: str) -> List[int]:
+def _ints(values, count: int, what: str) -> tuple:
     # a boolean, a string or a fraction such as 7.9 is not an integer here
     if not (isinstance(values, (list, tuple)) and len(values) == count
             and all(isinstance(v, (int, Fraction)) and not isinstance(v, bool)
                     and v.denominator == 1 for v in values)):
         raise ValueError(f"{what}: expected {count} integers, got {values!r}")
-    return [int(v) for v in values]
+    return tuple(map(int, values))
 
 
 def _move(entry) -> tuple:
@@ -94,7 +94,7 @@ def _lp_inputs(args) -> tuple:
     lift, values = DEFAULT_LIFTINGS, args.liftings or config.get("liftings")
     if values is not None:
         v = _ints(values, 12, "liftings")
-        lift = Liftings(tuple(v[0:3]), tuple(v[3:6]), tuple(v[6:9]), tuple(v[9:12]))
+        lift = Liftings(v[:3], v[3:6], v[6:9], v[9:])
     values = args.delta or config.get("delta")
     return lift, DEFAULT_PERTURBATION if values is None else _rationals(values, "delta")
 
@@ -122,8 +122,9 @@ _encode_str = json.encoder.encode_basestring_ascii
 def _dumps(v, nl: str = "\n") -> str:
     """`json.dumps(v, indent=2)`, byte for byte, without its pure-Python
     indented encoder: a dict, list or tuple is one `str.join` of its items,
-    and a str or an int (by exact type) is written by C code; anything else
-    (bool, None, float, or what json refuses) goes to `json.dumps`."""
+    and a str or an int (by exact type) is written by C code, an int item of
+    a list or tuple in place; anything else (bool, None, float, or what json
+    refuses) goes to `json.dumps`."""
     t = type(v)
     if t is str:
         return _encode_str(v)
@@ -135,7 +136,8 @@ def _dumps(v, nl: str = "\n") -> str:
             f"{_encode_str(k) if type(k) is str else json.dumps({k: 0})[1:-4]}"
             f": {_dumps(x, inner)}" for k, x in v.items()]
     elif isinstance(v, (list, tuple)):
-        brackets, items = "[]", [_dumps(x, inner) for x in v]
+        brackets, items = "[]", [int.__repr__(x) if type(x) is int
+                                 else _dumps(x, inner) for x in v]
     else:
         return json.dumps(v)
     return (f"{brackets[0]}{inner}{(',' + inner).join(items)}{nl}{brackets[1]}"

@@ -3,10 +3,12 @@
 A monomial is a sorted tuple of (CoeffSymbol, positive exponent) pairs; a
 polynomial maps monomials to nonzero exact coefficients: an int when the
 value is integral, as in every generic polynomial, δ and determinant, and a
-Fraction otherwise (from a specialization or `exact_div`).  Everything is
-exact: no floats ever enter, and every operation returns a canonical form
-(no zero coefficients, no zero exponents).  Values are immutable after
-construction and safe to share between threads.
+Fraction otherwise (from a specialization or `exact_div`); the constructor
+stores an integral Fraction as its numerator.  Everything is exact: no
+floats ever enter, and every operation returns a canonical form (no zero
+coefficients, no zero exponents).  Values are immutable after construction
+and safe to share between threads, so a value keeps its text once rendered:
+the first `render()` fills the `_text` slot and later calls return it.
 
 Term order is graded lexicographic over the fixed symbol order, given by
 one sort key, `mono_order`, that both `render` and `exact_div` use.  It must
@@ -99,10 +101,12 @@ def mono_render(m: Monomial) -> str:
 class SymPoly:
     """Sparse multivariate polynomial with exact int or Fraction coefficients."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_text")
 
     def __init__(self, terms: Dict[Monomial, Coeff] | None = None):
-        self._terms = {m: c for m, c in (terms or {}).items() if c != 0}
+        self._terms = {m: c.numerator if type(c) is Fraction and c.denominator == 1
+                       else c for m, c in (terms or {}).items() if c != 0}
+        self._text = None
 
     # -- constructors -------------------------------------------------
 
@@ -299,6 +303,11 @@ class SymPoly:
     # -- text form ----------------------------------------------------------
 
     def render(self) -> str:
+        if self._text is None:
+            self._text = self._render()
+        return self._text
+
+    def _render(self) -> str:
         if not self._terms:
             return "0"
         pieces = []

@@ -248,7 +248,11 @@ def test_dumps_equals_the_indented_encoder(value):
 
 def test_dumps_writes_subclasses_as_their_base_type():
     from collections import OrderedDict
-    value = OrderedDict(b=[YMonomial(1, 2, 0)], a=OrderedDict())
+
+    class Count(int):
+        def __repr__(self):
+            return "Count(...)"
+    value = OrderedDict(b=[YMonomial(1, 2, 0), (Count(3), True, 4)], a=OrderedDict())
     assert _dumps(value) == json.dumps(value, indent=2)
 
 

@@ -2,11 +2,15 @@
 library module imports a private name from another, every module-level
 private function and class, and every public one the package does not
 export, is named somewhere in the library, every module-level cache is
-bounded, no module calls the indented JSON encoder, and every criterion
-runs in exactly one suite."""
+bounded, no module calls the indented JSON encoder, only `sympoly` touches a
+`SymPoly`'s slots and only its constructor sets the terms, every module
+stays under the parser's token step, and every criterion runs in exactly
+one suite."""
 
 import ast
 import inspect
+import io
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -217,6 +221,93 @@ def test_the_scan_finds_an_indented_json_call():
 def test_no_library_module_calls_the_indented_json_encoder():
     for path in sorted(SRC.glob("*.py")):
         assert indented_json_calls(path.read_text()) == [], path.name
+
+
+SYMPOLY_SLOTS = ("_terms", "_text")
+DICT_WRITES = ("clear", "pop", "popitem", "setdefault", "update")
+
+
+def sympoly_slot_writes(sources):
+    """(module, line) of each touch of a `SymPoly` slot outside `sympoly`,
+    and of each write to `._terms` (an assignment, a deletion, an item set or
+    a mutating dict method) outside `SymPoly.__init__`, in `sources`,
+    {module: source}: a value keeps its rendered text, which is right only
+    while its terms never change after construction."""
+    found = []
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        parent = {id(child): node for node in ast.walk(tree)
+                  for child in ast.iter_child_nodes(node)}
+        init = {id(n) for top in tree.body if module == "sympoly"
+                and isinstance(top, ast.ClassDef) and top.name == "SymPoly"
+                for f in top.body if getattr(f, "name", None) == "__init__"
+                for n in ast.walk(f)}
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Attribute) and node.attr in SYMPOLY_SLOTS):
+                continue
+            up = parent[id(node)]
+            written = node.attr == "_terms" and id(node) not in init and (
+                not isinstance(node.ctx, ast.Load)
+                or isinstance(up, ast.Subscript) and up.value is node
+                and not isinstance(up.ctx, ast.Load)
+                or isinstance(up, ast.Attribute) and up.attr in DICT_WRITES)
+            if module != "sympoly" or written:
+                found.append((module, node.lineno))
+    return sorted(set(found))
+
+
+def test_the_scan_finds_a_sympoly_slot_written_or_touched_outside():
+    sympoly = ("class SymPoly:\n"
+               "    def __init__(self, terms):\n"
+               "        self._terms = dict(terms)\n"
+               "        self._text = None\n"
+               "    def render(self):\n"
+               "        self._text = str(len(self._terms))\n"
+               "        return self._text\n"
+               "    def scale(self, k):\n"
+               "        self._terms = {m: k * c for m, c in self._terms.items()}\n"
+               "    def drop(self, m):\n"
+               "        del self._terms[m]\n"
+               "        self._terms.pop(m, None)\n"
+               "def bump(p, m):\n"
+               "    p._terms[m] += 1\n"
+               "    return p._terms.get(m)\n")
+    other = ("def peek(p):\n"
+             "    return len(p._terms), p._text\n"
+             "def terms(p):\n"
+             "    return p.terms()\n")
+    assert sympoly_slot_writes({"sympoly": sympoly, "matrices": other}) == [
+        ("matrices", 2), ("sympoly", 9), ("sympoly", 11), ("sympoly", 12),
+        ("sympoly", 14)]
+
+
+def test_only_the_constructor_sets_a_sympolys_terms():
+    sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert sympoly_slot_writes(sources) == []
+
+
+# CPython's parser grows its token array in powers of two: a module of 4097
+# tokens or more peaks about 0.23 MB higher while it compiles than one of
+# 4096, which every benchmark set-up pays for `cli.py` (README, output layer)
+TOKEN_STEP = 4096
+
+
+def significant_tokens(source: str) -> int:
+    """The tokens of `source`, not counting comments, blank lines and the
+    encoding token."""
+    skip = (tokenize.COMMENT, tokenize.NL, tokenize.ENCODING)
+    return sum(t.type not in skip for t in
+               tokenize.tokenize(io.BytesIO(source.encode()).readline))
+
+
+def test_the_count_leaves_out_comments_and_blank_lines():
+    # NAME OP NUMBER NEWLINE, twice, then ENDMARKER
+    assert significant_tokens("# note\nx = 1  # one\n\n\ny = 'a # b'\n") == 9
+
+
+@pytest.mark.parametrize("module", sorted(p.stem for p in SRC.glob("*.py")))
+def test_every_module_stays_under_the_parsers_token_step(module):
+    assert significant_tokens((SRC / f"{module}.py").read_text()) <= TOKEN_STEP
 
 
 def criteria_not_run_once(namespace, suites):

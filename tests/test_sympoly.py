@@ -170,13 +170,15 @@ class TestTextForm:
         assert SymPoly.zero().render() == "0"
         assert parse_sympoly("0") == SymPoly.zero()
 
-    def test_round_trip_of_a_polynomial_with_thousands_of_terms(self):
+    def test_round_trip_of_a_polynomial_with_thousands_of_terms(self, monkeypatch):
         p = SymPoly({mono_make({A0: i % 50, B0: i // 50,
                                 CoeffSymbol("a", 1, 0, 1): i % 7}):
                      Fraction((-1) ** i * (i + 1), 1 + i % 5)
                      for i in range(2500)})
         assert len(p) == 2500
         text = p.render()
+        # the parser sums its terms in one dict, not one polynomial per term
+        monkeypatch.setattr(SymPoly, "__add__", None)
         again = parse_sympoly(text)
         assert again == p
         assert again.render() == text
@@ -276,6 +278,48 @@ def test_no_operation_yields_a_float_coefficient(p, q, r, mapping, k):
     assert coefficient_types(*exact) <= {int, Fraction}
     assert coefficient_types(parse_sympoly(p.render())) <= {int}
     assert SymPoly({m: Fraction(c) for m, c in p.terms()}).render() == p.render()
+
+
+def test_an_integral_fraction_is_stored_as_an_int():
+    a, b = sym(A0), sym(B0)
+    q = (6 * a * a - 4 * a * b + 10 * b) * Fraction(1, 4)
+    assert q == Fraction(3, 2) * a * a - a * b + Fraction(5, 2) * b
+    assert {m: type(c) for m, c in q.terms()} == {
+        mono_make({A0: 2}): Fraction, mono_make({A0: 1, B0: 1}): int,
+        mono_make({B0: 1}): Fraction}
+    assert coefficient_types(4 * q, SymPoly({(): Fraction(6, 3)})) == {int}
+
+
+# -- the kept text: made by the first render, never carried to a new value ----
+
+def assert_renders_fresh(p):
+    text = p.render()
+    assert text == SymPoly(dict(p.terms())).render()
+    assert parse_sympoly(text) == p and p.render() is text
+
+
+@settings(deadline=None)
+@given(POLY, POLY, MAPPING, st.integers(-3, 3))
+def test_every_result_renders_as_a_fresh_value(p, q, mapping, k):
+    # render the operands first: a text copied into a result then shows
+    for v in (p, q, *mapping.values()):
+        v.render()
+    results = [p + q, p - q, -p, p * q, k * p, p + k, p ** 2, p.derivative(),
+               p.substitute(mapping), parse_sympoly(p.render())]
+    if q:
+        results.append((p * q).exact_div(q))
+    for r in results:
+        assert_renders_fresh(r)
+
+
+def test_a_new_value_does_not_carry_its_operands_text():
+    p = 3 * sym(A0) * sym(B0) - sym(A0) + 2
+    text = p.render()
+    for q in (-p, p + 1, p * 2, p.substitute({A0: sym(B0)})):
+        assert q != p and q.render() != text
+        assert_renders_fresh(q)
+    assert p.render() is text
+    assert SymPoly.zero().render() == "0" and (p - p).render() == "0"
 
 
 LONG_MONO = st.dictionaries(st.sampled_from(SYMBOL_POOL), st.integers(1, 3),
