@@ -34,6 +34,7 @@ _EXPORTS = {
                   "closed_form_partition", "closed_form_sets", "column_set",
                   "default_main_monomials", "multiplier_sizes",
                   "partition_divisibility"),
+    "output": (),
     "matrices": ("PolyMatrix", "RowLabel", "build_carra_ferro",
                  "build_sparse_matrix", "build_square_matrix",
                  "carra_ferro_shape", "zero_columns"),
@@ -45,10 +46,10 @@ _EXPORTS = {
                     "hadamard_bound", "kernel_certifies", "nonzero_random_probe",
                     "random_specialization"),
     "lp": (),
-    "sparse": ("DEFAULT_LIFTINGS", "DEFAULT_PERTURBATION", "GrcAssignment",
-               "GrcPartitionResult", "Liftings", "MOVES_TO_DIVISIBILITY_2_2",
-               "apply_moves", "grc_partition", "lattice_points",
-               "validate_liftings", "vertex_lists"),
+    "lattice": ("DEFAULT_PERTURBATION", "lattice_points", "vertex_lists"),
+    "sparse": ("DEFAULT_LIFTINGS", "GrcAssignment", "GrcPartitionResult",
+               "Liftings", "MOVES_TO_DIVISIBILITY_2_2", "apply_moves",
+               "grc_partition", "validate_liftings"),
     "oracle": ("eliminate_iterated", "sylvester_resultant"),
     "checks": ("CheckReport", "run_checks"),
 }

@@ -30,15 +30,15 @@ from .determinant import (common_zero_specialization, det_specialized,
                           random_specialization)
 from .diffsys import SystemSpec, YMonomial, system_symbols, ym_render
 from .errors import DiffresError, SingularBasis
+from .lattice import (CASE_BASES, DEFAULT_PERTURBATION, costs,
+                      lattice_points, scanned)
 from .matrices import (build_carra_ferro, build_sparse_matrix,
                        build_square_matrix, zero_columns)
-from .monomials import (column_set, default_main_monomials,
-                        multiplier_sizes, partition_divisibility)
+from .monomials import (column_set, is_divisibility_partition,
+                        multiplier_sizes)
 from .oracle import eliminate_iterated
-from .sparse import (CASE_BASES, DEFAULT_LIFTINGS, DEFAULT_PERTURBATION,
-                     MOVES_TO_DIVISIBILITY_2_2, apply_moves, costs,
-                     grc_partition, lattice_points, scanned,
-                     validate_liftings)
+from .sparse import (DEFAULT_LIFTINGS, MOVES_TO_DIVISIBILITY_2_2, apply_moves,
+                     grc_partition, validate_liftings)
 from .symbols import CoeffSymbol
 from .sympoly import Specialization
 
@@ -229,11 +229,8 @@ def check_lp_partition(spec: SystemSpec, seed: int) -> Dict[str, object]:
 
     result = grc_partition(spec)
     result.partition.validate_cover(E)
-    mm = default_main_monomials(spec)
     moved = apply_moves(result.partition, MOVES_TO_DIVISIBILITY_2_2, spec)
-    divis = partition_divisibility(E, mm)
-    assert all(a.as_set() == b.as_set()
-               for a, b in zip(moved.sets(), divis.sets())), \
+    assert is_divisibility_partition(moved, spec), \
         "moves do not reach the divisibility partition"
 
     rearranged = build_sparse_matrix(moved, spec)

@@ -21,7 +21,7 @@ import re
 import sys
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence
 
 from .certificate import certify, unique_monomial_coefficient
 from .determinant import (SIGN_NOTE, SYMBOLIC_CAP_DEFAULT,
@@ -32,10 +32,11 @@ from .diffsys import (SystemSpec, YMonomial, delta, generic_system,
                       system_symbols, ym_render)
 from .errors import CapExceeded, DiffresError, IllegalMove
 from .matrices import (build_carra_ferro, build_sparse_matrix,
-                       build_square_matrix, per_tuple, zero_columns)
+                       build_square_matrix, zero_columns)
 from .monomials import (closed_form_sets, column_set, default_main_monomials,
-                        partition_divisibility)
+                        is_divisibility_partition, partition_divisibility)
 from .oracle import eliminate_iterated
+from .output import dumps
 from .sympoly import Specialization, parse_rational
 
 
@@ -89,7 +90,8 @@ def _rationals(values, what: str) -> tuple:
 def _lp_inputs(args) -> tuple:
     """The liftings and the perturbation of `lp-partition` and `moves`, each
     from its flags, else from the --config file, else the default."""
-    from .sparse import DEFAULT_LIFTINGS, DEFAULT_PERTURBATION, Liftings
+    from .lattice import DEFAULT_PERTURBATION
+    from .sparse import DEFAULT_LIFTINGS, Liftings
     config = _read_json(args.config, dict, "a config file") if args.config else {}
     lift, values = DEFAULT_LIFTINGS, args.liftings or config.get("liftings")
     if values is not None:
@@ -116,82 +118,12 @@ def _write(pieces: Iterable[str], args, end: str = "\n") -> None:
         sys.stdout.write(end)
 
 
-_encode_str = json.encoder.encode_basestring_ascii
-
-
-def _dumps(v, nl: str = "\n") -> str:
-    """`json.dumps(v, indent=2)`, byte for byte, without its pure-Python
-    indented encoder: a dict, list or tuple is one `str.join` of its items,
-    and a str or an int (by exact type) is written by C code, an int item of
-    a list or tuple in place; anything else (bool, None, float, or what json
-    refuses) goes to `json.dumps`."""
-    t = type(v)
-    if t is str:
-        return _encode_str(v)
-    if t is int:
-        return int.__repr__(v)
-    inner = nl + "  "
-    if isinstance(v, dict):
-        brackets, items = "{}", [
-            f"{_encode_str(k) if type(k) is str else json.dumps({k: 0})[1:-4]}"
-            f": {_dumps(x, inner)}" for k, x in v.items()]
-    elif isinstance(v, (list, tuple)):
-        brackets, items = "[]", [int.__repr__(x) if type(x) is int
-                                 else _dumps(x, inner) for x in v]
-    else:
-        return json.dumps(v)
-    return (f"{brackets[0]}{inner}{(',' + inner).join(items)}{nl}{brackets[1]}"
-            if items else brackets)
-
-
 def _emit(payload: dict, args) -> None:
-    _write([_dumps(payload)], args)
-
-
-def _json_list(items: Sequence[str]) -> Iterator[str]:
-    """A list under a top-level key of an indented document, in pieces, from
-    the text of its items (each indented four spaces)."""
-    sep = "[\n"
-    for item in items:
-        yield sep
-        yield item
-        sep = ",\n"
-    yield "[]" if sep == "[\n" else "\n  ]"
+    _write([dumps(payload)], args)
 
 
 def _emit_matrix(matrix, args, **extra) -> None:
-    """`_emit({**matrix.to_json(), **extra}, args)`, byte for byte, written in
-    pieces, with no `to_json()` list of [i, j, text] triples: only the short
-    keys go through `_dumps`, "rows" and "cols" take one f-string per item,
-    and "entries" one string per matrix row, each column index formatted
-    once and each pool-index tuple's entry tails once.  A row's string is
-    one join of a list made to size and filled by slice assignment: its
-    lead, then per entry the column, the tail and the separator.  Every
-    piece is made before `_write` opens the file, and no string of the
-    whole document is built."""
-    head = _dumps(matrix._json_head())[:-2]  # less the closing "\n}"
-    tail = "," + _dumps(extra)[1:] if extra else "\n}"
-    polys = {p: _dumps(p) for p in {r.poly for r in matrix.rows}}
-    rows = [f'    {{\n      "poly": {polys[p]},\n      "multiplier": [\n'
-            f'        {a},\n        {b},\n        {c}\n      ]\n    }}'
-            for p, (a, b, c) in matrix.rows]
-    cols = [f"    [\n      {a},\n      {b},\n      {c}\n    ]"
-            for a, b, c in matrix.cols]
-    js = [str(j) for j in range(matrix.ncols)]
-    tails = [f",\n      {_dumps(v.render())}\n    ]" for v in matrix.pool]
-    row_tails = per_tuple(matrix.row_entries, lambda xs: [tails[x] for x in xs])
-    entries = []
-    for i, (columns, xs) in enumerate(matrix.row_entries):
-        if columns:
-            lead = f"    [\n      {i},\n      "
-            parts = [",\n" + lead] * (3 * len(columns))
-            parts[0] = lead
-            parts[1::3] = [js[j] for j in columns]
-            parts[2::3] = row_tails[id(xs)]
-            entries.append("".join(parts))
-    _write([head, ',\n  "rows": ', *_json_list(rows),
-            ',\n  "cols": ', *_json_list(cols),
-            ',\n  "entries": ', *_json_list(entries), tail], args)
+    _write(matrix.json_pieces(extra), args)
 
 
 def _eq1_legend(degree: int, system: str) -> List[str]:
@@ -352,8 +284,6 @@ def cmd_moves(args) -> int:
     else:
         moves = list(MOVES_TO_DIVISIBILITY_2_2)
     result = grc_partition(spec, lift, delta_vec)
-    E = column_set(spec)
-    mm = default_main_monomials(spec)
     # where the built-in list does not apply, or does not reach the
     # divisibility partition, the moves must come from a file
     builtin = ("the built-in moves are made for the default (2,2) LP "
@@ -362,9 +292,7 @@ def cmd_moves(args) -> int:
         moved = apply_moves(result.partition, moves, spec)
     except IllegalMove as exc:
         raise ValueError(f"{args.moves_file or builtin}: {exc}") from None
-    if not args.moves_file and any(
-            a.as_set() != b.as_set() for a, b in
-            zip(moved.sets(), partition_divisibility(E, mm).sets())):
+    if not args.moves_file and not is_divisibility_partition(moved, spec):
         raise ValueError(f"{builtin}: they do not reach the divisibility partition")
     matrix = build_sparse_matrix(moved, spec)
     payload = {"before": result.partition.to_json(),

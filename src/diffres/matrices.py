@@ -26,6 +26,7 @@ from .diffsys import (DiffPoly, SystemSpec, YMonomial, delta, generic_poly,
                       ym_render)
 from .monomials import (Partition, closed_form_sets, column_set,
                         default_main_monomials)
+from .output import dumps, json_list
 from .sympoly import Specialization, SymPoly, mono_degree
 
 # Row polynomial tags for the square construction; derivatives carry primes.
@@ -139,6 +140,37 @@ class PolyMatrix:
                 "cols": [list(c) for c in self.cols],
                 "entries": [[i, j, texts[x]] for i, row in enumerate(self.row_entries)
                             for j, x in zip(*row)]}
+
+    def json_pieces(self, extra: dict) -> List[str]:
+        """`dumps({**self.to_json(), **extra})`, byte for byte, as a list of
+        pieces, with no string of the whole document: only the short keys go
+        through `dumps`, "rows" and "cols" take one f-string per item, and
+        "entries" one string per matrix row, one join of a list filled by
+        slice assignment with each column index formatted once and each
+        pool-index tuple's entry tails (the polynomials' text) made once."""
+        head = dumps(self._json_head())[:-2]  # less the closing "\n}"
+        tail = "," + dumps(extra)[1:] if extra else "\n}"
+        polys = {p: dumps(p) for p in {r.poly for r in self.rows}}
+        rows = [f'    {{\n      "poly": {polys[p]},\n      "multiplier": [\n'
+                f'        {a},\n        {b},\n        {c}\n      ]\n    }}'
+                for p, (a, b, c) in self.rows]
+        cols = [f"    [\n      {a},\n      {b},\n      {c}\n    ]"
+                for a, b, c in self.cols]
+        js = [str(j) for j in range(self.ncols)]
+        tails = [f",\n      {dumps(v.render())}\n    ]" for v in self.pool]
+        row_tails = per_tuple(self.row_entries, lambda xs: [tails[x] for x in xs])
+        entries = []
+        for i, (columns, xs) in enumerate(self.row_entries):
+            if columns:
+                lead = f"    [\n      {i},\n      "
+                parts = [",\n" + lead] * (3 * len(columns))
+                parts[0] = lead
+                parts[1::3] = [js[j] for j in columns]
+                parts[2::3] = row_tails[id(xs)]
+                entries.append("".join(parts))
+        return [head, ',\n  "rows": ', *json_list(rows),
+                ',\n  "cols": ', *json_list(cols),
+                ',\n  "entries": ', *json_list(entries), tail]
 
     def to_csv(self, s: Specialization) -> str:
         header = ["row"] + [ym_csv_name(c) for c in self.cols]

@@ -166,6 +166,12 @@ def partition_divisibility(E: MonomialSet, mm: MainMonomials) -> Partition:
     return Partition(*sets, provenance="DivisibilityCascade")
 
 
+def is_divisibility_partition(part: Partition, spec: SystemSpec) -> bool:
+    """Whether `part` has the blocks of the spec's divisibility partition."""
+    divis = partition_divisibility(column_set(spec), default_main_monomials(spec))
+    return all(a.as_set() == b.as_set() for a, b in zip(part.sets(), divis.sets()))
+
+
 def closed_form_sets(spec: SystemSpec) -> Tuple[MonomialSet, MonomialSet,
                                                 MonomialSet, MonomialSet]:
     """Multiplier sets whose products with the main monomials tile the columns.

@@ -1,35 +1,17 @@
-"""Sparse-resultant machinery: vertex lists, lattice points, LP partition.
+"""Sparse-resultant partition: generalized row content and partition moves.
 
-The column monomials are recovered as the lattice points of a perturbed
-Minkowski sum, decided exactly by LP feasibility instead of any convex-hull
-geometry.  For each point a 7x18 linear program over the four vertex lists
-is solved; an optimal solution that concentrates one block on a single
-vertex assigns the point to that block (its generalized row content).  With
-suitable integer liftings the selected vertices are exactly the four main
-monomials, the blocks tile the column set, and the square matrix that
-`matrices.build_sparse_matrix` assembles from the partition is a row
-rearrangement of the standard one after a short list of legal moves.
-
-The constraint matrix depends only on the degrees, b(q) only on the point
-and the perturbation, and the costs only on the liftings.  So the point
-system and the sorted lattice points are built once per (spec,
-perturbation) and kept by `scanned`, an `lru_cache` of the 16 latest
-pairs, keyed by the validated `SystemSpec` and the perturbation as a tuple
-of Fractions; `lattice_points`, `grc_partition` and the
-`basis-certification` check read it, with `costs` for the liftings.  All of
-it is in integers (b(q) scaled by the lcm D of the perturbation's
-denominators).  Each catalog basis carries (p, adj) with B adj = p I, and
-per basic variable a form a.q + k whose value at q is p D x_B.  Only the
-sum's bounding box, shifted by delta, is scanned.  A point is decided by
-the Farkas vectors found so far, then by the catalog bases feasible there,
-which the scan keeps per point with x_B and lambda, then by the phase-one
-bases found so far, with phase one only when none decides.  So every
-call after the scan, the first too, pays only for its liftings: the
-costs, read off the kept vertex table; optimality of each catalog basis,
-u = c_B adj and u A_j <= p c_j at the nonbasic columns j, on the kept
-columns of A and adj; per point, the objective of the first kept
-feasible basis that is optimal; and the restricted-LP searches.  Every
-verdict rests on a certificate checked exactly when it was made.
+For each lattice point (`lattice`) a 7x18 linear program over the four
+vertex lists is solved; an optimal solution that concentrates one block on
+a single vertex assigns the point to that block (its generalized row
+content).  With suitable integer liftings the selected vertices are exactly
+the four main monomials, the blocks tile the column set, and the square
+matrix that `matrices.build_sparse_matrix` assembles from the partition is
+a row rearrangement of the standard one after a short list of legal moves.
+Every call, the first too, reads the point system that `lattice.scanned`
+keeps and pays only for its liftings: the costs, each catalog basis's
+optimality (u = c_B adj, u A_j <= p c_j at the nonbasic columns j), per
+point the objective of the first kept feasible basis that is optimal, and
+the restricted-LP searches.
 
 Ties between alternative optima are broken deterministically: the catalog
 of certified bases is scanned in its fixed order requiring strict
@@ -42,26 +24,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
-from itertools import product as iter_product
-from math import lcm
 from operator import mul
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .errors import (CertificateFailure, DiffresError, IllegalMove,
-                     Infeasible, InvalidPerturbation, NoVertexOptimum)
+from .errors import DiffresError, IllegalMove, Infeasible, NoVertexOptimum
 from . import lp
 from .diffsys import (SystemSpec, YMonomial, support, ym_divides, ym_div,
                       ym_mul, ym_render)
+from .lattice import (BLOCK_SIZES, DEFAULT_PERTURBATION, TARGET_VERTEX, Point,
+                      PointSystem, check_perturbation, costs, scanned,
+                      var_index)
 from .matrices import SQUARE_BLOCK_ORDER, row_polys
 from .monomials import (MonomialSet, Partition, column_set,
                         default_main_monomials)
 
-Point = Tuple[int, int, int]
 LiftVector = Tuple[int, int, int]
-
-DEFAULT_PERTURBATION: Tuple[Fraction, Fraction, Fraction] = (
-    Fraction(1, 100), Fraction(1, 100), Fraction(1, 100))
 
 
 class Liftings(NamedTuple):
@@ -79,277 +56,6 @@ class Liftings(NamedTuple):
 # Integer liftings satisfying every merged optimality constraint checked by
 # validate_liftings below.
 DEFAULT_LIFTINGS = Liftings((7, -4, -5), (5, -9, 5), (6, 2, 1), (8, 4, 7))
-
-
-def vertex_lists(spec: SystemSpec) -> Tuple[Tuple[Point, ...], ...]:
-    """The four vertex lists in the order that fixes the LP columns.
-
-    Degenerate coincidences for d1 = 1 are kept: the list length is what the
-    LP's 18 columns are built from.
-    """
-    spec = SystemSpec(*spec).validate()
-    d1, d2 = spec.d1, spec.d2
-    v1 = ((0, 0, 0), (0, 0, 1), (0, d1 - 1, 1), (0, d1, 0), (d1 - 1, 0, 1), (d1, 0, 0))
-    v2 = ((0, 0, 0), (0, 0, 1), (0, d2 - 1, 1), (0, d2, 0), (d2 - 1, 0, 1), (d2, 0, 0))
-    v3 = ((0, 0, 0), (0, d1, 0), (d1, 0, 0))
-    v4 = ((0, 0, 0), (0, d2, 0), (d2, 0, 0))
-    return (v1, v2, v3, v4)
-
-
-BLOCK_SIZES = (6, 6, 3, 3)
-TARGET_VERTEX = {1: 3, 2: 4, 3: 3, 4: 1}   # lambda index of the main monomial
-
-
-def var_index(i: int, j: int) -> int:
-    return sum(BLOCK_SIZES[:i - 1]) + (j - 1)
-
-
-def _constraint_matrix(spec: SystemSpec) -> List[List[int]]:
-    cols = [v for verts in vertex_lists(spec) for v in verts]
-    rows = [[v[axis] for v in cols] for axis in range(3)]
-    for i in range(1, 5):
-        offset = var_index(i, 1)
-        rows.append([int(offset <= j < offset + BLOCK_SIZES[i - 1])
-                     for j in range(len(cols))])
-    return rows
-
-
-def costs(vertices: Tuple[Tuple[Point, ...], ...], lift: Liftings
-          ) -> Tuple[int, ...]:
-    """The lifting heights of the 18 vertex columns, from `vertex_lists`."""
-    return tuple(sum(map(mul, vec, v))
-                 for vec, verts in zip(lift, vertices) for v in verts)
-
-
-def _check_perturbation(delta_vec: Sequence[Fraction]) -> None:
-    # no int lies in (0, 1), and a float or a text is not read exactly
-    if len(delta_vec) != 3 or any(type(d) is not Fraction or not 0 < d < 1
-                                  for d in delta_vec):
-        raise InvalidPerturbation(
-            f"perturbation must be three Fractions in (0, 1): {delta_vec}")
-
-
-def lattice_points(spec: SystemSpec,
-                   delta_vec: Sequence[Fraction] = DEFAULT_PERTURBATION) -> List[Point]:
-    """Integer points of the perturbed Minkowski sum, by exact feasibility.
-
-    q - delta lies in the sum's bounding box and 0 < delta < 1, so only
-    lo_k < q_k <= hi_k is scanned, lo_k and hi_k the sums over the blocks
-    of their least and greatest coordinate on axis k.  Off it a Farkas
-    vector proves q infeasible: e_k less lo_ik on block i's convexity row
-    if q_k <= lo_k, -e_k plus hi_ik if q_k > hi_k.  A scanned point is kept
-    when the vertex-decomposition system for it admits a nonnegative
-    solution.  Each verdict rests on an exactly checked basis or Farkas
-    vector, reused across the points of the scan; the scan is kept per
-    (spec, delta_vec), and each call returns a fresh list.
-    """
-    spec = SystemSpec(*spec).validate()
-    _check_perturbation(delta_vec)
-    return list(scanned(spec, tuple(delta_vec))[1])
-
-
-@lru_cache(maxsize=16)
-def scanned(spec: SystemSpec, delta_vec: Tuple[Fraction, ...]
-            ) -> Tuple["_PointSystem", Tuple[Point, ...]]:
-    """The point system of (spec, delta) and its lattice points, sorted,
-    kept for the 16 latest pairs; neither changes after this scan.  The
-    spec is validated and delta checked by the caller."""
-    system = _PointSystem(spec, delta_vec)
-    blocks = vertex_lists(spec)
-    box = [range(sum(min(v[k] for v in verts) for verts in blocks) + 1,
-                 sum(max(v[k] for v in verts) for verts in blocks) + 1)
-           for k in range(3)]
-    found = [q for q in iter_product(*box) if system.feasible(q)]
-    found.sort(key=lambda p: (sum(p), p[2], p[1], p[0]))
-    return system, tuple(found)
-
-
-# --- certified basis catalog -------------------------------------------------
-
-# Scanned in order; each entry is (case, id, basis columns), the columns
-# given below by their (block, vertex) digits.  Every basis contains exactly
-# one variable of its case's block, its target vertex's, which the block's
-# convexity row then sets to one: a catalog basis feasible at a point puts
-# its block on the target vertex.  `_PointSystem` checks the columns.
-CASE_BASES: Tuple[Tuple[int, str, Tuple[int, ...]], ...] = tuple(
-    (int(bid[0]), bid, tuple(var_index(int(ij[0]), int(ij[1]))
-                             for ij in digits.split()))
-    for bid, digits in (
-        ("1.1", "13 23 24 32 33 41 43"),
-        ("1.2", "13 23 24 31 32 33 41"),
-        ("1.3", "13 23 24 32 33 41 42"),
-        ("1.4", "13 23 24 33 41 42 43"),
-        ("2.1", "13 14 24 31 32 33 41"),
-        ("2.2", "13 14 24 33 41 42 43"),
-        ("2.3", "13 14 24 32 33 41 43"),
-        ("2.4", "13 14 24 32 33 41 42"),
-        ("2.5", "11 12 13 24 31 33 41"),
-        ("2.6", "13 14 15 24 33 41 43"),
-        ("2.7", "12 13 14 15 24 33 41"),
-        ("3.1", "15 16 24 26 33 41 43"),
-        ("3.2", "13 15 23 24 33 41 43"),
-        ("3.3", "15 23 24 25 33 41 43"),
-        ("3.4", "12 13 15 23 24 33 41"),
-        ("4.1", "11 12 21 24 26 31 41"),
-        ("4.2", "11 12 24 26 31 33 41"),
-        ("4.3", "11 12 15 24 26 33 41"),
-        ("4.4", "12 13 23 24 31 33 41"),
-        ("4.5", "12 23 24 25 31 33 41"),
-        ("4.6", "12 21 22 23 25 31 41"),
-        ("4.7", "12 15 23 25 26 33 41"),
-    ))
-
-
-# --- per-call certificates ---------------------------------------------------
-
-Form = Tuple[int, int, int, int]
-Feasible = Tuple[int, List[int], Tuple[Fraction, ...]]   # index, form values, lam
-_ZERO = Fraction(0)
-
-
-def _values(forms: Sequence[Form], q: Point) -> Optional[List[int]]:
-    """The forms' values at q; None from the first negative one on."""
-    q0, q1, q2 = q
-    values = []
-    for a0, a1, a2, k in forms:
-        v = a0 * q0 + a1 * q1 + a2 * q2 + k
-        if v < 0:
-            return None
-        values.append(v)
-    return values
-
-
-class _CatalogBasis(NamedTuple):
-    case: int
-    bid: str
-    columns: Tuple[int, ...]
-    p: int                         # B adj = p I, p > 0
-    adj_columns: Tuple[Tuple[int, ...], ...]   # u = c_B adj, per call
-    nonbasic: Tuple[int, ...]      # the columns whose reduced costs vary
-    forms: Tuple[Form, ...]        # one per row of adj: p D x_B at q
-
-
-class _PointSystem:
-    """A lam = b(q), lam >= 0 for one spec and perturbation, set up once.
-
-    A depends only on the spec, so only b(q) moves from point to point; all
-    of it is held in integers, with b'(q) = D b(q) = (D q - D delta, D, D, D,
-    D) and D the lcm of delta's denominators.  A point is decided by a
-    certificate already in hand when one applies: a Farkas vector w
-    (w A >= 0, w b'(q) < 0) proves it infeasible, a basis B (adj b'(q) >= 0
-    for B adj = p I, p > 0) proves it feasible.  The nonsingular catalog
-    bases are the first basis certificates, and what they give at a point
-    is kept (`feasible_catalog`); phase one runs only when none decides,
-    and its certificate is checked exactly before its basis joins `bases`
-    or its vector `farkas`.  `scanned` keeps one per (spec, perturbation),
-    for the 16 latest pairs, with the points its scan kept.  After that
-    scan `grc_partition` only reads: the vertex table, A's columns, each
-    catalog basis's adj columns and nonbasic columns, `D`, `rhs`, the
-    column set and, per point, the kept catalog bases.
-    """
-
-    def __init__(self, spec: SystemSpec, delta_vec: Sequence[Fraction]):
-        self.spec = spec
-        self.vertices = vertex_lists(spec)
-        self.A = _constraint_matrix(spec)
-        self.A_columns = tuple(zip(*self.A))
-        self.D = lcm(*(d.denominator for d in delta_vec))
-        self.Ddelta = [int(d * self.D) for d in delta_vec]
-        self.catalog: List[_CatalogBasis] = []
-        for case, bid, columns in CASE_BASES:
-            block = range(var_index(case, 1), var_index(case + 1, 1))
-            if [j for j in columns if j in block] != [var_index(case, TARGET_VERTEX[case])]:
-                raise CertificateFailure(f"catalog basis {bid} holds a column of "
-                                         f"block {case} besides its target vertex")
-            found = self._basis(columns)
-            if found is not None:
-                p, adj, forms = found
-                nonbasic = tuple(j for j in range(len(self.A_columns))
-                                 if j not in columns)
-                self.catalog.append(_CatalogBasis(
-                    case, bid, columns, p, tuple(zip(*adj)), nonbasic, forms))
-        self.bases: List[Tuple[Form, ...]] = []
-        self.farkas: List[Form] = []
-        self.kept: Dict[Point, Tuple[Feasible, ...]] = {}
-
-    @cached_property
-    def cover(self) -> MonomialSet:
-        """The column set the partition must tile, made on first use."""
-        return column_set(self.spec)
-
-    def _basis(self, columns: Sequence[int]):
-        """(p, adj, forms) of the basis on these columns, B adj = p I as
-        `lp.adjugate` checks it; None when the columns are dependent."""
-        found = lp.adjugate([[row[j] for j in columns] for row in self.A])
-        if found is None:
-            return None
-        p, adj = found
-        return p, adj, tuple(map(self._form, adj))
-
-    def _form(self, row: Sequence[int]) -> Form:
-        """row . b'(q) as the integers (a0, a1, a2, k) of a.q + k."""
-        D = self.D
-        return (D * row[0], D * row[1], D * row[2],
-                D * sum(row[3:]) - sum(r * d for r, d in zip(row, self.Ddelta)))
-
-    def rhs(self, q: Point) -> List[int]:
-        """b'(q) = D b(q)."""
-        return [self.D * q[k] - self.Ddelta[k] for k in range(3)] + [self.D] * 4
-
-    def feasible(self, q: Point) -> bool:
-        """Whether q is a lattice point, by the first certificate in hand
-        that decides it, else by phase one; unless a Farkas vector rules q
-        out, its feasible catalog bases are kept on the way."""
-        if _values(self.farkas, q) is None:    # a Farkas form is negative
-            return False
-        if self.feasible_catalog(q) or any(_values(forms, q) is not None
-                                           for forms in self.bases):
-            return True
-        feasible, cert = lp.integer_certificate(self.A, self.rhs(q))
-        if feasible:
-            # A has full row rank 7 (every block holds the origin vertex and
-            # the vertices span R^3), so the basis is square
-            found = self._basis(cert)
-            if found is None or _values(found[2], q) is None:
-                raise CertificateFailure(
-                    f"phase-one basis {cert} does not certify {q}")
-            self.bases.append(found[2])
-        else:
-            form = self._form(cert)
-            if (any(sum(map(mul, cert, col)) < 0 for col in self.A_columns)
-                    or _values([form], q) is not None):
-                raise CertificateFailure(
-                    f"phase-one Farkas vector does not certify {q} infeasible")
-            self.farkas.append(form)
-        return feasible
-
-    def optimal(self, c: Sequence[int]) -> List[bool]:
-        """Per catalog basis, whether it is optimal for the integer costs c:
-        `lp.optimal` on the kept columns of A and of adj."""
-        A = self.A_columns
-        return [lp.optimal(A, c, b.columns, b.p, b.adj_columns, b.nonbasic)
-                for b in self.catalog]
-
-    def feasible_catalog(self, q: Point) -> Tuple[Feasible, ...]:
-        """The catalog bases feasible at q, as (index, form values, lam):
-        those with every form >= 1 (x_B > 0), then those whose least form
-        is 0, each in catalog order.  A basis's forms are evaluated up to
-        its first negative one.  Kept per point, as the scan reaches it:
-        none of it depends on the liftings."""
-        if q not in self.kept:
-            found: List[Feasible] = []
-            for k, basis in enumerate(self.catalog):
-                values = _values(basis.forms, q)
-                if values is None:
-                    continue
-                scale = basis.p * self.D     # lam = values / scale
-                lam = [_ZERO] * sum(BLOCK_SIZES)
-                for v, j in zip(values, basis.columns):
-                    if v:
-                        lam[j] = Fraction(v, scale)
-                found.append((k, values, tuple(lam)))
-            self.kept[q] = tuple(sorted(found, key=lambda e: min(e[1]) == 0))
-        return self.kept[q]
 
 
 class LiftingReport(NamedTuple):
@@ -372,8 +78,7 @@ def validate_liftings(lift: Liftings) -> LiftingReport:
         ("L12 <= L32", l12 - l32),
         ("L32 <= L42", l32 - l42),
     ]
-    violations = []
-    degenerate = []
+    violations, degenerate = [], []
     for name, value in inequalities:
         if value > 0:
             violations.append(name)
@@ -381,9 +86,7 @@ def validate_liftings(lift: Liftings) -> LiftingReport:
             degenerate.append(name)
     if l31 != l32 + l41 - l42:
         violations.append("L31 = L32 + L41 - L42")
-    return LiftingReport(passed=not violations,
-                         violations=tuple(violations),
-                         degenerate=tuple(degenerate))
+    return LiftingReport(not violations, tuple(violations), tuple(degenerate))
 
 
 # --- GRC partition -----------------------------------------------------------
@@ -408,7 +111,7 @@ class GrcPartitionResult:
     perturbation: Tuple[Fraction, ...]
 
 
-def _catalog_assignment(q: Point, system: _PointSystem, optimal: Sequence[bool],
+def _catalog_assignment(q: Point, system: PointSystem, optimal: Sequence[bool],
                         c: Sequence[int]) -> Optional[GrcAssignment]:
     """The first catalog basis feasible at q, as `feasible_catalog` orders
     them, that is optimal for c (`optimal`, per basis); None when there is
@@ -426,7 +129,7 @@ def _catalog_assignment(q: Point, system: _PointSystem, optimal: Sequence[bool],
     return None
 
 
-def _search_assignment(system: _PointSystem, q: Point, c: Sequence[int]
+def _search_assignment(system: PointSystem, q: Point, c: Sequence[int]
                        ) -> GrcAssignment:
     """The restricted search over the four target vertices, block order: the
     first case whose optimum with lambda_{case, j} pinned to one equals the
@@ -467,7 +170,7 @@ def grc_partition(spec: SystemSpec, lift: Liftings = DEFAULT_LIFTINGS,
     report = validate_liftings(lift)
     if not report.passed:
         raise DiffresError(f"liftings violate: {', '.join(report.violations)}")
-    _check_perturbation(delta_vec)
+    check_perturbation(delta_vec)
     delta_vec = tuple(delta_vec)
     system, points = scanned(spec, delta_vec)
     # the costs depend only on the liftings: certify optimality once per call

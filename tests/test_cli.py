@@ -13,9 +13,10 @@ from random import Random
 import pytest
 from hypothesis import example, given, strategies as st
 
-from diffres.cli import _dumps, _emit_matrix, main
+from diffres.cli import _emit_matrix, main
 from diffres.diffsys import SystemSpec, YMonomial, system_symbols
 from diffres.matrices import build_carra_ferro, build_square_matrix
+from diffres.output import dumps
 
 
 def run_cli(*argv):
@@ -243,7 +244,7 @@ PAYLOADS = st.recursive(SCALARS, lambda inner: (
 @example({"": [], "e": {}, "t": (), TEXT: [[{}], ({"x": [1, True, None]},)]})
 @example({1: "int key", "1": "its text", None: 0, 2.5: [-1.5, 1e300]})
 def test_dumps_equals_the_indented_encoder(value):
-    assert _dumps(value) == json.dumps(value, indent=2)
+    assert dumps(value) == json.dumps(value, indent=2)
 
 
 def test_dumps_writes_subclasses_as_their_base_type():
@@ -253,7 +254,7 @@ def test_dumps_writes_subclasses_as_their_base_type():
         def __repr__(self):
             return "Count(...)"
     value = OrderedDict(b=[YMonomial(1, 2, 0), (Count(3), True, 4)], a=OrderedDict())
-    assert _dumps(value) == json.dumps(value, indent=2)
+    assert dumps(value) == json.dumps(value, indent=2)
 
 
 @pytest.mark.parametrize("value", [
@@ -263,7 +264,7 @@ def test_dumps_refuses_what_json_refuses(value):
     with pytest.raises(TypeError) as expected:
         json.dumps(value, indent=2)
     with pytest.raises(TypeError) as got:
-        _dumps(value)
+        dumps(value)
     assert str(got.value) == str(expected.value)
 
 

@@ -3,9 +3,9 @@ library module imports a private name from another, every module-level
 private function and class, and every public one the package does not
 export, is named somewhere in the library, every module-level cache is
 bounded, no module calls the indented JSON encoder, only `sympoly` touches a
-`SymPoly`'s slots and only its constructor sets the terms, every module
-stays under the parser's token step, and every criterion runs in exactly
-one suite."""
+`SymPoly`'s slots and only its constructor sets the terms, no module reads
+a private attribute that another module defines, every module stays under
+the parser's token step, and every criterion runs in exactly one suite."""
 
 import ast
 import inspect
@@ -198,7 +198,7 @@ def test_every_imported_name_is_used(module):
 def indented_json_calls(source: str):
     """Line numbers of the calls in `source` of a `dumps` or `dump` with an
     `indent` argument: the indented encoder runs in pure Python, and the CLI
-    writes every document through `cli._dumps` instead."""
+    writes every document through `output.dumps` instead."""
     return sorted(node.lineno for node in ast.walk(ast.parse(source))
                   if isinstance(node, ast.Call)
                   and getattr(node.func, "attr", getattr(node.func, "id", None))
@@ -284,6 +284,65 @@ def test_the_scan_finds_a_sympoly_slot_written_or_touched_outside():
 def test_only_the_constructor_sets_a_sympolys_terms():
     sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert sympoly_slot_writes(sources) == []
+
+
+# the public methods and attributes of a named tuple
+NAMEDTUPLE_API = ("_asdict", "_field_defaults", "_fields", "_make", "_replace")
+
+
+def private_attribute_reads(sources):
+    """(module, line) of each read of `x._name` in `sources`, {module:
+    source}, where the module's own source does not define `_name` as a
+    def, a class, a `__slots__` entry or an assigned attribute: a private
+    name is read only by the module that owns it.  Dunder names and the
+    named-tuple API are left out."""
+    found = []
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        defined = set(NAMEDTUPLE_API)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Load):
+                defined.add(node.attr)
+            elif isinstance(node, ast.Assign) and any(
+                    getattr(t, "id", None) == "__slots__" for t in node.targets):
+                defined |= {c.value for c in ast.walk(node.value)
+                            if isinstance(c, ast.Constant) and isinstance(c.value, str)}
+        found += [(module, node.lineno) for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)
+                  and isinstance(node.ctx, ast.Load)
+                  and node.attr.startswith("_")
+                  and not (node.attr.startswith("__") and node.attr.endswith("__"))
+                  and node.attr not in defined]
+    return sorted(found)
+
+
+def test_the_scan_finds_a_private_attribute_read_across_modules():
+    owner = ("class Matrix:\n"
+             "    __slots__ = ('_rows',)\n"
+             "    def _head(self): return self._rows\n"
+             "    def width(self): return len(self._cols)\n"
+             "def _helper(m): return m._head(), m._rows\n")
+    reader = ("import argparse, owner\n"
+              "def show(m, p):\n"
+              "    p._matcher = None\n"
+              "    return m._head(), m._rows, owner._helper(m)\n"
+              "def again(m, p):\n"
+              "    return m.__class__, m.__len__(), p._matcher, p._other\n"
+              "def point(t): return t._replace(x=0), t._fields\n"
+              "class Local:\n"
+              "    def __init__(self): self._cache = {}\n"
+              "    def get(self): return self._cache\n")
+    assert private_attribute_reads({"owner": owner, "reader": reader}) == [
+        ("owner", 4), ("reader", 4), ("reader", 4), ("reader", 4),
+        ("reader", 6)]
+
+
+def test_no_library_module_reads_a_private_attribute_of_another():
+    sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert private_attribute_reads(sources) == []
 
 
 # CPython's parser grows its token array in powers of two: a module of 4097

@@ -340,8 +340,8 @@ class TestPhaseOne:
         assert verdicts == {True, False}
 
     def test_certificates_on_every_box_point(self):
-        from diffres import DEFAULT_PERTURBATION, SystemSpec, sparse
-        A = sparse._constraint_matrix(SystemSpec(1, 2))
+        from diffres import DEFAULT_PERTURBATION, SystemSpec, lattice
+        A = lattice._constraint_matrix(SystemSpec(1, 2))
         for q in product(range(7), repeat=3):
             b = [q[k] - DEFAULT_PERTURBATION[k] for k in range(3)] + [1] * 4
             verdict = integer_certificate(*integer_data(A, b))

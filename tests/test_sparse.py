@@ -17,11 +17,12 @@ from diffres import (DEFAULT_LIFTINGS, DEFAULT_PERTURBATION, IllegalMove,
                      generic_system, grc_partition, lattice_points,
                      nonzero_random_probe, partition_divisibility, support,
                      validate_liftings)
-from diffres import SingularBasis, monomials, sparse
+from diffres import SingularBasis, lattice, monomials, sparse
 from diffres.errors import CertificateFailure
+from diffres.lattice import (BLOCK_SIZES, CASE_BASES, TARGET_VERTEX, var_index,
+                             vertex_lists)
 from diffres.lp import matrix_rank, simplex, verify_basis
-from diffres.sparse import (BLOCK_SIZES, CASE_BASES, MOVES_TO_DIVISIBILITY_2_2,
-                            TARGET_VERTEX, var_index, vertex_lists)
+from diffres.sparse import MOVES_TO_DIVISIBILITY_2_2
 from test_lp import verify_basis_reference
 
 F = Fraction
@@ -35,9 +36,9 @@ LP = namedtuple("LP", "A b c")
 def fraction_lp(q, spec, lift, delta_vec=DEFAULT_PERTURBATION):
     """The vertex-decomposition LP at q in Fractions, unscaled: the
     library's A and costs, and b(q) = (q - delta, 1, 1, 1, 1)."""
-    return LP(sparse._constraint_matrix(spec),
+    return LP(lattice._constraint_matrix(spec),
               [q[k] - delta_vec[k] for k in range(3)] + [F(1)] * 4,
-              sparse.costs(vertex_lists(spec), lift))
+              lattice.costs(vertex_lists(spec), lift))
 
 
 def at(form, q):
@@ -48,8 +49,8 @@ def at(form, q):
 def kept_lp(q, spec, lift=DEFAULT_LIFTINGS):
     """The LP at q as the library holds it: the kept system's A, its
     b'(q) = D b(q), and the integer costs."""
-    system = sparse.scanned(spec, DEFAULT_PERTURBATION)[0]
-    return LP(system.A, system.rhs(q), sparse.costs(system.vertices, lift))
+    system = lattice.scanned(spec, DEFAULT_PERTURBATION)[0]
+    return LP(system.A, system.rhs(q), lattice.costs(system.vertices, lift))
 
 
 class TestNewtonData:
@@ -121,7 +122,7 @@ class TestLatticePoints:
         # off lo_k < q_k <= hi_k, w = e_k - sum_i lo_ik u_i (q_k <= lo_k) or
         # w = -e_k + sum_i hi_ik u_i (q_k > hi_k), u_i block i's convexity row
         spec = SystemSpec(*d)
-        A = sparse._constraint_matrix(spec)
+        A = lattice._constraint_matrix(spec)
         blocks = vertex_lists(spec)
         for k in range(3):
             lows = [min(v[k] for v in verts) for verts in blocks]
@@ -230,9 +231,9 @@ def cold_scan():
     """An empty scan cache, emptied again after the test: a patched `lp` is
     reached beneath `lattice_points` and `grc_partition`, and what it built
     is not kept."""
-    sparse.scanned.cache_clear()
+    lattice.scanned.cache_clear()
     yield
-    sparse.scanned.cache_clear()
+    lattice.scanned.cache_clear()
 
 
 def summary(result):
@@ -248,10 +249,10 @@ class TestScanCache:
         spec = SystemSpec(*d)
         lattice_points(spec)
         for lift in [DEFAULT_LIFTINGS] + [seeded_liftings(s) for s in range(1, 6)]:
-            hits = sparse.scanned.cache_info().hits
+            hits = lattice.scanned.cache_info().hits
             cached = grc_partition(spec, lift)
-            assert sparse.scanned.cache_info().hits == hits + 1
-            sparse.scanned.cache_clear()
+            assert lattice.scanned.cache_info().hits == hits + 1
+            lattice.scanned.cache_clear()
             assert summary(cached) == summary(grc_partition(spec, lift)), lift
 
     def test_the_returned_points_are_a_fresh_list(self):
@@ -320,7 +321,7 @@ def cold_and_warm_digests(spec, delta_vec):
     liftings = [DEFAULT_LIFTINGS] + [seeded_liftings(s) for s in range(1, 6)]
     cold = []
     for lift in liftings:
-        sparse.scanned.cache_clear()
+        lattice.scanned.cache_clear()
         cold.append(grc_partition(spec, lift, delta_vec))
     # every call below finds the scan and each point's feasible catalog bases
     warm = [grc_partition(spec, lift, delta_vec) for lift in liftings]
@@ -351,12 +352,12 @@ class TestCertificateReuse:
         # once per (spec, perturbation), whatever the liftings
         built = []
 
-        class Counting(sparse._PointSystem):
+        class Counting(lattice.PointSystem):
             def __init__(self, *args):
                 built.append(args)
                 super().__init__(*args)
 
-        monkeypatch.setattr(sparse, "_PointSystem", Counting)
+        monkeypatch.setattr(lattice, "PointSystem", Counting)
         spec = SystemSpec(1, 2)
         first = grc_partition(spec)
         second = grc_partition(spec, seeded_liftings(1))
@@ -377,11 +378,12 @@ class TestCertificateReuse:
         # itself rejects the extra points, so the per-point step is used.
         # The default liftings fill each basis's verdicts; the seeded ones
         # then read them on the same point system
-        from diffres.sparse import _PointSystem, _catalog_assignment
+        from diffres.lattice import PointSystem
+        from diffres.sparse import _catalog_assignment
         spec = SystemSpec(1, 2)
-        system = _PointSystem(spec, HALF)
+        system = PointSystem(spec, HALF)
         for lift in [DEFAULT_LIFTINGS] + [seeded_liftings(s) for s in (1, 2, 3)]:
-            costs = sparse.costs(system.vertices, lift)
+            costs = lattice.costs(system.vertices, lift)
             optimal = system.optimal(costs)
             for q in lattice_points(spec, HALF):
                 ref = reference_assignment(fraction_lp(q, spec, lift, HALF))
@@ -463,8 +465,8 @@ class TestIntegerCertificates:
     @pytest.mark.parametrize("d", [(1, 2), (2, 2)])
     def test_optimal_catalog_matches_verify_basis(self, d, lift):
         spec = SystemSpec(*d)
-        system = sparse._PointSystem(spec, DEFAULT_PERTURBATION)
-        costs = sparse.costs(system.vertices, lift)
+        system = lattice.PointSystem(spec, DEFAULT_PERTURBATION)
+        costs = lattice.costs(system.vertices, lift)
         optimal = {b.bid for b, ok in zip(system.catalog, system.optimal(costs))
                    if ok}
         nonsingular = {b.bid for b in system.catalog}
@@ -483,7 +485,7 @@ class TestIntegerCertificates:
                                            (F(1, 3), F(2, 7), F(1, 10))])
     def test_forms_give_x_b_at_every_lattice_point(self, delta_vec):
         spec = SystemSpec(1, 2)
-        system = sparse._PointSystem(spec, delta_vec)
+        system = lattice.PointSystem(spec, delta_vec)
         for q in lattice_points(spec, delta_vec):
             inst = fraction_lp(q, spec, DEFAULT_LIFTINGS, delta_vec)
             for basis in system.catalog:
@@ -501,7 +503,7 @@ class TestIntegerCertificates:
 
         monkeypatch.setattr(sparse.lp, "_row_reduce", corrupted)
         with pytest.raises(CertificateFailure):
-            sparse._PointSystem(SystemSpec(1, 2), DEFAULT_PERTURBATION)
+            lattice.PointSystem(SystemSpec(1, 2), DEFAULT_PERTURBATION)
 
     def test_a_farkas_vector_with_a_flipped_sign_is_caught(self, monkeypatch):
         real = sparse.lp.integer_certificate
@@ -514,7 +516,7 @@ class TestIntegerCertificates:
             return feasible, cert
 
         monkeypatch.setattr(sparse.lp, "integer_certificate", flipped)
-        system = sparse._PointSystem(SystemSpec(1, 2), DEFAULT_PERTURBATION)
+        system = lattice.PointSystem(SystemSpec(1, 2), DEFAULT_PERTURBATION)
         # w = (-1, 1, 1, 0, 0, 0, 0) keeps w b'(q) < 0 at the origin; only
         # w A >= 0 fails
         with pytest.raises(CertificateFailure, match="Farkas"):
@@ -525,7 +527,7 @@ class TestIntegerCertificates:
         # every phase-one verdict claims the first catalog basis, whose forms
         # are negative at (1, 4, 2), the first box point phase one decides
         spec = SystemSpec(1, 2)
-        columns = sparse._PointSystem(spec, DEFAULT_PERTURBATION).catalog[0].columns
+        columns = lattice.PointSystem(spec, DEFAULT_PERTURBATION).catalog[0].columns
         monkeypatch.setattr(sparse.lp, "integer_certificate",
                             lambda A, b: (True, columns))
         with pytest.raises(CertificateFailure, match=r"does not certify \(1, 4, 2\)"):
@@ -570,8 +572,8 @@ class TestPerCallWork:
     @example(lift=SCAN_ON)
     def test_the_kept_columns_give_lp_optimal(self, lift):
         for d in DEGREES_TO_4:
-            system, _ = sparse.scanned(SystemSpec(*d), DEFAULT_PERTURBATION)
-            costs = sparse.costs(system.vertices, lift)
+            system, _ = lattice.scanned(SystemSpec(*d), DEFAULT_PERTURBATION)
+            costs = lattice.costs(system.vertices, lift)
             for basis, ok in zip(system.catalog, system.optimal(costs)):
                 B = [[row[j] for j in basis.columns] for row in system.A]
                 p, adj = sparse.lp.adjugate(B)
@@ -591,8 +593,8 @@ class TestPerCallWork:
         # at HALF some points have a weakly feasible basis ahead of the
         # first strictly feasible one
         for d in degrees:
-            system, points = sparse.scanned(SystemSpec(*d), delta_vec)
-            costs = sparse.costs(system.vertices, lift)
+            system, points = lattice.scanned(SystemSpec(*d), delta_vec)
+            costs = lattice.costs(system.vertices, lift)
             flags = system.optimal(costs)
             for q in points:
                 a = sparse._catalog_assignment(q, system, flags, costs)
@@ -600,8 +602,8 @@ class TestPerCallWork:
                     == scan_reference(system, flags, q, costs), (d, lift, q)
 
     def test_free_heights_reach_the_scan_on_path(self):
-        system, points = sparse.scanned(SystemSpec(1, 2), DEFAULT_PERTURBATION)
-        costs = sparse.costs(system.vertices, SCAN_ON)
+        system, points = lattice.scanned(SystemSpec(1, 2), DEFAULT_PERTURBATION)
+        costs = lattice.costs(system.vertices, SCAN_ON)
         flags = system.optimal(costs)
         # the first basis feasible at q is strictly feasible and not optimal
         firsts = [(q, system.feasible_catalog(q)[:1]) for q in points]
@@ -617,8 +619,8 @@ class TestPerCallWork:
         # the case the memo serves in one read per point; the code does not
         # rely on it, as the free heights above show
         for d in DEGREES_TO_4:
-            system, _ = sparse.scanned(SystemSpec(*d), DEFAULT_PERTURBATION)
-            assert all(system.optimal(sparse.costs(system.vertices, lift))), (d, lift)
+            system, _ = lattice.scanned(SystemSpec(*d), DEFAULT_PERTURBATION)
+            assert all(system.optimal(lattice.costs(system.vertices, lift))), (d, lift)
 
     @pytest.mark.usefixtures("cold_scan")
     @pytest.mark.parametrize("d", DEGREES_TO_4)
@@ -637,10 +639,10 @@ class TestPerCallWork:
             # no form is evaluated: each point's feasible bases are kept,
             # and `_values` is the one evaluator of catalog, phase-one and
             # Farkas forms
-            patched.setattr(sparse, "_values", refused)
+            patched.setattr(lattice, "_values", refused)
             warm = [grc_partition(spec, lift) for lift in liftings]
         for lift, result in zip(liftings, warm):
-            sparse.scanned.cache_clear()
+            lattice.scanned.cache_clear()
             assert result == grc_partition(spec, lift), lift
 
     @pytest.mark.usefixtures("cold_scan")
@@ -649,7 +651,7 @@ class TestPerCallWork:
         # the scan decides each point by its feasible catalog bases, so the
         # first grc_partition after it evaluates no form
         spec = SystemSpec(*d)
-        system, points = sparse.scanned(spec, DEFAULT_PERTURBATION)
+        system, points = lattice.scanned(spec, DEFAULT_PERTURBATION)
         assert all(type(system.kept.get(q)) is tuple for q in points)
 
         def refused(*args):
@@ -658,14 +660,14 @@ class TestPerCallWork:
         with monkeypatch.context() as patched:
             patched.setattr(sparse.lp, "adjugate", refused)
             patched.setattr(sparse.lp, "integer_certificate", refused)
-            patched.setattr(sparse, "_values", refused)
+            patched.setattr(lattice, "_values", refused)
             first = grc_partition(spec)
         assert list(first.assignments) == list(points)
 
 
 class TestBuildLP:
     def test_cost_vector_closed_form(self):
-        c = sparse.costs(vertex_lists(SystemSpec(2, 2)), DEFAULT_LIFTINGS)
+        c = lattice.costs(vertex_lists(SystemSpec(2, 2)), DEFAULT_LIFTINGS)
         l1, l2, l3, l4 = DEFAULT_LIFTINGS.as_tuple()
         d1, d2 = 2, 2
         expected_first_block = [
@@ -678,7 +680,7 @@ class TestBuildLP:
         assert c[0] == c[6] == c[12] == c[15] == 0
 
     def test_constraint_rows(self):
-        A = sparse._constraint_matrix(SystemSpec(2, 3))
+        A = lattice._constraint_matrix(SystemSpec(2, 3))
         assert list(A[3]) == [1, 1, 1, 1, 1, 1] + [0] * 12
         assert list(A[0]) == [0, 0, 0, 0, 1, 2,
                               0, 0, 0, 0, 2, 3,
@@ -694,7 +696,7 @@ class TestBuildLP:
 class TestCatalogStructure:
     """A catalog basis holds one column of its case's block, the target
     vertex's, so a basis feasible at q puts its block on the target vertex;
-    `_PointSystem` checks the columns when it is built."""
+    `PointSystem` checks the columns when it is built."""
 
     def test_each_basis_holds_only_its_target_vertex_in_its_block(self):
         for case, bid, columns in CASE_BASES:
@@ -709,16 +711,16 @@ class TestCatalogStructure:
         mutant = tuple((case, bid, tuple(swap.get(j, j) for j in columns)
                         if bid == "1.1" else columns)
                        for case, bid, columns in CASE_BASES)
-        monkeypatch.setattr(sparse, "CASE_BASES", mutant)
+        monkeypatch.setattr(lattice, "CASE_BASES", mutant)
         with pytest.raises(CertificateFailure, match=r"1\.1"):
-            sparse._PointSystem(SystemSpec(1, 2), DEFAULT_PERTURBATION)
+            lattice.PointSystem(SystemSpec(1, 2), DEFAULT_PERTURBATION)
 
     @pytest.mark.parametrize("delta_vec, degrees", [
         (DEFAULT_PERTURBATION, DEGREES_TO_4), (HALF, [(1, 2), (2, 2)])])
     def test_every_feasible_basis_puts_its_block_on_the_target(self, delta_vec,
                                                                degrees):
         for d in degrees:
-            system, points = sparse.scanned(SystemSpec(*d), delta_vec)
+            system, points = lattice.scanned(SystemSpec(*d), delta_vec)
             for q in points:
                 for k, values, lam in system.feasible_catalog(q):
                     case = system.catalog[k].case
@@ -768,8 +770,8 @@ class TestVerifyBasis:
             assert certified.objective == best.objective
 
     def test_point_outside_is_infeasible(self):
-        system = sparse.scanned(SystemSpec(2, 2), DEFAULT_PERTURBATION)[0]
-        c = sparse.costs(system.vertices, DEFAULT_LIFTINGS)
+        system = lattice.scanned(SystemSpec(2, 2), DEFAULT_PERTURBATION)[0]
+        c = lattice.costs(system.vertices, DEFAULT_LIFTINGS)
         with pytest.raises(Infeasible):
             sparse._search_assignment(system, (9, 9, 9), c)
 
