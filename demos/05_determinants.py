@@ -14,9 +14,8 @@ import random
 from fractions import Fraction
 
 from diffres import (SystemSpec, build_square_matrix,
-                     common_zero_specialization, crt_combine, det_modular,
-                     det_specialized, det_symbolic, hadamard_bound,
-                     nonzero_random_probe, random_specialization)
+                     common_zero_specialization, det_modular, det_specialized,
+                     det_symbolic, nonzero_random_probe, random_specialization)
 
 spec = SystemSpec(1, 1)
 M = build_square_matrix(spec)
@@ -49,18 +48,10 @@ print()
 print("== modular residues recombine to the exact value ==")
 s = random_specialization(spec, rng_seed=7)
 exact = det_specialized(M, s)
-bound = hadamard_bound(M.specialize(s)[0])
-moduli = [2147483647, 2147483629, 2147483587, 2147483579, 2147483563]
-used = []
-product = 1
-for p in moduli:
-    used.append(p)
-    product *= p
-    if product > 2 * bound:
-        break
-residues = det_modular(M, s, used)
-lifted = crt_combine(residues, used)
+moduli = [2147483647, 2147483629, 2147483587]
+result = det_modular(M, s, moduli)
 print(f"  exact value : {exact}")
-print(f"  moduli used : {len(used)} (product beats twice the bound {bound})")
-print(f"  CRT lift    : {lifted}")
-print(f"  agree       : {lifted == exact}")
+print(f"  residues    : {result.residues}")
+print(f"  moduli      : {len(moduli)} (product beats twice the bound {result.bound})")
+print(f"  CRT lift    : {result.value}")
+print(f"  agree       : {result.value == exact}")

@@ -25,9 +25,8 @@ from typing import Iterable, List, Optional, Sequence
 
 from .certificate import certify, unique_monomial_coefficient
 from .determinant import (SIGN_NOTE, SYMBOLIC_CAP_DEFAULT,
-                          common_zero_specialization, crt_lift, det_residues,
-                          det_specialized, det_symbolic, hadamard_bound,
-                          random_specialization)
+                          common_zero_specialization, det_modular,
+                          det_specialized, det_symbolic, random_specialization)
 from .diffsys import (SystemSpec, YMonomial, delta, generic_system,
                       system_symbols, ym_render)
 from .errors import CapExceeded, DiffresError, IllegalMove
@@ -235,10 +234,7 @@ def cmd_det(args) -> int:
                        "sign_convention": SIGN_NOTE}
         else:
             moduli = [int(p) for p in args.moduli or DEFAULT_MODULI]
-            rows, den = matrix.specialize(s)
-            residues = det_residues(rows, den, moduli)
-            bound = hadamard_bound(rows)
-            lifted = crt_lift(residues, moduli, bound)
+            residues, bound, lifted = det_modular(matrix, s, moduli)
             payload = {"mode": "Modular", "moduli": moduli,
                        "residues": residues,
                        "crt": None if lifted is None else str(lifted)}

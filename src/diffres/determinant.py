@@ -50,7 +50,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import ceil, gcd, isqrt, prod
 from operator import mul
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import CapExceeded
 from .diffsys import YM_ONE, SystemSpec, YMonomial, system_symbols
@@ -356,19 +356,21 @@ def is_prime(n: int) -> bool:
     return True
 
 
+class ModularDet(NamedTuple):
+    residues: List[int]         # one per modulus, in the given order
+    bound: int                  # Hadamard bound of the specialized int rows
+    value: Optional[int]        # the CRT lift, None when the moduli fall short
+
+
 def det_modular(matrix: PolyMatrix, s: Specialization,
-                moduli: Sequence[int]) -> List[int]:
-    """Residues of the specialized determinant modulo primes; requires
-    integer entries (the elimination divides, so each modulus must be prime)."""
+                moduli: Sequence[int]) -> ModularDet:
+    """The specialized determinant modulo primes, and its CRT lift when the
+    product of the moduli exceeds twice the Hadamard bound (the residues
+    then determine it); requires integer entries (the elimination divides,
+    so each modulus must be prime, and none repeated)."""
     if matrix.nrows != matrix.ncols:
         raise ValueError("determinant of a non-square matrix")
-    return det_residues(*matrix.specialize(s), moduli)
-
-
-def det_residues(rows: Sequence[Dict[int, int]], den: int,
-                 moduli: Sequence[int]) -> List[int]:
-    """`det_modular` of int rows over the denominator den, as
-    `PolyMatrix.specialize` gives them."""
+    rows, den = matrix.specialize(s)
     for k, p in enumerate(moduli):
         if not is_prime(p):
             raise ValueError(f"modulus {p} is not a prime")
@@ -380,7 +382,9 @@ def det_residues(rows: Sequence[Dict[int, int]], den: int,
     for p in moduli:    # the first prime searches, the others replay
         residue, order = _det_residue(rows, p, order)
         residues.append(residue)
-    return residues
+    bound = hadamard_bound(rows)
+    value = crt_combine(residues, moduli) if prod(moduli) > 2 * bound else None
+    return ModularDet(residues, bound, value)
 
 
 def crt_combine(residues: Sequence[int], moduli: Sequence[int]) -> int:
@@ -397,16 +401,6 @@ def crt_combine(residues: Sequence[int], moduli: Sequence[int]) -> int:
     if value > modulus // 2:
         value -= modulus
     return value
-
-
-def crt_lift(residues: Sequence[int], moduli: Sequence[int],
-             bound: int) -> Optional[int]:
-    """The integer of absolute value at most `bound` with these residues, or
-    None when the product of the distinct moduli does not exceed twice the
-    bound (the residues then do not determine it)."""
-    if prod(set(moduli)) <= 2 * bound:
-        return None
-    return crt_combine(residues, moduli)
 
 
 def hadamard_bound(rows: Sequence[Dict[int, Fraction]]) -> int:

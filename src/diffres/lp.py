@@ -14,7 +14,7 @@ a proposed basic solution independently of the solver (feasibility of
 B^-1 b and nonpositive reduced costs, both read from an adjugate whose
 product B adj = p I is checked exactly), so the two can cross-check each
 other.  `sparse` and the `basis-certification` check run them on one
-integer point system per spec and perturbation (`sparse.scanned`); no
+integer point system per spec and perturbation (`lattice.scanned`); no
 Fraction copy of it is built.  One fraction-free pivot serves the
 tableau, the adjugates and the rank; a row whose entry in the pivot
 column is zero is only rescaled to the new denominator, and left alone
@@ -121,7 +121,7 @@ def _row_reduce(rows: List[List[int]], ncols: int) -> Tuple[List[int], int]:
 
 
 class LPSolution(NamedTuple):
-    status: str                 # "optimal" | "infeasible" | "unbounded"
+    status: str                 # "optimal" | "infeasible"; unbounded raises
     x: Vector
     objective: Fraction
     basis: Tuple[int, ...]

@@ -177,6 +177,20 @@ PINNED_POLY_SHA256 = {
         "aa8514da88f9df4fe786b84087f79f4fcd5c1035d305adb76750a158ab551049",
     ("oracle", "--d1", "1", "--d2", "1", "--full"):
         "227d079f4fb2a1fd925c8d829f4351efcbf15596924217b11a5680daa8968516",
+    ("det", "--d1", "2", "--d2", "3"):
+        "3782648aa56cb1bcffe5fbeee5561152c5a2a702664a0d01ba8a308701bd96bf",
+    ("det", "--d1", "3", "--d2", "4", "--seed", "5"):
+        "30743e663c47cd636434f0b7ac8f6f9033ea90043aefd982d81969c28e8e22ff",
+    ("det", "--d1", "2", "--d2", "2", "--common-zero", "1/2", "-3/4", "5/7"):
+        "c4c212c66bdfd6b4bdf9cdf54c58a8aa9020153ab829f238f006ff80e744bdd7",
+    # two default primes fall short of the bound: `crt` is null with a note
+    ("det", "--d1", "2", "--d2", "3", "--mode", "modular"):
+        "556caa9e979bee24df17528d8aee8277d6bf425eb8581e7f08e505df60dbea36",
+    ("det", "--d1", "1", "--d2", "1", "--mode", "modular",
+     "--moduli", "2147483647", "2147483629", "2147483587"):
+        "fbe129465f3ea38b9b37194b6a2d43726e34dbbc750dee3bca3851bb2a0e920c",
+    ("det", "--d1", "1", "--d2", "1", "--mode", "modular", "--moduli", "2"):
+        "eb2928d2c98cb55bb0ce30bd0fe28b5a139ad4866aaef032e8a67f988d319474",
 }
 
 
@@ -727,6 +741,19 @@ def test_invariant_violation_exit_code(capsys):
     code = run_cli("lp-partition", "--d1", "1", "--d2", "1",
                    "--delta", "2", "2", "2")
     assert code == 3
+
+
+@pytest.mark.parametrize("verb", ["lp-partition", "moves"])
+def test_failing_liftings_are_an_invariant_violation(verb, capsys):
+    """Liftings that `validate_liftings` fails are refused by `grc_partition`,
+    as an out-of-range perturbation is: exit 3, one line naming each
+    violated inequality."""
+    code = run_cli(verb, "--d1", "2", "--d2", "2",
+                   "--liftings", "9", *["0"] * 11)
+    out, err = capsys.readouterr()
+    assert (code, out) == (3, "")
+    assert err == ("invariant violation: liftings violate: "
+                   "L11 - L12 - L21 + L22 <= 0, L11 <= L41\n")
 
 
 def test_installed_entry_point_runs():

@@ -20,8 +20,7 @@ from diffres import (CapExceeded, CoeffSymbol, PolyMatrix, Specialization,
                      ranking_specialization, system_symbols)
 from diffres import determinant
 from diffres.cli import main
-from diffres.determinant import (_det_residue, _det_scaled, _pivot_order,
-                                 crt_lift, is_prime)
+from diffres.determinant import _det_residue, _det_scaled, _pivot_order, is_prime
 from diffres.matrices import F1, RowLabel, build_carra_ferro
 from conftest import matrix_from_grid
 
@@ -252,8 +251,7 @@ class TestModular:
         s = common_zero_specialization(spec, (1, 2, 3), rng_seed=9)
         # clear denominators: solve-adjusted values are integers at an
         # integer point with integer randomness
-        residues = det_modular(M, s, self.MODULI)
-        assert residues == [0, 0, 0]
+        assert det_modular(M, s, self.MODULI).residues == [0, 0, 0]
 
     def test_crt_matches_exact_value(self):
         spec = SystemSpec(1, 1)
@@ -270,7 +268,7 @@ class TestModular:
                 if product > 2 * bound:
                     break
             assert product > 2 * bound
-            residues = det_modular(M, s, moduli)
+            residues = det_modular(M, s, moduli).residues
             assert crt_combine(residues, moduli) == exact
 
     def test_cli_specializes_the_matrix_once(self, monkeypatch, capsys):
@@ -286,7 +284,7 @@ class TestModular:
                 [SymPoly.const(6), SymPoly.const(8)]]
         M = matrix_from_grid(grid)
         s = Specialization({})
-        assert det_modular(M, s, [2]) == [0]
+        assert det_modular(M, s, [2]).residues == [0]
 
     def test_crt_lift_needs_twice_the_bound(self):
         spec = SystemSpec(1, 1)
@@ -296,8 +294,8 @@ class TestModular:
         bound = hadamard_bound(M.specialize(s)[0])
         two = self.MODULI[:2]
         assert two[0] * two[1] <= 2 * bound     # two 31-bit primes fall short
-        assert crt_lift(det_modular(M, s, two), two, bound) is None
-        assert crt_lift(det_modular(M, s, self.MODULI), self.MODULI, bound) == exact
+        assert det_modular(M, s, two).value is None
+        assert det_modular(M, s, self.MODULI).value == exact
 
     def test_composite_and_unit_moduli_are_rejected(self):
         spec = SystemSpec(1, 1)
@@ -319,13 +317,8 @@ class TestModular:
             with pytest.raises(ValueError, match=f"modulus {p} is repeated"):
                 det_modular(M, s, moduli)
         assert calls == []
-
-    def test_crt_lift_counts_a_repeated_modulus_once(self):
-        p = self.MODULI[0]
-        # p * p exceeds twice the bound, but p alone does not
-        assert crt_lift([5, 5], [p, p], p) is None
         with pytest.raises(ValueError, match="coprime"):
-            crt_lift([5, 5], [p, p], p // 2)
+            crt_combine([5, 5], [p, p])
 
     def test_is_prime_matches_trial_division(self):
         def trial(n):
@@ -397,8 +390,8 @@ class TestSparseKernel:
             exact = det_specialized(M, s)
             bound = hadamard_bound(M.specialize(s)[0])
             moduli = _primes_above(2 * bound)
-            lifted = crt_lift(det_modular(M, s, moduli), moduli, bound)
-            assert exact != 0 and lifted == exact
+            lifted = det_modular(M, s, moduli)
+            assert exact != 0 and lifted.bound == bound and lifted.value == exact
 
     @pytest.mark.parametrize("d", [(1, 2), (2, 2), (2, 3)], ids=_degrees)
     def test_vanishes_at_negative_fractional_common_zeros(self, d):

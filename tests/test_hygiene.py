@@ -1,16 +1,20 @@
 """Source hygiene: every name a library module imports is used in it, no
 library module imports a private name from another, every module-level
 private function and class, and every public one the package does not
-export, is named somewhere in the library, every module-level cache is
-bounded, no module calls the indented JSON encoder, only `sympoly` touches a
-`SymPoly`'s slots and only its constructor sets the terms, no module reads
-a private attribute that another module defines, every module stays under
-the parser's token step, and every criterion runs in exactly one suite."""
+export, is named somewhere in the library, every definition, methods
+included, is named by the library, the tests, the demos or the benchmark,
+every module-level cache is bounded, no module calls the indented JSON
+encoder, only `sympoly` touches a `SymPoly`'s slots and only its
+constructor sets the terms, no module reads a private attribute that
+another module defines, every module stays under the parser's token step,
+and every criterion runs in exactly one suite."""
 
 import ast
 import inspect
 import io
+import re
 import tokenize
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -188,6 +192,81 @@ def test_every_public_definition_is_exported_or_named_in_the_library():
     sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
     exported = {name for names in diffres._EXPORTS.values() for name in names}
     assert unreferenced_definitions(sources, exported) == []
+
+
+ROOT = SRC.parent.parent
+DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
+
+
+def _names(tree):
+    """Counts of the names that `tree` reads: identifiers, attributes,
+    imported names, and the parts of each string constant made only of
+    dotted identifiers (a `getattr` or `monkeypatch` target, an export
+    table entry, a traced span); prose, docstrings among it, names nothing."""
+    names = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            names[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            names.update(node.name.split("."))
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and DOTTED.fullmatch(node.value)):
+            names.update(node.value.split("."))
+    return names
+
+
+def dead_definitions(defining, naming):
+    """(module, name) of each non-dunder module-level function or class,
+    and method of a module-level class, in `defining`, {module: source},
+    that the sources of `naming`, a list holding the defining ones too,
+    name only inside the definition itself."""
+    named = sum((_names(ast.parse(source)) for source in naming), Counter())
+    found = []
+    for module, source in defining.items():
+        for top in ast.parse(source).body:
+            nodes = [top] + (top.body if isinstance(top, ast.ClassDef) else [])
+            for node in nodes:
+                if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                      ast.ClassDef))
+                        and not (node.name.startswith("__")
+                                 and node.name.endswith("__"))
+                        and named[node.name] <= _names(node)[node.name]):
+                    found.append((module, node.name))
+    return found
+
+
+def test_the_scan_finds_a_dead_definition():
+    library = ("class Used:\n"
+               "    def method(self): return self.helper()\n"
+               "    def helper(self): return 1\n"
+               "    def dead(self): return self.dead()\n"
+               "    def __repr__(self): return 'Used'\n"
+               "class Alone:\n"
+               "    def make(self): return Alone()\n"
+               "def tested(): pass\n"
+               "def patched(): pass\n"
+               "def traced(): pass\n"
+               "def prose():\n"
+               "    '''Not tested(), only named in prose.'''\n"
+               "def __getattr__(name): pass\n")
+    test = ("from lib import Used, tested\n"
+            "# prose() in a comment\n"
+            "def test(monkeypatch):\n"
+            "    monkeypatch.setattr(lib, 'patched', None)\n"
+            "    assert Used().method() and 'lib.traced' and 'not prose'\n")
+    assert dead_definitions({"lib": library}, [library, test]) == [
+        ("lib", "dead"), ("lib", "Alone"), ("lib", "make"), ("lib", "prose")]
+
+
+def test_no_definition_is_dead():
+    """Every definition of the library is named by the library, the tests,
+    the demos or the benchmark."""
+    naming = [p.read_text() for top in ("src", "tests", "demos", "bench")
+              for p in sorted((ROOT / top).rglob("*.py"))]
+    defining = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert dead_definitions(defining, naming) == []
 
 
 @pytest.mark.parametrize("module", MODULES)

@@ -18,7 +18,7 @@ from diffres import (DEFAULT_LIFTINGS, DEFAULT_PERTURBATION, IllegalMove,
                      nonzero_random_probe, partition_divisibility, support,
                      validate_liftings)
 from diffres import SingularBasis, lattice, monomials, sparse
-from diffres.errors import CertificateFailure
+from diffres.errors import CertificateFailure, DiffresError
 from diffres.lattice import (BLOCK_SIZES, CASE_BASES, TARGET_VERTEX, var_index,
                              vertex_lists)
 from diffres.lp import matrix_rank, simplex, verify_basis
@@ -793,6 +793,22 @@ class TestLiftings:
                                             (6, 2, 1), (0, 0, 0)))
         assert not report.passed
         assert "L11 <= L41" in report.violations
+
+    @pytest.mark.parametrize("lift", [
+        ((9, 0, 0), (0, 0, 0), (0, 0, 0), (0, 0, 0)),
+        ((0, 0, 9), (0, 0, 0), (1, 0, 0), (0, 0, 0)),   # the equality too
+        tuple(tuple(-v for v in l) for l in DEFAULT_LIFTINGS),  # all eight
+    ])
+    def test_grc_partition_refuses_failing_liftings(self, lift, monkeypatch):
+        """The refusal names every violation, before any lattice point is
+        scanned."""
+        lift = Liftings(*lift)
+        violations = validate_liftings(lift).violations
+        assert len(violations) >= 2
+        monkeypatch.setattr(sparse, "scanned", None)
+        with pytest.raises(DiffresError) as caught:
+            grc_partition(SystemSpec(1, 1), lift)
+        assert str(caught.value) == f"liftings violate: {', '.join(violations)}"
 
 
 class TestGrcPartition:
