@@ -4,7 +4,7 @@ Builds the two generic polynomials for a chosen degree pair, applies the
 derivation, and shows how the supports grow exactly as predicted.
 """
 
-from diffres import (SystemSpec, delta, generic_system, support, ym_render)
+from diffres import SystemSpec, delta, generic_system, ym_render
 
 spec = SystemSpec(2, 2)
 f1, f2 = generic_system(spec)
@@ -19,8 +19,8 @@ print("delta f1 =", df1)
 print()
 
 print("supports (degree then lex order):")
-print("  f1      :", [ym_render(m) for m in support(f1)])
-print("  delta f1:", [ym_render(m) for m in support(df1)])
+print("  f1      :", [ym_render(m) for m in f1.support_set()])
+print("  delta f1:", [ym_render(m) for m in df1.support_set()])
 print()
 
 print("coefficient bookkeeping for two landmark monomials of delta f1:")
@@ -35,7 +35,7 @@ print("support counts across degree pairs (base, derivative):")
 for d1, d2 in ((1, 1), (1, 2), (2, 2), (2, 3), (3, 3)):
     s = SystemSpec(d1, d2)
     g1, g2 = generic_system(s)
-    print(f"  d={d1},{d2}:  |f1|={len(support(g1)):3}"
-          f"  |delta f1|={len(support(delta(g1))):3}"
-          f"  |f2|={len(support(g2)):3}"
-          f"  |delta f2|={len(support(delta(g2))):3}")
+    print(f"  d={d1},{d2}:  |f1|={len(g1.support_set()):3}"
+          f"  |delta f1|={len(delta(g1).support_set()):3}"
+          f"  |f2|={len(g2.support_set()):3}"
+          f"  |delta f2|={len(delta(g2).support_set()):3}")

@@ -24,12 +24,12 @@ _EXPORTS = {
     "errors": ("CapExceeded", "CertificateFailure", "ClosureViolation",
                "DegreeZero", "DiffresError", "DivisionByZero", "IllegalMove",
                "Infeasible", "IntermediateZero", "InvalidPerturbation",
-               "NoVertexOptimum", "NotDivisible", "SingularBasis", "Unbounded",
+               "NoVertexOptimum", "NotDivisible", "Unbounded",
                "UnassignedSymbol"),
     "symbols": ("CoeffSymbol", "parse_symbol"),
     "sympoly": ("Monomial", "Specialization", "SymPoly", "parse_sympoly"),
     "diffsys": ("DiffPoly", "SystemSpec", "YMonomial", "delta", "generic_poly",
-                "generic_system", "support", "system_symbols", "ym_render"),
+                "generic_system", "system_symbols", "ym_render"),
     "monomials": ("MainMonomials", "MonomialSet", "Partition", "bset",
                   "closed_form_partition", "closed_form_sets", "column_set",
                   "default_main_monomials", "multiplier_sizes",

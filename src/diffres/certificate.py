@@ -64,7 +64,6 @@ class CertStep(NamedTuple):
     block: str
     deleted_rows: Tuple[RowLabel, ...]
     deleted_cols: Tuple[YMonomial, ...]
-    pairs: Tuple[Tuple[int, int], ...]        # (row index, col index)
     unit_coefficients: Tuple[Fraction, ...]   # factor of the symbol per entry
 
 
@@ -165,7 +164,7 @@ def eliminate(matrix: PolyMatrix, spec: SystemSpec) -> Certificate:
             symbol=sym, block=block,
             deleted_rows=tuple(matrix.rows[i] for i, _ in pairs),
             deleted_cols=tuple(matrix.cols[j] for _, j in pairs),
-            pairs=tuple(pairs), unit_coefficients=tuple(units)))
+            unit_coefficients=tuple(units)))
 
     if alive_rows or alive_cols:
         raise CertificateFailure(

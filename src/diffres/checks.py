@@ -29,7 +29,7 @@ from .determinant import (common_zero_specialization, det_specialized,
                           det_symbolic, kernel_certifies, nonzero_random_probe,
                           random_specialization)
 from .diffsys import SystemSpec, YMonomial, system_symbols, ym_render
-from .errors import DiffresError, SingularBasis
+from .errors import DiffresError
 from .lattice import (CASE_BASES, DEFAULT_PERTURBATION, costs,
                       lattice_points, scanned)
 from .matrices import (build_carra_ferro, build_sparse_matrix,
@@ -254,31 +254,28 @@ def check_lp_partition(spec: SystemSpec, seed: int) -> Dict[str, object]:
 # --- criterion 8 -------------------------------------------------------------
 
 def check_basis_certification(spec: SystemSpec, seed: int) -> Dict[str, object]:
-    # the kept integer point system: b' = D b(q), so the solver's and each
-    # certified objective are both D times the LP's, and compare directly
+    # the kept integer point system and its certified catalog: b' = D b(q),
+    # so the solver's objective and a catalog basis's, sum c_j v_j / p over
+    # its form values v = p x_B at q, are both D times the LP's
     system, points = scanned(spec, DEFAULT_PERTURBATION)
     A, c = system.A, costs(system.vertices, DEFAULT_LIFTINGS)
     assert lp.matrix_rank(A) == 7
     cols = next(columns for case, bid, columns in CASE_BASES if bid == "1.1")
     assert lp.matrix_rank([[row[j] for j in cols] for row in A]) == 7
+    optimal = system.optimal(c)
     certified = {}
     for q in points:
-        b = system.rhs(q)
-        best = lp.simplex(A, b, c)
+        best = lp.simplex(A, system.rhs(q), c)
         assert best.status == "optimal", f"lattice point {q} admits no decomposition"
-        found = None
-        for case, bid, columns in CASE_BASES:
-            try:
-                report = lp.verify_basis(A, b, c, columns)
-            except SingularBasis:   # a failed certificate stays fatal
-                continue
-            if report.feasible and report.optimal:
-                assert report.objective == best.objective, \
-                    f"{q}: certified objective differs from the solver"
-                found = bid
-                break
-        assert found is not None, f"no certified basis covers {q}"
-        certified[q] = found
+        found = {k: values for k, values, _ in system.feasible_catalog(q) if optimal[k]}
+        assert found, f"no certified basis covers {q}"
+        k = min(found)   # the first in catalog order
+        basis = system.catalog[k]
+        objective = Fraction(sum(c[j] * v for j, v in zip(basis.columns, found[k])),
+                             basis.p)
+        assert objective == best.objective, \
+            f"{q}: certified objective differs from the solver"
+        certified[q] = basis.bid
     return {"points": len(points),
             "bases_used": sorted(set(certified.values()))}
 

@@ -241,10 +241,6 @@ def delta(p: DiffPoly) -> DiffPoly:
     return p._delta
 
 
-def support(p: DiffPoly) -> Tuple[YMonomial, ...]:
-    return p.support_set()
-
-
 def system_symbols(spec: SystemSpec) -> set:
     """The symbol universe of a spec: every coefficient and its derivative."""
     spec = SystemSpec(*spec).validate()

@@ -44,10 +44,6 @@ class InvalidPerturbation(DiffresError):
     """Perturbation vector components must lie strictly between 0 and 1."""
 
 
-class SingularBasis(DiffresError):
-    """Selected basis columns are linearly dependent."""
-
-
 class Infeasible(DiffresError):
     """Linear program has no feasible point."""
 

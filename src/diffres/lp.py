@@ -9,17 +9,16 @@ over the rationals; Fractions are made only for what a call returns.
 Phase one alone, `integer_certificate` on integer data, returns its
 verdict with a certificate: a basis with B^-1 b >= 0, or an integer Farkas
 vector w with w A >= 0 and w b < 0, read from the artificial columns of
-the final tableau.  A basis-verification routine certifies optimality of
-a proposed basic solution independently of the solver (feasibility of
-B^-1 b and nonpositive reduced costs, both read from an adjugate whose
-product B adj = p I is checked exactly), so the two can cross-check each
-other.  `sparse` and the `basis-certification` check run them on one
-integer point system per spec and perturbation (`lattice.scanned`); no
-Fraction copy of it is built.  One fraction-free pivot serves the
-tableau, the adjugates and the rank; a row whose entry in the pivot
-column is zero is only rescaled to the new denominator, and left alone
-when that denominator is unchanged.  Integer data is read as it is, with
-no Fraction per entry.
+the final tableau.  A basis is certified apart from the solver by
+`adjugate` (B adj = p I, checked exactly, so x_B = adj b / p) and
+`optimal` (the reduced costs, read from adj).  `lattice.PointSystem`
+makes that certificate once per catalog basis, per spec and perturbation
+(`lattice.scanned`), and `sparse` and the `basis-certification` check
+read it there; no Fraction copy of the system is built.  One
+fraction-free pivot serves the tableau, the adjugates and the rank; a row
+whose entry in the pivot column is zero is only rescaled to the new
+denominator, and left alone when that denominator is unchanged.  Integer
+data is read as it is, with no Fraction per entry.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from math import lcm
 from operator import mul
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
-from .errors import CertificateFailure, SingularBasis, Unbounded
+from .errors import CertificateFailure, Unbounded
 
 Vector = List[Fraction]
 
@@ -254,45 +253,3 @@ def simplex(A: Sequence[Sequence], b: Sequence, c: Sequence) -> LPSolution:
     return LPSolution("optimal", x, sum((cj * xj for cj, xj in zip(c, x)), Fraction(0)),
                       tuple(sorted(tab.basis)))
 
-
-class BasisReport(NamedTuple):
-    feasible: bool
-    strictly_feasible: bool
-    optimal: bool
-    x: Tuple[Fraction, ...]
-    objective: Fraction
-
-
-def verify_basis(A: Sequence[Sequence], b: Sequence, c: Sequence,
-                 basis: Sequence[int]) -> BasisReport:
-    """Certify a basic solution: x_B = B^-1 b and reduced costs <= 0.
-
-    In integers, with [A | b] and c each scaled by one positive integer:
-    `adjugate` gives B adj = p I, checked exactly, so x_B = adj b / p and
-    the verdict does not rest on the elimination that the solver shares;
-    `optimal` gives the classical test y A - c <= 0 of a minimisation.
-    Fractions are made only for x and the objective.  Raises SingularBasis
-    when the chosen columns are dependent.
-    """
-    m = len(A)
-    if len(basis) != m:
-        raise SingularBasis(f"basis needs {m} columns, got {len(basis)}")
-    Ab = _augmented(A, b)
-    A, b = [row[:-1] for row in Ab], [row[-1] for row in Ab]
-    found = adjugate([[row[j] for j in basis] for row in A])
-    if found is None:
-        raise SingularBasis(f"columns {tuple(basis)} are linearly dependent")
-    p, adj = found
-    xb = [sum(a * v for a, v in zip(row, b)) for row in adj]
-    (cost,) = _integers([c])
-    x = [Fraction(0)] * len(A[0])
-    for value, j in zip(xb, basis):
-        x[j] = Fraction(value, p)
-    return BasisReport(
-        feasible=all(v >= 0 for v in xb),
-        strictly_feasible=all(v > 0 for v in xb),
-        optimal=optimal(list(zip(*A)), cost, basis, p, list(zip(*adj)),
-                        [j for j in range(len(A[0])) if j not in basis]),
-        x=tuple(x),
-        objective=sum(Fraction(cj) * xj for cj, xj in zip(c, x)),
-    )

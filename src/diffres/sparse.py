@@ -29,8 +29,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import DiffresError, IllegalMove, Infeasible, NoVertexOptimum
 from . import lp
-from .diffsys import (SystemSpec, YMonomial, support, ym_divides, ym_div,
-                      ym_mul, ym_render)
+from .diffsys import SystemSpec, YMonomial, ym_divides, ym_div, ym_mul, ym_render
 from .lattice import (BLOCK_SIZES, DEFAULT_PERTURBATION, TARGET_VERTEX, Point,
                       PointSystem, check_perturbation, costs, scanned,
                       var_index)
@@ -93,7 +92,6 @@ def validate_liftings(lift: Liftings) -> LiftingReport:
 
 @dataclass(frozen=True)
 class GrcAssignment:
-    point: Point
     case: int                      # 1..4
     vertex_index: int              # j with lambda_{case, j} = 1
     vertex: Point
@@ -107,8 +105,6 @@ class GrcAssignment:
 class GrcPartitionResult:
     partition: Partition
     assignments: Dict[Point, GrcAssignment]
-    liftings: Liftings
-    perturbation: Tuple[Fraction, ...]
 
 
 def _catalog_assignment(q: Point, system: PointSystem, optimal: Sequence[bool],
@@ -124,8 +120,8 @@ def _catalog_assignment(q: Point, system: PointSystem, optimal: Sequence[bool],
             j = TARGET_VERTEX[case]
             vertex = system.vertices[case - 1][j - 1]
             objective = sum(map(mul, map(c.__getitem__, basis.columns), values))
-            return GrcAssignment(q, case, j, vertex, YMonomial(*vertex), basis.bid,
-                                 lam, Fraction(objective, basis.p * system.D))
+            return GrcAssignment(case, j, vertex, YMonomial(*vertex), basis.bid, lam,
+                                 Fraction(objective, basis.p * system.D))
     return None
 
 
@@ -157,7 +153,7 @@ def _search_assignment(system: PointSystem, q: Point, c: Sequence[int]
                 lam[k] = v / D
             lam[pinned] = Fraction(1)
             vertex = system.vertices[case - 1][j - 1]
-            return GrcAssignment(q, case, j, vertex, YMonomial(*vertex), "search",
+            return GrcAssignment(case, j, vertex, YMonomial(*vertex), "search",
                                  tuple(lam), best.objective / D)
     raise NoVertexOptimum(f"no optimal solution at {q} pins a target vertex")
 
@@ -188,7 +184,7 @@ def grc_partition(spec: SystemSpec, lift: Liftings = DEFAULT_LIFTINGS,
         *(MonomialSet.of(buckets[i], f"S{i}") for i in (1, 2, 3, 4)),
         provenance="LPDriven")
     partition.validate_cover(system.cover)
-    return GrcPartitionResult(partition, assignments, lift, delta_vec)
+    return GrcPartitionResult(partition, assignments)
 
 
 # --- moves -------------------------------------------------------------------
@@ -231,7 +227,7 @@ def apply_moves(part: Partition, moves: Sequence[Tuple[YMonomial, int, int]],
                 f"main monomial {ym_render(target_mm)} of block {dst} does "
                 f"not divide {ym_render(monomial)}")
         mult = ym_div(monomial, target_mm)
-        for m in support(polys[SQUARE_BLOCK_ORDER[dst - 1]]):
+        for m in polys[SQUARE_BLOCK_ORDER[dst - 1]].support_set():
             shifted = ym_mul(m, mult)
             if shifted not in col_set:
                 raise IllegalMove(

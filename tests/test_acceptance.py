@@ -99,6 +99,26 @@ def test_criterion_8_basis_certification():
     assert reports[0].witness["points"] == 36
 
 
+# the criterion-8 report, less its runtime, beyond the suite's one pair: two
+# passes and the first uncovered point where the catalog runs out
+BASIS_REPORT_PINS = {
+    (1, 1): "e26cec21f315b61141c0289fb4798c15944a2cc39a1e9065b635e52ca873b533",
+    (1, 2): "b2fc456979ed02af70e1fca74549befa6b8ae74825d8a386173bbbf7ce38e4a4",
+    (2, 3): "d42bf466ab95bf5c5edaa565a5d97d5bee2dff373049bc07db520756d0dc14a2",
+    (3, 3): "60251260c26a8691bbede5f67a227d717937c12b4257425a490bc76abf376cd3",
+}
+
+
+@pytest.mark.parametrize("d", sorted(BASIS_REPORT_PINS))
+def test_criterion_8_reports_are_pinned_at_other_degrees(d):
+    from diffres.checks import _report, check_basis_certification
+    r = _report("basis-certification", d, check_basis_certification, 0)
+    blob = json.dumps([r.name, r.spec, r.status, r.witness],
+                      sort_keys=True, default=str)
+    assert hashlib.sha256(blob.encode()).hexdigest() == BASIS_REPORT_PINS[d], \
+        (r.status, r.witness)
+
+
 def test_criterion_9_oracle_consistency():
     _run("oracle", budget=30.0)
 

@@ -7,7 +7,7 @@ import pytest
 from diffres import (MonomialSet, SystemSpec, YMonomial, bset,
                      closed_form_partition, closed_form_sets, column_set,
                      default_main_monomials, delta, generic_system,
-                     multiplier_sizes, partition_divisibility, support)
+                     multiplier_sizes, partition_divisibility)
 from diffres.diffsys import YM_ONE, ym_div, ym_divides, ym_mul
 
 
@@ -154,5 +154,5 @@ class TestClosure:
                 for monomial in block:
                     assert ym_divides(main, monomial)
                     mult = ym_div(monomial, main)
-                    for m in support(poly):
+                    for m in poly.support_set():
                         assert ym_mul(m, mult) in cols, (d1, d2, monomial)

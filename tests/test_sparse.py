@@ -15,15 +15,15 @@ from diffres import (DEFAULT_LIFTINGS, DEFAULT_PERTURBATION, IllegalMove,
                      build_square_matrix, column_set, common_zero_specialization,
                      default_main_monomials, delta, det_specialized,
                      generic_system, grc_partition, lattice_points,
-                     nonzero_random_probe, partition_divisibility, support,
+                     nonzero_random_probe, partition_divisibility,
                      validate_liftings)
-from diffres import SingularBasis, lattice, monomials, sparse
+from diffres import lattice, monomials, sparse
 from diffres.errors import CertificateFailure, DiffresError
 from diffres.lattice import (BLOCK_SIZES, CASE_BASES, TARGET_VERTEX, var_index,
                              vertex_lists)
-from diffres.lp import matrix_rank, simplex, verify_basis
+from diffres.lp import matrix_rank, simplex
 from diffres.sparse import MOVES_TO_DIVISIBILITY_2_2
-from test_lp import verify_basis_reference
+from test_lp import SingularBasis, verify_basis_reference
 
 F = Fraction
 HALF = (F(1, 2),) * 3   # a coarse perturbation: degenerate bases and ties
@@ -67,8 +67,7 @@ class TestNewtonData:
         for d in ((1, 2), (2, 2), (2, 3)):
             spec = SystemSpec(*d)
             f1, f2 = generic_system(spec)
-            supports = [support(delta(f1)), support(delta(f2)), support(f1),
-                        support(f2)]
+            supports = [p.support_set() for p in (delta(f1), delta(f2), f1, f2)]
             for points, verts in zip(supports, vertex_lists(spec)):
                 A = [[v[axis] for v in verts] for axis in range(3)]
                 A.append([1] * len(verts))
@@ -154,12 +153,13 @@ def box_scan(spec, delta_vec=DEFAULT_PERTURBATION):
 
 
 def reference_assignment(inst):
-    """(case, vertex, basis id, lambda, objective) from verify_basis alone:
-    the catalog in order, strict pass then weak pass; None if no basis fits."""
+    """(case, vertex, basis id, lambda, objective) from the Fraction
+    reference alone: the catalog in order, strict pass then weak pass; None
+    if no basis fits."""
     for strict in (True, False):
         for case, bid, columns in CASE_BASES:
             try:
-                report = verify_basis(inst.A, inst.b, inst.c, columns)
+                report = verify_basis_reference(inst.A, inst.b, inst.c, columns)
             except SingularBasis:
                 continue
             ok = report.strictly_feasible if strict else report.feasible
@@ -455,7 +455,7 @@ class TestCertificateReuse:
 
 class TestIntegerCertificates:
     """The integer catalog and phase-one certificates against the Fraction
-    reference of verify_basis, and the exact checks that guard them."""
+    basis reference, and the exact checks that guard them."""
 
     # seeded liftings make every catalog basis optimal; free heights mostly
     # do not, so both verdicts are compared
@@ -731,14 +731,14 @@ class TestCatalogStructure:
 
 
 class TestVerifyBasis:
-    """`verify_basis` on the kept integer point system, as the
-    `basis-certification` check runs it."""
+    """The Fraction reference on the kept integer point system, and the
+    adjugate that every catalog basis is certified by."""
 
     def test_case_one_basis_in_its_range(self):
         # the first range: third coordinate 2, band constraints on the rest
         inst = kept_lp((2, 3, 2), SystemSpec(2, 2))
         cols = CASE_BASES[0][2]
-        report = verify_basis(inst.A, inst.b, inst.c, cols)
+        report = verify_basis_reference(inst.A, inst.b, inst.c, cols)
         assert report.feasible and report.strictly_feasible and report.optimal
         # basis matrix itself has full rank
         B = [[inst.A[i][j] for j in cols] for i in range(7)]
@@ -749,8 +749,7 @@ class TestVerifyBasis:
         # no variable from the fourth block: its convexity row is unsatisfiable
         bad = tuple(var_index(i, j) for i, j in
                     ((1, 3), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (1, 1)))
-        with pytest.raises(SingularBasis):
-            verify_basis(inst.A, inst.b, inst.c, bad)
+        assert sparse.lp.adjugate([[row[j] for j in bad] for row in inst.A]) is None
 
     def test_simplex_agreement_on_all_points(self):
         spec = SystemSpec(2, 2)
@@ -760,7 +759,7 @@ class TestVerifyBasis:
             certified = None
             for case, bid, columns in CASE_BASES:
                 try:
-                    report = verify_basis(inst.A, inst.b, inst.c, columns)
+                    report = verify_basis_reference(inst.A, inst.b, inst.c, columns)
                 except SingularBasis:
                     continue
                 if report.feasible and report.optimal:
