@@ -8,8 +8,7 @@ identically zero.
 """
 
 from diffres import (SystemSpec, certify, det_specialized,
-                     ranking_specialization, unique_monomial_coefficient,
-                     ym_render)
+                     ranking_specialization, ym_render)
 
 spec = SystemSpec(2, 2)
 transformed, cert = certify(spec)
@@ -26,13 +25,11 @@ print("block counts (n1, n2, n3, n4):", cert.counts)
 unique = " * ".join(f"{s.render()}^{e}" for s, e in cert.unique_monomial)
 print("unique monomial:", unique)
 
-coeff = unique_monomial_coefficient(cert)
-units = cert.unit_product()
-print(f"its determinant coefficient: {coeff} "
-      f"= ({coeff // units}) x (unit multipliers {units})")
+print(f"its determinant coefficient: {cert.coefficient} "
+      f"= ({cert.sign}) x (unit multipliers {cert.coefficient * cert.sign})")
 print()
 
-s = ranking_specialization(spec, t=10 ** 6)
+s = ranking_specialization(spec)
 value = det_specialized(transformed, s)
 print("independent cross-check: step symbols ranked by powers of 10^6,")
 print("all other symbols zero; determinant =", value)

@@ -16,7 +16,7 @@ from diffres import (DEFAULT_LIFTINGS, MOVES_TO_DIVISIBILITY_2_2, SystemSpec,
                      apply_moves, build_sparse_matrix, build_square_matrix,
                      column_set, default_main_monomials, grc_partition,
                      lattice_points, nonzero_random_probe,
-                     partition_divisibility, validate_liftings, ym_render)
+                     partition_divisibility, validate_liftings)
 
 spec = SystemSpec(2, 2)
 

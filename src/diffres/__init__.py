@@ -39,8 +39,7 @@ _EXPORTS = {
                  "build_sparse_matrix", "build_square_matrix",
                  "carra_ferro_shape", "zero_columns"),
     "certificate": ("Certificate", "certify", "eliminate",
-                    "ranking_specialization", "transform_12",
-                    "unique_monomial_coefficient"),
+                    "ranking_specialization", "transform_12"),
     "determinant": ("common_zero_specialization", "crt_combine", "det_laplace",
                     "det_modular", "det_specialized", "det_symbolic",
                     "hadamard_bound", "kernel_certifies", "nonzero_random_probe",

@@ -6,22 +6,26 @@ fresh indeterminate minus d1 times that symbol, which cancels the overlap
 and leaves every other entry byte-identical.  Then four elimination steps
 peel off row blocks: at each step the designated symbol must occur in
 exactly one remaining entry of each row of its block and nowhere else in the
-remaining matrix.  The collected (row, column) pairs form a transversal,
-and the product of the designated symbols raised to the block sizes is a
-monomial that no other permutation of the determinant expansion can
-produce.  Any wrong occurrence count is a fatal CertificateFailure: the
-procedure is a proof artifact, never downgraded to a warning.
+remaining matrix.  The (row, column) pairs that the steps delete form a
+transversal, and the product of the designated symbols raised to the block
+sizes is a monomial that no other permutation of the determinant expansion
+can produce.  Its coefficient in the determinant is the transversal's sign
+times the linear factors with which each step symbol enters its entries,
++-d1^n1; the certificate carries the steps, the sign and that coefficient.
+Any wrong occurrence count is a fatal CertificateFailure: the procedure is
+a proof artifact, never downgraded to a warning.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 from typing import Dict, List, NamedTuple, Tuple
 
 from .errors import CertificateFailure
 from .determinant import perm_sign
 from .diffsys import SystemSpec, YMonomial, system_symbols, ym_render
-from .matrices import DF1, DF2, F1, F2, PolyMatrix, RowLabel, per_tuple
+from .matrices import DF1, DF2, F1, F2, PolyMatrix, RowLabel, build_square_matrix, per_tuple
 from .symbols import CoeffSymbol
 from .sympoly import Monomial, Specialization, SymPoly, mono_make
 
@@ -70,17 +74,9 @@ class CertStep(NamedTuple):
 class Certificate(NamedTuple):
     steps: Tuple[CertStep, ...]
     unique_monomial: Monomial
-    transversal: Dict[RowLabel, YMonomial]
-    permutation: Tuple[int, ...]   # row index -> column index
-    sign: int
+    sign: int                          # sign of the transversal permutation
     counts: Tuple[int, int, int, int]  # (n1, n2, n3, n4) by row block df1, df2, f1, f2
-
-    def unit_product(self) -> Fraction:
-        out = Fraction(1)
-        for step in self.steps:
-            for c in step.unit_coefficients:
-                out *= c
-        return out
+    coefficient: Fraction              # of the unique monomial in det
 
 
 def _symbol_occurrences(entry: SymPoly, sym: CoeffSymbol):
@@ -173,53 +169,37 @@ def eliminate(matrix: PolyMatrix, spec: SystemSpec) -> Certificate:
 
     unique = mono_make({sym: cnt for (sym, _), cnt
                         in zip(step_symbols(spec), counts)})
-    permutation = tuple(perm[i] for i in range(n))
+    sign = perm_sign(tuple(perm[i] for i in range(n)))
     by_block = dict(zip((F1, DF1, F2, DF2), counts))
     return Certificate(
         steps=tuple(steps),
         unique_monomial=unique,
-        transversal={matrix.rows[i]: matrix.cols[j] for i, j in perm.items()},
-        permutation=permutation,
-        sign=perm_sign(permutation),
+        sign=sign,
         counts=(by_block[DF1], by_block[DF2], by_block[F1], by_block[F2]),
+        coefficient=sign * prod(u for step in steps for u in step.unit_coefficients),
     )
 
 
-def unique_monomial_coefficient(cert: Certificate) -> Fraction:
-    """Exact coefficient of the unique monomial in the determinant of the
-    certified matrix.
-
-    Equals sign(transversal) times the product of the linear factors with
-    which each step symbol enters its transversal entry; its absolute value
-    is therefore the product of those unit factors (d1 to the power of the
-    second block size), and the remaining sign factor is +-1.  The
-    certificate holds every factor.
-    """
-    value = cert.sign * cert.unit_product()
-    if value == 0:
-        raise CertificateFailure("transversal product vanished")
-    return value
-
-
-def certify(spec: SystemSpec, matrix: PolyMatrix | None = None) -> Tuple[PolyMatrix, Certificate]:
-    """Convenience pipeline: build (or take) the matrix, transform, eliminate."""
-    from .matrices import build_square_matrix
+def certify(spec: SystemSpec) -> Tuple[PolyMatrix, Certificate]:
+    """Convenience pipeline: build the matrix, transform, eliminate."""
     spec = SystemSpec(*spec).validate()
-    base = matrix if matrix is not None else build_square_matrix(spec)
-    transformed = transform_12(base, spec)
+    transformed = transform_12(build_square_matrix(spec), spec)
     return transformed, eliminate(transformed, spec)
 
 
-def ranking_specialization(spec: SystemSpec, t: int = 10 ** 6) -> Specialization:
-    """Step symbols get t, t^2, t^3, t^4; every other symbol gets zero.
+RANKING_BASE = 10 ** 6
+
+
+def ranking_specialization(spec: SystemSpec) -> Specialization:
+    """Step symbols get t, t^2, t^3, t^4 for t = RANKING_BASE; every other
+    symbol gets zero.
 
     Under this assignment the transformed matrix keeps exactly the entries
     that witness the transversal (plus lower-ranked strays), so a nonzero
     determinant isolates the unique monomial's contribution.
     """
     spec = SystemSpec(*spec).validate()
-    universe = system_symbols(spec) | {fresh_symbol(spec)}
-    values = {s: Fraction(0) for s in universe}
+    values = {s: Fraction(0) for s in system_symbols(spec) | {fresh_symbol(spec)}}
     for power, (sym, _) in enumerate(step_symbols(spec), start=1):
-        values[sym] = Fraction(t) ** power
-    return Specialization(values, universe)
+        values[sym] = Fraction(RANKING_BASE) ** power
+    return Specialization(values)

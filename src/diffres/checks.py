@@ -23,8 +23,7 @@ from fractions import Fraction
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from . import lp
-from .certificate import (certify, ranking_specialization,
-                          unique_monomial_coefficient)
+from .certificate import certify, ranking_specialization
 from .determinant import (common_zero_specialization, det_specialized,
                           det_symbolic, kernel_certifies, nonzero_random_probe,
                           random_specialization)
@@ -126,12 +125,8 @@ def check_certificate(spec: SystemSpec, seed: int) -> Dict[str, object]:
     transformed, cert = certify(spec)
     n1, n2, n3, n4 = cert.counts
     assert sum(cert.counts) == spec.N
-    coeff = unique_monomial_coefficient(cert)
-    units = cert.unit_product()
-    assert units == Fraction(spec.d1) ** n1, \
-        f"unit product {units} != d1^n1"
-    assert coeff / units in (1, -1), \
-        f"normalized coefficient {coeff / units} is not a sign"
+    assert cert.coefficient == cert.sign * spec.d1 ** n1, \
+        f"unique-monomial coefficient {cert.coefficient} != sign * d1^n1"
     if spec == (2, 2):
         expected = {
             CoeffSymbol("a", 0, 2, 0): 10,   # top coefficient of f1
@@ -144,7 +139,7 @@ def check_certificate(spec: SystemSpec, seed: int) -> Dict[str, object]:
     rank_spec = ranking_specialization(spec)
     assert det_specialized(transformed, rank_spec) != 0, \
         "ranking specialization killed the determinant"
-    return {"counts": list(cert.counts), "coefficient": str(coeff),
+    return {"counts": list(cert.counts), "coefficient": str(cert.coefficient),
             "sign": cert.sign}
 
 
@@ -164,7 +159,7 @@ def check_vanishing(spec: SystemSpec, seed: int) -> Dict[str, object]:
             f"trial {trial} at point {point}: no kernel vector"
         if eliminate:
             value = det_specialized(
-                matrix, Specialization(dict(s.items()), s.universe))
+                matrix, Specialization(dict(s.items())))
             assert value == 0, \
                 f"trial {trial} at point {point}: det = {value}"
     return {"trials": VANISHING_TRIALS, "seed": seed,
@@ -182,10 +177,9 @@ def check_nonvanishing(spec: SystemSpec, seed: int) -> Dict[str, object]:
 
 def _specialization_from(spec: SystemSpec,
                          values: Dict[CoeffSymbol, int]) -> Specialization:
-    universe = system_symbols(spec)
-    table = {s: Fraction(0) for s in universe}
+    table = {s: Fraction(0) for s in system_symbols(spec)}
     table.update({s: Fraction(v) for s, v in values.items()})
-    return Specialization(table, universe)
+    return Specialization(table)
 
 
 def check_linear_case(spec: SystemSpec, seed: int) -> Dict[str, object]:

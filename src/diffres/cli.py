@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, List, Optional, Sequence
 
-from .certificate import certify, unique_monomial_coefficient
+from .certificate import certify
 from .determinant import (SIGN_NOTE, SYMBOLIC_CAP_DEFAULT,
                           common_zero_specialization, det_modular,
                           det_specialized, det_symbolic, random_specialization)
@@ -179,13 +179,12 @@ def cmd_carra_ferro(args) -> int:
 def cmd_certificate(args) -> int:
     spec = _spec(args)
     _, cert = certify(spec)
-    coefficient = unique_monomial_coefficient(cert)
     payload = {
         "spec": [spec.d1, spec.d2],
         "counts": list(cert.counts),
         "unique_monomial": " * ".join(
             f"{sym.render()}^{e}" for sym, e in cert.unique_monomial),
-        "coefficient": str(coefficient),
+        "coefficient": str(cert.coefficient),
         "sign": cert.sign,
         "steps": [{
             "symbol": step.symbol.render(),

@@ -417,9 +417,8 @@ def hadamard_bound(rows: Sequence[Dict[int, Fraction]]) -> int:
 def random_specialization(spec: SystemSpec, rng_seed: int,
                           lo: int = -10 ** 6, hi: int = 10 ** 6) -> Specialization:
     rng = random.Random(rng_seed)
-    universe = system_symbols(SystemSpec(*spec).validate())
-    values = {s: Fraction(rng.randint(lo, hi)) for s in sorted(universe)}
-    return Specialization(values, universe)
+    symbols = sorted(system_symbols(SystemSpec(*spec).validate()))
+    return Specialization({s: Fraction(rng.randint(lo, hi)) for s in symbols})
 
 
 @lru_cache(maxsize=16)
@@ -464,7 +463,7 @@ def common_zero_specialization(spec: SystemSpec,
         values[sym] = 0
         values[sym] = Fraction(-scaled(form), wy[0] * wy1[0] * wy2[0])
     assert all(scaled(form) == 0 for _, form in forms)
-    return Specialization(values, universe, zero=point)
+    return Specialization(values, zero=point)
 
 
 PROBE_RETRIES = 10

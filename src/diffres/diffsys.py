@@ -101,8 +101,12 @@ class DiffPoly:
 
     def __init__(self, support: Mapping[YMonomial, SymPoly] | None = None):
         self._delta = None  # set by the first delta(self)
-        self._support = {m: c for m, c in (support or {}).items()
-                         if isinstance(c, SymPoly) and not c.is_zero()}
+        self._support = {}
+        for m, c in (support or {}).items():
+            if not isinstance(c, SymPoly):
+                raise TypeError(f"coefficient of {ym_render(m)} is {c!r}, not a SymPoly")
+            if not c.is_zero():
+                self._support[m] = c
 
     @staticmethod
     def zero() -> "DiffPoly":

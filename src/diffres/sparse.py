@@ -94,8 +94,6 @@ def validate_liftings(lift: Liftings) -> LiftingReport:
 class GrcAssignment:
     case: int                      # 1..4
     vertex_index: int              # j with lambda_{case, j} = 1
-    vertex: Point
-    main_monomial: YMonomial
     basis_id: str                  # catalog id, or "search"
     lam: Tuple[Fraction, ...]
     objective: Fraction
@@ -116,11 +114,8 @@ def _catalog_assignment(q: Point, system: PointSystem, optimal: Sequence[bool],
     for k, values, lam in system.feasible_catalog(q):
         if optimal[k]:
             basis = system.catalog[k]
-            case = basis.case
-            j = TARGET_VERTEX[case]
-            vertex = system.vertices[case - 1][j - 1]
             objective = sum(map(mul, map(c.__getitem__, basis.columns), values))
-            return GrcAssignment(case, j, vertex, YMonomial(*vertex), basis.bid, lam,
+            return GrcAssignment(basis.case, TARGET_VERTEX[basis.case], basis.bid, lam,
                                  Fraction(objective, basis.p * system.D))
     return None
 
@@ -152,9 +147,7 @@ def _search_assignment(system: PointSystem, q: Point, c: Sequence[int]
             for k, v in zip(keep, restricted.x):
                 lam[k] = v / D
             lam[pinned] = Fraction(1)
-            vertex = system.vertices[case - 1][j - 1]
-            return GrcAssignment(case, j, vertex, YMonomial(*vertex), "search",
-                                 tuple(lam), best.objective / D)
+            return GrcAssignment(case, j, "search", tuple(lam), best.objective / D)
     raise NoVertexOptimum(f"no optimal solution at {q} pins a target vertex")
 
 

@@ -399,27 +399,21 @@ def parse_sympoly(text: str) -> SymPoly:
 
 
 class Specialization:
-    """Total assignment of exact rationals over a declared symbol universe.
+    """Assignment of exact rationals to symbols; reading a symbol that has
+    no value raises `UnassignedSymbol`.
 
     `zero`, when set, is the point (y, y1, y2) the values were solved for
     (see `common_zero_specialization`): a claim that `det_specialized`
     checks before it uses it, and that no output carries.
     """
 
-    __slots__ = ("_values", "universe", "zero")
+    __slots__ = ("_values", "zero")
 
-    def __init__(self, assignment: Mapping[CoeffSymbol, Fraction],
-                 universe: Iterable[CoeffSymbol] | None = None,
+    def __init__(self, assignment: Mapping[CoeffSymbol, Fraction], *,
                  zero: Tuple[Fraction, Fraction, Fraction] | None = None):
         self.zero = zero
         self._values = {s: v if isinstance(v, Fraction) else parse_rational(v)
                         for s, v in assignment.items()}
-        self.universe = frozenset(universe) if universe is not None \
-            else frozenset(self._values)
-        missing = self.universe - set(self._values)
-        if missing:
-            sym = min(missing)
-            raise UnassignedSymbol(f"universe symbol {sym} is unassigned")
 
     def __contains__(self, sym: CoeffSymbol) -> bool:
         return sym in self._values
@@ -458,4 +452,4 @@ class Specialization:
             if missing:
                 sym = min(missing)
                 raise ValueError(f"symbol missing from specialization file: {sym}")
-        return Specialization(values, universe)
+        return Specialization(values)

@@ -70,6 +70,24 @@ def test_criterion_3_uniqueness_certificate():
     assert by_spec[(2, 2)].witness["counts"] == [10, 10, 10, 6]
 
 
+@pytest.mark.parametrize("forge", [lambda c: -c, lambda c: 0 * c],
+                         ids=["negated", "zero"])
+def test_criterion_3_fails_on_a_wrong_coefficient(monkeypatch, forge):
+    from diffres import checks
+    certify = checks.certify
+
+    def forged(spec):
+        transformed, cert = certify(spec)
+        return transformed, cert._replace(coefficient=forge(cert.coefficient))
+    monkeypatch.setattr(checks, "certify", forged)
+    by_spec = {r.spec: r for r in run_checks("certificate", seed=0)}
+    for d in ((1, 2), (2, 2)):
+        wrong = forge(certify(d)[1].coefficient)
+        assert by_spec[d].status == "fail"
+        assert by_spec[d].witness == {
+            "error": f"unique-monomial coefficient {wrong} != sign * d1^n1"}
+
+
 def test_criterion_4_vanishing_property():
     reports = _run("vanishing", budget=60.0)
     methods = {r.spec: r.witness["method"] for r in reports}

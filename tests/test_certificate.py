@@ -10,7 +10,7 @@ from diffres import (CertificateFailure, CoeffSymbol, SymPoly, SystemSpec,
                      certify, column_set, default_main_monomials,
                      det_specialized, eliminate, grc_partition,
                      partition_divisibility, ranking_specialization,
-                     transform_12, unique_monomial_coefficient)
+                     transform_12)
 from diffres.certificate import fresh_symbol, step_symbols, substitution_symbol
 from diffres.diffsys import YM_ONE, ym_mul
 from diffres.matrices import F1, RowLabel, build_carra_ferro
@@ -67,7 +67,8 @@ class TestEliminate:
     def test_degree_one_transversal(self):
         spec = SystemSpec(1, 1)
         Mt, cert = certify(spec)
-        pairing = {r.poly: c for r, c in cert.transversal.items()}
+        pairing = {r.poly: c for step in cert.steps
+                   for r, c in zip(step.deleted_rows, step.deleted_cols)}
         assert pairing == {
             "f1'": YMonomial(0, 0, 1),
             "f2'": YMonomial(0, 1, 0),
@@ -75,7 +76,7 @@ class TestEliminate:
             "f2": YM_ONE,
         }
         assert cert.counts == (1, 1, 1, 1)
-        assert abs(unique_monomial_coefficient(cert)) == 1
+        assert abs(cert.coefficient) == 1
 
     def test_reference_exponents_degree_two(self):
         spec = SystemSpec(2, 2)
@@ -93,9 +94,8 @@ class TestEliminate:
         for d in ((1, 1), (1, 2), (2, 2), (2, 3), (3, 3)):
             Mt, cert = certify(SystemSpec(*d))
             assert sum(cert.counts) == SystemSpec(*d).N
-            coeff = unique_monomial_coefficient(cert)
-            assert coeff != 0
-            assert abs(coeff) == Fraction(d[0]) ** cert.counts[0]
+            assert cert.coefficient != 0
+            assert abs(cert.coefficient) == Fraction(d[0]) ** cert.counts[0]
 
     def test_step_column_sets_match_closed_forms(self):
         spec = SystemSpec(2, 3)
@@ -170,7 +170,7 @@ class TestEliminate:
         Mt, cert = certify(spec)
         step2 = cert.steps[1]
         assert set(step2.unit_coefficients) == {Fraction(3)}
-        assert cert.unit_product() == Fraction(3) ** cert.counts[0]
+        assert cert.sign * cert.coefficient == Fraction(3) ** cert.counts[0]
 
 
 class TestRankingCrossCheck:
@@ -178,7 +178,7 @@ class TestRankingCrossCheck:
         for d in ((1, 1), (1, 2), (2, 2)):
             spec = SystemSpec(*d)
             Mt, cert = certify(spec)
-            s = ranking_specialization(spec, t=10 ** 6)
+            s = ranking_specialization(spec)
             value = det_specialized(Mt, s)
             assert value != 0
 
@@ -188,8 +188,7 @@ class TestRankingCrossCheck:
         spec = SystemSpec(1, 1)
         Mt, cert = certify(spec)
         full = det_symbolic(Mt)
-        assert full.coefficient(cert.unique_monomial) == \
-            unique_monomial_coefficient(cert)
+        assert full.coefficient(cert.unique_monomial) == cert.coefficient
 
 
 class TestRearrangedMatrices:
@@ -209,4 +208,4 @@ class TestRearrangedMatrices:
         Mt = transform_12(raw, spec)
         cert = eliminate(Mt, spec)
         assert sum(cert.counts) == 36
-        assert unique_monomial_coefficient(cert) != 0
+        assert cert.coefficient != 0

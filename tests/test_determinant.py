@@ -60,7 +60,7 @@ class TestSymbolic:
         values[CoeffSymbol("a", 0, 0, 0)] = Fraction(1)
         values[CoeffSymbol("b", 0, 1, 0)] = Fraction(1)
         values[CoeffSymbol("b", 1, 0, 0)] = Fraction(1)
-        assert abs(d.evaluate(Specialization(values, universe))) == 1
+        assert abs(d.evaluate(Specialization(values))) == 1
 
     def test_agrees_with_rational_determinant_at_points(self, rng):
         from conftest import SYMBOL_POOL, random_sympoly
@@ -98,13 +98,13 @@ class TestSpecialized:
         values[CoeffSymbol("a", 1, 0, 0)] = Fraction(1)
         values[CoeffSymbol("b", 0, 1, 0)] = Fraction(1)
         values[CoeffSymbol("b", 1, 0, 0)] = Fraction(-1)
-        assert det_specialized(M, Specialization(values, universe)) == 0
+        assert det_specialized(M, Specialization(values)) == 0
 
     def test_all_zeros_gives_zero(self):
         spec = SystemSpec(1, 2)
         M = build_square_matrix(spec)
         universe = system_symbols(spec)
-        s = Specialization({sym: Fraction(0) for sym in universe}, universe)
+        s = Specialization({sym: Fraction(0) for sym in universe})
         assert det_specialized(M, s) == 0
 
     def test_agreement_with_symbolic(self, rng):
@@ -122,7 +122,7 @@ class TestSpecialized:
         rng = random.Random(3)
         values = {s: Fraction(rng.randint(-20, 20), rng.randint(1, 7))
                   for s in universe}
-        s = Specialization(values, universe)
+        s = Specialization(values)
         assert det_specialized(M, s) == det_symbolic(M).evaluate(s)
 
 
@@ -145,7 +145,7 @@ def common_zero_reference(spec, point, rng_seed=0):
     for at_point, sym in targets:
         values[sym] = Fraction(0)
         values[sym] = -at_point.evaluate(values)
-    result = Specialization(values, universe)
+    result = Specialization(values)
     for at_point, _ in targets:
         assert at_point.evaluate(result) == 0
     return result
@@ -355,7 +355,7 @@ class TestModular:
         universe = system_symbols(spec)
         values = {sym: Fraction(1, 2) for sym in universe}
         with pytest.raises(ValueError):
-            det_modular(M, Specialization(values, universe), [7])
+            det_modular(M, Specialization(values), [7])
 
 
 def _degrees(d):
@@ -692,7 +692,7 @@ class TestReplayedOrder:
 
 def _zero_free(s):
     """The same values with no `zero`: `det_specialized` eliminates."""
-    return Specialization(dict(s.items()), s.universe)
+    return Specialization(dict(s.items()))
 
 
 KERNEL_POINT = (Fraction(1, 2), Fraction(-3, 4), Fraction(5, 7))
@@ -752,9 +752,9 @@ class TestKernelVector:
         value = det_specialized(M, _zero_free(r))
         assert value != 0
         assert det_specialized(
-            M, Specialization(dict(r.items()), r.universe, zero=KERNEL_POINT)) == value
+            M, Specialization(dict(r.items()), zero=KERNEL_POINT)) == value
         s = common_zero_specialization((2, 3), KERNEL_POINT, rng_seed=5)
-        moved = Specialization(dict(s.items()), s.universe, zero=(1, 2, 3))
+        moved = Specialization(dict(s.items()), zero=(1, 2, 3))
         assert det_specialized(M, moved) == 0
 
     def test_the_zero_path_neither_analyzes_nor_eliminates(self, monkeypatch):
@@ -778,7 +778,7 @@ class TestKernelVector:
         assert det_specialized(M, r) != 0
         assert det_specialized(M, s) == 0
         assert det_specialized(M, _zero_free(s)) == 0
-        false_zero = Specialization(dict(r.items()), r.universe, zero=KERNEL_POINT)
+        false_zero = Specialization(dict(r.items()), zero=KERNEL_POINT)
         assert det_specialized(M, false_zero) == det_specialized(M, r)
         assert det_specialized(transformed, ranking_specialization(spec)) != 0
 

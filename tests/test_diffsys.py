@@ -145,6 +145,16 @@ def test_support_is_canonically_ordered():
     assert DiffPoly.zero().support_set() == ()
 
 
+def test_a_coefficient_that_is_not_a_sympoly_is_refused():
+    with pytest.raises(TypeError, match="coefficient of 1 is 5, not a SymPoly"):
+        DiffPoly({YM_ONE: 5, YMonomial(1, 0, 0): Fraction(1, 2)})
+    with pytest.raises(TypeError, match=r"coefficient of y is Fraction\(1, 2\)"):
+        DiffPoly({YM_ONE: 5 * SymPoly.one(), YMonomial(1, 0, 0): Fraction(1, 2)})
+    # a zero SymPoly is still dropped
+    p = DiffPoly({YM_ONE: SymPoly.zero(), YMonomial(0, 1, 0): 2 * SymPoly.one()})
+    assert p.support_set() == (YMonomial(0, 1, 0),)
+
+
 def test_json_dump_shape():
     f1, _ = generic_system(SystemSpec(1, 1))
     data = f1.to_json()

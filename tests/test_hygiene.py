@@ -1,7 +1,7 @@
-"""Source hygiene: every name a library module imports is used in it, no
-library module imports a private name from another, every module-level
-private function and class, and every public one the package does not
-export, is named somewhere in the library, every definition, methods
+"""Source hygiene: every name a library module, a test or a demo imports is
+used in it, no library module imports a private name from another, every
+module-level private function and class, and every public one the package
+does not export, is named somewhere in the library, every definition, methods
 included, is named by the library, the tests, the demos or the benchmark,
 every module-level cache is bounded, no module calls the indented JSON
 encoder, only `sympoly` touches a `SymPoly`'s slots and only its
@@ -272,6 +272,12 @@ def test_no_definition_is_dead():
 @pytest.mark.parametrize("module", MODULES)
 def test_every_imported_name_is_used(module):
     assert unused_imports((SRC / f"{module}.py").read_text()) == []
+
+
+@pytest.mark.parametrize("path", [f"{top}/{p.name}" for top in ("tests", "demos")
+                                  for p in sorted((ROOT / top).glob("*.py"))])
+def test_every_name_a_test_or_demo_imports_is_used(path):
+    assert unused_imports((ROOT / path).read_text()) == []
 
 
 def indented_json_calls(source: str):

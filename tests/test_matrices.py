@@ -16,7 +16,8 @@ from diffres import (ClosureViolation, CoeffSymbol,
                      build_square_matrix, certify, carra_ferro_shape,
                      closed_form_partition, column_set,
                      common_zero_specialization, grc_partition,
-                     random_specialization, system_symbols, zero_columns)
+                     random_specialization, system_symbols, transform_12,
+                     zero_columns)
 from diffres.diffsys import YM_ONE, DiffPoly, generic_system, ym_mul
 from diffres.matrices import DF1, DF2, F1, F2, RowLabel, _fill_rows, row_polys
 from conftest import matrix_from_grid
@@ -167,7 +168,7 @@ class TestExports:
         spec = SystemSpec(1, 1)
         M = build_square_matrix(spec)
         universe = system_symbols(spec)
-        s = Specialization({sym: Fraction(1) for sym in universe}, universe)
+        s = Specialization({sym: Fraction(1) for sym in universe})
         text = M.to_csv(s)
         lines = text.strip().split("\n")
         assert lines[0].startswith("row,y^0*y1^0*y2^1")
@@ -195,7 +196,7 @@ def test_polynomial_work_runs_once_per_pool_entry(monkeypatch):
     count("substitute")
     M.to_json()
     assert calls["render"] == len(M.pool)
-    transformed, _ = certify(spec, M)
+    transformed = transform_12(M, spec)
     assert calls["substitute"] == len(M.pool)
     assert len(transformed.pool) == len(M.pool)
 
@@ -314,7 +315,7 @@ def test_substitute_drops_exactly_the_vanishing_entries():
     rng = Random(7)
     values = {s: Fraction(rng.randint(-9, 9)) for s in universe}
     values[sym] = Fraction(0)
-    s = Specialization(values, universe)
+    s = Specialization(values)
     assert Ms.specialize(s) == M.specialize(s)
 
 

@@ -8,7 +8,7 @@ import pytest
 from diffres import (CoeffSymbol, DegreeZero, DiffPoly, IntermediateZero,
                      SymPoly, SystemSpec, YMonomial, build_square_matrix,
                      common_zero_specialization, delta, det_specialized,
-                     det_symbolic, eliminate_iterated, generic_system,
+                     eliminate_iterated, generic_system,
                      random_specialization, sylvester_resultant)
 from diffres.diffsys import YM_ONE
 

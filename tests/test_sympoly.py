@@ -82,9 +82,10 @@ class TestEval:
         with pytest.raises(UnassignedSymbol):
             sym(B0).evaluate(s)
 
-    def test_universe_must_be_covered(self):
-        with pytest.raises(UnassignedSymbol):
-            Specialization({A0: Fraction(1)}, universe={A0, B0})
+    def test_a_second_positional_argument_is_refused(self):
+        # `zero` is keyword-only: a stray positional set is no zero point
+        with pytest.raises(TypeError):
+            Specialization({A0: Fraction(1)}, {A0, B0})
 
     def test_values_come_back_as_fractions(self):
         half = Fraction(1, 2)
