@@ -4,11 +4,11 @@ Each acceptance criterion is one function `check_x(spec, seed)`: it asserts
 the criterion at one degree pair (a SystemSpec, or None for a criterion
 that sweeps its own pairs) and returns its witness data (seeds, counts,
 values), deterministically given the seed.  `SUITES` is the one table of
-suites: a row gives the report name, the degree pairs and the criterion,
-and marks the optional suite.  `run_checks` alone loops over the pairs,
-times each call and reports an AssertionError as a failure.  The CLI
-`check` command and the acceptance tests both run through here, so there is
-exactly one implementation of every criterion.
+suites: a row gives the report name, the degree pairs and the criterion.
+`run_checks` alone loops over the pairs, times each call and reports an
+AssertionError as a failure.  The CLI `check` command and the acceptance
+tests both run through here, so there is exactly one implementation of
+every criterion.
 
 Reports are produced sequentially and order-normalized by name before
 emission; nothing in a check depends on when any other check runs, so a
@@ -28,7 +28,6 @@ from .determinant import (common_zero_specialization, det_specialized,
                           det_symbolic, kernel_certifies, nonzero_random_probe,
                           random_specialization)
 from .diffsys import SystemSpec, YMonomial, system_symbols, ym_render
-from .errors import DiffresError
 from .lattice import (CASE_BASES, DEFAULT_PERTURBATION, costs,
                       lattice_points, scanned)
 from .matrices import (build_carra_ferro, build_sparse_matrix,
@@ -294,51 +293,31 @@ def check_oracle(spec: SystemSpec, seed: int) -> Dict[str, object]:
     return {"trials": 100, "oracle_terms": len(candidate)}
 
 
-# --- criterion 10 (optional stretch) ----------------------------------------
-
-STRETCH_SECONDS = 600.0
-
-
-def check_stretch(spec: SystemSpec, seed: int) -> Dict[str, object]:
-    from .stretch import resultant_factor_2_2
-    try:
-        factor, cofactor = resultant_factor_2_2(time_budget=STRETCH_SECONDS)
-    except (TimeoutError, DiffresError) as exc:
-        raise AssertionError(f"expansion did not complete: {exc}") from exc
-    assert factor.total_degree() == 12, f"degree {factor.total_degree()}"
-    assert len(factor) == 3210, f"term count {len(factor)}"
-    return {"degree": factor.total_degree(), "terms": len(factor),
-            "cofactor_terms": len(cofactor)}
-
-
-# suite name -> (report name, degree pairs, criterion, optional); `all` runs
-# every suite that is not optional
-SUITES: Dict[str, Tuple[str, tuple, Callable[..., Dict[str, object]], bool]] = {
-    "sizes": ("sizes", (None,), check_sizes, False),
-    "carra-ferro": ("carra-ferro", ((2, 2),), check_carra_ferro, False),
-    "certificate": ("certificate", CERTIFICATE_SPECS, check_certificate, False),
+# suite name -> (report name, degree pairs, criterion); `all` runs every suite
+SUITES: Dict[str, Tuple[str, tuple, Callable[..., Dict[str, object]]]] = {
+    "sizes": ("sizes", (None,), check_sizes),
+    "carra-ferro": ("carra-ferro", ((2, 2),), check_carra_ferro),
+    "certificate": ("certificate", CERTIFICATE_SPECS, check_certificate),
     "vanishing": ("vanishing", VANISHING_SPECS + KERNEL_VECTOR_SPECS,
-                  check_vanishing, False),
-    "nonvanishing": ("nonvanishing", VANISHING_SPECS, check_nonvanishing, False),
-    "linear": ("linear-case", ((1, 1),), check_linear_case, False),
-    "lp-partition": ("lp-partition", ((2, 2),), check_lp_partition, False),
-    "basis": ("basis-certification", ((2, 2),), check_basis_certification, False),
-    "oracle": ("oracle", ((1, 1),), check_oracle, False),
-    "stretch": ("stretch", ((2, 2),), check_stretch, True),
+                  check_vanishing),
+    "nonvanishing": ("nonvanishing", VANISHING_SPECS, check_nonvanishing),
+    "linear": ("linear-case", ((1, 1),), check_linear_case),
+    "lp-partition": ("lp-partition", ((2, 2),), check_lp_partition),
+    "basis": ("basis-certification", ((2, 2),), check_basis_certification),
+    "oracle": ("oracle", ((1, 1),), check_oracle),
 }
 
 
 def run_checks(suite: str = "all", seed: int = 0) -> List[CheckReport]:
-    """Run one named suite, or every non-optional one."""
+    """Run one named suite, or every suite."""
     if suite == "all":
-        selected = [row for row in SUITES.values() if not row[3]]
+        selected = list(SUITES.values())
     elif suite in SUITES:
         selected = [SUITES[suite]]
     else:
-        names = sorted(SUITES, key=lambda name: (SUITES[name][3], name))
         raise ValueError(f"unknown suite {suite!r}; choose from "
-                         f"{', '.join(['all', *names])}")
+                         f"{', '.join(['all', *sorted(SUITES)])}")
     reports = [_report(name, d, criterion, seed)
-               for name, pairs, criterion, _ in selected for d in pairs]
+               for name, pairs, criterion in selected for d in pairs]
     reports.sort(key=lambda r: (r.name, r.spec or (0, 0)))
     return reports

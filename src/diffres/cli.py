@@ -420,8 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="run verification suites")
     p.add_argument("--suite", default="all",
-                   help="a suite name, or all (the default) for every "
-                        "non-optional suite")
+                   help="a suite name, or all (the default) for every suite")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--verbose", action="store_true")
     p.set_defaults(fn=cmd_check)

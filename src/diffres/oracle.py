@@ -61,19 +61,15 @@ def sylvester_resultant(p: DiffPoly, q: DiffPoly, var: str) -> DiffPoly:
 def eliminate_iterated(spec: SystemSpec, substitution=None) -> SymPoly:
     """Chain the variables away: y2 first, then y1, then y.
 
-    Returns a polynomial purely in the coefficient symbols.  Small systems
-    only: the fully symbolic path is the degree-one case; the degree-two
-    case needs a substitution that pins at least the leading coefficients
-    (term growth is explosive otherwise).  Raises IntermediateZero when a
-    resultant collapses, which happens for degenerate substitutions that
-    make two inputs share a factor.
+    Returns a polynomial purely in the coefficient symbols.  Degrees (1, 1)
+    only: term growth is explosive beyond them.  `substitution` maps
+    coefficient symbols to polynomials before the elimination.  Raises
+    IntermediateZero when a resultant collapses, which happens for
+    degenerate substitutions that make two inputs share a factor.
     """
     spec = SystemSpec(*spec).validate()
     if (spec.d1, spec.d2) != (1, 1):
-        if (spec.d1, spec.d2) != (2, 2) or substitution is None:
-            raise ValueError(
-                "iterated elimination runs fully symbolic only for degrees "
-                "(1, 1); degrees (2, 2) need a substitution")
+        raise ValueError("iterated elimination runs only for degrees (1, 1)")
     f1, f2 = generic_system(spec)
     df1, df2 = delta(f1), delta(f2)
     if substitution:

@@ -1,17 +1,18 @@
-"""Every exact elimination route agrees: the determinant modes, the Gauss-Jordan
-solver over Q, and the stretch's fraction-free kernel with its budget check."""
+"""Every exact elimination route agrees: the determinant modes and the
+Gauss-Jordan solver over Q.  On integer lines through the pinned degree-two
+system the exact determinant has the shape the resultant theory predicts."""
 
-import time
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from diffres import CoeffSymbol, SymPoly, det_laplace
+from diffres import (CoeffSymbol, Specialization, SymPoly, SystemSpec,
+                     build_square_matrix, det_laplace, det_specialized,
+                     system_symbols)
 from diffres.determinant import _det_residue
 from diffres.lp import adjugate, matrix_rank
-from diffres.stretch import (_bareiss, _Budget, resultant_factor_2_2,
-                             strip_content)
 from test_determinant import det_rational
 
 PRIMES = (2, 3, 7, 101, 2147483647)
@@ -59,8 +60,6 @@ def test_determinant_modes_agree(case):
     if singular:
         assert exact == 0
     assert det_laplace(constant_grid(rows)) == SymPoly.const(exact)
-    kernel = _bareiss(constant_grid(rows), _Budget(60))
-    assert kernel == SymPoly.const(exact)
     for p in PRIMES:
         assert _det_residue(sparse_rows(rows), p)[0] == exact.numerator % p
 
@@ -121,22 +120,81 @@ def test_gauss_jordan_agrees_with_the_determinant(case):
                                    for i in range(n)]
 
 
-def test_stretch_budget_stops_the_determinant():
-    start = time.monotonic()
-    with pytest.raises(TimeoutError, match="determinant"):
-        resultant_factor_2_2(time_budget=0)
-    assert time.monotonic() - start < 10
+# (2,2) with both top coefficients at one and every derivative symbol at
+# zero: ten symbols stay free
+PINNED = {CoeffSymbol("a", 0, 2): 1, CoeffSymbol("b", 0, 2): 1,
+          CoeffSymbol("a", 0, 0, 1): 0, CoeffSymbol("b", 0, 0, 1): 0,
+          CoeffSymbol("a", 0, 1, 1): 0, CoeffSymbol("b", 0, 1, 1): 0,
+          CoeffSymbol("a", 0, 2, 1): 0, CoeffSymbol("b", 0, 2, 1): 0,
+          CoeffSymbol("a", 1, 0, 1): 0, CoeffSymbol("b", 1, 0, 1): 0,
+          CoeffSymbol("a", 1, 1, 1): 0, CoeffSymbol("b", 1, 1, 1): 0,
+          CoeffSymbol("a", 2, 0, 1): 0, CoeffSymbol("b", 2, 0, 1): 0}
+A11, B11 = CoeffSymbol("a", 1, 1), CoeffSymbol("b", 1, 1)
 
 
-def test_strip_content_scales_an_integer_polynomial_to_a_unit_coefficient():
-    a, b = (SymPoly.symbol(CoeffSymbol(s, 0, 0)) for s in "ab")
-    p = 6 * a * a - 4 * a * b + 10 * b
-    q = strip_content(p)
-    assert q == Fraction(3, 2) * a * a - a * b + Fraction(5, 2) * b
-    assert 4 * q == p
-    # an integral coefficient is an int, whatever Fraction made it
-    assert {type(c) for _, c in (4 * q).terms()} <= {int}
-    assert type(q.coefficient(next((a * b).terms())[0])) is int
-    assert strip_content(-3 * a + 3 * b) == b - a
-    assert {type(c) for _, c in strip_content(-3 * a + 3 * b).terms()} <= {int}
-    assert strip_content(SymPoly.zero()) == SymPoly.zero()
+def interpolate(values):
+    """Coefficients, constant first, of the polynomial of degree below
+    len(values) through (t, values[t]) for t = 0, 1, ...: Newton's divided
+    differences over Q, expanded by Horner's rule."""
+    c = [Fraction(v) for v in values]
+    for j in range(1, len(c)):
+        for i in range(len(c) - 1, j - 1, -1):
+            c[i] = (c[i] - c[i - 1]) / j
+    poly = [c[-1]]
+    for i in range(len(c) - 2, -1, -1):   # poly * (t - i) + c[i]
+        poly = [c[i] - i * poly[0]] + [
+            lo - i * hi for lo, hi in zip(poly, poly[1:])] + [poly[-1]]
+    return poly
+
+
+def root_multiplicity(poly, root):
+    """How often t - root divides the nonzero polynomial `poly`."""
+    m = 0
+    while True:
+        quotient, carry = [], Fraction(0)
+        for c in reversed(poly):
+            carry = carry * root + c
+            quotient.append(carry)
+        if quotient.pop():
+            return m
+        poly, m = quotient[::-1], m + 1
+
+
+def test_interpolation_and_multiplicity_on_a_known_polynomial():
+    # 3 (t - 5/2)^2 (t + 1) = 3t^3 - 12t^2 + 15t/4 + 75/4
+    poly = [Fraction(75, 4), Fraction(15, 4), Fraction(-12), Fraction(3)]
+    values = [sum(c * t ** k for k, c in enumerate(poly)) for t in range(6)]
+    assert interpolate(values) == poly + [0, 0]
+    assert root_multiplicity(poly, Fraction(5, 2)) == 2
+    assert root_multiplicity(poly, Fraction(-1)) == 1
+    assert root_multiplicity(poly, Fraction(1)) == 0
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 42])
+def test_pinned_determinant_on_a_line_has_degree_30_and_w_to_the_fourth(seed):
+    """On a seeded integer line base + t dir through the ten free symbols,
+    det(t) has degree 30, and the factor W/2 = b(1,1) - a(1,1) of the
+    extraneous factor, linear in t, divides it exactly four times.  Entries
+    within 1e6 keep the line generic; within 20, seed 7 gave degree 24 and
+    a W constant on the line."""
+    spec = SystemSpec(2, 2)
+    free = sorted(system_symbols(spec) - PINNED.keys())
+    assert len(free) == 10
+    rng = random.Random(seed)
+    base = {s: rng.randint(-10 ** 6, 10 ** 6) for s in free}
+    direction = {s: rng.randint(-10 ** 6, 10 ** 6) for s in free}
+    assert direction[A11] != direction[B11], "W is constant on the line"
+    matrix = build_square_matrix(spec)
+
+    def det_at(t):
+        values = {**PINNED, **{s: base[s] + t * direction[s] for s in free}}
+        return det_specialized(matrix, Specialization(
+            {s: Fraction(v) for s, v in values.items()}))
+
+    poly = interpolate([det_at(t) for t in range(32)])
+    assert sum(c * 32 ** k for k, c in enumerate(poly)) == det_at(32)
+    while poly and not poly[-1]:
+        poly.pop()
+    assert len(poly) - 1 == 30
+    w_root = Fraction(base[A11] - base[B11], direction[B11] - direction[A11])
+    assert root_multiplicity(poly, w_root) == 4

@@ -457,7 +457,7 @@ def test_every_module_stays_under_the_parsers_token_step(module):
 def criteria_not_run_once(namespace, suites):
     """The public `check_*` functions of `namespace` that the suite table
     `suites` does not run exactly once."""
-    run = [criterion for _, _, criterion, _ in suites.values()]
+    run = [criterion for _, _, criterion in suites.values()]
     return [name for name, f in namespace.items()
             if name.startswith("check_") and inspect.isfunction(f)
             and run.count(f) != 1]
@@ -469,14 +469,14 @@ def test_the_scan_finds_a_criterion_not_run_once():
     def check_once(spec, seed): pass
     namespace = {"check_twice": check_twice, "check_never": check_never,
                  "check_once": check_once, "CHECK_LIMIT": 3}
-    suites = {"a": ("a", (None,), check_twice, False),
-              "b": ("b", ((1, 1),), check_twice, True),
-              "c": ("c", ((2, 2),), check_once, False)}
+    suites = {"a": ("a", (None,), check_twice),
+              "b": ("b", ((1, 1),), check_twice),
+              "c": ("c", ((2, 2),), check_once)}
     assert criteria_not_run_once(namespace, suites) == ["check_twice",
                                                         "check_never"]
 
 
 def test_every_criterion_runs_in_exactly_one_suite():
     assert criteria_not_run_once(vars(checks), checks.SUITES) == []
-    names = [name for name, _, _, _ in checks.SUITES.values()]
+    names = [name for name, _, _ in checks.SUITES.values()]
     assert len(set(names)) == len(names)

@@ -100,8 +100,8 @@ class TestEliminateIterated:
         with pytest.raises(IntermediateZero):
             eliminate_iterated(spec, collapse)
 
-    def test_large_degrees_rejected_without_substitution(self):
-        with pytest.raises(ValueError):
+    def test_degrees_past_one_one_rejected_with_or_without_substitution(self):
+        with pytest.raises(ValueError, match=r"only for degrees \(1, 1\)"):
             eliminate_iterated(SystemSpec(2, 2))
         with pytest.raises(ValueError):
             eliminate_iterated(SystemSpec(2, 3), {})
