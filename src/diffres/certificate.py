@@ -79,16 +79,12 @@ class Certificate(NamedTuple):
     coefficient: Fraction              # of the unique monomial in det
 
 
-def _symbol_occurrences(entry: SymPoly, sym: CoeffSymbol):
-    """(linear coefficient, clean) for one entry; clean means the symbol only
-    appears as a plain degree-one term."""
-    linear = entry.coefficient(mono_make({sym: 1}))
-    clean = True
-    for mono, _ in entry.terms():
-        present = any(s == sym for s, _ in mono)
-        if present and mono != mono_make({sym: 1}):
-            clean = False
-    return linear, clean
+def _symbol_occurrences(entry: SymPoly, sym: CoeffSymbol, sym_mono: Monomial):
+    """(linear coefficient, clean) for one entry, `sym_mono` the monomial of
+    sym alone; clean means the symbol only appears as that term."""
+    clean = all(mono == sym_mono or all(s != sym for s, _ in mono)
+                for mono, _ in entry.terms())
+    return entry.coefficient(sym_mono), clean
 
 
 def eliminate(matrix: PolyMatrix, spec: SystemSpec) -> Certificate:
@@ -114,6 +110,7 @@ def eliminate(matrix: PolyMatrix, spec: SystemSpec) -> Certificate:
     perm: Dict[int, int] = {}
 
     for sym, block in step_symbols(spec):
+        sym_mono = mono_make({sym: 1})
         # per distinct pool-index tuple, the positions whose entry holds sym
         at = per_tuple(row_entries, lambda xs: [
             k for k, x in enumerate(xs) if sym in pool_symbols[x]])
@@ -129,7 +126,8 @@ def eliminate(matrix: PolyMatrix, spec: SystemSpec) -> Certificate:
                     f"step symbol {sym} occurs {len(hits)} times in row "
                     f"{matrix.rows[i].render()}, expected exactly once")
             j = js[hits[0]]
-            unit, clean = _symbol_occurrences(matrix.pool[xs[hits[0]]], sym)
+            unit, clean = _symbol_occurrences(matrix.pool[xs[hits[0]]], sym,
+                                               sym_mono)
             if not clean or unit == 0:
                 raise CertificateFailure(
                     f"step symbol {sym} does not enter entry "

@@ -9,18 +9,18 @@
   column -> rows index: over Z, in ints from `PolyMatrix.specialize` (int
   rows over one denominator, no Fraction per entry) to the last pivot,
   each changed row divided by its content and its factor kept as a pair of
-  ints, one Fraction made at the return (the exact value);
-  over F_p (the residues, recombined by the Chinese remainder theorem when
-  the modulus product beats twice the Hadamard bound); and over the
-  pattern, every entry and fill-in taken as nonzero (the pivot order).  The
-  square matrix is sparse (density 0.15 at (2,3), 0.13 at (3,3)), and
-  choosing the entry of least fill-in cost keeps it so; only the rows that
-  hold the pivot column change.  Over Z, as in sparse direct solvers, the
-  pivot order is analyzed once per matrix, on its pattern, and replayed on
-  each specialization; from the first planned pivot that is zero (a common
-  zero, a symbol set to 0, a cancellation) the search takes over.  Over F_p
-  the first prime searches and each next one replays the pivots of the one
-  before, so a one-shot call pays for no analysis.
+  ints, one Fraction made at the return (the exact value); and over F_p
+  (the residues, recombined by the Chinese remainder theorem when the
+  modulus product beats twice the Hadamard bound).  The square matrix is
+  sparse (density 0.15 at (2,3), 0.13 at (3,3)), and choosing the entry of
+  least fill-in cost keeps it so; only the rows that hold the pivot column
+  change.  Over Z, as in sparse direct solvers, the pivot order is
+  analyzed once per matrix and replayed on each specialization: it is the
+  pivots of one elimination modulo 2^61 - 1 at a fixed point, which sees
+  the cancellations every specialization shares; from the first planned
+  pivot that is zero (a common zero, a symbol set to 0) the search takes
+  over.  Over F_p the first prime searches and each next one replays the
+  pivots of the one before, so a one-shot call pays for no analysis.
 
 A specialization solved for a common zero (`Specialization.zero`) needs no
 elimination: the rows are monomial multiples of f1, f2, f1' and f2', so the
@@ -48,7 +48,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, gcd, isqrt, prod
+from math import gcd, isqrt, prod
 from operator import mul
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -238,37 +238,36 @@ def _eliminate(live: Dict[int, Dict[int, int]], order: Sequence[Tuple[int, int]]
 def _markowitz_pivot(live: Dict[int, Dict[int, int]],
                      cols: Dict[int, set]) -> Optional[Tuple[int, int]]:
     """The (row, column) of least Markowitz cost (r - 1)(c - 1), r and c the
-    nonzeros in its row and column, ties going to the smaller value; None
-    when a column is empty."""
+    nonzeros in its row and column, ties going to the first found (rows by
+    length, entries in row order); None when a column is empty."""
     least_col = min(len(s) for s in cols.values()) - 1
     if least_col < 0:
         return None
     best = None
     for i in sorted(live, key=lambda i: len(live[i])):
         r = len(live[i]) - 1
-        if best is not None and r * least_col >= best[0][0]:
+        if best is not None and r * least_col >= best[0]:
             break
-        for j, v in live[i].items():
-            key = (r * (len(cols[j]) - 1), abs(v))
-            if best is None or key < best[0]:
-                best = (key, i, j)
+        for j in live[i]:
+            cost = r * (len(cols[j]) - 1)
+            if best is None or cost < best[0]:
+                best = (cost, i, j)
     return best[1:]
+
+
+_PLAN_PRIME = 2 ** 61 - 1
 
 
 @lru_cache(maxsize=16)
 def _pivot_order(matrix: PolyMatrix) -> Tuple[Tuple[int, int], ...]:
-    """The Markowitz pivot order of the matrix's sparsity pattern, every
-    stored entry and fill-in taken as nonzero; it stops where a row or
-    column runs empty."""
-    def fill(i, row_i, gik, pv, row_k, cols):
-        for j in row_k:     # in row_k's order: Markowitz ties follow it
-            if j not in row_i:
-                row_i[j] = 1
-                cols[j].add(i)
-
-    live = {i: dict.fromkeys(cols, 1) for i, (cols, _) in enumerate(matrix.row_entries)}
-    pivots, _ = _eliminate(live, (), fill)
-    return tuple((k, j) for k, j, _ in pivots)
+    """The pivots of one elimination of the matrix modulo _PLAN_PRIME at a
+    fixed point, one draw of `random.Random(0)` per symbol in sorted order;
+    it stops where a row or column runs empty."""
+    rng = random.Random(0)
+    point = Specialization({x: Fraction(rng.randrange(1, _PLAN_PRIME))
+                            for x in sorted(matrix.symbols())})
+    rows, _ = matrix.specialize(point)
+    return tuple(_det_residue(rows, _PLAN_PRIME)[1])
 
 
 def perm_sign(perm: Sequence[int]) -> int:
@@ -403,11 +402,11 @@ def crt_combine(residues: Sequence[int], moduli: Sequence[int]) -> int:
     return value
 
 
-def hadamard_bound(rows: Sequence[Dict[int, Fraction]]) -> int:
-    """Integer bound on |det| of sparse rows, each |entry| rounded up."""
+def hadamard_bound(rows: Sequence[Dict[int, int]]) -> int:
+    """Integer bound on |det| of sparse int rows."""
     bound = 1
     for row in rows:
-        norm_sq = sum(ceil(abs(v)) ** 2 for v in row.values())
+        norm_sq = sum(abs(v) ** 2 for v in row.values())
         bound *= isqrt(norm_sq) + 1
     return bound
 

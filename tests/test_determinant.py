@@ -2,7 +2,10 @@
 
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm, prod
@@ -23,6 +26,8 @@ from diffres.cli import main
 from diffres.determinant import _det_residue, _det_scaled, _pivot_order, is_prime
 from diffres.matrices import F1, RowLabel, build_carra_ferro
 from conftest import matrix_from_grid
+
+ROOT = Path(__file__).resolve().parent.parent
 
 A = CoeffSymbol("a", 0, 0)
 B = CoeffSymbol("b", 0, 0)
@@ -331,12 +336,13 @@ class TestModular:
         with pytest.raises(ValueError):
             is_prime(2 ** 89 - 1)
 
-    def test_hadamard_bound_rounds_rational_entries_up(self):
-        rows = [{0: Fraction(9, 10), 1: Fraction(-9, 10)},
-                {0: Fraction(9, 10), 1: Fraction(9, 10)}]
-        # |det| = 81/50; truncating the entries to 0 would give a bound of 1
-        assert hadamard_bound(rows) >= abs(Fraction(81, 50))
-        assert hadamard_bound(rows) == 4
+    def test_hadamard_bound_of_int_rows(self):
+        """The int rows of `PolyMatrix.specialize`, each row norm rounded
+        up past its integer square root."""
+        rows = [{0: 3, 1: -4}, {0: 1, 1: 1}, {2: -2}]
+        # |det| = 14; row norms 5, sqrt(2) and 2
+        assert hadamard_bound(rows) == 6 * 2 * 3
+        assert hadamard_bound(rows[:1]) == 6 and hadamard_bound([]) == 1
 
     def test_rejects_non_square_matrices(self):
         s = random_specialization((1, 2), 0)
@@ -426,26 +432,66 @@ class TestSparseKernel:
         assert capsys.readouterr().out == pinned.read_text()
 
 
-# sha256 of repr(_pivot_order(M)) of the square matrices, taken while the
-# elimination loop still kept the column index by set differences
+# sha256 of repr(_pivot_order(M)) of the square matrices.  Up to (3,4) the
+# orders are those of the former analysis on the sparsity pattern, every
+# entry and fill-in taken as nonzero, pinned while the elimination loop
+# still kept the column index by set differences.  At (3,3), (4,4) and (5,5)
+# the pattern planned pivots that every specialization cancels; the residue
+# analysis keeps the pattern's first 76, 143 and 232 pivots (their sha256
+# below) and completes the order from there.
 PIVOT_ORDER_SHA256 = {
     (1, 1): "182da7c4e64a06a507c0c6f92ca8e788bdae9f84f95eca51168e02e4ee0e006f",
     (1, 2): "a279cb7b601bcf0057782ae0fb63b033b957aef281a75fdcc1536f2fc7349377",
     (2, 2): "e9d43bd73fb3d721fdeab34a1f1c68b9b36ba571f966cbde1d1478303e326461",
     (2, 3): "f0597560339be0f4c6932844bf956a7106c2ee44d21afc85a9cb3391e97c8f71",
-    (3, 3): "787cf6676f69420d102fc7e8de2f7d034e4242bdf026e812fd79a239a415e8b5",
+    (3, 3): "35b14788b5c4d8dd13d5d12ff8ce0d07a3622389fa22c371ac983401e315e7dc",
     (3, 4): "5810a8999f0a3af34208c76fe371dd032e5da9be5dbcf80b2812f59dd9fcad26",
-    (4, 4): "c9db499e25000fb1137dfcae04c22f287e083b9a7f58c52d77be72e8f8217df0",
-    (5, 5): "02d02746f0288579e318a337935060f4a42dfdf461910dca944a655bf76a4ea4",
+    (4, 4): "9a752a7714d803203d782d4da986ce83885306bb7436f32d8b3812809325ba9e",
+    (5, 5): "71b90ff4ca702f6654cbad6ba5e328064469326a2f53b2fc2d1965ceab67b8de",
 }
+PATTERN_PREFIX_SHA256 = {
+    (3, 3): (76, "8a9f858daf3a4cf9c5dbfcc9d67cc0e950c5e241b3dd9bab255e33938bc422d5"),
+    (4, 4): (143, "07ca0e198f4a0d69dbab3cd7a35cc36b67d95fe351aa1d9aadf11f1d6542a980"),
+    (5, 5): (232, "51c2dad625fe3eaeeffa5f4dc24d9b1470edae4ced43072273a094dcea19f815"),
+}
+
+
+def _order_sha256(order):
+    return hashlib.sha256(repr(order).encode()).hexdigest()
 
 
 @pytest.mark.parametrize("d", sorted(PIVOT_ORDER_SHA256), ids=_degrees)
 def test_pivot_orders_are_unchanged(d):
-    """Markowitz ties follow dict insertion order, so the pattern update
-    must add fill-in in the pivot row's order."""
-    order = _pivot_order(build_square_matrix(SystemSpec(*d)))
-    assert hashlib.sha256(repr(order).encode()).hexdigest() == PIVOT_ORDER_SHA256[d]
+    """Markowitz ties go to the first entry found, so the order follows
+    dict insertion order: fill-in joins a row in the pivot row's order."""
+    assert _order_sha256(_pivot_order(_square_matrix(d))) == PIVOT_ORDER_SHA256[d]
+
+
+@pytest.mark.parametrize("d", sorted(PATTERN_PREFIX_SHA256), ids=_degrees)
+def test_pivot_orders_keep_the_pattern_prefix(d):
+    n, digest = PATTERN_PREFIX_SHA256[d]
+    assert _order_sha256(_pivot_order(_square_matrix(d))[:n]) == digest
+
+
+def test_the_pivot_order_does_not_follow_the_hash_seed():
+    """`PolyMatrix.symbols()` is a set, whose order follows PYTHONHASHSEED;
+    the analysis draws its point over the sorted symbols."""
+    code = ("import hashlib\n"
+            "from diffres import SystemSpec, build_square_matrix\n"
+            "from diffres.determinant import _pivot_order\n"
+            "M = build_square_matrix(SystemSpec(3, 3))\n"
+            "print(' '.join(x.render() for x in M.symbols()))\n"
+            "print(hashlib.sha256(repr(_pivot_order(M)).encode()).hexdigest())\n")
+    set_orders = set()
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        set_order, digest = proc.stdout.splitlines()
+        set_orders.add(set_order)
+        assert digest == PIVOT_ORDER_SHA256[(3, 3)]
+    assert len(set_orders) == 2
 
 
 def det_rational(rows, order=()):
@@ -606,12 +652,30 @@ class TestReplayedOrder:
         assert _det_residue(rows, PRIME) == (0, [(0, 0)])
 
     def test_analyzed_order_covers_the_square_matrices(self):
-        for d in ((1, 1), (2, 2), (2, 3)):
+        for d in ((d1, d2) for d2 in range(1, 6) for d1 in range(1, d2 + 1)):
             M = build_square_matrix(SystemSpec(*d))
             order = _pivot_order(M)
             assert _pivot_order(M) is order    # computed once per matrix
             assert sorted(i for i, _ in order) == list(range(M.nrows))
             assert sorted(j for _, j in order) == list(range(M.ncols))
+
+    @pytest.mark.parametrize("d", [(3, 3), (4, 4)], ids=_degrees)
+    def test_a_replayed_random_determinant_makes_no_search(self, d, monkeypatch):
+        """The analysis sees the cancellations that every specialization
+        shares, so a random one takes every planned pivot."""
+        M = _square_matrix(d)
+        order = _pivot_order(M)
+        s = random_specialization(d, 11)
+        searches = []
+        search = determinant._markowitz_pivot
+        monkeypatch.setattr(determinant, "_markowitz_pivot",
+                            lambda *args: searches.append(args) or search(*args))
+        rows, den = M.specialize(s)     # the elimination takes the rows over
+        value = _det_scaled(rows, den, order) * den ** len(rows)
+        assert value.denominator == 1 and value != 0
+        assert _det_residue(M.specialize(s)[0], PRIME, order) == (
+            value.numerator % PRIME, list(order))
+        assert searches == []
 
     @settings(deadline=None, max_examples=300)
     @given(st.integers(0, 6).flatmap(lambda n: st.lists(
@@ -660,14 +724,14 @@ class TestReplayedOrder:
 
         def spy(live, order, update):
             result = eliminate(live, order, update)
-            if update.__closure__ is None:      # the pattern, in _pivot_order
-                return result
             cells = dict(zip(update.__code__.co_freevars, update.__closure__))
-            num, den = cells["num"].cell_contents, cells["den"].cell_contents
-            factors.extend((num[k], den[k]) for k, _, _ in result[0])
+            if "num" in cells:      # the ring over Z, not the residues
+                num, den = cells["num"].cell_contents, cells["den"].cell_contents
+                factors.extend((num[k], den[k]) for k, _, _ in result[0])
             return result
 
         monkeypatch.setattr(determinant, "_eliminate", spy)
+        _pivot_order.cache_clear()      # its analysis runs under the spy too
         M = _square_matrix((2, 3))
         for seed in range(3):
             s = common_zero_specialization(

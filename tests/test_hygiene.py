@@ -4,7 +4,7 @@ module-level private function and class, and every public one the package
 does not export, is named somewhere in the library, every definition, methods
 included, is named by the library, the tests, the demos or the benchmark,
 every module-level cache is bounded, no module calls the indented JSON
-encoder, only `sympoly` touches a `SymPoly`'s slots and only its
+encoder or makes a generator without a seed, only `sympoly` touches a `SymPoly`'s slots and only its
 constructor sets the terms, no module reads a private attribute that
 another module defines, every module stays under the parser's token step,
 and every criterion runs in exactly one suite."""
@@ -306,6 +306,36 @@ def test_the_scan_finds_an_indented_json_call():
 def test_no_library_module_calls_the_indented_json_encoder():
     for path in sorted(SRC.glob("*.py")):
         assert indented_json_calls(path.read_text()) == [], path.name
+
+
+def unseeded_generators(source: str):
+    """Line numbers of the calls in `source` of a `Random` with no seed, or
+    with None: such a generator seeds itself from the operating system, and
+    two runs draw differently."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call)
+                  and getattr(node.func, "attr", getattr(node.func, "id", None))
+                  == "Random"
+                  and all(isinstance(a, ast.Constant) and a.value is None
+                          for a in node.args + [k.value for k in node.keywords]))
+
+
+def test_the_scan_finds_an_unseeded_generator():
+    source = ("import random\n"
+              "from random import Random\n"
+              "a = random.Random()\n"
+              "b = random.Random(0)\n"
+              "c = Random(\n"
+              "    None)\n"
+              "d = Random(x=None)\n"
+              "e = random.Random(seed * 7 + 1)\n"
+              "f = 'random.Random(), in a string'\n")
+    assert unseeded_generators(source) == [3, 5, 7]
+
+
+def test_no_library_module_draws_from_an_unseeded_generator():
+    for path in sorted(SRC.glob("*.py")):
+        assert unseeded_generators(path.read_text()) == [], path.name
 
 
 SYMPOLY_SLOTS = ("_terms", "_text")
