@@ -5,18 +5,20 @@ Minkowski sum of four Newton polytopes.  One 7 x 18 linear program per
 point, with fixed integer liftings, assigns each point to the block whose
 optimum puts all its weight on one vertex; it is decided exactly, in
 integers, by certified bases set up once per degree pair and kept between
-calls.  A short list of legal moves turns that partition into the
-divisibility one, and the rebuilt matrix matches the square construction
-row for row.
+calls.  Moving each monomial that lies outside its divisibility block
+straight to that block is legal here, and turns that partition into the
+divisibility one; the rebuilt matrix matches the square construction row
+for row.
 """
 
 from collections import Counter
 
-from diffres import (DEFAULT_LIFTINGS, MOVES_TO_DIVISIBILITY_2_2, SystemSpec,
-                     apply_moves, build_sparse_matrix, build_square_matrix,
-                     column_set, default_main_monomials, grc_partition,
-                     lattice_points, nonzero_random_probe,
-                     partition_divisibility, validate_liftings)
+from diffres import (DEFAULT_LIFTINGS, SystemSpec, apply_moves,
+                     build_sparse_matrix, build_square_matrix, column_set,
+                     default_main_monomials, grc_partition, lattice_points,
+                     nonzero_random_probe, partition_divisibility,
+                     validate_liftings)
+from diffres.sparse import moves_to_divisibility
 
 spec = SystemSpec(2, 2)
 
@@ -42,9 +44,10 @@ print()
 
 E = column_set(spec)
 mm = default_main_monomials(spec)
-moved = apply_moves(result.partition, MOVES_TO_DIVISIBILITY_2_2, spec)
+moves = moves_to_divisibility(result.partition, spec)
+moved = apply_moves(result.partition, moves, spec)
 target = partition_divisibility(E, mm)
-print("after", len(MOVES_TO_DIVISIBILITY_2_2), "moves:", moved.sizes(),
+print("after", len(moves), "derived moves:", moved.sizes(),
       "- equals the divisibility partition:",
       all(a.as_set() == b.as_set() for a, b in zip(moved.sets(), target.sets())))
 print()

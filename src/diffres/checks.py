@@ -32,11 +32,10 @@ from .lattice import (CASE_BASES, DEFAULT_PERTURBATION, costs,
                       lattice_points, scanned)
 from .matrices import (build_carra_ferro, build_sparse_matrix,
                        build_square_matrix, zero_columns)
-from .monomials import (column_set, is_divisibility_partition,
-                        multiplier_sizes)
+from .monomials import column_set, multiplier_sizes
 from .oracle import eliminate_iterated
-from .sparse import (DEFAULT_LIFTINGS, MOVES_TO_DIVISIBILITY_2_2, apply_moves,
-                     grc_partition, validate_liftings)
+from .sparse import (DEFAULT_LIFTINGS, apply_moves, grc_partition,
+                     moves_to_divisibility, validate_liftings)
 from .symbols import CoeffSymbol
 from .sympoly import Specialization
 
@@ -217,13 +216,14 @@ def check_lp_partition(spec: SystemSpec, seed: int) -> Dict[str, object]:
     E = column_set(spec)
     shifted = sorted(((m.ey + 1, m.ey1 + 1, m.ey2 + 1) for m in E),
                      key=lambda p: (sum(p), p[2], p[1], p[0]))
-    assert len(points) == 36 and points == shifted, \
+    assert len(points) == spec.N and points == shifted, \
         "lattice points differ from the shifted column set"
 
     result = grc_partition(spec)
     result.partition.validate_cover(E)
-    moved = apply_moves(result.partition, MOVES_TO_DIVISIBILITY_2_2, spec)
-    assert is_divisibility_partition(moved, spec), \
+    moves = moves_to_divisibility(result.partition, spec)
+    moved = apply_moves(result.partition, moves, spec)
+    assert not moves_to_divisibility(moved, spec), \
         "moves do not reach the divisibility partition"
 
     rearranged = build_sparse_matrix(moved, spec)
@@ -240,7 +240,7 @@ def check_lp_partition(spec: SystemSpec, seed: int) -> Dict[str, object]:
     ok, witness = nonzero_random_probe(raw, spec, seed=seed)
     assert ok, "raw LP matrix vanished on ten random specializations"
     return {"partition_sizes": list(result.partition.sizes()),
-            "moves": len(MOVES_TO_DIVISIBILITY_2_2),
+            "moves": len(moves),
             "nonzero_witness": witness}
 
 
@@ -302,7 +302,8 @@ SUITES: Dict[str, Tuple[str, tuple, Callable[..., Dict[str, object]]]] = {
                   check_vanishing),
     "nonvanishing": ("nonvanishing", VANISHING_SPECS, check_nonvanishing),
     "linear": ("linear-case", ((1, 1),), check_linear_case),
-    "lp-partition": ("lp-partition", ((2, 2),), check_lp_partition),
+    "lp-partition": ("lp-partition", ((1, 2), (2, 2), (2, 3), (3, 3)),
+                     check_lp_partition),
     "basis": ("basis-certification", ((2, 2),), check_basis_certification),
     "oracle": ("oracle", ((1, 1),), check_oracle),
 }

@@ -33,7 +33,7 @@ from .errors import CapExceeded, DiffresError, IllegalMove
 from .matrices import (build_carra_ferro, build_sparse_matrix,
                        build_square_matrix, zero_columns)
 from .monomials import (closed_form_sets, column_set, default_main_monomials,
-                        is_divisibility_partition, partition_divisibility)
+                        partition_divisibility)
 from .oracle import eliminate_iterated
 from .output import dumps
 from .sympoly import Specialization, parse_rational
@@ -271,24 +271,18 @@ def cmd_lp_partition(args) -> int:
 
 
 def cmd_moves(args) -> int:
-    from .sparse import MOVES_TO_DIVISIBILITY_2_2, apply_moves, grc_partition
+    from .sparse import apply_moves, grc_partition, moves_to_divisibility
     spec = _spec(args)
     lift, delta_vec = _lp_inputs(args)
-    if args.moves_file:
-        moves = [_move(m) for m in _read_json(args.moves_file, list, "a moves file")]
-    else:
-        moves = list(MOVES_TO_DIVISIBILITY_2_2)
+    moves = ([_move(m) for m in _read_json(args.moves_file, list, "a moves file")]
+             if args.moves_file else None)
     result = grc_partition(spec, lift, delta_vec)
-    # where the built-in list does not apply, or does not reach the
-    # divisibility partition, the moves must come from a file
-    builtin = ("the built-in moves are made for the default (2,2) LP "
-               "partition; give --moves-file")
+    if moves is None:
+        moves = moves_to_divisibility(result.partition, spec)
     try:
         moved = apply_moves(result.partition, moves, spec)
     except IllegalMove as exc:
-        raise ValueError(f"{args.moves_file or builtin}: {exc}") from None
-    if not args.moves_file and not is_divisibility_partition(moved, spec):
-        raise ValueError(f"{builtin}: they do not reach the divisibility partition")
+        raise ValueError(f"{args.moves_file or 'derived moves'}: {exc}") from None
     matrix = build_sparse_matrix(moved, spec)
     payload = {"before": result.partition.to_json(),
                "after": moved.to_json(),
@@ -406,7 +400,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("moves", help="apply partition moves and rebuild")
     _add_spec_args(p)
     p.add_argument("--moves-file",
-                   help='JSON list of {"monomial": [e,e,e], "from": i, "to": j}')
+                   help='JSON list of {"monomial": [e,e,e], "from": i, "to": j} '
+                        '(default: the moves to the divisibility partition)')
     p.add_argument("--liftings", nargs=12, type=int, metavar="L")
     p.add_argument("--delta", nargs=3, metavar="D")
     p.add_argument("--config")

@@ -16,7 +16,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm, prod
+from math import comb, gcd, lcm, prod
 from typing import (Collection, Dict, List, Mapping, NamedTuple, Sequence,
                     Tuple)
 
@@ -24,7 +24,7 @@ from .errors import ClosureViolation
 from .diffsys import (DiffPoly, SystemSpec, YMonomial, delta, generic_poly,
                       generic_system, ym_csv_name, ym_div, ym_divides, ym_key,
                       ym_render)
-from .monomials import (Partition, closed_form_sets, column_set,
+from .monomials import (Partition, bset, closed_form_sets, column_set,
                         default_main_monomials)
 from .output import dumps, json_list
 from .sympoly import Specialization, SymPoly, mono_degree
@@ -313,7 +313,6 @@ def build_sparse_matrix(part: Partition, spec: SystemSpec) -> PolyMatrix:
 
 def carra_ferro_shape(d1: int, d2: int, n: int, m: int) -> dict:
     """Row/column counts of the rectangular construction."""
-    from math import comb
     D = 1 + (n + 1) * (d1 - 1) + (m + 1) * (d2 - 1)
     v = m + n + 1
     L = comb(v + D, v)
@@ -335,7 +334,6 @@ def build_carra_ferro(d1: int, d2: int, n: int, m: int) -> PolyMatrix:
         raise ValueError("degrees must be >= 1")
     if not {n, m} <= {0, 1}:
         raise ValueError(f"orders must be 0 or 1, got n = {n}, m = {m}")
-    from .monomials import bset
 
     shape = carra_ferro_shape(d1, d2, n, m)
     D = shape["D"]

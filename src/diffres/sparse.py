@@ -6,7 +6,7 @@ a single vertex assigns the point to that block (its generalized row
 content).  With suitable integer liftings the selected vertices are exactly
 the four main monomials, the blocks tile the column set, and the square
 matrix that `matrices.build_sparse_matrix` assembles from the partition is
-a row rearrangement of the standard one after a short list of legal moves.
+a row rearrangement of the standard one after `moves_to_divisibility`.
 Every call, the first too, reads the point system that `lattice.scanned`
 keeps and pays only for its liftings: the costs, each catalog basis's
 optimality (u = c_B adj, u A_j <= p c_j at the nonbasic columns j), per
@@ -35,7 +35,7 @@ from .lattice import (BLOCK_SIZES, DEFAULT_PERTURBATION, TARGET_VERTEX, Point,
                       var_index)
 from .matrices import SQUARE_BLOCK_ORDER, row_polys
 from .monomials import (MonomialSet, Partition, column_set,
-                        default_main_monomials)
+                        default_main_monomials, partition_divisibility)
 
 LiftVector = Tuple[int, int, int]
 
@@ -182,8 +182,9 @@ def grc_partition(spec: SystemSpec, lift: Liftings = DEFAULT_LIFTINGS,
 
 # --- moves -------------------------------------------------------------------
 
-# Moves that turn the LP partition for degrees (2, 2) with the default
-# liftings into the divisibility partition: (monomial, from block, to block).
+# The moves that `moves_to_divisibility` derives for degrees (2, 2) with the
+# default liftings: (monomial, from block, to block).  No library function
+# reads this table; it stays for the benchmark's `lp-partition` check.
 MOVES_TO_DIVISIBILITY_2_2: Tuple[Tuple[YMonomial, int, int], ...] = (
     (YMonomial(3, 1, 1), 3, 1),
     (YMonomial(2, 1, 1), 3, 1),
@@ -194,6 +195,17 @@ MOVES_TO_DIVISIBILITY_2_2: Tuple[Tuple[YMonomial, int, int], ...] = (
     (YMonomial(1, 1, 1), 4, 1),
     (YMonomial(0, 1, 1), 4, 1),
 )
+
+
+def moves_to_divisibility(part: Partition, spec: SystemSpec
+                          ) -> List[Tuple[YMonomial, int, int]]:
+    """The moves that take each monomial of `part` outside its block of the
+    spec's divisibility partition straight to that block, in block order;
+    none when `part` is that partition.  `apply_moves` checks each one."""
+    target = partition_divisibility(column_set(spec), default_main_monomials(spec))
+    home = {m: i for i, s in enumerate(target.sets(), 1) for m in s}
+    return [(m, i, home[m]) for i, s in enumerate(part.sets(), 1)
+            for m in s if home[m] != i]
 
 
 def apply_moves(part: Partition, moves: Sequence[Tuple[YMonomial, int, int]],

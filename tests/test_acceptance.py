@@ -24,7 +24,7 @@ WITNESS_PINS = {
     "vanishing": "55512af8f10e3117384c96a201ae92aa66f59d45aa1b27b18ec2668294852c7a",
     "nonvanishing": "e4f41667555a37b0f177ed22b8f6cfdcd4a4460ae9b0f9791b2c75f6866ad93a",
     "linear": "f6874ceb345144227bf31fc58a9afa368cea9ded3ebda1b056d6c400af671fb8",
-    "lp-partition": "62d0776c4c42c29dd8e033e3a1fdf7083c30286e5a2400121796fa01ea612d9d",
+    "lp-partition": "ce277b1f77a1fc8b60e4626af2bfc0abe09a38448fd13dfd7fad50c7e8627634",
     "basis": "4783f369031c41eab37d2878b2d691dc4b554ec17dff950d8ce77b75d02f7f68",
     "oracle": "fa7ec3e4c59edf16b577eae7b02901fdd9d026de7165bfaa268dcf6bad066ec4",
 }
@@ -105,7 +105,19 @@ def test_criterion_6_linear_ground_truth():
 
 def test_criterion_7_lp_partition_reproduction():
     reports = _run("lp-partition", budget=120.0)
-    assert reports[0].witness["partition_sizes"] == [6, 10, 8, 12]
+    by_spec = {r.spec: r for r in reports}
+    assert set(by_spec) == {(1, 2), (2, 2), (2, 3), (3, 3)}
+    assert by_spec[(2, 2)].witness["partition_sizes"] == [6, 10, 8, 12]
+
+
+def test_criterion_7_reference_report_is_unchanged():
+    """The (2,2) report, with the moves derived, is the one the table of
+    eight moves gave: its digest is the suite's pin from when (2,2) was the
+    suite's only pair."""
+    report = next(r for r in run_checks("lp-partition", seed=0) if r.spec == (2, 2))
+    assert report.witness["moves"] == 8
+    assert (_witness_digest([report])
+            == "62d0776c4c42c29dd8e033e3a1fdf7083c30286e5a2400121796fa01ea612d9d")
 
 
 def test_criterion_8_basis_certification():

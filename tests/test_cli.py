@@ -616,8 +616,7 @@ def test_moves_file(tmp_path, capsys):
 
 
 def test_illegal_move_exit_code_depends_on_its_source(tmp_path, capsys):
-    # an input error either way: the user's file names the file, and the
-    # built-in list, meant for (2,2), asks for a --moves-file
+    # an input error: the user's file names the file
     path = tmp_path / "moves.json"
     path.write_text(json.dumps([{"monomial": [0, 0, 0], "from": 1, "to": 2}]))
     assert run_cli("moves", "--d1", "1", "--d2", "1",
@@ -625,19 +624,40 @@ def test_illegal_move_exit_code_depends_on_its_source(tmp_path, capsys):
     err = capsys.readouterr().err.strip()
     assert err.startswith("error: ") and "\n" not in err
     assert "is not currently in S1" in err
-    assert run_cli("moves", "--d1", "1", "--d2", "1") == 2
-    err = capsys.readouterr().err.strip()
-    assert err.startswith("error: the built-in moves") and "--moves-file" in err
 
 
 @pytest.mark.parametrize("d1, d2", [(1, 1), (2, 3), (3, 3)])
-def test_builtin_moves_off_2_2_exit_two(d1, d2, capsys):
-    # the built-in list raises IllegalMove at (1,1) and (3,3) and ends off the
-    # divisibility partition at (2,3)
-    assert run_cli("moves", "--d1", str(d1), "--d2", str(d2)) == 2
+def test_derived_moves_reach_the_divisibility_partition(d1, d2, capsys):
+    """Without --moves-file the moves are derived at any degrees: the blocks
+    after them are those of the partition that `sets` prints."""
+    degrees = ("--d1", str(d1), "--d2", str(d2))
+    assert run_cli("moves", *degrees) == 0
+    after = json.loads(capsys.readouterr().out)["after"]
+    assert run_cli("sets", *degrees) == 0
+    partition = json.loads(capsys.readouterr().out)["partition"]
+    assert after["sets"] == partition["sets"]
+
+
+def test_an_illegal_derived_move_exits_two(monkeypatch, capsys):
+    from diffres import sparse
+    monkeypatch.setattr(sparse, "moves_to_divisibility",
+                        lambda part, spec: [(YMonomial(0, 0, 0), 1, 2)])
+    assert run_cli("moves", "--d1", "1", "--d2", "1") == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith("error: derived moves: ")
+    assert "is not currently in S1" in err
+
+
+def test_a_malformed_moves_file_is_read_before_the_liftings(tmp_path, capsys):
+    """The moves file is read before the LP runs: malformed, it exits 2 even
+    with liftings that `grc_partition` refuses (exit 3 on their own)."""
+    path = tmp_path / "moves.json"
+    path.write_text(json.dumps([{"monomial": [0, 1], "from": 4, "to": 1}]))
+    assert run_cli("moves", "--d1", "2", "--d2", "2", "--moves-file", str(path),
+                   "--liftings", "9", *["0"] * 11) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ") and err.count("\n") == 1
-    assert "--moves-file" in err
 
 
 def test_oracle_command(capsys):

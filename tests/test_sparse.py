@@ -1,10 +1,12 @@
 """Polytopes, lattice points, the vertex-decomposition LP, and the partition."""
 
 import hashlib
+import json
 import random
 from collections import namedtuple
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -22,7 +24,7 @@ from diffres.errors import CertificateFailure, DiffresError
 from diffres.lattice import (BLOCK_SIZES, CASE_BASES, TARGET_VERTEX, var_index,
                              vertex_lists)
 from diffres.lp import matrix_rank, simplex
-from diffres.sparse import MOVES_TO_DIVISIBILITY_2_2
+from diffres.sparse import MOVES_TO_DIVISIBILITY_2_2, moves_to_divisibility
 from test_lp import SingularBasis, verify_basis_reference
 
 F = Fraction
@@ -884,6 +886,85 @@ class TestMoves:
         src = next(i + 1 for i, s in enumerate(part.sets()) if top in s)
         with pytest.raises(IllegalMove):
             apply_moves(part, [(top, src, 4)], spec)
+
+
+# with the default liftings, one move per monomial outside its divisibility
+# block, at every d1 <= d2 <= 5
+DERIVED_MOVE_COUNTS = {
+    (1, 1): 0, (1, 2): 4, (1, 3): 12, (1, 4): 22, (1, 5): 37,
+    (2, 2): 8, (2, 3): 19, (2, 4): 34, (2, 5): 53,
+    (3, 3): 25, (3, 4): 45, (3, 5): 67,
+    (4, 4): 50, (4, 5): 77,
+    (5, 5): 89,
+}
+SEEDED_CONFIG = json.loads(
+    (Path(__file__).parent / "data" / "lp_partition_2_2_seeded_config.json").read_text())
+
+
+def drawn_liftings(rng):
+    """Integer heights in [-9, 9], L31 fixed by the merged equality; a draw
+    that `validate_liftings` fails is drawn again."""
+    while True:
+        h = [rng.randint(-9, 9) for _ in range(11)]
+        l32, l41, l42 = h[7], h[9], h[10]
+        lift = Liftings(tuple(h[0:3]), tuple(h[3:6]),
+                        (l32 + l41 - l42, l32, h[6]), (l41, l42, h[8]))
+        if validate_liftings(lift).passed:
+            return lift
+
+
+class TestDerivedMoves:
+    @staticmethod
+    def _reaches_divisibility(spec, part):
+        moves = moves_to_divisibility(part, spec)
+        moved = apply_moves(part, moves, spec)   # raises on an illegal move
+        target = partition_divisibility(column_set(spec),
+                                        default_main_monomials(spec))
+        assert [s.as_set() for s in moved.sets()] == [s.as_set() for s in target.sets()]
+        assert moves_to_divisibility(moved, spec) == []
+        return moves
+
+    @pytest.mark.parametrize("d", DEGREES_TO_5)
+    def test_default_liftings_at_every_pair_to_5(self, d):
+        spec = SystemSpec(*d)
+        moves = self._reaches_divisibility(spec, grc_partition(spec).partition)
+        assert len(moves) == DERIVED_MOVE_COUNTS[d]
+
+    def test_equals_the_2_2_table_as_a_set(self):
+        spec = SystemSpec(2, 2)
+        moves = moves_to_divisibility(grc_partition(spec).partition, spec)
+        assert len(moves) == len(set(moves))
+        assert set(moves) == set(MOVES_TO_DIVISIBILITY_2_2)
+
+    def test_each_move_leaves_its_block_for_its_divisibility_block(self):
+        spec = SystemSpec(2, 3)
+        part = grc_partition(spec).partition
+        target = partition_divisibility(column_set(spec),
+                                        default_main_monomials(spec))
+        moves = moves_to_divisibility(part, spec)
+        for monomial, src, dst in moves:
+            assert src != dst
+            assert monomial in part.sets()[src - 1]
+            assert monomial in target.sets()[dst - 1]
+        # in block order of the source
+        assert [src for _, src, _ in moves] == sorted(src for _, src, _ in moves)
+
+    @pytest.mark.parametrize("d", [(1, 2), (2, 2), (2, 3), (3, 3)])
+    def test_drawn_liftings(self, d):
+        spec = SystemSpec(*d)
+        rng = random.Random(7000 + 10 * d[0] + d[1])
+        for _ in range(10):
+            self._reaches_divisibility(
+                spec, grc_partition(spec, drawn_liftings(rng)).partition)
+
+    @pytest.mark.parametrize("d", [(2, 2), (2, 3)])
+    def test_the_seeded_config(self, d):
+        lift = Liftings(*(tuple(SEEDED_CONFIG["liftings"][k:k + 3])
+                          for k in range(0, 12, 3)))
+        delta_vec = tuple(F(v) for v in SEEDED_CONFIG["delta"])
+        spec = SystemSpec(*d)
+        self._reaches_divisibility(
+            spec, grc_partition(spec, lift, delta_vec).partition)
 
 
 class TestSparseMatrix:
