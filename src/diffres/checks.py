@@ -20,6 +20,7 @@ from __future__ import annotations
 import random
 import time
 from fractions import Fraction
+from operator import mul
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from . import lp
@@ -29,7 +30,7 @@ from .determinant import (common_zero_specialization, det_specialized,
                           random_specialization)
 from .diffsys import SystemSpec, YMonomial, system_symbols, ym_render
 from .lattice import (CASE_BASES, DEFAULT_PERTURBATION, costs,
-                      lattice_points, scanned)
+                      lattice_points, scanned, var_index)
 from .matrices import (build_carra_ferro, build_sparse_matrix,
                        build_square_matrix, zero_columns)
 from .monomials import column_set, multiplier_sizes
@@ -79,6 +80,7 @@ VANISHING_SPECS = ((1, 1), (1, 2), (2, 2), (2, 3))   # det == 0 by elimination t
 KERNEL_VECTOR_SPECS = ((3, 3), (4, 4), (5, 5))        # by kernel vector only
 VANISHING_TRIALS = 100   # common-zero specializations per spec
 CERTIFICATE_SPECS = ((1, 1), (1, 2), (2, 2), (2, 3), (3, 3))
+LP_SPECS = ((1, 2), (2, 2), (2, 3), (3, 3))
 
 
 # --- criterion 1 -------------------------------------------------------------
@@ -122,18 +124,15 @@ def check_carra_ferro(spec: SystemSpec, seed: int) -> Dict[str, object]:
 def check_certificate(spec: SystemSpec, seed: int) -> Dict[str, object]:
     transformed, cert = certify(spec)
     n1, n2, n3, n4 = cert.counts
-    assert sum(cert.counts) == spec.N
+    assert cert.counts == multiplier_sizes(spec), \
+        f"counts {cert.counts} != multiplier sizes {multiplier_sizes(spec)}"
     assert cert.coefficient == cert.sign * spec.d1 ** n1, \
         f"unique-monomial coefficient {cert.coefficient} != sign * d1^n1"
-    if spec == (2, 2):
-        expected = {
-            CoeffSymbol("a", 0, 2, 0): 10,   # top coefficient of f1
-            CoeffSymbol("b", 0, 2, 1): 10,   # derivative of f2's top
-            CoeffSymbol("a", 2, 0, 0): 10,   # pure-y coefficient of f1
-            CoeffSymbol("b", 0, 0, 0): 6,    # constant of f2
-        }
-        assert dict(cert.unique_monomial) == expected, \
-            f"unique monomial {dict(cert.unique_monomial)}"
+    # f1's top and pure-y coefficients, f2's top derivative and its constant
+    expected = {CoeffSymbol("a", 0, spec.d1): n1, CoeffSymbol("b", 0, spec.d2, 1): n2,
+                CoeffSymbol("a", spec.d1, 0): n3, CoeffSymbol("b", 0, 0): n4}
+    assert dict(cert.unique_monomial) == expected, \
+        f"unique monomial {dict(cert.unique_monomial)}"
     rank_spec = ranking_specialization(spec)
     assert det_specialized(transformed, rank_spec) != 0, \
         "ranking specialization killed the determinant"
@@ -247,30 +246,27 @@ def check_lp_partition(spec: SystemSpec, seed: int) -> Dict[str, object]:
 # --- criterion 8 -------------------------------------------------------------
 
 def check_basis_certification(spec: SystemSpec, seed: int) -> Dict[str, object]:
-    # the kept integer point system and its certified catalog: b' = D b(q),
-    # so the solver's objective and a catalog basis's, sum c_j v_j / p over
-    # its form values v = p x_B at q, are both D times the LP's
+    # each decomposition grc_partition prints, checked on the kept integer
+    # point system, where b' = D b(q): so the solver's objective is D times
+    # the LP's
     system, points = scanned(spec, DEFAULT_PERTURBATION)
-    A, c = system.A, costs(system.vertices, DEFAULT_LIFTINGS)
+    A, c, D = system.A, costs(system.vertices, DEFAULT_LIFTINGS), system.D
     assert lp.matrix_rank(A) == 7
     cols = next(columns for case, bid, columns in CASE_BASES if bid == "1.1")
     assert lp.matrix_rank([[row[j] for j in cols] for row in A]) == 7
-    optimal = system.optimal(c)
-    certified = {}
+    assignments = grc_partition(spec).assignments
     for q in points:
+        a = assignments[q]
+        assert min(a.lam) >= 0, f"{q}: lambda has a negative entry"
+        assert a.lam[var_index(a.case, a.vertex_index)] == 1, \
+            f"{q}: lambda does not pin vertex {a.vertex_index} of block {a.case}"
+        assert [D * sum(map(mul, row, a.lam)) for row in A] == system.rhs(q), \
+            f"{q}: lambda is not a decomposition of the point"
         best = lp.simplex(A, system.rhs(q), c)
-        assert best.status == "optimal", f"lattice point {q} admits no decomposition"
-        found = {k: values for k, values, _ in system.feasible_catalog(q) if optimal[k]}
-        assert found, f"no certified basis covers {q}"
-        k = min(found)   # the first in catalog order
-        basis = system.catalog[k]
-        objective = Fraction(sum(c[j] * v for j, v in zip(basis.columns, found[k])),
-                             basis.p)
-        assert objective == best.objective, \
-            f"{q}: certified objective differs from the solver"
-        certified[q] = basis.bid
+        assert D * sum(map(mul, c, a.lam)) == D * a.objective == best.objective, \
+            f"{q}: objective {a.objective} differs from the solver's {best.objective / D}"
     return {"points": len(points),
-            "bases_used": sorted(set(certified.values()))}
+            "bases_used": sorted({a.basis_id for a in assignments.values()})}
 
 
 # --- criterion 9 -------------------------------------------------------------
@@ -302,9 +298,8 @@ SUITES: Dict[str, Tuple[str, tuple, Callable[..., Dict[str, object]]]] = {
                   check_vanishing),
     "nonvanishing": ("nonvanishing", VANISHING_SPECS, check_nonvanishing),
     "linear": ("linear-case", ((1, 1),), check_linear_case),
-    "lp-partition": ("lp-partition", ((1, 2), (2, 2), (2, 3), (3, 3)),
-                     check_lp_partition),
-    "basis": ("basis-certification", ((2, 2),), check_basis_certification),
+    "lp-partition": ("lp-partition", LP_SPECS, check_lp_partition),
+    "basis": ("basis-certification", LP_SPECS, check_basis_certification),
     "oracle": ("oracle", ((1, 1),), check_oracle),
 }
 

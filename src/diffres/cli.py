@@ -335,6 +335,15 @@ def _add_spec_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", help="write JSON here instead of stdout")
 
 
+def _add_lp_args(parser: argparse.ArgumentParser) -> None:
+    # the flags `_lp_inputs` reads
+    parser.add_argument("--liftings", nargs=12, type=int, metavar="L",
+                        help="the four lifting vectors, twelve integers")
+    parser.add_argument("--delta", nargs=3, metavar="D",
+                        help="perturbation components, exact rationals")
+    parser.add_argument("--config", help="JSON file with lifting/delta defaults")
+
+
 @lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and shared by later calls:
@@ -391,10 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lp-partition",
                        help="partition the columns via exact LPs")
     _add_spec_args(p)
-    p.add_argument("--liftings", nargs=12, type=int, metavar="L")
-    p.add_argument("--delta", nargs=3, metavar="D",
-                   help="perturbation components, exact rationals")
-    p.add_argument("--config", help="JSON file with lifting/delta defaults")
+    _add_lp_args(p)
     p.set_defaults(fn=cmd_lp_partition)
 
     p = sub.add_parser("moves", help="apply partition moves and rebuild")
@@ -402,9 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--moves-file",
                    help='JSON list of {"monomial": [e,e,e], "from": i, "to": j} '
                         '(default: the moves to the divisibility partition)')
-    p.add_argument("--liftings", nargs=12, type=int, metavar="L")
-    p.add_argument("--delta", nargs=3, metavar="D")
-    p.add_argument("--config")
+    _add_lp_args(p)
     p.set_defaults(fn=cmd_moves)
 
     p = sub.add_parser("oracle", help="iterated-resultant elimination")

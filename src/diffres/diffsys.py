@@ -165,9 +165,6 @@ class DiffPoly:
                 out[mono] = out.get(mono, 0) + v * scale
         return SymPoly(out)
 
-    def substitute_symbols(self, mapping) -> "DiffPoly":
-        return DiffPoly({m: c.substitute(mapping) for m, c in self._support.items()})
-
     def to_json(self) -> list:
         return [{"monomial": list(m), "coeff": c.render()}
                 for m, c in sorted(self._support.items(), key=lambda kv: ym_key(kv[0]))]

@@ -13,12 +13,12 @@ the final tableau.  A basis is certified apart from the solver by
 `adjugate` (B adj = p I, checked exactly, so x_B = adj b / p) and
 `optimal` (the reduced costs, read from adj).  `lattice.PointSystem`
 makes that certificate once per catalog basis, per spec and perturbation
-(`lattice.scanned`), and `sparse` and the `basis-certification` check
-read it there; no Fraction copy of the system is built.  One
-fraction-free pivot serves the tableau, the adjugates and the rank; a row
-whose entry in the pivot column is zero is only rescaled to the new
-denominator, and left alone when that denominator is unchanged.  Integer
-data is read as it is, with no Fraction per entry.
+(`lattice.scanned`), and `sparse` reads it there; no Fraction copy of the
+system is built.  One fraction-free pivot serves the tableau, the
+adjugates and the rank; a row whose entry in the pivot column is zero is
+only rescaled to the new denominator, and left alone when that
+denominator is unchanged.  Integer data is read as it is, with no
+Fraction per entry, and a float is refused.
 """
 
 from __future__ import annotations
@@ -35,9 +35,12 @@ Vector = List[Fraction]
 
 def _integers(rows: Sequence[Sequence]) -> List[List[int]]:
     """The rows times one positive integer that clears every denominator, as
-    new lists; rows of ints are copied as they are."""
+    new lists; rows of ints are copied as they are.  A float, which holds
+    only its binary approximation, is refused with a TypeError."""
     if all(type(v) is int for row in rows for v in row):
         return [list(row) for row in rows]
+    if any(isinstance(v, float) for row in rows for v in row):
+        raise TypeError("a float is not read as an exact rational")
     rows = [[Fraction(v) for v in row] for row in rows]
     s = lcm(*(v.denominator for row in rows for v in row))
     return [[v.numerator * (s // v.denominator) for v in row] for row in rows]
@@ -123,7 +126,6 @@ class LPSolution(NamedTuple):
     status: str                 # "optimal" | "infeasible"; unbounded raises
     x: Vector
     objective: Fraction
-    basis: Tuple[int, ...]
 
 
 class _Tableau:
@@ -246,10 +248,9 @@ def simplex(A: Sequence[Sequence], b: Sequence, c: Sequence) -> LPSolution:
     n = len(A[0]) if A else 0
     tab, farkas = _phase_one(_augmented(A, b))
     if farkas is not None:
-        return LPSolution("infeasible", [], Fraction(0), ())
+        return LPSolution("infeasible", [], Fraction(0))
     (cost,) = _integers([c])
     tab.run(cost + [0] * (tab.n - n), [j < n for j in range(tab.n)])
     x = tab.solution()[:n]
-    return LPSolution("optimal", x, sum((cj * xj for cj, xj in zip(c, x)), Fraction(0)),
-                      tuple(sorted(tab.basis)))
+    return LPSolution("optimal", x, sum((cj * xj for cj, xj in zip(c, x)), Fraction(0)))
 

@@ -58,25 +58,18 @@ def sylvester_resultant(p: DiffPoly, q: DiffPoly, var: str) -> DiffPoly:
     return det_laplace(grid)
 
 
-def eliminate_iterated(spec: SystemSpec, substitution=None) -> SymPoly:
+def eliminate_iterated(spec: SystemSpec) -> SymPoly:
     """Chain the variables away: y2 first, then y1, then y.
 
     Returns a polynomial purely in the coefficient symbols.  Degrees (1, 1)
-    only: term growth is explosive beyond them.  `substitution` maps
-    coefficient symbols to polynomials before the elimination.  Raises
-    IntermediateZero when a resultant collapses, which happens for
-    degenerate substitutions that make two inputs share a factor.
+    only: term growth is explosive beyond them.  Raises IntermediateZero
+    when a resultant collapses, which would mean two inputs share a factor.
     """
     spec = SystemSpec(*spec).validate()
     if (spec.d1, spec.d2) != (1, 1):
         raise ValueError("iterated elimination runs only for degrees (1, 1)")
     f1, f2 = generic_system(spec)
     df1, df2 = delta(f1), delta(f2)
-    if substitution:
-        f1 = f1.substitute_symbols(substitution)
-        f2 = f2.substitute_symbols(substitution)
-        df1 = df1.substitute_symbols(substitution)
-        df2 = df2.substitute_symbols(substitution)
 
     def checked(p: DiffPoly, stage: str) -> DiffPoly:
         if p.is_zero():

@@ -37,9 +37,12 @@ Coeff = int | Fraction
 
 
 def _exact(value) -> Coeff:
-    """The value as an int when it is integral, else as a Fraction."""
+    """The value as an int when it is integral, else as a Fraction; a float
+    is refused with a TypeError, as `parse_rational` refuses it."""
     if type(value) is int:
         return value
+    if isinstance(value, float):
+        raise TypeError(f"a float is not read as an exact rational: {value!r}")
     value = Fraction(value)
     return value.numerator if value.denominator == 1 else value
 
@@ -353,7 +356,10 @@ def parse_rational(value) -> Fraction:
     """The exact rational of a text such as "3/4", "-0.25" or "1e-3", so
     "0.01" is 1/100 and not the binary float nearest to it; an int or a
     Fraction is taken as it is.  A text with a decimal exponent beyond
-    MAX_EXPONENT is refused with a ValueError rather than expanded."""
+    MAX_EXPONENT is refused with a ValueError rather than expanded, and a
+    float, which holds only its binary approximation, with a TypeError."""
+    if isinstance(value, float):
+        raise TypeError(f"a float is not read as an exact rational: {value!r}")
     if isinstance(value, str):
         m = _EXPONENT.search(value)
         if m and abs(int(m.group(1))) > MAX_EXPONENT:

@@ -12,6 +12,8 @@ change what they report.
 
 import hashlib
 import json
+from dataclasses import replace
+from fractions import Fraction as F
 
 import pytest
 
@@ -25,7 +27,7 @@ WITNESS_PINS = {
     "nonvanishing": "e4f41667555a37b0f177ed22b8f6cfdcd4a4460ae9b0f9791b2c75f6866ad93a",
     "linear": "f6874ceb345144227bf31fc58a9afa368cea9ded3ebda1b056d6c400af671fb8",
     "lp-partition": "ce277b1f77a1fc8b60e4626af2bfc0abe09a38448fd13dfd7fad50c7e8627634",
-    "basis": "4783f369031c41eab37d2878b2d691dc4b554ec17dff950d8ce77b75d02f7f68",
+    "basis": "9f244a896b682bbeb2af550a5ccc15508843d7385371617e6780364ca0c26c04",
     "oracle": "fa7ec3e4c59edf16b577eae7b02901fdd9d026de7165bfaa268dcf6bad066ec4",
 }
 
@@ -84,6 +86,24 @@ def test_criterion_3_fails_on_a_wrong_coefficient(monkeypatch, forge):
             "error": f"unique-monomial coefficient {wrong} != sign * d1^n1"}
 
 
+def test_criterion_3_fails_on_a_count_off_by_one(monkeypatch):
+    from diffres import checks
+    certify = checks.certify
+
+    def forged(spec):
+        transformed, cert = certify(spec)
+        n1, n2, n3, n4 = cert.counts
+        return transformed, cert._replace(counts=(n1, n2, n3 + 1, n4))
+    monkeypatch.setattr(checks, "certify", forged)
+    by_spec = {r.spec: r for r in run_checks("certificate", seed=0)}
+    for d in ((1, 2), (2, 2)):
+        counts = certify(d)[1].counts
+        off = counts[:2] + (counts[2] + 1, counts[3])
+        assert by_spec[d].status == "fail"
+        assert by_spec[d].witness == {
+            "error": f"counts {off} != multiplier sizes {counts}"}
+
+
 def test_criterion_4_vanishing_property():
     reports = _run("vanishing", budget=60.0)
     methods = {r.spec: r.witness["method"] for r in reports}
@@ -122,16 +142,51 @@ def test_criterion_7_reference_report_is_unchanged():
 
 def test_criterion_8_basis_certification():
     reports = _run("basis", budget=60.0)
-    assert reports[0].witness["points"] == 36
+    by_spec = {r.spec: r for r in reports}
+    assert set(by_spec) == {(1, 2), (2, 2), (2, 3), (3, 3)}
+    assert by_spec[(2, 2)].witness["points"] == 36
 
 
-# the criterion-8 report, less its runtime, beyond the suite's one pair: two
-# passes and the first uncovered point where the catalog runs out
+def test_criterion_8_reference_report_is_unchanged():
+    """The (2,2) report, read from the decompositions `grc_partition`
+    prints, is the one the suite's own catalog scan gave: its digest is the
+    suite's pin from when (2,2) was the suite's only pair."""
+    report = next(r for r in run_checks("basis", seed=0) if r.spec == (2, 2))
+    assert (_witness_digest([report])
+            == "4783f369031c41eab37d2878b2d691dc4b554ec17dff950d8ce77b75d02f7f68")
+
+
+@pytest.mark.parametrize("forge, message", [
+    (lambda a: replace(a, lam=(a.lam[0] + F(1, 100),) + a.lam[1:]),
+     "lambda is not a decomposition of the point"),
+    (lambda a: replace(a, objective=a.objective + 1), "differs from the solver's"),
+    (lambda a: replace(a, case=a.case % 4 + 1), "lambda does not pin vertex"),
+], ids=["lambda", "objective", "case"])
+def test_criterion_8_fails_on_a_forged_assignment(monkeypatch, forge, message):
+    from diffres import checks
+    grc_partition = checks.grc_partition
+    q = (1, 1, 1)
+
+    def forged(spec):
+        result = grc_partition(spec)
+        if spec != (2, 2):
+            return result
+        return replace(result, assignments={
+            **result.assignments, q: forge(result.assignments[q])})
+    monkeypatch.setattr(checks, "grc_partition", forged)
+    by_spec = {r.spec: r for r in run_checks("basis", seed=0)}
+    assert by_spec[(2, 2)].status == "fail"
+    assert by_spec[(2, 2)].witness["error"].startswith(f"{q}: ")
+    assert message in by_spec[(2, 2)].witness["error"]
+    assert all(r.passed for d, r in by_spec.items() if d != (2, 2))
+
+
+# the criterion-8 report, less its runtime, at pairs of the suite and beyond
 BASIS_REPORT_PINS = {
     (1, 1): "e26cec21f315b61141c0289fb4798c15944a2cc39a1e9065b635e52ca873b533",
     (1, 2): "b2fc456979ed02af70e1fca74549befa6b8ae74825d8a386173bbbf7ce38e4a4",
-    (2, 3): "d42bf466ab95bf5c5edaa565a5d97d5bee2dff373049bc07db520756d0dc14a2",
-    (3, 3): "60251260c26a8691bbede5f67a227d717937c12b4257425a490bc76abf376cd3",
+    (2, 3): "0c488108c3c9bd126cec53e0a44342fbfc0ed58f2d204e058b759366aaa46a61",
+    (3, 3): "41115004e4734fa5e50941d449575ad9dad902ef6dfa07603e6ae86e87ab30a9",
 }
 
 

@@ -725,6 +725,26 @@ def test_det_help_states_the_defaults(capsys):
     assert "(default 2147483647 2147483629)" in help_text
 
 
+@pytest.mark.parametrize("flags", [
+    (), ("--liftings", *"7 -4 -5 5 -9 5 6 2 1 8 4 7".split()),
+    ("--delta", "1/2", "0.25", "1e-2", "--config", "c.json")],
+    ids=["none", "liftings", "delta-config"])
+def test_lp_verbs_read_their_inputs_alike(flags):
+    from diffres.cli import build_parser
+
+    def lp_inputs(verb):
+        args = vars(build_parser().parse_args([verb, "--d1", "1", "--d2", "2", *flags]))
+        return {k: v for k, v in args.items() if k not in ("fn", "command", "moves_file")}
+    assert lp_inputs("lp-partition") == lp_inputs("moves")
+
+
+def test_moves_help_describes_the_lp_inputs(capsys):
+    assert run_cli("moves", "--help") == 0
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "perturbation components, exact rationals" in help_text
+    assert "JSON file with lifting/delta defaults" in help_text
+
+
 def test_usage_error_exit_code(capsys):
     assert run_cli("build", "--d1", "2") == 2          # missing --d2
     assert run_cli("no-such-command") == 2

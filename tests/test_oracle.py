@@ -89,19 +89,13 @@ class TestEliminateIterated:
         assert out.evaluate(generic) != 0
         assert det_specialized(M, generic) != 0
 
-    def test_constructed_collapse_raises(self):
-        # identifying the two systems makes every resultant vanish
-        spec = SystemSpec(1, 1)
-        collapse = {}
-        for k, l in ((0, 0), (1, 0), (0, 1)):
-            for deriv in (0, 1):
-                collapse[CoeffSymbol("b", k, l, deriv)] = \
-                    SymPoly.symbol(CoeffSymbol("a", k, l, deriv))
-        with pytest.raises(IntermediateZero):
-            eliminate_iterated(spec, collapse)
+    def test_a_collapsed_resultant_raises(self, monkeypatch):
+        from diffres import oracle
+        monkeypatch.setattr(oracle, "sylvester_resultant",
+                            lambda p, q, var: DiffPoly.zero())
+        with pytest.raises(IntermediateZero, match="collapsed at stage y2"):
+            eliminate_iterated(SystemSpec(1, 1))
 
-    def test_degrees_past_one_one_rejected_with_or_without_substitution(self):
+    def test_degrees_past_one_one_rejected(self):
         with pytest.raises(ValueError, match=r"only for degrees \(1, 1\)"):
             eliminate_iterated(SystemSpec(2, 2))
-        with pytest.raises(ValueError):
-            eliminate_iterated(SystemSpec(2, 3), {})

@@ -1,5 +1,6 @@
 """Exact polynomial core: ring laws, evaluation, division, text round trip."""
 
+import json
 import random
 from collections import Counter
 from fractions import Fraction
@@ -264,7 +265,8 @@ def test_no_operation_yields_a_float_coefficient(p, q, r, mapping, k):
     # integer inputs give int coefficients: ring operations, derivation and
     # an exact quotient, whose integral coefficients come back as ints
     ints = [p + q, p - q, -p, p * q, k * p, p + k, k - p, p ** 3,
-            p.derivative(), SymPoly.const(Fraction(4, 2)), SymPoly.symbol(A0, 3.0)]
+            p.derivative(), SymPoly.const(Fraction(4, 2)),
+            SymPoly.symbol(A0, Fraction(6, 2))]
     if q:
         ints.append((p * q).exact_div(q))
         assert ints[-1] == p
@@ -383,3 +385,20 @@ def test_a_specialization_reads_text_values_exactly():
     assert Specialization({A0: "-0.25", B0: 3})[A0] == Fraction(-1, 4)
     with pytest.raises(ValueError, match="number out of range"):
         Specialization({A0: "1e99999"})
+
+
+@pytest.mark.parametrize("make", [
+    lambda: parse_rational(0.1), lambda: SymPoly.const(0.1),
+    lambda: SymPoly.symbol(A0, 0.1), lambda: Specialization({A0: 0.1})],
+    ids=["parse_rational", "const", "symbol", "specialization"])
+def test_a_float_is_refused(make):
+    with pytest.raises(TypeError, match="a float is not read as an exact rational"):
+        make()
+
+
+def test_a_json_number_is_read_as_its_text():
+    # a JSON file's 0.1 reaches parse_rational as text; a float never does
+    data = json.loads('{"a(0,0)": 0.1}', parse_float=parse_rational)
+    assert Specialization.from_json(data)[A0] == Fraction(1, 10)
+    with pytest.raises(ValueError, match=r"value of a\(0,0\) is not a number"):
+        Specialization.from_json({"a(0,0)": 0.1})
