@@ -74,11 +74,10 @@ def _move(entry) -> tuple:
 
 
 def _rationals(values, what: str) -> tuple:
-    # a boolean is not a rational here, nor is a string read as a list
+    # a string is not read as a list; `parse_rational` refuses a boolean
     try:
-        out = (tuple(parse_rational(v) for v in values)
-               if isinstance(values, (list, tuple))
-               and not any(isinstance(v, bool) for v in values) else ())
+        out = (tuple(map(parse_rational, values))
+               if isinstance(values, (list, tuple)) else ())
     except (TypeError, ZeroDivisionError, OverflowError):
         out = ()
     if len(out) != 3:

@@ -56,7 +56,7 @@ from .errors import CapExceeded
 from .diffsys import YM_ONE, SystemSpec, YMonomial, system_symbols
 from .matrices import DF1, DF2, F1, F2, PolyMatrix, row_polys
 from .symbols import CoeffSymbol
-from .sympoly import Specialization, SymPoly
+from .sympoly import Specialization, SymPoly, parse_rational
 
 SYMBOLIC_CAP_DEFAULT = 8
 SIGN_NOTE = ("value tied to the canonical decreasing column order and the "
@@ -318,7 +318,7 @@ def kernel_certifies(rows: Sequence[Dict[int, int]],
     if YM_ONE not in cols:
         return False
     tops = [max(c[k] for c in cols) for k in range(3)]
-    wy, wy1, wy2 = _weights([Fraction(x) for x in point], tops)
+    wy, wy1, wy2 = _weights(list(map(parse_rational, point)), tops)
     v = [wy[a] * wy1[b] * wy2[c] for a, b, c in cols]
     return not any(sum(map(mul, row.values(), map(v.__getitem__, row)))
                    for row in rows)
@@ -413,11 +413,14 @@ def hadamard_bound(rows: Sequence[Dict[int, int]]) -> int:
 
 # --- specialization generators ---------------------------------------------
 
-def random_specialization(spec: SystemSpec, rng_seed: int,
-                          lo: int = -10 ** 6, hi: int = 10 ** 6) -> Specialization:
+RANDOM_RANGE = 10 ** 6   # random values are drawn from [-RANDOM_RANGE, RANDOM_RANGE]
+
+
+def random_specialization(spec: SystemSpec, rng_seed: int) -> Specialization:
     rng = random.Random(rng_seed)
     symbols = sorted(system_symbols(SystemSpec(*spec).validate()))
-    return Specialization({s: Fraction(rng.randint(lo, hi)) for s in symbols})
+    return Specialization({s: Fraction(rng.randint(-RANDOM_RANGE, RANDOM_RANGE))
+                           for s in symbols})
 
 
 @lru_cache(maxsize=16)
@@ -448,10 +451,10 @@ def common_zero_specialization(spec: SystemSpec,
     which the result carries as its `zero`.
     """
     spec = SystemSpec(*spec).validate()
-    point = tuple(Fraction(v) for v in point)
+    point = tuple(map(parse_rational, point))
     rng = random.Random(rng_seed)
     universe, forms, tops = _integer_forms(spec)
-    values = {s: rng.randint(-10 ** 6, 10 ** 6) for s in universe}
+    values = {s: rng.randint(-RANDOM_RANGE, RANDOM_RANGE) for s in universe}
     wy, wy1, wy2 = _weights(point, tops)
 
     def scaled(form):   # the form's value at the point times wy[0] wy1[0] wy2[0]

@@ -20,7 +20,7 @@ from typing import Dict, Mapping, NamedTuple, Tuple
 
 from .errors import DiffresError
 from .symbols import CoeffSymbol
-from .sympoly import Monomial, SymPoly
+from .sympoly import Monomial, SymPoly, parse_rational
 
 
 class SystemSpec(NamedTuple):
@@ -157,7 +157,7 @@ class DiffPoly:
 
     def evaluate_point(self, point: Tuple[Fraction, Fraction, Fraction]) -> SymPoly:
         """Collapse the variables at a rational point, keeping the symbols."""
-        py, py1, py2 = (Fraction(v) for v in point)
+        py, py1, py2 = map(parse_rational, point)
         out: Dict[Monomial, Fraction] = {}
         for m, c in self._support.items():
             scale = py ** m.ey * py1 ** m.ey1 * py2 ** m.ey2

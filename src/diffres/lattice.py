@@ -13,10 +13,10 @@ it is in integers (b(q) scaled by the lcm D of the perturbation's
 denominators).  Each catalog basis carries (p, adj) with B adj = p I, and
 per basic variable a form a.q + k whose value at q is p D x_B.  Only the
 sum's bounding box, shifted by delta, is scanned.  A point is decided by
-the Farkas vectors found so far, then by the catalog bases feasible there,
-which the scan keeps per point with x_B and lambda, then by the phase-one
-bases found so far, with phase one only when none decides.  Every verdict
-rests on a certificate checked exactly when it was made.
+the Farkas vectors found so far, then by the first catalog basis feasible
+there, which the scan keeps per point with x_B and lambda, then by the
+phase-one bases found so far, with phase one only when none decides.
+Every verdict rests on a certificate checked exactly when it was made.
 """
 
 from __future__ import annotations
@@ -161,7 +161,7 @@ CASE_BASES: Tuple[Tuple[int, str, Tuple[int, ...]], ...] = tuple(
 # --- per-call certificates ---------------------------------------------------
 
 Form = Tuple[int, int, int, int]
-Feasible = Tuple[int, List[int], Tuple[Fraction, ...]]   # index, form values, lam
+Kept = Tuple[int, List[int], Tuple[Fraction, ...]]   # index, form values, lam
 _ZERO = Fraction(0)
 
 
@@ -196,14 +196,14 @@ class PointSystem:
     certificate already in hand when one applies: a Farkas vector w
     (w A >= 0, w b'(q) < 0) proves it infeasible, a basis B (adj b'(q) >= 0
     for B adj = p I, p > 0) proves it feasible.  The nonsingular catalog
-    bases are the first basis certificates, and what they give at a point
-    is kept (`feasible_catalog`); phase one runs only when none decides,
-    and its certificate is checked exactly before its basis joins `bases`
-    or its vector `farkas`.  `scanned` keeps one per (spec, perturbation),
-    for the 16 latest pairs, with the points its scan kept.  After that
-    scan `grc_partition` only reads: the vertex table, A's columns, each
-    catalog basis's adj columns and nonbasic columns, `D`, `rhs`, the
-    column set and, per point, the kept catalog bases.
+    bases are the first basis certificates, and the first one feasible at
+    a point is kept (`catalog_basis`); phase one runs only when none
+    decides, and its certificate is checked exactly before its basis joins
+    `bases` or its vector `farkas`.  `scanned` keeps one per (spec,
+    perturbation), for the 16 latest pairs, with the points its scan kept.
+    After that scan `grc_partition` only reads: the vertex table, A's
+    columns, each catalog basis's adj columns and nonbasic columns, `D`,
+    `rhs`, the column set and, per point, the kept catalog basis.
     """
 
     def __init__(self, spec: SystemSpec, delta_vec: Sequence[Fraction]):
@@ -228,7 +228,7 @@ class PointSystem:
                     case, bid, columns, p, tuple(zip(*adj)), nonbasic, forms))
         self.bases: List[Tuple[Form, ...]] = []
         self.farkas: List[Form] = []
-        self.kept: Dict[Point, Tuple[Feasible, ...]] = {}
+        self.kept: Dict[Point, Optional[Kept]] = {}
 
     @cached_property
     def cover(self) -> MonomialSet:
@@ -257,11 +257,11 @@ class PointSystem:
     def feasible(self, q: Point) -> bool:
         """Whether q is a lattice point, by the first certificate in hand
         that decides it, else by phase one; unless a Farkas vector rules q
-        out, its feasible catalog bases are kept on the way."""
+        out, its catalog basis is kept on the way."""
         if _values(self.farkas, q) is None:    # a Farkas form is negative
             return False
-        if self.feasible_catalog(q) or any(_values(forms, q) is not None
-                                           for forms in self.bases):
+        if self.catalog_basis(q) or any(_values(forms, q) is not None
+                                        for forms in self.bases):
             return True
         feasible, cert = lp.integer_certificate(self.A, self.rhs(q))
         if feasible:
@@ -288,23 +288,21 @@ class PointSystem:
         return [lp.optimal(A, c, b.columns, b.p, b.adj_columns, b.nonbasic)
                 for b in self.catalog]
 
-    def feasible_catalog(self, q: Point) -> Tuple[Feasible, ...]:
-        """The catalog bases feasible at q, as (index, form values, lam):
-        those with every form >= 1 (x_B > 0), then those whose least form
-        is 0, each in catalog order.  A basis's forms are evaluated up to
-        its first negative one.  Kept per point, as the scan reaches it:
-        none of it depends on the liftings."""
+    def catalog_basis(self, q: Point) -> Optional[Kept]:
+        """The first catalog basis feasible at q, as (index, form values,
+        lam), or None; the catalog is evaluated up to it, each basis's forms
+        up to their first negative one.  Kept per point as the scan reaches
+        it: none of it depends on the liftings."""
         if q not in self.kept:
-            found: List[Feasible] = []
+            self.kept[q] = None
             for k, basis in enumerate(self.catalog):
                 values = _values(basis.forms, q)
-                if values is None:
-                    continue
-                scale = basis.p * self.D     # lam = values / scale
-                lam = [_ZERO] * sum(BLOCK_SIZES)
-                for v, j in zip(values, basis.columns):
-                    if v:
-                        lam[j] = Fraction(v, scale)
-                found.append((k, values, tuple(lam)))
-            self.kept[q] = tuple(sorted(found, key=lambda e: min(e[1]) == 0))
+                if values is not None:
+                    scale = basis.p * self.D     # lam = values / scale
+                    lam = [_ZERO] * sum(BLOCK_SIZES)
+                    for v, j in zip(values, basis.columns):
+                        if v:
+                            lam[j] = Fraction(v, scale)
+                    self.kept[q] = (k, values, tuple(lam))
+                    break
         return self.kept[q]

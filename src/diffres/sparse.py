@@ -9,15 +9,12 @@ matrix that `matrices.build_sparse_matrix` assembles from the partition is
 a row rearrangement of the standard one after `moves_to_divisibility`.
 Every call, the first too, reads the point system that `lattice.scanned`
 keeps and pays only for its liftings: the costs, each catalog basis's
-optimality (u = c_B adj, u A_j <= p c_j at the nonbasic columns j), per
-point the objective of the first kept feasible basis that is optimal, and
-the restricted-LP searches.
-
-Ties between alternative optima are broken deterministically: the catalog
-of certified bases is scanned in its fixed order requiring strict
-feasibility, then weak feasibility, then a restricted-LP search over the
-four target vertices in block order, solved by `lp.simplex` on the same
-kept point system and b'(q).  The choice is recorded per point.
+optimality (u = c_B adj, u A_j <= p c_j at the nonbasic columns j), and
+per point one objective or a restricted-LP search.  A point takes the
+first catalog basis feasible there when it is optimal, else the search
+over the four target vertices in block order, solved by `lp.simplex` on
+the kept point system and b'(q); this breaks ties between alternative
+optima deterministically, and the choice is recorded per point.
 """
 
 from __future__ import annotations
@@ -107,17 +104,16 @@ class GrcPartitionResult:
 
 def _catalog_assignment(q: Point, system: PointSystem, optimal: Sequence[bool],
                         c: Sequence[int]) -> Optional[GrcAssignment]:
-    """The first catalog basis feasible at q, as `feasible_catalog` orders
-    them, that is optimal for c (`optimal`, per basis); None when there is
-    none.  Such a basis puts its block on the target vertex; only the
-    objective is computed here."""
-    for k, values, lam in system.feasible_catalog(q):
-        if optimal[k]:
-            basis = system.catalog[k]
-            objective = sum(map(mul, map(c.__getitem__, basis.columns), values))
-            return GrcAssignment(basis.case, TARGET_VERTEX[basis.case], basis.bid, lam,
-                                 Fraction(objective, basis.p * system.D))
-    return None
+    """q's kept catalog basis, which puts its block on the target vertex,
+    if it is optimal for c (`optimal`, per basis); else None."""
+    kept = system.catalog_basis(q)
+    if kept is None or not optimal[kept[0]]:
+        return None
+    k, values, lam = kept
+    basis = system.catalog[k]
+    objective = sum(map(mul, map(c.__getitem__, basis.columns), values))
+    return GrcAssignment(basis.case, TARGET_VERTEX[basis.case], basis.bid, lam,
+                         Fraction(objective, basis.p * system.D))
 
 
 def _search_assignment(system: PointSystem, q: Point, c: Sequence[int]
@@ -162,6 +158,10 @@ def grc_partition(spec: SystemSpec, lift: Liftings = DEFAULT_LIFTINGS,
     check_perturbation(delta_vec)
     delta_vec = tuple(delta_vec)
     system, points = scanned(spec, delta_vec)
+    if len(points) != spec.N:    # refused before any per-point work
+        raise ValueError(f"partition does not cover the column set: {len(points)} "
+                         f"lattice points at degrees {tuple(spec)}, perturbation "
+                         f"({', '.join(map(str, delta_vec))}), for N = {spec.N}")
     # the costs depend only on the liftings: certify optimality once per call
     c = costs(system.vertices, lift)
     optimal = system.optimal(c)
@@ -171,8 +171,7 @@ def grc_partition(spec: SystemSpec, lift: Liftings = DEFAULT_LIFTINGS,
         assignment = (_catalog_assignment(q, system, optimal, c)
                       or _search_assignment(system, q, c))
         assignments[q] = assignment
-        monomial = YMonomial(q[0] - 1, q[1] - 1, q[2] - 1)
-        buckets[assignment.case].append(monomial)
+        buckets[assignment.case].append(YMonomial(q[0] - 1, q[1] - 1, q[2] - 1))
     partition = Partition(
         *(MonomialSet.of(buckets[i], f"S{i}") for i in (1, 2, 3, 4)),
         provenance="LPDriven")

@@ -357,9 +357,11 @@ def parse_rational(value) -> Fraction:
     "0.01" is 1/100 and not the binary float nearest to it; an int or a
     Fraction is taken as it is.  A text with a decimal exponent beyond
     MAX_EXPONENT is refused with a ValueError rather than expanded, and a
-    float, which holds only its binary approximation, with a TypeError."""
-    if isinstance(value, float):
-        raise TypeError(f"a float is not read as an exact rational: {value!r}")
+    float, which holds only its binary approximation, or a bool, which is
+    no number, with a TypeError."""
+    if isinstance(value, (bool, float)):
+        raise TypeError(f"a {type(value).__name__} is not read as an exact "
+                        f"rational: {value!r}")
     if isinstance(value, str):
         m = _EXPONENT.search(value)
         if m and abs(int(m.group(1))) > MAX_EXPONENT:
@@ -443,8 +445,6 @@ class Specialization:
         for key, v in data.items():
             sym = parse_symbol(key)
             try:
-                if isinstance(v, bool):   # a JSON true is not the number 1
-                    raise TypeError(v)
                 values[sym] = parse_rational(v)
             except (TypeError, ZeroDivisionError, OverflowError):
                 raise ValueError(f"value of {key} is not a number: {v!r}") from None

@@ -796,6 +796,27 @@ def test_failing_liftings_are_an_invariant_violation(verb, capsys):
                    "L11 - L12 - L21 + L22 <= 0, L11 <= L41\n")
 
 
+def test_a_coarse_perturbation_is_refused_before_any_per_point_work(
+        monkeypatch, capsys):
+    """At delta = (1/2, 1/2, 1/2) the (1,2) sum holds 25 lattice points for
+    N = 16: `grc_partition` refuses it right after the scan, before any
+    catalog read or simplex, and the CLI exits 2 with one line."""
+    from diffres import sparse
+
+    def refused(*args):
+        raise AssertionError("per-point work on a refused perturbation")
+
+    monkeypatch.setattr(sparse, "_catalog_assignment", refused)
+    monkeypatch.setattr(sparse.lp, "simplex", refused)
+    code = run_cli("lp-partition", "--d1", "1", "--d2", "2",
+                   "--delta", "1/2", "1/2", "1/2")
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err == ("error: partition does not cover the column set: 25 lattice "
+                   "points at degrees (1, 2), perturbation (1/2, 1/2, 1/2), "
+                   "for N = 16\n")
+
+
 def test_installed_entry_point_runs():
     proc = subprocess.run([sys.executable, "-m", "diffres.cli",
                            "sets", "--d1", "1", "--d2", "1"],

@@ -117,7 +117,7 @@ class TestSpecialized:
         M = build_square_matrix(spec)
         d = det_symbolic(M)
         for trial in range(50):
-            s = random_specialization(spec, 5000 + trial, lo=-50, hi=50)
+            s = random_specialization(spec, 5000 + trial)
             assert d.evaluate(s) == det_specialized(M, s)
 
     def test_rational_entries(self):
@@ -172,6 +172,12 @@ class TestCommonZero:
     def test_matches_the_sympoly_reference(self, spec, point, seed):
         assert common_zero_specialization(spec, point, rng_seed=seed).to_json() \
             == common_zero_reference(spec, point, rng_seed=seed).to_json()
+
+    @pytest.mark.parametrize("point", [(0.1, 0.2, 0.3), (True, 0, 0)])
+    def test_an_inexact_point_is_refused(self, point):
+        # 0.1 would be read as 3602879701896397/36028797018963968
+        with pytest.raises(TypeError, match="is not read as an exact rational"):
+            common_zero_specialization((1, 1), point)
 
     def test_origin_forces_constant_symbols_to_zero(self):
         spec = SystemSpec(2, 2)
@@ -262,7 +268,7 @@ class TestModular:
         spec = SystemSpec(1, 1)
         M = build_square_matrix(spec)
         for seed in range(50):
-            s = random_specialization(spec, seed, lo=-10 ** 6, hi=10 ** 6)
+            s = random_specialization(spec, seed)
             exact = det_specialized(M, s)
             bound = hadamard_bound(M.specialize(s)[0])
             moduli = []
@@ -798,6 +804,15 @@ class TestKernelVector:
             corrupted = [dict(row) for row in rows]
             corrupted[k][one] = corrupted[k].get(one, 0) + 1
             assert not kernel_certifies(corrupted, M.cols, KERNEL_POINT)
+
+    @pytest.mark.parametrize("point", [(0.5, Fraction(1), Fraction(1)),
+                                       (Fraction(1), True, Fraction(1))])
+    def test_an_inexact_point_is_refused(self, point):
+        # 0.5 is exact as a binary float, and still refused: no float is read
+        M = _square_matrix((1, 1))
+        rows, _ = M.specialize(random_specialization((1, 1), 0))
+        with pytest.raises(TypeError, match="is not read as an exact rational"):
+            kernel_certifies(rows, M.cols, point)
 
     def test_columns_without_the_constant_fail(self):
         """At the origin v is 0 off the constant column, so without it

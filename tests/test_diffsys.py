@@ -165,6 +165,13 @@ def test_json_dump_shape():
     ]
 
 
+@pytest.mark.parametrize("point", [(0.1, 0, 0), (0, 0, False)])
+def test_evaluate_point_refuses_an_inexact_point(point):
+    f1, _ = generic_system(SystemSpec(1, 1))
+    with pytest.raises(TypeError, match="is not read as an exact rational"):
+        f1.evaluate_point(point)
+
+
 @given(st.lists(st.builds(Fraction, st.integers(-5, 5), st.integers(1, 5)),
                 min_size=3, max_size=3))
 def test_evaluate_point_is_a_ring_homomorphism(point):

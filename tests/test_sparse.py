@@ -5,6 +5,7 @@ import json
 import random
 from collections import namedtuple
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from pathlib import Path
 
@@ -29,7 +30,8 @@ from test_lp import SingularBasis, verify_basis_reference
 
 F = Fraction
 HALF = (F(1, 2),) * 3   # a coarse perturbation: degenerate bases and ties
-DEGREES_TO_5 = [(d1, d2) for d2 in range(1, 6) for d1 in range(1, d2 + 1)]
+DEGREES_TO_6 = [(d1, d2) for d2 in range(1, 7) for d1 in range(1, d2 + 1)]
+DEGREES_TO_5 = [d for d in DEGREES_TO_6 if d[1] <= 5]
 DEGREES_TO_4 = [d for d in DEGREES_TO_5 if d[1] <= 4]
 
 LP = namedtuple("LP", "A b c")
@@ -156,22 +158,22 @@ def box_scan(spec, delta_vec=DEFAULT_PERTURBATION):
 
 def reference_assignment(inst):
     """(case, vertex, basis id, lambda, objective) from the Fraction
-    reference alone: the catalog in order, strict pass then weak pass; None
-    if no basis fits."""
-    for strict in (True, False):
-        for case, bid, columns in CASE_BASES:
-            try:
-                report = verify_basis_reference(inst.A, inst.b, inst.c, columns)
-            except SingularBasis:
-                continue
-            ok = report.strictly_feasible if strict else report.feasible
-            if not (ok and report.optimal):
-                continue
-            j = TARGET_VERTEX[case]
-            offset = sum(BLOCK_SIZES[:case - 1])
-            block = report.x[offset:offset + BLOCK_SIZES[case - 1]]
-            if block[j - 1] == 1 and sum(block) == 1:
-                return case, j, bid, report.x, report.objective
+    reference alone: the first catalog basis feasible at the point, when it
+    is optimal and pins its target vertex; None otherwise, and when no
+    basis is feasible."""
+    for case, bid, columns in CASE_BASES:
+        try:
+            report = verify_basis_reference(inst.A, inst.b, inst.c, columns)
+        except SingularBasis:
+            continue
+        if not report.feasible:
+            continue
+        j = TARGET_VERTEX[case]
+        offset = sum(BLOCK_SIZES[:case - 1])
+        block = report.x[offset:offset + BLOCK_SIZES[case - 1]]
+        if report.optimal and block[j - 1] == 1 and sum(block) == 1:
+            return case, j, bid, report.x, report.objective
+        return None
     return None
 
 
@@ -197,9 +199,9 @@ seeded = st.integers(0, 10**6).map(seeded_liftings)
 free_liftings = st.lists(st.integers(-9, 9), min_size=12, max_size=12).map(
     lambda h: Liftings(*(tuple(h[k:k + 3]) for k in range(0, 12, 3))))
 ZERO_LIFTINGS = Liftings(*[(0, 0, 0)] * 4)     # every reduced cost is zero
-# at (1,2) the first basis that strictly pins its target vertex is not
-# optimal at 11 points, and a later catalog basis assigns 3 of them
-SCAN_ON = Liftings((3, -7, -7), (-7, -3, -2), (-8, 3, -9), (-6, 3, 8))
+# at (1,2) the catalog basis kept at 11 points is not optimal for these
+# heights
+PASSED_OVER = Liftings((3, -7, -7), (-7, -3, -2), (-8, 3, -9), (-6, 3, 8))
 
 
 def reference_search(inst):
@@ -330,6 +332,60 @@ def cold_and_warm_digests(spec, delta_vec):
     return assignments_digest(cold), assignments_digest(warm)
 
 
+def small_denominator_perturbations(seed, count):
+    """Perturbations whose coordinates have denominators 2 to 12."""
+    r = random.Random(seed)
+
+    def draw():
+        den = r.randint(2, 12)
+        return F(r.randint(1, den - 1), den)
+
+    return [(draw(), draw(), draw()) for _ in range(count)]
+
+
+def least_forms(system, q):
+    """Per catalog basis, its least form at q: >= 0 when the basis is
+    feasible there, >= 1 when strictly (the forms are p D x_B)."""
+    return [min(at(f, q) for f in basis.forms) for basis in system.catalog]
+
+
+class TestStrictFeasibility:
+    """Wherever grc_partition accepts the perturbation, the first catalog
+    basis feasible at a point is strictly feasible whenever some catalog
+    basis is strictly feasible there, so a pass over the strictly feasible
+    bases first would pick the same basis as catalog order."""
+
+    def test_the_first_feasible_basis_is_strict_where_any_is(self):
+        perturbations = ([DEFAULT_PERTURBATION, THIRDS]
+                         + small_denominator_perturbations(7, 12))
+        accepted = []
+        for delta_vec in perturbations:
+            for d in DEGREES_TO_4:
+                spec = SystemSpec(*d)
+                system, points = lattice.scanned(spec, delta_vec)
+                if len(points) != spec.N:     # grc_partition refuses it
+                    continue
+                accepted.append((delta_vec, d))
+                for q in points:
+                    feasible = [v for v in least_forms(system, q) if v >= 0]
+                    if any(v > 0 for v in feasible):
+                        assert feasible[0] > 0, (delta_vec, d, q)
+        # the default, THIRDS and one draw, (1/7, 1/5, 1/11), at every pair
+        assert len(accepted) == 3 * len(DEGREES_TO_4)
+
+    def test_at_half_the_passes_differ_where_grc_partition_refuses(self):
+        spec = SystemSpec(1, 2)
+        system, points = lattice.scanned(spec, HALF)
+        differ = []
+        for q in points:
+            feasible = [v for v in least_forms(system, q) if v >= 0]
+            if feasible and feasible[0] == 0 and any(v > 0 for v in feasible):
+                differ.append(q)
+        assert len(differ) == 3     # of its 25 points
+        with pytest.raises(ValueError, match="25 lattice points"):
+            grc_partition(spec, DEFAULT_LIFTINGS, HALF)
+
+
 @pytest.mark.usefixtures("cold_scan")
 class TestAssignmentPins:
     @pytest.mark.parametrize("d", DEGREES_TO_4)
@@ -373,25 +429,6 @@ class TestCertificateReuse:
     def test_lattice_points_at_a_coarse_perturbation(self):
         spec = SystemSpec(1, 2)
         assert lattice_points(spec, HALF) == box_scan(spec, HALF)
-
-    def test_strict_pass_decides_degenerate_points(self):
-        # at a coarse perturbation some points have a weakly feasible basis
-        # ahead of a strictly feasible one in the catalog; grc_partition
-        # itself rejects the extra points, so the per-point step is used.
-        # The default liftings fill each basis's verdicts; the seeded ones
-        # then read them on the same point system
-        from diffres.lattice import PointSystem
-        from diffres.sparse import _catalog_assignment
-        spec = SystemSpec(1, 2)
-        system = PointSystem(spec, HALF)
-        for lift in [DEFAULT_LIFTINGS] + [seeded_liftings(s) for s in (1, 2, 3)]:
-            costs = lattice.costs(system.vertices, lift)
-            optimal = system.optimal(costs)
-            for q in lattice_points(spec, HALF):
-                ref = reference_assignment(fraction_lp(q, spec, lift, HALF))
-                a = _catalog_assignment(q, system, optimal, costs)
-                assert (a and (a.case, a.vertex_index, a.basis_id, a.lam,
-                               a.objective)) == ref, (lift, q)
 
     @pytest.mark.parametrize("d", [(1, 2), (2, 2)])
     def test_assignments_match_verify_basis_reference(self, d):
@@ -534,6 +571,13 @@ class TestIntegerCertificates:
             lattice_points(spec)
 
 
+@lru_cache(maxsize=None)
+def catalog_system(d):
+    """The point system of degrees d at the default perturbation, unscanned:
+    its catalog and the optimality test, without the lattice points."""
+    return lattice.PointSystem(SystemSpec(*d), DEFAULT_PERTURBATION)
+
+
 def optimal_reference(A, c, basis, p, adj):
     """The integer optimality test over every column, the basic ones
     included: u = c_B adj, then u A_j <= p c_j."""
@@ -543,33 +587,35 @@ def optimal_reference(A, c, basis, p, adj):
 
 
 def scan_reference(system, optimal_flags, q, c):
-    """The catalog passes without the per-point memo: strict, then weak, over
-    every optimal basis in catalog order, x_B read off the basis's forms at
-    q; (basis id, lam, c.lam) of the first that pins its target vertex at q
-    (lam 1 there and the block summing to 1), None when none does."""
-    for floor in (1, 0):
-        for basis, ok in zip(system.catalog, optimal_flags):
-            values = [at(f, q) for f in basis.forms]
-            lam = [F(0)] * 18
-            for v, j in zip(values, basis.columns):
-                lam[j] = F(v, basis.p * system.D)
-            offset = var_index(basis.case, 1)
-            block = lam[offset:offset + BLOCK_SIZES[basis.case - 1]]
-            pinned = block[TARGET_VERTEX[basis.case] - 1] == 1 == sum(block)
-            if ok and min(values) >= floor and pinned:
-                return basis.bid, tuple(lam), sum(ck * x for ck, x in zip(c, lam))
+    """The catalog read without the per-point memo: the first basis in
+    catalog order whose forms are all >= 0 at q, x_B read off them;
+    (basis id, lam, c.lam) when that basis is optimal and pins its target
+    vertex at q (lam 1 there and the block summing to 1), None otherwise
+    and when no basis is feasible at q."""
+    for basis, ok in zip(system.catalog, optimal_flags):
+        values = [at(f, q) for f in basis.forms]
+        if min(values) < 0:
+            continue
+        lam = [F(0)] * 18
+        for v, j in zip(values, basis.columns):
+            lam[j] = F(v, basis.p * system.D)
+        offset = var_index(basis.case, 1)
+        block = lam[offset:offset + BLOCK_SIZES[basis.case - 1]]
+        if ok and block[TARGET_VERTEX[basis.case] - 1] == 1 == sum(block):
+            return basis.bid, tuple(lam), sum(ck * x for ck, x in zip(c, lam))
+        return None
     return None
 
 
 class TestPerCallWork:
     """A repeated grc_partition call does only what depends on its liftings:
-    the kept columns give `lp.optimal`, the per-point memo gives the full
-    catalog scan, and nothing that holds no lifting is redone."""
+    the kept columns give `lp.optimal`, the per-point memo gives the
+    catalog read, and nothing that holds no lifting is redone."""
 
     @settings(deadline=None, max_examples=20)
     @given(st.one_of(seeded, free_liftings))
     @example(lift=ZERO_LIFTINGS)
-    @example(lift=SCAN_ON)
+    @example(lift=PASSED_OVER)
     def test_the_kept_columns_give_lp_optimal(self, lift):
         for d in DEGREES_TO_4:
             system, _ = lattice.scanned(SystemSpec(*d), DEFAULT_PERTURBATION)
@@ -586,12 +632,12 @@ class TestPerCallWork:
     @settings(deadline=None, max_examples=20)
     @given(st.one_of(seeded, free_liftings))
     @example(lift=DEFAULT_LIFTINGS)
-    @example(lift=SCAN_ON)
+    @example(lift=PASSED_OVER)
     @pytest.mark.parametrize("delta_vec, degrees", [
         (DEFAULT_PERTURBATION, DEGREES_TO_4), (HALF, [(1, 2), (2, 2)])])
     def test_the_point_memo_gives_the_catalog_scan(self, delta_vec, degrees, lift):
-        # at HALF some points have a weakly feasible basis ahead of the
-        # first strictly feasible one
+        # at HALF, which grc_partition refuses, the first feasible basis at
+        # some points has a zero x_B while a later one has none
         for d in degrees:
             system, points = lattice.scanned(SystemSpec(*d), delta_vec)
             costs = lattice.costs(system.vertices, lift)
@@ -601,25 +647,56 @@ class TestPerCallWork:
                 assert (a and (a.basis_id, a.lam, a.objective)) \
                     == scan_reference(system, flags, q, costs), (d, lift, q)
 
-    def test_free_heights_reach_the_scan_on_path(self):
+    def test_free_heights_send_passed_over_points_to_the_search(self):
+        # no later catalog basis is tried where the kept one is not optimal
         system, points = lattice.scanned(SystemSpec(1, 2), DEFAULT_PERTURBATION)
-        costs = lattice.costs(system.vertices, SCAN_ON)
+        costs = lattice.costs(system.vertices, PASSED_OVER)
         flags = system.optimal(costs)
-        # the first basis feasible at q is strictly feasible and not optimal
-        firsts = [(q, system.feasible_catalog(q)[:1]) for q in points]
-        passed_over = [q for q, first in firsts
-                       if first and min(first[0][1]) > 0 and not flags[first[0][0]]]
-        assigned = [q for q in passed_over
-                    if sparse._catalog_assignment(q, system, flags, costs)]
-        assert (len(passed_over), len(assigned)) == (11, 3)
+        kept = [(q, system.catalog_basis(q)) for q in points]
+        passed_over = [q for q, basis in kept if basis and not flags[basis[0]]]
+        assert len(passed_over) == 11
+        assert not any(sparse._catalog_assignment(q, system, flags, costs)
+                       for q in passed_over)
+
+    def test_a_kept_basis_not_optimal_sends_its_point_to_the_search(
+            self, monkeypatch):
+        # valid liftings make every catalog basis optimal, so one basis's
+        # verdict is forged: exactly the points that keep it, and those
+        # that keep none, reach the search, which answers them as the
+        # Fraction search does
+        spec = SystemSpec(2, 3)
+        system, points = lattice.scanned(spec, DEFAULT_PERTURBATION)
+        k = system.catalog_basis(points[0])[0]
+        real_optimal, real_search = lattice.PointSystem.optimal, sparse._search_assignment
+        searched = []
+
+        def search(system, q, c):
+            searched.append(q)
+            return real_search(system, q, c)
+
+        monkeypatch.setattr(lattice.PointSystem, "optimal", lambda self, c: [
+            ok and j != k for j, ok in enumerate(real_optimal(self, c))])
+        monkeypatch.setattr(sparse, "_search_assignment", search)
+        result = grc_partition(spec)
+        expected = [q for q in points if system.catalog_basis(q) is None
+                    or system.catalog_basis(q)[0] == k]
+        assert len(expected) > 1
+        assert searched == expected == [q for q, a in result.assignments.items()
+                                        if a.basis_id == "search"]
+        for q in searched:
+            a = result.assignments[q]
+            assert (a.case, a.vertex_index, a.lam, a.objective) \
+                == reference_search(fraction_lp(q, spec, DEFAULT_LIFTINGS)), q
 
     @settings(deadline=None, max_examples=40)
     @given(seeded)
     def test_valid_liftings_make_every_catalog_basis_optimal(self, lift):
-        # the case the memo serves in one read per point; the code does not
-        # rely on it, as the free heights above show
-        for d in DEGREES_TO_4:
-            system, _ = lattice.scanned(SystemSpec(*d), DEFAULT_PERTURBATION)
+        # the code relies on this only through the per-call certificate
+        # `PointSystem.optimal`: a kept basis it finds not optimal sends its
+        # point to the search, as the tests above show.  The catalog holds
+        # nothing of the perturbation, so no scan is needed
+        for d in DEGREES_TO_6:
+            system = catalog_system(d)
             assert all(system.optimal(lattice.costs(system.vertices, lift))), (d, lift)
 
     @pytest.mark.usefixtures("cold_scan")
@@ -652,7 +729,7 @@ class TestPerCallWork:
         # first grc_partition after it evaluates no form
         spec = SystemSpec(*d)
         system, points = lattice.scanned(spec, DEFAULT_PERTURBATION)
-        assert all(type(system.kept.get(q)) is tuple for q in points)
+        assert all(q in system.kept for q in points)
 
         def refused(*args):
             raise AssertionError("a first call after the scan evaluated a form")
@@ -719,15 +796,21 @@ class TestCatalogStructure:
         (DEFAULT_PERTURBATION, DEGREES_TO_4), (HALF, [(1, 2), (2, 2)])])
     def test_every_feasible_basis_puts_its_block_on_the_target(self, delta_vec,
                                                                degrees):
+        # each one, kept or not, with x_B read off its forms at q
         for d in degrees:
             system, points = lattice.scanned(SystemSpec(*d), delta_vec)
             for q in points:
-                for k, values, lam in system.feasible_catalog(q):
-                    case = system.catalog[k].case
-                    offset = var_index(case, 1)
-                    block = lam[offset:offset + BLOCK_SIZES[case - 1]]
-                    assert min(values) >= 0
-                    assert block[TARGET_VERTEX[case] - 1] == 1 == sum(block), (d, q, k)
+                for basis in system.catalog:
+                    x = [F(at(f, q), basis.p * system.D) for f in basis.forms]
+                    if min(x) < 0:
+                        continue
+                    lam = [F(0)] * 18
+                    for v, j in zip(x, basis.columns):
+                        lam[j] = v
+                    offset = var_index(basis.case, 1)
+                    block = lam[offset:offset + BLOCK_SIZES[basis.case - 1]]
+                    assert block[TARGET_VERTEX[basis.case] - 1] == 1 == sum(block), \
+                        (d, q, basis.bid)
 
 
 class TestVerifyBasis:

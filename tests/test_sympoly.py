@@ -396,6 +396,16 @@ def test_a_float_is_refused(make):
         make()
 
 
+@pytest.mark.parametrize("make", [
+    lambda: parse_rational(True), lambda: parse_rational(False),
+    lambda: Specialization({A0: True})],
+    ids=["parse_rational-true", "parse_rational-false", "specialization"])
+def test_a_bool_is_refused(make):
+    # True would be read as the number 1
+    with pytest.raises(TypeError, match="a bool is not read as an exact rational"):
+        make()
+
+
 def test_a_json_number_is_read_as_its_text():
     # a JSON file's 0.1 reaches parse_rational as text; a float never does
     data = json.loads('{"a(0,0)": 0.1}', parse_float=parse_rational)
