@@ -174,9 +174,7 @@ def check_nonvanishing(spec: SystemSpec, seed: int) -> Dict[str, object]:
 
 def _specialization_from(spec: SystemSpec,
                          values: Dict[CoeffSymbol, int]) -> Specialization:
-    table = {s: Fraction(0) for s in system_symbols(spec)}
-    table.update({s: Fraction(v) for s, v in values.items()})
-    return Specialization(table)
+    return Specialization({**dict.fromkeys(system_symbols(spec), 0), **values})
 
 
 def check_linear_case(spec: SystemSpec, seed: int) -> Dict[str, object]:

@@ -38,6 +38,8 @@ class SystemSpec(NamedTuple):
         return (self.D + 1) ** 2
 
     def validate(self) -> "SystemSpec":
+        if type(self.d1) is not int or type(self.d2) is not int:
+            raise TypeError(f"degrees must be ints, got {self}")
         if not (1 <= self.d1 <= self.d2):
             raise ValueError(f"need 1 <= d1 <= d2, got {self}")
         # (D+1)^2 collapses to this closed form; keep both expressions honest.

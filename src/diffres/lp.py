@@ -18,7 +18,7 @@ system is built.  One fraction-free pivot serves the tableau, the
 adjugates and the rank; a row whose entry in the pivot column is zero is
 only rescaled to the new denominator, and left alone when that
 denominator is unchanged.  Integer data is read as it is, with no
-Fraction per entry, and a float is refused.
+Fraction per entry, and any other entry by `sympoly.parse_rational`.
 """
 
 from __future__ import annotations
@@ -29,19 +29,17 @@ from operator import mul
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import CertificateFailure, Unbounded
+from .sympoly import parse_rational
 
 Vector = List[Fraction]
 
 
 def _integers(rows: Sequence[Sequence]) -> List[List[int]]:
     """The rows times one positive integer that clears every denominator, as
-    new lists; rows of ints are copied as they are.  A float, which holds
-    only its binary approximation, is refused with a TypeError."""
+    new lists: rows of ints as they are, other entries by `parse_rational`."""
     if all(type(v) is int for row in rows for v in row):
         return [list(row) for row in rows]
-    if any(isinstance(v, float) for row in rows for v in row):
-        raise TypeError("a float is not read as an exact rational")
-    rows = [[Fraction(v) for v in row] for row in rows]
+    rows = [[parse_rational(v) for v in row] for row in rows]
     s = lcm(*(v.denominator for row in rows for v in row))
     return [[v.numerator * (s // v.denominator) for v in row] for row in rows]
 
@@ -239,7 +237,7 @@ def integer_certificate(A: Sequence[Sequence[int]],
     """Exact feasibility of A x = b, x >= 0 for integer A and b, with its
     certificate: (True, a basis, one column per independent row of A, with
     B^-1 b >= 0) or (False, w) with w A >= 0 and w b < 0."""
-    tab, farkas = _phase_one([list(row) + [v] for row, v in zip(A, b)])
+    tab, farkas = _phase_one(_augmented(A, b))
     return (True, tuple(sorted(tab.basis))) if farkas is None else (False, tuple(farkas))
 
 

@@ -61,7 +61,11 @@ class LiftingReport(NamedTuple):
 
 
 def validate_liftings(lift: Liftings) -> LiftingReport:
-    """Check the merged optimality constraints on the lifting heights."""
+    """Check the merged optimality constraints on the int lifting heights."""
+    for k, vec in enumerate(lift, 1):
+        for i, height in enumerate(vec, 1):
+            if type(height) is not int:
+                raise TypeError(f"lifting height L{k}{i} is not an int: {height!r}")
     (l11, l12, l13), (l21, l22, l23) = lift.l1, lift.l2
     (l31, l32, l33), (l41, l42, l43) = lift.l3, lift.l4
     inequalities = [

@@ -3,9 +3,9 @@
 A monomial is a sorted tuple of (CoeffSymbol, positive exponent) pairs; a
 polynomial maps monomials to nonzero exact coefficients: an int when the
 value is integral, as in every generic polynomial, δ and determinant, and a
-Fraction otherwise (from a specialization or `exact_div`); the constructor
-stores an integral Fraction as its numerator.  Everything is exact: no
-floats ever enter, and every operation returns a canonical form (no zero
+Fraction otherwise (from a specialization or `exact_div`).  A coefficient
+or a value from outside is read by `parse_rational`, which refuses a float
+and a bool; every operation returns a canonical form (no zero
 coefficients, no zero exponents).  Values are immutable after construction
 and safe to share between threads, so a value keeps its text once rendered:
 the first `render()` fills the `_text` slot and later calls return it.
@@ -34,17 +34,6 @@ Monomial = Tuple[Tuple[CoeffSymbol, int], ...]
 MONO_ONE: Monomial = ()
 
 Coeff = int | Fraction
-
-
-def _exact(value) -> Coeff:
-    """The value as an int when it is integral, else as a Fraction; a float
-    is refused with a TypeError, as `parse_rational` refuses it."""
-    if type(value) is int:
-        return value
-    if isinstance(value, float):
-        raise TypeError(f"a float is not read as an exact rational: {value!r}")
-    value = Fraction(value)
-    return value.numerator if value.denominator == 1 else value
 
 
 def mono_make(pairs: Mapping[CoeffSymbol, int]) -> Monomial:
@@ -107,8 +96,15 @@ class SymPoly:
     __slots__ = ("_terms", "_text")
 
     def __init__(self, terms: Dict[Monomial, Coeff] | None = None):
-        self._terms = {m: c.numerator if type(c) is Fraction and c.denominator == 1
-                       else c for m, c in (terms or {}).items() if c != 0}
+        """The nonzero terms, an integral coefficient as an int; a coefficient
+        that is neither an int nor a Fraction is read by `parse_rational`."""
+        self._terms = {}
+        for m, c in (terms or {}).items():
+            if type(c) is not int:
+                c = c if type(c) is Fraction else parse_rational(c)
+                c = c.numerator if c.denominator == 1 else c
+            if c:
+                self._terms[m] = c
         self._text = None
 
     # -- constructors -------------------------------------------------
@@ -123,11 +119,11 @@ class SymPoly:
 
     @staticmethod
     def const(value) -> "SymPoly":
-        return SymPoly({MONO_ONE: _exact(value)})
+        return SymPoly({MONO_ONE: value})
 
     @staticmethod
     def symbol(sym: CoeffSymbol, coeff=1) -> "SymPoly":
-        return SymPoly({((sym, 1),): _exact(coeff)})
+        return SymPoly({((sym, 1),): coeff})
 
     # -- queries -------------------------------------------------------
 
@@ -185,7 +181,7 @@ class SymPoly:
         return self + (-other)
 
     def __rsub__(self, other) -> "SymPoly":
-        return _coerce(other) + (-self)
+        return -self + other
 
     def __mul__(self, other) -> "SymPoly":
         other = _coerce(other)
@@ -230,7 +226,7 @@ class SymPoly:
     def evaluate(self, assignment: "Specialization | Mapping[CoeffSymbol, Fraction]") -> Fraction:
         """Exact value under a total assignment of the polynomial's symbols."""
         values = (assignment._values if isinstance(assignment, Specialization)
-                  else {s: Fraction(v) for s, v in assignment.items()})
+                  else {s: parse_rational(v) for s, v in assignment.items()})
         total = Fraction(0)
         try:
             for m, c in self._terms.items():
@@ -292,7 +288,8 @@ class SymPoly:
             qm = mono_div(lead_r, lead_d)
             if qm is None:
                 raise NotDivisible("no exact quotient")
-            qc = _exact(Fraction(remainder[lead_r]) / coeff_d)   # int / int is a float
+            qc = Fraction(remainder[lead_r], coeff_d)
+            qc = qc.numerator if qc.denominator == 1 else qc
             quotient[qm] = quotient.get(qm, 0) + qc
             for m, c in divisor._terms.items():
                 t = mono_mul(m, qm)
@@ -339,9 +336,10 @@ class SymPoly:
 
 
 def _coerce(value) -> SymPoly:
+    # a bool is no number: `p + True` raises and `p == True` is False
     if isinstance(value, SymPoly):
         return value
-    if isinstance(value, (int, Fraction)):
+    if type(value) in (int, Fraction):
         return SymPoly.const(value)
     return NotImplemented
 
@@ -391,7 +389,7 @@ def parse_sympoly(text: str) -> SymPoly:
         for part in raw.split("*"):
             part = part.strip()
             if rational.match(part):
-                coeff *= _exact(part)
+                coeff *= parse_rational(part)
                 continue
             m = factor.match(part)
             if m is None:

@@ -6,8 +6,9 @@ included, is named by the library, the tests, the demos or the benchmark,
 every module-level cache is bounded, no module calls the indented JSON
 encoder or makes a generator without a seed, only `sympoly` touches a `SymPoly`'s slots and only its
 constructor sets the terms, no module reads a private attribute that
-another module defines, every module stays under the parser's token step,
-and every criterion runs in exactly one suite."""
+another module defines, only `parse_rational` tests a value for a float,
+every module stays under the parser's token step, and every criterion
+runs in exactly one suite."""
 
 import ast
 import inspect
@@ -399,6 +400,63 @@ def test_the_scan_finds_a_sympoly_slot_written_or_touched_outside():
 def test_only_the_constructor_sets_a_sympolys_terms():
     sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert sympoly_slot_writes(sources) == []
+
+
+def _calls(node, name):
+    return isinstance(node, ast.Call) and getattr(node.func, "id", None) == name
+
+
+def float_tests(source: str):
+    """(function, line) of each test in `source` of a value for `float`, by
+    `isinstance` or by comparing its `type`, with the name of the innermost
+    enclosing function (None at module level): `sympoly.parse_rational` is
+    the one reader of outside numbers, so no other function keeps its own
+    rule on what counts as exact."""
+    tree = ast.parse(source)
+    parent = {id(child): node for node in ast.walk(tree)
+              for child in ast.iter_child_nodes(node)}
+    found = []
+    for node in ast.walk(tree):
+        if _calls(node, "isinstance"):
+            tested = node.args[1:2]
+        elif isinstance(node, ast.Compare) and any(
+                _calls(side, "type") for side in [node.left] + node.comparators):
+            tested = [side for side in [node.left] + node.comparators
+                      if not _calls(side, "type")]
+        else:
+            continue
+        if any(isinstance(n, ast.Name) and n.id == "float"
+               for side in tested for n in ast.walk(side)):
+            owner = parent.get(id(node))
+            while owner is not None and not isinstance(
+                    owner, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner = parent.get(id(owner))
+            found.append((owner and owner.name, node.lineno))
+    return sorted(found, key=lambda f: f[1])
+
+
+def test_the_scan_finds_a_float_test():
+    source = ("def parse_rational(v):\n"
+              "    if isinstance(v, (bool, float)): raise TypeError\n"
+              "def coefficient(v):\n"
+              "    if isinstance(v, float): raise TypeError\n"
+              "    return type(v) is float or type(v) in (int, float)\n"
+              "class Solver:\n"
+              "    def read(self, v):\n"
+              "        return float is not type(v[0])\n"
+              "def fine(v: float) -> float:\n"
+              "    return float(type(v) is int) or isinstance(v, str)\n"
+              "loose = isinstance(1, float)\n"
+              "text = 'isinstance(v, float)'\n")
+    assert float_tests(source) == [
+        ("parse_rational", 2), ("coefficient", 4), ("coefficient", 5),
+        ("coefficient", 5), ("read", 8), (None, 11)]
+
+
+def test_only_parse_rational_tests_for_a_float():
+    found = {(module, name) for module in MODULES
+             for name, _ in float_tests((SRC / f"{module}.py").read_text())}
+    assert found == {("sympoly", "parse_rational")}
 
 
 # the public methods and attributes of a named tuple

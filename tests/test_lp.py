@@ -317,7 +317,6 @@ class TestIntegers:
     @given(st.lists(st.lists(st.one_of(st.integers(-9, 9), small_rationals),
                              min_size=1, max_size=5), min_size=1, max_size=4))
     @example([[F(1, 2), 3], [F(-2, 3), 0]])
-    @example([[True, 2]])
     def test_mixed_rows_are_scaled_as_before(self, rows):
         got = _integers(rows)
         assert got == integers_reference(rows)
